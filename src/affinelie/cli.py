@@ -304,16 +304,17 @@ def suite_mad(session, word_text=None, spec_lines=None):
     reference = standard_mad(session.auto)
     failures = []
     checked = 0
-    flag, witness = is_diagonalizable(reference, win)
+    diag = is_diagonalizable(reference, win)
+    flag, witness = diag
     checked += 1
     if not flag:
         failures.append({"part": "diagonalizable", "inputs": ["standard"],
                          "lhs": str(witness), "rhs": "joint eigenbasis"})
-    rep = mad_sanity(reference, win)
+    rep = mad_sanity(reference, win, diag)
     checked += rep["checked"]
     failures.extend(dict(f, part="sanity") for f in rep["failures"])
     result = {"checked": checked, "failures": failures,
-              "dim": reference.dim(win)}
+              "dim": rep["checks"]["dim"]}
     if word_text is not None:
         word = parse_word(word_text, session.alg, session.m,
                           auto_builder=lambda p: session.auto)
@@ -391,8 +392,20 @@ def load_session(args):
     beta = parse_scalar(args.beta, m)
     if not beta:
         raise ParseError("beta must be nonzero")
+    if args.samples < 1:
+        raise ParseError("--samples must be at least 1")
     return Session(alg, auto, window, args.seed, beta, args.samples,
                    window_explicit=args.window is not None)
+
+
+def read_spec(path):
+    """Element lines of a subalgebra file, without blanks and # comments."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [l.strip() for l in fh]
+    except OSError as exc:
+        raise ParseError(f"cannot read spec file: {exc}")
+    return [l for l in lines if l and not l.startswith("#")]
 
 
 def emit(payload, args, exit_code):
@@ -445,11 +458,7 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     session = load_session(args)
-    spec_lines = None
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec_lines = [l.strip() for l in fh if l.strip()
-                          and not l.strip().startswith("#")]
+    spec_lines = read_spec(args.spec) if args.spec else None
     if args.suite == "jacobi":
         report = suite_jacobi(session)
     elif args.suite == "form":
@@ -495,9 +504,7 @@ def cmd_spectrum(args):
 
 def cmd_conjugate(args):
     session = load_session(args)
-    with open(args.spec, encoding="utf-8") as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
-    gens = [parse_affine(l, session.alg, session.m) for l in lines]
+    gens = [parse_affine(l, session.alg, session.m) for l in read_spec(args.spec)]
     spec = SubalgebraSpec(gens)
     word = parse_word(args.word, session.alg, session.m,
                       auto_builder=lambda p: session.auto)

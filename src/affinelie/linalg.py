@@ -38,12 +38,20 @@ def mat_mul(a, b, m):
     return out
 
 
-def mat_vec(a, v, m):
-    out = [CycScalar.zero(m)] * len(a)
-    for i, row in enumerate(a):
-        acc = CycScalar.zero(m)
-        for x, y in zip(row, v):
-            if x and y:
+def sparse_rows(a):
+    """Rows of `a` as lists of (column, entry) pairs, zeros dropped."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
+def mat_vec(rows, v, m):
+    """Product of a matrix, given as `sparse_rows`, with a dense vector."""
+    zero = CycScalar.zero(m)
+    out = [zero] * len(rows)
+    for i, row in enumerate(rows):
+        acc = zero
+        for j, x in row:
+            y = v[j]
+            if y:
                 acc = acc + x * y
         out[i] = acc
     return out
@@ -367,28 +375,34 @@ def eigenspaces(mat, m, candidates=()):
 def joint_eigenspaces(mats, m, candidates=()):
     """Simultaneous eigenspace refinement for a commuting family.
 
+    The eigenspaces of the first operator are the starting spaces; each
+    later operator is restricted to every current space (images through
+    `mat_vec` on its sparse rows, expressed in the space's basis) and its
+    eigenspaces there refine the space.  Refined basis vectors are rebuilt
+    in the ambient space from the nonzero entries of the old basis only.
+
     Returns (spaces, defect) where spaces is a list of
     (weight-tuple, basis-of-ambient-vectors); defect is None on success or
     the index of the first operator whose restriction fails to
     diagonalize over the implemented field.
     """
-    n = len(mats[0]) if mats else 0
-    start = [([], identity(n, m))]
-    current = start
-    for op_index, mat in enumerate(mats):
+    n = len(mats[0])
+    spaces, complete = eigenspaces(mats[0], m, candidates)
+    if not complete:
+        return [], 0
+    current = [([w], basis) for w, basis in spaces]
+    for op_index, mat in enumerate(mats[1:], 1):
+        rows = sparse_rows(mat)
         refined = []
         for weights, basis in current:
             k = len(basis)
-            if k == 0:
-                continue
             # restriction of `mat` to span(basis): solve in the basis
             solver = SpanSolver(n, m)
             for v in basis:
                 solver.add(v)
             restricted_cols = []
             for v in basis:
-                image = mat_vec(mat, v, m)
-                coords = solver.coords(image)
+                coords = solver.coords(mat_vec(rows, v, m))
                 if coords is None:
                     return [], op_index
                 restricted_cols.append(coords)
@@ -396,13 +410,15 @@ def joint_eigenspaces(mats, m, candidates=()):
             spaces, complete = eigenspaces(restricted, m, candidates)
             if not complete:
                 return [], op_index
+            support = sparse_rows(basis)
             for w, sub in spaces:
                 ambient = []
                 for coeffs in sub:
                     vec = [CycScalar.zero(m)] * n
-                    for coef, bvec in zip(coeffs, basis):
+                    for coef, entries in zip(coeffs, support):
                         if coef:
-                            vec = [x + coef * y for x, y in zip(vec, bvec)]
+                            for i, y in entries:
+                                vec[i] = vec[i] + coef * y
                     ambient.append(vec)
                 refined.append((weights + [w], ambient))
         current = refined

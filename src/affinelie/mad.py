@@ -43,13 +43,7 @@ class SubalgebraSpec:
         return self.generators[0].m
 
     def dim(self, window):
-        solver = linalg.SpanSolver(window.size(), self.m)
-        for g in self.generators:
-            vec = window.to_vector(g)
-            if vec is None:
-                raise ValueError("generator does not fit in the window")
-            solver.add(vec)
-        return solver.rank
+        return self.span_solver(window).rank
 
     def span_solver(self, window):
         solver = linalg.SpanSolver(window.size(), self.m)
@@ -130,16 +124,16 @@ def is_diagonalizable(spec, window):
     return True, {"eigenbasis": eigen}
 
 
-def maximality_probe(spec, window):
+def maximality_probe(spec, window, diag=None):
     """Search the interior for a diagonalizable commuting enlargement.
 
     Mirrors the constructive step of the dimension bound: any loop-level
     interior vector of joint weight zero outside the span whose restricted
-    ad-action is diagonalizable enlarges the subalgebra.  Returns the
-    witness or None.
+    ad-action is diagonalizable enlarges the subalgebra.  `diag` is the
+    result of `is_diagonalizable(spec, window)` when the caller already
+    has it.  Returns the witness or None.
     """
-    m = window.m
-    flag, data = is_diagonalizable(spec, window)
+    flag, data = diag if diag is not None else is_diagonalizable(spec, window)
     if not flag:
         raise ValueError("maximality probe requires a diagonalizable input")
     span = spec.span_solver(window)
@@ -167,10 +161,11 @@ def maximality_probe(spec, window):
     return None
 
 
-def mad_sanity(spec, window):
+def mad_sanity(spec, window, diag=None):
     """The structural MAD requirements, checked exactly at window scale:
     center membership, a generator leaving the core, dimension >= 3, and
-    failure of the interior enlargement probe."""
+    failure of the interior enlargement probe.  `diag` is passed on to
+    `maximality_probe`."""
     alg, m = spec.alg, spec.m
     checks = {}
     c_vec = window.to_vector(AffineElt.c_elt(alg, m))
@@ -179,7 +174,7 @@ def mad_sanity(spec, window):
     dim = spec.dim(window)
     checks["dim"] = dim
     checks["dim_at_least_3"] = dim >= 3
-    witness = maximality_probe(spec, window)
+    witness = maximality_probe(spec, window, diag)
     checks["probe_enlargement"] = witness.render() if witness is not None else None
     checks["window_maximal"] = witness is None
     passed = (checks["contains_center"] and checks["leaves_core"]

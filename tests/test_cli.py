@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from affinelie.cli import main
+from affinelie.cli import build_parser, load_session, main
 
 
 @pytest.fixture
@@ -115,6 +115,42 @@ class TestVerify:
                       "--beta", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_rejected(self, capsys, a1_file, samples):
+        code = main(["verify", "form", "--algebra", a1_file,
+                     "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--samples" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_mad_missing_spec_exits_2(self, capsys, a1_file, tmp_path):
+        code = main(["verify", "mad", "--algebra", a1_file,
+                     "--word", "vshift(2) @ hat",
+                     "--spec", str(tmp_path / "nope.txt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot read spec file" in err
+        assert "Traceback" not in err
+
+    def test_mad_diagonalizes_once(self, monkeypatch, a1_file):
+        from affinelie import cli, mad
+        original = mad.is_diagonalizable
+        calls = []
+
+        def counted(spec, window):
+            calls.append(spec)
+            return original(spec, window)
+
+        monkeypatch.setattr(cli, "is_diagonalizable", counted)
+        monkeypatch.setattr(mad, "is_diagonalizable", counted)
+        session = load_session(build_parser().parse_args(
+            ["verify", "mad", "--algebra", a1_file]))
+        report = cli.suite_mad(session)
+        assert not report["failures"]
+        assert len(calls) == 1
+
 
 class TestSpectrumAndConjugate:
     def test_spectrum_dump(self, capsys, a1_file):
@@ -139,6 +175,18 @@ class TestSpectrumAndConjugate:
                         "--word", "rootexp(a1, t^0) @ hat", "--spec", str(spec))
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_conjugate_missing_spec_exits_2(self, a1_file, tmp_path):
+        import subprocess
+        import sys
+        cmd = [sys.executable, "-m", "affinelie", "conjugate",
+               "--algebra", a1_file, "--word", "vshift(2) @ hat",
+               "--spec", str(tmp_path / "nope.txt")]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "cannot read spec file" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

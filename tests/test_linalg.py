@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from affinelie import linalg
 from affinelie.scalars import CycScalar
@@ -117,6 +118,117 @@ class TestEigen:
         bad = rmat([[0, 1], [0, 0]])
         _, defect = linalg.joint_eigenspaces([good, bad], 1)
         assert defect == 1
+
+    def test_joint_defective_first_operator(self):
+        bad = rmat([[1, 1], [0, 1]])
+        good = rmat([[1, 0], [0, 1]])
+        assert linalg.joint_eigenspaces([bad, good], 1) == ([], 0)
+
+    def test_joint_first_operator_not_diagonal(self):
+        # eigenvectors (1, 0) and (1, 1) of the first operator; the second
+        # is the first plus 3, so the joint weights are (2, 5) and (3, 6)
+        first = rmat([[2, 1], [0, 3]])
+        second = rmat([[5, 1], [0, 6]])
+        spaces, defect = linalg.joint_eigenspaces([first, second], 1)
+        assert defect is None
+        weights = sorted((w[0].rational(), w[1].rational()) for w, _ in spaces)
+        assert weights == [(2, 5), (3, 6)]
+        for w, basis in spaces:
+            for v in basis:
+                for mat, wi in zip((first, second), w):
+                    image = linalg.mat_vec(linalg.sparse_rows(mat), v, 1)
+                    assert image == [wi * x for x in v]
+
+
+def dense_joint_eigenspaces(mats, m, candidates=()):
+    """Identity-start joint refinement with dense products, kept as the
+    reference for `linalg.joint_eigenspaces`."""
+    n = len(mats[0]) if mats else 0
+
+    def dense_mat_vec(a, v):
+        out = []
+        for row in a:
+            acc = CycScalar.zero(m)
+            for x, y in zip(row, v):
+                if x and y:
+                    acc = acc + x * y
+            out.append(acc)
+        return out
+
+    current = [([], linalg.identity(n, m))]
+    for op_index, mat in enumerate(mats):
+        refined = []
+        for weights, basis in current:
+            k = len(basis)
+            if k == 0:
+                continue
+            solver = linalg.SpanSolver(n, m)
+            for v in basis:
+                solver.add(v)
+            restricted_cols = []
+            for v in basis:
+                coords = solver.coords(dense_mat_vec(mat, v))
+                if coords is None:
+                    return [], op_index
+                restricted_cols.append(coords)
+            restricted = [[restricted_cols[j][i] for j in range(k)] for i in range(k)]
+            spaces, complete = linalg.eigenspaces(restricted, m, candidates)
+            if not complete:
+                return [], op_index
+            for w, sub in spaces:
+                ambient = []
+                for coeffs in sub:
+                    vec = [CycScalar.zero(m)] * n
+                    for coef, bvec in zip(coeffs, basis):
+                        if coef:
+                            vec = [x + coef * y for x, y in zip(vec, bvec)]
+                    ambient.append(vec)
+                refined.append((weights + [w], ambient))
+        current = refined
+    return [(tuple(w), basis) for w, basis in current], None
+
+
+@st.composite
+def commuting_family(draw, m):
+    """P D_i P^-1 for a random invertible integer P and diagonal D_i with
+    entries from a small pool, so eigenvalues repeat; optionally the pool
+    is passed as eigenvalue candidates."""
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 3))
+    pool = [CycScalar(m, a, b) for a in range(-2, 3)
+            for b in ((0,) if m == 1 else (0, 1))]
+    p = [[CycScalar(m, draw(st.integers(-2, 2))) for _ in range(n)]
+         for _ in range(n)]
+    try:
+        p_inv = linalg.invert(p, m)
+    except ValueError:
+        assume(False)
+    mats = []
+    for _ in range(count):
+        d = [[CycScalar.zero(m)] * n for _ in range(n)]
+        for i in range(n):
+            d[i][i] = draw(st.sampled_from(pool))
+        mats.append(linalg.mat_mul(linalg.mat_mul(p, d, m), p_inv, m))
+    candidates = pool if draw(st.booleans()) else ()
+    return mats, candidates
+
+
+class TestJointEigenspacesProperty:
+    @pytest.mark.parametrize("m", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_reference(self, m, data):
+        mats, candidates = data.draw(commuting_family(m))
+        got = linalg.joint_eigenspaces(mats, m, candidates)
+        assert got == dense_joint_eigenspaces(mats, m, candidates)
+        spaces, defect = got
+        if defect is None:
+            assert sum(len(b) for _, b in spaces) == len(mats[0])
+            for weights, basis in spaces:
+                for v in basis:
+                    for mat, w in zip(mats, weights):
+                        image = linalg.mat_vec(linalg.sparse_rows(mat), v, m)
+                        assert image == [w * x for x in v]
 
 
 class TestJordanSplit:

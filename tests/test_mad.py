@@ -109,6 +109,22 @@ class TestMaximalityProbe:
         win = Window(a2_flip, -4, 4)
         assert maximality_probe(standard_mad(a2_flip), win) is None
 
+    def test_given_diagonalization_matches_recomputed(self, a2, a2_id):
+        win = Window(a2_id, -2, 2)
+        gens = [AffineElt(LoopElt.monomial(a2, 1, 0, 0)),
+                AffineElt.c_elt(a2, 1), AffineElt.d_elt(a2, 1)]
+        spec = SubalgebraSpec(gens)
+        diag = is_diagonalizable(spec, win)
+        assert maximality_probe(spec, win, diag) == maximality_probe(spec, win)
+
+    def test_non_diagonalizable_input_rejected(self, a1, a1_id):
+        win = Window(a1_id, -2, 2)
+        spec = SubalgebraSpec([AffineElt(LoopElt.monomial(a1, 1, 1, 0))])
+        with pytest.raises(ValueError):
+            maximality_probe(spec, win)
+        with pytest.raises(ValueError):
+            maximality_probe(spec, win, is_diagonalizable(spec, win))
+
 
 class TestCentralizer:
     def test_h0_centralizer_is_cartan_slice(self, a1, a1_id):
