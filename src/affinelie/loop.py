@@ -156,10 +156,6 @@ class LoopElt:
         return f"LoopElt({self.render()!r})"
 
 
-def bracket_loop(x, y):
-    return x.bracket(y)
-
-
 def gamma_twist(x, auto):
     """The twisted Galois generator: sigma^(-1) on g, s -> zeta*s on S."""
     inv = auto.inverse()
@@ -234,8 +230,3 @@ def twisted_basis(auto, lo, hi, context=None):
                 raise AssertionError("eigenvector failed the twisted-invariance test")
             out.append(v)
     return out
-
-
-def twisted_subalgebra(auto, lo, hi):
-    """Windowed basis of the fixed-point subalgebra (see twisted_basis)."""
-    return twisted_basis(auto, lo, hi)

@@ -123,6 +123,8 @@ class _ElementParser:
                 den, dpos = self.next()
                 if not den.isdigit():
                     raise ParseError("expected a denominator", dpos)
+                if not int(den):
+                    raise ParseError("zero denominator", dpos)
                 num = num / int(den)
             return _Value(CycScalar(self.m, num))
         if tok == "z":
@@ -154,6 +156,8 @@ class _ElementParser:
                 if not den_tok.isdigit():
                     raise ParseError("expected an exponent denominator", dpos)
                 q = int(den_tok)
+                if not q:
+                    raise ParseError("zero exponent denominator", dpos)
             self.expect(")")
             numerator = sign * p * self.m
             if numerator % q:
@@ -358,21 +362,29 @@ def parse_algebra_file(text):
     if need("schema") != "1":
         raise ParseError("unsupported schema version")
     kind = need("type")
+    rank = _int(need("rank"), "rank")
     if kind == "table":
-        alg = _table_algebra(fields, labels, roots, brackets)
+        alg = _table_algebra(rank, fields, labels, roots, brackets)
     else:
         # unknown kinds raise ValueError: unsupported input, not a parse error
-        rank = int(need("rank"))
         alg = build_chevalley(kind, rank)
     if "perm" in fields:
-        images = tuple(int(v) - 1 for v in fields["perm"][1].split())
+        images = tuple(_int(v, "perm") - 1 for v in fields["perm"][1].split())
         auto = build_diagram_auto(alg, images)
     else:
         auto = build_diagram_auto(alg, tuple(range(alg.rank)))
     return alg, auto
 
 
-def _table_algebra(fields, labels, roots, brackets):
+def _int(text, what):
+    """An integer field of an algebra file; anything else is a parse error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what}: expected an integer, got {text!r}") from None
+
+
+def _table_algebra(rank, fields, labels, roots, brackets):
     """Escape hatch: an explicit structure-constant table.
 
     Roots are coefficient tuples over the simple roots; brackets list the
@@ -381,16 +393,15 @@ def _table_algebra(fields, labels, roots, brackets):
     """
     from .rootsys import RootDatum, ChevAlgebra, GElt, neg
 
-    rank = int(fields["rank"][1])
     if "cartan" not in fields:
         raise ParseError("table mode requires a cartan matrix")
     rows = [r.strip() for r in fields["cartan"][1].split(";")]
-    cartan = tuple(tuple(int(v) for v in row.split()) for row in rows)
+    cartan = tuple(tuple(_int(v, "cartan") for v in row.split()) for row in rows)
     if len(cartan) != rank or any(len(r) != rank for r in cartan):
         raise ParseError("cartan matrix shape mismatch")
     pos = []
     for lineno, value in roots:
-        vec = tuple(int(v) for v in value.split())
+        vec = tuple(_int(v, f"line {lineno}: root") for v in value.split())
         if len(vec) != rank:
             raise ParseError(f"line {lineno}: root length mismatch")
         pos.append(vec)

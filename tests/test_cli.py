@@ -1,10 +1,16 @@
 """CLI surface: commands, exit codes, reproducible JSON."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from affinelie.cli import build_parser, load_session, main
+from affinelie import cli
+from affinelie.affine import bracket_affine
+from affinelie.cli import Session, build_parser, load_session, main
+from affinelie.rootsys import build_chevalley, build_diagram_auto
+from affinelie.scalars import CycScalar
 
 
 @pytest.fixture
@@ -25,6 +31,64 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    return subprocess.run([sys.executable, "-m", "affinelie", *argv],
+                          capture_output=True, text=True)
+
+
+def tampered_session(kind, rank, perm, lo, hi):
+    """A session on a fresh algebra with one structure constant doubled."""
+    alg = build_chevalley(kind, rank)
+    auto = build_diagram_auto(alg, perm)
+    key = min(alg.table)
+    row = dict(alg.table[key])
+    first = min(row)
+    row[first] = 2 * row[first]
+    alg.table = dict(alg.table)
+    alg.table[key] = row
+    return Session(alg, auto, (lo, hi), seed=0, beta=CycScalar(auto.m, 1),
+                   samples=1, window_explicit=True)
+
+
+def reference_jacobi(basis):
+    """The direct triple loop: six nested brackets per triple, the list cut
+    after it first exceeds 10 failures, the rest counted."""
+    checked, failures, omitted = 0, [], 0
+    n = len(basis)
+    for i in range(n):
+        for j in range(i, n):
+            checked += 1
+            anti = (bracket_affine(basis[i], basis[j])
+                    + bracket_affine(basis[j], basis[i]))
+            if anti:
+                failures.append({
+                    "inputs": [basis[i].render(), basis[j].render()],
+                    "lhs": anti.render(), "rhs": "0"})
+    cut = False
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                bi, bj, bk = basis[i], basis[j], basis[k]
+                checked += 1
+                s = (bracket_affine(bi, bracket_affine(bj, bk))
+                     + bracket_affine(bj, bracket_affine(bk, bi))
+                     + bracket_affine(bk, bracket_affine(bi, bj)))
+                if not s:
+                    continue
+                if cut:
+                    omitted += 1
+                    continue
+                failures.append({
+                    "inputs": [bi.render(), bj.render(), bk.render()],
+                    "lhs": s.render(), "rhs": "0"})
+                cut = len(failures) > 10
+    report = {"checked": checked, "failures": failures}
+    if omitted:
+        report["failures_omitted"] = omitted
+    return report
 
 
 class TestConstruct:
@@ -152,6 +216,76 @@ class TestVerify:
         assert len(calls) == 1
 
 
+    @pytest.mark.parametrize("kind, rank, perm, lo, hi", [
+        ("A", 2, (0, 1), -1, 1),
+        ("A", 2, (1, 0), -2, 2),
+    ])
+    def test_jacobi_matches_direct_loop_on_tampered_table(
+            self, kind, rank, perm, lo, hi):
+        session = tampered_session(kind, rank, perm, lo, hi)
+        report = cli.suite_jacobi(session)
+        assert report == reference_jacobi(session.window().basis)
+        assert report["failures_omitted"] > 0
+
+    def test_jacobi_brackets_fewer_than_triples(self, monkeypatch,
+                                                a2_twisted_file):
+        calls = []
+
+        def counted(x, y):
+            calls.append(None)
+            return bracket_affine(x, y)
+
+        monkeypatch.setattr(cli, "bracket_affine", counted)
+        session = load_session(build_parser().parse_args(
+            ["verify", "jacobi", "--algebra", a2_twisted_file,
+             "--window", "-2", "2"]))
+        report = cli.suite_jacobi(session)
+        n = session.window().size()
+        pairs = n * (n + 1) // 2
+        triples = n * (n + 1) * (n + 2) // 6
+        assert report == {"checked": pairs + triples, "failures": []}
+        assert len(calls) < triples
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "jacobi"],
+        ["verify", "spectral"],
+        ["verify", "mad"],
+    ])
+    def test_unread_spec_exits_2(self, a1_file, tmp_path, argv):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("H_1*t^0\nc\nd\n")
+        proc = run_subprocess(*argv, "--algebra", a1_file,
+                              "--spec", str(spec))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--spec" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "form", "--beta", "1/0"],
+        ["verify", "spectral", "--x", "1/0*H_1*t^0 + d"],
+        ["verify", "spectral", "--x", "H_1*t^(1/0) + d"],
+    ])
+    def test_zero_denominator_exits_2(self, a1_file, argv):
+        proc = run_subprocess(*argv, "--algebra", a1_file)
+        assert proc.returncode == 2
+        assert "zero" in proc.stderr and "denominator" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", [
+        "schema: 1\ntype: A\nrank: x\n",
+        "schema: 1\ntype: A\nrank: 2\nperm: a b\n",
+        "schema: 1\ntype: table\nrank: x\n",
+    ])
+    def test_non_integer_field_exits_2(self, tmp_path, text):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        proc = run_subprocess("construct", "--algebra", str(path))
+        assert proc.returncode == 2
+        assert "expected an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestSpectrumAndConjugate:
     def test_spectrum_dump(self, capsys, a1_file):
         code, out = run(capsys, "spectrum", "--algebra", a1_file,
@@ -177,12 +311,9 @@ class TestSpectrumAndConjugate:
         assert json.loads(out)["pass"] is False
 
     def test_conjugate_missing_spec_exits_2(self, a1_file, tmp_path):
-        import subprocess
-        import sys
-        cmd = [sys.executable, "-m", "affinelie", "conjugate",
-               "--algebra", a1_file, "--word", "vshift(2) @ hat",
-               "--spec", str(tmp_path / "nope.txt")]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = run_subprocess("conjugate", "--algebra", a1_file,
+                              "--word", "vshift(2) @ hat",
+                              "--spec", str(tmp_path / "nope.txt"))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "cannot read spec file" in proc.stderr
@@ -191,9 +322,7 @@ class TestSpectrumAndConjugate:
 
 class TestDeterminism:
     def test_subprocess_byte_identical(self, a1_file):
-        import subprocess
-        import sys
-        cmd = [sys.executable, "-m", "affinelie", "verify", "form",
+        cmd =[sys.executable, "-m", "affinelie", "verify", "form",
                "--algebra", a1_file, "--seed", "11", "--samples", "40"]
         out1 = subprocess.run(cmd, capture_output=True, check=True).stdout
         out2 = subprocess.run(cmd, capture_output=True, check=True).stdout
