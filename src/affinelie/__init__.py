@@ -8,14 +8,14 @@ extension and derivation, windowed weight decompositions, and MAD
 from .scalars import CycScalar, LaurentElt
 from .rootsys import (ChevAlgebra, DiagramAuto, GElt, RootDatum,
                       build_chevalley, build_diagram_auto, cartan_of_fixed,
-                      killing, sigma_eigenspaces)
+                      sigma_eigenspaces)
 from .loop import LoopElt, TwistedContext, is_in_twisted, twisted_basis
 from .affine import (AffineElt, bracket_affine, core_and_derived,
                      invariant_form, verify_form_invariance)
 from .autos import (AutoWord, Cochar, Diagram, NilExp, Ring, RootExp, TorusK,
                     VShift, hat_lift, tilde_lift, v_auto, verify_automorphism,
                     verify_exact_sequence)
-from .spectral import (Window, WeightDecomp, ad_matrix, weight_decompose,
+from .spectral import (AdOperator, Window, WeightDecomp, weight_decompose,
                        verify_opposite, verify_product_rule, verify_shift,
                        verify_zero_weight, rspan_isomorphism_check)
 from .mad import (SubalgebraSpec, centralizer, conjugacy_verify,

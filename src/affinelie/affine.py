@@ -197,55 +197,28 @@ def core_and_derived(auto, lo, hi, context=None):
     every product stays inside the window.  Returns (basis, flag) where the
     flag asserts span == (windowed twisted loop) (+) kc and d not in span.
     """
-    from .loop import twisted_basis, TwistedContext
-    ctx = context or TwistedContext(auto)
-    alg, m = auto.alg, auto.m
-    vectors = twisted_basis(auto, lo, hi, ctx)
-    # ambient coordinates: one slot per (window vector), plus c, plus d
-    index = {}
-    meta = []
-    for j in range(lo, hi + 1):
-        for pos in range(ctx.slice_dim(j)):
-            index[(j, pos)] = len(meta)
-            meta.append((j, pos))
-    dim = len(meta) + 2
-    c_slot, d_slot = len(meta), len(meta) + 1
-
-    def to_vec(elt):
-        vec = [CycScalar.zero(m)] * dim
-        for j in sorted(elt.loop.degree_support()):
-            coords = ctx.decompose_slice(elt.loop.slice(j), j)
-            if coords is None:
-                raise ValueError("element leaves the twisted algebra")
-            for pos, coef in enumerate(coords):
-                if coef:
-                    vec[index[(j, pos)]] = coef
-        vec[c_slot] = elt.c
-        vec[d_slot] = elt.d
-        return vec
-
-    solver = linalg.SpanSolver(dim, m)
+    from .spectral import Window
+    window = Window(auto, lo, hi, context=context)
+    basis, m = window.basis, auto.m
+    loop = [(i, j) for i, (kind, j, _) in enumerate(window.meta) if kind == "loop"]
+    solver = linalg.SpanSolver(window.size(), m)
     produced = []
-    for a in range(len(vectors)):
-        da = min(vectors[a].degree_support())
-        for b in range(len(vectors)):
-            db = min(vectors[b].degree_support())
+    for a, da in loop:
+        for b, db in loop:
             if not (lo <= da + db <= hi):
                 continue
-            w = bracket_affine(AffineElt(vectors[a]), AffineElt(vectors[b]))
+            w = bracket_affine(basis[a], basis[b])
             if w.is_zero():
                 continue
-            vec = to_vec(w)
-            if solver.add(vec):
+            if solver.add(window.to_vector(w)):
                 produced.append(w)
     # expected span: every windowed loop vector and c, never d
-    expected = linalg.SpanSolver(dim, m)
-    for v in vectors:
-        expected.add(to_vec(AffineElt(v)))
-    expected.add(to_vec(AffineElt.c_elt(alg, m)))
+    expected = linalg.SpanSolver(window.size(), m)
+    for i in [i for i, _ in loop] + [window.c_slot]:
+        expected.add(window.to_vector(basis[i]))
     span_matches = solver.rank == expected.rank and all(
         expected.contains(row) for row in solver.rows
     ) and all(solver.contains(row) for row in expected.rows)
-    d_vec = to_vec(AffineElt.d_elt(alg, m))
+    d_vec = window.to_vector(basis[window.d_slot])
     flag = span_matches and not solver.contains(d_vec)
     return produced, flag

@@ -446,13 +446,6 @@ def v_auto(a):
     return AutoWord("hat", (VShift(a),))
 
 
-def gamma_conjugate(word, zeta_scalar):
-    """Conjugation by the Galois generator s -> zeta s at the word's level."""
-    twist = Ring(zeta_scalar, 1)
-    untwist = twist.inverse()
-    return AutoWord(word.level, (twist,) + word.gens + (untwist,))
-
-
 def verify_automorphism(word, sampler, samples):
     """Check phi([x,y]) = [phi(x), phi(y)] exactly on sampled pairs."""
     failures = []

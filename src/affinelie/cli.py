@@ -4,7 +4,9 @@ dump weight decompositions, certify conjugacy words.
 All randomized checks draw integer coefficients in [-5, 5] and degrees
 inside the active window from a PRNG fully determined by --seed, so equal
 configurations produce byte-identical JSON.  Exit codes: 0 all checks
-pass, 1 verification failure, 2 parse error, 3 unsupported input.
+pass, 1 verification failure, 2 parse error, 3 unsupported input, 4
+internal error (an exact re-verification inside the program failed; one
+`internal error:` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -33,8 +35,14 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
-SUITES = ("jacobi", "form", "lifts", "exactseq", "spectral", "mad")
+# suite -> the options of `verify` it reads, in the order it takes them
+SUITES = {"jacobi": (), "form": (), "lifts": (), "exactseq": (),
+          "spectral": ("x",), "mad": ("word", "spec")}
+# option -> the only run that reads it; given to any other, a parse error
+READ_BY = {"x": "verify spectral", "word": "verify mad",
+           "spec": "verify mad --word"}
 
 
 class Session:
@@ -374,9 +382,27 @@ def suite_spectral(session, x_text=None):
     return {"checked": checked, "failures": failures, "decomposition": dump}
 
 
+def _word_and_spec(session, word_text, spec_lines, default=None):
+    """The hat word and the subalgebra of a conjugacy check; without
+    element lines the subalgebra is `default`, when one is given."""
+    alg, m = session.alg, session.m
+    word = parse_word(word_text, alg, m, auto_builder=lambda p: session.auto)
+    if default is not None and not spec_lines:
+        return word, default
+    return word, SubalgebraSpec([parse_affine(line, alg, m) for line in spec_lines])
+
+
+def suite_conjugacy(session, word_text, spec_lines):
+    """Whether the word carries the subalgebra onto the standard MAD."""
+    word, spec = _word_and_spec(session, word_text, spec_lines)
+    return conjugacy_verify(word, spec, session.window())
+
+
 def suite_mad(session, word_text=None, spec_lines=None):
     win = session.window()
     reference = standard_mad(session.auto)
+    if word_text is not None:
+        word, spec = _word_and_spec(session, word_text, spec_lines, reference)
     failures = []
     checked = 0
     diag = is_diagonalizable(reference, win)
@@ -391,14 +417,6 @@ def suite_mad(session, word_text=None, spec_lines=None):
     result = {"checked": checked, "failures": failures,
               "dim": rep["checks"]["dim"]}
     if word_text is not None:
-        word = parse_word(word_text, session.alg, session.m,
-                          auto_builder=lambda p: session.auto)
-        if spec_lines:
-            gens = [parse_affine(line, session.alg, session.m)
-                    for line in spec_lines]
-            spec = SubalgebraSpec(gens)
-        else:
-            spec = reference
         conj = conjugacy_verify(word, spec, win)
         result["checked"] += conj["checked"]
         result["failures"].extend(dict(f, part="conjugacy")
@@ -483,12 +501,15 @@ def read_spec(path):
     return [l for l in lines if l and not l.startswith("#")]
 
 
-def emit(payload, args, exit_code):
+def emit(args, session, command, fields):
+    """Print the payload of a command: its header, then `fields`."""
+    payload = {"schema": 1, "command": command,
+               "algebra": session.alg.datum.label, "m": session.m,
+               "window": [session.lo, session.hi], **fields}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         _emit_text(payload)
-    return exit_code
 
 
 def _emit_text(payload):
@@ -520,84 +541,36 @@ def cmd_construct(args):
     }
     if session.m > 1:
         dims["g_i"] = [len(b) for b in session.ctx.eigenspaces]
-    payload = {
-        "schema": 1,
-        "command": "construct",
-        "algebra": session.alg.datum.label,
-        "m": session.m,
-        "window": [session.lo, session.hi],
-        "dims": dims,
-    }
-    return emit(payload, args, EXIT_PASS)
+    emit(args, session, "construct", {"dims": dims})
+    return EXIT_PASS
 
 
-def cmd_verify(args):
-    if args.spec and (args.suite != "mad" or args.word is None):
-        raise ParseError("--spec is read only by `verify mad --word`")
-    session = load_session(args)
-    spec_lines = read_spec(args.spec) if args.spec else None
-    if args.suite == "jacobi":
-        report = suite_jacobi(session)
-    elif args.suite == "form":
-        report = suite_form(session)
-    elif args.suite == "lifts":
-        report = suite_lifts(session)
-    elif args.suite == "exactseq":
-        report = suite_exactseq(session)
-    elif args.suite == "spectral":
-        report = suite_spectral(session, args.x)
+def cmd_report(args):
+    """`verify SUITE`; `spectrum`, which is `verify spectral` under its
+    own name; and `conjugate`, the conjugacy half of `verify mad` alone."""
+    if args.command == "conjugate":
+        suite, reads = "conjugacy", ("word", "spec")
     else:
-        report = suite_mad(session, args.word, spec_lines)
-    ok = _passed(report)
-    payload = {
-        "schema": 1,
-        "command": f"verify {args.suite}",
-        "algebra": session.alg.datum.label,
-        "m": session.m,
-        "seed": session.seed,
-        "window": [session.lo, session.hi],
-        "reports": {args.suite: report},
-        "pass": ok,
-    }
-    return emit(payload, args, EXIT_PASS if ok else EXIT_FAIL)
-
-
-def cmd_spectrum(args):
+        suite = getattr(args, "suite", "spectral")
+        reads = SUITES[suite]
+    command = f"verify {suite}" if args.command == "verify" else args.command
+    given = {opt: getattr(args, opt, None) for opt in READ_BY}
+    for opt, reader in READ_BY.items():
+        if given[opt] is not None and (
+                opt not in reads or opt == "spec" and given["word"] is None):
+            raise ParseError(f"--{opt} is read only by `{reader}`")
     session = load_session(args)
-    report = suite_spectral(session, args.x)
+    if given["spec"] is not None:
+        given["spec"] = read_spec(given["spec"])
+    # looked up by name, so that a wrapper set on this module is called
+    run = globals()[f"suite_{suite}"]
+    report = run(session, *(given[opt] for opt in reads))
     ok = _passed(report)
-    payload = {
-        "schema": 1,
-        "command": "spectrum",
-        "algebra": session.alg.datum.label,
-        "m": session.m,
-        "seed": session.seed,
-        "window": [session.lo, session.hi],
-        "reports": {"spectral": report},
-        "pass": ok,
-    }
-    return emit(payload, args, EXIT_PASS if ok else EXIT_FAIL)
-
-
-def cmd_conjugate(args):
-    session = load_session(args)
-    gens = [parse_affine(l, session.alg, session.m) for l in read_spec(args.spec)]
-    spec = SubalgebraSpec(gens)
-    word = parse_word(args.word, session.alg, session.m,
-                      auto_builder=lambda p: session.auto)
-    win = session.window()
-    report = conjugacy_verify(word, spec, win)
-    ok = _passed(report)
-    payload = {
-        "schema": 1,
-        "command": "conjugate",
-        "algebra": session.alg.datum.label,
-        "m": session.m,
-        "window": [session.lo, session.hi],
-        "reports": {"conjugacy": report},
-        "pass": ok,
-    }
-    return emit(payload, args, EXIT_PASS if ok else EXIT_FAIL)
+    fields = {"reports": {suite: report}, "pass": ok}
+    if command != "conjugate":
+        fields["seed"] = session.seed
+    emit(args, session, command, fields)
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def main(argv=None):
@@ -606,17 +579,16 @@ def main(argv=None):
     try:
         if args.command == "construct":
             return cmd_construct(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        return cmd_conjugate(args)
+        return cmd_report(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -182,18 +182,6 @@ class SpanSolver:
         return [-x for x in c]
 
 
-def span_basis(vectors, m):
-    """Independent subset spanning the same space (original vectors)."""
-    if not vectors:
-        return []
-    solver = SpanSolver(len(vectors[0]), m)
-    out = []
-    for v in vectors:
-        if solver.add(v):
-            out.append(v)
-    return out
-
-
 def same_span(vectors_a, vectors_b, m, dim):
     sa = SpanSolver(dim, m)
     for v in vectors_a:

@@ -11,10 +11,9 @@ certified for a given word, never searched.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import CycScalar
 from .loop import LoopElt
 from .affine import AffineElt, bracket_affine
-from .spectral import interior_indices, weight_decompose
+from .spectral import AdOperator, weight_decompose
 
 
 class SubalgebraSpec:
@@ -67,26 +66,6 @@ def standard_mad(auto, context=None):
     return SubalgebraSpec(gens)
 
 
-def _interior_ad_columns(x, window):
-    """Columns of ad(x) over the joint interior; dict col-index -> vector."""
-    cols = {}
-    for i in interior_indices(x, window):
-        image = bracket_affine(x, window.basis[i])
-        vec = window.to_vector(image)
-        if vec is None:
-            raise AssertionError("interior column left the window")
-        cols[i] = vec
-    return cols
-
-
-def joint_interior(spec, window):
-    indices = None
-    for g in spec.generators:
-        cur = set(interior_indices(g, window))
-        indices = cur if indices is None else indices & cur
-    return sorted(indices)
-
-
 def is_diagonalizable(spec, window):
     """Simultaneous exact diagonalizability of the family over Q(zeta_m).
 
@@ -94,33 +73,16 @@ def is_diagonalizable(spec, window):
     as (weight-tuple, vectors) pairs; on failure it names a defective
     generator.
     """
-    m = window.m
-    interior = joint_interior(spec, window)
-    if not interior:
+    ops = AdOperator.family(spec.generators, window)
+    if not ops[0].interior:
         raise ValueError("window too small: empty joint interior")
-    mats = []
-    for g in spec.generators:
-        cols = _interior_ad_columns(g, window)
-        mat = [[cols[j][i] for j in interior] for i in interior]
-        mats.append(mat)
-    spaces, defect = linalg.joint_eigenspaces(mats, m)
+    spaces, defect = linalg.joint_eigenspaces(
+        [op.rows(square=True) for op in ops], window.m)
     if defect is not None:
         return False, {"defective_generator": spec.generators[defect].render()}
-    eigen = []
-    for weights, basis in spaces:
-        vectors = []
-        for coeffs in basis:
-            vec = [CycScalar.zero(m)] * window.size()
-            for coef, i in zip(coeffs, interior):
-                if coef:
-                    vec[i] = coef
-            v = window.from_vector(vec)
-            for w, g in zip(weights, spec.generators):
-                check = bracket_affine(g, v) - v.scale(w)
-                if check.loop or check.d:
-                    raise AssertionError("joint eigenvector failed re-verification")
-            vectors.append(v)
-        eigen.append((weights, vectors))
+    eigen = [(weights, [AdOperator.joint_lift(ops, coeffs, weights)
+                        for coeffs in basis])
+             for weights, basis in spaces]
     return True, {"eigenbasis": eigen}
 
 
@@ -196,30 +158,13 @@ def centralizer(loop_generators, window):
     Exact joint kernel of the interior ad-matrices; equals the zero piece
     of the joint weight decomposition.
     """
-    m = window.m
-    specs = [AffineElt(g) if isinstance(g, LoopElt) else g for g in loop_generators]
-    interior = None
-    for g in specs:
-        cur = set(interior_indices(g, window))
-        interior = cur if interior is None else interior & cur
-    interior = sorted(i for i in interior
-                      if window.meta[i][0] == "loop")
-    if not interior:
+    gens = [AffineElt(g) if isinstance(g, LoopElt) else g for g in loop_generators]
+    ops = AdOperator.family(gens, window, loop_only=True)
+    if not ops[0].interior:
         return []
-    stacked = []
-    for g in specs:
-        cols = _interior_ad_columns(g, window)
-        for r in range(window.size()):
-            stacked.append([cols[i][r] for i in interior])
-    kernel = linalg.kernel_basis(stacked, m)
-    out = []
-    for coeffs in kernel:
-        vec = [CycScalar.zero(m)] * window.size()
-        for coef, i in zip(coeffs, interior):
-            if coef:
-                vec[i] = coef
-        out.append(window.from_vector(vec).loop)
-    return out
+    stacked = [row for op in ops for row in op.rows()]
+    return [AdOperator.joint_lift(ops, coeffs, [0] * len(ops)).loop
+            for coeffs in linalg.kernel_basis(stacked, window.m)]
 
 
 def conjugacy_verify(word, spec, window):

@@ -391,7 +391,7 @@ def _table_algebra(rank, fields, labels, roots, brackets):
     sparse structure constants by basis label.  Jacobi and antisymmetry
     are verified on load.
     """
-    from .rootsys import RootDatum, ChevAlgebra, GElt, neg
+    from .rootsys import RootDatum, ChevAlgebra
 
     if "cartan" not in fields:
         raise ParseError("table mode requires a cartan matrix")
@@ -406,26 +406,17 @@ def _table_algebra(rank, fields, labels, roots, brackets):
             raise ParseError(f"line {lineno}: root length mismatch")
         pos.append(vec)
     datum = RootDatum("table", rank, cartan, pos)
-    alg = ChevAlgebra.__new__(ChevAlgebra)
-    alg.datum = datum
-    alg.rank = rank
-    all_roots = list(datum.positive) + [neg(r) for r in datum.positive]
-    alg.dim = rank + len(all_roots)
-    from .rootsys import root_label
-    alg.labels = ([f"H_{i+1}" for i in range(rank)]
-                  + [f"X_{root_label(r)}" for r in all_roots])
-    alg.label_index = {lab: i for i, lab in enumerate(alg.labels)}
-    alg.root_of_index = {rank + i: r for i, r in enumerate(all_roots)}
-    alg.index_of_root = {r: rank + i for i, r in enumerate(all_roots)}
+    label_index = {lab: i for i, lab in
+                   enumerate(ChevAlgebra.default_labels(datum))}
     table = {}
     for lineno, value in brackets:
         m = re.match(r"^(\S+)\s+(\S+)\s*->\s*(.*)$", value)
         if not m:
             raise ParseError(f"line {lineno}: malformed bracket")
         b1, b2, rhs = m.group(1), m.group(2), m.group(3).strip()
-        if b1 not in alg.label_index or b2 not in alg.label_index:
+        if b1 not in label_index or b2 not in label_index:
             raise ParseError(f"line {lineno}: unknown basis label")
-        i, j = alg.label_index[b1], alg.label_index[b2]
+        i, j = label_index[b1], label_index[b2]
         row = {}
         if rhs and rhs != "0":
             for part in rhs.split(","):
@@ -433,14 +424,12 @@ def _table_algebra(rank, fields, labels, roots, brackets):
                 if not cm:
                     raise ParseError(f"line {lineno}: malformed bracket term")
                 coef, lab = int(cm.group(1)), cm.group(2)
-                if lab not in alg.label_index:
+                if lab not in label_index:
                     raise ParseError(f"line {lineno}: unknown basis label {lab!r}")
-                row[alg.label_index[lab]] = coef
+                row[label_index[lab]] = coef
         table[(i, j)] = row
         table[(j, i)] = {k: -c for k, c in row.items()}
-    alg.table = {k: v for k, v in table.items() if v}
-    from .rootsys import _killing_from_table
-    alg.killing_table = _killing_from_table(alg)
+    alg = ChevAlgebra(datum, table_override={k: v for k, v in table.items() if v})
     _verify_table(alg)
     return alg
 

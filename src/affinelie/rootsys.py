@@ -119,15 +119,19 @@ class ChevAlgebra:
         self.rank = datum.rank
         roots = list(datum.positive) + [neg(r) for r in datum.positive]
         self.dim = datum.rank + len(roots)
-        self.labels = labels or (
-            [f"H_{i+1}" for i in range(datum.rank)]
-            + [f"X_{root_label(r)}" for r in roots]
-        )
+        self.labels = labels or self.default_labels(datum)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.root_of_index = {datum.rank + i: r for i, r in enumerate(roots)}
         self.index_of_root = {r: datum.rank + i for i, r in enumerate(roots)}
         self.table = table_override if table_override is not None else _build_table(self)
         self.killing_table = _killing_from_table(self)
+
+    @staticmethod
+    def default_labels(datum):
+        """H_1..H_n, then X_<root> in basis order."""
+        roots = list(datum.positive) + [neg(r) for r in datum.positive]
+        return ([f"H_{i+1}" for i in range(datum.rank)]
+                + [f"X_{root_label(r)}" for r in roots])
 
     def bracket_basis(self, i, j):
         """Sparse {k: c} row of [b_i, b_j]."""
@@ -344,11 +348,6 @@ class GElt:
 
     def __repr__(self):
         return f"GElt({self.render()!r})"
-
-
-def killing(x, y):
-    """Killing form of two algebra elements (bilinear table extension)."""
-    return x.killing(y)
 
 
 class DiagramAuto:

@@ -114,36 +114,86 @@ def interior_indices(x, window):
     return out
 
 
-def ad_matrix(x, window):
-    """Columns of ad(x) on the window basis; (matrix, out-of-window flags).
+class AdOperator:
+    """ad(x) on the interior columns of a window.
 
-    A flagged column's image leaves the window; its matrix column is zero
-    and must not be used.  The matrix is indexed [row][col].
+    The interior defaults to `interior_indices(x, window)`; a commuting
+    family shares its joint interior (`AdOperator.family`).  Each interior
+    column holds the window coordinates of [x, b_i], computed once.
     """
-    m = window.m
-    n = window.size()
-    cols = []
-    flags = []
-    for b in window.basis:
-        image = bracket_affine(x, b)
-        vec = window.to_vector(image)
-        if vec is None:
-            flags.append(True)
-            cols.append([CycScalar.zero(m)] * n)
-        else:
-            flags.append(False)
-            cols.append(vec)
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return mat, flags
+
+    __slots__ = ("x", "window", "interior", "columns")
+
+    def __init__(self, x, window, interior=None):
+        self.x = x
+        self.window = window
+        self.interior = interior_indices(x, window) if interior is None else interior
+        self.columns = {}
+        for i in self.interior:
+            vec = window.to_vector(bracket_affine(x, window.basis[i]))
+            if vec is None:
+                raise AssertionError("interior column left the window")
+            self.columns[i] = vec
+
+    @classmethod
+    def family(cls, generators, window, loop_only=False):
+        """One operator per generator, all over the joint interior (only
+        its loop columns when `loop_only`)."""
+        joint = set.intersection(*(set(interior_indices(g, window))
+                                   for g in generators))
+        if loop_only:
+            joint = {i for i in joint if window.meta[i][0] == "loop"}
+        return [cls(g, window, sorted(joint)) for g in generators]
+
+    @staticmethod
+    def joint_lift(ops, coeffs, weights):
+        """`lift` for a family sharing one interior, re-verified against
+        every operator with its own weight."""
+        v = ops[0].lift(coeffs, weights[0])
+        for op, w in zip(ops[1:], weights[1:]):
+            op.check(v, w)
+        return v
+
+    def rows(self, w=None, square=False):
+        """Rows of ad(x) - w over the interior columns: every window row,
+        or only the interior rows when `square`."""
+        out = []
+        for r in self.interior if square else range(self.window.size()):
+            row = []
+            for i in self.interior:
+                entry = self.columns[i][r]
+                if r == i and w:
+                    entry = entry - w
+                row.append(entry)
+            out.append(row)
+        return out
+
+    def lift(self, coeffs, w, cols=None):
+        """The window element with `coeffs` on `cols` (by default the
+        interior columns), re-verified as an eigenvector of weight w."""
+        window = self.window
+        vec = [CycScalar.zero(window.m)] * window.size()
+        for coef, i in zip(coeffs, self.interior if cols is None else cols):
+            if coef:
+                vec[i] = coef
+        v = window.from_vector(vec)
+        self.check(v, w)
+        return v
+
+    def check(self, v, w):
+        """Exact re-verification [x, v] = w v, on the whole element."""
+        if not (bracket_affine(self.x, v) - v.scale(w)).is_zero():
+            raise AssertionError("eigenvector failed exact re-verification")
 
 
 class WeightSpace:
-    __slots__ = ("w", "vectors", "series_id")
+    __slots__ = ("w", "vectors", "series_id", "loop")
 
     def __init__(self, w, vectors):
         self.w = w
         self.vectors = vectors
         self.series_id = None
+        self.loop = None  # (basis of A_w, its SpanSolver), see loop_space
 
     @property
     def dim(self):
@@ -178,29 +228,31 @@ class WeightDecomp:
         """Basis of A_w: eigenvectors with zero d-part, center projected away.
 
         Realizes the induced operator on core/center by computing at hat
-        level and dropping the c-component.
+        level and dropping the c-component.  Built once per weight, with
+        the SpanSolver of its span (`loop_solver`).
         """
         sp = self.space(w)
         if sp is None:
             return []
-        m = self.window.m
-        degree_like = [v for v in sp.vectors if not v.d]
-        out = []
-        for v in degree_like:
-            proj = v.loop
-            if proj:
-                out.append(proj)
-        # independent loop projections only
-        vecs = []
-        keep = []
-        solver = None
-        for candidate in out:
-            vec = self.window.to_vector(AffineElt(candidate))
-            if solver is None:
-                solver = linalg.SpanSolver(len(vec), m)
-            if solver.add(vec):
-                keep.append(candidate)
-        return keep
+        if sp.loop is None:
+            window = self.window
+            solver = linalg.SpanSolver(window.size(), window.m)
+            # independent loop projections only
+            keep = []
+            for v in sp.vectors:
+                if not v.d and v.loop and solver.add(
+                        window.to_vector(AffineElt(v.loop))):
+                    keep.append(v.loop)
+            sp.loop = (keep, solver)
+        return sp.loop[0]
+
+    def loop_solver(self, w):
+        """SpanSolver of the span of `loop_space(w)`; None if w is no weight."""
+        sp = self.space(w)
+        if sp is None:
+            return None
+        self.loop_space(sp.w)
+        return sp.loop[1]
 
 
 def _scalar_key(w):
@@ -250,17 +302,20 @@ def weight_decompose(x, window, extra_candidates=()):
     interior = interior_indices(x, window)
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
+    op = AdOperator(x, window, interior)
     if degree_reach(x) == 0:
-        return _decompose_blockwise(x, window, interior, extra_candidates)
-    n = window.size()
-    columns = {}
-    for i in interior:
-        image = bracket_affine(x, window.basis[i])
-        vec = window.to_vector(image)
-        if vec is None:
-            raise AssertionError("interior column left the window")
-        columns[i] = vec
+        spaces, total = _decompose_blockwise(op, extra_candidates)
+    else:
+        spaces, total = _decompose_interior(op, extra_candidates)
+    spaces.sort(key=lambda sp: _scalar_key(sp.w))
+    complete = total == len(interior)
+    defect = None if complete else len(interior) - total
+    return WeightDecomp(x, window, spaces, complete, interior, defect)
 
+
+def _decompose_interior(op, extra_candidates):
+    """Kernels of ad(x) - w over the interior columns, for harvested w."""
+    m = op.window.m
     candidates = []
 
     def add_candidate(w):
@@ -268,8 +323,8 @@ def weight_decompose(x, window, extra_candidates=()):
         if all(w != c for c in candidates):
             candidates.append(w)
 
-    for i in interior:
-        add_candidate(columns[i][i])
+    for i in op.interior:
+        add_candidate(op.columns[i][i])
     for w in extra_candidates:
         add_candidate(w)
     # shift-rule closure for rational candidates, clamped to the harvest range
@@ -286,32 +341,27 @@ def weight_decompose(x, window, extra_candidates=()):
                 add_candidate(CycScalar(m, w - m * step))
                 step += 1
 
-    spaces, total = _kernel_sweep(x, window, interior, columns, candidates)
-    if total < len(interior):
+    spaces, total = _kernel_sweep(op, candidates)
+    if total < len(op.interior):
         # try rational roots of the interior characteristic polynomial
-        sub = [[columns[j][i] for j in interior] for i in interior]
-        poly = linalg.charpoly(sub, m)
+        poly = linalg.charpoly(op.rows(square=True), m)
         fresh = [root for root, _ in linalg.rational_roots(poly, m)
                  if all(root != sp.w for sp in spaces)]
         if fresh:
-            more, extra_total = _kernel_sweep(x, window, interior, columns, fresh)
+            more, extra_total = _kernel_sweep(op, fresh)
             spaces.extend(more)
             total += extra_total
-    spaces.sort(key=lambda sp: _scalar_key(sp.w))
-    complete = total == len(interior)
-    defect = None if complete else len(interior) - total
-    return WeightDecomp(x, window, spaces, complete, interior, defect)
+    return spaces, total
 
 
-def _decompose_blockwise(x, window, interior, extra_candidates):
+def _decompose_blockwise(op, extra_candidates):
     """Per-degree-slice eigensolve for degree-zero loop parts.
 
     c and d are exact zero-weight vectors here: the cocycle term vanishes
     against a degree-zero element and the derivation kills degree zero.
     """
+    window = op.window
     m = window.m
-    ctx = window.ctx
-    alg = window.alg
     by_weight = {}
     total = 0
 
@@ -322,79 +372,29 @@ def _decompose_blockwise(x, window, interior, extra_candidates):
         total += 1
 
     for j in range(window.lo, window.hi + 1):
-        basis = ctx.slice_basis(j)
-        if not basis:
-            continue
-        k = len(basis)
-        cols = []
-        for e in basis:
-            image = bracket_affine(x, AffineElt(LoopElt.from_g(e, j)))
-            if image.c or image.d or (image.loop.degree_support() - {j} if image.loop else set()):
-                raise AssertionError("degree-zero element mixed slices")
-            coords = ctx.decompose_slice(image.loop.slice(j), j) if image.loop \
-                else [CycScalar.zero(m)] * k
-            if coords is None:
-                raise ValueError("element leaves the twisted algebra")
-            cols.append(coords)
-        mat = [[cols[col][row] for col in range(k)] for row in range(k)]
+        block = [window.slot[(j, pos)] for pos in range(window.ctx.slice_dim(j))]
+        mat = [[op.columns[col][row] for col in block] for row in block]
         # an incomplete slice surfaces through the dimension certificate
         spaces, _ = linalg.eigenspaces(mat, m, extra_candidates)
         for w, sub in spaces:
             for coeffs in sub:
-                g = None
-                for coef, e in zip(coeffs, basis):
-                    part = e.scale(coef)
-                    g = part if g is None else g + part
-                v = AffineElt(LoopElt.from_g(g, j))
-                check = bracket_affine(x, v) - v.scale(w)
-                if not check.is_zero():
-                    raise AssertionError("eigenvector failed exact re-verification")
-                stash(w, v)
+                stash(w, op.lift(coeffs, w, block))
     zero = CycScalar.zero(m)
     if window.with_cd:
-        for elt in (AffineElt.c_elt(alg, m), AffineElt.d_elt(alg, m)):
-            check = bracket_affine(x, elt)
-            if not check.is_zero():
-                raise AssertionError("c or d failed the zero-weight check")
+        for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
+            op.check(elt, zero)
             stash(zero, elt)
-    spaces = [WeightSpace(w, vectors) for w, vectors in by_weight.values()]
-    spaces.sort(key=lambda sp: _scalar_key(sp.w))
-    complete = total == len(interior)
-    defect = None if complete else len(interior) - total
-    return WeightDecomp(x, window, spaces, complete, interior, defect)
+    return [WeightSpace(w, vectors) for w, vectors in by_weight.values()], total
 
 
-def _kernel_sweep(x, window, interior, columns, candidates):
-    m = window.m
-    n = window.size()
+def _kernel_sweep(op, candidates):
     spaces = []
     total = 0
     for w in candidates:
-        rows = []
-        for r in range(n):
-            row = []
-            for i in interior:
-                entry = columns[i][r]
-                if r == i:
-                    entry = entry - w
-                row.append(entry)
-            rows.append(row)
-        kernel = linalg.kernel_basis(rows, m)
-        if not kernel:
-            continue
-        vectors = []
-        for coeffs in kernel:
-            vec = [CycScalar.zero(m)] * n
-            for coef, i in zip(coeffs, interior):
-                if coef:
-                    vec[i] = coef
-            v = window.from_vector(vec)
-            check = bracket_affine(x, v) - v.scale(w)
-            if not check.is_zero():
-                raise AssertionError("eigenvector failed exact re-verification")
-            vectors.append(v)
-        spaces.append(WeightSpace(w, vectors))
-        total += len(vectors)
+        kernel = linalg.kernel_basis(op.rows(w), op.window.m)
+        if kernel:
+            spaces.append(WeightSpace(w, [op.lift(coeffs, w) for coeffs in kernel]))
+            total += len(kernel)
     return spaces, total
 
 
@@ -411,24 +411,15 @@ def verify_shift(decomp):
     reach = degree_reach(decomp.x)
     checked = 0
     failures = []
-    loop_spaces = {}
-    solvers = {}
-    for sp in decomp.spaces:
-        basis = decomp.loop_space(sp.w)
-        loop_spaces[_scalar_key(sp.w)] = (sp.w, basis)
-        solver = linalg.SpanSolver(window.size(), m)
-        for v in basis:
-            solver.add(window.to_vector(AffineElt(v)))
-        solvers[_scalar_key(sp.w)] = solver
 
     def interior_deg(j):
         return window.lo + reach <= j <= window.hi - reach
 
-    keys = list(loop_spaces)
-    for k1 in keys:
-        w1, basis1 = loop_spaces[k1]
-        for k2 in keys:
-            w2, basis2 = loop_spaces[k2]
+    bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
+    for sp1, basis1 in zip(decomp.spaces, bases):
+        w1 = sp1.w
+        for sp2, basis2 in zip(decomp.spaces, bases):
+            w2 = sp2.w
             diff = w2 - w1
             if not diff.is_rational():
                 continue
@@ -436,6 +427,7 @@ def verify_shift(decomp):
             if q == 0 or q % m != 0:
                 continue
             n_steps = int(q) // m
+            solver = decomp.loop_solver(w2)
             forward_ok = True
             for v in basis1:
                 shifted = v.shift(m * n_steps)
@@ -445,7 +437,7 @@ def verify_shift(decomp):
                 checked += 1
                 eig = bracket_affine(decomp.x, AffineElt(shifted))
                 diff_elt = eig - AffineElt(shifted).scale(w2)
-                in_span = solvers[k2].contains(window.to_vector(AffineElt(shifted)))
+                in_span = solver.contains(window.to_vector(AffineElt(shifted)))
                 if diff_elt.loop or not in_span:
                     failures.append({
                         "inputs": [v.render(), f"n={n_steps}"],
@@ -517,25 +509,16 @@ def verify_zero_weight(decomp):
 def verify_product_rule(decomp):
     """[A_w1, A_w2] lies in A_{w1+w2}, on interior pairs with interior sum."""
     window = decomp.window
-    m = window.m
     reach = degree_reach(decomp.x)
-    solvers = {}
-    loop_bases = {}
-    for sp in decomp.spaces:
-        basis = decomp.loop_space(sp.w)
-        loop_bases[_scalar_key(sp.w)] = basis
-        solver = linalg.SpanSolver(window.size(), m)
-        for v in basis:
-            solver.add(window.to_vector(AffineElt(v)))
-        solvers[_scalar_key(sp.w)] = solver
     checked = 0
     failures = []
-    for sp1 in decomp.spaces:
-        for sp2 in decomp.spaces:
+    bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
+    for sp1, basis1 in zip(decomp.spaces, bases):
+        for sp2, basis2 in zip(decomp.spaces, bases):
             target = sp1.w + sp2.w
-            tkey = _scalar_key(target)
-            for u in loop_bases[_scalar_key(sp1.w)]:
-                for v in loop_bases[_scalar_key(sp2.w)]:
+            solver = decomp.loop_solver(target)
+            for u in basis1:
+                for v in basis2:
                     b = u.bracket(v)
                     if b.is_zero():
                         checked += 1
@@ -545,7 +528,7 @@ def verify_product_rule(decomp):
                                for p in degs):
                         continue
                     checked += 1
-                    if tkey in solvers and solvers[tkey].contains(
+                    if solver is not None and solver.contains(
                         window.to_vector(AffineElt(b))
                     ):
                         continue

@@ -261,6 +261,38 @@ class TestVerify:
         assert "--spec" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, option", [
+        (["verify", "jacobi", "--x", "garbage (("], "--x"),
+        (["verify", "form", "--x", "H_1*t^0 + d"], "--x"),
+        (["verify", "mad", "--x", "H_1*t^0 + d"], "--x"),
+        (["verify", "jacobi", "--word", "nonsense"], "--word"),
+        (["verify", "spectral", "--word", "vshift(2) @ hat"], "--word"),
+        (["verify", "jacobi", "--x", "garbage ((", "--word", "nonsense"],
+         "--x"),
+    ])
+    def test_unread_option_exits_2(self, a1_file, argv, option):
+        proc = run_subprocess(*argv, "--algebra", a1_file)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{option} is read only by" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_failed_reverification_exits_4(self, capsys, monkeypatch, a1_file):
+        from affinelie import spectral
+        from affinelie.affine import AffineElt
+
+        def off_by_c(x, y):
+            return bracket_affine(x, y) + AffineElt.c_elt(x.alg, x.m)
+
+        monkeypatch.setattr(spectral, "bracket_affine", off_by_c)
+        code = main(["verify", "spectral", "--algebra", a1_file])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["verify", "form", "--beta", "1/0"],
         ["verify", "spectral", "--x", "1/0*H_1*t^0 + d"],

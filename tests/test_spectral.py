@@ -11,7 +11,7 @@ from affinelie.autos import AutoWord, Cochar, Ring, RootExp, TorusK, VShift
 from affinelie.loop import LoopElt
 from affinelie.rootsys import cartan_of_fixed
 from affinelie.scalars import CycScalar, LaurentElt
-from affinelie.spectral import (Window, ad_matrix, decomposition_report,
+from affinelie.spectral import (AdOperator, Window, decomposition_report,
                                 degree_reach, rspan_isomorphism_check,
                                 verify_opposite, verify_product_rule,
                                 verify_shift, verify_zero_weight,
@@ -37,16 +37,18 @@ class TestAdMatrix:
     def test_d_is_diagonal_degree(self, a1_id):
         win = Window(a1_id, -2, 2)
         d = AffineElt.d_elt(a1_id.alg, 1)
-        mat, flags = ad_matrix(d, win)
-        assert not any(flags)
+        op = AdOperator(d, win)
+        assert op.interior == list(range(win.size()))
+        mat = op.rows(square=True)
         for i, (kind, j, _) in enumerate(win.meta):
             expect = CycScalar(1, j) if kind == "loop" else CycScalar.zero(1)
             assert mat[i][i] == expect
 
     def test_degree_zero_cartan_is_diagonal(self, a1, a1_id, a1_x):
         win = Window(a1_id, -2, 2)
-        mat, flags = ad_matrix(a1_x, win)
-        assert not any(flags)
+        op = AdOperator(a1_x, win)
+        assert op.interior == list(range(win.size()))
+        mat = op.rows(square=True)
         for i in range(win.size()):
             for j in range(win.size()):
                 if i != j:
@@ -55,10 +57,44 @@ class TestAdMatrix:
     def test_degree_shift_flags_boundary(self, a1, a1_id):
         win = Window(a1_id, -2, 2)
         x = AffineElt(LoopElt.monomial(a1, 1, 1, 1))
-        _, flags = ad_matrix(x, win)
-        # columns at the top degree are pushed out of the window
-        top = [i for i, (k, j, _) in enumerate(win.meta) if k == "loop" and j == 2]
-        assert all(flags[i] for i in top) or any(flags)
+        op = AdOperator(x, win)
+        # columns at the end degrees would be pushed out of the window
+        ends = [i for i, (k, j, _) in enumerate(win.meta)
+                if k == "loop" and j in (-2, 2)]
+        assert ends and not set(ends) & set(op.interior)
+        assert set(op.columns) == set(op.interior)
+
+    def test_shifted_rows_cover_the_window(self, a1, a1_id):
+        win = Window(a1_id, -2, 2)
+        x = AffineElt(LoopElt.monomial(a1, 1, 1, 1), d=1)
+        op = AdOperator(x, win)
+        w = CycScalar(1, 1)
+        rows, plain = op.rows(w), op.rows()
+        assert len(rows) == win.size() and len(rows[0]) == len(op.interior)
+        for r in range(win.size()):
+            for k, i in enumerate(op.interior):
+                assert rows[r][k] == (plain[r][k] - w if r == i else plain[r][k])
+
+    def test_check_compares_the_c_part(self, a1, a1_id):
+        # [H_1 t, H_1 t^-1] is a nonzero multiple of c and nothing else:
+        # a loop- and d-only comparison would accept v as a weight-0 vector
+        win = Window(a1_id, -2, 2)
+        x = AffineElt(LoopElt.monomial(a1, 1, 0, 1))
+        v = AffineElt(LoopElt.monomial(a1, 1, 0, -1))
+        image = bracket_affine(x, v)
+        assert not image.loop and not image.d and image.c
+        with pytest.raises(AssertionError):
+            AdOperator(x, win).check(v, 0)
+
+    def test_lift_reverifies(self, a1, a1_id, a1_x):
+        win = Window(a1_id, -2, 2)
+        op = AdOperator(a1_x, win)
+        e = win.slot[(1, 0)]
+        coeffs = [CycScalar.one(1) if i == e else CycScalar.zero(1)
+                  for i in op.interior]
+        assert op.lift(coeffs, op.columns[e][e]) == win.basis[e]
+        with pytest.raises(AssertionError):
+            op.lift(coeffs, op.columns[e][e] + CycScalar.one(1))
 
 
 class TestWeightDecompose:
@@ -282,8 +318,9 @@ class TestJordanBlockInvariant:
         from affinelie import linalg
         h_plus_x = LoopElt.monomial(a1, 1, 0, 0) + LoopElt.monomial(a1, 1, 1, 0)
         win = Window(a1_id, -1, 1, with_cd=False)
-        mat, flags = ad_matrix(AffineElt(h_plus_x), win)
-        assert not any(flags)
+        op = AdOperator(AffineElt(h_plus_x), win)
+        assert op.interior == list(range(win.size()))
+        mat = op.rows(square=True)
         s, n = linalg.jordan_split(mat, 1)
         # blocks are the degree slices; off-block entries of S must vanish
         for i, (_, ji, _) in enumerate(win.meta):
