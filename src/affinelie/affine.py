@@ -202,7 +202,7 @@ def core_and_derived(auto, lo, hi, context=None):
     basis, m = window.basis, auto.m
     loop = [(i, j) for i, (kind, j, _) in enumerate(window.meta) if kind == "loop"]
     solver = linalg.SpanSolver(window.size(), m)
-    produced = []
+    produced, produced_vecs = [], []
     for a, da in loop:
         for b, db in loop:
             if not (lo <= da + db <= hi):
@@ -210,15 +210,19 @@ def core_and_derived(auto, lo, hi, context=None):
             w = bracket_affine(basis[a], basis[b])
             if w.is_zero():
                 continue
-            if solver.add(window.to_vector(w)):
+            vec = window.to_vector(w)
+            if solver.add(vec):
                 produced.append(w)
+                produced_vecs.append(vec)
     # expected span: every windowed loop vector and c, never d
     expected = linalg.SpanSolver(window.size(), m)
-    for i in [i for i, _ in loop] + [window.c_slot]:
-        expected.add(window.to_vector(basis[i]))
+    expected_vecs = [window.to_vector(basis[i])
+                     for i in [i for i, _ in loop] + [window.c_slot]]
+    for vec in expected_vecs:
+        expected.add(vec)
     span_matches = solver.rank == expected.rank and all(
-        expected.contains(row) for row in solver.rows
-    ) and all(solver.contains(row) for row in expected.rows)
+        expected.contains(vec) for vec in produced_vecs
+    ) and all(solver.contains(vec) for vec in expected_vecs)
     d_vec = window.to_vector(basis[window.d_slot])
     flag = span_matches and not solver.contains(d_vec)
     return produced, flag

@@ -383,11 +383,12 @@ def suite_spectral(session, x_text=None):
 
 
 def _word_and_spec(session, word_text, spec_lines, default=None):
-    """The hat word and the subalgebra of a conjugacy check; without
-    element lines the subalgebra is `default`, when one is given."""
+    """The hat word and the subalgebra of a conjugacy check; without a
+    spec file the subalgebra is `default`, when one is given.  A spec file
+    without element lines is an empty subalgebra, which is rejected."""
     alg, m = session.alg, session.m
     word = parse_word(word_text, alg, m, auto_builder=lambda p: session.auto)
-    if default is not None and not spec_lines:
+    if default is not None and spec_lines is None:
         return word, default
     return word, SubalgebraSpec([parse_affine(line, alg, m) for line in spec_lines])
 

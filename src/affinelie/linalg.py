@@ -1,7 +1,10 @@
-"""Exact dense linear algebra over Q(zeta_m).
+"""Exact linear algebra over Q(zeta_m) by sparse-row elimination.
 
-Matrices are lists of rows of CycScalar.  Everything here is plain Gaussian
-elimination over the field: no pivot-size heuristics, no floating point.
+Matrices are lists of dense rows of CycScalar.  Everything here is plain
+Gaussian elimination over the field: no pivot-size heuristics, no floating
+point.  `rref` and `SpanSolver` eliminate on sparse rows ({column: entry}
+dicts without zeros) through one row update, `_subtract`, which touches
+only the pivot row's nonzero entries.
 """
 
 from __future__ import annotations
@@ -38,9 +41,13 @@ def mat_mul(a, b, m):
     return out
 
 
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
 def sparse_rows(a):
-    """Rows of `a` as lists of (column, entry) pairs, zeros dropped."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    """Rows of `a` as {column: entry} dicts, zeros dropped."""
+    return [_sparse(row) for row in a]
 
 
 def mat_vec(rows, v, m):
@@ -49,7 +56,7 @@ def mat_vec(rows, v, m):
     out = [zero] * len(rows)
     for i, row in enumerate(rows):
         acc = zero
-        for j, x in row:
+        for j, x in row.items():
             y = v[j]
             if y:
                 acc = acc + x * y
@@ -57,29 +64,53 @@ def mat_vec(rows, v, m):
     return out
 
 
+def _subtract(row, f, pivot_row):
+    """row -= f * pivot_row on sparse {column: entry} rows, in place.
+
+    Only the pivot row's entries are touched, and an entry that cancels is
+    deleted, so a sparse row never stores a zero.
+    """
+    for j, y in pivot_row.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -(f * y)
+            continue
+        x = x - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
 def rref(mat, m):
-    """Reduced row echelon form; returns (rows, pivot-column list)."""
-    rows = [list(r) for r in mat]
+    """Reduced row echelon form; returns (rows, pivot-column list).
+
+    Takes and returns dense rows; the elimination runs on sparse rows.
+    """
+    rows = sparse_rows(mat)
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = prow = {j: x * inv for j, x in rows[r].items()}
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r and c in rows[i]:
+                _subtract(rows[i], rows[i][c], prow)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    dense = zeros(nrows, ncols, m)
+    for out, row in zip(dense, rows):
+        for j, x in row.items():
+            out[j] = x
+    return dense, pivots
 
 
 def rank(mat, m):
@@ -119,67 +150,65 @@ def solve(mat, rhs, m):
 class SpanSolver:
     """Incremental row-reduced span of vectors, for membership and coords.
 
-    Rows are kept in reduced echelon form together with the expression of
-    each row in terms of the originally added vectors, so `coords` can
-    report exact coefficients.
+    Rows are kept in reduced echelon form, as sparse dicts keyed by their
+    pivot column, together with the sparse expression of each row in terms
+    of the originally added vectors, so `coords` can report exact
+    coefficients.
     """
 
     def __init__(self, dim, m):
         self.dim = dim
         self.m = m
-        self.rows = []        # reduced vectors
-        self.row_coords = []  # expression of each row over added vectors
-        self.pivots = []
+        self._rows = {}  # pivot -> (reduced row, its coords over added vectors)
         self.count = 0
 
-    def _reduce(self, vec, coords):
-        v = list(vec)
-        c = list(coords)
-        for row, rc, p in zip(self.rows, self.row_coords, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-                c = [x - f * y for x, y in zip(c, rc)]
-        return v, c
+    def _reduce(self, vec, coords=None):
+        """Residual of `vec` modulo the span, updating `coords` if given.
+        Rows vanish at each other's pivots: `vec` gives every factor."""
+        v = _sparse(vec)
+        for p in [p for p in v if p in self._rows]:
+            row, rc = self._rows[p]
+            f = v[p]
+            _subtract(v, f, row)
+            if coords is not None:
+                _subtract(coords, f, rc)
+        return v
 
     def add(self, vec):
         """Add a vector; returns True if it enlarged the span."""
-        coords = [CycScalar.zero(self.m)] * self.count + [CycScalar.one(self.m)]
-        for rc in self.row_coords:
-            rc.append(CycScalar.zero(self.m))
+        c = {self.count: CycScalar.one(self.m)}
         self.count += 1
-        v, c = self._reduce(vec, coords)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
+        v = self._reduce(vec, c)
+        if not v:
             return False
+        p = min(v)
         inv = v[p].inverse()
-        v = [x * inv for x in v]
-        c = [x * inv for x in c]
-        for i, (row, rc) in enumerate(zip(self.rows, self.row_coords)):
-            if row[p]:
+        v = {j: x * inv for j, x in v.items()}
+        c = {k: x * inv for k, x in c.items()}
+        for row, rc in self._rows.values():
+            if p in row:
                 f = row[p]
-                self.rows[i] = [x - f * y for x, y in zip(row, v)]
-                self.row_coords[i] = [x - f * y for x, y in zip(rc, c)]
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v)
-        self.row_coords.insert(at, c)
-        self.pivots.insert(at, p)
+                _subtract(row, f, v)
+                _subtract(rc, f, c)
+        self._rows[p] = (v, c)
         return True
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def contains(self, vec):
-        v, _ = self._reduce(vec, [CycScalar.zero(self.m)] * self.count)
-        return all(not x for x in v)
+        return not self._reduce(vec)
 
     def coords(self, vec):
         """Coefficients over the added vectors, or None if not in the span."""
-        v, c = self._reduce(vec, [CycScalar.zero(self.m)] * self.count)
-        if any(v):
+        c = {}
+        if self._reduce(vec, c):
             return None
-        return [-x for x in c]
+        out = [CycScalar.zero(self.m)] * self.count
+        for k, x in c.items():
+            out[k] = -x
+        return out
 
 
 def same_span(vectors_a, vectors_b, m, dim):
@@ -299,20 +328,35 @@ def rational_roots(poly, m):
     ints = [int(c * den) for c in coeffs]
     a0, an = ints[0], ints[-1]
     candidates = set()
+    denominators = _divisors(an)
     for p in _divisors(a0):
-        for q in _divisors(an):
+        for q in denominators:
             candidates.add(Fraction(p, q))
             candidates.add(Fraction(-p, q))
-    poly_now = [CycScalar(m, c) for c in coeffs]
     for cand in sorted(candidates):
-        root = CycScalar(m, cand)
         mult = 0
-        while len(poly_now) > 1 and not poly_eval(poly_now, root):
-            poly_now, _ = poly_divmod_linear(poly_now, root)
+        while len(ints) > 1 and (quot := _deflate(
+                ints, cand.numerator, cand.denominator)) is not None:
+            ints = quot
             mult += 1
         if mult:
-            roots.append((root, mult))
+            roots.append((CycScalar(m, cand), mult))
     return roots
+
+
+def _deflate(ints, p, q):
+    """Quotient of an integer polynomial by (q x - p), or None when p/q (in
+    lowest terms) is no root.  Carries b_j q^(n-j), so the remainder is
+    sum a_i p^i q^(n-i); when it is zero, each b_j is an integer (Gauss's
+    lemma) and q^(n-j) divides out exactly."""
+    n = len(ints) - 1
+    scaled, acc = [0] * n, 0
+    for j in range(n, 0, -1):
+        acc = acc * p + ints[j] * q ** (n - j)
+        scaled[j - 1] = acc
+    if acc * p + ints[0] * q ** n:
+        return None
+    return [b // q ** (n - j) for j, b in enumerate(scaled)]
 
 
 def _gcd(a, b):
@@ -405,7 +449,7 @@ def joint_eigenspaces(mats, m, candidates=()):
                     vec = [CycScalar.zero(m)] * n
                     for coef, entries in zip(coeffs, support):
                         if coef:
-                            for i, y in entries:
+                            for i, y in entries.items():
                                 vec[i] = vec[i] + coef * y
                     ambient.append(vec)
                 refined.append((weights + [w], ambient))

@@ -198,6 +198,16 @@ class TestVerify:
         assert "cannot read spec file" in err
         assert "Traceback" not in err
 
+    def test_mad_empty_spec_exits_3(self, a1_file, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("# no element lines\n\n")
+        proc = run_subprocess("verify", "mad", "--algebra", a1_file,
+                              "--word", "vshift(2) @ hat", "--spec", str(spec))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "at least one generator" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_mad_diagonalizes_once(self, monkeypatch, a1_file):
         from affinelie import cli, mad
         original = mad.is_diagonalizable

@@ -1,5 +1,6 @@
 """Exact linear algebra: kernels, characteristic polynomials, Jordan split."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -229,6 +230,236 @@ class TestJointEigenspacesProperty:
                     for mat, w in zip(mats, weights):
                         image = linalg.mat_vec(linalg.sparse_rows(mat), v, m)
                         assert image == [w * x for x in v]
+
+
+def dense_rref(mat, m):
+    """The dense Gauss-Jordan elimination that `linalg.rref` replaced,
+    kept as its reference: every entry of a row is updated."""
+    rows = [list(r) for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def dense_kernel_basis(mat, m):
+    ncols = len(mat[0]) if mat else 0
+    rows, pivots = dense_rref(mat, m)
+    basis = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = [CycScalar.zero(m)] * ncols
+        v[f] = CycScalar.one(m)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(mat, rhs, m):
+    ncols = len(mat[0]) if mat else 0
+    rows, pivots = dense_rref([list(row) + [b] for row, b in zip(mat, rhs)], m)
+    if ncols in pivots:
+        return None
+    x = [CycScalar.zero(m)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][ncols]
+    return x
+
+
+class DenseSpanSolver:
+    """The dense incremental span that `linalg.SpanSolver` replaced, kept
+    as its reference: dense rows and dense coordinate lists."""
+
+    def __init__(self, dim, m):
+        self.m = m
+        self.rows, self.row_coords, self.pivots = [], [], []
+        self.count = 0
+
+    def _reduce(self, vec, coords):
+        v, c = list(vec), list(coords)
+        for row, rc, p in zip(self.rows, self.row_coords, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+                c = [x - f * y for x, y in zip(c, rc)]
+        return v, c
+
+    def add(self, vec):
+        zero = CycScalar.zero(self.m)
+        coords = [zero] * self.count + [CycScalar.one(self.m)]
+        for rc in self.row_coords:
+            rc.append(zero)
+        self.count += 1
+        v, c = self._reduce(vec, coords)
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = v[p].inverse()
+        v = [x * inv for x in v]
+        c = [x * inv for x in c]
+        for i, (row, rc) in enumerate(zip(self.rows, self.row_coords)):
+            if row[p]:
+                f = row[p]
+                self.rows[i] = [x - f * y for x, y in zip(row, v)]
+                self.row_coords[i] = [x - f * y for x, y in zip(rc, c)]
+        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        self.rows.insert(at, v)
+        self.row_coords.insert(at, c)
+        self.pivots.insert(at, p)
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def contains(self, vec):
+        v, _ = self._reduce(vec, [CycScalar.zero(self.m)] * self.count)
+        return all(not x for x in v)
+
+    def coords(self, vec):
+        v, c = self._reduce(vec, [CycScalar.zero(self.m)] * self.count)
+        if any(v):
+            return None
+        return [-x for x in c]
+
+
+def combination(m, coefs, vectors, dim):
+    out = [CycScalar.zero(m)] * dim
+    for a, v in zip(coefs, vectors):
+        out = [x + a * y for x, y in zip(out, v)]
+    return out
+
+
+@st.composite
+def sparse_matrix(draw, m, nrows, ncols):
+    """Mostly-zero rows over Q(zeta_m); some rows are combinations of
+    earlier ones, and a column can be zero throughout."""
+    zero = CycScalar.zero(m)
+    nonzero = [CycScalar(m, a, b) for a in (-2, -1, Fraction(1, 2), 1, 3)
+               for b in ((0,) if m == 1 else (0, 1))]
+    empty = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            picks = draw(st.lists(st.sampled_from(range(len(rows))),
+                                  min_size=1, max_size=2))
+            coefs = draw(st.lists(st.sampled_from(nonzero + [zero]),
+                                  min_size=len(picks), max_size=len(picks)))
+            rows.append(combination(m, coefs, [rows[i] for i in picks], ncols))
+            continue
+        rows.append([zero if j in empty or draw(st.integers(0, 2)) else
+                     draw(st.sampled_from(nonzero)) for j in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+class TestSparseElimination:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rref_kernel_solve_match_dense(self, m, data):
+        nrows = data.draw(st.integers(1, 6))
+        ncols = data.draw(st.integers(1, 7))
+        mat = data.draw(sparse_matrix(m, nrows, ncols))
+        assert linalg.rref(mat, m) == dense_rref(mat, m)
+        assert linalg.kernel_basis(mat, m) == dense_kernel_basis(mat, m)
+        rhs = data.draw(sparse_matrix(m, 1, nrows))[0]
+        assert linalg.solve(mat, rhs, m) == dense_solve(mat, rhs, m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_span_solver_matches_dense(self, m, data):
+        dim = data.draw(st.integers(1, 7))
+        added = data.draw(sparse_matrix(m, data.draw(st.integers(1, 6)), dim))
+        probes = data.draw(sparse_matrix(m, 3, dim))
+        probes.append(combination(m, [CycScalar(m, k) for k in (2, -1, 3)],
+                                  added, dim))
+        sparse, dense = linalg.SpanSolver(dim, m), DenseSpanSolver(dim, m)
+        for v in added:
+            assert sparse.add(v) == dense.add(v)
+            assert sparse.rank == dense.rank
+            for probe in probes + added:
+                assert sparse.contains(probe) == dense.contains(probe)
+                assert sparse.coords(probe) == dense.coords(probe)
+
+
+def parent_rational_roots(poly, m):
+    """The CycScalar root search that `linalg.rational_roots` replaced,
+    kept as its reference."""
+
+    def divisors(n):
+        n = abs(n)
+        return sorted({d for k in range(1, int(n ** 0.5) + 2) if k * k <= n
+                       and n % k == 0 for d in (k, n // k)})
+
+    coeffs = [c.a for c in poly]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return []
+    roots = []
+    k = 0
+    while coeffs[k] == 0:
+        k += 1
+    if k:
+        roots.append((CycScalar.zero(m), k))
+        coeffs = coeffs[k:]
+    if len(coeffs) <= 1:
+        return roots
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    candidates = {Fraction(s * p, q) for p in divisors(ints[0])
+                  for q in divisors(ints[-1]) for s in (1, -1)}
+    poly_now = [CycScalar(m, c) for c in coeffs]
+    for cand in sorted(candidates):
+        root = CycScalar(m, cand)
+        mult = 0
+        while len(poly_now) > 1 and not linalg.poly_eval(poly_now, root):
+            poly_now, _ = linalg.poly_divmod_linear(poly_now, root)
+            mult += 1
+        if mult:
+            roots.append((root, mult))
+    return roots
+
+
+class TestRationalRootsProperty:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(roots=st.lists(st.fractions(min_value=-4, max_value=4,
+                                       max_denominator=3), max_size=5),
+           repeat=st.integers(0, 3), scale=st.sampled_from([1, -2, Fraction(3, 5)]),
+           quadratic=st.booleans())
+    def test_matches_parent_search(self, m, roots, repeat, scale, quadratic):
+        roots = roots + roots[:repeat]
+        poly = [c * scale for c in poly_from_roots(roots, m)]
+        if quadratic:
+            # times x^2 + 2, which has no rational root
+            two = CycScalar(m, 2)
+            poly = [two * a + (poly[i - 2] if i >= 2 else CycScalar.zero(m))
+                    for i, a in enumerate(poly + [CycScalar.zero(m)] * 2)]
+        got = linalg.rational_roots(poly, m)
+        assert got == parent_rational_roots(poly, m)
+        found = {}
+        for r in roots:
+            found[CycScalar(m, r)] = found.get(CycScalar(m, r), 0) + 1
+        assert dict(got) == found
 
 
 class TestJordanSplit:
