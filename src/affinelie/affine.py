@@ -26,10 +26,6 @@ class AffineElt:
         self.d = as_scalar(loop.m, 0 if d is None else d)
 
     @classmethod
-    def from_loop(cls, loop):
-        return cls(loop)
-
-    @classmethod
     def zero(cls, alg, m):
         return cls(LoopElt.zero(alg, m))
 
@@ -186,7 +182,8 @@ def window_gram_rank(basis, beta=1):
     if not basis:
         return 0
     m = basis[0].m
-    gram = [[invariant_form(u, v, beta) for v in basis] for u in basis]
+    gram = [{j: x for j, v in enumerate(basis)
+             if (x := invariant_form(u, v, beta))} for u in basis]
     return linalg.rank(gram, m)
 
 
@@ -201,7 +198,7 @@ def core_and_derived(auto, lo, hi, context=None):
     window = Window(auto, lo, hi, context=context)
     basis, m = window.basis, auto.m
     loop = [(i, j) for i, (kind, j, _) in enumerate(window.meta) if kind == "loop"]
-    solver = linalg.SpanSolver(window.size(), m)
+    solver = linalg.SpanSolver(m)
     produced, produced_vecs = [], []
     for a, da in loop:
         for b, db in loop:
@@ -215,7 +212,7 @@ def core_and_derived(auto, lo, hi, context=None):
                 produced.append(w)
                 produced_vecs.append(vec)
     # expected span: every windowed loop vector and c, never d
-    expected = linalg.SpanSolver(window.size(), m)
+    expected = linalg.SpanSolver(m)
     expected_vecs = [window.to_vector(basis[i])
                      for i in [i for i, _ in loop] + [window.c_slot]]
     for vec in expected_vecs:

@@ -224,12 +224,13 @@ class Cochar(AutoGen):
         """The Cartan element with [X_phi, X_alpha] = phi(alpha) X_alpha."""
         n = self.alg.rank
         cartan = self.alg.datum.cartan
-        mat = [[CycScalar(m, cartan[i][j]) for j in range(n)] for i in range(n)]
-        rhs = [CycScalar(m, self.phi[i]) for i in range(n)]
+        mat = [{j: CycScalar(m, a) for j, a in enumerate(cartan[i]) if a}
+               for i in range(n)]
+        rhs = {i: CycScalar(m, v) for i, v in enumerate(self.phi) if v}
         sol = linalg.solve(mat, rhs, m)
         if sol is None:
             raise ValueError("no Cartan solution for phi")
-        x = GElt(self.alg, m, {j: c for j, c in enumerate(sol) if c})
+        x = GElt(self.alg, m, sol)
         for idx, root in self.alg.root_of_index.items():
             expect = GElt.basis(self.alg, m, idx).scale(self.value(root))
             if x.bracket(GElt.basis(self.alg, m, idx)) != expect:

@@ -6,23 +6,23 @@ inside the active window from a PRNG fully determined by --seed, so equal
 configurations produce byte-identical JSON.  Exit codes: 0 all checks
 pass, 1 verification failure, 2 parse error, 3 unsupported input, 4
 internal error (an exact re-verification inside the program failed; one
-`internal error:` line on stderr, nothing on stdout).
+`internal error:` line on stderr, nothing on stdout), 141 stdout closed
+before the report was written (`... | head -c 5`; nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
-from fractions import Fraction
-
 from .scalars import CycScalar, LaurentElt
 from .rootsys import cartan_of_fixed
 from .loop import LoopElt, TwistedContext
 from .affine import (AffineElt, bracket_affine, verify_form_invariance,
                      window_gram_rank)
-from .autos import (AutoWord, RootExp, Diagram, Cochar, TorusK, Ring, VShift,
+from .autos import (AutoWord, RootExp, Diagram, Cochar, TorusK, Ring,
                     tilde_lift, hat_lift, verify_automorphism,
                     verify_exact_sequence)
 from .spectral import (Window, weight_decompose, verify_shift, verify_opposite,
@@ -36,6 +36,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 # suite -> the options of `verify` it reads, in the order it takes them
 SUITES = {"jacobi": (), "form": (), "lifts": (), "exactseq": (),
@@ -102,53 +103,6 @@ class Session:
         if not self.auto.is_identity():
             gens.append(Diagram(self.auto))
         return gens
-
-    def sample_word(self, length, spread_budget=None):
-        """Random hat word; total degree spread capped for interior room."""
-        alg, m = self.alg, self.m
-        budget = m if spread_budget is None else spread_budget
-        gens = []
-        roots = sorted(alg.root_of_index.values())
-        while len(gens) < length:
-            kind = self.rng.randrange(6)
-            if kind == 0:
-                deg = self.rng.choice([0, 0, 1, -1])
-                cost = 2 * abs(deg)
-                if cost > budget:
-                    deg = 0
-                    cost = 0
-                budget -= cost
-                root = roots[self.rng.randrange(len(roots))]
-                gens.append(RootExp(alg, root,
-                                    LaurentElt.s_power(m, deg, self.rng.randint(1, 3))))
-            elif kind == 1:
-                phi = [0] * alg.rank
-                phi[self.rng.randrange(alg.rank)] = self.rng.choice([1, -1])
-                cost = max(abs(self.cochar_value(phi, r)) for r in roots)
-                if cost > budget:
-                    continue
-                budget -= cost
-                gens.append(Cochar(alg, tuple(phi)))
-            elif kind == 2:
-                coords = tuple(
-                    CycScalar(m, self.rng.choice([1, 2, 3, Fraction(1, 2), -1]))
-                    for _ in range(alg.rank))
-                gens.append(TorusK(alg, coords))
-            elif kind == 3:
-                gens.append(Ring(CycScalar(m, self.rng.choice([2, -1, 3])),
-                                 self.rng.choice([1, -1])))
-            elif kind == 4:
-                gens.append(VShift(CycScalar(m, self.rng.randint(-3, 3))))
-            else:
-                if not self.auto.is_identity():
-                    gens.append(Diagram(self.auto))
-                else:
-                    gens.append(VShift(CycScalar(m, self.rng.randint(-2, 2))))
-        return AutoWord("hat", tuple(gens))
-
-    @staticmethod
-    def cochar_value(phi, root):
-        return sum(c * v for c, v in zip(root, phi))
 
 
 def _passed(report):
@@ -578,9 +532,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "construct":
-            return cmd_construct(args)
-        return cmd_report(args)
+        run = cmd_construct if args.command == "construct" else cmd_report
+        code = run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send the interpreter's final flush nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,10 +1,14 @@
 """Exact linear algebra over Q(zeta_m) by sparse-row elimination.
 
-Matrices are lists of dense rows of CycScalar.  Everything here is plain
-Gaussian elimination over the field: no pivot-size heuristics, no floating
-point.  `rref` and `SpanSolver` eliminate on sparse rows ({column: entry}
-dicts without zeros) through one row update, `_subtract`, which touches
-only the pivot row's nonzero entries.
+Vectors and matrix rows are sparse {index: CycScalar} dicts that never
+store a zero; a matrix is a list of such rows, and a square n x n matrix
+has n rows (empty ones included) over the columns 0..n-1.  Every public
+function takes the root-of-unity order m last, also where no scalar needs
+to be built from it.  Everything here is plain Gaussian elimination over
+the field: no pivot-size heuristics, no floating point.  `rref` and
+`SpanSolver` share one row update, `_subtract`, which touches only the
+pivot row's nonzero entries.  Only `charpoly` works on dense rows, through
+`_dense`, because its Hessenberg reduction fills them in.
 """
 
 from __future__ import annotations
@@ -14,58 +18,60 @@ from fractions import Fraction
 from .scalars import CycScalar, as_scalar
 
 
-def zeros(rows, cols, m):
-    z = CycScalar.zero(m)
-    return [[z] * cols for _ in range(rows)]
-
-
 def identity(n, m):
-    z, o = CycScalar.zero(m), CycScalar.one(m)
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+    one = CycScalar.one(m)
+    return [{i: one} for i in range(n)]
 
 
-def mat_mul(a, b, m):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols, m)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] = oi[j] + aik * bk[j]
+def shifted(mat, w, m):
+    """mat - w I, for a square matrix."""
+    zero = CycScalar.zero(m)
+    out = []
+    for i, row in enumerate(mat):
+        x = row.get(i, zero) - w
+        row = {j: y for j, y in row.items() if j != i}
+        if x:
+            row[i] = x
+        out.append(row)
     return out
 
 
-def _sparse(vec):
-    return {j: x for j, x in enumerate(vec) if x}
+def _dense(mat, m):
+    """The square matrix as dense rows, for the Hessenberg reduction."""
+    n = len(mat)
+    out = [[CycScalar.zero(m)] * n for _ in range(n)]
+    for dense, row in zip(out, mat):
+        for j, x in row.items():
+            dense[j] = x
+    return out
 
 
-def sparse_rows(a):
-    """Rows of `a` as {column: entry} dicts, zeros dropped."""
-    return [_sparse(row) for row in a]
+def mat_mul(a, b, m):
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            _subtract(acc, -x, b[k])
+        out.append(acc)
+    return out
 
 
 def mat_vec(rows, v, m):
-    """Product of a matrix, given as `sparse_rows`, with a dense vector."""
-    zero = CycScalar.zero(m)
-    out = [zero] * len(rows)
+    """Product of a matrix with a vector."""
+    out = {}
     for i, row in enumerate(rows):
-        acc = zero
+        acc = None
         for j, x in row.items():
-            y = v[j]
-            if y:
-                acc = acc + x * y
-        out[i] = acc
+            y = v.get(j)
+            if y is not None:
+                acc = x * y if acc is None else acc + x * y
+        if acc:
+            out[i] = acc
     return out
 
 
 def _subtract(row, f, pivot_row):
-    """row -= f * pivot_row on sparse {column: entry} rows, in place.
+    """row -= f * pivot_row, in place.
 
     Only the pivot row's entries are touched, and an entry that cancels is
     deleted, so a sparse row never stores a zero.
@@ -83,16 +89,17 @@ def _subtract(row, f, pivot_row):
 
 
 def rref(mat, m):
-    """Reduced row echelon form; returns (rows, pivot-column list).
+    """Reduced row echelon form: (its nonzero rows, pivot-column list), the
+    row at position i having its leading 1 in column pivots[i].
 
-    Takes and returns dense rows; the elimination runs on sparse rows.
+    The pivot of column c is the first remaining row with an entry there;
+    the result is unique, so row order and empty rows do not matter.
     """
-    rows = sparse_rows(mat)
+    rows = [dict(row) for row in mat if row]
     nrows = len(rows)
-    ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in sorted(set().union(*rows)):
         pivot = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot is None:
             continue
@@ -106,58 +113,54 @@ def rref(mat, m):
         r += 1
         if r == nrows:
             break
-    dense = zeros(nrows, ncols, m)
-    for out, row in zip(dense, rows):
-        for j, x in row.items():
-            out[j] = x
-    return dense, pivots
+    return rows[:r], pivots
 
 
 def rank(mat, m):
     return len(rref(mat, m)[1])
 
 
-def kernel_basis(mat, m):
-    """Basis of the right kernel of `mat` (columns = unknowns)."""
-    ncols = len(mat[0]) if mat else 0
+def kernel_basis(mat, n, m):
+    """Basis of the right kernel of `mat` over the unknowns 0..n-1, one
+    vector per free column, in column order."""
     rows, pivots = rref(mat, m)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    one = CycScalar.one(m)
     basis = []
-    zero, one = CycScalar.zero(m), CycScalar.one(m)
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = {f: one}
+        for row, p in zip(rows, pivots):
+            x = row.get(f)
+            if x is not None:
+                v[p] = -x
         basis.append(v)
     return basis
 
 
 def solve(mat, rhs, m):
-    """One solution of mat*x = rhs, or None if inconsistent."""
-    ncols = len(mat[0]) if mat else 0
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    """One solution of mat*x = rhs (free unknowns zero), or None if
+    inconsistent.  `rhs` is a vector over the row indices."""
+    col = 1 + max((j for row in mat for j in row), default=-1)
+    aug = [{**row, col: rhs[i]} if i in rhs else row
+           for i, row in enumerate(mat)]
     rows, pivots = rref(aug, m)
-    if ncols in pivots:
+    if col in pivots:
         return None
-    x = [CycScalar.zero(m)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
-    return x
+    return {p: row[col] for row, p in zip(rows, pivots) if col in row}
 
 
 class SpanSolver:
     """Incremental row-reduced span of vectors, for membership and coords.
 
-    Rows are kept in reduced echelon form, as sparse dicts keyed by their
-    pivot column, together with the sparse expression of each row in terms
-    of the originally added vectors, so `coords` can report exact
+    Rows are kept in reduced echelon form, keyed by their pivot column,
+    together with the expression of each row in terms of the originally
+    added vectors (numbered from 0), so `coords` can report exact
     coefficients.
     """
 
-    def __init__(self, dim, m):
-        self.dim = dim
+    def __init__(self, m):
         self.m = m
         self._rows = {}  # pivot -> (reduced row, its coords over added vectors)
         self.count = 0
@@ -165,7 +168,7 @@ class SpanSolver:
     def _reduce(self, vec, coords=None):
         """Residual of `vec` modulo the span, updating `coords` if given.
         Rows vanish at each other's pivots: `vec` gives every factor."""
-        v = _sparse(vec)
+        v = dict(vec)
         for p in [p for p in v if p in self._rows]:
             row, rc = self._rows[p]
             f = v[p]
@@ -205,17 +208,14 @@ class SpanSolver:
         c = {}
         if self._reduce(vec, c):
             return None
-        out = [CycScalar.zero(self.m)] * self.count
-        for k, x in c.items():
-            out[k] = -x
-        return out
+        return {k: -x for k, x in c.items()}
 
 
-def same_span(vectors_a, vectors_b, m, dim):
-    sa = SpanSolver(dim, m)
+def same_span(vectors_a, vectors_b, m):
+    sa = SpanSolver(m)
     for v in vectors_a:
         sa.add(v)
-    sb = SpanSolver(dim, m)
+    sb = SpanSolver(m)
     for v in vectors_b:
         sb.add(v)
     if sa.rank != sb.rank:
@@ -233,7 +233,7 @@ def charpoly(mat, m):
     zero, one = CycScalar.zero(m), CycScalar.one(m)
     if n == 0:
         return [one]
-    h = [list(row) for row in mat]
+    h = _dense(mat, m)
     for c in range(n - 2):
         pivot = next((r for r in range(c + 1, n) if h[r][c]), None)
         if pivot is None:
@@ -365,12 +365,53 @@ def _gcd(a, b):
     return a
 
 
+def _blocks(mat):
+    """Index lists of the diagonal blocks of a square matrix: the connected
+    components of the graph with an edge i - j for each nonzero entry."""
+    root = list(range(len(mat)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, row in enumerate(mat):
+        for j in row:
+            root[find(i)] = find(j)
+    blocks = {}
+    for i in range(len(mat)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def rational_eigenvalues(mat, m):
+    """Distinct rational roots of the characteristic polynomial of a square
+    matrix, zero first and then ascending, as `rational_roots` lists them.
+
+    The polynomial is the product of those of the matrix's diagonal
+    blocks, so each block is searched alone.  That keeps each constant
+    term, whose divisors the search tries, small: one degree-0 x with a
+    nilpotent part on a2_twisted gives a 22-digit constant term for its
+    whole interior.
+    """
+    found = []
+    for block in _blocks(mat):
+        index = {i: k for k, i in enumerate(block)}
+        sub = [{index[j]: x for j, x in mat[i].items()} for i in block]
+        for root, _ in rational_roots(charpoly(sub, m), m):
+            if root not in found:
+                found.append(root)
+    return sorted(found, key=lambda w: (w.a != 0, w.a))
+
+
 def eigenspaces(mat, m, candidates=()):
     """Exact eigenspaces of a square matrix.
 
     Candidate eigenvalues are the diagonal entries, any caller-provided
     values, and the rational roots of the characteristic polynomial when
-    the diagonal harvest does not already certify completeness.  Returns
+    the diagonal harvest does not already certify completeness
+    (`rational_eigenvalues`).  Returns
     (spaces, complete) where spaces is a list of (eigenvalue, basis).
     """
     n = len(mat)
@@ -385,21 +426,20 @@ def eigenspaces(mat, m, candidates=()):
         if any(w == s for s in seen):
             return
         seen.append(w)
-        shifted = [[mat[i][j] - w if i == j else mat[i][j] for j in range(n)]
-                   for i in range(n)]
-        basis = kernel_basis(shifted, m)
+        basis = kernel_basis(shifted(mat, w, m), n, m)
         if basis:
             spaces.append((w, basis))
             total += len(basis)
 
-    for i in range(n):
-        try_candidate(mat[i][i])
+    zero = CycScalar.zero(m)
+    for i, row in enumerate(mat):
+        try_candidate(row.get(i, zero))
     for w in candidates:
         if total >= n:
             break
         try_candidate(as_scalar(m, w))
     if total < n:
-        for root, _ in rational_roots(charpoly(mat, m), m):
+        for root in rational_eigenvalues(mat, m):
             try_candidate(root)
     return spaces, total == n
 
@@ -409,48 +449,42 @@ def joint_eigenspaces(mats, m, candidates=()):
 
     The eigenspaces of the first operator are the starting spaces; each
     later operator is restricted to every current space (images through
-    `mat_vec` on its sparse rows, expressed in the space's basis) and its
-    eigenspaces there refine the space.  Refined basis vectors are rebuilt
-    in the ambient space from the nonzero entries of the old basis only.
+    `mat_vec`, expressed in the space's basis) and its eigenspaces there
+    refine the space.  Refined basis vectors are rebuilt in the ambient
+    space from the old basis vectors.
 
     Returns (spaces, defect) where spaces is a list of
     (weight-tuple, basis-of-ambient-vectors); defect is None on success or
     the index of the first operator whose restriction fails to
     diagonalize over the implemented field.
     """
-    n = len(mats[0])
     spaces, complete = eigenspaces(mats[0], m, candidates)
     if not complete:
         return [], 0
     current = [([w], basis) for w, basis in spaces]
     for op_index, mat in enumerate(mats[1:], 1):
-        rows = sparse_rows(mat)
         refined = []
         for weights, basis in current:
-            k = len(basis)
             # restriction of `mat` to span(basis): solve in the basis
-            solver = SpanSolver(n, m)
+            solver = SpanSolver(m)
             for v in basis:
                 solver.add(v)
-            restricted_cols = []
-            for v in basis:
-                coords = solver.coords(mat_vec(rows, v, m))
+            restricted = [{} for _ in basis]
+            for j, v in enumerate(basis):
+                coords = solver.coords(mat_vec(mat, v, m))
                 if coords is None:
                     return [], op_index
-                restricted_cols.append(coords)
-            restricted = [[restricted_cols[j][i] for j in range(k)] for i in range(k)]
+                for i, x in coords.items():
+                    restricted[i][j] = x
             spaces, complete = eigenspaces(restricted, m, candidates)
             if not complete:
                 return [], op_index
-            support = sparse_rows(basis)
             for w, sub in spaces:
                 ambient = []
                 for coeffs in sub:
-                    vec = [CycScalar.zero(m)] * n
-                    for coef, entries in zip(coeffs, support):
-                        if coef:
-                            for i, y in entries.items():
-                                vec[i] = vec[i] + coef * y
+                    vec = {}
+                    for i, coef in coeffs.items():
+                        _subtract(vec, -coef, basis[i])
                     ambient.append(vec)
                 refined.append((weights + [w], ambient))
         current = refined
@@ -459,12 +493,11 @@ def joint_eigenspaces(mats, m, candidates=()):
 
 def generalized_eigenspace(mat, w, mult, m):
     n = len(mat)
-    shifted = [[mat[i][j] - w if i == j else mat[i][j] for j in range(n)]
-               for i in range(n)]
+    step = shifted(mat, w, m)
     power = identity(n, m)
     for _ in range(mult):
-        power = mat_mul(shifted, power, m)
-    return kernel_basis(power, m)
+        power = mat_mul(step, power, m)
+    return kernel_basis(power, n, m)
 
 
 def jordan_split(mat, m, candidates=()):
@@ -492,27 +525,31 @@ def jordan_split(mat, m, candidates=()):
             found[w] = mult
     if sum(found.values()) != n:
         raise ValueError("characteristic polynomial does not split over Q(zeta_m)")
-    cols = []
-    diag = []
+    # change of basis: the columns of P are the generalized eigenvectors
+    p = [{} for _ in range(n)]
+    d = []
     for w, mult in found.items():
         basis = generalized_eigenspace(mat, w, mult, m)
         if len(basis) != mult:
             raise ValueError("generalized eigenspace dimension mismatch")
-        cols.extend(basis)
-        diag.extend([w] * mult)
-    # change of basis: columns of P are the generalized eigenvectors
-    p = [[cols[j][i] for j in range(n)] for i in range(n)]
-    p_inv = invert(p, m)
-    d = [[diag[i] if i == j else CycScalar.zero(m) for j in range(n)] for i in range(n)]
-    s = mat_mul(mat_mul(p, d, m), p_inv, m)
-    nmat = [[mat[i][j] - s[i][j] for j in range(n)] for i in range(n)]
+        for v in basis:
+            for i, x in v.items():
+                p[i][len(d)] = x
+            d.append({len(d): w} if w else {})
+    s = mat_mul(mat_mul(p, d, m), invert(p, m), m)
+    nmat = []
+    for row, srow in zip(mat, s):
+        row = dict(row)
+        _subtract(row, CycScalar.one(m), srow)
+        nmat.append(row)
     return s, nmat
 
 
 def invert(mat, m):
     n = len(mat)
-    aug = [list(row) + list(irow) for row, irow in zip(mat, identity(n, m))]
+    one = CycScalar.one(m)
+    aug = [{**row, n + i: one} for i, row in enumerate(mat)]
     rows, pivots = rref(aug, m)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in rows]

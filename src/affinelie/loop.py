@@ -195,9 +195,9 @@ class TwistedContext:
         self.eigenspaces = sigma_eigenspaces(auto)
         self.slice_solvers = []
         for basis in self.eigenspaces:
-            solver = linalg.SpanSolver(self.alg.dim, self.m)
+            solver = linalg.SpanSolver(self.m)
             for v in basis:
-                solver.add(v.vector())
+                solver.add(v.coords)
             self.slice_solvers.append(solver)
 
     def slice_dim(self, degree):
@@ -207,13 +207,14 @@ class TwistedContext:
         return self.eigenspaces[degree % self.m]
 
     def decompose_slice(self, gelt, degree):
-        """Coordinates of a g-vector over the g_{degree mod m} basis.
+        """Coordinates {position: coefficient} of a g-vector over the
+        g_{degree mod m} basis.
 
         Returns None when the vector leaves the twisted slice (meaning the
         input was not an element of the twisted algebra).
         """
         solver = self.slice_solvers[degree % self.m]
-        return solver.coords(gelt.vector())
+        return solver.coords(gelt.coords)
 
 
 def twisted_basis(auto, lo, hi, context=None):

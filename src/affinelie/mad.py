@@ -45,7 +45,7 @@ class SubalgebraSpec:
         return self.span_solver(window).rank
 
     def span_solver(self, window):
-        solver = linalg.SpanSolver(window.size(), self.m)
+        solver = linalg.SpanSolver(self.m)
         for g in self.generators:
             vec = window.to_vector(g)
             if vec is None:
@@ -164,7 +164,8 @@ def centralizer(loop_generators, window):
         return []
     stacked = [row for op in ops for row in op.rows()]
     return [AdOperator.joint_lift(ops, coeffs, [0] * len(ops)).loop
-            for coeffs in linalg.kernel_basis(stacked, window.m)]
+            for coeffs in linalg.kernel_basis(stacked, len(ops[0].interior),
+                                              window.m)]
 
 
 def conjugacy_verify(word, spec, window):
@@ -180,7 +181,7 @@ def conjugacy_verify(word, spec, window):
     images = [word.apply(g) for g in spec.generators]
     failures = []
     checked = 0
-    img_solver = linalg.SpanSolver(window.size(), window.m)
+    img_solver = linalg.SpanSolver(window.m)
     for g, img in zip(spec.generators, images):
         checked += 1
         vec = window.to_vector(img)

@@ -140,9 +140,6 @@ class ChevAlgebra:
     def killing_basis(self, i, j):
         return self.killing_table.get((i, j), 0)
 
-    def cartan_indices(self):
-        return range(self.rank)
-
     def __repr__(self):
         return f"ChevAlgebra({self.datum.label}, dim={self.dim})"
 
@@ -317,14 +314,6 @@ class GElt:
                     total = total + ci * cj * k
         return total
 
-    def vector(self):
-        z = CycScalar.zero(self.m)
-        return [self.coords.get(i, z) for i in range(self.alg.dim)]
-
-    @classmethod
-    def from_vector(cls, alg, m, vec):
-        return cls(alg, m, {i: c for i, c in enumerate(vec) if c})
-
     def is_zero(self):
         return not self.coords
 
@@ -403,15 +392,10 @@ class DiagramAuto:
     def matrix(self, m_field=None):
         """Integer matrix of the automorphism on the Chevalley basis."""
         m_field = m_field or self.m
-        dim = self.alg.dim
-        mat = linalg.zeros(dim, dim, m_field)
-        for i in range(dim):
-            if i < self.alg.rank:
-                mat[self.perm[i]][i] = CycScalar.one(m_field)
-            else:
-                root = self.alg.root_of_index[i]
-                j = self.alg.index_of_root[self.root_image[root]]
-                mat[j][i] = CycScalar(m_field, self.signs[root])
+        mat = [{} for _ in range(self.alg.dim)]
+        for i in range(self.alg.dim):
+            j, s = self.index_image(i)
+            mat[j][i] = CycScalar(m_field, s)
         return mat
 
     def is_identity(self):
@@ -521,16 +505,12 @@ def sigma_eigenspaces(auto):
     alg = auto.alg
     m = auto.m
     mat = auto.matrix(m)
-    dim = alg.dim
     zeta = CycScalar.zeta(m)
     spaces = []
     for i in range(m):
-        w = zeta ** i
-        shifted = [[mat[r][c] - w if r == c else mat[r][c] for c in range(dim)]
-                   for r in range(dim)]
-        basis = linalg.kernel_basis(shifted, m)
-        spaces.append([GElt.from_vector(alg, m, v) for v in basis])
-    if sum(len(b) for b in spaces) != dim:
+        basis = linalg.kernel_basis(linalg.shifted(mat, zeta ** i, m), alg.dim, m)
+        spaces.append([GElt(alg, m, v) for v in basis])
+    if sum(len(b) for b in spaces) != alg.dim:
         raise ValueError("eigenspace dimensions do not sum to dim g")
     return spaces
 
@@ -560,9 +540,7 @@ def cartan_of_fixed(auto):
     h = centralizer_in_g(alg, m, h0)
     _assert_abelian(h)
     again = centralizer_in_g(alg, m, h)
-    if not linalg.same_span(
-        [x.vector() for x in h], [x.vector() for x in again], m, alg.dim
-    ):
+    if not linalg.same_span([x.coords for x in h], [x.coords for x in again], m):
         raise ValueError("centralizer of h_0 is not self-centralizing")
     return h0, h
 
@@ -572,15 +550,13 @@ def centralizer_in_g(alg, m, elements):
     dim = alg.dim
     stacked = []
     for t in elements:
-        mat = linalg.zeros(dim, dim, m)
+        rows = [{} for _ in range(dim)]
         for j in range(dim):
             img = t.bracket(GElt.basis(alg, m, j))
             for i, c in img.coords.items():
-                mat[i][j] = c
-        stacked.extend(mat)
-    if not stacked:
-        return [GElt.basis(alg, m, i) for i in range(dim)]
-    return [GElt.from_vector(alg, m, v) for v in linalg.kernel_basis(stacked, m)]
+                rows[i][j] = c
+        stacked.extend(rows)
+    return [GElt(alg, m, v) for v in linalg.kernel_basis(stacked, dim, m)]
 
 
 def _assert_abelian(elements):

@@ -65,30 +65,29 @@ class Window:
         return len(self.basis)
 
     def to_vector(self, elt):
-        """Window coordinates of an AffineElt, or None if it leaves [lo,hi]."""
-        m = self.m
-        vec = [CycScalar.zero(m)] * len(self.basis)
+        """Window coordinates {slot: coefficient} of an AffineElt, without
+        zeros, or None if it leaves [lo, hi]."""
+        vec = {}
         for j in sorted(elt.loop.degree_support()):
             if j < self.lo or j > self.hi:
                 return None
             coords = self.ctx.decompose_slice(elt.loop.slice(j), j)
             if coords is None:
                 raise ValueError("element leaves the twisted algebra")
-            for pos, coef in enumerate(coords):
-                if coef:
-                    vec[self.slot[(j, pos)]] = coef
+            for pos, coef in coords.items():
+                vec[self.slot[(j, pos)]] = coef
         if elt.c or elt.d:
             if not self.with_cd:
                 return None
-            vec[self.c_slot] = elt.c
-            vec[self.d_slot] = elt.d
+            for slot, coef in ((self.c_slot, elt.c), (self.d_slot, elt.d)):
+                if coef:
+                    vec[slot] = coef
         return vec
 
     def from_vector(self, vec):
         out = AffineElt.zero(self.alg, self.m)
-        for i, coef in enumerate(vec):
-            if coef:
-                out = out + self.basis[i].scale(coef)
+        for i in sorted(vec):
+            out = out + self.basis[i].scale(vec[i])
         return out
 
 
@@ -119,7 +118,9 @@ class AdOperator:
 
     The interior defaults to `interior_indices(x, window)`; a commuting
     family shares its joint interior (`AdOperator.family`).  Each interior
-    column holds the window coordinates of [x, b_i], computed once.
+    column holds the window coordinates of [x, b_i], computed once.  The
+    rows handed to `linalg` are keyed by column position in `interior`,
+    so kernel vectors are coefficients over the interior columns.
     """
 
     __slots__ = ("x", "window", "interior", "columns")
@@ -155,28 +156,31 @@ class AdOperator:
         return v
 
     def rows(self, w=None, square=False):
-        """Rows of ad(x) - w over the interior columns: every window row,
-        or only the interior rows when `square`."""
-        out = []
-        for r in self.interior if square else range(self.window.size()):
-            row = []
-            for i in self.interior:
-                entry = self.columns[i][r]
-                if r == i and w:
-                    entry = entry - w
-                row.append(entry)
-            out.append(row)
+        """Rows of ad(x) - w over the interior columns: row r is window row
+        r, or, when `square`, interior row interior[r]."""
+        zero = CycScalar.zero(self.window.m)
+        if square:
+            index = {i: k for k, i in enumerate(self.interior)}
+            out = [{} for _ in self.interior]
+        else:
+            index = None
+            out = [{} for _ in range(self.window.size())]
+        for k, i in enumerate(self.interior):
+            col = self.columns[i]
+            if w:
+                col = {**col, i: col.get(i, zero) - w}
+            for r, x in col.items():
+                if index is not None:
+                    r = index.get(r)
+                if r is not None and x:
+                    out[r][k] = x
         return out
 
-    def lift(self, coeffs, w, cols=None):
-        """The window element with `coeffs` on `cols` (by default the
-        interior columns), re-verified as an eigenvector of weight w."""
-        window = self.window
-        vec = [CycScalar.zero(window.m)] * window.size()
-        for coef, i in zip(coeffs, self.interior if cols is None else cols):
-            if coef:
-                vec[i] = coef
-        v = window.from_vector(vec)
+    def lift(self, coeffs, w):
+        """The window element with coefficients {k: coef} on the interior
+        columns interior[k], re-verified as an eigenvector of weight w."""
+        v = self.window.from_vector(
+            {self.interior[k]: coef for k, coef in coeffs.items()})
         self.check(v, w)
         return v
 
@@ -236,7 +240,7 @@ class WeightDecomp:
             return []
         if sp.loop is None:
             window = self.window
-            solver = linalg.SpanSolver(window.size(), window.m)
+            solver = linalg.SpanSolver(window.m)
             # independent loop projections only
             keep = []
             for v in sp.vectors:
@@ -294,28 +298,19 @@ def weight_decompose(x, window, extra_candidates=()):
     interior dimension; when they do not, `defect` reports the shortfall
     (either boundary loss or non-diagonalizability over Q(zeta_m)).
 
-    When the loop part of x is concentrated in degree zero, ad(x) never
-    mixes degree slices (the cocycle needs opposite degrees), so the
-    eigenproblem splits per slice and is solved blockwise.
+    Each candidate weight w costs one kernel of the sparse rows of
+    ad(x) - w.  When the loop part of x is concentrated in degree zero,
+    ad(x) never mixes degree slices (the cocycle needs opposite degrees),
+    so those rows are block-diagonal, one block per slice plus zero c and
+    d columns: each row update of the elimination stays in one block, and
+    `linalg.rational_eigenvalues` searches each block's characteristic
+    polynomial alone.
     """
     m = window.m
     interior = interior_indices(x, window)
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
     op = AdOperator(x, window, interior)
-    if degree_reach(x) == 0:
-        spaces, total = _decompose_blockwise(op, extra_candidates)
-    else:
-        spaces, total = _decompose_interior(op, extra_candidates)
-    spaces.sort(key=lambda sp: _scalar_key(sp.w))
-    complete = total == len(interior)
-    defect = None if complete else len(interior) - total
-    return WeightDecomp(x, window, spaces, complete, interior, defect)
-
-
-def _decompose_interior(op, extra_candidates):
-    """Kernels of ad(x) - w over the interior columns, for harvested w."""
-    m = op.window.m
     candidates = []
 
     def add_candidate(w):
@@ -323,8 +318,9 @@ def _decompose_interior(op, extra_candidates):
         if all(w != c for c in candidates):
             candidates.append(w)
 
-    for i in op.interior:
-        add_candidate(op.columns[i][i])
+    zero = CycScalar.zero(m)
+    for i in interior:
+        add_candidate(op.columns[i].get(i, zero))
     for w in extra_candidates:
         add_candidate(w)
     # shift-rule closure for rational candidates, clamped to the harvest range
@@ -342,56 +338,25 @@ def _decompose_interior(op, extra_candidates):
                 step += 1
 
     spaces, total = _kernel_sweep(op, candidates)
-    if total < len(op.interior):
+    if total < len(interior):
         # try rational roots of the interior characteristic polynomial
-        poly = linalg.charpoly(op.rows(square=True), m)
-        fresh = [root for root, _ in linalg.rational_roots(poly, m)
-                 if all(root != sp.w for sp in spaces)]
+        roots = linalg.rational_eigenvalues(op.rows(square=True), m)
+        fresh = [root for root in roots if all(root != sp.w for sp in spaces)]
         if fresh:
             more, extra_total = _kernel_sweep(op, fresh)
             spaces.extend(more)
             total += extra_total
-    return spaces, total
-
-
-def _decompose_blockwise(op, extra_candidates):
-    """Per-degree-slice eigensolve for degree-zero loop parts.
-
-    c and d are exact zero-weight vectors here: the cocycle term vanishes
-    against a degree-zero element and the derivation kills degree zero.
-    """
-    window = op.window
-    m = window.m
-    by_weight = {}
-    total = 0
-
-    def stash(w, vector):
-        nonlocal total
-        key = _scalar_key(w)
-        by_weight.setdefault(key, (w, []))[1].append(vector)
-        total += 1
-
-    for j in range(window.lo, window.hi + 1):
-        block = [window.slot[(j, pos)] for pos in range(window.ctx.slice_dim(j))]
-        mat = [[op.columns[col][row] for col in block] for row in block]
-        # an incomplete slice surfaces through the dimension certificate
-        spaces, _ = linalg.eigenspaces(mat, m, extra_candidates)
-        for w, sub in spaces:
-            for coeffs in sub:
-                stash(w, op.lift(coeffs, w, block))
-    zero = CycScalar.zero(m)
-    if window.with_cd:
-        for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
-            op.check(elt, zero)
-            stash(zero, elt)
-    return [WeightSpace(w, vectors) for w, vectors in by_weight.values()], total
+    spaces.sort(key=lambda sp: _scalar_key(sp.w))
+    complete = total == len(interior)
+    defect = None if complete else len(interior) - total
+    return WeightDecomp(x, window, spaces, complete, interior, defect)
 
 
 def _kernel_sweep(op, candidates):
     spaces = []
     total = 0
     for w in candidates:
-        kernel = linalg.kernel_basis(op.rows(w), op.window.m)
+        kernel = linalg.kernel_basis(op.rows(w), len(op.interior), op.window.m)
         if kernel:
             spaces.append(WeightSpace(w, [op.lift(coeffs, w) for coeffs in kernel]))
             total += len(kernel)

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, reproducible JSON."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -336,6 +337,18 @@ class TestSpectrumAndConjugate:
         weights = json.loads(out)["reports"]["spectral"]["decomposition"]["weights"]
         assert {"w": "0", "dim": 5, "series_id": 0, "interior": True} in weights
 
+    def test_root_search_stays_bounded(self, tmp_path):
+        # the interior characteristic polynomial of this x has a constant
+        # term too large for a divisor search, its diagonal blocks do not
+        alg = tmp_path / "a2.alg"
+        alg.write_text("schema: 1\ntype: A\nrank: 2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "affinelie", "spectrum", "--algebra", str(alg),
+             "--x", "3*H_1*t^0 + 5*H_2*t^0 + X_a1*t^1 + X_a2*t^-1 + d"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode in (0, 1)
+        assert json.loads(proc.stdout)["command"] == "spectrum"
+
     def test_conjugate_verdict(self, capsys, a1_file, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text("H_1*t^0\nc\nd\n")
@@ -384,3 +397,20 @@ class TestDeterminism:
                       "--seed", "2", "--samples", "30")
         # reports agree on pass but the sampled checks must not be replayed
         assert json.loads(out1)["pass"] and json.loads(out2)["pass"]
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_141_without_traceback(self, a1_file):
+        # the read end is closed before the child writes, as `| head -c 5`
+        # does once it has its bytes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "affinelie", "verify", "form",
+                 "--algebra", a1_file, "--samples", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_PIPE == 141
+        assert "Traceback" not in proc.stderr

@@ -3,7 +3,9 @@
 The digests were recorded before the elimination kernels in `linalg`
 became sparse.  An RREF is unique and every report is rendered from exact
 values, so any later change to elimination, pivoting or span membership
-that alters a report fails here.
+that alters a report fails here.  The failing reach-0 `spectrum` run (a
+non-diagonalizable x, exit 1) was recorded while degree-zero x still had
+a per-slice solver of its own.
 """
 
 import hashlib
@@ -30,6 +32,8 @@ GOLDEN = [
      "b64bf1bdd9ac897b1a16ef4206c2b5e2c721874c78884a9425728f81a217ccd5"),
     (["verify", "form", *TWISTED_WINDOW, "--seed", "7"], 0,
      "74f54a32290d754355984d341725cb0c9c366796507c82caf9316f408ed2ea3f"),
+    (["spectrum", "--algebra", "algebras/a1.alg", "--x", "X_a1*t^0 + d"], 1,
+     "000ab2b431d97f9138ac532f14ba093dc8dbf116419f1750a52f7f37eb53e2c6"),
 ]
 
 

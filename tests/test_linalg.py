@@ -11,26 +11,46 @@ from affinelie import linalg
 from affinelie.scalars import CycScalar
 
 
+def sparse_vec(vec):
+    """A dense vector as the sparse {index: entry} dict `linalg` takes."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def sparse(mat):
+    return [sparse_vec(row) for row in mat]
+
+
+def dense_vec(vec, n, m):
+    out = [CycScalar.zero(m)] * n
+    for j, x in vec.items():
+        out[j] = x
+    return out
+
+
+def dense(mat, n, m):
+    return [dense_vec(row, n, m) for row in mat]
+
+
 def rmat(entries, m=1):
-    return [[CycScalar(m, e) for e in row] for row in entries]
+    return sparse([[CycScalar(m, e) for e in row] for row in entries])
 
 
 class TestKernelSolve:
     def test_kernel_of_rank_one(self):
-        ker = linalg.kernel_basis(rmat([[1, 2, 3]]), 1)
+        ker = linalg.kernel_basis(rmat([[1, 2, 3]]), 3, 1)
         assert len(ker) == 2
         for v in ker:
             s = CycScalar.zero(1)
-            for c, e in zip(v, (1, 2, 3)):
+            for c, e in zip(dense_vec(v, 3, 1), (1, 2, 3)):
                 s = s + c * e
             assert not s
 
     def test_solve_consistent(self):
-        x = linalg.solve(rmat([[2, 0], [1, 1]]), [CycScalar(1, 4), CycScalar(1, 5)], 1)
-        assert x == [CycScalar(1, 2), CycScalar(1, 3)]
+        x = linalg.solve(rmat([[2, 0], [1, 1]]), {0: CycScalar(1, 4), 1: CycScalar(1, 5)}, 1)
+        assert x == {0: CycScalar(1, 2), 1: CycScalar(1, 3)}
 
     def test_solve_inconsistent(self):
-        assert linalg.solve(rmat([[1], [1]]), [CycScalar(1, 1), CycScalar(1, 2)], 1) is None
+        assert linalg.solve(rmat([[1], [1]]), {0: CycScalar(1, 1), 1: CycScalar(1, 2)}, 1) is None
 
     def test_invert_round_trip(self):
         rng = random.Random(3)
@@ -42,14 +62,14 @@ class TestKernelSolve:
         assert linalg.mat_mul(mat, inv, 1) == linalg.identity(5, 1)
 
     def test_span_solver_membership_and_coords(self):
-        sol = linalg.SpanSolver(3, 1)
-        v1 = [CycScalar(1, 1), CycScalar(1, 0), CycScalar(1, 2)]
-        v2 = [CycScalar(1, 0), CycScalar(1, 1), CycScalar(1, 1)]
+        sol = linalg.SpanSolver(1)
+        v1 = sparse_vec([CycScalar(1, 1), CycScalar(1, 0), CycScalar(1, 2)])
+        v2 = sparse_vec([CycScalar(1, 0), CycScalar(1, 1), CycScalar(1, 1)])
         assert sol.add(v1) and sol.add(v2)
-        target = [CycScalar(1, 2), CycScalar(1, 3), CycScalar(1, 7)]
+        target = sparse_vec([CycScalar(1, 2), CycScalar(1, 3), CycScalar(1, 7)])
         coords = sol.coords(target)
-        assert coords == [CycScalar(1, 2), CycScalar(1, 3)]
-        assert not sol.contains([CycScalar(1, 0), CycScalar(1, 0), CycScalar(1, 1)])
+        assert coords == {0: CycScalar(1, 2), 1: CycScalar(1, 3)}
+        assert not sol.contains(sparse_vec([CycScalar(1, 0), CycScalar(1, 0), CycScalar(1, 1)]))
 
 
 def poly_from_roots(roots, m=1):
@@ -76,8 +96,8 @@ class TestCharpoly:
                 break
             except ValueError:
                 continue
-        d = [[CycScalar(1, roots[i]) if i == j else CycScalar.zero(1)
-              for j in range(n)] for i in range(n)]
+        d = sparse([[CycScalar(1, roots[i]) if i == j else CycScalar.zero(1)
+                     for j in range(n)] for i in range(n)])
         mat = linalg.mat_mul(linalg.mat_mul(p, d, 1), pinv, 1)
         assert linalg.charpoly(mat, 1) == poly_from_roots(roots)
         found = dict()
@@ -137,13 +157,14 @@ class TestEigen:
         for w, basis in spaces:
             for v in basis:
                 for mat, wi in zip((first, second), w):
-                    image = linalg.mat_vec(linalg.sparse_rows(mat), v, 1)
-                    assert image == [wi * x for x in v]
+                    image = linalg.mat_vec(mat, v, 1)
+                    assert image == {j: wi * x for j, x in v.items() if wi}
 
 
 def dense_joint_eigenspaces(mats, m, candidates=()):
     """Identity-start joint refinement with dense products, kept as the
-    reference for `linalg.joint_eigenspaces`."""
+    reference for `linalg.joint_eigenspaces`; it calls `linalg` only for
+    `SpanSolver` and `eigenspaces`, through dense/sparse conversions."""
     n = len(mats[0]) if mats else 0
 
     def dense_mat_vec(a, v):
@@ -156,29 +177,29 @@ def dense_joint_eigenspaces(mats, m, candidates=()):
             out.append(acc)
         return out
 
-    current = [([], linalg.identity(n, m))]
+    current = [([], dense(linalg.identity(n, m), n, m))]
     for op_index, mat in enumerate(mats):
         refined = []
         for weights, basis in current:
             k = len(basis)
             if k == 0:
                 continue
-            solver = linalg.SpanSolver(n, m)
+            solver = linalg.SpanSolver(m)
             for v in basis:
-                solver.add(v)
+                solver.add(sparse_vec(v))
             restricted_cols = []
             for v in basis:
-                coords = solver.coords(dense_mat_vec(mat, v))
+                coords = solver.coords(sparse_vec(dense_mat_vec(mat, v)))
                 if coords is None:
                     return [], op_index
-                restricted_cols.append(coords)
+                restricted_cols.append(dense_vec(coords, k, m))
             restricted = [[restricted_cols[j][i] for j in range(k)] for i in range(k)]
-            spaces, complete = linalg.eigenspaces(restricted, m, candidates)
+            spaces, complete = linalg.eigenspaces(sparse(restricted), m, candidates)
             if not complete:
                 return [], op_index
             for w, sub in spaces:
                 ambient = []
-                for coeffs in sub:
+                for coeffs in (dense_vec(c, k, m) for c in sub):
                     vec = [CycScalar.zero(m)] * n
                     for coef, bvec in zip(coeffs, basis):
                         if coef:
@@ -201,7 +222,7 @@ def commuting_family(draw, m):
     p = [[CycScalar(m, draw(st.integers(-2, 2))) for _ in range(n)]
          for _ in range(n)]
     try:
-        p_inv = linalg.invert(p, m)
+        p_inv = linalg.invert(sparse(p), m)
     except ValueError:
         assume(False)
     mats = []
@@ -209,7 +230,7 @@ def commuting_family(draw, m):
         d = [[CycScalar.zero(m)] * n for _ in range(n)]
         for i in range(n):
             d[i][i] = draw(st.sampled_from(pool))
-        mats.append(linalg.mat_mul(linalg.mat_mul(p, d, m), p_inv, m))
+        mats.append(linalg.mat_mul(linalg.mat_mul(sparse(p), sparse(d), m), p_inv, m))
     candidates = pool if draw(st.booleans()) else ()
     return mats, candidates
 
@@ -221,15 +242,19 @@ class TestJointEigenspacesProperty:
     def test_matches_dense_reference(self, m, data):
         mats, candidates = data.draw(commuting_family(m))
         got = linalg.joint_eigenspaces(mats, m, candidates)
-        assert got == dense_joint_eigenspaces(mats, m, candidates)
+        n = len(mats[0])
+        ref_spaces, ref_defect = dense_joint_eigenspaces(
+            [dense(mat, n, m) for mat in mats], m, candidates)
+        assert got == ([(w, [sparse_vec(v) for v in basis])
+                        for w, basis in ref_spaces], ref_defect)
         spaces, defect = got
         if defect is None:
             assert sum(len(b) for _, b in spaces) == len(mats[0])
             for weights, basis in spaces:
                 for v in basis:
                     for mat, w in zip(mats, weights):
-                        image = linalg.mat_vec(linalg.sparse_rows(mat), v, m)
-                        assert image == [w * x for x in v]
+                        image = linalg.mat_vec(mat, v, m)
+                        assert image == {j: w * x for j, x in v.items() if w}
 
 
 def dense_rref(mat, m):
@@ -376,10 +401,16 @@ class TestSparseElimination:
         nrows = data.draw(st.integers(1, 6))
         ncols = data.draw(st.integers(1, 7))
         mat = data.draw(sparse_matrix(m, nrows, ncols))
-        assert linalg.rref(mat, m) == dense_rref(mat, m)
-        assert linalg.kernel_basis(mat, m) == dense_kernel_basis(mat, m)
+        rows, pivots = linalg.rref(sparse(mat), m)
+        dense_rows, dense_pivots = dense_rref(mat, m)
+        # the sparse form lists the nonzero rows only
+        assert (rows + [{}] * (nrows - len(rows)), pivots) == (sparse(dense_rows), dense_pivots)
+        assert linalg.kernel_basis(sparse(mat), ncols, m) == [
+            sparse_vec(v) for v in dense_kernel_basis(mat, m)]
         rhs = data.draw(sparse_matrix(m, 1, nrows))[0]
-        assert linalg.solve(mat, rhs, m) == dense_solve(mat, rhs, m)
+        x = dense_solve(mat, rhs, m)
+        assert linalg.solve(sparse(mat), sparse_vec(rhs), m) == (
+            None if x is None else sparse_vec(x))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -389,13 +420,15 @@ class TestSparseElimination:
         probes = data.draw(sparse_matrix(m, 3, dim))
         probes.append(combination(m, [CycScalar(m, k) for k in (2, -1, 3)],
                                   added, dim))
-        sparse, dense = linalg.SpanSolver(dim, m), DenseSpanSolver(dim, m)
+        solver, reference = linalg.SpanSolver(m), DenseSpanSolver(dim, m)
         for v in added:
-            assert sparse.add(v) == dense.add(v)
-            assert sparse.rank == dense.rank
+            assert solver.add(sparse_vec(v)) == reference.add(v)
+            assert solver.rank == reference.rank
             for probe in probes + added:
-                assert sparse.contains(probe) == dense.contains(probe)
-                assert sparse.coords(probe) == dense.coords(probe)
+                assert solver.contains(sparse_vec(probe)) == reference.contains(probe)
+                coords = reference.coords(probe)
+                assert solver.coords(sparse_vec(probe)) == (
+                    None if coords is None else sparse_vec(coords))
 
 
 def parent_rational_roots(poly, m):
@@ -462,6 +495,47 @@ class TestRationalRootsProperty:
         assert dict(got) == found
 
 
+@st.composite
+def block_diagonal(draw, m):
+    """A square matrix made of conjugated diagonal or Jordan blocks, its
+    rows and columns shuffled by one permutation, so the blocks are
+    scattered over the index range."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        roots = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        # eigenvalues on the diagonal, optionally a 1 just above it
+        block = [[CycScalar(m, roots[i] if i == j else
+                            int(j == i + 1 and draw(st.booleans())))
+                  for j in range(k)] for i in range(k)]
+        p = [[CycScalar(m, draw(st.integers(-2, 2))) for _ in range(k)] for _ in range(k)]
+        try:
+            p_inv = linalg.invert(sparse(p), m)
+        except ValueError:
+            assume(False)
+        blocks.append(linalg.mat_mul(linalg.mat_mul(sparse(p), sparse(block), m), p_inv, m))
+    n = sum(len(b) for b in blocks)
+    order = draw(st.permutations(range(n)))
+    mat = [{} for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, x in row.items():
+                mat[order[start + i]][order[start + j]] = x
+        start += len(block)
+    return mat
+
+
+class TestRationalEigenvalues:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_whole_polynomial(self, m, data):
+        mat = data.draw(block_diagonal(m))
+        whole = linalg.rational_roots(linalg.charpoly(mat, m), m)
+        assert linalg.rational_eigenvalues(mat, m) == [w for w, _ in whole]
+
+
 class TestJordanSplit:
     def brute_force(self, diag, nil_positions, n):
         """Assemble M = D + N in a basis where the split is by inspection."""
@@ -476,7 +550,7 @@ class TestJordanSplit:
         rng = random.Random(5)
         n = 4
         d, nmat = self.brute_force([2, 2, 3, 3], [(0, 1)], n)
-        mat = [[d[i][j] + nmat[i][j] for j in range(n)] for i in range(n)]
+        mat = sparse([[d[i][j] + nmat[i][j] for j in range(n)] for i in range(n)])
         while True:
             p = rmat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             try:
@@ -486,13 +560,13 @@ class TestJordanSplit:
                 continue
         conj = linalg.mat_mul(linalg.mat_mul(p, mat, 1), pinv, 1)
         s, nn = linalg.jordan_split(conj, 1)
-        expected_s = linalg.mat_mul(linalg.mat_mul(p, d, 1), pinv, 1)
+        expected_s = linalg.mat_mul(linalg.mat_mul(p, sparse(d), 1), pinv, 1)
         assert s == expected_s
         # nilpotent part really is nilpotent
         power = nn
         for _ in range(n):
             power = linalg.mat_mul(power, nn, 1)
-        assert all(not x for row in power for x in row)
+        assert all(not row for row in power)
         # S and N commute
         assert linalg.mat_mul(s, nn, 1) == linalg.mat_mul(nn, s, 1)
 
@@ -504,10 +578,10 @@ class TestJordanSplit:
                 blocks[i][j] = d1[i][j] + n1[i][j]
         blocks[2][2] = CycScalar(1, 7)
         blocks[3][3] = CycScalar(1, 9)
-        s, _ = linalg.jordan_split(blocks, 1)
+        s, _ = linalg.jordan_split(sparse(blocks), 1)
         for i in range(2):
             for j in range(2, 4):
-                assert not s[i][j] and not s[j][i]
+                assert not s[i].get(j) and not s[j].get(i)
 
     def test_non_split_raises(self):
         # rotation by 90 degrees: x^2 + 1 has no rational roots

@@ -102,22 +102,21 @@ class TestTwisted:
         inner = twisted_basis(a2_flip, -2, 2, a2_flip_ctx)
         outer = twisted_basis(a2_flip, -4, 4, a2_flip_ctx)
         m = 2
-        dim = len(outer)
         index = {}
         for i, v in enumerate(outer):
             j = min(v.degree_support())
             index.setdefault(j, []).append(i)
 
         def vectorize(x):
-            vec = [CycScalar.zero(m)] * dim
+            vec = {}
             for j in sorted(x.degree_support()):
                 coords = a2_flip_ctx.decompose_slice(x.slice(j), j)
                 assert coords is not None, "bracket left the twisted algebra"
-                for pos, coef in zip(index[j], coords):
-                    vec[pos] = coef
+                for pos, coef in coords.items():
+                    vec[index[j][pos]] = coef
             return vec
 
-        solver = linalg.SpanSolver(dim, m)
+        solver = linalg.SpanSolver(m)
         for v in outer:
             solver.add(vectorize(v))
         for u in inner:

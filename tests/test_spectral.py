@@ -3,19 +3,23 @@ verifiers, and behaviour under conjugation.
 """
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from affinelie import linalg
 from affinelie.affine import AffineElt, bracket_affine
 from affinelie.autos import AutoWord, Cochar, Ring, RootExp, TorusK, VShift
 from affinelie.loop import LoopElt
-from affinelie.rootsys import cartan_of_fixed
+from affinelie.parsing import parse_affine, parse_algebra_file
+from affinelie.rootsys import build_chevalley, build_diagram_auto, cartan_of_fixed
 from affinelie.scalars import CycScalar, LaurentElt
 from affinelie.spectral import (AdOperator, Window, decomposition_report,
-                                degree_reach, rspan_isomorphism_check,
-                                verify_opposite, verify_product_rule,
-                                verify_shift, verify_zero_weight,
-                                weight_decompose)
+                                degree_reach, interior_indices,
+                                rspan_isomorphism_check, verify_opposite,
+                                verify_product_rule, verify_shift,
+                                verify_zero_weight, weight_decompose)
 
 from conftest import closed_form_weight_counts
 
@@ -42,7 +46,7 @@ class TestAdMatrix:
         mat = op.rows(square=True)
         for i, (kind, j, _) in enumerate(win.meta):
             expect = CycScalar(1, j) if kind == "loop" else CycScalar.zero(1)
-            assert mat[i][i] == expect
+            assert mat[i].get(i, CycScalar.zero(1)) == expect
 
     def test_degree_zero_cartan_is_diagonal(self, a1, a1_id, a1_x):
         win = Window(a1_id, -2, 2)
@@ -52,7 +56,7 @@ class TestAdMatrix:
         for i in range(win.size()):
             for j in range(win.size()):
                 if i != j:
-                    assert not mat[i][j]
+                    assert not mat[i].get(j)
 
     def test_degree_shift_flags_boundary(self, a1, a1_id):
         win = Window(a1_id, -2, 2)
@@ -70,10 +74,13 @@ class TestAdMatrix:
         op = AdOperator(x, win)
         w = CycScalar(1, 1)
         rows, plain = op.rows(w), op.rows()
-        assert len(rows) == win.size() and len(rows[0]) == len(op.interior)
+        columns = set(range(len(op.interior)))
+        assert len(rows) == win.size() and all(set(row) <= columns for row in rows)
+        zero = CycScalar.zero(1)
         for r in range(win.size()):
             for k, i in enumerate(op.interior):
-                assert rows[r][k] == (plain[r][k] - w if r == i else plain[r][k])
+                entry = plain[r].get(k, zero)
+                assert rows[r].get(k, zero) == (entry - w if r == i else entry)
 
     def test_check_compares_the_c_part(self, a1, a1_id):
         # [H_1 t, H_1 t^-1] is a nonzero multiple of c and nothing else:
@@ -90,11 +97,112 @@ class TestAdMatrix:
         win = Window(a1_id, -2, 2)
         op = AdOperator(a1_x, win)
         e = win.slot[(1, 0)]
-        coeffs = [CycScalar.one(1) if i == e else CycScalar.zero(1)
-                  for i in op.interior]
+        coeffs = {op.interior.index(e): CycScalar.one(1)}
         assert op.lift(coeffs, op.columns[e][e]) == win.basis[e]
         with pytest.raises(AssertionError):
             op.lift(coeffs, op.columns[e][e] + CycScalar.one(1))
+
+
+# one small window per root-of-unity order, built once
+WINDOW_AUTOS = {1: ("A", 1, (0,)), 2: ("A", 2, (1, 0)), 3: ("D", 4, (2, 1, 3, 0))}
+_small_windows = {}
+
+
+def small_window(m):
+    if m not in _small_windows:
+        kind, rank, perm = WINDOW_AUTOS[m]
+        auto = build_diagram_auto(build_chevalley(kind, rank), perm)
+        _small_windows[m] = Window(auto, -m, m)
+    return _small_windows[m]
+
+
+class TestToVector:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_without_zeros(self, m, data):
+        win = small_window(m)
+        zeta = st.integers(-2, 2) if m == 3 else st.just(0)
+        terms = data.draw(st.lists(st.tuples(st.integers(0, win.size() - 1),
+                                             st.integers(-3, 3), zeta),
+                                   max_size=6))
+        elt = AffineElt.zero(win.alg, m)
+        for i, a, b in terms:
+            elt = elt + win.basis[i].scale(CycScalar(m, a, b))
+        vec = win.to_vector(elt)
+        assert set(vec) <= set(range(win.size()))
+        # `SpanSolver.add` inverts v[min(v)]: no stored entry may be zero
+        assert all(vec.values())
+        assert win.from_vector(vec) == elt
+        # one term just outside [lo, hi] takes the element out of the window
+        j = data.draw(st.sampled_from([win.lo - 1, win.hi + 1]))
+        basis = win.ctx.slice_basis(j)
+        e = basis[data.draw(st.integers(0, len(basis) - 1))]
+        assert win.to_vector(elt + AffineElt(LoopElt.from_g(e, j))) is None
+
+
+def blockwise_reference(x, window, extra_candidates=()):
+    """The per-slice eigensolve that `weight_decompose` ran for degree-zero
+    loop parts before it had one path, kept as its reference (only its
+    slice blocks are now built from sparse columns).  Returns the sorted
+    (weight, vectors) pairs, `complete` and `defect`."""
+    m = window.m
+    interior = interior_indices(x, window)
+    op = AdOperator(x, window, interior)
+    by_weight = {}
+    total = 0
+
+    def stash(w, vector):
+        nonlocal total
+        by_weight.setdefault((w.a, w.b), (w, []))[1].append(vector)
+        total += 1
+
+    for j in range(window.lo, window.hi + 1):
+        block = [window.slot[(j, pos)] for pos in range(window.ctx.slice_dim(j))]
+        mat = [{k: op.columns[col][row] for k, col in enumerate(block)
+                if row in op.columns[col]} for row in block]
+        # an incomplete slice surfaces through the dimension certificate
+        spaces, _ = linalg.eigenspaces(mat, m, extra_candidates)
+        for w, sub in spaces:
+            for coeffs in sub:
+                v = window.from_vector({block[k]: c for k, c in coeffs.items()})
+                op.check(v, w)
+                stash(w, v)
+    zero = CycScalar.zero(m)
+    if window.with_cd:
+        for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
+            op.check(elt, zero)
+            stash(zero, elt)
+    spaces = [by_weight[key] for key in sorted(by_weight)]
+    complete = total == len(interior)
+    return spaces, complete, None if complete else len(interior) - total
+
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+
+
+class TestDegreeZeroMatchesBlockwise:
+    @pytest.mark.parametrize("name, x_text, half", [
+        ("a1", "H_1*t^0 + d", 3),
+        ("a1", "X_a1*t^0 + d", 3),
+        ("a1", "2*H_1*t^0 + X_a1*t^0", 2),
+        ("a2", "H_1*t^0 + 2*H_2*t^0 + d", 2),
+        ("a2", "H_1*t^0 + X_a1*t^0 + d", 2),
+        ("a2_twisted", "H_1*t^0 + H_2*t^0 + d", 4),
+        # the CLI window: the characteristic polynomial of the whole
+        # interior has a 22-digit constant term, each slice's a small one
+        ("a2_twisted", "X_a1*t^0 + X_a2*t^0 + d", 6),
+        ("sl2_table", "H_1*t^0 + d", 3),
+    ])
+    def test_same_weights_vectors_and_defect(self, name, x_text, half):
+        alg, auto = parse_algebra_file((ALGEBRAS / f"{name}.alg").read_text())
+        win = Window(auto, -half, half)
+        x = parse_affine(x_text, alg, auto.m)
+        assert degree_reach(x) == 0
+        dec = weight_decompose(x, win)
+        spaces, complete, defect = blockwise_reference(x, win)
+        assert [(sp.w, sp.vectors) for sp in dec.spaces] == spaces
+        assert (dec.complete, dec.defect) == (complete, defect)
 
 
 class TestWeightDecompose:
@@ -115,13 +223,13 @@ class TestWeightDecompose:
         dec = weight_decompose(a1_x, win)
         sp0 = dec.space(0)
         from affinelie import linalg
-        solver = linalg.SpanSolver(win.size(), 1)
+        solver = linalg.SpanSolver(1)
         d_free = [v for v in sp0.vectors if not v.d]
         for v in d_free:
             solver.add(win.to_vector(v))
         assert len(d_free) == sp0.dim - 1
         assert solver.contains(win.to_vector(AffineElt.c_elt(a1, 1)))
-        full = linalg.SpanSolver(win.size(), 1)
+        full = linalg.SpanSolver(1)
         for v in sp0.vectors:
             full.add(win.to_vector(v))
         assert full.contains(win.to_vector(a1_x))
@@ -326,10 +434,12 @@ class TestJordanBlockInvariant:
         for i, (_, ji, _) in enumerate(win.meta):
             for j, (_, jj, _) in enumerate(win.meta):
                 if ji != jj:
-                    assert not s[i][j]
+                    assert not s[i].get(j)
         # and S restricted to one slice equals the slice's own split
         idx = [i for i, (_, j, _) in enumerate(win.meta) if j == 0]
-        block = [[mat[i][j] for j in idx] for i in idx]
+        block = [{k: row[j] for k, j in enumerate(idx) if j in row}
+                 for row in (mat[i] for i in idx)]
         s_block, _ = linalg.jordan_split(block, 1)
-        lifted = [[s[i][j] for j in idx] for i in idx]
+        lifted = [{k: row[j] for k, j in enumerate(idx) if j in row}
+                  for row in (s[i] for i in idx)]
         assert s_block == lifted
