@@ -13,6 +13,7 @@ the rendered form `f . g`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import CycScalar, LaurentElt, as_scalar
@@ -52,56 +53,6 @@ class AutoGen:
         return self.render()
 
 
-class RootExp(AutoGen):
-    """x_alpha(u) = exp(u ad X_alpha); finite sum by nilpotency."""
-
-    def __init__(self, alg, root, u):
-        self.alg = alg
-        self.root = tuple(root)
-        if not isinstance(u, LaurentElt):
-            raise TypeError("u must be a LaurentElt")
-        self.u = u
-        self.index = alg.index_of_root[self.root]
-
-    def apply_loop(self, x):
-        z = LoopElt(x.alg, x.m, {self.index: self.u})
-        total = x
-        term = x
-        n = 0
-        while True:
-            n += 1
-            term = z.bracket(term)
-            if term.is_zero():
-                return total
-            total = total + term.scale(Fraction(1, _factorial(n)))
-
-    def apply_affine(self, x, level):
-        z = AffineElt(LoopElt(x.alg, x.m, {self.index: self.u}))
-        total = x
-        term = x
-        n = 0
-        while True:
-            n += 1
-            term = bracket_affine(z, term)
-            if term.is_zero():
-                return total
-            total = total + term.scale(Fraction(1, _factorial(n)))
-
-    def inverse(self):
-        return RootExp(self.alg, self.root, -self.u)
-
-    def render(self):
-        from .rootsys import root_label
-        return f"rootexp({root_label(self.root)}, {self.u.render()})"
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 class NilExp(AutoGen):
     """exp(ad z) for an ad-nilpotent loop element z.
 
@@ -130,7 +81,7 @@ class NilExp(AutoGen):
             term = bracket(term)
             if term.is_zero():
                 return total
-            total = total + term.scale(Fraction(1, _factorial(n)))
+            total = total + term.scale(Fraction(1, math.factorial(n)))
 
     def apply_loop(self, x):
         return self._exp(x, self.z.bracket)
@@ -146,6 +97,24 @@ class NilExp(AutoGen):
         return f"nilexp({self.z.render()})"
 
 
+class RootExp(NilExp):
+    """x_alpha(u) = exp(u ad X_alpha), the exponential of z = u X_alpha."""
+
+    def __init__(self, alg, root, u):
+        self.root = tuple(root)
+        if not isinstance(u, LaurentElt):
+            raise TypeError("u must be a LaurentElt")
+        self.u = u
+        super().__init__(LoopElt(alg, u.m, {alg.index_of_root[self.root]: u}))
+
+    def inverse(self):
+        return RootExp(self.z.alg, self.root, -self.u)
+
+    def render(self):
+        from .rootsys import root_label
+        return f"rootexp({root_label(self.root)}, {self.u.render()})"
+
+
 class Diagram(AutoGen):
     """Diagram automorphism acting basiswise; fixes c and d."""
 
@@ -153,17 +122,7 @@ class Diagram(AutoGen):
         self.auto = auto
 
     def apply_loop(self, x):
-        out = {}
-        for i, p in x.coords.items():
-            j, s = self.auto.index_image(i)
-            q = p if s == 1 else -p
-            acc = out.get(j)
-            acc = q if acc is None else acc + q
-            if acc:
-                out[j] = acc
-            elif j in out:
-                del out[j]
-        return LoopElt(x.alg, x.m, out)
+        return x.permuted(self.auto.index_image)
 
     def apply_affine(self, x, level):
         return AffineElt(self.apply_loop(x.loop), x.c, x.d)
@@ -214,10 +173,7 @@ class Cochar(AutoGen):
             coef = p.terms.get(0)
             if not coef:
                 continue
-            xi = self.alg.index_of_root[self.alg.datum.simple[i]]
-            yi = self.alg.index_of_root[tuple(-c for c in self.alg.datum.simple[i])]
-            pair = self.alg.killing_table[(xi, yi)]
-            total = total + coef * (self.phi[i] * pair)
+            total = total + coef * (self.phi[i] * self.alg.simple_pairing(i))
         return total
 
     def x_phi(self, m):
@@ -260,9 +216,7 @@ class Cochar(AutoGen):
             coef = xphi.coords.get(i)
             if not coef:
                 continue
-            xi = self.alg.index_of_root[self.alg.datum.simple[i]]
-            yi = self.alg.index_of_root[tuple(-c for c in self.alg.datum.simple[i])]
-            a += coef.rational() * self.phi[i] * self.alg.killing_table[(xi, yi)]
+            a += coef.rational() * self.phi[i] * self.alg.simple_pairing(i)
         return (VShift(-a), self.inverse())
 
     def render(self):

@@ -63,13 +63,12 @@ class Session:
         self.rng = random.Random(seed)
         self._win = None
 
-    def window(self, lo=None, hi=None, with_cd=True):
-        if lo is None and hi is None and with_cd and self._win is not None:
+    def window(self, lo=None, hi=None):
+        if lo is None and hi is None and self._win is not None:
             return self._win
         w = Window(self.auto, self.lo if lo is None else lo,
-                   self.hi if hi is None else hi, with_cd=with_cd,
-                   context=self.ctx)
-        if lo is None and hi is None and with_cd:
+                   self.hi if hi is None else hi, context=self.ctx)
+        if lo is None and hi is None:
             self._win = w
         return w
 
@@ -266,9 +265,7 @@ def suite_lifts(session):
     for i in range(alg.rank):
         h = AffineElt(LoopElt.monomial(alg, m, i, 0))
         img = word.apply(h)
-        xi = alg.index_of_root[alg.datum.simple[i]]
-        yi = alg.index_of_root[tuple(-c for c in alg.datum.simple[i])]
-        expected = CycScalar(m, phi[i] * alg.killing_table[(xi, yi)])
+        expected = CycScalar(m, phi[i] * alg.simple_pairing(i))
         checked += 1
         if img.c != expected or img.loop != h.loop:
             failures.append({
@@ -341,7 +338,7 @@ def _word_and_spec(session, word_text, spec_lines, default=None):
     spec file the subalgebra is `default`, when one is given.  A spec file
     without element lines is an empty subalgebra, which is rejected."""
     alg, m = session.alg, session.m
-    word = parse_word(word_text, alg, m, auto_builder=lambda p: session.auto)
+    word = parse_word(word_text, alg, m)
     if default is not None and spec_lines is None:
         return word, default
     return word, SubalgebraSpec([parse_affine(line, alg, m) for line in spec_lines])

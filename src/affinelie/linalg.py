@@ -13,7 +13,9 @@ pivot row's nonzero entries.  Only `charpoly` works on dense rows, through
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from .scalars import CycScalar, as_scalar
 
@@ -60,13 +62,11 @@ def mat_vec(rows, v, m):
     """Product of a matrix with a vector."""
     out = {}
     for i, row in enumerate(rows):
-        acc = None
-        for j, x in row.items():
-            y = v.get(j)
-            if y is not None:
-                acc = x * y if acc is None else acc + x * y
-        if acc:
-            out[i] = acc
+        products = [x * v[j] for j, x in row.items() if j in v]
+        if products:
+            acc = reduce(operator.add, products)
+            if acc:
+                out[i] = acc
     return out
 
 

@@ -1,21 +1,25 @@
 """Loop algebra g (x) S and the twisted subalgebra L(g, sigma).
 
 Elements are finitely supported maps from Chevalley basis indices to
-Laurent polynomials; no truncation happens in arithmetic.  Degree windows
-exist only for basis enumeration.  The split case is m = 1 with the
-identity diagram automorphism.
+Laurent polynomials: `rootsys.SparseElt` with Laurent coefficients, so sum,
+bracket and the signed basis permutation are the ones `GElt` uses.  No
+truncation happens in arithmetic.  Degree windows exist only for basis
+enumeration.  L(g, sigma) is the fixed subalgebra of the Galois twist
+sigma^(-1) (x) (s -> zeta*s), which is that signed permutation with
+`LaurentElt.zeta_scale` on the coefficients.  The split case is m = 1 with
+the identity diagram automorphism.
 """
 
 from __future__ import annotations
 
 from .scalars import LaurentElt, as_scalar, render_t_power
-from .rootsys import GElt
+from .rootsys import GElt, SparseElt
 
 
-class LoopElt:
+class LoopElt(SparseElt):
     """Element of g (x) k[t^(1/m), t^(-1/m)]."""
 
-    __slots__ = ("alg", "m", "coords")
+    __slots__ = ()
 
     def __init__(self, alg, m, coords=None):
         self.alg = alg
@@ -46,27 +50,10 @@ class LoopElt:
         return cls(x.alg, x.m, {i: LaurentElt.s_power(x.m, p, c)
                                 for i, c in x.coords.items()})
 
-    def _check(self, other):
-        if self.alg is not other.alg or self.m != other.m:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coords)
-        for i, p in other.coords.items():
-            acc = out.get(i)
-            acc = p if acc is None else acc + p
-            if acc:
-                out[i] = acc
-            elif i in out:
-                del out[i]
-        return LoopElt(self.alg, self.m, out)
-
-    def __neg__(self):
-        return LoopElt(self.alg, self.m, {i: -p for i, p in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    # [a (x) p, b (x) q] = [a, b] (x) pq.  Bound here as well as inherited
+    # so that the method is found in LoopElt's own namespace, where the
+    # benchmark tracer patches it.
+    bracket = SparseElt.bracket
 
     def scale(self, coef):
         if isinstance(coef, LaurentElt):
@@ -80,28 +67,6 @@ class LoopElt:
         """Multiply by s^p."""
         return LoopElt(self.alg, self.m,
                        {i: q.shift(p) for i, q in self.coords.items()})
-
-    def bracket(self, other):
-        """[a (x) p, b (x) q] = [a, b] (x) pq, extended bilinearly."""
-        self._check(other)
-        out = {}
-        for i, pi in self.coords.items():
-            for j, qj in other.coords.items():
-                row = self.alg.table.get((i, j))
-                if not row:
-                    continue
-                prod = pi * qj
-                if not prod:
-                    continue
-                for k, c in row.items():
-                    term = prod.scale(c)
-                    acc = out.get(k)
-                    acc = term if acc is None else acc + term
-                    if acc:
-                        out[k] = acc
-                    elif k in out:
-                        del out[k]
-        return LoopElt(self.alg, self.m, out)
 
     def degree_support(self):
         degs = set()
@@ -127,18 +92,6 @@ class LoopElt:
                 out[i] = scaled
         return LoopElt(self.alg, self.m, out)
 
-    def is_zero(self):
-        return not self.coords
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopElt):
-            return NotImplemented
-        return (self.alg is other.alg and self.m == other.m
-                and self.coords == other.coords)
-
     def render(self):
         if not self.coords:
             return "0"
@@ -158,20 +111,7 @@ class LoopElt:
 
 def gamma_twist(x, auto):
     """The twisted Galois generator: sigma^(-1) on g, s -> zeta*s on S."""
-    inv = auto.inverse()
-    out = {}
-    for i, p in x.coords.items():
-        j, s = inv.index_image(i)
-        q = p.zeta_scale()
-        if s == -1:
-            q = -q
-        acc = out.get(j)
-        acc = q if acc is None else acc + q
-        if acc:
-            out[j] = acc
-        elif j in out:
-            del out[j]
-    return LoopElt(x.alg, x.m, out)
+    return x.permuted(auto.inverse().index_image, LaurentElt.zeta_scale)
 
 
 def is_in_twisted(x, auto):

@@ -54,7 +54,7 @@ class SubalgebraSpec:
         return solver
 
 
-def standard_mad(auto, context=None):
+def standard_mad(auto):
     """The reference MAD: degree-zero Cartan part of the fixed algebra
     plus the center and the derivation."""
     from .rootsys import cartan_of_fixed

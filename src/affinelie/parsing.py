@@ -261,11 +261,11 @@ def _split_top_level(text, sep):
     return parts
 
 
-def parse_word(text, alg, m, auto_builder=None):
+def parse_word(text, alg, m):
     """Parse `gen . gen . ... @ level` into an AutoWord.
 
-    `auto_builder` maps a simple-root permutation tuple to a DiagramAuto;
-    it defaults to building (and verifying) one on the fly.
+    A `diagram(...)` permutation is built and verified by
+    `build_diagram_auto`; one that is no diagram symmetry is rejected.
     """
     from .autos import (AutoWord, RootExp, Diagram, Cochar, TorusK, Ring,
                         VShift)
@@ -298,17 +298,16 @@ def parse_word(text, alg, m, auto_builder=None):
                 gens.append(NilExp(parse_affine(argtext.strip(), alg, m,
                                                 allow_cd=False)))
             elif name == "diagram":
-                perm = tuple(int(a) - 1 for a in args)
-                builder = auto_builder or (lambda p: build_diagram_auto(alg, p))
-                gens.append(Diagram(builder(perm)))
+                perm = tuple(_int(a, "diagram") - 1 for a in args)
+                gens.append(Diagram(build_diagram_auto(alg, perm)))
             elif name == "cochar":
-                gens.append(Cochar(alg, tuple(int(a) for a in args)))
+                gens.append(Cochar(alg, tuple(_int(a, "cochar") for a in args)))
             elif name == "torus":
                 gens.append(TorusK(alg, tuple(parse_scalar(a, m) for a in args)))
             elif name == "ring":
                 if len(args) != 2:
                     raise ParseError("ring takes (scale, +1|-1)")
-                gens.append(Ring(parse_scalar(args[0], m), int(args[1])))
+                gens.append(Ring(parse_scalar(args[0], m), _int(args[1], "ring")))
             elif name == "vshift":
                 gens.append(VShift(parse_scalar(args[0], m)))
             else:
@@ -377,7 +376,8 @@ def parse_algebra_file(text):
 
 
 def _int(text, what):
-    """An integer field of an algebra file; anything else is a parse error."""
+    """An integer field of an algebra file or an integer argument of a
+    word generator; anything else is a parse error."""
     try:
         return int(text)
     except ValueError:

@@ -11,7 +11,7 @@ in as explicit structure-constant tables.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import CycScalar, as_scalar
+from .scalars import CycScalar, add_into, as_scalar
 
 CARTAN_MATRICES = {
     ("A", 1): ((2,),),
@@ -114,12 +114,12 @@ class ChevAlgebra:
         "index_of_root", "table", "killing_table",
     )
 
-    def __init__(self, datum, table_override=None, labels=None):
+    def __init__(self, datum, table_override=None):
         self.datum = datum
         self.rank = datum.rank
         roots = list(datum.positive) + [neg(r) for r in datum.positive]
         self.dim = datum.rank + len(roots)
-        self.labels = labels or self.default_labels(datum)
+        self.labels = self.default_labels(datum)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.root_of_index = {datum.rank + i: r for i, r in enumerate(roots)}
         self.index_of_root = {r: datum.rank + i for i, r in enumerate(roots)}
@@ -139,6 +139,12 @@ class ChevAlgebra:
 
     def killing_basis(self, i, j):
         return self.killing_table.get((i, j), 0)
+
+    def simple_pairing(self, i):
+        """<X_{alpha_i}, X_{-alpha_i}> for the i-th simple root."""
+        alpha = self.datum.simple[i]
+        return self.killing_table[(self.index_of_root[alpha],
+                                   self.index_of_root[neg(alpha)])]
 
     def __repr__(self):
         return f"ChevAlgebra({self.datum.label}, dim={self.dim})"
@@ -233,17 +239,91 @@ def _killing_from_table(alg):
     return killing
 
 
-def build_chevalley(kind, rank=None):
+def build_chevalley(kind, rank):
     """Construct the Chevalley algebra of a supported type, e.g. ('A', 2)."""
-    if isinstance(kind, RootDatum):
-        return ChevAlgebra(kind)
     return ChevAlgebra(root_datum(kind, rank))
 
 
-class GElt:
-    """Element of g with coordinates in Q(zeta_m) over the Chevalley basis."""
+class SparseElt:
+    """Sparse coordinates over the Chevalley basis: {index: coefficient}.
+
+    The coefficients lie in one ring, Q(zeta_m) for GElt and the Laurent
+    polynomials for LoopElt, and no stored coefficient is zero.  The
+    arithmetic both rings share lives here; subclasses coerce coefficients
+    in their constructors and add what is particular to them.
+    """
 
     __slots__ = ("alg", "m", "coords")
+
+    @classmethod
+    def _make(cls, alg, m, coords):
+        # Internal fast path: coords already a zero-free map of ring elements.
+        self = object.__new__(cls)
+        self.alg = alg
+        self.m = m
+        self.coords = coords
+        return self
+
+    def _check(self, other):
+        if self.alg is not other.alg or self.m != other.m:
+            raise ValueError("elements of different algebras")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coords)
+        for i, c in other.coords.items():
+            add_into(out, i, c)
+        return self._make(self.alg, self.m, out)
+
+    def __neg__(self):
+        return self._make(self.alg, self.m, {i: -c for i, c in self.coords.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def bracket(self, other):
+        """[sum ci b_i, sum cj b_j] = sum ci*cj [b_i, b_j] over the table."""
+        self._check(other)
+        table = self.alg.table
+        out = {}
+        for i, ci in self.coords.items():
+            for j, cj in other.coords.items():
+                row = table.get((i, j))
+                if not row:
+                    continue
+                cij = ci * cj
+                for k, c in row.items():
+                    add_into(out, k, cij * c)
+        return self._make(self.alg, self.m, out)
+
+    def permuted(self, index_image, f=None):
+        """The image under b_i -> sign * b_j, (j, sign) = index_image(i),
+        with each coefficient first mapped by `f`."""
+        out = {}
+        for i, c in self.coords.items():
+            j, sign = index_image(i)
+            if f is not None:
+                c = f(c)
+            add_into(out, j, c if sign == 1 else -c)
+        return self._make(self.alg, self.m, out)
+
+    def is_zero(self):
+        return not self.coords
+
+    def __bool__(self):
+        return bool(self.coords)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.alg is other.alg and self.m == other.m
+                and self.coords == other.coords)
+
+
+class GElt(SparseElt):
+    """Element of g with coordinates in Q(zeta_m) over the Chevalley basis."""
+
+    __slots__ = ()
 
     def __init__(self, alg, m, coords=None):
         self.alg = alg
@@ -259,50 +339,9 @@ class GElt:
     def basis(cls, alg, m, index, coef=1):
         return cls(alg, m, {index: as_scalar(m, coef)})
 
-    def _check(self, other):
-        if self.alg is not other.alg or self.m != other.m:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            acc = out.get(i)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[i] = acc
-            elif i in out:
-                del out[i]
-        return GElt(self.alg, self.m, out)
-
-    def __neg__(self):
-        return GElt(self.alg, self.m, {i: -c for i, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, coef):
         coef = as_scalar(self.m, coef)
         return GElt(self.alg, self.m, {i: c * coef for i, c in self.coords.items()})
-
-    def bracket(self, other):
-        self._check(other)
-        out = {}
-        for i, ci in self.coords.items():
-            for j, cj in other.coords.items():
-                row = self.alg.table.get((i, j))
-                if not row:
-                    continue
-                cij = ci * cj
-                for k, c in row.items():
-                    term = cij * c
-                    acc = out.get(k)
-                    acc = term if acc is None else acc + term
-                    if acc:
-                        out[k] = acc
-                    elif k in out:
-                        del out[k]
-        return GElt(self.alg, self.m, out)
 
     def killing(self, other):
         self._check(other)
@@ -313,17 +352,6 @@ class GElt:
                 if k:
                     total = total + ci * cj * k
         return total
-
-    def is_zero(self):
-        return not self.coords
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, GElt):
-            return NotImplemented
-        return self.alg is other.alg and self.m == other.m and self.coords == other.coords
 
     def render(self):
         if not self.coords:
@@ -365,22 +393,7 @@ class DiagramAuto:
         return alg.index_of_root[self.root_image[root]], self.signs[root]
 
     def apply(self, x):
-        out = {}
-        for i, c in x.coords.items():
-            if i < self.alg.rank:
-                j, s = self.perm[i], 1
-            else:
-                root = self.alg.root_of_index[i]
-                j = self.alg.index_of_root[self.root_image[root]]
-                s = self.signs[root]
-            term = c if s == 1 else -c
-            acc = out.get(j)
-            acc = term if acc is None else acc + term
-            if acc:
-                out[j] = acc
-            elif j in out:
-                del out[j]
-        return GElt(x.alg, x.m, out)
+        return x.permuted(self.index_image)
 
     def inverse(self):
         n = self.alg.rank
@@ -389,13 +402,12 @@ class DiagramAuto:
         inv_signs = {img: self.signs[r] for r, img in self.root_image.items()}
         return DiagramAuto(self.alg, inv_perm, inv_root_image, inv_signs, self.m)
 
-    def matrix(self, m_field=None):
+    def matrix(self):
         """Integer matrix of the automorphism on the Chevalley basis."""
-        m_field = m_field or self.m
         mat = [{} for _ in range(self.alg.dim)]
         for i in range(self.alg.dim):
             j, s = self.index_image(i)
-            mat[j][i] = CycScalar(m_field, s)
+            mat[j][i] = CycScalar(self.m, s)
         return mat
 
     def is_identity(self):
@@ -504,7 +516,7 @@ def sigma_eigenspaces(auto):
     """Bases of the eigenspaces g_i = ker(sigma - zeta^i), i in Z/mZ."""
     alg = auto.alg
     m = auto.m
-    mat = auto.matrix(m)
+    mat = auto.matrix()
     zeta = CycScalar.zeta(m)
     spaces = []
     for i in range(m):

@@ -4,7 +4,8 @@ The coefficient field is Q(zeta_m) for m in {1, 2, 3}, represented by
 residues modulo the m-th cyclotomic polynomial.  Laurent polynomials in
 s = t^(1/m) are finitely supported maps from exponent numerators (integers,
 in units of 1/m) to field elements.  Everything is exact: coefficients are
-`fractions.Fraction` values and equality is decidable.
+`fractions.Fraction` values and equality is decidable.  `add_into` is the
+one accumulate of every sparse map in the package that never stores a zero.
 """
 
 from __future__ import annotations
@@ -186,6 +187,21 @@ def as_scalar(m, value):
     return CycScalar(m, value)
 
 
+def add_into(out, key, value):
+    """out[key] += value in a sparse map, which never stores a zero.
+
+    Every sparse map of the package (Laurent terms, g and loop coordinates)
+    accumulates through this one function: a cancelled entry is deleted.
+    """
+    acc = out.get(key)
+    if acc is not None:
+        value = acc + value
+    if value:
+        out[key] = value
+    elif acc is not None:
+        del out[key]
+
+
 class LaurentElt:
     """Finitely supported Laurent polynomial in s = t^(1/m).
 
@@ -208,6 +224,14 @@ class LaurentElt:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentElt is immutable")
+
+    @classmethod
+    def _make(cls, m, terms):
+        # Internal fast path: terms already a zero-free {int: CycScalar} map.
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @classmethod
     def zero(cls, m):
@@ -241,22 +265,11 @@ class LaurentElt:
         self._check(other)
         out = dict(self.terms)
         for p, coef in other.terms.items():
-            acc = out.get(p)
-            acc = coef if acc is None else acc + coef
-            if acc:
-                out[p] = acc
-            elif p in out:
-                del out[p]
-        res = object.__new__(LaurentElt)
-        object.__setattr__(res, "m", self.m)
-        object.__setattr__(res, "terms", out)
-        return res
+            add_into(out, p, coef)
+        return LaurentElt._make(self.m, out)
 
     def __neg__(self):
-        res = object.__new__(LaurentElt)
-        object.__setattr__(res, "m", self.m)
-        object.__setattr__(res, "terms", {p: -c for p, c in self.terms.items()})
-        return res
+        return LaurentElt._make(self.m, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -268,18 +281,8 @@ class LaurentElt:
         out = {}
         for p, cp in self.terms.items():
             for q, cq in other.terms.items():
-                r = p + q
-                term = cp * cq
-                acc = out.get(r)
-                acc = term if acc is None else acc + term
-                if acc:
-                    out[r] = acc
-                elif r in out:
-                    del out[r]
-        res = object.__new__(LaurentElt)
-        object.__setattr__(res, "m", self.m)
-        object.__setattr__(res, "terms", out)
-        return res
+                add_into(out, p + q, cp * cq)
+        return LaurentElt._make(self.m, out)
 
     __rmul__ = __mul__
 
@@ -287,17 +290,11 @@ class LaurentElt:
         coef = as_scalar(self.m, coef)
         if not coef:
             return LaurentElt.zero(self.m)
-        res = object.__new__(LaurentElt)
-        object.__setattr__(res, "m", self.m)
-        object.__setattr__(res, "terms", {p: c * coef for p, c in self.terms.items()})
-        return res
+        return LaurentElt._make(self.m, {p: c * coef for p, c in self.terms.items()})
 
     def shift(self, p):
         """Multiply by s^p (degree shift by p exponent-numerator units)."""
-        res = object.__new__(LaurentElt)
-        object.__setattr__(res, "m", self.m)
-        object.__setattr__(res, "terms", {q + p: c for q, c in self.terms.items()})
-        return res
+        return LaurentElt._make(self.m, {q + p: c for q, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentElt):
@@ -323,18 +320,8 @@ class LaurentElt:
             raise ValueError("substitution scale must be nonzero")
         out = {}
         for p, coef in self.terms.items():
-            q = -p if invert else p
-            term = coef * (a ** p)
-            acc = out.get(q)
-            acc = term if acc is None else acc + term
-            if acc:
-                out[q] = acc
-            elif q in out:
-                del out[q]
-        res = object.__new__(LaurentElt)
-        object.__setattr__(res, "m", self.m)
-        object.__setattr__(res, "terms", out)
-        return res
+            add_into(out, -p if invert else p, coef * (a ** p))
+        return LaurentElt._make(self.m, out)
 
     def zeta_scale(self):
         """The Galois generator s -> zeta*s."""

@@ -329,6 +329,27 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
 
 
+    def test_word_diagram_not_a_permutation_exits_3(self, tmp_path):
+        path = tmp_path / "a2.alg"
+        path.write_text("schema: 1\ntype: A\nrank: 2\n")
+        proc = run_subprocess("verify", "mad", "--algebra", str(path),
+                              "--word", "diagram(3,1) @ hat")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "not a permutation" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_word_non_integer_argument_exits_2(self, tmp_path):
+        path = tmp_path / "a2.alg"
+        path.write_text("schema: 1\ntype: A\nrank: 2\n")
+        proc = run_subprocess("verify", "mad", "--algebra", str(path),
+                              "--word", "cochar(1,x) @ hat")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "cochar: expected an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestSpectrumAndConjugate:
     def test_spectrum_dump(self, capsys, a1_file):
         code, out = run(capsys, "spectrum", "--algebra", a1_file,

@@ -34,6 +34,12 @@ GOLDEN = [
      "74f54a32290d754355984d341725cb0c9c366796507c82caf9316f408ed2ea3f"),
     (["spectrum", "--algebra", "algebras/a1.alg", "--x", "X_a1*t^0 + d"], 1,
      "000ab2b431d97f9138ac532f14ba093dc8dbf116419f1750a52f7f37eb53e2c6"),
+    (["verify", "lifts", "--algebra", "algebras/a2_twisted.alg",
+      "--samples", "50", "--seed", "7"], 0,
+     "a36df2cfecc0f2ad526cdd00cdc565ad43e1c6208449886fbad36e017d222c76"),
+    (["verify", "exactseq", "--algebra", "algebras/d4_triality.alg",
+      "--samples", "50", "--seed", "7"], 0,
+     "fd1c7e27d8b748238d6ab2efa60a074fb214f0f1b2f6d6d4a70280f48e9e09aa"),
 ]
 
 

@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinelie.autos import Diagram
 from affinelie.loop import (LoopElt, gamma_twist, is_in_twisted,
                             twisted_basis)
-from affinelie.rootsys import build_chevalley, sigma_eigenspaces
+from affinelie.rootsys import GElt, build_chevalley, sigma_eigenspaces
 from affinelie.scalars import CycScalar, LaurentElt
 from affinelie import linalg
 
@@ -143,3 +144,137 @@ class TestDegreeAction:
         x = LoopElt(a1, 1, {0: LaurentElt(1, {2: 5}), 1: LaurentElt(1, {2: 1, 0: 7})})
         s = x.slice(2)
         assert s.coords == {0: CycScalar(1, 5), 1: CycScalar(1, 1)}
+
+
+# -- the shared sparse arithmetic of GElt and LoopElt -------------------------
+
+def explicit_diagram_apply(auto, x):
+    """`DiagramAuto.apply` as written before the shared `permuted`."""
+    out = {}
+    for i, c in x.coords.items():
+        if i < auto.alg.rank:
+            j, s = auto.perm[i], 1
+        else:
+            root = auto.alg.root_of_index[i]
+            j = auto.alg.index_of_root[auto.root_image[root]]
+            s = auto.signs[root]
+        term = c if s == 1 else -c
+        acc = out.get(j)
+        acc = term if acc is None else acc + term
+        if acc:
+            out[j] = acc
+        elif j in out:
+            del out[j]
+    return GElt(x.alg, x.m, out)
+
+
+def explicit_diagram_apply_loop(auto, x):
+    """`autos.Diagram.apply_loop` as written before the shared `permuted`."""
+    out = {}
+    for i, p in x.coords.items():
+        j, s = auto.index_image(i)
+        q = p if s == 1 else -p
+        acc = out.get(j)
+        acc = q if acc is None else acc + q
+        if acc:
+            out[j] = acc
+        elif j in out:
+            del out[j]
+    return LoopElt(x.alg, x.m, out)
+
+
+def explicit_gamma_twist(x, auto):
+    """`loop.gamma_twist` as written before the shared `permuted`."""
+    inv = auto.inverse()
+    out = {}
+    for i, p in x.coords.items():
+        j, s = inv.index_image(i)
+        q = p.zeta_scale()
+        if s == -1:
+            q = -q
+        acc = out.get(j)
+        acc = q if acc is None else acc + q
+        if acc:
+            out[j] = acc
+        elif j in out:
+            del out[j]
+    return LoopElt(x.alg, x.m, out)
+
+
+def zero_free(x):
+    """No stored coefficient of x is zero, nor any Laurent term of one."""
+    return all(c and (not isinstance(c, LaurentElt) or all(c.terms.values()))
+               for c in x.coords.values())
+
+
+def summed(pairs, zero):
+    """{key: sum of values} with zero sums dropped at the end."""
+    out = {}
+    for key, value in pairs:
+        out[key] = out.get(key, zero) + value
+    return {key: value for key, value in out.items() if value}
+
+
+class TestSharedArithmetic:
+    """+, -, bracket and the signed permutation on small random elements.
+
+    Supports are drawn from few indices, degrees and coefficients so that
+    sums and brackets cancel often."""
+
+    @staticmethod
+    def loop_elt(data, auto):
+        alg, m = auto.alg, auto.m
+        # indices of a Cartan line, a root and its image, so that both
+        # the bracket and the permutation have something to cancel
+        picks = sorted({0, alg.rank, auto.index_image(alg.rank)[0],
+                        alg.index_of_root[tuple(-c for c in
+                                                alg.root_of_index[alg.rank])]})
+        zeta = st.integers(-1, 1) if m == 3 else st.just(0)
+        terms = data.draw(st.lists(st.tuples(
+            st.sampled_from(picks), st.integers(-1, 1),
+            st.integers(-1, 1), zeta), max_size=5))
+        coords = {}
+        for i, p, a, b in terms:
+            coords[i] = coords.get(i, LaurentElt.zero(m)) + LaurentElt.s_power(
+                m, p, CycScalar(m, a, b))
+        return LoopElt(alg, m, coords)
+
+    @pytest.mark.parametrize("auto_name", ["a1_id", "a2_flip", "d4_triality"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_results_store_no_zero(self, request, auto_name, data):
+        auto = request.getfixturevalue(auto_name)
+        m = auto.m
+        x = self.loop_elt(data, auto)
+        y = self.loop_elt(data, auto)
+        lzero = LaurentElt.zero(m)
+        both = [*x.coords.items(), *y.coords.items()]
+        assert (x + y).coords == summed(both, lzero)
+        assert (x - y).coords == summed(
+            [*x.coords.items(), *((i, -p) for i, p in y.coords.items())], lzero)
+        assert (x + (-x)).coords == {}
+        for result in (x + y, x - y, x.bracket(y), y.bracket(x)):
+            assert zero_free(result)
+
+        # a signed map that sends every index to one of two targets
+        fold = (lambda i: (i % 2, 1 if i % 3 else -1))
+        folded = x.permuted(fold)
+        assert zero_free(folded)
+        assert folded.coords == summed(
+            ((i % 2, p if i % 3 else -p) for i, p in x.coords.items()), lzero)
+
+        twisted = gamma_twist(x, auto)
+        assert zero_free(twisted)
+        assert twisted == explicit_gamma_twist(x, auto)
+        image = Diagram(auto).apply_loop(x)
+        assert zero_free(image)
+        assert image == explicit_diagram_apply_loop(auto, x)
+
+        for degree in (-1, 0, 1):
+            g, h = x.slice(degree), y.slice(degree)
+            czero = CycScalar.zero(m)
+            assert (g + h).coords == summed([*g.coords.items(),
+                                             *h.coords.items()], czero)
+            for result in (g + h, g - h, g.bracket(h), auto.apply(g)):
+                assert zero_free(result)
+            assert auto.apply(g) == explicit_diagram_apply(auto, g)

@@ -114,6 +114,21 @@ class TestWordRoundTrip:
         with pytest.raises(ParseError):
             parse_word("cochar(1)", a1, 1)
 
+    def test_diagram_uses_the_typed_permutation(self, a2):
+        w = parse_word("diagram(2,1) @ hat", a2, 1)
+        assert w.gens[0].auto.perm == (1, 0)
+        assert w.render() == "diagram(2,1) @ hat"
+
+    def test_diagram_rejects_a_non_permutation(self, a2):
+        with pytest.raises(ValueError, match="not a permutation"):
+            parse_word("diagram(3,1) @ hat", a2, 1)
+
+    @pytest.mark.parametrize("text", ["cochar(1,x) @ hat", "ring(2,x) @ hat",
+                                      "diagram(1,x) @ hat"])
+    def test_non_integer_argument(self, a2, text):
+        with pytest.raises(ParseError, match="expected an integer"):
+            parse_word(text, a2, 1)
+
 
 class TestAlgebraFiles:
     def test_split_and_twisted(self):
