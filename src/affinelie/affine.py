@@ -22,8 +22,9 @@ class AffineElt:
 
     def __init__(self, loop, c=None, d=None):
         self.loop = loop
-        self.c = as_scalar(loop.m, 0 if c is None else c)
-        self.d = as_scalar(loop.m, 0 if d is None else d)
+        zero = CycScalar.zero(loop.m)
+        self.c = zero if c is None else as_scalar(loop.m, c)
+        self.d = zero if d is None else as_scalar(loop.m, d)
 
     @classmethod
     def zero(cls, alg, m):

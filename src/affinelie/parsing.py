@@ -309,6 +309,8 @@ def parse_word(text, alg, m):
                     raise ParseError("ring takes (scale, +1|-1)")
                 gens.append(Ring(parse_scalar(args[0], m), _int(args[1], "ring")))
             elif name == "vshift":
+                if len(args) != 1:
+                    raise ParseError("vshift takes (scale)")
                 gens.append(VShift(parse_scalar(args[0], m)))
             else:
                 raise ParseError(f"unknown generator kind {name!r}")

@@ -3,9 +3,13 @@
 The coefficient field is Q(zeta_m) for m in {1, 2, 3}, represented by
 residues modulo the m-th cyclotomic polynomial.  Laurent polynomials in
 s = t^(1/m) are finitely supported maps from exponent numerators (integers,
-in units of 1/m) to field elements.  Everything is exact: coefficients are
-`fractions.Fraction` values and equality is decidable.  `add_into` is the
-one accumulate of every sparse map in the package that never stores a zero.
+in units of 1/m) to field elements.  Everything is exact and equality is
+decidable: each rational part of a coefficient is an `int` when it is
+integral and a `fractions.Fraction` only when it is not, so products of the
+integer structure constants of the Chevalley and twisted slice bases are
+int products, without a gcd per operation.  No float ever appears: every
+division goes through `Fraction`, because `int / int` is a float.  `add_into` is the one
+accumulate of every sparse map in the package that never stores a zero.
 """
 
 from __future__ import annotations
@@ -13,6 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 SUPPORTED_ORDERS = (1, 2, 3)
+
+
+def _exact(q):
+    """q as an int when it is integral, otherwise as a Fraction."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 class CycScalar:
@@ -28,12 +40,11 @@ class CycScalar:
     def __init__(self, m, a=0, b=0):
         if m not in SUPPORTED_ORDERS:
             raise ValueError(f"unsupported root-of-unity order {m!r}")
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
+        a, b = _exact(a), _exact(b)
         if b and m != 3:
             # zeta_1 = 1, zeta_2 = -1: fold the zeta part into the constant.
-            a = a + b if m == 1 else a - b
-            b = Fraction(0)
+            a = _exact(a + b if m == 1 else a - b)
+            b = 0
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -43,7 +54,12 @@ class CycScalar:
 
     @classmethod
     def _make(cls, m, a, b):
-        # Internal fast path: a, b already canonical Fractions.
+        # Internal fast path: a, b are exact (int or Fraction, never float)
+        # and already reduced mod Phi_m; an integral Fraction becomes an int.
+        if type(a) is not int and a.denominator == 1:
+            a = a.numerator
+        if type(b) is not int and b.denominator == 1:
+            b = b.numerator
         self = object.__new__(cls)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
@@ -52,20 +68,20 @@ class CycScalar:
 
     @classmethod
     def zero(cls, m):
-        return cls._make(m, Fraction(0), Fraction(0))
+        return _ZEROS[m]
 
     @classmethod
     def one(cls, m):
-        return cls._make(m, Fraction(1), Fraction(0))
+        return cls._make(m, 1, 0)
 
     @classmethod
     def zeta(cls, m):
         """The fixed primitive m-th root of unity."""
         if m == 1:
-            return cls._make(1, Fraction(1), Fraction(0))
+            return cls._make(1, 1, 0)
         if m == 2:
-            return cls._make(2, Fraction(-1), Fraction(0))
-        return cls._make(3, Fraction(0), Fraction(1))
+            return cls._make(2, -1, 0)
+        return cls._make(3, 0, 1)
 
     @property
     def coeffs(self):
@@ -90,13 +106,13 @@ class CycScalar:
         return CycScalar._make(self.m, -self.a, -self.b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycScalar._make(self.m, self.a * q, self.b * q)
+        # The type test first: isinstance against Fraction (an ABC) is slow.
+        if type(other) is not CycScalar and isinstance(other, (int, Fraction)):
+            return CycScalar._make(self.m, self.a * other, self.b * other)
         self._check(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         if not b1 and not b2:
-            return CycScalar._make(self.m, a1 * a2, Fraction(0))
+            return CycScalar._make(self.m, a1 * a2, 0)
         # (a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z (only reachable for m = 3).
         return CycScalar._make(
             self.m, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2
@@ -108,15 +124,16 @@ class CycScalar:
         if not self.a and not self.b:
             raise ZeroDivisionError("inverse of zero scalar")
         a, b = self.a, self.b
+        # Fraction(1) / a, never 1 / a: the quotient of two ints is a float.
         if not b:
-            return CycScalar._make(self.m, 1 / a, Fraction(0))
+            return CycScalar._make(self.m, Fraction(1) / a, 0)
         n = a * a - a * b + b * b
-        return CycScalar._make(self.m, (a - b) / n, -b / n)
+        return CycScalar._make(self.m, Fraction(a - b, n), Fraction(-b, n))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycScalar._make(self.m, self.a / q, self.b / q)
+            return CycScalar._make(self.m, Fraction(self.a, other),
+                                   Fraction(self.b, other))
         self._check(other)
         return self * other.inverse()
 
@@ -151,7 +168,7 @@ class CycScalar:
         return not self.b
 
     def rational(self):
-        """The value as a Fraction; error if the zeta part is nonzero."""
+        """The value as an int or Fraction; error if the zeta part is nonzero."""
         if self.b:
             raise ValueError(f"{self} is not rational")
         return self.a
@@ -176,6 +193,10 @@ class CycScalar:
 
     def __repr__(self):
         return f"CycScalar({self.m}, {self.render()!r})"
+
+
+# One shared zero per order: a CycScalar is immutable.
+_ZEROS = {m: CycScalar._make(m, 0, 0) for m in SUPPORTED_ORDERS}
 
 
 def as_scalar(m, value):
@@ -275,7 +296,8 @@ class LaurentElt:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if type(other) is not LaurentElt and isinstance(
+                other, (int, Fraction, CycScalar)):
             return self.scale(other)
         self._check(other)
         out = {}
@@ -287,7 +309,10 @@ class LaurentElt:
     __rmul__ = __mul__
 
     def scale(self, coef):
-        coef = as_scalar(self.m, coef)
+        # An int or Fraction (the structure constants of every bracket term)
+        # multiplies each coefficient directly, without a CycScalar of its own.
+        if not isinstance(coef, (int, Fraction)):
+            coef = as_scalar(self.m, coef)
         if not coef:
             return LaurentElt.zero(self.m)
         return LaurentElt._make(self.m, {p: c * coef for p, c in self.terms.items()})

@@ -349,6 +349,14 @@ class TestVerify:
         assert "cochar: expected an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_word_vshift_extra_argument_exits_2(self, a1_file):
+        proc = run_subprocess("verify", "mad", "--algebra", a1_file,
+                              "--word", "vshift(2, 7) @ hat")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "vshift takes (scale)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSpectrumAndConjugate:
     def test_spectrum_dump(self, capsys, a1_file):

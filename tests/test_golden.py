@@ -5,7 +5,10 @@ became sparse.  An RREF is unique and every report is rendered from exact
 values, so any later change to elimination, pivoting or span membership
 that alters a report fails here.  The failing reach-0 `spectrum` run (a
 non-diagonalizable x, exit 1) was recorded while degree-zero x still had
-a per-slice solver of its own.
+a per-slice solver of its own.  Two more pins, recorded while every
+coefficient was still a `Fraction`, guard both number kinds of
+`CycScalar`: a non-integral weight that must render as `-11/3`, and the
+m = 3 zeta path of a D4 triality Jacobi run.
 """
 
 import hashlib
@@ -40,6 +43,11 @@ GOLDEN = [
     (["verify", "exactseq", "--algebra", "algebras/d4_triality.alg",
       "--samples", "50", "--seed", "7"], 0,
      "fd1c7e27d8b748238d6ab2efa60a074fb214f0f1b2f6d6d4a70280f48e9e09aa"),
+    (["spectrum", "--algebra", "algebras/a1.alg", "--x", "1/3*H_1*t^0 + d"], 0,
+     "33146bd5c17dd5a72a020005f394c78fc8b0485342662384f14179158ea23978"),
+    (["verify", "jacobi", "--algebra", "algebras/d4_triality.alg",
+      "--window", "-1", "1", "--seed", "7"], 0,
+     "c1d95fa2afac17268e5708b4b5832c37d626bc82d8c43570aa9298824a430053"),
 ]
 
 

@@ -129,6 +129,12 @@ class TestWordRoundTrip:
         with pytest.raises(ParseError, match="expected an integer"):
             parse_word(text, a2, 1)
 
+    @pytest.mark.parametrize("text", ["vshift(2, 7) @ hat",
+                                      "vshift(1/2, 1/3, 5) @ hat"])
+    def test_vshift_takes_one_argument(self, a1, text):
+        with pytest.raises(ParseError, match=r"vshift takes \(scale\)"):
+            parse_word(text, a1, 1)
+
 
 class TestAlgebraFiles:
     def test_split_and_twisted(self):

@@ -138,3 +138,123 @@ class TestLaurent:
         a = CycScalar(2, Fraction(3, 2))
         q = LaurentElt(2, {1: 2, -2: 1})
         assert (p * q).substitute(a) == p.substitute(a) * q.substitute(a)
+
+
+# -- exact parts: an int when integral, a Fraction otherwise, never a float --
+
+def ref_canon(m, a, b=0):
+    """Fraction-only reference: (a, b) reduced mod Phi_m."""
+    a, b = Fraction(a), Fraction(b)
+    if m != 3:
+        return (a + b if m == 1 else a - b), Fraction(0)
+    return a, b
+
+
+def ref_mul(x, y):
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2
+
+
+def ref_inverse(x):
+    a, b = x
+    n = a * a - a * b + b * b
+    return (a - b) / n, -b / n
+
+
+def ref_pow(x, n):
+    base = x if n >= 0 else ref_inverse(x)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = ref_mul(out, base)
+    return out
+
+
+def assert_exact(x, ref):
+    """Both parts are int or Fraction, an integral part is an int, and the
+    value equals the Fraction-only reference."""
+    for part in (x.a, x.b):
+        assert type(part) in (int, Fraction)
+        if type(part) is Fraction:
+            assert part.denominator != 1
+    assert (x.a, x.b) == ref
+
+
+orders = st.sampled_from([1, 2, 3])
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.booleans(),
+)
+exponents = st.integers(-4, 4)
+
+
+class TestExactParts:
+    def test_inverse_of_an_int_is_a_fraction(self):
+        inv = CycScalar(1, 2).inverse()
+        assert inv.a == Fraction(1, 2)
+        assert type(inv.a) is Fraction
+        assert type((CycScalar(3, 1, 1) ** -1).a) is int
+
+    def test_zero_and_one_are_ints(self):
+        for m in (1, 2, 3):
+            for x in (CycScalar.zero(m), CycScalar.one(m), CycScalar.zeta(m)):
+                assert type(x.a) is int and type(x.b) is int
+
+    @given(m=orders, a=rationals, b=rationals)
+    def test_constructor(self, m, a, b):
+        assert_exact(CycScalar(m, a, b), ref_canon(m, a, b))
+
+    @given(m=orders, a1=rationals, b1=rationals, a2=rationals, b2=rationals,
+           n=exponents)
+    def test_field_operations(self, m, a1, b1, a2, b2, n):
+        x, y = CycScalar(m, a1, b1), CycScalar(m, a2, b2)
+        rx, ry = ref_canon(m, a1, b1), ref_canon(m, a2, b2)
+        assert_exact(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+        assert_exact(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+        assert_exact(-x, (-rx[0], -rx[1]))
+        assert_exact(x * y, ref_mul(rx, ry))
+        if y:
+            assert_exact(y.inverse(), ref_inverse(ry))
+            assert_exact(x / y, ref_mul(rx, ref_inverse(ry)))
+            assert_exact(y ** n, ref_pow(ry, n))
+        elif n >= 0:
+            assert_exact(y ** n, ref_pow(ry, n))
+
+    @given(m=orders, a=rationals, b=rationals, q=rationals)
+    def test_rational_operands(self, m, a, b, q):
+        x, rx = CycScalar(m, a, b), ref_canon(m, a, b)
+        rq = (Fraction(q), Fraction(0))
+        assert_exact(x * q, ref_mul(rx, rq))
+        assert_exact(q * x, ref_mul(rx, rq))
+        if q:
+            assert_exact(x / q, ref_mul(rx, ref_inverse(rq)))
+
+    @given(m=orders,
+           items=st.lists(st.tuples(st.integers(-4, 4), rationals, rationals),
+                          max_size=4),
+           coef=st.one_of(rationals, st.tuples(rationals, rationals)),
+           sa=rationals, sb=rationals, invert=st.booleans())
+    def test_laurent_scale_and_substitute(self, m, items, coef, sa, sb,
+                                          invert):
+        ref = {}
+        for p, a, b in items:
+            ref[p] = ref_canon(m, a, b)
+        p = LaurentElt(m, {k: CycScalar(m, *v) for k, v in ref.items()})
+        ref = {k: v for k, v in ref.items() if any(v)}
+        if isinstance(coef, tuple):
+            coef, rcoef = CycScalar(m, *coef), ref_canon(m, *coef)
+        else:
+            rcoef = (Fraction(coef), Fraction(0))
+        scaled = p.scale(coef)
+        want = {k: ref_mul(v, rcoef) for k, v in ref.items()}
+        assert set(scaled.terms) == {k for k, v in want.items() if any(v)}
+        for k, c in scaled.terms.items():
+            assert_exact(c, want[k])
+        s = CycScalar(m, sa, sb)
+        if s:
+            rs = ref_canon(m, sa, sb)
+            sub = p.substitute(s, invert=invert)
+            assert set(sub.terms) == {-k if invert else k for k in ref}
+            for k, v in ref.items():
+                assert_exact(sub.terms[-k if invert else k],
+                             ref_mul(v, ref_pow(rs, k)))
