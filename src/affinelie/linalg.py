@@ -13,6 +13,7 @@ pivot row's nonzero entries.  Only `charpoly` works on dense rows, through
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -324,7 +325,7 @@ def rational_roots(poly, m):
         return roots
     den = 1
     for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     a0, an = ints[0], ints[-1]
     candidates = set()
@@ -357,12 +358,6 @@ def _deflate(ints, p, q):
     if acc * p + ints[0] * q ** n:
         return None
     return [b // q ** (n - j) for j, b in enumerate(scaled)]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _blocks(mat):
@@ -405,60 +400,69 @@ def rational_eigenvalues(mat, m):
     return sorted(found, key=lambda w: (w.a != 0, w.a))
 
 
-def eigenspaces(mat, m, candidates=()):
-    """Exact eigenspaces of a square matrix.
+def eigenspaces(mat, n, m, candidates=()):
+    """Exact eigenspaces of the square block of `mat`, the one place where
+    candidate eigenvalues are tried.
 
-    Candidate eigenvalues are the diagonal entries, any caller-provided
-    values, and the rational roots of the characteristic polynomial when
-    the diagonal harvest does not already certify completeness
-    (`rational_eigenvalues`).  Returns
-    (spaces, complete) where spaces is a list of (eigenvalue, basis).
+    The first n rows of `mat` are a square block over the unknowns
+    0..n-1; any further rows must also vanish on every eigenvector.  Each
+    candidate w costs one kernel of the block minus w I stacked over those
+    rows.  Candidates are the block's diagonal entries, then the
+    caller's, then the block's rational eigenvalues
+    (`rational_eigenvalues`).  The caller's and the roots are tried only
+    while the dimensions found sum to less than n: eigenspaces of distinct
+    weights are independent, so any further kernel would be zero.
+    Returns (spaces, complete): spaces is a list of (eigenvalue, basis),
+    and `complete` says that the dimensions sum to n.
     """
-    n = len(mat)
     if n == 0:
         return [], True
-    seen = []
+    square, rest = mat[:n], mat[n:]
+    seen = set()
     spaces = []
     total = 0
 
     def try_candidate(w):
         nonlocal total
-        if any(w == s for s in seen):
+        if w in seen:
             return
-        seen.append(w)
-        basis = kernel_basis(shifted(mat, w, m), n, m)
+        seen.add(w)
+        basis = kernel_basis(shifted(square, w, m) + rest, n, m)
         if basis:
             spaces.append((w, basis))
             total += len(basis)
 
     zero = CycScalar.zero(m)
-    for i, row in enumerate(mat):
+    for i, row in enumerate(square):
         try_candidate(row.get(i, zero))
     for w in candidates:
         if total >= n:
             break
         try_candidate(as_scalar(m, w))
     if total < n:
-        for root in rational_eigenvalues(mat, m):
+        for root in rational_eigenvalues(square, m):
             try_candidate(root)
     return spaces, total == n
 
 
-def joint_eigenspaces(mats, m, candidates=()):
+def joint_eigenspaces(mats, n, m, candidates=()):
     """Simultaneous eigenspace refinement for a commuting family.
 
+    Each matrix has the row layout of `eigenspaces`: a square block over
+    the unknowns 0..n-1, then rows that must vanish on every eigenvector.
     The eigenspaces of the first operator are the starting spaces; each
     later operator is restricted to every current space (images through
     `mat_vec`, expressed in the space's basis) and its eigenspaces there
-    refine the space.  Refined basis vectors are rebuilt in the ambient
-    space from the old basis vectors.
+    refine the space.  An image with an entry in a row after the square
+    block is not in the space, which counts as a defect.  Refined basis
+    vectors are rebuilt in the ambient space from the old basis vectors.
 
     Returns (spaces, defect) where spaces is a list of
     (weight-tuple, basis-of-ambient-vectors); defect is None on success or
     the index of the first operator whose restriction fails to
     diagonalize over the implemented field.
     """
-    spaces, complete = eigenspaces(mats[0], m, candidates)
+    spaces, complete = eigenspaces(mats[0], n, m, candidates)
     if not complete:
         return [], 0
     current = [([w], basis) for w, basis in spaces]
@@ -476,7 +480,7 @@ def joint_eigenspaces(mats, m, candidates=()):
                     return [], op_index
                 for i, x in coords.items():
                     restricted[i][j] = x
-            spaces, complete = eigenspaces(restricted, m, candidates)
+            spaces, complete = eigenspaces(restricted, len(basis), m, candidates)
             if not complete:
                 return [], op_index
             for w, sub in spaces:
@@ -500,29 +504,16 @@ def generalized_eigenspace(mat, w, mult, m):
     return kernel_basis(power, n, m)
 
 
-def jordan_split(mat, m, candidates=()):
+def jordan_split(mat, m):
     """Exact Jordan-Chevalley split M = S + N over Q(zeta_m).
 
-    Finds eigenvalues via the characteristic polynomial (plus extra
-    candidates), builds generalized eigenspaces, and assembles the
-    semisimple part blockwise.  Raises ValueError when the characteristic
-    polynomial does not split over the implemented field.
+    Finds eigenvalues via the characteristic polynomial, builds
+    generalized eigenspaces, and assembles the semisimple part blockwise.
+    Raises ValueError when the characteristic polynomial does not split
+    over the implemented field.
     """
     n = len(mat)
-    poly = charpoly(mat, m)
-    roots = rational_roots(poly, m)
-    found = {w: mult for w, mult in roots}
-    for w in candidates:
-        w = as_scalar(m, w)
-        if w in found:
-            continue
-        mult = 0
-        poly_now = poly
-        while len(poly_now) > 1 and not poly_eval(poly_now, w):
-            poly_now, _ = poly_divmod_linear(poly_now, w)
-            mult += 1
-        if mult:
-            found[w] = mult
+    found = dict(rational_roots(charpoly(mat, m), m))
     if sum(found.values()) != n:
         raise ValueError("characteristic polynomial does not split over Q(zeta_m)")
     # change of basis: the columns of P are the generalized eigenvectors

@@ -71,13 +71,14 @@ def is_diagonalizable(spec, window):
 
     Returns (flag, witness): on success the witness is the joint eigenbasis
     as (weight-tuple, vectors) pairs; on failure it names a defective
-    generator.
+    generator.  Every operator hands over its window rows outside the
+    joint interior too, so a joint eigenvector must also vanish there.
     """
     ops = AdOperator.family(spec.generators, window)
     if not ops[0].interior:
         raise ValueError("window too small: empty joint interior")
     spaces, defect = linalg.joint_eigenspaces(
-        [op.rows(square=True) for op in ops], window.m)
+        [op.rows() for op in ops], len(ops[0].interior), window.m)
     if defect is not None:
         return False, {"defective_generator": spec.generators[defect].render()}
     eigen = [(weights, [AdOperator.joint_lift(ops, coeffs, weights)

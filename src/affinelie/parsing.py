@@ -261,14 +261,26 @@ def _split_top_level(text, sep):
     return parts
 
 
+# argument shape of each word generator, reported when a call does not
+# have it; a fixed argument count where the kind has one
+_WORD_ARGS = {"rootexp": "(root, laurent)", "nilexp": "(loop element)",
+              "diagram": "(image of 1, ..., image of n)",
+              "cochar": "(one integer per simple root)",
+              "torus": "(one scalar per simple root)",
+              "ring": "(scale, +1|-1)", "vshift": "(scale)"}
+_WORD_ARITY = {"rootexp": 2, "nilexp": 1, "ring": 2, "vshift": 1}
+
+
 def parse_word(text, alg, m):
     """Parse `gen . gen . ... @ level` into an AutoWord.
 
-    A `diagram(...)` permutation is built and verified by
-    `build_diagram_auto`; one that is no diagram symmetry is rejected.
+    A generator with no arguments, or with the wrong number of them, is a
+    parse error naming its argument shape.  A `diagram(...)` permutation is
+    built and verified by `build_diagram_auto`; one that is no diagram
+    symmetry is rejected.
     """
-    from .autos import (AutoWord, RootExp, Diagram, Cochar, TorusK, Ring,
-                        VShift)
+    from .autos import (AutoWord, RootExp, NilExp, Diagram, Cochar, TorusK,
+                        Ring, VShift)
     from .rootsys import build_diagram_auto, root_label
 
     if "@" not in text:
@@ -285,18 +297,19 @@ def parse_word(text, alg, m):
             if not mfun:
                 raise ParseError(f"malformed generator {chunk!r}")
             name, argtext = mfun.group(1), mfun.group(2)
-            args = [a.strip() for a in _split_top_level(argtext, ",")]
+            if name not in _WORD_ARGS:
+                raise ParseError(f"unknown generator kind {name!r}")
+            args = ([a.strip() for a in _split_top_level(argtext, ",")]
+                    if argtext.strip() else [])
+            if not args or len(args) != _WORD_ARITY.get(name, len(args)):
+                raise ParseError(f"{name} takes {_WORD_ARGS[name]}")
             if name == "rootexp":
-                if len(args) != 2:
-                    raise ParseError("rootexp takes (root, laurent)")
                 if args[0] not in label_to_root:
                     raise ParseError(f"unknown root label {args[0]!r}")
                 gens.append(RootExp(alg, label_to_root[args[0]],
                                     parse_laurent(args[1], m)))
             elif name == "nilexp":
-                from .autos import NilExp
-                gens.append(NilExp(parse_affine(argtext.strip(), alg, m,
-                                                allow_cd=False)))
+                gens.append(NilExp(parse_affine(args[0], alg, m, allow_cd=False)))
             elif name == "diagram":
                 perm = tuple(_int(a, "diagram") - 1 for a in args)
                 gens.append(Diagram(build_diagram_auto(alg, perm)))
@@ -305,15 +318,9 @@ def parse_word(text, alg, m):
             elif name == "torus":
                 gens.append(TorusK(alg, tuple(parse_scalar(a, m) for a in args)))
             elif name == "ring":
-                if len(args) != 2:
-                    raise ParseError("ring takes (scale, +1|-1)")
                 gens.append(Ring(parse_scalar(args[0], m), _int(args[1], "ring")))
-            elif name == "vshift":
-                if len(args) != 1:
-                    raise ParseError("vshift takes (scale)")
-                gens.append(VShift(parse_scalar(args[0], m)))
             else:
-                raise ParseError(f"unknown generator kind {name!r}")
+                gens.append(VShift(parse_scalar(args[0], m)))
     return AutoWord(level, tuple(gens))
 
 

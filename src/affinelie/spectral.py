@@ -5,9 +5,10 @@ All claims are made on the window *interior*: a basis column is interior
 when its degree stays inside the window after shifting by any degree
 occurring in the loop part of x, so every asserted eigenvector equation is
 an exact statement about the infinite-dimensional algebra, not an artifact
-of truncation.  Eigenvalues are harvested from diagonal entries, caller
-hints, the shift rule and rational roots of the characteristic polynomial;
-completeness is certified by dimension count, never assumed.
+of truncation.  Eigenvalues are harvested from diagonal entries, the
+shift rule and rational roots of the characteristic polynomial, all tried
+by `linalg.eigenspaces`; completeness is certified by dimension count,
+never assumed.
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ from .affine import AffineElt, bracket_affine, invariant_form
 class Window:
     """Ordered monomial basis of the twisted algebra within [lo, hi]."""
 
-    __slots__ = ("auto", "ctx", "lo", "hi", "with_cd", "basis", "meta",
-                 "slot", "c_slot", "d_slot")
+    __slots__ = ("auto", "ctx", "lo", "hi", "basis", "meta", "slot",
+                 "c_slot", "d_slot")
 
-    def __init__(self, auto, lo, hi, with_cd=True, context=None):
+    def __init__(self, auto, lo, hi, context=None):
         if lo > hi:
             raise ValueError("empty window")
         self.auto = auto
         self.ctx = context or TwistedContext(auto)
         self.lo = lo
         self.hi = hi
-        self.with_cd = with_cd
         alg, m = auto.alg, auto.m
         self.basis = []
         self.meta = []
@@ -43,15 +43,12 @@ class Window:
                 self.slot[(j, pos)] = len(self.basis)
                 self.basis.append(AffineElt(LoopElt.from_g(e, j)))
                 self.meta.append(("loop", j, pos))
-        if with_cd:
-            self.c_slot = len(self.basis)
-            self.basis.append(AffineElt.c_elt(alg, m))
-            self.meta.append(("c", None, None))
-            self.d_slot = len(self.basis)
-            self.basis.append(AffineElt.d_elt(alg, m))
-            self.meta.append(("d", None, None))
-        else:
-            self.c_slot = self.d_slot = None
+        self.c_slot = len(self.basis)
+        self.basis.append(AffineElt.c_elt(alg, m))
+        self.meta.append(("c", None, None))
+        self.d_slot = len(self.basis)
+        self.basis.append(AffineElt.d_elt(alg, m))
+        self.meta.append(("d", None, None))
 
     @property
     def alg(self):
@@ -76,12 +73,9 @@ class Window:
                 raise ValueError("element leaves the twisted algebra")
             for pos, coef in coords.items():
                 vec[self.slot[(j, pos)]] = coef
-        if elt.c or elt.d:
-            if not self.with_cd:
-                return None
-            for slot, coef in ((self.c_slot, elt.c), (self.d_slot, elt.d)):
-                if coef:
-                    vec[slot] = coef
+        for slot, coef in ((self.c_slot, elt.c), (self.d_slot, elt.d)):
+            if coef:
+                vec[slot] = coef
         return vec
 
     def from_vector(self, vec):
@@ -120,7 +114,10 @@ class AdOperator:
     family shares its joint interior (`AdOperator.family`).  Each interior
     column holds the window coordinates of [x, b_i], computed once.  The
     rows handed to `linalg` are keyed by column position in `interior`,
-    so kernel vectors are coefficients over the interior columns.
+    so kernel vectors are coefficients over the interior columns; the
+    interior rows come first, so the first len(interior) rows are the
+    square block that `linalg.eigenspaces` shifts by each weight, and the
+    other window rows must vanish on every eigenvector.
     """
 
     __slots__ = ("x", "window", "interior", "columns")
@@ -155,25 +152,16 @@ class AdOperator:
             op.check(v, w)
         return v
 
-    def rows(self, w=None, square=False):
-        """Rows of ad(x) - w over the interior columns: row r is window row
-        r, or, when `square`, interior row interior[r]."""
-        zero = CycScalar.zero(self.window.m)
-        if square:
-            index = {i: k for k, i in enumerate(self.interior)}
-            out = [{} for _ in self.interior]
-        else:
-            index = None
-            out = [{} for _ in range(self.window.size())]
+    def rows(self):
+        """Rows of ad(x) over the interior columns: the interior rows in
+        `interior` order, then the other window rows in window order."""
+        order = {i: k for k, i in enumerate(self.interior)}
+        for r in range(self.window.size()):
+            order.setdefault(r, len(order))
+        out = [{} for _ in order]
         for k, i in enumerate(self.interior):
-            col = self.columns[i]
-            if w:
-                col = {**col, i: col.get(i, zero) - w}
-            for r, x in col.items():
-                if index is not None:
-                    r = index.get(r)
-                if r is not None and x:
-                    out[r][k] = x
+            for r, x in self.columns[i].items():
+                out[order[r]][k] = x
         return out
 
     def lift(self, coeffs, w):
@@ -290,19 +278,25 @@ def _assign_series(decomp):
             sp.series_id = sid
 
 
-def weight_decompose(x, window, extra_candidates=()):
+def weight_decompose(x, window):
     """Exact eigenvalues and eigenspaces of ad(x) on the window interior.
 
-    Every returned eigenvector is re-verified through bracket_affine.
-    `complete` certifies that interior eigenspace dimensions sum to the
-    interior dimension; when they do not, `defect` reports the shortfall
-    (either boundary loss or non-diagonalizability over Q(zeta_m)).
+    One call to `linalg.eigenspaces` solves for every weight, on the rows
+    of `AdOperator.rows`: the interior block of ad(x) - w, stacked over
+    the other window rows, so each kernel vector is an exact eigenvector
+    of the whole algebra.  Candidate weights are the block's diagonal
+    entries, their shift-rule closure (w + m n for rational w, clamped to
+    one period beyond the harvested range) and, while the dimensions fall
+    short, the rational eigenvalues of the interior block.  Every returned
+    eigenvector is re-verified through bracket_affine.  `complete`
+    certifies that interior eigenspace dimensions sum to the interior
+    dimension; when they do not, `defect` reports the shortfall (either
+    boundary loss or non-diagonalizability over Q(zeta_m)).
 
-    Each candidate weight w costs one kernel of the sparse rows of
-    ad(x) - w.  When the loop part of x is concentrated in degree zero,
-    ad(x) never mixes degree slices (the cocycle needs opposite degrees),
-    so those rows are block-diagonal, one block per slice plus zero c and
-    d columns: each row update of the elimination stays in one block, and
+    When the loop part of x is concentrated in degree zero, ad(x) never
+    mixes degree slices (the cocycle needs opposite degrees), so the rows
+    are block-diagonal, one block per slice plus zero c and d columns:
+    each row update of the elimination stays in one block, and
     `linalg.rational_eigenvalues` searches each block's characteristic
     polynomial alone.
     """
@@ -311,56 +305,23 @@ def weight_decompose(x, window, extra_candidates=()):
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
     op = AdOperator(x, window, interior)
-    candidates = []
-
-    def add_candidate(w):
-        w = as_scalar(m, w)
-        if all(w != c for c in candidates):
-            candidates.append(w)
-
     zero = CycScalar.zero(m)
-    for i in interior:
-        add_candidate(op.columns[i].get(i, zero))
-    for w in extra_candidates:
-        add_candidate(w)
-    # shift-rule closure for rational candidates, clamped to the harvest range
-    rationals = [c.rational() for c in candidates if c.is_rational()]
+    diagonal = (op.columns[i].get(i, zero) for i in interior)
+    rationals = {w.rational() for w in diagonal if w.is_rational()}
+    closure = []
     if rationals:
-        wmin, wmax = min(rationals), max(rationals)
-        for w in list(rationals):
-            step = 1
-            while w + m * step <= wmax + m:
-                add_candidate(CycScalar(m, w + m * step))
-                step += 1
-            step = 1
-            while w - m * step >= wmin - m:
-                add_candidate(CycScalar(m, w - m * step))
-                step += 1
-
-    spaces, total = _kernel_sweep(op, candidates)
-    if total < len(interior):
-        # try rational roots of the interior characteristic polynomial
-        roots = linalg.rational_eigenvalues(op.rows(square=True), m)
-        fresh = [root for root in roots if all(root != sp.w for sp in spaces)]
-        if fresh:
-            more, extra_total = _kernel_sweep(op, fresh)
-            spaces.extend(more)
-            total += extra_total
+        lo, hi = min(rationals) - m, max(rationals) + m
+        for w in sorted(rationals):
+            w -= m * ((w - lo) // m)
+            while w <= hi:
+                closure.append(CycScalar(m, w))
+                w += m
+    solved, complete = linalg.eigenspaces(op.rows(), len(interior), m, closure)
+    spaces = [WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis])
+              for w, basis in solved]
     spaces.sort(key=lambda sp: _scalar_key(sp.w))
-    complete = total == len(interior)
-    defect = None if complete else len(interior) - total
+    defect = None if complete else len(interior) - sum(sp.dim for sp in spaces)
     return WeightDecomp(x, window, spaces, complete, interior, defect)
-
-
-def _kernel_sweep(op, candidates):
-    spaces = []
-    total = 0
-    for w in candidates:
-        kernel = linalg.kernel_basis(op.rows(w), len(op.interior), op.window.m)
-        if kernel:
-            spaces.append(WeightSpace(w, [op.lift(coeffs, w) for coeffs in kernel]))
-            total += len(kernel)
-    return spaces, total
 
 
 def verify_shift(decomp):

@@ -249,8 +249,7 @@ class TestCriterion6:
             for _ in range(20):
                 word = next_word()
                 xc = word.apply(x)
-                dec = weight_decompose(
-                    xc, win, extra_candidates=[sp.w for sp in base.spaces])
+                dec = weight_decompose(xc, win)
                 if not dec.loop_space(CycScalar.zero(m)):
                     ok = False
                     details.append(f"A_0 = 0 after {word.render()}")

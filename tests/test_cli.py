@@ -357,6 +357,17 @@ class TestVerify:
         assert "vshift takes (scale)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name", ["vshift", "torus", "nilexp", "cochar",
+                                      "diagram"])
+    def test_word_empty_arguments_exit_2(self, capsys, a1_file, name):
+        # an empty cochar, torus or diagram would reach its constructor's
+        # ValueError (exit 3) if the parser let it through
+        code = main(["verify", "mad", "--algebra", a1_file,
+                     "--word", f"{name}() @ hat"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{name} takes (" in err
+
 
 class TestSpectrumAndConjugate:
     def test_spectrum_dump(self, capsys, a1_file):

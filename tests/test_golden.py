@@ -9,6 +9,13 @@ a per-slice solver of its own.  Two more pins, recorded while every
 coefficient was still a `Fraction`, guard both number kinds of
 `CycScalar`: a non-integral weight that must render as `-11/3`, and the
 m = 3 zeta path of a D4 triality Jacobi run.
+
+The two reach-1 `spectrum` pins (exit 1) were recorded while
+`weight_decompose` still had a kernel sweep of its own, before it called
+`linalg.eigenspaces`.  They are the only pins whose x moves degrees, so
+the window's boundary rows and the rational-roots fallback decide their
+bytes.  Both runs still report the window-boundary defect of ROADMAP
+item 2; its periodicity certificate will re-record both on purpose.
 """
 
 import hashlib
@@ -48,6 +55,12 @@ GOLDEN = [
     (["verify", "jacobi", "--algebra", "algebras/d4_triality.alg",
       "--window", "-1", "1", "--seed", "7"], 0,
      "c1d95fa2afac17268e5708b4b5832c37d626bc82d8c43570aa9298824a430053"),
+    (["spectrum", "--algebra", "algebras/a2.alg",
+      "--x", "H_1*t^0 + 2*H_2*t^0 + X_a1*t^1 + d"], 1,
+     "c70b743631b1f48186b4e88caf5fe5295b91547de32463fa5ffce07c3a3bc4f4"),
+    (["spectrum", "--algebra", "algebras/a1.alg",
+      "--x", "H_1*t^0 + X_a1*t^1 + d"], 1,
+     "54223fccb6f76433d5ebe01ea9023a9b1662da47ddc0c1ae09b9773a4ddf20a0"),
 ]
 
 

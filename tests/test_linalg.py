@@ -118,18 +118,18 @@ class TestCharpoly:
 class TestEigen:
     def test_eigenspaces_complete(self):
         mat = rmat([[2, 1], [0, 3]])
-        spaces, complete = linalg.eigenspaces(mat, 1)
+        spaces, complete = linalg.eigenspaces(mat, 2, 1)
         assert complete and sorted(w.rational() for w, _ in spaces) == [2, 3]
 
     def test_defective_detected(self):
         mat = rmat([[1, 1], [0, 1]])
-        _, complete = linalg.eigenspaces(mat, 1)
+        _, complete = linalg.eigenspaces(mat, 2, 1)
         assert not complete
 
     def test_joint_eigenspaces(self):
         m1 = rmat([[1, 0], [0, 2]])
         m2 = rmat([[5, 0], [0, 5]])
-        spaces, defect = linalg.joint_eigenspaces([m1, m2], 1)
+        spaces, defect = linalg.joint_eigenspaces([m1, m2], 2, 1)
         assert defect is None
         weights = sorted((w[0].rational(), w[1].rational()) for w, _ in spaces)
         assert weights == [(1, 5), (2, 5)]
@@ -137,20 +137,20 @@ class TestEigen:
     def test_joint_defect_reports_operator(self):
         good = rmat([[1, 0], [0, 1]])
         bad = rmat([[0, 1], [0, 0]])
-        _, defect = linalg.joint_eigenspaces([good, bad], 1)
+        _, defect = linalg.joint_eigenspaces([good, bad], 2, 1)
         assert defect == 1
 
     def test_joint_defective_first_operator(self):
         bad = rmat([[1, 1], [0, 1]])
         good = rmat([[1, 0], [0, 1]])
-        assert linalg.joint_eigenspaces([bad, good], 1) == ([], 0)
+        assert linalg.joint_eigenspaces([bad, good], 2, 1) == ([], 0)
 
     def test_joint_first_operator_not_diagonal(self):
         # eigenvectors (1, 0) and (1, 1) of the first operator; the second
         # is the first plus 3, so the joint weights are (2, 5) and (3, 6)
         first = rmat([[2, 1], [0, 3]])
         second = rmat([[5, 1], [0, 6]])
-        spaces, defect = linalg.joint_eigenspaces([first, second], 1)
+        spaces, defect = linalg.joint_eigenspaces([first, second], 2, 1)
         assert defect is None
         weights = sorted((w[0].rational(), w[1].rational()) for w, _ in spaces)
         assert weights == [(2, 5), (3, 6)]
@@ -194,7 +194,7 @@ def dense_joint_eigenspaces(mats, m, candidates=()):
                     return [], op_index
                 restricted_cols.append(dense_vec(coords, k, m))
             restricted = [[restricted_cols[j][i] for j in range(k)] for i in range(k)]
-            spaces, complete = linalg.eigenspaces(sparse(restricted), m, candidates)
+            spaces, complete = linalg.eigenspaces(sparse(restricted), k, m, candidates)
             if not complete:
                 return [], op_index
             for w, sub in spaces:
@@ -241,8 +241,8 @@ class TestJointEigenspacesProperty:
     @given(data=st.data())
     def test_matches_dense_reference(self, m, data):
         mats, candidates = data.draw(commuting_family(m))
-        got = linalg.joint_eigenspaces(mats, m, candidates)
         n = len(mats[0])
+        got = linalg.joint_eigenspaces(mats, n, m, candidates)
         ref_spaces, ref_defect = dense_joint_eigenspaces(
             [dense(mat, n, m) for mat in mats], m, candidates)
         assert got == ([(w, [sparse_vec(v) for v in basis])
@@ -534,6 +534,35 @@ class TestRationalEigenvalues:
         mat = data.draw(block_diagonal(m))
         whole = linalg.rational_roots(linalg.charpoly(mat, m), m)
         assert linalg.rational_eigenvalues(mat, m) == [w for w, _ in whole]
+
+
+class TestEigenspacesWithExtraRows:
+    @pytest.mark.parametrize("m", [1, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_kernels(self, m, data):
+        # a square block with eigenvalues in -3..3, stacked over extra
+        # rows that every eigenvector must also satisfy
+        square = data.draw(block_diagonal(m))
+        n = len(square)
+        zeta = st.sampled_from([0, 0, 1]) if m == 3 else st.just(0)
+        rest = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            row = [CycScalar(m, data.draw(st.sampled_from([0, 0, 0, 1, -1])),
+                             data.draw(zeta)) for _ in range(n)]
+            rest.append(sparse_vec(row))
+        spaces, complete = linalg.eigenspaces(square + rest, n, m)
+        expected = []
+        for a in range(-3, 4):
+            w = CycScalar(m, a)
+            shifted = dense(square, n, m)
+            for i in range(n):
+                shifted[i][i] = shifted[i][i] - w
+            basis = dense_kernel_basis(shifted + dense(rest, n, m), m)
+            if basis:
+                expected.append((w, [sparse_vec(v) for v in basis]))
+        assert sorted(spaces, key=lambda space: space[0].a) == expected
+        assert complete == (sum(len(basis) for _, basis in spaces) == n)
 
 
 class TestJordanSplit:

@@ -9,6 +9,7 @@ from affinelie.affine import AffineElt
 from affinelie.autos import (AutoWord, Cochar, Ring, RootExp, TorusK, VShift,
                              v_auto)
 from affinelie.loop import LoopElt
+from affinelie.parsing import parse_affine
 from affinelie.mad import (SubalgebraSpec, centralizer, conjugacy_verify,
                            is_diagonalizable, mad_sanity, maximality_probe,
                            standard_mad)
@@ -71,6 +72,16 @@ class TestDiagonalizability:
         flag, witness = is_diagonalizable(spec, win)
         assert not flag
         assert "defective_generator" in witness
+
+    def test_reach_one_family_reports_a_defect(self, a1, a1_id):
+        # a reach-1 generator: its interior kernel vectors are eigenvectors
+        # only if they also vanish on the window rows outside the joint
+        # interior, so the family is reported defective, never lifted
+        x = parse_affine("H_1*t^0 + X_a1*t^1 + d", a1, 1)
+        spec = SubalgebraSpec([x, AffineElt.c_elt(a1, 1)])
+        flag, witness = is_diagonalizable(spec, Window(a1_id, -3, 3))
+        assert not flag
+        assert witness == {"defective_generator": x.render()}
 
     def test_center_alone(self, a1, a1_id):
         win = Window(a1_id, -2, 2)

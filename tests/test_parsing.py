@@ -136,6 +136,25 @@ class TestWordRoundTrip:
             parse_word(text, a1, 1)
 
 
+    @pytest.mark.parametrize("name, shape", [
+        ("rootexp", "(root, laurent)"), ("nilexp", "(loop element)"),
+        ("diagram", "(image of 1, ..., image of n)"),
+        ("cochar", "(one integer per simple root)"),
+        ("torus", "(one scalar per simple root)"),
+        ("ring", "(scale, +1|-1)"), ("vshift", "(scale)"),
+    ])
+    @pytest.mark.parametrize("argtext", ["", "  "])
+    def test_empty_arguments_name_the_shape(self, a2, name, shape, argtext):
+        # `name()` has no arguments, not one empty one; a ParseError (exit
+        # 2), never the ValueError (exit 3) of an empty cochar or torus
+        with pytest.raises(ParseError) as info:
+            parse_word(f"{name}({argtext}) @ hat", a2, 1)
+        assert str(info.value) == f"{name} takes {shape}"
+
+    def test_nilexp_takes_one_argument(self, a1):
+        with pytest.raises(ParseError, match=r"nilexp takes \(loop element\)"):
+            parse_word("nilexp(X_a1*t^1, X_a1*t^2) @ hat", a1, 1)
+
 class TestAlgebraFiles:
     def test_split_and_twisted(self):
         alg, auto = parse_algebra_file("schema: 1\ntype: A\nrank: 2\n")

@@ -43,7 +43,7 @@ class TestAdMatrix:
         d = AffineElt.d_elt(a1_id.alg, 1)
         op = AdOperator(d, win)
         assert op.interior == list(range(win.size()))
-        mat = op.rows(square=True)
+        mat = op.rows()
         for i, (kind, j, _) in enumerate(win.meta):
             expect = CycScalar(1, j) if kind == "loop" else CycScalar.zero(1)
             assert mat[i].get(i, CycScalar.zero(1)) == expect
@@ -52,7 +52,7 @@ class TestAdMatrix:
         win = Window(a1_id, -2, 2)
         op = AdOperator(a1_x, win)
         assert op.interior == list(range(win.size()))
-        mat = op.rows(square=True)
+        mat = op.rows()
         for i in range(win.size()):
             for j in range(win.size()):
                 if i != j:
@@ -68,19 +68,21 @@ class TestAdMatrix:
         assert ends and not set(ends) & set(op.interior)
         assert set(op.columns) == set(op.interior)
 
-    def test_shifted_rows_cover_the_window(self, a1, a1_id):
+    def test_rows_put_the_interior_first(self, a1, a1_id):
+        # rows[:n] is the square block over the interior, in interior
+        # order; every other window row follows once, in window order
         win = Window(a1_id, -2, 2)
         x = AffineElt(LoopElt.monomial(a1, 1, 1, 1), d=1)
         op = AdOperator(x, win)
-        w = CycScalar(1, 1)
-        rows, plain = op.rows(w), op.rows()
-        columns = set(range(len(op.interior)))
-        assert len(rows) == win.size() and all(set(row) <= columns for row in rows)
-        zero = CycScalar.zero(1)
-        for r in range(win.size()):
-            for k, i in enumerate(op.interior):
-                entry = plain[r].get(k, zero)
-                assert rows[r].get(k, zero) == (entry - w if r == i else entry)
+        n = len(op.interior)
+        assert 0 < n < win.size()
+        rows = op.rows()
+        order = op.interior + [r for r in range(win.size()) if r not in op.interior]
+        assert len(rows) == win.size() and any(rows[n:])
+        assert all(set(row) <= set(range(n)) for row in rows)
+        for pos, r in enumerate(order):
+            assert rows[pos] == {k: op.columns[i][r] for k, i in enumerate(op.interior)
+                                 if r in op.columns[i]}
 
     def test_check_compares_the_c_part(self, a1, a1_id):
         # [H_1 t, H_1 t^-1] is a nonzero multiple of c and nothing else:
@@ -141,7 +143,7 @@ class TestToVector:
         assert win.to_vector(elt + AffineElt(LoopElt.from_g(e, j))) is None
 
 
-def blockwise_reference(x, window, extra_candidates=()):
+def blockwise_reference(x, window):
     """The per-slice eigensolve that `weight_decompose` ran for degree-zero
     loop parts before it had one path, kept as its reference (only its
     slice blocks are now built from sparse columns).  Returns the sorted
@@ -162,17 +164,16 @@ def blockwise_reference(x, window, extra_candidates=()):
         mat = [{k: op.columns[col][row] for k, col in enumerate(block)
                 if row in op.columns[col]} for row in block]
         # an incomplete slice surfaces through the dimension certificate
-        spaces, _ = linalg.eigenspaces(mat, m, extra_candidates)
+        spaces, _ = linalg.eigenspaces(mat, len(mat), m)
         for w, sub in spaces:
             for coeffs in sub:
                 v = window.from_vector({block[k]: c for k, c in coeffs.items()})
                 op.check(v, w)
                 stash(w, v)
     zero = CycScalar.zero(m)
-    if window.with_cd:
-        for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
-            op.check(elt, zero)
-            stash(zero, elt)
+    for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
+        op.check(elt, zero)
+        stash(zero, elt)
     spaces = [by_weight[key] for key in sorted(by_weight)]
     complete = total == len(interior)
     return spaces, complete, None if complete else len(interior) - total
@@ -359,26 +360,23 @@ class TestConjugation:
     def test_zero_weight_is_conjugation_invariant(self, a1, a1_id, a1_ctx, a1_x):
         rng = random.Random(77)
         win = Window(a1_id, -3, 3)
-        base = weight_decompose(a1_x, win)
-        h = a1_x.loop.slice(0)
         for _ in range(8):
             word = self.word_pool(a1, 1, rng, spread_budget=1)
             xc = word.apply(a1_x)
-            dec = weight_decompose(xc, win, extra_candidates=[sp.w for sp in base.spaces])
+            dec = weight_decompose(xc, win)
             assert dec.loop_space(CycScalar.zero(1)), word.render()
 
     def test_weight_multisets_sandwiched_by_closed_form(self, a1, a1_id, a1_ctx, a1_x):
         # deep-interior counts <= conjugated dims <= extended-window counts
         rng = random.Random(78)
         win = Window(a1_id, -3, 3)
-        base = weight_decompose(a1_x, win)
         h = a1_x.loop.slice(0)
         spread = 1
         for _ in range(6):
             word = self.word_pool(a1, 1, rng, spread_budget=spread)
             xc = word.apply(a1_x)
             reach = degree_reach(xc)
-            dec = weight_decompose(xc, win, extra_candidates=[sp.w for sp in base.spaces])
+            dec = weight_decompose(xc, win)
             deep = closed_form_weight_counts(a1_ctx, h, win.lo + reach + spread,
                                              win.hi - reach - spread)
             wide = closed_form_weight_counts(a1_ctx, h, win.lo - spread,
@@ -425,12 +423,13 @@ class TestJordanBlockInvariant:
         # of the whole equals the blockwise semisimple parts
         from affinelie import linalg
         h_plus_x = LoopElt.monomial(a1, 1, 0, 0) + LoopElt.monomial(a1, 1, 1, 0)
-        win = Window(a1_id, -1, 1, with_cd=False)
+        win = Window(a1_id, -1, 1)
         op = AdOperator(AffineElt(h_plus_x), win)
         assert op.interior == list(range(win.size()))
-        mat = op.rows(square=True)
+        mat = op.rows()
         s, n = linalg.jordan_split(mat, 1)
-        # blocks are the degree slices; off-block entries of S must vanish
+        # blocks are the degree slices, and the c and d columns are zero
+        # (a degree-0 x without d); off-block entries of S must vanish
         for i, (_, ji, _) in enumerate(win.meta):
             for j, (_, jj, _) in enumerate(win.meta):
                 if ji != jj:
