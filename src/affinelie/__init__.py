@@ -9,7 +9,7 @@ from .scalars import CycScalar, LaurentElt
 from .rootsys import (ChevAlgebra, DiagramAuto, GElt, RootDatum,
                       build_chevalley, build_diagram_auto, cartan_of_fixed,
                       sigma_eigenspaces)
-from .loop import LoopElt, TwistedContext, is_in_twisted, twisted_basis
+from .loop import LoopElt, TwistedContext, is_in_twisted
 from .affine import (AffineElt, bracket_affine, core_and_derived,
                      invariant_form, verify_form_invariance)
 from .autos import (AutoWord, Cochar, Diagram, NilExp, Ring, RootExp, TorusK,

@@ -31,8 +31,10 @@ class AutoGen:
     def apply_loop(self, x):
         raise NotImplementedError
 
-    def apply_affine(self, x, level):
-        raise NotImplementedError
+    def apply_affine(self, x):
+        """The lift, one for tilde and hat level (a tilde word has no d-part);
+        by default that of a generator fixing c and d."""
+        return AffineElt(self.apply_loop(x.loop), x.c, x.d)
 
     def inverse(self):
         raise NotImplementedError
@@ -86,7 +88,7 @@ class NilExp(AutoGen):
     def apply_loop(self, x):
         return self._exp(x, self.z.bracket)
 
-    def apply_affine(self, x, level):
+    def apply_affine(self, x):
         zhat = AffineElt(self.z)
         return self._exp(x, lambda y: bracket_affine(zhat, y))
 
@@ -123,9 +125,6 @@ class Diagram(AutoGen):
 
     def apply_loop(self, x):
         return x.permuted(self.auto.index_image)
-
-    def apply_affine(self, x, level):
-        return AffineElt(self.apply_loop(x.loop), x.c, x.d)
 
     def inverse(self):
         return Diagram(self.auto.inverse())
@@ -193,14 +192,13 @@ class Cochar(AutoGen):
                 raise ValueError("no Cartan solution for phi")
         return x
 
-    def apply_affine(self, x, level):
+    def apply_affine(self, x):
         new_loop = self.apply_loop(x.loop)
         c = x.c + self._central_correction(x.loop)
-        d = x.d
-        if level == "hat" and x.d:
+        if x.d:
             xphi = LoopElt.from_g(self.x_phi(x.m), 0).scale(x.d)
             new_loop = new_loop - xphi
-        return AffineElt(new_loop, c, d)
+        return AffineElt(new_loop, c, x.d)
 
     def inverse(self):
         return Cochar(self.alg, tuple(-v for v in self.phi))
@@ -253,9 +251,6 @@ class TorusK(AutoGen):
                 out[i] = p.scale(self._eigen(self.alg.root_of_index[i], x.m))
         return LoopElt(x.alg, x.m, out)
 
-    def apply_affine(self, x, level):
-        return AffineElt(self.apply_loop(x.loop), x.c, x.d)
-
     def inverse(self):
         return TorusK(self.alg, tuple(t.inverse() for t in self.coords))
 
@@ -283,7 +278,7 @@ class Ring(AutoGen):
                        {i: p.substitute(self.a, invert=self.e == -1)
                         for i, p in x.coords.items()})
 
-    def apply_affine(self, x, level):
+    def apply_affine(self, x):
         loop = self.apply_loop(x.loop)
         if self.e == 1:
             return AffineElt(loop, x.c, x.d)
@@ -302,7 +297,7 @@ class VShift(AutoGen):
     """Kernel generator: fixes the core pointwise, d -> d + a*c.
 
     The shift parameter may be an int, Fraction or CycScalar; numeric
-    values are coerced at application time.
+    values are coerced at application time.  Hat level only (`AutoWord`).
     """
 
     def __init__(self, a):
@@ -311,9 +306,7 @@ class VShift(AutoGen):
     def apply_loop(self, x):
         return x
 
-    def apply_affine(self, x, level):
-        if level != "hat":
-            raise ValueError("v-shift generators exist only at hat level")
+    def apply_affine(self, x):
         a = as_scalar(x.m, self.a)
         return AffineElt(x.loop, x.c + a * x.d, x.d)
 
@@ -350,7 +343,7 @@ class AutoWord:
         if self.level == "tilde" and x.d:
             raise ValueError("tilde-level words act on elements with zero d-part")
         for gen in reversed(self.gens):
-            x = gen.apply_affine(x, self.level)
+            x = gen.apply_affine(x)
         return x
 
     def __call__(self, x):
@@ -388,12 +381,6 @@ def hat_lift(word):
     if word.level != "tilde":
         raise ValueError("hat_lift starts from a tilde-level word")
     return AutoWord("hat", word.gens)
-
-
-def project_word(word, level="loop"):
-    """Image of a hat/tilde word at a lower level (v-shifts project away)."""
-    gens = tuple(g for g in word.gens if not isinstance(g, VShift))
-    return AutoWord(level, gens)
 
 
 def v_auto(a):

@@ -445,7 +445,7 @@ def eigenspaces(mat, n, m, candidates=()):
     return spaces, total == n
 
 
-def joint_eigenspaces(mats, n, m, candidates=()):
+def joint_eigenspaces(mats, n, m):
     """Simultaneous eigenspace refinement for a commuting family.
 
     Each matrix has the row layout of `eigenspaces`: a square block over
@@ -462,7 +462,7 @@ def joint_eigenspaces(mats, n, m, candidates=()):
     the index of the first operator whose restriction fails to
     diagonalize over the implemented field.
     """
-    spaces, complete = eigenspaces(mats[0], n, m, candidates)
+    spaces, complete = eigenspaces(mats[0], n, m)
     if not complete:
         return [], 0
     current = [([w], basis) for w, basis in spaces]
@@ -480,7 +480,7 @@ def joint_eigenspaces(mats, n, m, candidates=()):
                     return [], op_index
                 for i, x in coords.items():
                     restricted[i][j] = x
-            spaces, complete = eigenspaces(restricted, len(basis), m, candidates)
+            spaces, complete = eigenspaces(restricted, len(basis), m)
             if not complete:
                 return [], op_index
             for w, sub in spaces:

@@ -40,8 +40,8 @@ class LoopElt(SparseElt):
         return cls(alg, m)
 
     @classmethod
-    def monomial(cls, alg, m, index, p=0, coef=1):
-        """coef * b_index (x) s^p."""
+    def monomial(cls, alg, m, index, p=0, coef=None):
+        """coef * b_index (x) s^p (coef 1 by default)."""
         return cls(alg, m, {index: LaurentElt.s_power(m, p, coef)})
 
     @classmethod
@@ -140,9 +140,6 @@ class TwistedContext:
                 solver.add(v.coords)
             self.slice_solvers.append(solver)
 
-    def slice_dim(self, degree):
-        return len(self.eigenspaces[degree % self.m])
-
     def slice_basis(self, degree):
         return self.eigenspaces[degree % self.m]
 
@@ -155,19 +152,3 @@ class TwistedContext:
         """
         solver = self.slice_solvers[degree % self.m]
         return solver.coords(gelt.coords)
-
-
-def twisted_basis(auto, lo, hi, context=None):
-    """Monomial basis e (x) s^j of L(g, sigma) with lo <= j <= hi.
-
-    Each vector is Gamma-invariance checked on construction.
-    """
-    ctx = context or TwistedContext(auto)
-    out = []
-    for j in range(lo, hi + 1):
-        for e in ctx.slice_basis(j):
-            v = LoopElt.from_g(e, j)
-            if not is_in_twisted(v, auto):
-                raise AssertionError("eigenvector failed the twisted-invariance test")
-            out.append(v)
-    return out

@@ -41,9 +41,6 @@ class SubalgebraSpec:
     def m(self):
         return self.generators[0].m
 
-    def dim(self, window):
-        return self.span_solver(window).rank
-
     def span_solver(self, window):
         solver = linalg.SpanSolver(self.m)
         for g in self.generators:
@@ -87,16 +84,15 @@ def is_diagonalizable(spec, window):
     return True, {"eigenbasis": eigen}
 
 
-def maximality_probe(spec, window, diag=None):
+def maximality_probe(spec, window):
     """Search the interior for a diagonalizable commuting enlargement.
 
     Mirrors the constructive step of the dimension bound: any loop-level
     interior vector of joint weight zero outside the span whose restricted
-    ad-action is diagonalizable enlarges the subalgebra.  `diag` is the
-    result of `is_diagonalizable(spec, window)` when the caller already
-    has it.  Returns the witness or None.
+    ad-action is diagonalizable enlarges the subalgebra.  Diagonalizes the
+    family first (ValueError if it is not).  Returns the witness or None.
     """
-    flag, data = diag if diag is not None else is_diagonalizable(spec, window)
+    flag, data = is_diagonalizable(spec, window)
     if not flag:
         raise ValueError("maximality probe requires a diagonalizable input")
     span = spec.span_solver(window)
@@ -124,26 +120,27 @@ def maximality_probe(spec, window, diag=None):
     return None
 
 
-def mad_sanity(spec, window, diag=None):
-    """The structural MAD requirements, checked exactly at window scale:
-    center membership, a generator leaving the core, dimension >= 3, and
-    failure of the interior enlargement probe.  `diag` is passed on to
-    `maximality_probe`."""
+def mad_sanity(spec, window):
+    """The five structural MAD requirements, checked exactly at window
+    scale: diagonalizability (the probe's own), center membership, a
+    generator leaving the core, dimension >= 3, and failure of the
+    interior enlargement probe."""
     alg, m = spec.alg, spec.m
     checks = {}
+    span = spec.span_solver(window)
     c_vec = window.to_vector(AffineElt.c_elt(alg, m))
-    checks["contains_center"] = spec.span_solver(window).contains(c_vec)
+    checks["contains_center"] = span.contains(c_vec)
     checks["leaves_core"] = any(bool(g.d) for g in spec.generators)
-    dim = spec.dim(window)
+    dim = span.rank
     checks["dim"] = dim
     checks["dim_at_least_3"] = dim >= 3
-    witness = maximality_probe(spec, window, diag)
+    witness = maximality_probe(spec, window)
     checks["probe_enlargement"] = witness.render() if witness is not None else None
     checks["window_maximal"] = witness is None
     passed = (checks["contains_center"] and checks["leaves_core"]
               and checks["dim_at_least_3"] and checks["window_maximal"])
     return {
-        "checked": 4,
+        "checked": 5,
         "failures": [] if passed else [
             {"inputs": [g.render() for g in spec.generators],
              "lhs": {k: v for k, v in checks.items()},

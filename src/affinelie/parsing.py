@@ -237,10 +237,6 @@ def parse_affine(text, alg, m, allow_cd=True):
     return AffineElt(loop, c, d)
 
 
-def parse_loop(text, alg, m):
-    return parse_affine(text, alg, m, allow_cd=False)
-
-
 # -- automorphism words ------------------------------------------------------
 
 def _split_top_level(text, sep):

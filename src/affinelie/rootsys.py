@@ -133,13 +133,6 @@ class ChevAlgebra:
         return ([f"H_{i+1}" for i in range(datum.rank)]
                 + [f"X_{root_label(r)}" for r in roots])
 
-    def bracket_basis(self, i, j):
-        """Sparse {k: c} row of [b_i, b_j]."""
-        return self.table.get((i, j), {})
-
-    def killing_basis(self, i, j):
-        return self.killing_table.get((i, j), 0)
-
     def simple_pairing(self, i):
         """<X_{alpha_i}, X_{-alpha_i}> for the i-th simple root."""
         alpha = self.datum.simple[i]

@@ -72,7 +72,7 @@ class CycScalar:
 
     @classmethod
     def one(cls, m):
-        return cls._make(m, 1, 0)
+        return _ONES[m]
 
     @classmethod
     def zeta(cls, m):
@@ -82,11 +82,6 @@ class CycScalar:
         if m == 2:
             return cls._make(2, -1, 0)
         return cls._make(3, 0, 1)
-
-    @property
-    def coeffs(self):
-        """Residue coefficients, length deg Phi_m (1 for m<=2, 2 for m=3)."""
-        return (self.a,) if self.m != 3 else (self.a, self.b)
 
     def _check(self, other):
         if not isinstance(other, CycScalar):
@@ -195,8 +190,9 @@ class CycScalar:
         return f"CycScalar({self.m}, {self.render()!r})"
 
 
-# One shared zero per order: a CycScalar is immutable.
+# One shared zero and one per order: a CycScalar is immutable.
 _ZEROS = {m: CycScalar._make(m, 0, 0) for m in SUPPORTED_ORDERS}
+_ONES = {m: CycScalar._make(m, 1, 0) for m in SUPPORTED_ORDERS}
 
 
 def as_scalar(m, value):
@@ -263,14 +259,11 @@ class LaurentElt:
         return cls(m, {0: CycScalar.one(m)})
 
     @classmethod
-    def s_power(cls, m, p, coef=1):
-        """The monomial coef * s^p = coef * t^(p/m)."""
-        return cls(m, {p: as_scalar(m, coef)})
-
-    @classmethod
-    def t_power(cls, m, n, coef=1):
-        """The monomial coef * t^n (integral powers of t)."""
-        return cls(m, {n * m: as_scalar(m, coef)})
+    def s_power(cls, m, p, coef=None):
+        """The monomial coef * s^p = coef * t^(p/m) (coef 1 by default);
+        the coefficient is coerced once, and a zero one gives zero."""
+        coef = CycScalar.one(m) if coef is None else as_scalar(m, coef)
+        return cls._make(m, {p: coef} if coef else {})
 
     @classmethod
     def from_scalar(cls, scalar):
@@ -332,9 +325,6 @@ class LaurentElt:
     def is_zero(self):
         return not self.terms
 
-    def support(self):
-        return sorted(self.terms)
-
     def substitute(self, a, invert=False):
         """Apply the ring endomorphism s -> a*s (or s -> a*s^-1).
 
@@ -351,10 +341,6 @@ class LaurentElt:
     def zeta_scale(self):
         """The Galois generator s -> zeta*s."""
         return self.substitute(CycScalar.zeta(self.m))
-
-    def gamma_invariant(self):
-        """True iff fixed by s -> zeta*s, i.e. supported on exponents = 0 mod m."""
-        return all(p % self.m == 0 for p in self.terms)
 
     def render(self):
         if not self.terms:

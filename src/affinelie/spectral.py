@@ -61,13 +61,19 @@ class Window:
     def size(self):
         return len(self.basis)
 
+    def inside(self, degrees, reach=0):
+        """The one boundary rule: lo + reach <= p <= hi - reach for every p."""
+        lo, hi = self.lo + reach, self.hi - reach
+        return all(lo <= p <= hi for p in degrees)
+
     def to_vector(self, elt):
         """Window coordinates {slot: coefficient} of an AffineElt, without
         zeros, or None if it leaves [lo, hi]."""
+        degrees = elt.loop.degree_support()
+        if not self.inside(degrees):
+            return None
         vec = {}
-        for j in sorted(elt.loop.degree_support()):
-            if j < self.lo or j > self.hi:
-                return None
+        for j in sorted(degrees):
             coords = self.ctx.decompose_slice(elt.loop.slice(j), j)
             if coords is None:
                 raise ValueError("element leaves the twisted algebra")
@@ -92,19 +98,13 @@ def degree_reach(x):
 
 
 def interior_indices(x, window):
-    """Columns whose ad(x)-image provably stays inside the window."""
+    """Columns whose ad(x)-image provably stays inside the window: loop
+    degrees inside at the reach of x, c, and d when x's loop part is inside."""
     reach = degree_reach(x)
-    out = []
-    for i, (kind, j, _) in enumerate(window.meta):
-        if kind == "loop":
-            if window.lo <= j - reach and j + reach <= window.hi:
-                out.append(i)
-        elif kind == "c":
-            out.append(i)
-        elif kind == "d":
-            if all(window.lo <= p <= window.hi for p in x.loop.degree_support()):
-                out.append(i)
-    return out
+    d_inside = window.inside(x.loop.degree_support())
+    return [i for i, (kind, j, _) in enumerate(window.meta)
+            if kind == "c" or (d_inside if kind == "d"
+                               else window.inside((j,), reach))]
 
 
 class AdOperator:
@@ -205,9 +205,6 @@ class WeightDecomp:
         self.interior = interior
         self.defect = defect
         _assign_series(self)
-
-    def weights(self):
-        return [sp.w for sp in self.spaces]
 
     def space(self, w):
         w = as_scalar(self.window.m, w)
@@ -337,10 +334,6 @@ def verify_shift(decomp):
     reach = degree_reach(decomp.x)
     checked = 0
     failures = []
-
-    def interior_deg(j):
-        return window.lo + reach <= j <= window.hi - reach
-
     bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
     for sp1, basis1 in zip(decomp.spaces, bases):
         w1 = sp1.w
@@ -352,26 +345,27 @@ def verify_shift(decomp):
             q = diff.rational()
             if q == 0 or q % m != 0:
                 continue
-            n_steps = int(q) // m
+            shift = int(q)
             solver = decomp.loop_solver(w2)
             forward_ok = True
             for v in basis1:
-                shifted = v.shift(m * n_steps)
-                if not all(interior_deg(p) for p in shifted.degree_support()):
+                if not window.inside({p + shift for p in v.degree_support()},
+                                     reach):
                     forward_ok = False
                     continue
+                shifted = v.shift(shift)
                 checked += 1
                 eig = bracket_affine(decomp.x, AffineElt(shifted))
                 diff_elt = eig - AffineElt(shifted).scale(w2)
                 in_span = solver.contains(window.to_vector(AffineElt(shifted)))
                 if diff_elt.loop or not in_span:
                     failures.append({
-                        "inputs": [v.render(), f"n={n_steps}"],
+                        "inputs": [v.render(), f"n={shift // m}"],
                         "lhs": shifted.render(),
                         "rhs": f"A_{w2.render()}",
                     })
             if forward_ok and all(
-                all(interior_deg(p - m * n_steps) for p in u.degree_support())
+                window.inside({p - shift for p in u.degree_support()}, reach)
                 for u in basis2
             ):
                 checked += 1
@@ -449,9 +443,7 @@ def verify_product_rule(decomp):
                     if b.is_zero():
                         checked += 1
                         continue
-                    degs = b.degree_support()
-                    if not all(window.lo + reach <= p <= window.hi - reach
-                               for p in degs):
+                    if not window.inside(b.degree_support(), reach):
                         continue
                     checked += 1
                     if solver is not None and solver.contains(
@@ -486,9 +478,8 @@ def rspan_isomorphism_check(decomp):
 
     def shiftable(basis, steps):
         return basis and all(
-            window.lo + reach <= p + steps <= window.hi - reach
-            for v in basis for p in v.degree_support()
-        )
+            window.inside({p + steps for p in v.degree_support()}, reach)
+            for v in basis)
 
     for sid, group in sorted(by_series.items()):
         members = [(sp.w, decomp.loop_space(sp.w)) for sp in group]

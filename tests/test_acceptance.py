@@ -288,7 +288,7 @@ class TestCriterion7:
             h0, _ = cartan_of_fixed(auto)
             flag, _ = is_diagonalizable(ref, win)
             rep = mad_sanity(ref, win)
-            dim = ref.dim(win)
+            dim = ref.span_solver(win).rank
             if not flag or rep["failures"] or dim != len(h0) + 2 or dim < 3:
                 ok = False
                 details.append(f"standard MAD fails on {auto.alg.datum.label}")

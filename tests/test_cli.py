@@ -218,7 +218,6 @@ class TestVerify:
             calls.append(spec)
             return original(spec, window)
 
-        monkeypatch.setattr(cli, "is_diagonalizable", counted)
         monkeypatch.setattr(mad, "is_diagonalizable", counted)
         session = load_session(build_parser().parse_args(
             ["verify", "mad", "--algebra", a1_file]))
@@ -376,6 +375,23 @@ class TestSpectrumAndConjugate:
         assert code == 0
         weights = json.loads(out)["reports"]["spectral"]["decomposition"]["weights"]
         assert {"w": "0", "dim": 5, "series_id": 0, "interior": True} in weights
+
+    @pytest.mark.parametrize("x", ["H_1*t^0 + 2*d", "H_1*t^0 - d",
+                                   "1/2*H_1*t^0 + 1/2*d", "c", "0"])
+    def test_d_coefficient_other_than_one_exits_3(self, capsys, a1_file, x):
+        # the shift rule A_{w+m} = t A_w holds only for x = x' + d, so a
+        # report on any other x would FAIL or pass without a counterexample
+        code = main(["spectrum", "--algebra", a1_file, "--x", x])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "x' + d" in captured.err
+
+    def test_central_part_allowed(self, capsys, a1_file):
+        code, out = run(capsys, "spectrum", "--algebra", a1_file,
+                        "--x", "H_1*t^0 + d + 3*c")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
     def test_root_search_stays_bounded(self, tmp_path):
         # the interior characteristic polynomial of this x has a constant

@@ -16,6 +16,11 @@ The two reach-1 `spectrum` pins (exit 1) were recorded while
 the window's boundary rows and the rational-roots fallback decide their
 bytes.  Both runs still report the window-boundary defect of ROADMAP
 item 2; its periodicity certificate will re-record both on purpose.
+
+The two `verify mad --word` pins were recorded while `suite_mad` still
+ran `is_diagonalizable` itself and handed the result to `mad_sanity`
+through `diag=`: one word carries the standard MAD onto itself (exit 0),
+the other moves it out of the window (exit 1, conjugacy failures).
 """
 
 import hashlib
@@ -61,6 +66,12 @@ GOLDEN = [
     (["spectrum", "--algebra", "algebras/a1.alg",
       "--x", "H_1*t^0 + X_a1*t^1 + d"], 1,
      "54223fccb6f76433d5ebe01ea9023a9b1662da47ddc0c1ae09b9773a4ddf20a0"),
+    (["verify", "mad", "--algebra", "algebras/a2_twisted.alg",
+      "--word", "vshift(2) @ hat"], 0,
+     "68e163aac70ca6053c0aa8d0a78fb1508b307e867998c463c14df5b06597fecd"),
+    (["verify", "mad", "--algebra", "algebras/a1.alg",
+      "--word", "rootexp(a1, 1*t^5) @ hat"], 1,
+     "7cfe78054a9f08923753c420c25bc3f76230fa7a1902be0c03e0d7b059c3249b"),
 ]
 
 

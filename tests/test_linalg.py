@@ -161,7 +161,7 @@ class TestEigen:
                     assert image == {j: wi * x for j, x in v.items() if wi}
 
 
-def dense_joint_eigenspaces(mats, m, candidates=()):
+def dense_joint_eigenspaces(mats, m):
     """Identity-start joint refinement with dense products, kept as the
     reference for `linalg.joint_eigenspaces`; it calls `linalg` only for
     `SpanSolver` and `eigenspaces`, through dense/sparse conversions."""
@@ -194,7 +194,7 @@ def dense_joint_eigenspaces(mats, m, candidates=()):
                     return [], op_index
                 restricted_cols.append(dense_vec(coords, k, m))
             restricted = [[restricted_cols[j][i] for j in range(k)] for i in range(k)]
-            spaces, complete = linalg.eigenspaces(sparse(restricted), k, m, candidates)
+            spaces, complete = linalg.eigenspaces(sparse(restricted), k, m)
             if not complete:
                 return [], op_index
             for w, sub in spaces:
@@ -213,8 +213,7 @@ def dense_joint_eigenspaces(mats, m, candidates=()):
 @st.composite
 def commuting_family(draw, m):
     """P D_i P^-1 for a random invertible integer P and diagonal D_i with
-    entries from a small pool, so eigenvalues repeat; optionally the pool
-    is passed as eigenvalue candidates."""
+    entries from a small pool, so eigenvalues repeat."""
     n = draw(st.integers(1, 4))
     count = draw(st.integers(1, 3))
     pool = [CycScalar(m, a, b) for a in range(-2, 3)
@@ -231,8 +230,7 @@ def commuting_family(draw, m):
         for i in range(n):
             d[i][i] = draw(st.sampled_from(pool))
         mats.append(linalg.mat_mul(linalg.mat_mul(sparse(p), sparse(d), m), p_inv, m))
-    candidates = pool if draw(st.booleans()) else ()
-    return mats, candidates
+    return mats
 
 
 class TestJointEigenspacesProperty:
@@ -240,11 +238,11 @@ class TestJointEigenspacesProperty:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_dense_reference(self, m, data):
-        mats, candidates = data.draw(commuting_family(m))
+        mats = data.draw(commuting_family(m))
         n = len(mats[0])
-        got = linalg.joint_eigenspaces(mats, n, m, candidates)
+        got = linalg.joint_eigenspaces(mats, n, m)
         ref_spaces, ref_defect = dense_joint_eigenspaces(
-            [dense(mat, n, m) for mat in mats], m, candidates)
+            [dense(mat, n, m) for mat in mats], m)
         assert got == ([(w, [sparse_vec(v) for v in basis])
                         for w, basis in ref_spaces], ref_defect)
         spaces, defect = got

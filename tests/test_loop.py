@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinelie.autos import Diagram
-from affinelie.loop import (LoopElt, gamma_twist, is_in_twisted,
-                            twisted_basis)
+from affinelie.loop import LoopElt, gamma_twist, is_in_twisted
 from affinelie.rootsys import GElt, build_chevalley, sigma_eigenspaces
 from affinelie.scalars import CycScalar, LaurentElt
+from affinelie.spectral import Window
 from affinelie import linalg
 
 from conftest import make_loop_sampler
@@ -67,15 +67,24 @@ class TestBracket:
         assert (x + y).bracket(y) == x.bracket(y) + y.bracket(y)
 
 
+def loop_basis(auto, lo, hi, context=None):
+    """The loop parts of a window basis: the basis e (x) s^j of L(g, sigma)."""
+    win = Window(auto, lo, hi, context)
+    return [b.loop for b in win.basis[:win.c_slot]]
+
+
 class TestTwisted:
     def test_split_window_count(self, a1, a1_id):
-        assert len(twisted_basis(a1_id, -1, 1)) == 9
+        assert len(loop_basis(a1_id, -1, 1)) == 9
 
     def test_a2_flip_window_counts(self, a2_flip):
-        assert len(twisted_basis(a2_flip, 0, 1)) == 3 + 5
+        basis = loop_basis(a2_flip, 0, 1)
+        assert len(basis) == 3 + 5
+        for v in basis:
+            assert is_in_twisted(v, a2_flip)
 
     def test_m1_reproduces_whole_algebra(self, a2, a2_id):
-        basis = twisted_basis(a2_id, -2, 2)
+        basis = loop_basis(a2_id, -2, 2)
         assert len(basis) == a2.dim * 5
         for v in basis:
             assert is_in_twisted(v, a2_id)
@@ -100,8 +109,8 @@ class TestTwisted:
 
     def test_closure_under_bracket(self, a2_flip, a2_flip_ctx):
         # brackets of window vectors re-expand exactly in a larger window
-        inner = twisted_basis(a2_flip, -2, 2, a2_flip_ctx)
-        outer = twisted_basis(a2_flip, -4, 4, a2_flip_ctx)
+        inner = loop_basis(a2_flip, -2, 2, a2_flip_ctx)
+        outer = loop_basis(a2_flip, -4, 4, a2_flip_ctx)
         m = 2
         index = {}
         for i, v in enumerate(outer):
@@ -129,7 +138,7 @@ class TestTwisted:
                 assert solver.contains(vectorize(w))
 
     def test_d4_triality_window(self, d4_triality):
-        basis = twisted_basis(d4_triality, 0, 2)
+        basis = loop_basis(d4_triality, 0, 2)
         assert len(basis) == 14 + 7 + 7
         for v in basis:
             assert is_in_twisted(v, d4_triality)

@@ -28,21 +28,21 @@ class TestSubalgebraSpec:
         win = Window(a1_id, -2, 2)
         c = AffineElt.c_elt(a1, 1)
         spec = SubalgebraSpec([c, c.scale(2)])
-        assert spec.dim(win) == 1
+        assert spec.span_solver(win).rank == 1
 
 
 class TestStandardMad:
     def test_dimensions(self, a1_id, a2_id, a2_flip):
         for auto, expect in ((a1_id, 3), (a2_flip, 3), (a2_id, 4)):
             win = Window(auto, -2 * auto.m, 2 * auto.m)
-            assert standard_mad(auto).dim(win) == expect
+            assert standard_mad(auto).span_solver(win).rank == expect
 
     def test_dim_is_rank_of_fixed_cartan_plus_two(self, a1_id, a2_id, a2_flip, d4_triality):
         from affinelie.rootsys import cartan_of_fixed
         for auto in (a1_id, a2_id, a2_flip, d4_triality):
             win = Window(auto, -auto.m, auto.m)
             h0, _ = cartan_of_fixed(auto)
-            dim = standard_mad(auto).dim(win)
+            dim = standard_mad(auto).span_solver(win).rank
             assert dim == len(h0) + 2
             assert dim >= 3
 
@@ -120,21 +120,11 @@ class TestMaximalityProbe:
         win = Window(a2_flip, -4, 4)
         assert maximality_probe(standard_mad(a2_flip), win) is None
 
-    def test_given_diagonalization_matches_recomputed(self, a2, a2_id):
-        win = Window(a2_id, -2, 2)
-        gens = [AffineElt(LoopElt.monomial(a2, 1, 0, 0)),
-                AffineElt.c_elt(a2, 1), AffineElt.d_elt(a2, 1)]
-        spec = SubalgebraSpec(gens)
-        diag = is_diagonalizable(spec, win)
-        assert maximality_probe(spec, win, diag) == maximality_probe(spec, win)
-
     def test_non_diagonalizable_input_rejected(self, a1, a1_id):
         win = Window(a1_id, -2, 2)
         spec = SubalgebraSpec([AffineElt(LoopElt.monomial(a1, 1, 1, 0))])
         with pytest.raises(ValueError):
             maximality_probe(spec, win)
-        with pytest.raises(ValueError):
-            maximality_probe(spec, win, is_diagonalizable(spec, win))
 
 
 class TestCentralizer:

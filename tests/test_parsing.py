@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from affinelie.affine import AffineElt
 from affinelie.loop import LoopElt
 from affinelie.parsing import (ParseError, parse_affine, parse_algebra_file,
-                               parse_laurent, parse_loop, parse_scalar,
+                               parse_laurent, parse_scalar,
                                parse_word)
 from affinelie.scalars import CycScalar, LaurentElt
 
@@ -68,7 +68,7 @@ class TestElementRoundTrip:
 
     def test_loop_rejects_c_and_d(self, a1):
         with pytest.raises(ParseError):
-            parse_loop("H_1*t^0 + c", a1, 1)
+            parse_affine("H_1*t^0 + c", a1, 1, allow_cd=False)
 
     def test_unknown_symbol(self, a1):
         with pytest.raises(ParseError):

@@ -17,9 +17,9 @@ class TestConstruction:
         h = a1.label_index["H_1"]
         x = a1.label_index["X_a1"]
         y = a1.label_index["X_ma1"]
-        assert a1.bracket_basis(h, x) == {x: 2}
-        assert a1.bracket_basis(h, y) == {y: -2}
-        assert a1.bracket_basis(x, y) == {h: 1}
+        assert a1.table[(h, x)] == {x: 2}
+        assert a1.table[(h, y)] == {y: -2}
+        assert a1.table[(x, y)] == {h: 1}
 
     def test_a2_dimensions(self, a2):
         assert a2.dim == 8
@@ -57,14 +57,14 @@ class TestKilling:
         # frozen values computed by the independent dense-trace oracle
         assert oracle_killing(a1, x, y) == 4
         assert oracle_killing(a1, h, h) == 8
-        assert a1.killing_basis(x, y) == 4
-        assert a1.killing_basis(h, h) == 8
-        assert a1.killing_basis(h, x) == 0
+        assert a1.killing_table[(x, y)] == 4
+        assert a1.killing_table[(h, h)] == 8
+        assert a1.killing_table.get((h, x), 0) == 0
 
     def test_matches_oracle_everywhere(self, a2):
         for i in range(a2.dim):
             for j in range(a2.dim):
-                assert a2.killing_basis(i, j) == oracle_killing(a2, i, j)
+                assert a2.killing_table.get((i, j), 0) == oracle_killing(a2, i, j)
 
     def test_bilinear_extension_and_symmetry(self, a1):
         m = 1
@@ -85,8 +85,8 @@ class TestKilling:
 
     def test_nondegenerate(self, a2):
         m = 1
-        gram = [{j: CycScalar(m, a2.killing_basis(i, j)) for j in range(a2.dim)
-                 if a2.killing_basis(i, j)} for i in range(a2.dim)]
+        gram = [{j: CycScalar(m, a2.killing_table[(i, j)]) for j in range(a2.dim)
+                 if a2.killing_table.get((i, j))} for i in range(a2.dim)]
         assert linalg.rank(gram, m) == a2.dim
 
 

@@ -160,7 +160,7 @@ def blockwise_reference(x, window):
         total += 1
 
     for j in range(window.lo, window.hi + 1):
-        block = [window.slot[(j, pos)] for pos in range(window.ctx.slice_dim(j))]
+        block = [window.slot[(j, pos)] for pos in range(len(window.ctx.slice_basis(j)))]
         mat = [{k: op.columns[col][row] for k, col in enumerate(block)
                 if row in op.columns[col]} for row in block]
         # an incomplete slice surfaces through the dimension certificate
