@@ -13,6 +13,7 @@ from __future__ import annotations
 from .scalars import CycScalar, as_scalar
 from .loop import LoopElt
 from . import linalg
+from .report import Report
 
 
 class AffineElt:
@@ -164,18 +165,15 @@ def invariant_form(x, y, beta=1):
 
 def verify_form_invariance(sampler, samples, beta=1):
     """([x,y], z) + (y, [x,z]) = 0 on sampled triples; exact, no tolerance."""
-    failures = []
+    rep = Report()
     for _ in range(samples):
         x, y, z = sampler(), sampler(), sampler()
         lhs = invariant_form(bracket_affine(x, y), z, beta)
         rhs = invariant_form(y, bracket_affine(x, z), beta)
-        if lhs + rhs:
-            failures.append({
-                "inputs": [x.render(), y.render(), z.render()],
-                "lhs": lhs.render(),
-                "rhs": rhs.render(),
-            })
-    return {"checked": samples, "failures": failures}
+        if not rep.check(not (lhs + rhs)):
+            rep.fail([x.render(), y.render(), z.render()],
+                     lhs.render(), rhs.render())
+    return rep
 
 
 def window_gram_rank(basis, beta=1):

@@ -21,6 +21,7 @@ from .rootsys import GElt
 from .loop import LoopElt
 from .affine import AffineElt, bracket_affine
 from . import linalg
+from .report import Report
 
 LEVELS = ("loop", "tilde", "hat")
 
@@ -390,7 +391,7 @@ def v_auto(a):
 
 def verify_automorphism(word, sampler, samples):
     """Check phi([x,y]) = [phi(x), phi(y)] exactly on sampled pairs."""
-    failures = []
+    rep = Report()
     for _ in range(samples):
         x, y = sampler(), sampler()
         if word.level == "loop":
@@ -399,13 +400,9 @@ def verify_automorphism(word, sampler, samples):
         else:
             lhs = word.apply(bracket_affine(x, y))
             rhs = bracket_affine(word.apply(x), word.apply(y))
-        if lhs != rhs:
-            failures.append({
-                "inputs": [x.render(), y.render()],
-                "lhs": lhs.render(),
-                "rhs": rhs.render(),
-            })
-    return {"checked": samples, "failures": failures}
+        if not rep.check(lhs == rhs):
+            rep.fail([x.render(), y.render()], lhs.render(), rhs.render())
+    return rep
 
 
 def verify_exact_sequence(generators, loop_sampler, samples):
@@ -417,8 +414,7 @@ def verify_exact_sequence(generators, loop_sampler, samples):
     (iii) a hat word fixing sampled core elements agrees with the v_auto
     read off from its action on d.
     """
-    failures = []
-    checked = 0
+    rep = Report()
     alg = None
     m = None
     for gen in generators:
@@ -427,29 +423,16 @@ def verify_exact_sequence(generators, loop_sampler, samples):
         for _ in range(samples):
             x = loop_sampler()
             alg, m = x.alg, x.m
-            checked += 1
-            lifted = hat_word.apply(AffineElt(x))
-            projected = lifted.loop
+            projected = hat_word.apply(AffineElt(x)).loop
             direct = loop_word.apply(x)
-            if projected != direct:
-                failures.append({
-                    "part": "section",
-                    "generator": gen.render(),
-                    "inputs": [x.render()],
-                    "lhs": projected.render(),
-                    "rhs": direct.render(),
-                })
+            if not rep.check(projected == direct):
+                rep.fail([x.render()], projected.render(), direct.render(),
+                         part="section", generator=gen.render())
             shifted = hat_word.then(v_auto(CycScalar(m, 5)))
             with_v = shifted.apply(AffineElt(x)).loop
-            checked += 1
-            if with_v != direct:
-                failures.append({
-                    "part": "kernel",
-                    "generator": gen.render(),
-                    "inputs": [x.render()],
-                    "lhs": with_v.render(),
-                    "rhs": direct.render(),
-                })
+            if not rep.check(with_v == direct):
+                rep.fail([x.render()], with_v.render(), direct.render(),
+                         part="kernel", generator=gen.render())
     # (iii) recover the shift parameter of a core-fixing word from d
     if alg is not None:
         for a in (0, 1, -3):
@@ -457,16 +440,10 @@ def verify_exact_sequence(generators, loop_sampler, samples):
             fixes_core = True
             for _ in range(samples):
                 x = AffineElt(loop_sampler())
-                checked += 1
-                if w.apply(x) != x:
+                if not rep.check(w.apply(x) == x):
                     fixes_core = False
-            d = AffineElt.d_elt(alg, m)
-            recovered = w.apply(d).c
+            recovered = w.apply(AffineElt.d_elt(alg, m)).c
             if not fixes_core or recovered != CycScalar(m, a):
-                failures.append({
-                    "part": "kernel-recovery",
-                    "inputs": [f"a={a}"],
-                    "lhs": recovered.render(),
-                    "rhs": str(a),
-                })
-    return {"checked": checked, "failures": failures}
+                rep.fail([f"a={a}"], recovered.render(), str(a),
+                         part="kernel-recovery")
+    return rep

@@ -30,6 +30,7 @@ from .spectral import (Window, weight_decompose, verify_shift, verify_opposite,
                        rspan_isomorphism_check, decomposition_report)
 from .mad import SubalgebraSpec, standard_mad, mad_sanity, conjugacy_verify
 from .parsing import ParseError, parse_affine, parse_word, parse_algebra_file
+from .report import Report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -47,30 +48,26 @@ READ_BY = {"x": "verify spectral", "word": "verify mad",
 
 
 class Session:
-    """Loaded algebra context shared by all commands."""
+    """Loaded algebra context shared by all commands, with the one degree
+    window [lo, hi] of the run."""
 
-    def __init__(self, alg, auto, window, seed, beta, samples,
-                 window_explicit=False):
+    def __init__(self, alg, auto, window, seed, beta, samples):
         self.alg = alg
         self.auto = auto
         self.m = auto.m
         self.ctx = TwistedContext(auto)
         self.lo, self.hi = window
-        self.window_explicit = window_explicit
         self.seed = seed
         self.beta = beta
         self.samples = samples
         self.rng = random.Random(seed)
         self._win = None
 
-    def window(self, lo=None, hi=None):
-        if lo is None and hi is None and self._win is not None:
-            return self._win
-        w = Window(self.auto, self.lo if lo is None else lo,
-                   self.hi if hi is None else hi, context=self.ctx)
-        if lo is None and hi is None:
-            self._win = w
-        return w
+    def window(self):
+        """The run's Window, built on first use."""
+        if self._win is None:
+            self._win = Window(self.auto, self.lo, self.hi, context=self.ctx)
+        return self._win
 
     def sample_loop(self, terms=2):
         out = LoopElt.zero(self.alg, self.m)
@@ -102,10 +99,6 @@ class Session:
         if not self.auto.is_identity():
             gens.append(Diagram(self.auto))
         return gens
-
-
-def _passed(report):
-    return not report.get("failures")
 
 
 # -- suites -------------------------------------------------------------
@@ -153,12 +146,8 @@ def suite_jacobi(session):
     brackets.  A failing pair or listed triple is recomputed through the
     nested brackets, so its report is rendered from the direct formula.
     """
-    if session.window_explicit:
-        win = session.window()
-    else:
-        win = session.window(-2 * session.m, 2 * session.m)
     alg, m = session.alg, session.m
-    basis = win.basis
+    basis = session.window().basis
     n = len(basis)
     shared = {}
     pair = [[_flat(bracket_affine(bi, bj), shared) for bj in basis]
@@ -178,33 +167,30 @@ def suite_jacobi(session):
                 term = coef * value
                 acc[out_key] = term if prev is None else prev + term
 
-    checked = 0
-    failures = []
+    # every triple is counted at once; the triple loop only finds failures
+    rep = Report(n * (n + 1) * (n + 2) // 6)
     for i in range(n):
         for j in range(i, n):
-            checked += 1
-            if dict(pair[i][j]) == {key: -value for key, value in pair[j][i]}:
+            if rep.check(dict(pair[i][j])
+                         == {key: -value for key, value in pair[j][i]}):
                 continue
             anti = bracket_affine(basis[i], basis[j]) + bracket_affine(basis[j], basis[i])
             if not anti:
                 raise AssertionError("cached brackets disagree with bracket_affine")
-            failures.append({
-                "inputs": [basis[i].render(), basis[j].render()],
-                "lhs": anti.render(), "rhs": "0"})
+            rep.fail([basis[i].render(), basis[j].render()], anti.render(), "0")
     listed = omitted = 0
     for i in range(n):
         bi = basis[i]
         for j in range(i, n):
             bj = basis[j]
             for k in range(j, n):
-                checked += 1
                 acc = {}
                 add_outer(acc, i, pair[j][k])
                 add_outer(acc, j, pair[k][i])
                 add_outer(acc, k, pair[i][j])
                 if not any(acc.values()):
                     continue
-                if listed and len(failures) >= JACOBI_LISTED:
+                if listed and len(rep["failures"]) >= JACOBI_LISTED:
                     omitted += 1
                     continue
                 listed += 1
@@ -214,38 +200,33 @@ def suite_jacobi(session):
                      + bracket_affine(bk, bracket_affine(bi, bj)))
                 if not s:
                     raise AssertionError("cached brackets disagree with bracket_affine")
-                failures.append({
-                    "inputs": [bi.render(), bj.render(), bk.render()],
-                    "lhs": s.render(), "rhs": "0"})
-    report = {"checked": checked, "failures": failures}
+                rep.fail([bi.render(), bj.render(), bk.render()],
+                         s.render(), "0")
     if omitted:
-        report["failures_omitted"] = omitted
-    return report
+        rep["failures_omitted"] = omitted
+    return rep
 
 
 def suite_form(session):
-    """Invariance on seeded random triples; Gram full rank per window."""
+    """Invariance on seeded random triples from the run's window; Gram full
+    rank on [-m, m], [-2m, 2m] and [-3m, 3m], whatever that window is."""
     report = verify_form_invariance(session.sample_affine, session.samples,
                                     session.beta)
-    granks = []
+    report["gram"] = []
     for halfwidth in range(session.m, 3 * session.m + 1, session.m):
-        win = session.window(-halfwidth, halfwidth)
+        win = Window(session.auto, -halfwidth, halfwidth, context=session.ctx)
         rank = window_gram_rank(win.basis, session.beta)
-        granks.append({"window": [-halfwidth, halfwidth],
-                       "rank": rank, "size": win.size()})
-        if rank != win.size():
-            report["failures"].append({
-                "inputs": [f"window [-{halfwidth},{halfwidth}]"],
-                "lhs": str(rank), "rhs": str(win.size())})
-    report["checked"] += len(granks)
-    report["gram"] = granks
+        report["gram"].append({"window": [-halfwidth, halfwidth],
+                               "rank": rank, "size": win.size()})
+        if not report.check(rank == win.size()):
+            report.fail([f"window [-{halfwidth},{halfwidth}]"],
+                        str(rank), str(win.size()))
     return report
 
 
 def suite_lifts(session):
     """Lift coherence per generator kind plus the cochar corrections."""
-    failures = []
-    checked = 0
+    rep = Report()
     alg, m = session.alg, session.m
     for gen in session.generator_kinds():
         for level in ("loop", "tilde", "hat"):
@@ -253,11 +234,9 @@ def suite_lifts(session):
             sampler = (session.sample_loop if level == "loop"
                        else (lambda: AffineElt(session.sample_loop()))
                        if level == "tilde" else session.sample_affine)
-            rep = verify_automorphism(word, sampler, max(1, session.samples // 10))
-            checked += rep["checked"]
-            for f in rep["failures"]:
-                f["part"] = f"automorphism:{level}:{gen.render()}"
-                failures.append(f)
+            rep.merge(verify_automorphism(word, sampler,
+                                          max(1, session.samples // 10)),
+                      f"automorphism:{level}:{gen.render()}")
     # cochar central correction: H_i (x) 1 gains phi(alpha_i) <X_i, X_-i> c
     phi = tuple(1 if i == 0 else 0 for i in range(alg.rank))
     co = Cochar(alg, phi)
@@ -266,25 +245,18 @@ def suite_lifts(session):
         h = AffineElt(LoopElt.monomial(alg, m, i, 0))
         img = word.apply(h)
         expected = CycScalar(m, phi[i] * alg.simple_pairing(i))
-        checked += 1
-        if img.c != expected or img.loop != h.loop:
-            failures.append({
-                "part": "cochar-correction",
-                "inputs": [h.render()],
-                "lhs": img.render(),
-                "rhs": f"{h.render()} + {expected.render()}*c"})
+        if not rep.check(img.c == expected and img.loop == h.loop):
+            rep.fail([h.render()], img.render(),
+                     f"{h.render()} + {expected.render()}*c",
+                     part="cochar-correction")
     # hat lift: d -> d - X_phi with [X_phi, X_alpha] = phi(alpha) X_alpha
     hat = hat_lift(word)
     img = hat.apply(AffineElt.d_elt(alg, m))
     xphi = co.x_phi(m)
-    checked += 1
-    if img != AffineElt(LoopElt.from_g(xphi, 0).scale(-1), d=1):
-        failures.append({
-            "part": "cochar-derivation",
-            "inputs": ["d"],
-            "lhs": img.render(),
-            "rhs": f"d - {xphi.render()}"})
-    return {"checked": checked, "failures": failures}
+    if not rep.check(img == AffineElt(LoopElt.from_g(xphi, 0).scale(-1), d=1)):
+        rep.fail(["d"], img.render(), f"d - {xphi.render()}",
+                 part="cochar-derivation")
+    return rep
 
 
 def suite_exactseq(session):
@@ -306,34 +278,23 @@ def suite_spectral(session, x_text=None):
         for h in h0:
             reg = reg + LoopElt.from_g(h, 0)
         x = AffineElt(reg, d=1)
-    win = session.window(-3 * session.m, 3 * session.m)
-    decomp = weight_decompose(x, win)
-    reports = {
-        "decomposition": decomposition_report(decomp),
-        "shift": verify_shift(decomp),
-        "opposite": verify_opposite(decomp, session.beta),
-        "zero_weight": verify_zero_weight(decomp),
-        "product_rule": verify_product_rule(decomp),
-        "rspan": rspan_isomorphism_check(decomp),
-    }
-    failures = []
-    checked = 0
-    checks = {}
-    for name, rep in reports.items():
-        if name == "decomposition":
-            continue
-        checked += rep["checked"]
-        failures.extend(dict(f, part=name) for f in rep["failures"])
-        checks[name] = {"checked": rep["checked"],
-                        "pass": not rep["failures"]}
+    decomp = weight_decompose(x, session.window())
+    rep = Report()
+    rep["decomposition"] = dump = decomposition_report(decomp)
+    dump["checks"] = {}
+    for name, part in [
+            ("shift", verify_shift(decomp)),
+            ("opposite", verify_opposite(decomp, session.beta)),
+            ("zero_weight", verify_zero_weight(decomp)),
+            ("product_rule", verify_product_rule(decomp)),
+            ("rspan", rspan_isomorphism_check(decomp))]:
+        rep.merge(part, name)
+        dump["checks"][name] = {"checked": part["checked"],
+                                "pass": part.passed}
     if not decomp.complete:
-        failures.append({"part": "decomposition",
-                         "inputs": [x.render()],
-                         "lhs": "incomplete",
-                         "rhs": f"defect {decomp.defect}"})
-    dump = dict(reports["decomposition"])
-    dump["checks"] = checks
-    return {"checked": checked, "failures": failures, "decomposition": dump}
+        rep.fail([x.render()], "incomplete", f"defect {decomp.defect}",
+                 part="decomposition")
+    return rep
 
 
 def _word_and_spec(session, word_text, spec_lines):
@@ -350,24 +311,28 @@ def _word_and_spec(session, word_text, spec_lines):
 def suite_conjugacy(session, word_text, spec_lines):
     """Whether the word carries the subalgebra onto the standard MAD."""
     word, spec = _word_and_spec(session, word_text, spec_lines)
-    return conjugacy_verify(word, spec, session.window())
+    win = session.window()
+    reference = standard_mad(session.auto)
+    return conjugacy_verify(word, spec, win, reference,
+                            reference.span_solver(win))
 
 
 def suite_mad(session, word_text=None, spec_lines=None):
+    """The MAD sanity checks of the standard MAD and, given a word, its
+    conjugacy check, on one standard MAD and one span solver."""
     win = session.window()
     reference = standard_mad(session.auto)
     if word_text is not None:
         word, spec = _word_and_spec(session, word_text, spec_lines)
-    rep = mad_sanity(reference, win)
-    result = {"checked": rep["checked"],
-              "failures": [dict(f, part="sanity") for f in rep["failures"]],
-              "dim": rep["checks"]["dim"]}
+    span = reference.span_solver(win)
+    rep = Report()
+    sanity = mad_sanity(reference, win, span)
+    rep.merge(sanity, "sanity")
+    rep["dim"] = sanity["checks"]["dim"]
     if word_text is not None:
-        conj = conjugacy_verify(word, spec or reference, win)
-        result["checked"] += conj["checked"]
-        result["failures"].extend(dict(f, part="conjugacy")
-                                  for f in conj["failures"])
-    return result
+        rep.merge(conjugacy_verify(word, spec or reference, win, reference,
+                                   span), "conjugacy")
+    return rep
 
 
 # -- commands ------------------------------------------------------------
@@ -387,7 +352,8 @@ def build_parser():
                        help="path to an algebra description file")
         p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"),
                        default=window_default,
-                       help="degree window in 1/m units (default -3m 3m)")
+                       help="degree window in 1/m units (default -3m 3m; "
+                            "-2m 2m for verify jacobi)")
         p.add_argument("--samples", type=int, default=500)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--beta", default="1",
@@ -424,7 +390,12 @@ def load_session(args):
         raise ParseError(f"cannot read algebra file: {exc}")
     alg, auto = parse_algebra_file(text)
     m = auto.m
-    window = tuple(args.window) if args.window else (-3 * m, 3 * m)
+    if args.window:
+        window = tuple(args.window)
+    else:
+        # the default window: [-2m, 2m] for jacobi, [-3m, 3m] otherwise
+        half = (2 if getattr(args, "suite", None) == "jacobi" else 3) * m
+        window = (-half, half)
     if window[0] > window[1]:
         raise ParseError("window LO must not exceed HI")
     from .parsing import parse_scalar
@@ -433,8 +404,7 @@ def load_session(args):
         raise ParseError("beta must be nonzero")
     if args.samples < 1:
         raise ParseError("--samples must be at least 1")
-    return Session(alg, auto, window, args.seed, beta, args.samples,
-                   window_explicit=args.window is not None)
+    return Session(alg, auto, window, args.seed, beta, args.samples)
 
 
 def read_spec(path):
@@ -511,7 +481,7 @@ def cmd_report(args):
     # looked up by name, so that a wrapper set on this module is called
     run = globals()[f"suite_{suite}"]
     report = run(session, *(given[opt] for opt in reads))
-    ok = _passed(report)
+    ok = report.passed
     fields = {"reports": {suite: report}, "pass": ok}
     if command != "conjugate":
         fields["seed"] = session.seed

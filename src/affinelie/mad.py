@@ -13,6 +13,7 @@ from __future__ import annotations
 from . import linalg
 from .loop import LoopElt
 from .affine import AffineElt, bracket_affine
+from .report import Report
 from .spectral import AdOperator, weight_decompose
 
 
@@ -84,18 +85,18 @@ def is_diagonalizable(spec, window):
     return True, {"eigenbasis": eigen}
 
 
-def maximality_probe(spec, window):
+def maximality_probe(spec, window, span):
     """Search the interior for a diagonalizable commuting enlargement.
 
     Mirrors the constructive step of the dimension bound: any loop-level
-    interior vector of joint weight zero outside the span whose restricted
-    ad-action is diagonalizable enlarges the subalgebra.  Diagonalizes the
-    family first (ValueError if it is not).  Returns the witness or None.
+    interior vector of joint weight zero outside the span (`span`, the
+    spec's span solver on the window) whose restricted ad-action is
+    diagonalizable enlarges the subalgebra.  Diagonalizes the family first
+    (ValueError if it is not).  Returns the witness or None.
     """
     flag, data = is_diagonalizable(spec, window)
     if not flag:
         raise ValueError("maximality probe requires a diagonalizable input")
-    span = spec.span_solver(window)
     zero_weight = None
     for weights, vectors in data["eigenbasis"]:
         if all(not w for w in weights):
@@ -120,34 +121,30 @@ def maximality_probe(spec, window):
     return None
 
 
-def mad_sanity(spec, window):
+def mad_sanity(spec, window, span):
     """The five structural MAD requirements, checked exactly at window
     scale: diagonalizability (the probe's own), center membership, a
     generator leaving the core, dimension >= 3, and failure of the
-    interior enlargement probe."""
+    interior enlargement probe.  `span` is the spec's span solver on the
+    window."""
     alg, m = spec.alg, spec.m
     checks = {}
-    span = spec.span_solver(window)
     c_vec = window.to_vector(AffineElt.c_elt(alg, m))
     checks["contains_center"] = span.contains(c_vec)
     checks["leaves_core"] = any(bool(g.d) for g in spec.generators)
     dim = span.rank
     checks["dim"] = dim
     checks["dim_at_least_3"] = dim >= 3
-    witness = maximality_probe(spec, window)
+    witness = maximality_probe(spec, window, span)
     checks["probe_enlargement"] = witness.render() if witness is not None else None
     checks["window_maximal"] = witness is None
-    passed = (checks["contains_center"] and checks["leaves_core"]
-              and checks["dim_at_least_3"] and checks["window_maximal"])
-    return {
-        "checked": 5,
-        "failures": [] if passed else [
-            {"inputs": [g.render() for g in spec.generators],
-             "lhs": {k: v for k, v in checks.items()},
-             "rhs": "MAD requirements"}
-        ],
-        "checks": checks,
-    }
+    rep = Report(5)
+    if not (checks["contains_center"] and checks["leaves_core"]
+            and checks["dim_at_least_3"] and checks["window_maximal"]):
+        rep.fail([g.render() for g in spec.generators], dict(checks),
+                 "MAD requirements")
+    rep["checks"] = checks
+    return rep
 
 
 def centralizer(loop_generators, window):
@@ -166,44 +163,29 @@ def centralizer(loop_generators, window):
                                               window.m)]
 
 
-def conjugacy_verify(word, spec, window):
-    """Certify that `word` carries `spec` exactly onto the standard MAD.
+def conjugacy_verify(word, spec, window, reference, span):
+    """Certify that `word` carries `spec` exactly onto `reference`, the
+    standard MAD, whose span solver on the window is `span`.
 
     Applies the word to every generator and checks mutual span membership
     against the standard subalgebra inside the window.
     """
     if word.level != "hat":
         raise ValueError("conjugacy certificates use hat-level words")
-    reference = standard_mad(window.auto)
-    ref_solver = reference.span_solver(window)
     images = [word.apply(g) for g in spec.generators]
-    failures = []
-    checked = 0
+    rep = Report()
     img_solver = linalg.SpanSolver(window.m)
     for g, img in zip(spec.generators, images):
-        checked += 1
         vec = window.to_vector(img)
-        if vec is None:
-            failures.append({
-                "inputs": [g.render()],
-                "lhs": img.render(),
-                "rhs": "image leaves the window",
-            })
+        if not rep.check(vec is not None):
+            rep.fail([g.render()], img.render(), "image leaves the window")
             continue
         img_solver.add(vec)
-        if not ref_solver.contains(vec):
-            failures.append({
-                "inputs": [g.render()],
-                "lhs": img.render(),
-                "rhs": "not in the standard subalgebra",
-            })
+        if not span.contains(vec):
+            rep.fail([g.render()], img.render(),
+                     "not in the standard subalgebra")
     for g in reference.generators:
-        checked += 1
-        vec = window.to_vector(g)
-        if not img_solver.contains(vec):
-            failures.append({
-                "inputs": [g.render()],
-                "lhs": "standard generator",
-                "rhs": "not in the image span",
-            })
-    return {"checked": checked, "failures": failures}
+        if not rep.check(img_solver.contains(window.to_vector(g))):
+            rep.fail([g.render()], "standard generator",
+                     "not in the image span")
+    return rep

@@ -19,6 +19,7 @@ from . import linalg
 from .scalars import CycScalar, as_scalar
 from .loop import LoopElt, TwistedContext
 from .affine import AffineElt, bracket_affine, invariant_form
+from .report import Report
 
 
 class Window:
@@ -332,8 +333,7 @@ def verify_shift(decomp):
     window = decomp.window
     m = window.m
     reach = degree_reach(decomp.x)
-    checked = 0
-    failures = []
+    rep = Report()
     bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
     for sp1, basis1 in zip(decomp.spaces, bases):
         w1 = sp1.w
@@ -354,84 +354,59 @@ def verify_shift(decomp):
                     forward_ok = False
                     continue
                 shifted = v.shift(shift)
-                checked += 1
                 eig = bracket_affine(decomp.x, AffineElt(shifted))
                 diff_elt = eig - AffineElt(shifted).scale(w2)
                 in_span = solver.contains(window.to_vector(AffineElt(shifted)))
-                if diff_elt.loop or not in_span:
-                    failures.append({
-                        "inputs": [v.render(), f"n={shift // m}"],
-                        "lhs": shifted.render(),
-                        "rhs": f"A_{w2.render()}",
-                    })
+                if not rep.check(in_span and not diff_elt.loop):
+                    rep.fail([v.render(), f"n={shift // m}"],
+                             shifted.render(), f"A_{w2.render()}")
             if forward_ok and all(
                 window.inside({p - shift for p in u.degree_support()}, reach)
                 for u in basis2
-            ):
-                checked += 1
-                if len(basis1) != len(basis2):
-                    failures.append({
-                        "inputs": [w1.render(), w2.render()],
-                        "lhs": str(len(basis1)),
-                        "rhs": str(len(basis2)),
-                    })
-    return {"checked": checked, "failures": failures}
+            ) and not rep.check(len(basis1) == len(basis2)):
+                rep.fail([w1.render(), w2.render()],
+                         str(len(basis1)), str(len(basis2)))
+    return rep
 
 
 def verify_opposite(decomp, beta=1):
     """Weight-set symmetry plus cross-weight orthogonality of the form."""
-    window = decomp.window
-    checked = 0
-    failures = []
+    rep = Report()
     mult = {}
     for sp in decomp.spaces:
         mult[_scalar_key(sp.w)] = (sp.w, sp.dim)
     for key, (w, dim) in mult.items():
-        checked += 1
         neg = _scalar_key(-w)
-        if neg not in mult or mult[neg][1] != dim:
-            failures.append({
-                "inputs": [w.render()],
-                "lhs": f"dim {dim}",
-                "rhs": "missing opposite weight" if neg not in mult
-                       else f"dim {mult[neg][1]}",
-            })
+        if not rep.check(neg in mult and mult[neg][1] == dim):
+            rep.fail([w.render()], f"dim {dim}",
+                     "missing opposite weight" if neg not in mult
+                     else f"dim {mult[neg][1]}")
     for sp1 in decomp.spaces:
         for sp2 in decomp.spaces:
             if not (sp1.w + sp2.w).is_zero():
                 for u in sp1.vectors:
                     for v in sp2.vectors:
-                        checked += 1
                         val = invariant_form(u, v, beta)
-                        if val:
-                            failures.append({
-                                "inputs": [u.render(), v.render()],
-                                "lhs": val.render(),
-                                "rhs": "0",
-                            })
-    return {"checked": checked, "failures": failures}
+                        if not rep.check(not val):
+                            rep.fail([u.render(), v.render()], val.render(), "0")
+    return rep
 
 
 def verify_zero_weight(decomp):
     """The loop-level zero-weight space is nonzero (conclusion check)."""
     zero = CycScalar.zero(decomp.window.m)
-    basis = decomp.loop_space(zero)
-    report = {"checked": 1, "failures": []}
-    if not basis:
-        report["failures"].append({
-            "inputs": [decomp.x.render()],
-            "lhs": "A_0 = 0",
-            "rhs": [sp.w.render() for sp in decomp.spaces],
-        })
-    return report
+    rep = Report()
+    if not rep.check(bool(decomp.loop_space(zero))):
+        rep.fail([decomp.x.render()], "A_0 = 0",
+                 [sp.w.render() for sp in decomp.spaces])
+    return rep
 
 
 def verify_product_rule(decomp):
     """[A_w1, A_w2] lies in A_{w1+w2}, on interior pairs with interior sum."""
     window = decomp.window
     reach = degree_reach(decomp.x)
-    checked = 0
-    failures = []
+    rep = Report()
     bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
     for sp1, basis1 in zip(decomp.spaces, bases):
         for sp2, basis2 in zip(decomp.spaces, bases):
@@ -440,23 +415,15 @@ def verify_product_rule(decomp):
             for u in basis1:
                 for v in basis2:
                     b = u.bracket(v)
-                    if b.is_zero():
-                        checked += 1
-                        continue
                     if not window.inside(b.degree_support(), reach):
                         continue
-                    checked += 1
-                    if solver is not None and solver.contains(
-                        window.to_vector(AffineElt(b))
-                    ):
-                        continue
-                    # not in a known eigenspace: exact failure witness
-                    failures.append({
-                        "inputs": [u.render(), v.render()],
-                        "lhs": b.render(),
-                        "rhs": f"A_{target.render()}",
-                    })
-    return {"checked": checked, "failures": failures}
+                    # outside a known eigenspace: exact failure witness
+                    if not rep.check(b.is_zero() or solver is not None
+                                     and solver.contains(
+                                         window.to_vector(AffineElt(b)))):
+                        rep.fail([u.render(), v.render()], b.render(),
+                                 f"A_{target.render()}")
+    return rep
 
 
 def rspan_isomorphism_check(decomp):
@@ -468,10 +435,8 @@ def rspan_isomorphism_check(decomp):
     of the windowed pieces.  The number of series is bounded by dim g.
     """
     window = decomp.window
-    m = window.m
     reach = degree_reach(decomp.x)
-    checked = 0
-    failures = []
+    rep = Report()
     by_series = {}
     for sp in decomp.spaces:
         by_series.setdefault(sp.series_id, []).append(sp)
@@ -489,23 +454,14 @@ def rspan_isomorphism_check(decomp):
                 if not diff.is_rational():
                     continue
                 steps = int(diff.rational())
-                if shiftable(basis1, steps) and shiftable(basis2, -steps):
-                    checked += 1
-                    if len(basis1) != len(basis2):
-                        failures.append({
-                            "inputs": [w1.render(), w2.render()],
-                            "lhs": str(len(basis1)),
-                            "rhs": str(len(basis2)),
-                        })
-    checked += 1
+                if (shiftable(basis1, steps) and shiftable(basis2, -steps)
+                        and not rep.check(len(basis1) == len(basis2))):
+                    rep.fail([w1.render(), w2.render()],
+                             str(len(basis1)), str(len(basis2)))
     n_series = len(by_series)
-    if n_series > window.alg.dim:
-        failures.append({
-            "inputs": ["series count"],
-            "lhs": str(n_series),
-            "rhs": f"<= {window.alg.dim}",
-        })
-    return {"checked": checked, "failures": failures}
+    if not rep.check(n_series <= window.alg.dim):
+        rep.fail(["series count"], str(n_series), f"<= {window.alg.dim}")
+    return rep
 
 
 def decomposition_report(decomp):

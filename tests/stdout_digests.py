@@ -11,9 +11,12 @@ comparing the two outputs:
 `--root` names the checkout whose `src/` and `algebras/` are run (default:
 the one holding this script).  The runs are the 36 `verify <suite> --seed
 7` runs over every shipped algebra (D4 `jacobi` at `--window -1 1`), six
-`spectrum` runs, three `verify mad` runs and five more of `construct`,
-`--format text` and small windows.  Two run at a time.  pytest does not
-collect this file: its name does not start with `test_`.
+`spectrum` runs, four `verify mad` runs, one `conjugate` run and five
+more of `construct`, `--format text` and small windows.  The two runs
+that read a subalgebra file pass `tests/a1_conjugate.spec` of this
+checkout by its absolute path, so a `--root` checkout without the file
+runs them too.  Two run at a time.  pytest does not collect this file:
+its name does not start with `test_`.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+SPEC = str(Path(__file__).resolve().parent / "a1_conjugate.spec")
 ALGEBRAS = ["a1", "a2", "a2_twisted", "a3_twisted", "d4_triality", "sl2_table"]
 SUITES = ["jacobi", "form", "lifts", "exactseq", "spectral", "mad"]
 
@@ -54,6 +58,11 @@ def runs():
         ["verify", "mad", *_alg("a1"), "--word",
          "rootexp(a1, 2*t^1) . cochar(1) . torus(2) . ring(1,-1) @ hat"],
         ["verify", "mad", *_alg("a2_twisted"), "--window", "-1", "1"],
+        ["verify", "mad", *_alg("a1"), "--word", "rootexp(a1, 1*t^5) @ hat"],
+        ["verify", "mad", *_alg("a1"), "--word", "rootexp(a1, 1/3*t^1) @ hat",
+         "--spec", SPEC],
+        ["conjugate", *_alg("a1"), "--word", "rootexp(a1, 1/3*t^1) @ hat",
+         "--spec", SPEC],
         ["construct", *_alg("d4_triality")],
         ["construct", *_alg("a2_twisted"), "--format", "text"],
         ["verify", "lifts", *_alg("a1"), "--format", "text", "--samples", "5"],

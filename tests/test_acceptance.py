@@ -287,8 +287,9 @@ class TestCriterion7:
             ref = standard_mad(auto)
             h0, _ = cartan_of_fixed(auto)
             flag, _ = is_diagonalizable(ref, win)
-            rep = mad_sanity(ref, win)
-            dim = ref.span_solver(win).rank
+            span = ref.span_solver(win)
+            rep = mad_sanity(ref, win, span)
+            dim = span.rank
             if not flag or rep["failures"] or dim != len(h0) + 2 or dim < 3:
                 ok = False
                 details.append(f"standard MAD fails on {auto.alg.datum.label}")
@@ -297,7 +298,7 @@ class TestCriterion7:
         win1 = Window(a1_id, -3, 3)
         x = AffineElt(LoopElt.monomial(a1, 1, 0, 0), d=1)
         small = SubalgebraSpec([AffineElt.c_elt(a1, 1), x])
-        rep = mad_sanity(small, win1)
+        rep = mad_sanity(small, win1, small.span_solver(win1))
         if not rep["failures"] or rep["checks"]["probe_enlargement"] is None:
             ok = False
             details.append("dim-2 subalgebra not rejected with a witness")
@@ -309,10 +310,11 @@ class TestCriterion7:
             alg, m = auto.alg, auto.m
             win = Window(auto, -2 * m, 2 * m)
             ref = standard_mad(auto)
+            span = ref.span_solver(win)
             for _ in range(count):
                 word = sample_hat_word(alg, m, rng, length=3, spread_budget=0)
                 image = SubalgebraSpec([word.apply(g) for g in ref.generators])
-                conj = conjugacy_verify(word.inverse(), image, win)
+                conj = conjugacy_verify(word.inverse(), image, win, ref, span)
                 if conj["failures"]:
                     ok = False
                     details.append(f"round trip fails for {word.render()}")

@@ -51,7 +51,7 @@ def tampered_session(kind, rank, perm, lo, hi):
     alg.table = dict(alg.table)
     alg.table[key] = row
     return Session(alg, auto, (lo, hi), seed=0, beta=CycScalar(auto.m, 1),
-                   samples=1, window_explicit=True)
+                   samples=1)
 
 
 def reference_jacobi(basis):
@@ -226,6 +226,27 @@ class TestVerify:
         assert len(calls) == 1
 
 
+    def test_mad_word_builds_one_standard_mad_and_one_solver(
+            self, monkeypatch, capsys, a2_twisted_file):
+        from affinelie import mad
+        specs, solvers = [], []
+        init, span_solver = mad.SubalgebraSpec.__init__, mad.SubalgebraSpec.span_solver
+
+        def counted_init(self, generators):
+            specs.append(None)
+            init(self, generators)
+
+        def counted_solver(self, window):
+            solvers.append(None)
+            return span_solver(self, window)
+
+        monkeypatch.setattr(mad.SubalgebraSpec, "__init__", counted_init)
+        monkeypatch.setattr(mad.SubalgebraSpec, "span_solver", counted_solver)
+        code, _ = run(capsys, "verify", "mad", "--algebra", a2_twisted_file,
+                      "--word", "vshift(2) @ hat")
+        assert code == 0
+        assert (len(specs), len(solvers)) == (1, 1)
+
     @pytest.mark.parametrize("kind, rank, perm, lo, hi", [
         ("A", 2, (0, 1), -1, 1),
         ("A", 2, (1, 0), -2, 2),
@@ -366,6 +387,37 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{name} takes (" in err
+
+
+class TestWindow:
+    """Every run reports the one window it ran on."""
+
+    def test_default_jacobi_window_is_reported(self, capsys, a1_file):
+        code, out = run(capsys, "verify", "jacobi", "--algebra", a1_file)
+        assert code == 0
+        assert json.loads(out)["window"] == [-2, 2]
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "spectral"]])
+    def test_spectral_runs_on_the_given_window(self, capsys, a2_twisted_file,
+                                               command):
+        code, out = run(capsys, *command, "--algebra", a2_twisted_file,
+                        "--x", "H_1*t^0 + H_2*t^0 + d", "--window", "-2", "2")
+        assert code == 0
+        payload = json.loads(out)
+        report = payload["reports"]["spectral"]
+        assert payload["window"] == report["decomposition"]["window"] == [-2, 2]
+        assert report["checked"] == 706
+        assert report["decomposition"]["complete"]
+
+    def test_form_gram_windows_ignore_the_run_window(self, capsys,
+                                                     a2_twisted_file):
+        code, out = run(capsys, "verify", "form", "--algebra", a2_twisted_file,
+                        "--window", "-1", "1", "--samples", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["window"] == [-1, 1]
+        assert [g["window"] for g in payload["reports"]["form"]["gram"]] == [
+            [-2, 2], [-4, 4], [-6, 6]]
 
 
 class TestSpectrumAndConjugate:

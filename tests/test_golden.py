@@ -17,6 +17,11 @@ the window's boundary rows and the rational-roots fallback decide their
 bytes.  Both runs still report the window-boundary defect of ROADMAP
 item 2; its periodicity certificate will re-record both on purpose.
 
+The a2_twisted `verify spectral --window -1 1` pin was re-recorded when
+`--window` began to reach the spectral suite: it used to decompose on
+[-3m, 3m] whatever the option said, and now runs on [-1, 1] (342 checks,
+complete, exit 0).
+
 The two `verify mad --word` pins were recorded while `suite_mad` still
 ran `is_diagonalizable` itself and handed the result to `mad_sanity`
 through `diag=`: one word carries the standard MAD onto itself (exit 0),
@@ -42,7 +47,7 @@ GOLDEN = [
     (["verify", "form", "--algebra", "algebras/a1.alg", "--seed", "7"], 0,
      "04337317b65b09b499d6888dde63d2edc2e32b732222d80f3e9125c040b42eef"),
     (["verify", "spectral", *TWISTED_WINDOW], 0,
-     "b81aef210f2d0d0045c7021d1ebbcb0eee0cb5e9aafc22a2484822cbd0b3ac67"),
+     "9f8669dfc817c5be5e4aa7b3f9385b29c52818dd10cbe34f48bdb75dfdc69062"),
     (["verify", "mad", *TWISTED_WINDOW], 0,
      "b64bf1bdd9ac897b1a16ef4206c2b5e2c721874c78884a9425728f81a217ccd5"),
     (["verify", "form", *TWISTED_WINDOW, "--seed", "7"], 0,

@@ -61,7 +61,8 @@ class TestStandardMad:
     def test_sanity(self, a1_id, a2_id, a2_flip):
         for auto in (a1_id, a2_flip, a2_id):
             win = Window(auto, -2 * auto.m, 2 * auto.m)
-            rep = mad_sanity(standard_mad(auto), win)
+            ref = standard_mad(auto)
+            rep = mad_sanity(ref, win, ref.span_solver(win))
             assert rep["failures"] == [], rep["checks"]
 
 
@@ -98,7 +99,7 @@ class TestMaximalityProbe:
         win = Window(a1_id, -3, 3)
         x = AffineElt(LoopElt.monomial(a1, 1, 0, 0), d=1)
         spec = SubalgebraSpec([AffineElt.c_elt(a1, 1), x])
-        rep = mad_sanity(spec, win)
+        rep = mad_sanity(spec, win, spec.span_solver(win))
         assert rep["failures"]
         checks = rep["checks"]
         assert not checks["dim_at_least_3"]
@@ -113,18 +114,19 @@ class TestMaximalityProbe:
         gens = [AffineElt(LoopElt.monomial(a2, 1, 0, 0)),
                 AffineElt.c_elt(a2, 1), AffineElt.d_elt(a2, 1)]
         spec = SubalgebraSpec(gens)
-        witness = maximality_probe(spec, win)
+        witness = maximality_probe(spec, win, spec.span_solver(win))
         assert witness is not None
 
     def test_standard_mad_survives_probe(self, a2_flip):
         win = Window(a2_flip, -4, 4)
-        assert maximality_probe(standard_mad(a2_flip), win) is None
+        ref = standard_mad(a2_flip)
+        assert maximality_probe(ref, win, ref.span_solver(win)) is None
 
     def test_non_diagonalizable_input_rejected(self, a1, a1_id):
         win = Window(a1_id, -2, 2)
         spec = SubalgebraSpec([AffineElt(LoopElt.monomial(a1, 1, 1, 0))])
         with pytest.raises(ValueError):
-            maximality_probe(spec, win)
+            maximality_probe(spec, win, spec.span_solver(win))
 
 
 class TestCentralizer:
@@ -174,27 +176,31 @@ class TestConjugacy:
 
     def test_identity_on_standard(self, a1_id):
         win = Window(a1_id, -3, 3)
-        rep = conjugacy_verify(AutoWord("hat", ()), standard_mad(a1_id), win)
+        ref = standard_mad(a1_id)
+        rep = conjugacy_verify(AutoWord("hat", ()), ref, win, ref,
+                               ref.span_solver(win))
         assert rep["failures"] == []
 
     def test_round_trip_words(self, a1, a1_id):
         rng = random.Random(55)
         win = Window(a1_id, -3, 3)
         ref = standard_mad(a1_id)
+        span = ref.span_solver(win)
         for _ in range(12):
             word = self.rand_word(a1, 1, rng)
             image = SubalgebraSpec([word.apply(g) for g in ref.generators])
-            rep = conjugacy_verify(word.inverse(), image, win)
+            rep = conjugacy_verify(word.inverse(), image, win, ref, span)
             assert rep["failures"] == [], word.render()
 
     def test_twisted_round_trip(self, a2_flip):
         rng = random.Random(56)
         win = Window(a2_flip, -4, 4)
         ref = standard_mad(a2_flip)
+        span = ref.span_solver(win)
         for _ in range(6):
             word = self.rand_word(a2_flip.alg, 2, rng)
             image = SubalgebraSpec([word.apply(g) for g in ref.generators])
-            rep = conjugacy_verify(word.inverse(), image, win)
+            rep = conjugacy_verify(word.inverse(), image, win, ref, span)
             assert rep["failures"] == [], word.render()
 
     def test_v_auto_image_equals_standard_directly(self, a1, a1_id):
@@ -203,7 +209,8 @@ class TestConjugacy:
         ref = standard_mad(a1_id)
         image = SubalgebraSpec([v_auto(CycScalar(1, 4)).apply(g)
                                 for g in ref.generators])
-        rep = conjugacy_verify(AutoWord("hat", ()), image, win)
+        rep = conjugacy_verify(AutoWord("hat", ()), image, win, ref,
+                               ref.span_solver(win))
         assert rep["failures"] == []
 
     def test_wrong_word_detected(self, a1, a1_id):
@@ -213,7 +220,7 @@ class TestConjugacy:
         word = AutoWord("hat", (RootExp(a1, alpha, LaurentElt.one(1)),))
         image = SubalgebraSpec([word.apply(g) for g in ref.generators])
         # applying the same word again does not return to the standard MAD
-        rep = conjugacy_verify(word, image, win)
+        rep = conjugacy_verify(word, image, win, ref, ref.span_solver(win))
         assert rep["failures"]
 
 
