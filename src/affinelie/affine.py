@@ -177,13 +177,31 @@ def verify_form_invariance(sampler, samples, beta=1):
 
 
 def window_gram_rank(basis, beta=1):
-    """Rank of the Gram matrix of the invariant form on a window basis."""
+    """Rank of the Gram matrix of the invariant form on a window basis.
+
+    The form is symmetric and pairs degree j only with -j, c only with d;
+    so the rank is rank G_{0,0} + 2 rank G_{j,-j} over j > 0 + the rank of
+    the c/d block, and each block is built once."""
     if not basis:
         return 0
     m = basis[0].m
-    gram = [{j: x for j, v in enumerate(basis)
-             if (x := invariant_form(u, v, beta))} for u in basis]
-    return linalg.rank(gram, m)
+    blocks = {}  # degree j, or None for span(c, d) -> basis elements
+    for x in basis:
+        keys = x.loop.degree_support() | ({None} if x.c or x.d else set())
+        if len(keys) != 1:
+            raise ValueError(f"{x.render()} is not of one degree")
+        blocks.setdefault(keys.pop(), []).append(x)
+
+    def block_rank(rows, cols):
+        return linalg.rank([{j: f for j, v in enumerate(cols)
+                             if (f := invariant_form(u, v, beta))}
+                            for u in rows], m)
+
+    total = block_rank(blocks.get(None, []), blocks.get(None, []))
+    for j, rows in blocks.items():
+        if j is not None and j >= 0:
+            total += (1 if j == 0 else 2) * block_rank(rows, blocks.get(-j, []))
+    return total
 
 
 def core_and_derived(auto, lo, hi, context=None):

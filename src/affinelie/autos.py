@@ -149,6 +149,7 @@ class Cochar(AutoGen):
         self.phi = tuple(int(v) for v in phi)
         if len(self.phi) != alg.rank:
             raise ValueError("phi must assign an integer to each simple root")
+        self._x_phi = {}  # order m -> X_phi, solved and checked once
 
     def value(self, root):
         return sum(c * v for c, v in zip(root, self.phi))
@@ -178,6 +179,8 @@ class Cochar(AutoGen):
 
     def x_phi(self, m):
         """The Cartan element with [X_phi, X_alpha] = phi(alpha) X_alpha."""
+        if m in self._x_phi:
+            return self._x_phi[m]
         n = self.alg.rank
         cartan = self.alg.datum.cartan
         mat = [{j: CycScalar(m, a) for j, a in enumerate(cartan[i]) if a}
@@ -191,6 +194,7 @@ class Cochar(AutoGen):
             expect = GElt.basis(self.alg, m, idx).scale(self.value(root))
             if x.bracket(GElt.basis(self.alg, m, idx)) != expect:
                 raise ValueError("no Cartan solution for phi")
+        self._x_phi[m] = x
         return x
 
     def apply_affine(self, x):
@@ -236,12 +240,13 @@ class TorusK(AutoGen):
             raise ValueError("one coordinate per simple root required")
         if any(not c for c in self.coords):
             raise ValueError("torus coordinates must be nonzero")
+        self._eigens = {}  # (root, m) -> alpha(t), computed once
 
     def _eigen(self, root, m):
-        out = CycScalar.one(m)
-        for c, t in zip(root, self.coords):
-            out = out * (t ** c)
-        return out
+        if (root, m) not in self._eigens:
+            self._eigens[root, m] = math.prod(
+                (t ** c for c, t in zip(root, self.coords)), start=CycScalar.one(m))
+        return self._eigens[root, m]
 
     def apply_loop(self, x):
         out = {}
@@ -273,10 +278,14 @@ class Ring(AutoGen):
             raise ValueError("ring scale must be nonzero")
         self.a = a
         self.e = e
+        self._powers = {}  # p -> a^p, computed once
+
+    def _power(self, p):
+        return self._powers.get(p) or self._powers.setdefault(p, self.a ** p)
 
     def apply_loop(self, x):
         return LoopElt(x.alg, x.m,
-                       {i: p.substitute(self.a, invert=self.e == -1)
+                       {i: p.substitute(self.a, self.e == -1, self._power)
                         for i, p in x.coords.items()})
 
     def apply_affine(self, x):

@@ -210,6 +210,9 @@ def suite_jacobi(session):
 def suite_form(session):
     """Invariance on seeded random triples from the run's window; Gram full
     rank on [-m, m], [-2m, 2m] and [-3m, 3m], whatever that window is."""
+    if session.lo > 0 or session.hi < 0:
+        raise ValueError(f"window [{session.lo}, {session.hi}] holds no "
+                         "opposite degrees: every sampled pairing is 0")
     report = verify_form_invariance(session.sample_affine, session.samples,
                                     session.beta)
     report["gram"] = []
@@ -266,7 +269,8 @@ def suite_exactseq(session):
 
 
 def suite_spectral(session, x_text=None):
-    """The weight lemmas for x = x' + d; their shift rule needs d-part 1."""
+    """The weight lemmas for x = x' + d; their shift rule needs d-part 1
+    and a window with room for a t-shift."""
     alg, m = session.alg, session.m
     if x_text:
         x = parse_affine(x_text, alg, m)
@@ -280,10 +284,15 @@ def suite_spectral(session, x_text=None):
         x = AffineElt(reg, d=1)
     decomp = weight_decompose(x, session.window())
     rep = Report()
+    shift = verify_shift(decomp)
+    if not shift["checked"]:
+        raise ValueError(f"window [{session.lo}, {session.hi}] has no room "
+                         "for a t-shift inside its interior: the shift lemma "
+                         "checks nothing")
     rep["decomposition"] = dump = decomposition_report(decomp)
     dump["checks"] = {}
     for name, part in [
-            ("shift", verify_shift(decomp)),
+            ("shift", shift),
             ("opposite", verify_opposite(decomp, session.beta)),
             ("zero_weight", verify_zero_weight(decomp)),
             ("product_rule", verify_product_rule(decomp)),

@@ -33,6 +33,7 @@ class CycScalar:
     For m in {1, 2} the cyclotomic polynomial is linear, so the canonical
     representative is a rational number; zeta itself reduces to 1 or -1.
     For m = 3 the relation zeta^2 = -1 - zeta is applied on construction.
+    No operation writes to a scalar (a property test checks every one).
     """
 
     __slots__ = ("m", "a", "b")
@@ -45,12 +46,7 @@ class CycScalar:
             # zeta_1 = 1, zeta_2 = -1: fold the zeta part into the constant.
             a = _exact(a + b if m == 1 else a - b)
             b = 0
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycScalar is immutable")
+        self.m, self.a, self.b = m, a, b
 
     @classmethod
     def _make(cls, m, a, b):
@@ -61,9 +57,7 @@ class CycScalar:
         if type(b) is not int and b.denominator == 1:
             b = b.numerator
         self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.m, self.a, self.b = m, a, b
         return self
 
     @classmethod
@@ -223,7 +217,8 @@ class LaurentElt:
     """Finitely supported Laurent polynomial in s = t^(1/m).
 
     Keys of `terms` are exponent numerators: the monomial s^p represents
-    t^(p/m).  Zero coefficients are never stored.
+    t^(p/m).  Zero coefficients are never stored, and `terms` is never
+    written after construction (a property test checks every operation).
     """
 
     __slots__ = ("m", "terms")
@@ -236,18 +231,13 @@ class LaurentElt:
             coef = as_scalar(m, coef)
             if coef:
                 clean[int(p)] = coef
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentElt is immutable")
+        self.m, self.terms = m, clean
 
     @classmethod
     def _make(cls, m, terms):
         # Internal fast path: terms already a zero-free {int: CycScalar} map.
         self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", terms)
+        self.m, self.terms = m, terms
         return self
 
     @classmethod
@@ -325,17 +315,19 @@ class LaurentElt:
     def is_zero(self):
         return not self.terms
 
-    def substitute(self, a, invert=False):
+    def substitute(self, a, invert=False, power=None):
         """Apply the ring endomorphism s -> a*s (or s -> a*s^-1).
 
         Every monomial c*s^p maps to c*a^p*s^(+-p); a must be nonzero.
+        `power(p)` gives a^p when the caller keeps the powers of a.
         """
         a = as_scalar(self.m, a)
         if not a:
             raise ValueError("substitution scale must be nonzero")
+        power = power or a.__pow__
         out = {}
         for p, coef in self.terms.items():
-            add_into(out, -p if invert else p, coef * (a ** p))
+            add_into(out, -p if invert else p, coef * power(p))
         return LaurentElt._make(self.m, out)
 
     def zeta_scale(self):

@@ -4,13 +4,16 @@ core/derived-subalgebra identities.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from affinelie import affine, cli, linalg
 from affinelie.affine import (AffineElt, bracket_affine, core_and_derived,
                               invariant_form, verify_form_invariance,
                               window_gram_rank)
 from affinelie.loop import LoopElt
+from affinelie.parsing import parse_algebra_file
 from affinelie.scalars import CycScalar
 from affinelie.spectral import Window
 
@@ -134,6 +137,69 @@ class TestInvariantForm:
         for _ in range(30):
             x, y = sample(), sample()
             assert invariant_form(x, y) == invariant_form(y, x)
+
+
+ALGEBRAS = sorted((Path(__file__).resolve().parent.parent / "algebras").glob("*.alg"))
+
+
+def block_key(x):
+    """The degree of a window basis element, or "cd" for c and d."""
+    return "cd" if x.c or x.d else next(iter(x.loop.degree_support()))
+
+
+def opposite(key):
+    return "cd" if key == "cd" else -key
+
+
+class TestBlockGramRank:
+    @pytest.mark.parametrize("path", ALGEBRAS, ids=lambda p: p.stem)
+    def test_blocks_carry_the_dense_rank(self, path):
+        # the dense Gram matrix, one invariant_form call per ordered pair
+        _, auto = parse_algebra_file(path.read_text())
+        for half in (auto.m, 2 * auto.m):
+            win = Window(auto, -half, half)
+            basis = win.basis
+            keys = [block_key(x) for x in basis]
+            gram = [[invariant_form(u, v) for v in basis] for u in basis]
+            for i, row in enumerate(gram):
+                for j, entry in enumerate(row):
+                    assert entry == gram[j][i]
+                    if keys[j] != opposite(keys[i]):
+                        assert not entry
+            sparse = [{j: e for j, e in enumerate(row) if e} for row in gram]
+            assert linalg.rank(sparse, auto.m) == window_gram_rank(basis)
+
+    @pytest.mark.parametrize("name", ["a1", "a3_twisted"])
+    def test_verify_form_builds_each_block_once(self, monkeypatch, capsys,
+                                                name):
+        # per Gram window: (invariant_form calls, sum over j >= 0 of
+        # |B_j| |B_-j| plus the 4 of the c/d block)
+        calls, windows = [], []
+        form, gram_rank = affine.invariant_form, affine.window_gram_rank
+
+        def counted_form(x, y, beta=1):
+            calls.append(None)
+            return form(x, y, beta)
+
+        def counted_rank(basis, beta=1):
+            sizes = {}
+            for x in basis:
+                sizes[block_key(x)] = sizes.get(block_key(x), 0) + 1
+            bound = 4 + sum(n * sizes.get(-k, 0) for k, n in sizes.items()
+                            if k != "cd" and k >= 0)
+            before = len(calls)
+            rank = gram_rank(basis, beta)
+            windows.append((len(calls) - before, bound))
+            return rank
+
+        monkeypatch.setattr(affine, "invariant_form", counted_form)
+        monkeypatch.setattr(cli, "window_gram_rank", counted_rank)
+        path = Path(__file__).resolve().parent.parent / "algebras" / f"{name}.alg"
+        assert cli.main(["verify", "form", "--algebra", str(path),
+                         "--samples", "5"]) == 0
+        capsys.readouterr()
+        assert len(windows) == 3
+        assert all(0 < used <= bound for used, bound in windows)
 
 
 class TestCoreAndDerived:

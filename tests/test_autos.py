@@ -230,6 +230,62 @@ class TestHatLift:
         assert word.apply(AffineElt.d_elt(a1, 1)) == AffineElt.d_elt(a1, 1)
 
 
+class TestGeneratorConstants:
+    """Each generator computes its constants once and reuses them."""
+
+    def test_cochar_solves_once_per_instance(self, monkeypatch, capsys):
+        from pathlib import Path
+        from affinelie import cli, linalg
+        solves, made = [], []
+        solve, init = linalg.solve, Cochar.__init__
+
+        def counted_solve(mat, rhs, m):
+            solves.append(m)
+            return solve(mat, rhs, m)
+
+        def counted_init(self, alg, phi):
+            made.append(self)
+            init(self, alg, phi)
+
+        monkeypatch.setattr(linalg, "solve", counted_solve)
+        monkeypatch.setattr(Cochar, "__init__", counted_init)
+        alg_file = Path(__file__).resolve().parent.parent / "algebras" / "a2.alg"
+        assert cli.main(["verify", "lifts", "--algebra", str(alg_file)]) == 0
+        capsys.readouterr()
+        assert made and len(solves) == len(made)
+
+    def test_cochar_without_cartan_solution_raises_on_first_call(self):
+        from types import SimpleNamespace
+        # a singular Cartan matrix: 2x - 2y = 1 and -x + y = 0 disagree
+        alg = SimpleNamespace(rank=2, datum=SimpleNamespace(
+            cartan=[[2, -2], [-1, 1]]))
+        co = Cochar(alg, (1, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no Cartan solution"):
+                co.x_phi(1)
+
+    def test_cochar_x_phi_is_that_of_a_fresh_instance(self, a2):
+        co = Cochar(a2, (2, -1))
+        first = co.x_phi(1)
+        assert co.x_phi(1) is first
+        assert first == Cochar(a2, (2, -1)).x_phi(1)
+        assert co.x_phi(3) == Cochar(a2, (2, -1)).x_phi(3)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_torus_and_ring_applied_twice_match_fresh(self, a2, m):
+        rng = random.Random(m)
+        sample = make_affine_sampler(a2, m, rng, lo=-3 * m, hi=3 * m, terms=4)
+        gens = [lambda: TorusK(a2, (CycScalar(m, 2), CycScalar(m, 3, 1))),
+                lambda: Ring(CycScalar(m, 2, 1), 1),
+                lambda: Ring(CycScalar(m, Fraction(1, 2)), -1)]
+        for make in gens:
+            gen = make()
+            for _ in range(2):
+                for _ in range(5):
+                    x = sample()
+                    assert gen.apply_affine(x) == make().apply_affine(x)
+
+
 class TestVAuto:
     def test_zero_is_identity(self, a1):
         rng = random.Random(12)

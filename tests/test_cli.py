@@ -419,6 +419,28 @@ class TestWindow:
         assert [g["window"] for g in payload["reports"]["form"]["gram"]] == [
             [-2, 2], [-4, 4], [-6, 6]]
 
+    @pytest.mark.parametrize("window", [["5", "5"], ["1", "3"], ["-3", "-1"]])
+    def test_form_window_without_opposite_degrees_exits_3(self, capsys, a1_file,
+                                                          window):
+        # every sampled pairing would join degrees that do not sum to 0
+        code = main(["verify", "form", "--algebra", a1_file, "--window", *window])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("unsupported input:") == 1
+        assert "opposite degrees" in captured.err
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "spectral"]])
+    def test_spectral_window_without_a_shift_exits_3(self, capsys, a1_file,
+                                                     command):
+        # [0, 0] leaves no t-shift inside: the shift lemma would check nothing
+        code = main([*command, "--algebra", a1_file, "--window", "0", "0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("unsupported input:") == 1
+        assert "window [0, 0]" in captured.err
+
 
 class TestSpectrumAndConjugate:
     def test_spectrum_dump(self, capsys, a1_file):

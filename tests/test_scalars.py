@@ -254,3 +254,80 @@ class TestExactParts:
             for k, v in ref.items():
                 assert_exact(sub.terms[-k if invert else k],
                              ref_mul(v, ref_pow(rs, k)))
+
+
+# -- immutability: no operation writes to a scalar or a Laurent polynomial --
+
+def frozen(x):
+    """Everything an operation could write, as plain values."""
+    if isinstance(x, CycScalar):
+        return (x.m, x.a, x.b)
+    return (x.m, {p: frozen(c) for p, c in x.terms.items()})
+
+
+def scalar_op(draw, x, y, q, n):
+    """One drawn operation on CycScalars x, y and a rational q."""
+    ops = ["+", "-", "neg", "*", "*q", "q*"]
+    if y:
+        ops += ["/", "/q" if q else "*q", "inverse"]
+    if x:
+        ops.append("**")
+    op = draw(st.sampled_from(ops))
+    return {"+": lambda: x + y, "-": lambda: x - y, "neg": lambda: -x,
+            "*": lambda: x * y, "*q": lambda: x * q, "q*": lambda: q * x,
+            "/": lambda: x / y, "/q": lambda: x / q,
+            "inverse": lambda: y.inverse(), "**": lambda: x ** n}[op]()
+
+
+def laurent_op(draw, p, r, x, q, k):
+    """One drawn operation on LaurentElts p, r, a CycScalar x and a
+    rational q."""
+    ops = ["+", "-", "neg", "*", "*x", "*q", "scale", "scale_q", "shift"]
+    if x:
+        ops.append("substitute")
+    op = draw(st.sampled_from(ops))
+    return {"+": lambda: p + r, "-": lambda: p - r, "neg": lambda: -p,
+            "*": lambda: p * r, "*x": lambda: p * x,
+            "*q": lambda: p * q, "scale": lambda: p.scale(x),
+            "scale_q": lambda: p.scale(q), "shift": lambda: p.shift(k),
+            "substitute": lambda: p.substitute(
+                x, invert=draw(st.booleans()))}[op]()
+
+
+class TestImmutability:
+    """A CycScalar or LaurentElt is never written after construction, so
+    results may share coefficients with operands, and every order has one
+    shared zero and one."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_operations_leave_every_operand_unchanged(self, m, data):
+        draw = data.draw
+        parts = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+        scalar = st.builds(lambda a, b: CycScalar(m, a, b), parts, parts)
+        laurent = st.builds(
+            lambda items: LaurentElt(m, {p: CycScalar(m, a, b)
+                                         for p, a, b in items}),
+            st.lists(st.tuples(st.integers(-4, 4), parts, parts), max_size=3))
+        shared = [CycScalar.zero(m), CycScalar.one(m)]
+        scalars = shared + draw(st.lists(scalar, min_size=2, max_size=3))
+        laurents = draw(st.lists(laurent, min_size=2, max_size=3))
+        seen = [(v, frozen(v)) for v in scalars + laurents]
+        for _ in range(draw(st.integers(1, 12))):
+            q = draw(parts)
+            if draw(st.booleans()):
+                x, y = draw(st.sampled_from(scalars)), draw(st.sampled_from(scalars))
+                out = scalar_op(draw, x, y, q, draw(st.integers(-3, 3)))
+                scalars.append(out)
+            else:
+                p, r = draw(st.sampled_from(laurents)), draw(st.sampled_from(laurents))
+                out = laurent_op(draw, p, r, draw(st.sampled_from(scalars)),
+                                 q, draw(st.integers(-3, 3)))
+                laurents.append(out)
+            seen.append((out, frozen(out)))
+            for value, before in seen:
+                assert frozen(value) == before
+        assert frozen(CycScalar.zero(m)) == (m, 0, 0)
+        assert frozen(CycScalar.one(m)) == (m, 1, 0)
+        assert CycScalar.zero(m) is shared[0] and CycScalar.one(m) is shared[1]
