@@ -113,16 +113,15 @@ JACOBI_LISTED = 11
 def _flat(elt, shared):
     """An AffineElt as a tuple of (key, coefficient) pairs.
 
-    A key is (Chevalley index, s-degree) for a loop monomial, or "c" or
-    "d"; no coefficient is zero.  Equal pairs are stored once, in the
-    dict `shared`, which keeps a table of many flat brackets small.
+    A key is (Chevalley index, s-degree) for a loop monomial, or "c" (a
+    bracket has no d-part); no coefficient is zero.  Equal pairs are
+    stored once, in the dict `shared`, which keeps a table of many flat
+    brackets small.
     """
     out = [((i, p), coef) for i, poly in elt.loop.coords.items()
            for p, coef in poly.terms.items()]
     if elt.c:
         out.append(("c", elt.c))
-    if elt.d:
-        out.append(("d", elt.d))
     return tuple(shared.setdefault(term, term) for term in out)
 
 
@@ -130,8 +129,6 @@ def _key_elt(alg, m, key):
     """The basis element a flat key names."""
     if key == "c":
         return AffineElt.c_elt(alg, m)
-    if key == "d":
-        return AffineElt.d_elt(alg, m)
     return AffineElt(LoopElt.monomial(alg, m, *key))
 
 

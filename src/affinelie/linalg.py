@@ -5,10 +5,11 @@ store a zero; a matrix is a list of such rows, and a square n x n matrix
 has n rows (empty ones included) over the columns 0..n-1.  Every public
 function takes the root-of-unity order m last, also where no scalar needs
 to be built from it.  Everything here is plain Gaussian elimination over
-the field: no pivot-size heuristics, no floating point.  `rref` and
-`SpanSolver` share one row update, `_subtract`, which touches only the
-pivot row's nonzero entries.  Only `charpoly` works on dense rows, through
-`_dense`, because its Hessenberg reduction fills them in.
+the field: no pivot-size heuristics, no floating point.  There is one
+elimination, `SpanSolver`: `rref` reads its rows, and `rank`,
+`kernel_basis`, `solve` and `invert` read `rref`.  Every row update, the
+Hessenberg reduction of `charpoly` included, goes through `_subtract` or
+`add_into` and touches only nonzero entries.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
-from .scalars import CycScalar, as_scalar
+from .scalars import CycScalar, add_into, as_scalar
 
 
 def identity(n, m):
@@ -36,16 +37,6 @@ def shifted(mat, w, m):
         if x:
             row[i] = x
         out.append(row)
-    return out
-
-
-def _dense(mat, m):
-    """The square matrix as dense rows, for the Hessenberg reduction."""
-    n = len(mat)
-    out = [[CycScalar.zero(m)] * n for _ in range(n)]
-    for dense, row in zip(out, mat):
-        for j, x in row.items():
-            dense[j] = x
     return out
 
 
@@ -93,28 +84,14 @@ def rref(mat, m):
     """Reduced row echelon form: (its nonzero rows, pivot-column list), the
     row at position i having its leading 1 in column pivots[i].
 
-    The pivot of column c is the first remaining row with an entry there;
-    the result is unique, so row order and empty rows do not matter.
+    The rows are those of a `SpanSolver` fed the rows of `mat`, in pivot
+    order; the form is unique, so row order and empty rows do not matter.
     """
-    rows = [dict(row) for row in mat if row]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in sorted(set().union(*rows)):
-        pivot = next((i for i in range(r, nrows) if c in rows[i]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = prow = {j: x * inv for j, x in rows[r].items()}
-        for i in range(nrows):
-            if i != r and c in rows[i]:
-                _subtract(rows[i], rows[i][c], prow)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    solver = SpanSolver(m)
+    for row in mat:
+        solver.add(row)
+    pivots = sorted(solver._rows)
+    return [solver._rows[p][0] for p in pivots], pivots
 
 
 def rank(mat, m):
@@ -234,33 +211,37 @@ def charpoly(mat, m):
     zero, one = CycScalar.zero(m), CycScalar.one(m)
     if n == 0:
         return [one]
-    h = _dense(mat, m)
+    h = [dict(row) for row in mat]
     for c in range(n - 2):
-        pivot = next((r for r in range(c + 1, n) if h[r][c]), None)
+        pivot = next((r for r in range(c + 1, n) if c in h[r]), None)
         if pivot is None:
             continue
         if pivot != c + 1:
             h[c + 1], h[pivot] = h[pivot], h[c + 1]
-            for row in h:
-                row[c + 1], row[pivot] = row[pivot], row[c + 1]
+            swap = {c + 1: pivot, pivot: c + 1}
+            h = [{swap.get(j, j): x for j, x in row.items()} for row in h]
         inv = h[c + 1][c].inverse()
         for r in range(c + 2, n):
-            if h[r][c]:
+            if c in h[r]:
                 f = h[r][c] * inv
-                h[r] = [x - f * y for x, y in zip(h[r], h[c + 1])]
+                _subtract(h[r], f, h[c + 1])
                 # column op: col[c+1] += f * col[r]
                 for row in h:
-                    row[c + 1] = row[c + 1] + f * row[r]
+                    if r in row:
+                        add_into(row, c + 1, f * row[r])
     # p_k(x) = (x - h[k][k]) p_{k-1}(x) - sum_i h[i][k] (prod subdiag) p_{i-1}(x)
     polys = [[one]]
     for k in range(n):
         prev = polys[k]
         term = [zero] + prev
-        term = [t - h[k][k] * p for t, p in zip(term, prev + [zero])]
+        hkk = h[k].get(k, zero)
+        term = [t - hkk * p for t, p in zip(term, prev + [zero])]
         sub = one
         for i in range(k - 1, -1, -1):
-            sub = sub * h[i + 1][i]
-            if h[i][k] and sub:
+            sub = sub * h[i + 1].get(i, zero)
+            if not sub:
+                break
+            if k in h[i]:
                 coefp = h[i][k] * sub
                 pi = polys[i]
                 term = [t - coefp * (pi[j] if j < len(pi) else zero)

@@ -56,9 +56,6 @@ class LoopElt(SparseElt):
     bracket = SparseElt.bracket
 
     def scale(self, coef):
-        if isinstance(coef, LaurentElt):
-            return LoopElt(self.alg, self.m,
-                           {i: p * coef for i, p in self.coords.items()})
         coef = as_scalar(self.m, coef)
         return LoopElt(self.alg, self.m,
                        {i: p.scale(coef) for i, p in self.coords.items()})

@@ -1,11 +1,12 @@
 """Simple Lie algebras with Chevalley bases and diagram automorphisms.
 
 Roots live in the root lattice as integer coefficient tuples over the simple
-roots.  Structure constants come from the root-chain rule with signs fixed by
-a bimultiplicative asymmetry function on the lattice (edges oriented from the
-lower to the higher node index), so the A series and D4 share one code path.
-The supported built-in types are simply laced; arbitrary algebras can be fed
-in as explicit structure-constant tables.
+roots, found by closing the simple roots under the simple reflections.  The
+supported built-in types are simply laced, so N_{a,b} = +-1 whenever a + b is
+a root, with the sign fixed by a bimultiplicative asymmetry function on the
+lattice (edges oriented from the lower to the higher node index): the A
+series and D4 share one code path.  Arbitrary algebras can be fed in as
+explicit structure-constant tables.
 """
 
 from __future__ import annotations
@@ -56,36 +57,21 @@ def root_datum(kind, rank):
     if key not in CARTAN_MATRICES:
         raise ValueError(f"unsupported algebra type {kind}{rank}")
     cartan = CARTAN_MATRICES[key]
-    n = rank
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    # positive roots by height induction using the chain rule q = p - <b, a_i>
-    by_height = {1: list(simple)}
-    known = set(simple)
-    height = 1
-    while by_height.get(height):
-        nxt = []
-        for beta in by_height[height]:
-            for i in range(n):
-                p = 0
-                lower = beta
-                while True:
-                    lower = tuple(c - (1 if j == i else 0) for j, c in enumerate(lower))
-                    if all(c >= 0 for c in lower) and (lower in known or lower == (0,) * n):
-                        if lower == (0,) * n:
-                            break
-                        p += 1
-                    else:
-                        break
-                q = p - pairing(beta, i, cartan)
-                if q > 0:
-                    cand = add(beta, simple[i])
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-        height += 1
-        if nxt:
-            by_height[height] = nxt
-    positive = sorted(known, key=lambda r: (sum(r), r))
+    # Every root is Weyl-conjugate to a simple root (Humphreys, Introduction
+    # to Lie Algebras, 10.3): close the simple roots under the simple
+    # reflections b -> b - <b, a_i^vee> a_i.
+    found = {tuple(int(j == i) for j in range(rank)) for i in range(rank)}
+    todo = list(found)
+    while todo:
+        beta = todo.pop()
+        for i in range(rank):
+            k = pairing(beta, i, cartan)
+            image = tuple(c - k * (j == i) for j, c in enumerate(beta))
+            if image not in found:
+                found.add(image)
+                todo.append(image)
+    positive = sorted((r for r in found if sum(r) > 0),
+                      key=lambda r: (sum(r), r))
     return RootDatum(f"{kind.upper()}{rank}", rank, cartan, positive)
 
 
@@ -158,20 +144,9 @@ def _asymmetry_sign(datum, r1, r2):
     return -1 if total % 2 else 1
 
 
-def _chain_p(datum, alpha, beta, rootset):
-    """Largest p with beta - p*alpha a root."""
-    p = 0
-    cur = beta
-    while True:
-        cur = tuple(a - b for a, b in zip(cur, alpha))
-        if cur in rootset:
-            p += 1
-        else:
-            return p
-
-
 def _build_table(alg):
-    """Structure constants via the root-chain rule with asymmetry signs."""
+    """Structure constants: N_{a,b} = +-1 by the asymmetry sign when a + b
+    is a root, since a simply-laced a-string through b has length 2."""
     datum = alg.datum
     n = datum.rank
     rootset = set(datum.roots)
@@ -202,12 +177,11 @@ def _build_table(alg):
             gamma = add(alpha, beta)
             if gamma not in rootset:
                 continue
-            p = _chain_p(datum, alpha, beta, rootset)
             sign = _asymmetry_sign(datum, alpha, beta)
             flips = sum(1 for r in (alpha, beta, gamma) if sum(r) < 0)
             if flips % 2:
                 sign = -sign
-            put(i1, i2, {alg.index_of_root[gamma]: sign * (p + 1)})
+            put(i1, i2, {alg.index_of_root[gamma]: sign})
     return table
 
 

@@ -96,8 +96,11 @@ class CycScalar:
 
     def __mul__(self, other):
         # The type test first: isinstance against Fraction (an ABC) is slow.
-        if type(other) is not CycScalar and isinstance(other, (int, Fraction)):
-            return CycScalar._make(self.m, self.a * other, self.b * other)
+        # An operand of another type may know how to multiply a scalar.
+        if type(other) is not CycScalar:
+            if isinstance(other, (int, Fraction)):
+                return CycScalar._make(self.m, self.a * other, self.b * other)
+            return NotImplemented
         self._check(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         if not b1 and not b2:

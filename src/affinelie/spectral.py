@@ -250,19 +250,12 @@ def _scalar_key(w):
 
 
 def _assign_series(decomp):
-    """Group weights into classes {w + m n} and assign deterministic ids."""
+    """Group weights into classes {w + m n}, filed under (w.a mod m, w.b),
+    and assign deterministic ids."""
     m = decomp.window.m
-    groups = []
+    groups = {}
     for sp in sorted(decomp.spaces, key=lambda s: _scalar_key(s.w)):
-        placed = False
-        for g in groups:
-            diff = sp.w - g[0].w
-            if diff.is_rational() and diff.rational() % m == 0:
-                g.append(sp)
-                placed = True
-                break
-        if not placed:
-            groups.append([sp])
+        groups.setdefault((sp.w.a % m, sp.w.b), []).append(sp)
 
     def rep_key(group):
         w = group[0].w
@@ -270,8 +263,7 @@ def _assign_series(decomp):
             return (w.rational() % m, Fraction(0))
         return _scalar_key(w)
 
-    groups.sort(key=rep_key)
-    for sid, g in enumerate(groups):
+    for sid, g in enumerate(sorted(groups.values(), key=rep_key)):
         for sp in g:
             sp.series_id = sid
 
@@ -299,10 +291,10 @@ def weight_decompose(x, window):
     polynomial alone.
     """
     m = window.m
-    interior = interior_indices(x, window)
+    op = AdOperator(x, window)
+    interior = op.interior
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
-    op = AdOperator(x, window, interior)
     zero = CycScalar.zero(m)
     diagonal = (op.columns[i].get(i, zero) for i in interior)
     rationals = {w.rational() for w in diagonal if w.is_rational()}
@@ -450,10 +442,7 @@ def rspan_isomorphism_check(decomp):
         members = [(sp.w, decomp.loop_space(sp.w)) for sp in group]
         for i, (w1, basis1) in enumerate(members):
             for w2, basis2 in members[i + 1:]:
-                diff = w2 - w1
-                if not diff.is_rational():
-                    continue
-                steps = int(diff.rational())
+                steps = int((w2 - w1).rational())
                 if (shiftable(basis1, steps) and shiftable(basis2, -steps)
                         and not rep.check(len(basis1) == len(basis2))):
                     rep.fail([w1.render(), w2.render()],

@@ -9,10 +9,11 @@ comparing the two outputs:
     diff parent.json change.json
 
 `--root` names the checkout whose `src/` and `algebras/` are run (default:
-the one holding this script).  The runs are the 36 `verify <suite> --seed
-7` runs over every shipped algebra (D4 `jacobi` at `--window -1 1`), six
-`spectrum` runs, four `verify mad` runs, one `conjugate` run and five
-more of `construct`, `--format text` and small windows.  The two runs
+the one holding this script).  The 54 runs are the 36 `verify <suite>
+--seed 7` runs over every shipped algebra (D4 `jacobi` at `--window -1
+1`), seven `spectrum` runs (one with weights outside Q), five `verify mad`
+runs, one `conjugate` run and five more of `construct`, `--format text`
+and small windows.  The two runs
 that read a subalgebra file pass `tests/a1_conjugate.spec` of this
 checkout by its absolute path, so a `--root` checkout without the file
 runs them too.  Two run at a time.  pytest does not collect this file:
@@ -51,7 +52,9 @@ def runs():
             ("a1", "X_a1*t^0 + d", []),
             ("a1", "1/3*H_1*t^0 + d", []),
             ("a2", "3*H_1*t^0 + 5*H_2*t^0 + X_a1*t^1 + X_a2*t^-1 + d", []),
-            ("a2_twisted", "H_1*t^0 + H_2*t^0 + d", ["--window", "-2", "2"])]:
+            ("a2_twisted", "H_1*t^0 + H_2*t^0 + d", ["--window", "-2", "2"]),
+            ("d4_triality", "z*H_2*t^0 + H_1*t^0 + H_3*t^0 + H_4*t^0 + d",
+             ["--window", "-2", "2"])]:
         out.append(["spectrum", *_alg(name), "--x", x, *extra])
     out += [
         ["verify", "mad", *_alg("a2_twisted"), "--word", "vshift(2) @ hat"],

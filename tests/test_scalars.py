@@ -26,6 +26,18 @@ class TestCycScalar:
         with pytest.raises(ValueError):
             CycScalar(2, 1) * CycScalar(3, 1)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scalar_times_laurent_reaches_laurent(self, m):
+        # CycScalar.__mul__ returns NotImplemented on a LaurentElt, so the
+        # product falls through to LaurentElt.__rmul__ and commutes.
+        c = CycScalar(m, 1, 2)
+        p = LaurentElt(m, {-1: CycScalar(m, 3), 2: CycScalar.one(m)})
+        assert c * p == p * c
+        assert c * LaurentElt.one(m) == LaurentElt.one(m) * c
+        other = 1 if m != 1 else 2
+        with pytest.raises(ValueError):
+            c * LaurentElt.one(other)
+
     def test_inverse(self):
         for a, b in [(2, 0), (Fraction(1, 3), 0), (1, 1), (Fraction(-2, 7), 3)]:
             x = CycScalar(3, a, b)

@@ -325,6 +325,24 @@ class TestSeries:
         # weights 1+2n and -1+2n fall in distinct series from 0+2n and 2+2n
         assert n_series == 2
 
+    def test_zeta_weights_keep_their_series_ids(self):
+        # A zeta part in h gives non-rational weights: a series is filed
+        # under (w.a mod m, w.b), a non-rational one ordered by its least
+        # member, and verify_shift pairs only weights a rational step apart.
+        alg, auto = parse_algebra_file(
+            (ALGEBRAS / "d4_triality.alg").read_text())
+        x = parse_affine("z*H_2*t^0 + H_1*t^0 + H_3*t^0 + H_4*t^0 + d",
+                         alg, auto.m)
+        dec = weight_decompose(x, Window(auto, -2, 2))
+        assert [(sp.w.render(), sp.series_id) for sp in dec.spaces] == [
+            ("-4+z", 0), ("-3", 6), ("-3+z", 1), ("-3+2*z", 2), ("-2", 8),
+            ("-2+z", 3), ("-1-z", 4), ("-1", 9), ("-1+z", 0), ("-z", 5),
+            ("0", 6), ("z", 1), ("1-z", 7), ("1", 8), ("1+z", 3),
+            ("2-z", 4), ("2", 9), ("3-2*z", 10), ("3-z", 5), ("3", 6),
+            ("4-z", 7)]
+        shift = verify_shift(dec)
+        assert shift.passed and shift["checked"] == 28
+
 
 class TestConjugation:
     def word_pool(self, alg, m, rng, spread_budget):
