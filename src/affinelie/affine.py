@@ -10,7 +10,9 @@ The central element c and the degree derivation d follow
 
 from __future__ import annotations
 
-from .scalars import CycScalar, as_scalar
+from .scalars import (CycScalar, _coef_prefix, add_products, as_scalar,
+                      join_signed, laurent_coords, pair_of, pair_terms,
+                      table_pairing, table_products)
 from .loop import LoopElt
 from . import linalg
 from .report import Report
@@ -65,9 +67,6 @@ class AffineElt:
         coef = as_scalar(self.m, coef)
         return AffineElt(self.loop.scale(coef), self.c * coef, self.d * coef)
 
-    def bracket(self, other):
-        return bracket_affine(self, other)
-
     def is_zero(self):
         return self.loop.is_zero() and not self.c and not self.d
 
@@ -81,72 +80,47 @@ class AffineElt:
                 and self.d == other.d)
 
     def render(self):
-        from .scalars import _coef_prefix, join_signed
-        parts = []
-        if self.loop.coords:
-            txt = self.loop.render()
-            # splice the loop rendering back into signed parts
-            parts.append(("+", txt))
-        if self.c:
-            sign, mult = _coef_prefix(self.c)
-            parts.append((sign, mult + "c"))
-        if self.d:
-            sign, mult = _coef_prefix(self.d)
-            parts.append((sign, mult + "d"))
-        if not parts:
-            return "0"
-        return join_signed(parts)
+        # the loop rendering is spliced in as one signed part
+        parts = [("+", self.loop.render())] if self.loop.coords else []
+        for coef, name in ((self.c, "c"), (self.d, "d")):
+            if coef:
+                sign, mult = _coef_prefix(coef)
+                parts.append((sign, mult + name))
+        return join_signed(parts) if parts else "0"
 
     def __repr__(self):
         return f"AffineElt({self.render()!r})"
 
 
-def cocycle(x, y):
-    """The Killing 2-cocycle sum_p p <x_p, y_-p> over monomial pairs."""
-    m = x.m
-    total = CycScalar.zero(m)
-    table = x.alg.killing_table
-    for i, pi in x.coords.items():
-        for j, qj in y.coords.items():
-            k = table.get((i, j), 0)
-            if not k:
-                continue
-            for p, cp in pi.terms.items():
-                if p == 0:
-                    continue
-                cq = qj.terms.get(-p)
-                if cq:
-                    total = total + cp * cq * (k * p)
-    return total
+def flat(x):
+    """x as `flat_bracket` reads it: loop monomials as ((index, degree), pair)
+    and the d-coefficient as a pair or None (c is central)."""
+    return pair_terms(x.loop.coords), pair_of(x.d) if x.d else None
+
+
+def flat_bracket(alg, x, y):
+    """[x, y] of two flat forms, as {(index, degree) | "c": pair} without
+    zeros (a bracket has no d-part): the loop bracket, the d-action and the
+    cocycle c-term in one call, all summed on pairs."""
+    (xs, xd), (ys, yd) = x, y
+    out = table_products(alg.table, xs, ys)
+    if xd:
+        add_products(out, xd, ys, graded=1)
+    if yd:
+        add_products(out, yd, xs, graded=-1)
+    c = table_pairing(alg.killing_table, xs, ys, graded=True)
+    if c[0] or c[1]:
+        out["c"] = c
+    return out
 
 
 def bracket_affine(x, y):
-    """Affine bracket: loop bracket + cocycle c-term + d as degree operator."""
+    """Affine bracket: `flat_bracket` on the flat forms of x and y."""
     x._check(y)
-    loop_part = x.loop.bracket(y.loop)
-    if x.d:
-        loop_part = loop_part + y.loop.degree_action().scale(x.d)
-    if y.d:
-        loop_part = loop_part - x.loop.degree_action().scale(y.d)
-    c_coef = cocycle(x.loop, y.loop)
-    return AffineElt(loop_part, c=c_coef)
-
-
-def loop_pairing(x, y):
-    """(a t^(i/m), b t^(j/m)) = <a,b> delta_{i+j,0}, extended bilinearly."""
-    m = x.m
-    total = CycScalar.zero(m)
-    table = x.alg.killing_table
-    for i, pi in x.coords.items():
-        for j, qj in y.coords.items():
-            k = table.get((i, j), 0)
-            if not k:
-                continue
-            for p, cp in pi.terms.items():
-                cq = qj.terms.get(-p)
-                if cq:
-                    total = total + cp * cq * k
-    return total
+    out = flat_bracket(x.alg, flat(x), flat(y))
+    c = out.pop("c", None)
+    return AffineElt(LoopElt._make(x.alg, x.m, laurent_coords(x.m, out)),
+                     c=None if c is None else CycScalar._make(x.m, *c))
 
 
 def invariant_form(x, y, beta=1):
@@ -159,7 +133,11 @@ def invariant_form(x, y, beta=1):
     beta = as_scalar(x.m, beta)
     if not beta:
         raise ValueError("beta must be nonzero")
-    total = loop_pairing(x.loop, y.loop) + x.c * y.d + x.d * y.c
+    total = CycScalar._make(x.m, *table_pairing(x.alg.killing_table,
+                                                pair_terms(x.loop.coords),
+                                                pair_terms(y.loop.coords)))
+    if x.c or x.d:
+        total = total + x.c * y.d + x.d * y.c
     return total * beta
 
 

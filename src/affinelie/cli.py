@@ -17,11 +17,11 @@ import json
 import os
 import random
 import sys
-from .scalars import CycScalar, LaurentElt
+from .scalars import CycScalar, LaurentElt, add_images, add_products, pair_of
 from .rootsys import cartan_of_fixed
 from .loop import LoopElt, TwistedContext
-from .affine import (AffineElt, bracket_affine, verify_form_invariance,
-                     window_gram_rank)
+from .affine import (AffineElt, bracket_affine, flat, flat_bracket,
+                     verify_form_invariance, window_gram_rank)
 from .autos import (AutoWord, RootExp, Diagram, Cochar, TorusK, Ring,
                     tilde_lift, hat_lift, verify_automorphism,
                     verify_exact_sequence)
@@ -110,95 +110,61 @@ class Session:
 JACOBI_LISTED = 11
 
 
-def _flat(elt, shared):
-    """An AffineElt as a tuple of (key, coefficient) pairs.
-
-    A key is (Chevalley index, s-degree) for a loop monomial, or "c" (a
-    bracket has no d-part); no coefficient is zero.  Equal pairs are
-    stored once, in the dict `shared`, which keeps a table of many flat
-    brackets small.
-    """
-    out = [((i, p), coef) for i, poly in elt.loop.coords.items()
-           for p, coef in poly.terms.items()]
-    if elt.c:
-        out.append(("c", elt.c))
-    return tuple(shared.setdefault(term, term) for term in out)
-
-
-def _key_elt(alg, m, key):
-    """The basis element a flat key names."""
-    if key == "c":
-        return AffineElt.c_elt(alg, m)
-    return AffineElt(LoopElt.monomial(alg, m, *key))
-
-
 def suite_jacobi(session):
     """Antisymmetry on all window basis pairs, Jacobi on all triples.
 
-    Every bracket comes from `bracket_affine`, and each is computed once:
-    [b_i, b_j] for every ordered pair of window basis elements, and
-    [b_i, X] for every Chevalley monomial X (or c) that occurs in a pair
-    bracket, filled in as the triples need it.  A triple's sum is then
-    [b_i, [b_j, b_k]] + ... expanded by bilinearity over those cached
-    brackets.  A failing pair or listed triple is recomputed through the
-    nested brackets, so its report is rendered from the direct formula.
+    Every bracket is a flat one from `affine.flat_bracket`, and each is
+    computed once: [b_i, b_j] for every ordered pair of window basis
+    elements, and [b_i, X] for every Chevalley monomial X that occurs in a
+    pair bracket ([b_i, c] = 0).  A triple's sum is then [b_i, [b_j, b_k]]
+    + ... expanded by bilinearity over those brackets, on pairs.  A failing
+    pair or listed triple is recomputed through the nested `bracket_affine`,
+    so its report is rendered from the direct formula.
     """
     alg, m = session.alg, session.m
     basis = session.window().basis
     n = len(basis)
-    shared = {}
-    pair = [[_flat(bracket_affine(bi, bj), shared) for bj in basis]
-            for bi in basis]
-    memo = [{} for _ in range(n)]
+    one = pair_of(CycScalar.one(m))
+    flats = [flat(b) for b in basis]
+    pair = [[flat_bracket(alg, x, y) for y in flats] for x in flats]
+    keys = {key for row in pair for b in row for key in b}
+    ad = [{key: () if key == "c" else tuple(
+               flat_bracket(alg, x, ([(key, one)], None)).items())
+           for key in keys} for x in flats]
 
-    def add_outer(acc, i, inner):
-        """acc += [b_i, inner], inner a flat bracket."""
-        row = memo[i]
-        for key, coef in inner:
-            image = row.get(key)
-            if image is None:
-                image = row[key] = _flat(
-                    bracket_affine(basis[i], _key_elt(alg, m, key)), shared)
-            for out_key, value in image:
-                prev = acc.get(out_key)
-                term = coef * value
-                acc[out_key] = term if prev is None else prev + term
+    def fail(inputs, direct):
+        """A failure, rendered from the direct formula, which must agree."""
+        if not direct:
+            raise AssertionError("flat brackets disagree with bracket_affine")
+        rep.fail([b.render() for b in inputs], direct.render(), "0")
 
     # every triple is counted at once; the triple loop only finds failures
     rep = Report(n * (n + 1) * (n + 2) // 6)
-    for i in range(n):
+    for i, bi in enumerate(basis):
         for j in range(i, n):
-            if rep.check(dict(pair[i][j])
-                         == {key: -value for key, value in pair[j][i]}):
-                continue
-            anti = bracket_affine(basis[i], basis[j]) + bracket_affine(basis[j], basis[i])
-            if not anti:
-                raise AssertionError("cached brackets disagree with bracket_affine")
-            rep.fail([basis[i].render(), basis[j].render()], anti.render(), "0")
+            acc = dict(pair[i][j])
+            add_products(acc, one, pair[j][i].items())
+            if not rep.check(not acc):
+                bj = basis[j]
+                fail((bi, bj), bracket_affine(bi, bj) + bracket_affine(bj, bi))
     listed = omitted = 0
-    for i in range(n):
-        bi = basis[i]
+    for i, bi in enumerate(basis):
         for j in range(i, n):
-            bj = basis[j]
             for k in range(j, n):
                 acc = {}
-                add_outer(acc, i, pair[j][k])
-                add_outer(acc, j, pair[k][i])
-                add_outer(acc, k, pair[i][j])
-                if not any(acc.values()):
+                add_images(acc, pair[j][k].items(), ad[i])
+                add_images(acc, pair[k][i].items(), ad[j])
+                add_images(acc, pair[i][j].items(), ad[k])
+                if not acc:
                     continue
                 if listed and len(rep["failures"]) >= JACOBI_LISTED:
                     omitted += 1
                     continue
                 listed += 1
-                bk = basis[k]
-                s = (bracket_affine(bi, bracket_affine(bj, bk))
+                bj, bk = basis[j], basis[k]
+                fail((bi, bj, bk), bracket_affine(bi, bracket_affine(bj, bk))
                      + bracket_affine(bj, bracket_affine(bk, bi))
                      + bracket_affine(bk, bracket_affine(bi, bj)))
-                if not s:
-                    raise AssertionError("cached brackets disagree with bracket_affine")
-                rep.fail([bi.render(), bj.render(), bk.render()],
-                         s.render(), "0")
     if omitted:
         rep["failures_omitted"] = omitted
     return rep

@@ -12,7 +12,7 @@ the identity diagram automorphism.
 
 from __future__ import annotations
 
-from .scalars import LaurentElt, as_scalar, render_t_power
+from .scalars import LaurentElt, as_scalar, laurent_coords, render_t_power
 from .rootsys import GElt, SparseElt
 
 
@@ -20,20 +20,15 @@ class LoopElt(SparseElt):
     """Element of g (x) k[t^(1/m), t^(-1/m)]."""
 
     __slots__ = ()
+    _coords_of = staticmethod(laurent_coords)
 
-    def __init__(self, alg, m, coords=None):
-        self.alg = alg
-        self.m = m
-        clean = {}
-        for i, p in (coords or {}).items():
-            if isinstance(p, LaurentElt):
-                if p.m != m:
-                    raise ValueError("mixed root-of-unity orders")
-            else:
-                p = LaurentElt.from_scalar(as_scalar(m, p))
-            if p:
-                clean[int(i)] = p
-        self.coords = clean
+    @staticmethod
+    def _coerce(m, p):
+        if not isinstance(p, LaurentElt):
+            return LaurentElt.from_scalar(as_scalar(m, p))
+        if p.m != m:
+            raise ValueError("mixed root-of-unity orders")
+        return p
 
     @classmethod
     def zero(cls, alg, m):
@@ -80,30 +75,9 @@ class LoopElt(SparseElt):
                 out[i] = c
         return GElt(self.alg, self.m, out)
 
-    def degree_action(self):
-        """The derivation d: b (x) s^p -> p * b (x) s^p."""
-        out = {}
-        for i, p in self.coords.items():
-            scaled = LaurentElt(self.m, {q: c * q for q, c in p.terms.items()})
-            if scaled:
-                out[i] = scaled
-        return LoopElt(self.alg, self.m, out)
-
-    def render(self):
-        if not self.coords:
-            return "0"
-        from .scalars import _coef_prefix, join_signed
-        parts = []
-        for i in sorted(self.coords):
-            p = self.coords[i]
-            for deg in sorted(p.terms):
-                sign, mult = _coef_prefix(p.terms[deg])
-                parts.append((sign, f"{mult}{self.alg.labels[i]}*"
-                                    f"{render_t_power(deg, self.m)}"))
-        return join_signed(parts)
-
-    def __repr__(self):
-        return f"LoopElt({self.render()!r})"
+    def _monomials(self, poly):
+        return [(f"*{render_t_power(p, self.m)}", poly.terms[p])
+                for p in sorted(poly.terms)]
 
 
 def gamma_twist(x, auto):

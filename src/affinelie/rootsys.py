@@ -12,7 +12,8 @@ explicit structure-constant tables.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import CycScalar, add_into, as_scalar
+from .scalars import (CycScalar, _coef_prefix, add_into, as_scalar, join_signed,
+                      pair_terms, scalar_coords, table_pairing, table_products)
 
 CARTAN_MATRICES = {
     ("A", 1): ((2,),),
@@ -216,11 +217,19 @@ class SparseElt:
 
     The coefficients lie in one ring, Q(zeta_m) for GElt and the Laurent
     polynomials for LoopElt, and no stored coefficient is zero.  The
-    arithmetic both rings share lives here; subclasses coerce coefficients
-    in their constructors and add what is particular to them.
+    arithmetic both rings share lives here; a subclass names its ring by
+    `_coerce` (a coefficient from input), `_coords_of` (coordinates from the
+    pairs of a bracket) and `_monomials` (a coefficient's rendered terms).
     """
 
     __slots__ = ("alg", "m", "coords")
+
+    def __init__(self, alg, m, coords=None):
+        self.alg, self.m, self.coords = alg, m, {}
+        for i, c in (coords or {}).items():
+            c = self._coerce(m, c)
+            if c:
+                self.coords[int(i)] = c
 
     @classmethod
     def _make(cls, alg, m, coords):
@@ -249,19 +258,12 @@ class SparseElt:
         return self + (-other)
 
     def bracket(self, other):
-        """[sum ci b_i, sum cj b_j] = sum ci*cj [b_i, b_j] over the table."""
+        """[sum ci b_i, sum cj b_j] = sum ci*cj [b_i, b_j] over the table,
+        summed on pairs by `scalars.table_products`."""
         self._check(other)
-        table = self.alg.table
-        out = {}
-        for i, ci in self.coords.items():
-            for j, cj in other.coords.items():
-                row = table.get((i, j))
-                if not row:
-                    continue
-                cij = ci * cj
-                for k, c in row.items():
-                    add_into(out, k, cij * c)
-        return self._make(self.alg, self.m, out)
+        flat = table_products(self.alg.table, pair_terms(self.coords),
+                              pair_terms(other.coords))
+        return self._make(self.alg, self.m, self._coords_of(self.m, flat))
 
     def permuted(self, index_image, f=None):
         """The image under b_i -> sign * b_j, (j, sign) = index_image(i),
@@ -286,21 +288,26 @@ class SparseElt:
         return (self.alg is other.alg and self.m == other.m
                 and self.coords == other.coords)
 
+    def render(self):
+        """Signed monomials by index, then degree: `ring._monomials` gives
+        each coefficient's (suffix, scalar) terms."""
+        parts = []
+        for i in sorted(self.coords):
+            for suffix, c in self._monomials(self.coords[i]):
+                sign, mult = _coef_prefix(c)
+                parts.append((sign, mult + self.alg.labels[i] + suffix))
+        return join_signed(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()!r})"
+
 
 class GElt(SparseElt):
     """Element of g with coordinates in Q(zeta_m) over the Chevalley basis."""
 
     __slots__ = ()
-
-    def __init__(self, alg, m, coords=None):
-        self.alg = alg
-        self.m = m
-        clean = {}
-        for i, c in (coords or {}).items():
-            c = as_scalar(m, c)
-            if c:
-                clean[int(i)] = c
-        self.coords = clean
+    _coerce = staticmethod(as_scalar)
+    _coords_of = staticmethod(scalar_coords)
 
     @classmethod
     def basis(cls, alg, m, index, coef=1):
@@ -312,26 +319,12 @@ class GElt(SparseElt):
 
     def killing(self, other):
         self._check(other)
-        total = CycScalar.zero(self.m)
-        for i, ci in self.coords.items():
-            for j, cj in other.coords.items():
-                k = self.alg.killing_table.get((i, j), 0)
-                if k:
-                    total = total + ci * cj * k
-        return total
+        return CycScalar._make(self.m, *table_pairing(
+            self.alg.killing_table, pair_terms(self.coords),
+            pair_terms(other.coords)))
 
-    def render(self):
-        if not self.coords:
-            return "0"
-        from .scalars import _coef_prefix, join_signed
-        parts = []
-        for i in sorted(self.coords):
-            sign, mult = _coef_prefix(self.coords[i])
-            parts.append((sign, mult + self.alg.labels[i]))
-        return join_signed(parts)
-
-    def __repr__(self):
-        return f"GElt({self.render()!r})"
+    def _monomials(self, coef):
+        return [("", coef)]
 
 
 class DiagramAuto:
@@ -459,21 +452,17 @@ def build_diagram_auto(alg, perm):
 def _verify_diagram_auto(alg, auto, order):
     """Exhaustive check: bracket compatibility and sigma^order = id."""
     m = order if order in (1, 2, 3) else 1
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            x = GElt.basis(alg, m, i)
-            y = GElt.basis(alg, m, j)
-            lhs = auto.apply(x.bracket(y))
-            rhs = auto.apply(x).bracket(auto.apply(y))
-            if lhs != rhs:
+    basis = [GElt.basis(alg, m, i) for i in range(alg.dim)]
+    images = [auto.apply(x) for x in basis]
+    for i, (x, ax) in enumerate(zip(basis, images)):
+        for j, (y, ay) in enumerate(zip(basis, images)):
+            if auto.apply(x.bracket(y)) != ax.bracket(ay):
                 raise ValueError(
                     f"sign resolution infeasible: automorphism fails on "
                     f"({alg.labels[i]}, {alg.labels[j]})"
                 )
-    for i in range(alg.dim):
-        x = GElt.basis(alg, m, i)
-        y = x
-        for _ in range(order):
+    for x, y in zip(basis, images):
+        for _ in range(order - 1):
             y = auto.apply(y)
         if y != x:
             raise ValueError("constructed map does not have the expected order")

@@ -8,8 +8,13 @@ decidable: each rational part of a coefficient is an `int` when it is
 integral and a `fractions.Fraction` only when it is not, so products of the
 integer structure constants of the Chevalley and twisted slice bases are
 int products, without a gcd per operation.  No float ever appears: every
-division goes through `Fraction`, because `int / int` is a float.  `add_into` is the one
-accumulate of every sparse map in the package that never stores a zero.
+division goes through `Fraction`, because `int / int` is a float.
+
+Every bracket, the Killing pairing and the Jacobi triple sums run on pairs:
+a + b*zeta as a tuple (a, b) of such parts, multiplied by `pair_mul`, the
+one product rule, which `CycScalar.__mul__` uses too.  A scalar is built
+once per output coefficient.  Sparse maps never store a zero: `add_into`
+accumulates every map of scalar objects, `_add_pair` every map of pairs.
 """
 
 from __future__ import annotations
@@ -102,13 +107,8 @@ class CycScalar:
                 return CycScalar._make(self.m, self.a * other, self.b * other)
             return NotImplemented
         self._check(other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if not b1 and not b2:
-            return CycScalar._make(self.m, a1 * a2, 0)
-        # (a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z (only reachable for m = 3).
-        return CycScalar._make(
-            self.m, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2
-        )
+        return CycScalar._make(self.m, *pair_mul((self.a, self.b),
+                                                 (other.a, other.b)))
 
     __rmul__ = __mul__
 
@@ -201,10 +201,106 @@ def as_scalar(m, value):
     return CycScalar(m, value)
 
 
+def pair_mul(x, y):
+    """(a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z; b1 = b2 = 0 unless m = 3."""
+    a1, b1 = x
+    a2, b2 = y
+    if not b1 and not b2:
+        return a1 * a2, 0
+    return a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2
+
+
+def pair_of(scalar):
+    return scalar.a, scalar.b
+
+
+def pair_terms(coords):
+    """((index, degree), pair) for every monomial of a sparse element whose
+    coefficients are CycScalars (degree 0) or LaurentElts."""
+    out = []
+    for i, coef in coords.items():
+        if type(coef) is CycScalar:
+            out.append(((i, 0), (coef.a, coef.b)))
+        else:
+            out += [((i, p), (c.a, c.b)) for p, c in coef.terms.items()]
+    return out
+
+
+def scalar_coords(m, flat):
+    """{(index, 0): pair} as {index: CycScalar}."""
+    return {k: CycScalar._make(m, a, b) for (k, _), (a, b) in flat.items()}
+
+
+def laurent_coords(m, flat):
+    """{(index, degree): pair} as {index: LaurentElt}."""
+    out = {}
+    for (k, p), (a, b) in flat.items():
+        out.setdefault(k, {})[p] = CycScalar._make(m, a, b)
+    return {k: LaurentElt._make(m, terms) for k, terms in out.items()}
+
+
+def _add_pair(acc, key, a, b):
+    """acc[key] += a + b*zeta, deleting a sum that cancels."""
+    prev = acc.get(key)
+    if prev is not None:
+        a, b = a + prev[0], b + prev[1]
+    if a or b:
+        acc[key] = (a, b)
+    elif prev is not None:
+        del acc[key]
+
+
+def add_products(acc, coef, terms, graded=0):
+    """acc[key] += coef * value over the (key, value) pairs of `terms`, each
+    also times graded * key[1] (+-its degree) when `graded` is +-1."""
+    for key, value in terms:
+        a, b = pair_mul(coef, value)
+        if graded:
+            a, b = a * graded * key[1], b * graded * key[1]
+        _add_pair(acc, key, a, b)
+
+
+def add_images(acc, terms, images):
+    """acc += f(sum of terms) for the linear map f with f(key) = images[key],
+    a tuple of (key, pair).  This is the Jacobi triple sum."""
+    for key, x in terms:
+        for out_key, y in images[key]:
+            _add_pair(acc, out_key, *pair_mul(x, y))
+
+
+def table_products(table, xs, ys):
+    """The product of two sparse graded elements under an integer structure
+    table: sum x*y*N_ij^k at (k, p + q) over the terms ((i, p), x) of xs,
+    ((j, q), y) of ys and N_ij = table[(i, j)] = {k: N_ij^k}.  This is every
+    bracket of the package."""
+    acc = {}
+    for (i, p), x in xs:
+        for (j, q), y in ys:
+            row = table.get((i, j))
+            if row is not None:
+                a, b = pair_mul(x, y)
+                for k, n in row.items():
+                    _add_pair(acc, (k, p + q), a * n, b * n)
+    return acc
+
+
+def table_pairing(form, xs, ys, graded=False):
+    """sum x*y*form[(i, j)] over terms ((i, p), x), ((j, -p), y) of opposite
+    degree, each also times p when `graded`, as a pair.  Ungraded it is the
+    loop pairing <x, y>, graded the Killing 2-cocycle of the c-term."""
+    a = b = 0
+    for (i, p), x in xs:
+        for (j, q), y in ys:
+            if p + q == 0 and (k := form.get((i, j), 0) * (p if graded else 1)):
+                pa, pb = pair_mul(x, y)
+                a, b = a + pa * k, b + pb * k
+    return a, b
+
+
 def add_into(out, key, value):
     """out[key] += value in a sparse map, which never stores a zero.
 
-    Every sparse map of the package (Laurent terms, g and loop coordinates)
+    Every map of scalar objects (Laurent terms, g and loop coordinates)
     accumulates through this one function: a cancelled entry is deleted.
     """
     acc = out.get(key)
@@ -295,10 +391,7 @@ class LaurentElt:
     __rmul__ = __mul__
 
     def scale(self, coef):
-        # An int or Fraction (the structure constants of every bracket term)
-        # multiplies each coefficient directly, without a CycScalar of its own.
-        if not isinstance(coef, (int, Fraction)):
-            coef = as_scalar(self.m, coef)
+        coef = as_scalar(self.m, coef)
         if not coef:
             return LaurentElt.zero(self.m)
         return LaurentElt._make(self.m, {p: c * coef for p, c in self.terms.items()})

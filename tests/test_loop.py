@@ -1,14 +1,16 @@
 """Loop algebra bracket and the twisted subalgebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinelie.affine import AffineElt, bracket_affine
 from affinelie.autos import Diagram
 from affinelie.loop import LoopElt, gamma_twist, is_in_twisted
 from affinelie.rootsys import GElt, build_chevalley, sigma_eigenspaces
-from affinelie.scalars import CycScalar, LaurentElt
+from affinelie.scalars import CycScalar, LaurentElt, add_into
 from affinelie.spectral import Window
 from affinelie import linalg
 
@@ -147,7 +149,8 @@ class TestTwisted:
 class TestDegreeAction:
     def test_numerator_eigenvalue(self, a1):
         v = LoopElt.monomial(a1, 2, 1, 3)
-        assert v.degree_action() == v.scale(3)
+        d = AffineElt.d_elt(a1, 2)
+        assert bracket_affine(d, AffineElt(v)) == AffineElt(v.scale(3))
 
     def test_slice(self, a1):
         x = LoopElt(a1, 1, {0: LaurentElt(1, {2: 5}), 1: LaurentElt(1, {2: 1, 0: 7})})
@@ -287,3 +290,97 @@ class TestSharedArithmetic:
             for result in (g + h, g - h, g.bracket(h), auto.apply(g)):
                 assert zero_free(result)
             assert auto.apply(g) == explicit_diagram_apply(auto, g)
+
+
+# -- the pair kernel under every bracket ---------------------------------------
+
+def zeta_product(c, d):
+    """c*d in Q(zeta_m) with zeta^2 = -1 - zeta, written out here so that
+    the reference does not share the package's product rule."""
+    return CycScalar(c.m, c.a * d.a - c.b * d.b,
+                     c.a * d.b + c.b * d.a - c.b * d.b)
+
+
+def terms(coef):
+    """{degree: scalar} of a GElt (degree 0) or LoopElt coefficient."""
+    return coef.terms if isinstance(coef, LaurentElt) else {0: coef}
+
+
+def reference_bracket(x, y):
+    """`SparseElt.bracket` as a sum of products on scalar objects: each
+    term the product ci*cj, then times N_ij^k, then added."""
+    m, out = x.m, {}
+    for i, ci in x.coords.items():
+        for j, cj in y.coords.items():
+            cij = {}
+            for p, a in terms(ci).items():
+                for q, b in terms(cj).items():
+                    add_into(cij, p + q, zeta_product(a, b))
+            for k, n in x.alg.table.get((i, j), {}).items():
+                for p, c in cij.items():
+                    add_into(out, (k, p), zeta_product(c, CycScalar(m, n)))
+    coords = {}
+    for (k, p), c in out.items():
+        coords.setdefault(k, {})[p] = c
+    if isinstance(x, GElt):
+        return GElt(x.alg, m, {k: t[0] for k, t in coords.items()})
+    return LoopElt(x.alg, m, {k: LaurentElt(m, t) for k, t in coords.items()})
+
+
+def scalar_parts(x):
+    """(index, degree, type of a, type of b) of every stored scalar of x."""
+    return sorted(((i, p, type(s.a), type(s.b)) for i, c in x.coords.items()
+                   for p, s in terms(c).items()), key=repr)
+
+
+def tampered_a2():
+    """A2 with one structure constant doubled, as `tampered_session` in
+    test_cli.py changes it: the kernel must read the table it is given."""
+    alg = build_chevalley("A", 2)
+    key = min(alg.table)
+    row = dict(alg.table[key])
+    row[min(row)] *= 2
+    alg.table = {**alg.table, key: row}
+    return alg
+
+
+# int parts, and halves and thirds whose sums may come back to an int
+PARTS = st.one_of(st.integers(-2, 2), st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2)]))
+ALGEBRAS = {"a2": build_chevalley("A", 2), "d4": build_chevalley("D", 4),
+            "a2_tampered": tampered_a2()}
+
+
+class TestPairKernel:
+    """GElt and LoopElt brackets on pairs against the sum of products."""
+
+    @staticmethod
+    def element(data, alg, m, loop):
+        # a Cartan line, a root, its neighbour and its negative, so that
+        # brackets both meet the table and cancel
+        root = alg.root_of_index[alg.rank]
+        picks = [0, alg.rank, alg.rank + 1,
+                 alg.index_of_root[tuple(-c for c in root)]]
+        terms = data.draw(st.lists(st.tuples(
+            st.sampled_from(picks), st.integers(-1, 1), PARTS,
+            PARTS if m == 3 else st.just(0)), max_size=4))
+        out = LoopElt.zero(alg, m)
+        for i, p, a, b in terms:
+            out = out + LoopElt.monomial(alg, m, i, p if loop else 0,
+                                         CycScalar(m, a, b))
+        return out if loop else out.slice(0)
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("loop", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_bracket_matches_sum_of_products(self, name, m, loop, data):
+        alg = ALGEBRAS[name]
+        x = self.element(data, alg, m, loop)
+        y = self.element(data, alg, m, loop)
+        got, expected = x.bracket(y), reference_bracket(x, y)
+        assert type(got) is type(x)
+        assert got == expected
+        assert scalar_parts(got) == scalar_parts(expected)
+        assert zero_free(got)
