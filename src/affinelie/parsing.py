@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from . import linalg
 from .scalars import CycScalar, LaurentElt
 from .loop import LoopElt
 from .affine import AffineElt
@@ -392,9 +393,11 @@ def _int(text, what):
 def _table_algebra(rank, fields, labels, roots, brackets):
     """Escape hatch: an explicit structure-constant table.
 
-    Roots are coefficient tuples over the simple roots; brackets list the
-    sparse structure constants by basis label.  Jacobi and antisymmetry
-    are verified on load.
+    Roots are coefficient tuples over the simple roots: each nonnegative,
+    nonzero and listed once, every simple root among them.  Brackets list
+    the sparse structure constants by basis label, each pair of labels at
+    most once, in either order, and [b, b] = 0.  A degenerate Killing form
+    and a Jacobi failure are rejected on load.
     """
     from .rootsys import RootDatum, ChevAlgebra
 
@@ -409,7 +412,14 @@ def _table_algebra(rank, fields, labels, roots, brackets):
         vec = tuple(_int(v, f"line {lineno}: root") for v in value.split())
         if len(vec) != rank:
             raise ParseError(f"line {lineno}: root length mismatch")
+        if min(vec) < 0 or not any(vec):
+            raise ParseError(f"line {lineno}: a root must be nonnegative and nonzero")
+        if vec in pos:
+            raise ParseError(f"line {lineno}: root {value} is listed twice")
         pos.append(vec)
+    for i in range(rank):
+        if tuple(int(j == i) for j in range(rank)) not in pos:
+            raise ParseError(f"simple root {i + 1} has no 'root:' line")
     datum = RootDatum("table", rank, cartan, pos)
     label_index = {lab: i for i, lab in
                    enumerate(ChevAlgebra.default_labels(datum))}
@@ -422,6 +432,8 @@ def _table_algebra(rank, fields, labels, roots, brackets):
         if b1 not in label_index or b2 not in label_index:
             raise ParseError(f"line {lineno}: unknown basis label")
         i, j = label_index[b1], label_index[b2]
+        if (i, j) in table:
+            raise ParseError(f"line {lineno}: the bracket of {b1} and {b2} is given twice")
         row = {}
         if rhs and rhs != "0":
             for part in rhs.split(","):
@@ -431,24 +443,28 @@ def _table_algebra(rank, fields, labels, roots, brackets):
                 coef, lab = int(cm.group(1)), cm.group(2)
                 if lab not in label_index:
                     raise ParseError(f"line {lineno}: unknown basis label {lab!r}")
-                row[label_index[lab]] = coef
+                row[label_index[lab]] = row.get(label_index[lab], 0) + coef
+        row = {k: c for k, c in row.items() if c}
+        if i == j and row:
+            raise ParseError(f"line {lineno}: [{b1}, {b2}] must be 0")
         table[(i, j)] = row
         table[(j, i)] = {k: -c for k, c in row.items()}
     alg = ChevAlgebra(datum, table_override={k: v for k, v in table.items() if v})
+    gram = [{} for _ in range(alg.dim)]
+    for (i, j), c in alg.killing_table.items():
+        gram[i][j] = CycScalar(1, c)
+    if linalg.rank(gram, 1) < alg.dim:
+        raise ParseError("table has a degenerate Killing form")
     _verify_table(alg)
     return alg
 
 
 def _verify_table(alg):
     from .rootsys import GElt
-    for i in range(alg.dim):
-        x = GElt.basis(alg, 1, i)
-        for j in range(i, alg.dim):
-            y = GElt.basis(alg, 1, j)
-            if (x.bracket(y) + y.bracket(x)).coords:
-                raise ParseError(f"table violates antisymmetry at ({i},{j})")
-            for k in range(j, alg.dim):
-                z = GElt.basis(alg, 1, k)
+    basis = [GElt.basis(alg, 1, i) for i in range(alg.dim)]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis[i:], i):
+            for k, z in enumerate(basis[j:], j):
                 s = x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))
                 if s.coords:
                     raise ParseError(f"table violates Jacobi at ({i},{j},{k})")

@@ -331,8 +331,8 @@ class DiagramAuto:
     """Extension of a Dynkin-diagram symmetry to a basis automorphism.
 
     Acts by H_{alpha_i} -> H_{alpha_sigma(i)} and X_alpha ->
-    sign(alpha) * X_{sigma(alpha)}; signs are +1 on simple roots and are
-    propagated through the structure constants.
+    sign(alpha) * X_{sigma(alpha)}; signs are +1 on simple roots, and
+    `build_diagram_auto` sets the others from the structure table.
     """
 
     __slots__ = ("alg", "perm", "m", "root_image", "signs")
@@ -383,89 +383,58 @@ class DiagramAuto:
 def build_diagram_auto(alg, perm):
     """Extend a permutation of the simple roots to a basis automorphism.
 
-    `perm` gives 0-based images of the simple-root indices.  Raises
-    ValueError when the permutation is not a diagram symmetry or when sign
-    propagation fails to produce an automorphism.
+    `perm` gives 0-based images of the simple-root indices.  The extension
+    is b_i -> s_i b_{sigma i} with s = +1 on each H_i and X_{+-alpha_i}.  It
+    respects the bracket entry by entry, s_i s_j N_{sigma i, sigma j}^{sigma k}
+    = s_k N_ij^k, and each image row has the size of its row, so empty
+    brackets map to empty ones.  One pass over the integer table, lowest
+    height first, sets each other sign from the first entry that reaches it
+    and checks every entry.  Raises ValueError when the permutation is not a
+    diagram symmetry or no signs make it an automorphism of the table.
     """
     datum = alg.datum
     n = datum.rank
     perm = tuple(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the simple roots")
-    for i in range(n):
-        for j in range(n):
-            if datum.cartan[perm[i]][perm[j]] != datum.cartan[i][j]:
-                raise ValueError("permutation is not a Dynkin-diagram symmetry")
-
-    def image(root):
-        out = [0] * n
-        for i, c in enumerate(root):
-            out[perm[i]] += c
-        return tuple(out)
-
-    root_image = {r: image(r) for r in datum.roots}
-    if any(img not in set(datum.roots) for img in root_image.values()):
+    if any(datum.cartan[perm[i]][perm[j]] != datum.cartan[i][j]
+           for i in range(n) for j in range(n)):
+        raise ValueError("permutation is not a Dynkin-diagram symmetry")
+    root_image = {r: tuple(sum(c for i, c in enumerate(r) if perm[i] == j)
+                           for j in range(n)) for r in datum.roots}
+    if not set(root_image.values()) <= set(datum.roots):
         raise ValueError("permutation does not stabilize the root set")
-
-    signs = {}
-    for i in range(n):
-        signs[datum.simple[i]] = 1
-    # propagate by height through decompositions gamma = beta + alpha_i
-    for gamma in sorted(datum.positive, key=lambda r: (sum(r), r)):
-        if sum(gamma) == 1:
-            continue
-        done = False
-        for i in range(n):
-            beta = tuple(c - (1 if j == i else 0) for j, c in enumerate(gamma))
-            if beta not in signs or any(c < 0 for c in beta):
-                continue
-            alpha = datum.simple[i]
-            n_ab = alg.table[(alg.index_of_root[beta], alg.index_of_root[alpha])][
-                alg.index_of_root[gamma]
-            ]
-            n_img = alg.table[
-                (alg.index_of_root[root_image[beta]], alg.index_of_root[root_image[alpha]])
-            ][alg.index_of_root[root_image[gamma]]]
-            val = signs[beta] * signs[alpha] * n_img // n_ab
-            if val not in (1, -1):
-                raise ValueError("sign resolution failed: structure-constant bug")
-            signs[gamma] = val
-            done = True
-            break
-        if not done:
-            raise ValueError(f"no decomposition found for root {gamma}")
-    for r in datum.positive:
-        signs[neg(r)] = signs[r]
-
-    order = 1
-    cur = perm
-    ident = tuple(range(n))
-    while cur != ident:
+    roots = [alg.root_of_index[i] for i in range(n, alg.dim)]
+    sigma = list(perm) + [alg.index_of_root[root_image[r]] for r in roots]
+    height = [0] * n + [abs(sum(r)) for r in roots]
+    sign = [1 if h <= 1 else None for h in height]
+    # inputs are no higher than the sort key and each root of height h + 1
+    # has an entry of key h; an unsigned input reads as 0 and fails its entry
+    for i, j in sorted(alg.table, key=lambda p: max(height[p[0]], height[p[1]])):
+        row = alg.table[(i, j)]
+        image_row = alg.table.get((sigma[i], sigma[j]), {})
+        s_ij = (sign[i] or 0) * (sign[j] or 0)
+        for k, c in row.items():
+            s = s_ij * image_row.get(sigma[k], 0)
+            if sign[k] is None and s in (c, -c):
+                sign[k] = s // c
+            if sign[k] is None or sign[k] * c != s or len(image_row) != len(row):
+                raise ValueError(f"sign resolution infeasible: automorphism fails "
+                                 f"on ({alg.labels[i]}, {alg.labels[j]})")
+    if None in sign:
+        raise ValueError(f"sign resolution infeasible: no entry reaches "
+                         f"{alg.labels[sign.index(None)]}")
+    order, cur = 1, perm
+    while cur != tuple(range(n)):
         cur = tuple(perm[c] for c in cur)
         order += 1
-
-    auto = DiagramAuto(alg, perm, root_image, signs, order)
-    _verify_diagram_auto(alg, auto, order)
-    return auto
-
-
-def _verify_diagram_auto(alg, auto, order):
-    """Exhaustive check: bracket compatibility and sigma^order = id."""
-    m = order if order in (1, 2, 3) else 1
-    basis = [GElt.basis(alg, m, i) for i in range(alg.dim)]
-    images = [auto.apply(x) for x in basis]
-    for i, (x, ax) in enumerate(zip(basis, images)):
-        for j, (y, ay) in enumerate(zip(basis, images)):
-            if auto.apply(x.bracket(y)) != ax.bracket(ay):
-                raise ValueError(
-                    f"sign resolution infeasible: automorphism fails on "
-                    f"({alg.labels[i]}, {alg.labels[j]})"
-                )
-    for x, y in zip(basis, images):
-        for _ in range(order - 1):
-            y = auto.apply(y)
-        if y != x:
+    for i in range(alg.dim):
+        j, s = i, 1
+        for _ in range(order):
+            j, s = sigma[j], s * sign[j]
+        if (j, s) != (i, 1):
             raise ValueError("constructed map does not have the expected order")
+    return DiagramAuto(alg, perm, root_image, dict(zip(roots, sign[n:])), order)
 
 
 def sigma_eigenspaces(auto):

@@ -176,6 +176,40 @@ def _orbit(perm, i):
     return out
 
 
+# -- malformed table files ---------------------------------------------------
+
+_SL2_BRACKETS = ("bracket: H_1 X_a1 -> 2 X_a1\nbracket: H_1 X_ma1 -> -2 X_ma1\n"
+                 "bracket: X_a1 X_ma1 -> 1 H_1\n")
+
+# (id, algebra file text, the parse error it must give); each one loaded
+# before the table-mode checks, or ended in a traceback
+_MALFORMED = [
+    ("no_root_line", "rank: 1\ncartan: 2\n", "simple root 1 has no 'root:' line"),
+    ("zero_root", "rank: 1\ncartan: 2\nroot: 0\n",
+     "line 5: a root must be nonnegative and nonzero"),
+    ("negative_root", "rank: 2\ncartan: 2 -1; -1 2\nroot: 1 0\nroot: 0 1\n"
+     "root: 1 -1\n", "line 7: a root must be nonnegative and nonzero"),
+    ("repeated_root", "rank: 1\ncartan: 2\nroot: 1\nroot: 1\n" + _SL2_BRACKETS,
+     "line 6: root 1 is listed twice"),
+    ("simple_root_missing", "rank: 2\ncartan: 2 -1; -1 2\nroot: 1 0\nroot: 1 1\n",
+     "simple root 2 has no 'root:' line"),
+    ("zero_cartan", "rank: 1\ncartan: 0\nroot: 1\n",
+     "table has a degenerate Killing form"),
+    ("no_brackets", "rank: 2\ncartan: 2 -1; -1 2\nroot: 1 0\nroot: 0 1\n"
+     "root: 1 1\n", "table has a degenerate Killing form"),
+    ("self_bracket", "rank: 1\ncartan: 2\nroot: 1\n" + _SL2_BRACKETS
+     + "bracket: X_a1 X_a1 -> 1 H_1\n", r"line 9: \[X_a1, X_a1\] must be 0"),
+    ("pair_reversed", "rank: 1\ncartan: 2\nroot: 1\n" + _SL2_BRACKETS
+     + "bracket: X_ma1 X_a1 -> -2 H_1\n",
+     "line 9: the bracket of X_ma1 and X_a1 is given twice"),
+    ("pair_repeated", "rank: 1\ncartan: 2\nroot: 1\n" + _SL2_BRACKETS
+     + "bracket: X_a1 X_ma1 -> 1 H_1\n",
+     "line 9: the bracket of X_a1 and X_ma1 is given twice"),
+]
+MALFORMED_TABLES = [pytest.param("schema: 1\ntype: table\n" + text, error, id=name)
+                    for name, text, error in _MALFORMED]
+
+
 # -- independent oracles -----------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from affinelie.affine import bracket_affine, flat_bracket
 from affinelie.cli import Session, build_parser, load_session, main
 from affinelie.rootsys import build_chevalley, build_diagram_auto
 from affinelie.scalars import CycScalar
+
+from conftest import MALFORMED_TABLES
 
 
 @pytest.fixture
@@ -125,6 +128,15 @@ class TestConstruct:
         p.write_text("schema: 1\nbroken\n")
         code, _ = run(capsys, "construct", "--algebra", str(p))
         assert code == 2
+
+    @pytest.mark.parametrize("text, error", MALFORMED_TABLES)
+    def test_malformed_table_exits_2(self, capsys, tmp_path, text, error):
+        p = tmp_path / "table.alg"
+        p.write_text(text)
+        code = main(["verify", "spectral", "--algebra", str(p)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"parse error: {error}\n", err)
 
     def test_unsupported_type_exits_3(self, capsys, tmp_path):
         p = tmp_path / "e8.alg"

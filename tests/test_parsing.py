@@ -13,6 +13,8 @@ from affinelie.parsing import (ParseError, parse_affine, parse_algebra_file,
                                parse_word)
 from affinelie.scalars import CycScalar, LaurentElt
 
+from conftest import MALFORMED_TABLES
+
 
 class TestScalarRoundTrip:
     @given(a=st.fractions(max_denominator=12, min_value=-9, max_value=9),
@@ -201,6 +203,27 @@ bracket: X_a1 X_ma1 -> 1 H_1
 """
         with pytest.raises(ParseError):
             parse_algebra_file(text)
+
+    @pytest.mark.parametrize("text, error", MALFORMED_TABLES)
+    def test_table_mode_rejects_malformed_tables(self, text, error):
+        with pytest.raises(ParseError, match=f"^{error}$"):
+            parse_algebra_file(text)
+
+    def test_table_mode_reads_a_reversed_pair_as_its_negative(self):
+        # and stores no zero coefficient: the sign pass divides by each
+        text = """
+schema: 1
+type: table
+rank: 1
+cartan: 2
+root: 1
+bracket: X_a1 H_1 -> -2 X_a1
+bracket: H_1 X_ma1 -> -2 X_ma1
+bracket: X_ma1 X_a1 -> -1 H_1, 0 X_a1
+"""
+        alg, _ = parse_algebra_file(text)
+        h, x, y = (alg.label_index[lab] for lab in ("H_1", "X_a1", "X_ma1"))
+        assert alg.table[(h, x)] == {x: 2} and alg.table[(x, y)] == {h: 1}
 
     def test_unsupported_type_is_value_error(self):
         with pytest.raises(ValueError) as err:

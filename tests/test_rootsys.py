@@ -4,8 +4,9 @@ diagram automorphisms and their eigenspace dimensions.
 
 import pytest
 
-from affinelie.rootsys import (GElt, build_chevalley, build_diagram_auto,
-                               cartan_of_fixed, sigma_eigenspaces)
+from affinelie.rootsys import (ChevAlgebra, GElt, build_chevalley,
+                               build_diagram_auto, cartan_of_fixed,
+                               sigma_eigenspaces)
 from affinelie.scalars import CycScalar
 from affinelie import linalg
 
@@ -136,15 +137,45 @@ class TestDiagramAuto:
             for s in auto.alg.datum.simple:
                 assert auto.signs[s] == 1
 
-    def test_automorphism_on_all_pairs(self, a2, a2_flip):
-        m = 2
-        for i in range(a2.dim):
-            x = GElt.basis(a2, m, i)
-            for j in range(a2.dim):
-                y = GElt.basis(a2, m, j)
-                lhs = a2_flip.apply(x.bracket(y))
-                rhs = a2_flip.apply(x).bracket(a2_flip.apply(y))
-                assert lhs == rhs
+    # every diagram symmetry of A2, A3 and D4 with its order: the identity
+    # and the flip of A2 and A3, the six permutations of D4's outer nodes
+    SYMMETRIES = [("A", 2, (0, 1), 1), ("A", 2, (1, 0), 2),
+                  ("A", 3, (0, 1, 2), 1), ("A", 3, (2, 1, 0), 2),
+                  ("D", 4, (0, 1, 2, 3), 1), ("D", 4, (2, 1, 0, 3), 2),
+                  ("D", 4, (3, 1, 2, 0), 2), ("D", 4, (0, 1, 3, 2), 2),
+                  ("D", 4, (2, 1, 3, 0), 3), ("D", 4, (3, 1, 0, 2), 3)]
+
+    def test_automorphism_on_all_pairs(self):
+        """The signs set from the integer table against brackets of GElts
+        on every basis pair, and sigma^order = id, for each symmetry.  The
+        A2 table without its (X_a1, X_a2) pair admits no signs, and with
+        [H_1, X_a1] doubled it admits no flip."""
+        for kind, rank, perm, order in self.SYMMETRIES:
+            alg = build_chevalley(kind, rank)
+            auto = build_diagram_auto(alg, perm)
+            assert auto.m == order, perm
+            basis = [GElt.basis(alg, order, i) for i in range(alg.dim)]
+            images = [auto.apply(x) for x in basis]
+            for x, ax in zip(basis, images):
+                for y, ay in zip(basis, images):
+                    assert auto.apply(x.bracket(y)) == ax.bracket(ay), perm
+                y = ax
+                for _ in range(order - 1):
+                    y = auto.apply(y)
+                assert y == x, perm
+        a2 = build_chevalley("A", 2)
+        x, y = a2.label_index["X_a1"], a2.label_index["X_a2"]
+        table = {key: row for key, row in a2.table.items()
+                 if key not in ((x, y), (y, x))}
+        broken = ChevAlgebra(a2.datum, table_override=table)
+        for perm in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="sign resolution infeasible"):
+                build_diagram_auto(broken, perm)
+        h, x = a2.label_index["H_1"], a2.label_index["X_a1"]
+        doubled = ChevAlgebra(a2.datum,
+                              table_override={**a2.table, (h, x): {x: 4}})
+        with pytest.raises(ValueError, match="sign resolution infeasible"):
+            build_diagram_auto(doubled, (1, 0))
 
     def test_power_is_identity(self, d4, d4_triality):
         m = 3
