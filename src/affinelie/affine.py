@@ -123,59 +123,48 @@ def bracket_affine(x, y):
                      c=None if c is None else CycScalar._make(x.m, *c))
 
 
-def invariant_form(x, y, beta=1):
-    """The invariant bilinear form with (c,d) = beta, (c,c) = (d,d) = 0.
-
-    beta is a global scale: the cocycle term of the bracket pairs the loop
-    block against the c-d block, so invariance pins their ratio and the
-    form is unique up to this one scalar.
-    """
-    beta = as_scalar(x.m, beta)
-    if not beta:
-        raise ValueError("beta must be nonzero")
+def invariant_form(x, y):
+    """The invariant bilinear form with (c,d) = 1, (c,c) = (d,d) = 0: the
+    cocycle pins the ratio of the loop and c-d blocks, so it is unique up to
+    one global scalar, fixed here."""
     total = CycScalar._make(x.m, *table_pairing(x.alg.killing_table,
                                                 pair_terms(x.loop.coords),
                                                 pair_terms(y.loop.coords)))
     if x.c or x.d:
         total = total + x.c * y.d + x.d * y.c
-    return total * beta
+    return total
 
 
-def verify_form_invariance(sampler, samples, beta=1):
+def verify_form_invariance(sampler, samples):
     """([x,y], z) + (y, [x,z]) = 0 on sampled triples; exact, no tolerance."""
     rep = Report()
     for _ in range(samples):
         x, y, z = sampler(), sampler(), sampler()
-        lhs = invariant_form(bracket_affine(x, y), z, beta)
-        rhs = invariant_form(y, bracket_affine(x, z), beta)
+        lhs = invariant_form(bracket_affine(x, y), z)
+        rhs = invariant_form(y, bracket_affine(x, z))
         if not rep.check(not (lhs + rhs)):
             rep.fail([x.render(), y.render(), z.render()],
                      lhs.render(), rhs.render())
     return rep
 
 
-def window_gram_rank(basis, beta=1):
-    """Rank of the Gram matrix of the invariant form on a window basis.
+def window_gram_rank(window):
+    """Rank of the Gram matrix of the invariant form on a window's basis.
 
     The form is symmetric and pairs degree j only with -j, c only with d;
     so the rank is rank G_{0,0} + 2 rank G_{j,-j} over j > 0 + the rank of
-    the c/d block, and each block is built once."""
-    if not basis:
-        return 0
-    m = basis[0].m
-    blocks = {}  # degree j, or None for span(c, d) -> basis elements
-    for x in basis:
-        keys = x.loop.degree_support() | ({None} if x.c or x.d else set())
-        if len(keys) != 1:
-            raise ValueError(f"{x.render()} is not of one degree")
-        blocks.setdefault(keys.pop(), []).append(x)
+    the c/d block, each block built once from `window.meta` (degree j for a
+    loop slot, None for c and d)."""
+    blocks = {}
+    for x, (_, j, _) in zip(window.basis, window.meta):
+        blocks.setdefault(j, []).append(x)
 
     def block_rank(rows, cols):
         return linalg.rank([{j: f for j, v in enumerate(cols)
-                             if (f := invariant_form(u, v, beta))}
-                            for u in rows], m)
+                             if (f := invariant_form(u, v))}
+                            for u in rows], window.m)
 
-    total = block_rank(blocks.get(None, []), blocks.get(None, []))
+    total = block_rank(blocks[None], blocks[None])
     for j, rows in blocks.items():
         if j is not None and j >= 0:
             total += (1 if j == 0 else 2) * block_rank(rows, blocks.get(-j, []))

@@ -329,13 +329,11 @@ class VShift(AutoGen):
 
 
 class AutoWord:
-    """Composable sequence of generators at a fixed lift level."""
+    """Composable sequence of generators at one lift level of LEVELS."""
 
     __slots__ = ("level", "gens")
 
     def __init__(self, level, gens):
-        if level not in LEVELS:
-            raise ValueError(f"unknown level {level!r}")
         if level != "hat" and any(isinstance(g, VShift) for g in gens):
             raise ValueError("v-shift generators exist only at hat level")
         self.level = level

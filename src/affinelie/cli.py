@@ -51,14 +51,13 @@ class Session:
     """Loaded algebra context shared by all commands, with the one degree
     window [lo, hi] of the run."""
 
-    def __init__(self, alg, auto, window, seed, beta, samples):
+    def __init__(self, alg, auto, window, seed, samples):
         self.alg = alg
         self.auto = auto
         self.m = auto.m
         self.ctx = TwistedContext(auto)
         self.lo, self.hi = window
         self.seed = seed
-        self.beta = beta
         self.samples = samples
         self.rng = random.Random(seed)
         self._win = None
@@ -176,12 +175,11 @@ def suite_form(session):
     if session.lo > 0 or session.hi < 0:
         raise ValueError(f"window [{session.lo}, {session.hi}] holds no "
                          "opposite degrees: every sampled pairing is 0")
-    report = verify_form_invariance(session.sample_affine, session.samples,
-                                    session.beta)
+    report = verify_form_invariance(session.sample_affine, session.samples)
     report["gram"] = []
     for halfwidth in range(session.m, 3 * session.m + 1, session.m):
         win = Window(session.auto, -halfwidth, halfwidth, context=session.ctx)
-        rank = window_gram_rank(win.basis, session.beta)
+        rank = window_gram_rank(win)
         report["gram"].append({"window": [-halfwidth, halfwidth],
                                "rank": rank, "size": win.size()})
         if not report.check(rank == win.size()):
@@ -256,7 +254,7 @@ def suite_spectral(session, x_text=None):
     dump["checks"] = {}
     for name, part in [
             ("shift", shift),
-            ("opposite", verify_opposite(decomp, session.beta)),
+            ("opposite", verify_opposite(decomp)),
             ("zero_weight", verify_zero_weight(decomp)),
             ("product_rule", verify_product_rule(decomp)),
             ("rspan", rspan_isomorphism_check(decomp))]:
@@ -328,8 +326,6 @@ def build_parser():
                             "-2m 2m for verify jacobi)")
         p.add_argument("--samples", type=int, default=500)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--beta", default="1",
-                       help="nonzero (c,d) pairing value")
         p.add_argument("--format", choices=("text", "json"), default="json")
 
     p = sub.add_parser("construct", help="build the algebra and print dimensions")
@@ -361,22 +357,17 @@ def load_session(args):
     except OSError as exc:
         raise ParseError(f"cannot read algebra file: {exc}")
     alg, auto = parse_algebra_file(text)
-    m = auto.m
     if args.window:
         window = tuple(args.window)
     else:
         # the default window: [-2m, 2m] for jacobi, [-3m, 3m] otherwise
-        half = (2 if getattr(args, "suite", None) == "jacobi" else 3) * m
+        half = (2 if getattr(args, "suite", None) == "jacobi" else 3) * auto.m
         window = (-half, half)
     if window[0] > window[1]:
         raise ParseError("window LO must not exceed HI")
-    from .parsing import parse_scalar
-    beta = parse_scalar(args.beta, m)
-    if not beta:
-        raise ParseError("beta must be nonzero")
     if args.samples < 1:
         raise ParseError("--samples must be at least 1")
-    return Session(alg, auto, window, args.seed, beta, args.samples)
+    return Session(alg, auto, window, args.seed, args.samples)
 
 
 def read_spec(path):

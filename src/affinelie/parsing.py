@@ -276,14 +276,16 @@ def parse_word(text, alg, m):
     built and verified by `build_diagram_auto`; one that is no diagram
     symmetry is rejected.
     """
-    from .autos import (AutoWord, RootExp, NilExp, Diagram, Cochar, TorusK,
-                        Ring, VShift)
+    from .autos import (LEVELS, AutoWord, RootExp, NilExp, Diagram, Cochar,
+                        TorusK, Ring, VShift)
     from .rootsys import build_diagram_auto, root_label
 
     if "@" not in text:
         raise ParseError("missing '@ level' suffix")
     body, level = text.rsplit("@", 1)
     level = level.strip()
+    if level not in LEVELS:
+        raise ParseError(f"unknown level {level!r}")
     body = body.strip()
     gens = []
     if body and body != "id":
@@ -323,6 +325,10 @@ def parse_word(text, alg, m):
 
 # -- algebra description files ----------------------------------------------
 
+_FILE_KEYS = ("schema", "type", "rank", "perm")
+_TABLE_KEYS = ("cartan", "root", "bracket")
+
+
 def parse_algebra_file(text):
     """Parse a versioned algebra description into (algebra, diagram auto).
 
@@ -331,14 +337,15 @@ def parse_algebra_file(text):
         type: A | D | table
         rank: n
         perm: images of 1..n      (optional diagram automorphism)
-    Table mode additionally takes `label:` lines naming Cartan and root
-    basis elements and `bracket: b_i b_j -> coef label, ...` lines.
+    Table mode also takes a `cartan:` line, `root:` lines and `bracket: b_i
+    b_j -> coef label, ...` lines; any other key, or one of these in a typed
+    file, is a parse error naming its line.
     """
-    from .rootsys import build_chevalley, build_diagram_auto, ChevAlgebra
+    from .rootsys import build_chevalley, build_diagram_auto
     fields = {}
     brackets = []
-    labels = []
     roots = []
+    table_lines = []  # (lineno, key) of every table-only line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -348,10 +355,12 @@ def parse_algebra_file(text):
         key, value = line.split(":", 1)
         key = key.strip()
         value = value.strip()
+        if key not in _FILE_KEYS + _TABLE_KEYS:
+            raise ParseError(f"line {lineno}: unknown key {key!r}")
+        if key in _TABLE_KEYS:
+            table_lines.append((lineno, key))
         if key == "bracket":
             brackets.append((lineno, value))
-        elif key == "label":
-            labels.append(value)
         elif key == "root":
             roots.append((lineno, value))
         else:
@@ -369,7 +378,11 @@ def parse_algebra_file(text):
     kind = need("type")
     rank = _int(need("rank"), "rank")
     if kind == "table":
-        alg = _table_algebra(rank, fields, labels, roots, brackets)
+        alg = _table_algebra(rank, fields, roots, brackets)
+    elif table_lines:
+        lineno, key = table_lines[0]
+        raise ParseError(f"line {lineno}: {key!r} is read only in a "
+                         "'type: table' file")
     else:
         # unknown kinds raise ValueError: unsupported input, not a parse error
         alg = build_chevalley(kind, rank)
@@ -390,7 +403,7 @@ def _int(text, what):
         raise ParseError(f"{what}: expected an integer, got {text!r}") from None
 
 
-def _table_algebra(rank, fields, labels, roots, brackets):
+def _table_algebra(rank, fields, roots, brackets):
     """Escape hatch: an explicit structure-constant table.
 
     Roots are coefficient tuples over the simple roots: each nonnegative,

@@ -333,47 +333,38 @@ class DiagramAuto:
     Acts by H_{alpha_i} -> H_{alpha_sigma(i)} and X_alpha ->
     sign(alpha) * X_{sigma(alpha)}; signs are +1 on simple roots, and
     `build_diagram_auto` sets the others from the structure table.
+    `image[i]` is the image of b_i as (index, integer sign).
     """
 
-    __slots__ = ("alg", "perm", "m", "root_image", "signs")
+    __slots__ = ("alg", "perm", "m", "image")
 
-    def __init__(self, alg, perm, root_image, signs, order):
+    def __init__(self, alg, perm, image, order):
         self.alg = alg
         self.perm = perm
         self.m = order
-        self.root_image = root_image
-        self.signs = signs
+        self.image = image
 
     def index_image(self, i):
         """Image of basis index i as (index, integer sign)."""
-        alg = self.alg
-        if i < alg.rank:
-            return self.perm[i], 1
-        root = alg.root_of_index[i]
-        return alg.index_of_root[self.root_image[root]], self.signs[root]
+        return self.image[i]
 
     def apply(self, x):
         return x.permuted(self.index_image)
 
     def inverse(self):
-        n = self.alg.rank
-        inv_perm = tuple(self.perm.index(i) for i in range(n))
-        inv_root_image = {img: r for r, img in self.root_image.items()}
-        inv_signs = {img: self.signs[r] for r, img in self.root_image.items()}
-        return DiagramAuto(self.alg, inv_perm, inv_root_image, inv_signs, self.m)
+        inv = sorted((j, i, s) for i, (j, s) in enumerate(self.image))
+        inv_perm = tuple(self.perm.index(i) for i in range(self.alg.rank))
+        return DiagramAuto(self.alg, inv_perm, tuple((i, s) for _, i, s in inv), self.m)
 
     def matrix(self):
         """Integer matrix of the automorphism on the Chevalley basis."""
         mat = [{} for _ in range(self.alg.dim)]
-        for i in range(self.alg.dim):
-            j, s = self.index_image(i)
+        for i, (j, s) in enumerate(self.image):
             mat[j][i] = CycScalar(self.m, s)
         return mat
 
     def is_identity(self):
-        return all(self.perm[i] == i for i in range(self.alg.rank)) and all(
-            s == 1 for s in self.signs.values()
-        )
+        return all(img == (i, 1) for i, img in enumerate(self.image))
 
     def __repr__(self):
         images = " ".join(str(p + 1) for p in self.perm)
@@ -434,7 +425,7 @@ def build_diagram_auto(alg, perm):
             j, s = sigma[j], s * sign[j]
         if (j, s) != (i, 1):
             raise ValueError("constructed map does not have the expected order")
-    return DiagramAuto(alg, perm, root_image, dict(zip(roots, sign[n:])), order)
+    return DiagramAuto(alg, perm, tuple(zip(sigma, sign)), order)
 
 
 def sigma_eigenspaces(auto):

@@ -361,7 +361,7 @@ def verify_shift(decomp):
     return rep
 
 
-def verify_opposite(decomp, beta=1):
+def verify_opposite(decomp):
     """Weight-set symmetry plus cross-weight orthogonality of the form."""
     rep = Report()
     mult = {}
@@ -378,7 +378,7 @@ def verify_opposite(decomp, beta=1):
             if not (sp1.w + sp2.w).is_zero():
                 for u in sp1.vectors:
                     for v in sp2.vectors:
-                        val = invariant_form(u, v, beta)
+                        val = invariant_form(u, v)
                         if not rep.check(not val):
                             rep.fail([u.render(), v.render()], val.render(), "0")
     return rep

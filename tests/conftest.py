@@ -176,7 +176,7 @@ def _orbit(perm, i):
     return out
 
 
-# -- malformed table files ---------------------------------------------------
+# -- malformed algebra files -------------------------------------------------
 
 _SL2_BRACKETS = ("bracket: H_1 X_a1 -> 2 X_a1\nbracket: H_1 X_ma1 -> -2 X_ma1\n"
                  "bracket: X_a1 X_ma1 -> 1 H_1\n")
@@ -205,9 +205,28 @@ _MALFORMED = [
     ("pair_repeated", "rank: 1\ncartan: 2\nroot: 1\n" + _SL2_BRACKETS
      + "bracket: X_a1 X_ma1 -> 1 H_1\n",
      "line 9: the bracket of X_a1 and X_ma1 is given twice"),
+    ("label", "rank: 1\ncartan: 2\nroot: 1\n" + _SL2_BRACKETS + "label: nonsense\n",
+     "line 9: unknown key 'label'"),
 ]
 MALFORMED_TABLES = [pytest.param("schema: 1\ntype: table\n" + text, error, id=name)
                     for name, text, error in _MALFORMED]
+
+# typed files (`type: A`) with a key the type never reads; each one loaded
+# as the plain algebra with that line dropped
+_TABLE_ONLY = "is read only in a 'type: table' file"
+_MALFORMED_TYPED = [
+    ("perm_typo", "rank: 2\nprem: 2 1\n", "line 4: unknown key 'prem'"),
+    ("label", "rank: 1\nlabel: nonsense\n", "line 4: unknown key 'label'"),
+    ("cartan", "rank: 2\ncartan: 2 0; 0 2\n", f"line 4: 'cartan' {_TABLE_ONLY}"),
+    ("root", "rank: 1\nroot: 1\n", f"line 4: 'root' {_TABLE_ONLY}"),
+    ("bracket", "rank: 2\nperm: 2 1\nbracket: H_1 X_a1 -> 5 X_a1\n",
+     f"line 5: 'bracket' {_TABLE_ONLY}"),
+    # unknown keys are rejected as they are read, table keys once the type is
+    ("table_lines_and_label", "rank: 2\ncartan: 2 0; 0 2\n"
+     "bracket: H_1 X_a1 -> 5 X_a1\nlabel: nonsense\n", "line 6: unknown key 'label'"),
+]
+MALFORMED_TYPED = [pytest.param("schema: 1\ntype: A\n" + text, error, id=f"typed_{name}")
+                   for name, text, error in _MALFORMED_TYPED]
 
 
 # -- independent oracles -----------------------------------------------------

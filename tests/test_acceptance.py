@@ -133,7 +133,7 @@ class TestCriterion3:
             failures += len(rep["failures"])
             for half in range(1, 5):
                 win = Window(auto, -half, half)
-                rank = window_gram_rank(win.basis)
+                rank = window_gram_rank(win)
                 granks.append(rank == win.size())
         report(3, failures == 0 and all(granks),
                f"1500 invariance triples, {len(granks)} Gram matrices full rank")

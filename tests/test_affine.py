@@ -3,7 +3,6 @@ core/derived-subalgebra identities.
 """
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,7 +86,6 @@ class TestInvariantForm:
         c = AffineElt.c_elt(a1, 1)
         d = AffineElt.d_elt(a1, 1)
         assert invariant_form(c, d) == CycScalar.one(1)
-        assert invariant_form(c, d, beta=Fraction(5, 2)) == CycScalar(1, Fraction(5, 2))
         assert not invariant_form(c, c)
         assert not invariant_form(d, d)
 
@@ -102,11 +100,6 @@ class TestInvariantForm:
         x = AffineElt(LoopElt.monomial(a1, 1, 1, 5))
         assert not invariant_form(d, x)
         assert not invariant_form(c, x)
-
-    def test_zero_beta_rejected(self, a1):
-        c = AffineElt.c_elt(a1, 1)
-        with pytest.raises(ValueError):
-            invariant_form(c, c, beta=0)
 
     def test_invariance_triple_example(self, a1):
         d = AffineElt.d_elt(a1, 1)
@@ -129,7 +122,7 @@ class TestInvariantForm:
         for auto in (a1_id, a2_flip):
             for half in (1, 2, 4):
                 win = Window(auto, -half * auto.m, half * auto.m)
-                assert window_gram_rank(win.basis) == win.size()
+                assert window_gram_rank(win) == win.size()
 
     def test_symmetry(self, a2):
         rng = random.Random(3)
@@ -167,7 +160,7 @@ class TestBlockGramRank:
                     if keys[j] != opposite(keys[i]):
                         assert not entry
             sparse = [{j: e for j, e in enumerate(row) if e} for row in gram]
-            assert linalg.rank(sparse, auto.m) == window_gram_rank(basis)
+            assert linalg.rank(sparse, auto.m) == window_gram_rank(win)
 
     @pytest.mark.parametrize("name", ["a1", "a3_twisted"])
     def test_verify_form_builds_each_block_once(self, monkeypatch, capsys,
@@ -177,18 +170,18 @@ class TestBlockGramRank:
         calls, windows = [], []
         form, gram_rank = affine.invariant_form, affine.window_gram_rank
 
-        def counted_form(x, y, beta=1):
+        def counted_form(x, y):
             calls.append(None)
-            return form(x, y, beta)
+            return form(x, y)
 
-        def counted_rank(basis, beta=1):
+        def counted_rank(window):
             sizes = {}
-            for x in basis:
+            for x in window.basis:
                 sizes[block_key(x)] = sizes.get(block_key(x), 0) + 1
             bound = 4 + sum(n * sizes.get(-k, 0) for k, n in sizes.items()
                             if k != "cd" and k >= 0)
             before = len(calls)
-            rank = gram_rank(basis, beta)
+            rank = gram_rank(window)
             windows.append((len(calls) - before, bound))
             return rank
 

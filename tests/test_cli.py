@@ -12,9 +12,8 @@ from affinelie import cli
 from affinelie.affine import bracket_affine, flat_bracket
 from affinelie.cli import Session, build_parser, load_session, main
 from affinelie.rootsys import build_chevalley, build_diagram_auto
-from affinelie.scalars import CycScalar
 
-from conftest import MALFORMED_TABLES
+from conftest import MALFORMED_TABLES, MALFORMED_TYPED
 
 
 @pytest.fixture
@@ -53,8 +52,7 @@ def tampered_session(kind, rank, perm, lo, hi):
     row[first] = 2 * row[first]
     alg.table = dict(alg.table)
     alg.table[key] = row
-    return Session(alg, auto, (lo, hi), seed=0, beta=CycScalar(auto.m, 1),
-                   samples=1)
+    return Session(alg, auto, (lo, hi), seed=0, samples=1)
 
 
 def reference_jacobi(basis):
@@ -129,7 +127,7 @@ class TestConstruct:
         code, _ = run(capsys, "construct", "--algebra", str(p))
         assert code == 2
 
-    @pytest.mark.parametrize("text, error", MALFORMED_TABLES)
+    @pytest.mark.parametrize("text, error", MALFORMED_TABLES + MALFORMED_TYPED)
     def test_malformed_table_exits_2(self, capsys, tmp_path, text, error):
         p = tmp_path / "table.alg"
         p.write_text(text)
@@ -181,16 +179,6 @@ class TestVerify:
     def test_mad_passes(self, capsys, a2_twisted_file):
         code, _ = run(capsys, "verify", "mad", "--algebra", a2_twisted_file)
         assert code == 0
-
-    def test_beta_flag(self, capsys, a1_file):
-        code, _ = run(capsys, "verify", "form", "--algebra", a1_file,
-                      "--beta", "5/2", "--samples", "40")
-        assert code == 0
-
-    def test_zero_beta_rejected(self, capsys, a1_file):
-        code, _ = run(capsys, "verify", "form", "--algebra", a1_file,
-                      "--beta", "0")
-        assert code == 2
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_rejected(self, capsys, a1_file, samples):
@@ -339,7 +327,6 @@ class TestVerify:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "form", "--beta", "1/0"],
         ["verify", "spectral", "--x", "1/0*H_1*t^0 + d"],
         ["verify", "spectral", "--x", "H_1*t^(1/0) + d"],
     ])
@@ -390,6 +377,12 @@ class TestVerify:
         assert proc.stdout == ""
         assert "vshift takes (scale)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_word_unknown_level_exits_2(self, a1_file):
+        proc = run_subprocess("verify", "mad", "--algebra", a1_file,
+                              "--word", "rootexp(a1, 1*t^1) @ hatt")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "parse error: unknown level 'hatt'\n"
 
     @pytest.mark.parametrize("name", ["vshift", "torus", "nilexp", "cochar",
                                       "diagram"])

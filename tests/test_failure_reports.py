@@ -89,8 +89,8 @@ def test_form_invariance_failure(monkeypatch):
     s = a1_session("form")
     real = affine.invariant_form
 
-    def with_cc(x, y, beta=1):
-        return real(x, y, beta) + x.c * y.c
+    def with_cc(x, y):
+        return real(x, y) + x.c * y.c
 
     monkeypatch.setattr(affine, "invariant_form", with_cc)
     elts = iter([parse_affine(t, s.alg, s.m)
@@ -154,7 +154,7 @@ def test_exact_sequence_kernel_recovery_failure(monkeypatch):
 def test_form_gram_rank_failure(monkeypatch):
     """A Gram rank one short of the window size fails all three windows."""
     monkeypatch.setattr(cli, "window_gram_rank",
-                        lambda basis, beta=1: len(basis) - 1)
+                        lambda window: window.size() - 1)
     report = cli.suite_form(a1_session("form", "--samples", "1"))
     assert report == {
         "checked": 4,

@@ -164,12 +164,7 @@ def explicit_diagram_apply(auto, x):
     """`DiagramAuto.apply` as written before the shared `permuted`."""
     out = {}
     for i, c in x.coords.items():
-        if i < auto.alg.rank:
-            j, s = auto.perm[i], 1
-        else:
-            root = auto.alg.root_of_index[i]
-            j = auto.alg.index_of_root[auto.root_image[root]]
-            s = auto.signs[root]
+        j, s = auto.index_image(i)
         term = c if s == 1 else -c
         acc = out.get(j)
         acc = term if acc is None else acc + term

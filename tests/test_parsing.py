@@ -13,7 +13,7 @@ from affinelie.parsing import (ParseError, parse_affine, parse_algebra_file,
                                parse_word)
 from affinelie.scalars import CycScalar, LaurentElt
 
-from conftest import MALFORMED_TABLES
+from conftest import MALFORMED_TABLES, MALFORMED_TYPED
 
 
 class TestScalarRoundTrip:
@@ -116,6 +116,10 @@ class TestWordRoundTrip:
         with pytest.raises(ParseError):
             parse_word("cochar(1)", a1, 1)
 
+    def test_unknown_level(self, a1):
+        with pytest.raises(ParseError, match="^unknown level 'hatt'$"):
+            parse_word("rootexp(a1, 1*t^1) @ hatt", a1, 1)
+
     def test_diagram_uses_the_typed_permutation(self, a2):
         w = parse_word("diagram(2,1) @ hat", a2, 1)
         assert w.gens[0].auto.perm == (1, 0)
@@ -204,7 +208,7 @@ bracket: X_a1 X_ma1 -> 1 H_1
         with pytest.raises(ParseError):
             parse_algebra_file(text)
 
-    @pytest.mark.parametrize("text, error", MALFORMED_TABLES)
+    @pytest.mark.parametrize("text, error", MALFORMED_TABLES + MALFORMED_TYPED)
     def test_table_mode_rejects_malformed_tables(self, text, error):
         with pytest.raises(ParseError, match=f"^{error}$"):
             parse_algebra_file(text)

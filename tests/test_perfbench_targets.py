@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from affinelie import cli
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -32,3 +34,31 @@ def test_every_traced_target_resolves():
             missing.append(f"{name}: affinelie.{module}.{path}")
     assert len(targets) > 40
     assert missing == []
+
+
+def test_a_traced_run_prints_what_an_untraced_one_does(capsys):
+    """The tracer's notes read the arguments of what they wrap (loop
+    coefficients' `terms` in `_affine_key`, the rows handed to `rref` in
+    `_note_rref`), so a traced run must reach them and still print the same
+    bytes with the same exit codes."""
+    a1 = str(TRACER.parent.parent / "algebras" / "a1.alg")
+    runs = [["verify", "spectral"],
+            ["verify", "mad", "--word", "vshift(2) @ hat"],
+            ["verify", "form", "--samples", "20"]]
+
+    def outputs():
+        return [(cli.main([*argv, "--algebra", a1]), capsys.readouterr().out)
+                for argv in runs]
+
+    untraced = outputs()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = outputs()
+    finally:
+        tracer.uninstall()
+    assert [code for code, _ in untraced] == [0, 0, 0]
+    assert traced == untraced
+    metrics = tracer.layer_metrics()
+    assert metrics["affine.bracket.calls"] > 0
+    assert metrics["linalg.rref.cells"] > 0

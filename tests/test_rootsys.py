@@ -123,19 +123,19 @@ class TestDiagramAuto:
     def test_identity(self, a2):
         auto = build_diagram_auto(a2, (0, 1))
         assert auto.m == 1
-        assert all(s == 1 for s in auto.signs.values())
+        assert all(auto.index_image(i) == (i, 1) for i in range(a2.dim))
 
     def test_a2_flip_order_two(self, a2_flip):
         assert a2_flip.m == 2
 
     def test_a2_flip_negates_highest_root(self, a2, a2_flip):
-        theta = (1, 1)
-        assert a2_flip.signs[theta] == -1
+        theta = a2.index_of_root[(1, 1)]
+        assert a2_flip.index_image(theta) == (theta, -1)
 
     def test_simple_root_signs_are_one(self, a2_flip, d4_triality):
         for auto in (a2_flip, d4_triality):
             for s in auto.alg.datum.simple:
-                assert auto.signs[s] == 1
+                assert auto.index_image(auto.alg.index_of_root[s])[1] == 1
 
     # every diagram symmetry of A2, A3 and D4 with its order: the identity
     # and the flip of A2 and A3, the six permutations of D4's outer nodes
