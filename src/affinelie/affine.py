@@ -160,7 +160,7 @@ def window_gram_rank(window):
         blocks.setdefault(j, []).append(x)
 
     def block_rank(rows, cols):
-        return linalg.rank([{j: f for j, v in enumerate(cols)
+        return linalg.rank([{j: pair_of(f) for j, v in enumerate(cols)
                              if (f := invariant_form(u, v))}
                             for u in rows], window.m)
 

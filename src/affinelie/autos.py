@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import CycScalar, LaurentElt, as_scalar
+from .scalars import CycScalar, LaurentElt, as_scalar, scalar_vec
 from .rootsys import GElt
 from .loop import LoopElt
 from .affine import AffineElt, bracket_affine
@@ -183,13 +183,13 @@ class Cochar(AutoGen):
             return self._x_phi[m]
         n = self.alg.rank
         cartan = self.alg.datum.cartan
-        mat = [{j: CycScalar(m, a) for j, a in enumerate(cartan[i]) if a}
+        mat = [{j: (a, 0) for j, a in enumerate(cartan[i]) if a}
                for i in range(n)]
-        rhs = {i: CycScalar(m, v) for i, v in enumerate(self.phi) if v}
+        rhs = {i: (v, 0) for i, v in enumerate(self.phi) if v}
         sol = linalg.solve(mat, rhs, m)
         if sol is None:
             raise ValueError("no Cartan solution for phi")
-        x = GElt(self.alg, m, sol)
+        x = GElt._make(self.alg, m, scalar_vec(m, sol))
         for idx, root in self.alg.root_of_index.items():
             expect = GElt.basis(self.alg, m, idx).scale(self.value(root))
             if x.bracket(GElt.basis(self.alg, m, idx)) != expect:

@@ -1,52 +1,39 @@
 """Exact linear algebra over Q(zeta_m) by sparse-row elimination.
 
-Vectors and matrix rows are sparse {index: CycScalar} dicts that never
-store a zero; a matrix is a list of such rows, and a square n x n matrix
-has n rows (empty ones included) over the columns 0..n-1.  Every public
-function takes the root-of-unity order m last, also where no scalar needs
-to be built from it.  Everything here is plain Gaussian elimination over
-the field: no pivot-size heuristics, no floating point.  There is one
-elimination, `SpanSolver`: `rref` reads its rows, and `rank`,
-`kernel_basis`, `solve` and `invert` read `rref`.  Every row update, the
-Hessenberg reduction of `charpoly` included, goes through `_subtract` or
-`add_into` and touches only nonzero entries.
+Vectors and matrix rows are sparse {index: (a, b)} dicts of pairs
+a + b*zeta, the number format of `scalars.pair_mul`, and never store a
+zero; a matrix is a list of such rows, and a square n x n matrix has n
+rows (empty ones included) over the columns 0..n-1.  Eigenvalues and
+polynomial coefficients are pairs too.  Pair arithmetic needs no m (b = 0
+unless m = 3); every public function still takes the root-of-unity order m
+last, so each call names its field.  Everything here is plain Gaussian
+elimination over the field: no pivot-size heuristics, no floating point.
+There is one elimination, `SpanSolver`: `rref` reads its rows, and
+`rank`, `kernel_basis` and `solve` read `rref`.  Every row update, the
+Hessenberg reduction of `charpoly` included, goes through
+`_add_multiple` (its column operation through `scalars._add_pair`) and
+touches only nonzero entries.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from fractions import Fraction
-from functools import reduce
+from math import gcd
 
-from .scalars import CycScalar, add_into, as_scalar
+from .scalars import _add_pair, pair_inv, pair_mul
 
-
-def identity(n, m):
-    one = CycScalar.one(m)
-    return [{i: one} for i in range(n)]
+ZERO, ONE = (0, 0), (1, 0)
 
 
 def shifted(mat, w, m):
     """mat - w I, for a square matrix."""
-    zero = CycScalar.zero(m)
     out = []
     for i, row in enumerate(mat):
-        x = row.get(i, zero) - w
+        a, b = row.get(i, ZERO)
         row = {j: y for j, y in row.items() if j != i}
-        if x:
-            row[i] = x
+        if a != w[0] or b != w[1]:
+            row[i] = (a - w[0], b - w[1])
         out.append(row)
-    return out
-
-
-def mat_mul(a, b, m):
-    out = []
-    for row in a:
-        acc = {}
-        for k, x in row.items():
-            _subtract(acc, -x, b[k])
-        out.append(acc)
     return out
 
 
@@ -54,30 +41,39 @@ def mat_vec(rows, v, m):
     """Product of a matrix with a vector."""
     out = {}
     for i, row in enumerate(rows):
-        products = [x * v[j] for j, x in row.items() if j in v]
-        if products:
-            acc = reduce(operator.add, products)
-            if acc:
-                out[i] = acc
+        a = b = 0
+        for j, x in row.items():
+            if j in v:
+                pa, pb = pair_mul(x, v[j])
+                a, b = a + pa, b + pb
+        if a or b:
+            out[i] = (a, b)
     return out
 
 
-def _subtract(row, f, pivot_row):
-    """row -= f * pivot_row, in place.
-
-    Only the pivot row's entries are touched, and an entry that cancels is
-    deleted, so a sparse row never stores a zero.
-    """
-    for j, y in pivot_row.items():
+def _add_multiple(row, f, other):
+    """row += f * other, in place, on the entries of `other` only; returns
+    row.  A cancelled entry is deleted, and an integral part is stored as
+    an int, so values that allow it stay on int arithmetic."""
+    for j, y in other.items():
+        a, b = pair_mul(f, y)
         x = row.get(j)
-        if x is None:
-            row[j] = -(f * y)
-            continue
-        x = x - f * y
-        if x:
-            row[j] = x
-        else:
+        if x is not None:
+            a, b = a + x[0], b + x[1]
+        if a or b:
+            if type(a) is not int and a.denominator == 1:
+                a = a.numerator
+            if type(b) is not int and b.denominator == 1:
+                b = b.numerator
+            row[j] = (a, b)
+        elif x is not None:
             del row[j]
+    return row
+
+
+def _subtract(row, f, pivot_row):
+    """row -= f * pivot_row, in place."""
+    _add_multiple(row, (-f[0], -f[1]), pivot_row)
 
 
 def rref(mat, m):
@@ -103,16 +99,15 @@ def kernel_basis(mat, n, m):
     vector per free column, in column order."""
     rows, pivots = rref(mat, m)
     pivot_set = set(pivots)
-    one = CycScalar.one(m)
     basis = []
     for f in range(n):
         if f in pivot_set:
             continue
-        v = {f: one}
+        v = {f: ONE}
         for row, p in zip(rows, pivots):
             x = row.get(f)
             if x is not None:
-                v[p] = -x
+                v[p] = (-x[0], -x[1])
         basis.append(v)
     return basis
 
@@ -135,7 +130,8 @@ class SpanSolver:
     Rows are kept in reduced echelon form, keyed by their pivot column,
     together with the expression of each row in terms of the originally
     added vectors (numbered from 0), so `coords` can report exact
-    coefficients.
+    coefficients.  Columns are any mutually comparable keys: window slots,
+    or (index, degree) monomials.
     """
 
     def __init__(self, m):
@@ -157,15 +153,14 @@ class SpanSolver:
 
     def add(self, vec):
         """Add a vector; returns True if it enlarged the span."""
-        c = {self.count: CycScalar.one(self.m)}
+        c = {self.count: ONE}
         self.count += 1
         v = self._reduce(vec, c)
         if not v:
             return False
         p = min(v)
-        inv = v[p].inverse()
-        v = {j: x * inv for j, x in v.items()}
-        c = {k: x * inv for k, x in c.items()}
+        inv = pair_inv(v[p])
+        v, c = _add_multiple({}, inv, v), _add_multiple({}, inv, c)
         for row, rc in self._rows.values():
             if p in row:
                 f = row[p]
@@ -186,7 +181,7 @@ class SpanSolver:
         c = {}
         if self._reduce(vec, c):
             return None
-        return {k: -x for k, x in c.items()}
+        return {k: (-a, -b) for k, (a, b) in c.items()}
 
 
 def same_span(vectors_a, vectors_b, m):
@@ -208,9 +203,8 @@ def charpoly(mat, m):
     leading-principal-minor recurrence for Hessenberg matrices.
     """
     n = len(mat)
-    zero, one = CycScalar.zero(m), CycScalar.one(m)
     if n == 0:
-        return [one]
+        return [ONE]
     h = [dict(row) for row in mat]
     for c in range(n - 2):
         pivot = next((r for r in range(c + 1, n) if c in h[r]), None)
@@ -220,53 +214,38 @@ def charpoly(mat, m):
             h[c + 1], h[pivot] = h[pivot], h[c + 1]
             swap = {c + 1: pivot, pivot: c + 1}
             h = [{swap.get(j, j): x for j, x in row.items()} for row in h]
-        inv = h[c + 1][c].inverse()
+        inv = pair_inv(h[c + 1][c])
         for r in range(c + 2, n):
             if c in h[r]:
-                f = h[r][c] * inv
+                f = pair_mul(h[r][c], inv)
                 _subtract(h[r], f, h[c + 1])
                 # column op: col[c+1] += f * col[r]
                 for row in h:
                     if r in row:
-                        add_into(row, c + 1, f * row[r])
+                        _add_pair(row, c + 1, *pair_mul(f, row[r]))
+
+    def minus(poly, coef, other):
+        """poly - coef * other, coefficientwise (other no longer)."""
+        out = list(poly)
+        for j, y in enumerate(other):
+            pa, pb = pair_mul(coef, y)
+            out[j] = (out[j][0] - pa, out[j][1] - pb)
+        return out
+
     # p_k(x) = (x - h[k][k]) p_{k-1}(x) - sum_i h[i][k] (prod subdiag) p_{i-1}(x)
-    polys = [[one]]
+    polys = [[ONE]]
     for k in range(n):
         prev = polys[k]
-        term = [zero] + prev
-        hkk = h[k].get(k, zero)
-        term = [t - hkk * p for t, p in zip(term, prev + [zero])]
-        sub = one
+        term = minus([ZERO] + prev, h[k].get(k, ZERO), prev)
+        sub = ONE
         for i in range(k - 1, -1, -1):
-            sub = sub * h[i + 1].get(i, zero)
-            if not sub:
+            sub = pair_mul(sub, h[i + 1].get(i, ZERO))
+            if sub == ZERO:
                 break
             if k in h[i]:
-                coefp = h[i][k] * sub
-                pi = polys[i]
-                term = [t - coefp * (pi[j] if j < len(pi) else zero)
-                        for j, t in enumerate(term)]
+                term = minus(term, pair_mul(h[i][k], sub), polys[i])
         polys.append(term)
     return polys[n]
-
-
-def poly_eval(poly, x):
-    acc = CycScalar.zero(x.m)
-    for coef in reversed(poly):
-        acc = acc * x + coef
-    return acc
-
-
-def poly_divmod_linear(poly, root):
-    """Divide poly by (x - root) via synthetic division; (quotient, rem)."""
-    m = root.m
-    n = len(poly) - 1
-    quot = [CycScalar.zero(m)] * n
-    carry = poly[n]
-    for j in range(n - 1, -1, -1):
-        quot[j] = carry
-        carry = poly[j] + carry * root
-    return quot, carry
 
 
 def _divisors(n):
@@ -282,14 +261,14 @@ def _divisors(n):
 
 
 def rational_roots(poly, m):
-    """All rational roots (as CycScalar) with multiplicities.
+    """All rational roots (as pairs) with multiplicities.
 
     Requires every coefficient to be rational; returns [] when the
     polynomial has zeta-part coefficients (out of reach of this search).
     """
-    if any(c.b for c in poly):
+    if any(b for _, b in poly):
         return []
-    coeffs = [c.a for c in poly]
+    coeffs = [a for a, _ in poly]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -300,13 +279,13 @@ def rational_roots(poly, m):
     while k < len(coeffs) and coeffs[k] == 0:
         k += 1
     if k:
-        roots.append((CycScalar.zero(m), k))
+        roots.append((ZERO, k))
         coeffs = coeffs[k:]
     if len(coeffs) <= 1:
         return roots
     den = 1
     for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     a0, an = ints[0], ints[-1]
     candidates = set()
@@ -322,7 +301,8 @@ def rational_roots(poly, m):
             ints = quot
             mult += 1
         if mult:
-            roots.append((CycScalar(m, cand), mult))
+            root = cand.numerator if cand.denominator == 1 else cand
+            roots.append(((root, 0), mult))
     return roots
 
 
@@ -378,7 +358,7 @@ def rational_eigenvalues(mat, m):
         for root, _ in rational_roots(charpoly(sub, m), m):
             if root not in found:
                 found.append(root)
-    return sorted(found, key=lambda w: (w.a != 0, w.a))
+    return sorted(found, key=lambda w: (w[0] != 0, w[0]))
 
 
 def eigenspaces(mat, n, m, candidates=()):
@@ -413,13 +393,12 @@ def eigenspaces(mat, n, m, candidates=()):
             spaces.append((w, basis))
             total += len(basis)
 
-    zero = CycScalar.zero(m)
     for i, row in enumerate(square):
-        try_candidate(row.get(i, zero))
+        try_candidate(row.get(i, ZERO))
     for w in candidates:
         if total >= n:
             break
-        try_candidate(as_scalar(m, w))
+        try_candidate(w)
     if total < n:
         for root in rational_eigenvalues(square, m):
             try_candidate(root)
@@ -469,59 +448,8 @@ def joint_eigenspaces(mats, n, m):
                 for coeffs in sub:
                     vec = {}
                     for i, coef in coeffs.items():
-                        _subtract(vec, -coef, basis[i])
+                        _add_multiple(vec, coef, basis[i])
                     ambient.append(vec)
                 refined.append((weights + [w], ambient))
         current = refined
     return [(tuple(w), basis) for w, basis in current], None
-
-
-def generalized_eigenspace(mat, w, mult, m):
-    n = len(mat)
-    step = shifted(mat, w, m)
-    power = identity(n, m)
-    for _ in range(mult):
-        power = mat_mul(step, power, m)
-    return kernel_basis(power, n, m)
-
-
-def jordan_split(mat, m):
-    """Exact Jordan-Chevalley split M = S + N over Q(zeta_m).
-
-    Finds eigenvalues via the characteristic polynomial, builds
-    generalized eigenspaces, and assembles the semisimple part blockwise.
-    Raises ValueError when the characteristic polynomial does not split
-    over the implemented field.
-    """
-    n = len(mat)
-    found = dict(rational_roots(charpoly(mat, m), m))
-    if sum(found.values()) != n:
-        raise ValueError("characteristic polynomial does not split over Q(zeta_m)")
-    # change of basis: the columns of P are the generalized eigenvectors
-    p = [{} for _ in range(n)]
-    d = []
-    for w, mult in found.items():
-        basis = generalized_eigenspace(mat, w, mult, m)
-        if len(basis) != mult:
-            raise ValueError("generalized eigenspace dimension mismatch")
-        for v in basis:
-            for i, x in v.items():
-                p[i][len(d)] = x
-            d.append({len(d): w} if w else {})
-    s = mat_mul(mat_mul(p, d, m), invert(p, m), m)
-    nmat = []
-    for row, srow in zip(mat, s):
-        row = dict(row)
-        _subtract(row, CycScalar.one(m), srow)
-        nmat.append(row)
-    return s, nmat
-
-
-def invert(mat, m):
-    n = len(mat)
-    one = CycScalar.one(m)
-    aug = [{**row, n + i: one} for i, row in enumerate(mat)]
-    rows, pivots = rref(aug, m)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [{j - n: x for j, x in row.items() if j >= n} for row in rows]

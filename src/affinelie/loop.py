@@ -12,7 +12,8 @@ the identity diagram automorphism.
 
 from __future__ import annotations
 
-from .scalars import LaurentElt, as_scalar, laurent_coords, render_t_power
+from .scalars import (LaurentElt, as_scalar, laurent_coords, pair_vec,
+                      render_t_power)
 from .rootsys import GElt, SparseElt
 
 
@@ -108,18 +109,18 @@ class TwistedContext:
         for basis in self.eigenspaces:
             solver = linalg.SpanSolver(self.m)
             for v in basis:
-                solver.add(v.coords)
+                solver.add(pair_vec(v.coords))
             self.slice_solvers.append(solver)
 
     def slice_basis(self, degree):
         return self.eigenspaces[degree % self.m]
 
     def decompose_slice(self, gelt, degree):
-        """Coordinates {position: coefficient} of a g-vector over the
+        """Coordinates {position: pair} of a g-vector over the
         g_{degree mod m} basis.
 
         Returns None when the vector leaves the twisted slice (meaning the
         input was not an element of the twisted algebra).
         """
         solver = self.slice_solvers[degree % self.m]
-        return solver.coords(gelt.coords)
+        return solver.coords(pair_vec(gelt.coords))

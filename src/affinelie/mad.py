@@ -11,6 +11,7 @@ certified for a given word, never searched.
 from __future__ import annotations
 
 from . import linalg
+from .scalars import CycScalar
 from .loop import LoopElt
 from .affine import AffineElt, bracket_affine
 from .report import Report
@@ -79,9 +80,11 @@ def is_diagonalizable(spec, window):
         [op.rows() for op in ops], len(ops[0].interior), window.m)
     if defect is not None:
         return False, {"defective_generator": spec.generators[defect].render()}
-    eigen = [(weights, [AdOperator.joint_lift(ops, coeffs, weights)
-                        for coeffs in basis])
-             for weights, basis in spaces]
+    eigen = []
+    for weights, basis in spaces:
+        weights = tuple(CycScalar._make(window.m, *w) for w in weights)
+        eigen.append((weights, [AdOperator.joint_lift(ops, coeffs, weights)
+                                for coeffs in basis]))
     return True, {"eigenbasis": eigen}
 
 

@@ -409,7 +409,8 @@ def _table_algebra(rank, fields, roots, brackets):
     Roots are coefficient tuples over the simple roots: each nonnegative,
     nonzero and listed once, every simple root among them.  Brackets list
     the sparse structure constants by basis label, each pair of labels at
-    most once, in either order, and [b, b] = 0.  A degenerate Killing form
+    most once, in either order, and [b, b] = 0.  A degenerate Killing form,
+    a bracket against the grading of the cartan matrix (`verify_grading`)
     and a Jacobi failure are rejected on load.
     """
     from .rootsys import RootDatum, ChevAlgebra
@@ -436,7 +437,7 @@ def _table_algebra(rank, fields, roots, brackets):
     datum = RootDatum("table", rank, cartan, pos)
     label_index = {lab: i for i, lab in
                    enumerate(ChevAlgebra.default_labels(datum))}
-    table = {}
+    table, where = {}, {}
     for lineno, value in brackets:
         m = re.match(r"^(\S+)\s+(\S+)\s*->\s*(.*)$", value)
         if not m:
@@ -462,14 +463,34 @@ def _table_algebra(rank, fields, roots, brackets):
             raise ParseError(f"line {lineno}: [{b1}, {b2}] must be 0")
         table[(i, j)] = row
         table[(j, i)] = {k: -c for k, c in row.items()}
+        where[(i, j)] = where[(j, i)] = lineno
     alg = ChevAlgebra(datum, table_override={k: v for k, v in table.items() if v})
     gram = [{} for _ in range(alg.dim)]
     for (i, j), c in alg.killing_table.items():
-        gram[i][j] = CycScalar(1, c)
+        gram[i][j] = (c, 0)
     if linalg.rank(gram, 1) < alg.dim:
         raise ParseError("table has a degenerate Killing form")
+    verify_grading(alg, where)
     _verify_table(alg)
     return alg
+
+
+def verify_grading(alg, where):
+    """The grading of the cartan matrix: [H_i, H_j] = 0 and [H_i, X_a] =
+    <a, a_i^vee> X_a.  `where` maps a basis pair to its bracket line."""
+    from .rootsys import pairing
+    for i in range(alg.rank):
+        for j in range(alg.dim):
+            root = alg.root_of_index.get(j)
+            c = pairing(root, i, alg.datum.cartan) if root else 0
+            if alg.table.get((i, j), {}) != ({j: c} if c else {}):
+                line = where.get((i, j))
+                raise ParseError(
+                    ("" if line is None else f"line {line}: ")
+                    + f"[{alg.labels[i]}, {alg.labels[j]}] must be "
+                    + (f"{c} {alg.labels[j]}" if c else "0")
+                    + " by the cartan matrix"
+                    + ("; no bracket line gives it" if line is None else ""))
 
 
 def _verify_table(alg):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from . import linalg
 from .scalars import (CycScalar, _coef_prefix, add_into, as_scalar, join_signed,
-                      pair_terms, scalar_coords, table_pairing, table_products)
+                      pair_of, pair_terms, pair_vec, scalar_coords, scalar_vec,
+                      table_pairing, table_products)
 
 CARTAN_MATRICES = {
     ("A", 1): ((2,),),
@@ -187,23 +188,24 @@ def _build_table(alg):
 
 
 def _killing_from_table(alg):
-    """Exact trace form <x,y> = tr(ad x . ad y) over the structure table."""
-    dim = alg.dim
+    """Exact trace form <b_i, b_j> = tr(ad b_i . ad b_j), the sum of
+    N_jk^l N_il^k over k and l, taken over the table's nonzero entries: an
+    index (l, k) -> [(i, N_il^k)] meets each entry N_jk^l.  Each i <= j is
+    summed and mirrored, in (i, j) order."""
+    into = {}
+    for (i, l), row in alg.table.items():
+        for k, c in row.items():
+            into.setdefault((l, k), []).append((i, c))
+    totals = {}
+    for (j, k), row in alg.table.items():
+        for l, c1 in row.items():
+            for i, c2 in into.get((l, k), ()):
+                if i <= j:
+                    totals[(i, j)] = totals.get((i, j), 0) + c1 * c2
     killing = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            total = 0
-            for k in range(dim):
-                row_jk = alg.table.get((j, k))
-                if not row_jk:
-                    continue
-                for l, c1 in row_jk.items():
-                    c2 = alg.table.get((i, l), {}).get(k, 0)
-                    if c2:
-                        total += c1 * c2
-            if total:
-                killing[(i, j)] = total
-                killing[(j, i)] = total
+    for (i, j) in sorted(totals):
+        if totals[(i, j)]:
+            killing[(i, j)] = killing[(j, i)] = totals[(i, j)]
     return killing
 
 
@@ -360,7 +362,7 @@ class DiagramAuto:
         """Integer matrix of the automorphism on the Chevalley basis."""
         mat = [{} for _ in range(self.alg.dim)]
         for i, (j, s) in enumerate(self.image):
-            mat[j][i] = CycScalar(self.m, s)
+            mat[j][i] = (s, 0)
         return mat
 
     def is_identity(self):
@@ -436,8 +438,9 @@ def sigma_eigenspaces(auto):
     zeta = CycScalar.zeta(m)
     spaces = []
     for i in range(m):
-        basis = linalg.kernel_basis(linalg.shifted(mat, zeta ** i, m), alg.dim, m)
-        spaces.append([GElt(alg, m, v) for v in basis])
+        basis = linalg.kernel_basis(
+            linalg.shifted(mat, pair_of(zeta ** i), m), alg.dim, m)
+        spaces.append([GElt._make(alg, m, scalar_vec(m, v)) for v in basis])
     if sum(len(b) for b in spaces) != alg.dim:
         raise ValueError("eigenspace dimensions do not sum to dim g")
     return spaces
@@ -468,7 +471,8 @@ def cartan_of_fixed(auto):
     h = centralizer_in_g(alg, m, h0)
     _assert_abelian(h)
     again = centralizer_in_g(alg, m, h)
-    if not linalg.same_span([x.coords for x in h], [x.coords for x in again], m):
+    if not linalg.same_span([pair_vec(x.coords) for x in h],
+                            [pair_vec(x.coords) for x in again], m):
         raise ValueError("centralizer of h_0 is not self-centralizing")
     return h0, h
 
@@ -482,9 +486,10 @@ def centralizer_in_g(alg, m, elements):
         for j in range(dim):
             img = t.bracket(GElt.basis(alg, m, j))
             for i, c in img.coords.items():
-                rows[i][j] = c
+                rows[i][j] = (c.a, c.b)
         stacked.extend(rows)
-    return [GElt(alg, m, v) for v in linalg.kernel_basis(stacked, dim, m)]
+    return [GElt._make(alg, m, scalar_vec(m, v))
+            for v in linalg.kernel_basis(stacked, dim, m)]
 
 
 def _assert_abelian(elements):

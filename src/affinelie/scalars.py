@@ -28,7 +28,8 @@ def _exact(q):
     """q as an int when it is integral, otherwise as a Fraction."""
     if type(q) is int:
         return q
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -113,14 +114,7 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.a and not self.b:
-            raise ZeroDivisionError("inverse of zero scalar")
-        a, b = self.a, self.b
-        # Fraction(1) / a, never 1 / a: the quotient of two ints is a float.
-        if not b:
-            return CycScalar._make(self.m, Fraction(1) / a, 0)
-        n = a * a - a * b + b * b
-        return CycScalar._make(self.m, Fraction(a - b, n), Fraction(-b, n))
+        return CycScalar._make(self.m, *pair_inv((self.a, self.b)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -210,8 +204,30 @@ def pair_mul(x, y):
     return a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2
 
 
+def pair_inv(x):
+    """1 / (a + b*zeta), by the norm a^2 - ab + b^2; ZeroDivisionError at 0.
+    Fraction(1) / a, never 1 / a: the quotient of two ints is a float."""
+    a, b = x
+    if not b:
+        if a == 1 or a == -1:
+            return a, 0
+        return _exact(Fraction(1) / a), 0
+    n = a * a - a * b + b * b
+    return _exact(Fraction(a - b) / n), _exact(Fraction(-b) / n)
+
+
 def pair_of(scalar):
     return scalar.a, scalar.b
+
+
+def pair_vec(coords):
+    """{index: CycScalar} as the {index: pair} rows of `linalg`."""
+    return {i: (c.a, c.b) for i, c in coords.items()}
+
+
+def scalar_vec(m, vec):
+    """{index: pair} as {index: CycScalar}."""
+    return {i: CycScalar._make(m, a, b) for i, (a, b) in vec.items()}
 
 
 def pair_terms(coords):

@@ -16,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .scalars import CycScalar, as_scalar
+from .scalars import (CycScalar, add_products, as_scalar, pair_mul, pair_of,
+                      pair_terms, table_pairing, table_products)
 from .loop import LoopElt, TwistedContext
-from .affine import AffineElt, bracket_affine, invariant_form
+from .affine import AffineElt, bracket_affine, flat, flat_bracket, invariant_form
 from .report import Report
 
 
@@ -68,8 +69,8 @@ class Window:
         return all(lo <= p <= hi for p in degrees)
 
     def to_vector(self, elt):
-        """Window coordinates {slot: coefficient} of an AffineElt, without
-        zeros, or None if it leaves [lo, hi]."""
+        """Window coordinates {slot: pair} of an AffineElt, without zeros,
+        or None if it leaves [lo, hi]."""
         degrees = elt.loop.degree_support()
         if not self.inside(degrees):
             return None
@@ -82,13 +83,14 @@ class Window:
                 vec[self.slot[(j, pos)]] = coef
         for slot, coef in ((self.c_slot, elt.c), (self.d_slot, elt.d)):
             if coef:
-                vec[slot] = coef
+                vec[slot] = (coef.a, coef.b)
         return vec
 
     def from_vector(self, vec):
+        """The element with window coordinates {slot: pair}."""
         out = AffineElt.zero(self.alg, self.m)
         for i in sorted(vec):
-            out = out + self.basis[i].scale(vec[i])
+            out = out + self.basis[i].scale(CycScalar._make(self.m, *vec[i]))
         return out
 
 
@@ -166,7 +168,7 @@ class AdOperator:
         return out
 
     def lift(self, coeffs, w):
-        """The window element with coefficients {k: coef} on the interior
+        """The window element with coefficients {k: pair} on the interior
         columns interior[k], re-verified as an eigenvector of weight w."""
         v = self.window.from_vector(
             {self.interior[k]: coef for k, coef in coeffs.items()})
@@ -186,7 +188,7 @@ class WeightSpace:
         self.w = w
         self.vectors = vectors
         self.series_id = None
-        self.loop = None  # (basis of A_w, its SpanSolver), see loop_space
+        self.loop = None  # (basis of A_w, flat forms, SpanSolver): loop_space
 
     @property
     def dim(self):
@@ -219,30 +221,34 @@ class WeightDecomp:
 
         Realizes the induced operator on core/center by computing at hat
         level and dropping the c-component.  Built once per weight, with
-        the SpanSolver of its span (`loop_solver`).
+        each basis vector's flat form (the monomial pairs of `affine.flat`)
+        and the SpanSolver of their span over (index, degree) monomials
+        (`loop_solver`).  Those coordinates are injective on the twisted
+        algebra, so they decide membership as window coordinates would.
         """
         sp = self.space(w)
         if sp is None:
             return []
         if sp.loop is None:
-            window = self.window
-            solver = linalg.SpanSolver(window.m)
+            solver = linalg.SpanSolver(self.window.m)
             # independent loop projections only
-            keep = []
+            keep, flats = [], []
             for v in sp.vectors:
-                if not v.d and v.loop and solver.add(
-                        window.to_vector(AffineElt(v.loop))):
+                terms = pair_terms(v.loop.coords)
+                if not v.d and terms and solver.add(dict(terms)):
                     keep.append(v.loop)
-            sp.loop = (keep, solver)
+                    flats.append(terms)
+            sp.loop = (keep, flats, solver)
         return sp.loop[0]
 
     def loop_solver(self, w):
-        """SpanSolver of the span of `loop_space(w)`; None if w is no weight."""
+        """SpanSolver of the span of `loop_space(w)` over (index, degree)
+        monomials; None if w is no weight."""
         sp = self.space(w)
         if sp is None:
             return None
         self.loop_space(sp.w)
-        return sp.loop[1]
+        return sp.loop[2]
 
 
 def _scalar_key(w):
@@ -295,20 +301,21 @@ def weight_decompose(x, window):
     interior = op.interior
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
-    zero = CycScalar.zero(m)
-    diagonal = (op.columns[i].get(i, zero) for i in interior)
-    rationals = {w.rational() for w in diagonal if w.is_rational()}
+    diagonal = (op.columns[i].get(i, linalg.ZERO) for i in interior)
+    rationals = {a for a, b in diagonal if not b}
     closure = []
     if rationals:
         lo, hi = min(rationals) - m, max(rationals) + m
         for w in sorted(rationals):
             w -= m * ((w - lo) // m)
             while w <= hi:
-                closure.append(CycScalar(m, w))
+                closure.append((w, 0))
                 w += m
     solved, complete = linalg.eigenspaces(op.rows(), len(interior), m, closure)
-    spaces = [WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis])
-              for w, basis in solved]
+    spaces = []
+    for w, basis in solved:
+        w = CycScalar._make(m, *w)
+        spaces.append(WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis]))
     spaces.sort(key=lambda sp: _scalar_key(sp.w))
     defect = None if complete else len(interior) - sum(sp.dim for sp in spaces)
     return WeightDecomp(x, window, spaces, complete, interior, defect)
@@ -320,11 +327,14 @@ def verify_shift(decomp):
     For every weight pair (w, w + m n): each A_w basis vector whose t^n
     shift stays interior must be an exact eigenvector of weight w + m n
     lying in span A_{w+mn}; when the reverse shift also stays interior,
-    the spans agree exactly.
+    the spans agree exactly.  The shift re-keys the degrees of a flat form
+    from `loop_space`, and [x, t^n v] is `affine.flat_bracket`, of which
+    only the loop part is compared.
     """
     window = decomp.window
-    m = window.m
+    alg, m = window.alg, window.m
     reach = degree_reach(decomp.x)
+    fx = flat(decomp.x)
     rep = Report()
     bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
     for sp1, basis1 in zip(decomp.spaces, bases):
@@ -338,20 +348,20 @@ def verify_shift(decomp):
             if q == 0 or q % m != 0:
                 continue
             shift = int(q)
-            solver = decomp.loop_solver(w2)
+            minus_w2 = (-w2.a, -w2.b)
             forward_ok = True
-            for v in basis1:
-                if not window.inside({p + shift for p in v.degree_support()},
-                                     reach):
+            for v, fv in zip(basis1, sp1.loop[1]):
+                terms = [((i, p + shift), x) for (i, p), x in fv]
+                if not window.inside({p for (_, p), _ in terms}, reach):
                     forward_ok = False
                     continue
-                shifted = v.shift(shift)
-                eig = bracket_affine(decomp.x, AffineElt(shifted))
-                diff_elt = eig - AffineElt(shifted).scale(w2)
-                in_span = solver.contains(window.to_vector(AffineElt(shifted)))
-                if not rep.check(in_span and not diff_elt.loop):
+                image = flat_bracket(alg, fx, (terms, None))
+                image.pop("c", None)
+                add_products(image, minus_w2, terms)
+                in_span = sp2.loop[2].contains(dict(terms))
+                if not rep.check(in_span and not image):
                     rep.fail([v.render(), f"n={shift // m}"],
-                             shifted.render(), f"A_{w2.render()}")
+                             v.shift(shift).render(), f"A_{w2.render()}")
             if forward_ok and all(
                 window.inside({p - shift for p in u.degree_support()}, reach)
                 for u in basis2
@@ -362,7 +372,11 @@ def verify_shift(decomp):
 
 
 def verify_opposite(decomp):
-    """Weight-set symmetry plus cross-weight orthogonality of the form."""
+    """Weight-set symmetry plus cross-weight orthogonality of the form.
+
+    Each value is `scalars.table_pairing` on the Killing table plus
+    c*d + d*c, on flat forms made once per eigenvector; a nonzero one is
+    rendered from `affine.invariant_form`."""
     rep = Report()
     mult = {}
     for sp in decomp.spaces:
@@ -373,14 +387,21 @@ def verify_opposite(decomp):
             rep.fail([w.render()], f"dim {dim}",
                      "missing opposite weight" if neg not in mult
                      else f"dim {mult[neg][1]}")
-    for sp1 in decomp.spaces:
-        for sp2 in decomp.spaces:
-            if not (sp1.w + sp2.w).is_zero():
-                for u in sp1.vectors:
-                    for v in sp2.vectors:
-                        val = invariant_form(u, v)
-                        if not rep.check(not val):
-                            rep.fail([u.render(), v.render()], val.render(), "0")
+    form = decomp.window.alg.killing_table
+    flats = [[(pair_terms(v.loop.coords), pair_of(v.c), pair_of(v.d))
+              for v in sp.vectors] for sp in decomp.spaces]
+    for sp1, flats1 in zip(decomp.spaces, flats):
+        for sp2, flats2 in zip(decomp.spaces, flats):
+            if sp1.w.a + sp2.w.a or sp1.w.b + sp2.w.b:
+                for u, (xu, cu, du) in zip(sp1.vectors, flats1):
+                    for v, (xv, cv, dv) in zip(sp2.vectors, flats2):
+                        a, b = table_pairing(form, xu, xv)
+                        for s, t in ((cu, dv), (du, cv)):
+                            pa, pb = pair_mul(s, t)
+                            a, b = a + pa, b + pb
+                        if not rep.check(not (a or b)):
+                            rep.fail([u.render(), v.render()],
+                                     invariant_form(u, v).render(), "0")
     return rep
 
 
@@ -395,26 +416,31 @@ def verify_zero_weight(decomp):
 
 
 def verify_product_rule(decomp):
-    """[A_w1, A_w2] lies in A_{w1+w2}, on interior pairs with interior sum."""
+    """[A_w1, A_w2] lies in A_{w1+w2}, on interior pairs with interior sum.
+
+    Each bracket is `scalars.table_products`, the loop bracket, on the flat
+    forms of `loop_space`, tested against the target's solver in the same
+    (index, degree) coordinates; a failing pair is rendered from
+    `LoopElt.bracket`."""
     window = decomp.window
+    table = window.alg.table
     reach = degree_reach(decomp.x)
     rep = Report()
-    bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
-    for sp1, basis1 in zip(decomp.spaces, bases):
-        for sp2, basis2 in zip(decomp.spaces, bases):
+    spaces = [(sp, decomp.loop_space(sp.w), sp.loop[1]) for sp in decomp.spaces]
+    for sp1, basis1, flats1 in spaces:
+        for sp2, basis2, flats2 in spaces:
             target = sp1.w + sp2.w
             solver = decomp.loop_solver(target)
-            for u in basis1:
-                for v in basis2:
-                    b = u.bracket(v)
-                    if not window.inside(b.degree_support(), reach):
+            for u, fu in zip(basis1, flats1):
+                for v, fv in zip(basis2, flats2):
+                    b = table_products(table, fu, fv)
+                    if not window.inside({p for _, p in b}, reach):
                         continue
                     # outside a known eigenspace: exact failure witness
-                    if not rep.check(b.is_zero() or solver is not None
-                                     and solver.contains(
-                                         window.to_vector(AffineElt(b)))):
-                        rep.fail([u.render(), v.render()], b.render(),
-                                 f"A_{target.render()}")
+                    if not rep.check(not b or solver is not None
+                                     and solver.contains(b)):
+                        rep.fail([u.render(), v.render()],
+                                 u.bracket(v).render(), f"A_{target.render()}")
     return rep
 
 

@@ -207,6 +207,13 @@ _MALFORMED = [
      "line 9: the bracket of X_a1 and X_ma1 is given twice"),
     ("label", "rank: 1\ncartan: 2\nroot: 1\n" + _SL2_BRACKETS + "label: nonsense\n",
      "line 9: unknown key 'label'"),
+    # sl(2) under a cartan line it does not have
+    ("cartan_5", "rank: 1\ncartan: 5\nroot: 1\n" + _SL2_BRACKETS,
+     r"line 6: \[H_1, X_a1\] must be 5 X_a1 by the cartan matrix"),
+    # so(3): ad H_1 has eigenvalues +-i, so its "roots" are no roots
+    ("so3", "rank: 1\ncartan: 2\nroot: 1\nbracket: H_1 X_a1 -> 1 X_ma1\n"
+     "bracket: X_a1 X_ma1 -> 1 H_1\nbracket: X_ma1 H_1 -> 1 X_a1\n",
+     r"line 6: \[H_1, X_a1\] must be 2 X_a1 by the cartan matrix"),
 ]
 MALFORMED_TABLES = [pytest.param("schema: 1\ntype: table\n" + text, error, id=name)
                     for name, text, error in _MALFORMED]

@@ -1,0 +1,94 @@
+"""Matrix helpers only the tests use, on the {index: (a, b)} pair rows of
+`affinelie.linalg`: the identity, products, the inverse, generalized
+eigenspaces, the Jordan-Chevalley split, and evaluation and division of
+polynomials given as lists of pairs, lowest degree first.
+"""
+
+from affinelie import linalg
+from affinelie.scalars import pair_mul
+
+ZERO, ONE = linalg.ZERO, linalg.ONE
+
+
+def identity(n, m):
+    return [{i: ONE} for i in range(n)]
+
+
+def mat_mul(a, b, m):
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            linalg._add_multiple(acc, x, b[k])
+        out.append(acc)
+    return out
+
+
+def invert(mat, m):
+    n = len(mat)
+    aug = [{**row, n + i: ONE} for i, row in enumerate(mat)]
+    rows, pivots = linalg.rref(aug, m)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [{j - n: x for j, x in row.items() if j >= n} for row in rows]
+
+
+def generalized_eigenspace(mat, w, mult, m):
+    n = len(mat)
+    step = linalg.shifted(mat, w, m)
+    power = identity(n, m)
+    for _ in range(mult):
+        power = mat_mul(step, power, m)
+    return linalg.kernel_basis(power, n, m)
+
+
+def jordan_split(mat, m):
+    """Exact Jordan-Chevalley split M = S + N over Q(zeta_m).
+
+    Finds eigenvalues via the characteristic polynomial, builds
+    generalized eigenspaces, and assembles the semisimple part blockwise.
+    Raises ValueError when the characteristic polynomial does not split
+    over the implemented field.
+    """
+    n = len(mat)
+    found = dict(linalg.rational_roots(linalg.charpoly(mat, m), m))
+    if sum(found.values()) != n:
+        raise ValueError("characteristic polynomial does not split over Q(zeta_m)")
+    # change of basis: the columns of P are the generalized eigenvectors
+    p = [{} for _ in range(n)]
+    d = []
+    for w, mult in found.items():
+        basis = generalized_eigenspace(mat, w, mult, m)
+        if len(basis) != mult:
+            raise ValueError("generalized eigenspace dimension mismatch")
+        for v in basis:
+            for i, x in v.items():
+                p[i][len(d)] = x
+            d.append({len(d): w} if w != ZERO else {})
+    s = mat_mul(mat_mul(p, d, m), invert(p, m), m)
+    nmat = []
+    for row, srow in zip(mat, s):
+        row = dict(row)
+        linalg._subtract(row, ONE, srow)
+        nmat.append(row)
+    return s, nmat
+
+
+def poly_eval(poly, x):
+    acc = ZERO
+    for a, b in reversed(poly):
+        pa, pb = pair_mul(acc, x)
+        acc = (pa + a, pb + b)
+    return acc
+
+
+def poly_divmod_linear(poly, root):
+    """Divide poly by (x - root) via synthetic division; (quotient, rem)."""
+    n = len(poly) - 1
+    quot = [ZERO] * n
+    carry = poly[n]
+    for j in range(n - 1, -1, -1):
+        quot[j] = carry
+        pa, pb = pair_mul(carry, root)
+        carry = (poly[j][0] + pa, poly[j][1] + pb)
+    return quot, carry

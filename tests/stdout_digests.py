@@ -9,9 +9,10 @@ comparing the two outputs:
     diff parent.json change.json
 
 `--root` names the checkout whose `src/` and `algebras/` are run (default:
-the one holding this script).  The 54 runs are the 36 `verify <suite>
+the one holding this script).  The 56 runs are the 36 `verify <suite>
 --seed 7` runs over every shipped algebra (D4 `jacobi` at `--window -1
-1`), seven `spectrum` runs (one with weights outside Q), five `verify mad`
+1`), nine `spectrum` runs (one with weights outside Q, one with x partly
+outside its window, one with x outside the twisted algebra), five `verify mad`
 runs, one `conjugate` run and five more of `construct`, `--format text`
 and small windows.  The two runs
 that read a subalgebra file pass `tests/a1_conjugate.spec` of this
@@ -54,7 +55,11 @@ def runs():
             ("a2", "3*H_1*t^0 + 5*H_2*t^0 + X_a1*t^1 + X_a2*t^-1 + d", []),
             ("a2_twisted", "H_1*t^0 + H_2*t^0 + d", ["--window", "-2", "2"]),
             ("d4_triality", "z*H_2*t^0 + H_1*t^0 + H_3*t^0 + H_4*t^0 + d",
-             ["--window", "-2", "2"])]:
+             ["--window", "-2", "2"]),
+            # x partly outside the window: exit 1 with rendered failures
+            ("a1", "H_1*t^0 + X_a1*t^-1 + d", ["--window", "2", "9"]),
+            # the same x is no element of the twisted algebra: exit 3
+            ("a2_twisted", "H_1*t^0 + X_a1*t^-1 + d", ["--window", "2", "9"])]:
         out.append(["spectrum", *_alg(name), "--x", x, *extra])
     out += [
         ["verify", "mad", *_alg("a2_twisted"), "--word", "vshift(2) @ hat"],

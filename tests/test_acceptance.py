@@ -186,7 +186,7 @@ class TestCriterion4:
         from affinelie import linalg
         for alg in (a1, a2_flip.alg):
             n = alg.rank
-            cartan = [{j: CycScalar(1, a) for j, a in enumerate(alg.datum.cartan[i]) if a}
+            cartan = [{j: (a, 0) for j, a in enumerate(alg.datum.cartan[i]) if a}
                       for i in range(n)]
             if linalg.rank(cartan, 1) != n:
                 ok = False

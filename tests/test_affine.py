@@ -159,7 +159,8 @@ class TestBlockGramRank:
                     assert entry == gram[j][i]
                     if keys[j] != opposite(keys[i]):
                         assert not entry
-            sparse = [{j: e for j, e in enumerate(row) if e} for row in gram]
+            sparse = [{j: (e.a, e.b) for j, e in enumerate(row) if e}
+                      for row in gram]
             assert linalg.rank(sparse, auto.m) == window_gram_rank(win)
 
     @pytest.mark.parametrize("name", ["a1", "a3_twisted"])

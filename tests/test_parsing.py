@@ -10,7 +10,8 @@ from affinelie.affine import AffineElt
 from affinelie.loop import LoopElt
 from affinelie.parsing import (ParseError, parse_affine, parse_algebra_file,
                                parse_laurent, parse_scalar,
-                               parse_word)
+                               parse_word, verify_grading)
+from affinelie.rootsys import ChevAlgebra, build_chevalley
 from affinelie.scalars import CycScalar, LaurentElt
 
 from conftest import MALFORMED_TABLES, MALFORMED_TYPED
@@ -212,6 +213,18 @@ bracket: X_a1 X_ma1 -> 1 H_1
     def test_table_mode_rejects_malformed_tables(self, text, error):
         with pytest.raises(ParseError, match=f"^{error}$"):
             parse_algebra_file(text)
+
+    @pytest.mark.parametrize("kind, rank", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
+    def test_typed_tables_pass_the_grading_gate(self, kind, rank):
+        verify_grading(build_chevalley(kind, rank), {})
+
+    def test_grading_gate_names_a_missing_bracket(self):
+        alg = build_chevalley("A", 1)
+        h, y = alg.label_index["H_1"], alg.label_index["X_ma1"]
+        table = {k: v for k, v in alg.table.items() if k not in ((h, y), (y, h))}
+        with pytest.raises(ParseError, match=r"^\[H_1, X_ma1\] must be -2 X_ma1 "
+                           "by the cartan matrix; no bracket line gives it$"):
+            verify_grading(ChevAlgebra(alg.datum, table_override=table), {})
 
     def test_table_mode_reads_a_reversed_pair_as_its_negative(self):
         # and stores no zero coefficient: the sign pass divides by each

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinelie import linalg
-from affinelie.affine import AffineElt, bracket_affine
+from affinelie.affine import (AffineElt, bracket_affine, flat, flat_bracket,
+                              invariant_form)
 from affinelie.autos import AutoWord, Cochar, Ring, RootExp, TorusK, VShift
 from affinelie.loop import LoopElt
 from affinelie.parsing import parse_affine, parse_algebra_file
 from affinelie.rootsys import build_chevalley, build_diagram_auto, cartan_of_fixed
-from affinelie.scalars import CycScalar, LaurentElt
+from affinelie.scalars import (CycScalar, LaurentElt, pair_of, pair_terms,
+                               table_pairing, table_products)
 from affinelie.spectral import (AdOperator, Window, decomposition_report,
                                 degree_reach, interior_indices,
                                 rspan_isomorphism_check, verify_opposite,
@@ -45,8 +47,8 @@ class TestAdMatrix:
         assert op.interior == list(range(win.size()))
         mat = op.rows()
         for i, (kind, j, _) in enumerate(win.meta):
-            expect = CycScalar(1, j) if kind == "loop" else CycScalar.zero(1)
-            assert mat[i].get(i, CycScalar.zero(1)) == expect
+            expect = (j if kind == "loop" else 0, 0)
+            assert mat[i].get(i, (0, 0)) == expect
 
     def test_degree_zero_cartan_is_diagonal(self, a1, a1_id, a1_x):
         win = Window(a1_id, -2, 2)
@@ -99,10 +101,11 @@ class TestAdMatrix:
         win = Window(a1_id, -2, 2)
         op = AdOperator(a1_x, win)
         e = win.slot[(1, 0)]
-        coeffs = {op.interior.index(e): CycScalar.one(1)}
-        assert op.lift(coeffs, op.columns[e][e]) == win.basis[e]
+        coeffs = {op.interior.index(e): (1, 0)}
+        w = CycScalar(1, *op.columns[e][e])
+        assert op.lift(coeffs, w) == win.basis[e]
         with pytest.raises(AssertionError):
-            op.lift(coeffs, op.columns[e][e] + CycScalar.one(1))
+            op.lift(coeffs, w + CycScalar.one(1))
 
 
 # one small window per root-of-unity order, built once
@@ -134,7 +137,7 @@ class TestToVector:
         vec = win.to_vector(elt)
         assert set(vec) <= set(range(win.size()))
         # `SpanSolver.add` inverts v[min(v)]: no stored entry may be zero
-        assert all(vec.values())
+        assert all(a or b for a, b in vec.values())
         assert win.from_vector(vec) == elt
         # one term just outside [lo, hi] takes the element out of the window
         j = data.draw(st.sampled_from([win.lo - 1, win.hi + 1]))
@@ -166,6 +169,7 @@ def blockwise_reference(x, window):
         # an incomplete slice surfaces through the dimension certificate
         spaces, _ = linalg.eigenspaces(mat, len(mat), m)
         for w, sub in spaces:
+            w = CycScalar(m, *w)
             for coeffs in sub:
                 v = window.from_vector({block[k]: c for k, c in coeffs.items()})
                 op.check(v, w)
@@ -439,13 +443,13 @@ class TestJordanBlockInvariant:
     def test_block_semisimple_parts(self, a1, a1_id):
         # ad of a mixed element block-splits; the computed semisimple part
         # of the whole equals the blockwise semisimple parts
-        from affinelie import linalg
+        from pair_linalg import jordan_split
         h_plus_x = LoopElt.monomial(a1, 1, 0, 0) + LoopElt.monomial(a1, 1, 1, 0)
         win = Window(a1_id, -1, 1)
         op = AdOperator(AffineElt(h_plus_x), win)
         assert op.interior == list(range(win.size()))
         mat = op.rows()
-        s, n = linalg.jordan_split(mat, 1)
+        s, n = jordan_split(mat, 1)
         # blocks are the degree slices, and the c and d columns are zero
         # (a degree-0 x without d); off-block entries of S must vanish
         for i, (_, ji, _) in enumerate(win.meta):
@@ -456,7 +460,68 @@ class TestJordanBlockInvariant:
         idx = [i for i, (_, j, _) in enumerate(win.meta) if j == 0]
         block = [{k: row[j] for k, j in enumerate(idx) if j in row}
                  for row in (mat[i] for i in idx)]
-        s_block, _ = linalg.jordan_split(block, 1)
+        s_block, _ = jordan_split(block, 1)
         lifted = [{k: row[j] for k, j in enumerate(idx) if j in row}
                   for row in (s[i] for i in idx)]
         assert s_block == lifted
+
+
+def standard_x(auto):
+    """h + d with h the sum of the h_0 basis, the `verify spectral` default."""
+    h0, _ = cartan_of_fixed(auto)
+    reg = LoopElt.zero(auto.alg, auto.m)
+    for h in h0:
+        reg = reg + LoopElt.from_g(h, 0)
+    return AffineElt(reg, d=1)
+
+
+FLAT_CASES = [(name, None) for name in
+              ("a1", "a2", "a2_twisted", "a3_twisted", "d4_triality", "sl2_table")]
+FLAT_CASES.append(("a2", "H_1*t^0 + 2*H_2*t^0 + X_a1*t^1 + d"))
+
+
+class TestFlatVerifiersMatchObjects:
+    """The spectral verifiers read flat pair forms; on every weight vector
+    of a decomposition at --window -2 2 they must agree with the object
+    brackets, the invariant form and window-coordinate membership."""
+
+    @pytest.fixture(params=FLAT_CASES, ids=lambda case: case[0] + ("" if case[1] is None else "-reach1"))
+    def decomp(self, request):
+        name, x_text = request.param
+        alg, auto = parse_algebra_file((ALGEBRAS / f"{name}.alg").read_text())
+        x = standard_x(auto) if x_text is None else parse_affine(x_text, alg, auto.m)
+        return weight_decompose(x, Window(auto, -2, 2))
+
+    def test_brackets_and_pairings(self, decomp):
+        alg = decomp.window.alg
+        vectors = [v for sp in decomp.spaces for v in sp.vectors]
+        flats = [flat(v) for v in vectors]
+        for u, fu in zip(vectors, flats):
+            for v, fv in zip(vectors, flats):
+                b = bracket_affine(u, v)
+                expect = dict(pair_terms(b.loop.coords))
+                if b.c:
+                    expect["c"] = pair_of(b.c)
+                assert flat_bracket(alg, fu, fv) == expect
+                loop = table_products(alg.table, fu[0], fv[0])
+                assert loop == dict(pair_terms(u.loop.bracket(v.loop).coords))
+                a, zeta = table_pairing(alg.killing_table, fu[0], fv[0])
+                for s, t in ((u.c, v.d), (u.d, v.c)):
+                    a, zeta = a + (s * t).a, zeta + (s * t).b
+                assert CycScalar(decomp.window.m, a, zeta) == invariant_form(u, v)
+
+    def test_flat_membership_is_window_membership(self, decomp):
+        window = decomp.window
+        spaces = [(sp.w, decomp.loop_space(sp.w)) for sp in decomp.spaces]
+        probes = [u for _, basis in spaces for u in basis]
+        probes += [u.bracket(v) for u in probes for v in probes]
+        probes = [p for p in probes if window.inside(p.degree_support())]
+        for w, basis in spaces:
+            in_window = linalg.SpanSolver(window.m)
+            for v in basis:
+                in_window.add(window.to_vector(AffineElt(v)))
+            in_flat = decomp.loop_solver(w)
+            assert in_flat.rank == in_window.rank == len(basis)
+            for p in probes:
+                assert (in_flat.contains(dict(pair_terms(p.coords)))
+                        == in_window.contains(window.to_vector(AffineElt(p))))
