@@ -10,9 +10,9 @@ The central element c and the degree derivation d follow
 
 from __future__ import annotations
 
-from .scalars import (CycScalar, _coef_prefix, add_products, as_scalar,
-                      join_signed, laurent_coords, pair_of, pair_terms,
-                      table_pairing, table_products)
+from .scalars import (CycScalar, add_products, as_scalar, laurent_coords,
+                      pair_of, pair_terms, render_sum, table_pairing,
+                      table_products)
 from .loop import LoopElt
 from . import linalg
 from .report import Report
@@ -80,13 +80,7 @@ class AffineElt:
                 and self.d == other.d)
 
     def render(self):
-        # the loop rendering is spliced in as one signed part
-        parts = [("+", self.loop.render())] if self.loop.coords else []
-        for coef, name in ((self.c, "c"), (self.d, "d")):
-            if coef:
-                sign, mult = _coef_prefix(coef)
-                parts.append((sign, mult + name))
-        return join_signed(parts) if parts else "0"
+        return render_sum(self.loop.render_terms() + [(self.c, "c"), (self.d, "d")])
 
     def __repr__(self):
         return f"AffineElt({self.render()!r})"

@@ -26,6 +26,15 @@ from .report import Report
 LEVELS = ("loop", "tilde", "hat")
 
 
+def _map_root_lines(x, f):
+    """A torus action on a loop element: each Cartan line fixed, the Laurent
+    coefficient p of each root line mapped to f(root, p)."""
+    alg = x.alg
+    return LoopElt(alg, x.m, {
+        i: p if i < alg.rank else f(alg.root_of_index[i], p)
+        for i, p in x.coords.items()})
+
+
 class AutoGen:
     """Base class for one named generator."""
 
@@ -155,14 +164,7 @@ class Cochar(AutoGen):
         return sum(c * v for c, v in zip(root, self.phi))
 
     def apply_loop(self, x):
-        out = {}
-        for i, p in x.coords.items():
-            if i < self.alg.rank:
-                out[i] = p
-            else:
-                shift = self.value(self.alg.root_of_index[i])
-                out[i] = p.shift(shift)
-        return LoopElt(x.alg, x.m, out)
+        return _map_root_lines(x, lambda root, p: p.shift(self.value(root)))
 
     def _central_correction(self, x):
         """phi(alpha_i) <X_{alpha_i}, X_{-alpha_i}> per degree-0 H line."""
@@ -211,15 +213,9 @@ class Cochar(AutoGen):
     def inverse_gens(self, level):
         if level != "hat":
             return (self.inverse(),)
-        # hat lifts of phi and -phi compose to d -> d + a*c with
-        # a = sum_i (X_phi)_i phi(alpha_i) <X_i, X_-i>; compensate exactly.
-        xphi = self.x_phi(1)
-        a = Fraction(0)
-        for i in range(self.alg.rank):
-            coef = xphi.coords.get(i)
-            if not coef:
-                continue
-            a += coef.rational() * self.phi[i] * self.alg.simple_pairing(i)
+        # hat lifts of phi and -phi compose to d -> d + a*c with a the
+        # central correction of X_phi; compensate exactly.
+        a = self._central_correction(LoopElt.from_g(self.x_phi(1), 0)).rational()
         return (VShift(-a), self.inverse())
 
     def render(self):
@@ -249,13 +245,7 @@ class TorusK(AutoGen):
         return self._eigens[root, m]
 
     def apply_loop(self, x):
-        out = {}
-        for i, p in x.coords.items():
-            if i < self.alg.rank:
-                out[i] = p
-            else:
-                out[i] = p.scale(self._eigen(self.alg.root_of_index[i], x.m))
-        return LoopElt(x.alg, x.m, out)
+        return _map_root_lines(x, lambda root, p: p.scale(self._eigen(root, x.m)))
 
     def inverse(self):
         return TorusK(self.alg, tuple(t.inverse() for t in self.coords))

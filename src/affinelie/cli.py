@@ -68,9 +68,9 @@ class Session:
             self._win = Window(self.auto, self.lo, self.hi, context=self.ctx)
         return self._win
 
-    def sample_loop(self, terms=2):
+    def sample_loop(self):
         out = LoopElt.zero(self.alg, self.m)
-        for _ in range(terms):
+        for _ in range(2):
             j = self.rng.randint(self.lo, self.hi)
             basis = self.ctx.slice_basis(j)
             if not basis:
@@ -80,8 +80,8 @@ class Session:
             out = out + LoopElt.from_g(e.scale(coef), j)
         return out
 
-    def sample_affine(self, terms=2):
-        return AffineElt(self.sample_loop(terms),
+    def sample_affine(self):
+        return AffineElt(self.sample_loop(),
                          c=self.rng.randint(-5, 5), d=self.rng.randint(-5, 5))
 
     def generator_kinds(self):

@@ -184,18 +184,6 @@ class SpanSolver:
         return {k: (-a, -b) for k, (a, b) in c.items()}
 
 
-def same_span(vectors_a, vectors_b, m):
-    sa = SpanSolver(m)
-    for v in vectors_a:
-        sa.add(v)
-    sb = SpanSolver(m)
-    for v in vectors_b:
-        sb.add(v)
-    if sa.rank != sb.rank:
-        return False
-    return all(sa.contains(v) for v in vectors_b)
-
-
 def charpoly(mat, m):
     """Characteristic polynomial det(xI - M), lowest degree first.
 

@@ -56,7 +56,7 @@ class _Value:
         self.exp = exp
         self.symbol = symbol
 
-    def times(self, other, m):
+    def times(self, other):
         if self.symbol is not None and other.symbol is not None:
             raise ParseError("product of two basis symbols")
         return _Value(
@@ -106,7 +106,7 @@ class _ElementParser:
         value = self.parse_factor()
         while self.peek() == "*":
             self.next()
-            value = value.times(self.parse_factor(), self.m)
+            value = value.times(self.parse_factor())
         if sign == -1:
             value.scalar = -value.scalar
         return value
@@ -181,13 +181,18 @@ class _ElementParser:
         return _Value(scalar)
 
 
-def parse_scalar(text, m):
-    parser = _ElementParser(tokenize(text), m)
+def _terms(text, m, alg=None):
+    """The terms of one whole element; anything after it is a parse error."""
+    parser = _ElementParser(tokenize(text), m, alg)
     terms = parser.parse_element()
     if parser.i != len(parser.tokens):
         raise ParseError("trailing input", parser.tokens[parser.i][1])
+    return terms
+
+
+def parse_scalar(text, m):
     out = CycScalar.zero(m)
-    for v in terms:
+    for v in _terms(text, m):
         if v.symbol is not None or v.exp:
             raise ParseError("expected a scalar expression")
         out = out + v.scalar
@@ -195,12 +200,8 @@ def parse_scalar(text, m):
 
 
 def parse_laurent(text, m):
-    parser = _ElementParser(tokenize(text), m)
-    terms = parser.parse_element()
-    if parser.i != len(parser.tokens):
-        raise ParseError("trailing input", parser.tokens[parser.i][1])
     out = LaurentElt.zero(m)
-    for v in terms:
+    for v in _terms(text, m):
         if v.symbol is not None:
             raise ParseError("unexpected basis symbol in a Laurent polynomial")
         out = out + LaurentElt.s_power(m, v.exp, v.scalar)
@@ -209,14 +210,10 @@ def parse_laurent(text, m):
 
 def parse_affine(text, alg, m, allow_cd=True):
     """Parse an affine (or loop when allow_cd=False) element."""
-    parser = _ElementParser(tokenize(text), m, alg)
-    terms = parser.parse_element()
-    if parser.i != len(parser.tokens):
-        raise ParseError("trailing input", parser.tokens[parser.i][1])
     loop = LoopElt.zero(alg, m)
     c = CycScalar.zero(m)
     d = CycScalar.zero(m)
-    for v in terms:
+    for v in _terms(text, m, alg):
         if v.symbol == "c":
             if v.exp:
                 raise ParseError("c carries no t-power")
@@ -477,20 +474,33 @@ def _table_algebra(rank, fields, roots, brackets):
 
 def verify_grading(alg, where):
     """The grading of the cartan matrix: [H_i, H_j] = 0 and [H_i, X_a] =
-    <a, a_i^vee> X_a.  `where` maps a basis pair to its bracket line."""
-    from .rootsys import pairing
+    <a, a_i^vee> X_a; and [X_a, X_-a] is the coroot of each positive root
+    a.  In a semisimple algebra [x, y] = kappa(x, y) t_a for x in g_a and y
+    in g_-a (Humphreys, Introduction to Lie Algebras, 8.3), so a Cartan
+    element h with a(h) = 2 is that coroot.  `where` maps a basis pair to
+    its bracket line."""
+    from .rootsys import neg, pairing, root_label
+    cartan = alg.datum.cartan
+
+    def fail(i, j, text):
+        line = where.get((i, j))
+        raise ParseError(("" if line is None else f"line {line}: ")
+                         + f"[{alg.labels[i]}, {alg.labels[j]}] must be {text}"
+                         + ("; no bracket line gives it" if line is None else ""))
+
     for i in range(alg.rank):
         for j in range(alg.dim):
             root = alg.root_of_index.get(j)
-            c = pairing(root, i, alg.datum.cartan) if root else 0
+            c = pairing(root, i, cartan) if root else 0
             if alg.table.get((i, j), {}) != ({j: c} if c else {}):
-                line = where.get((i, j))
-                raise ParseError(
-                    ("" if line is None else f"line {line}: ")
-                    + f"[{alg.labels[i]}, {alg.labels[j]}] must be "
-                    + (f"{c} {alg.labels[j]}" if c else "0")
-                    + " by the cartan matrix"
-                    + ("; no bracket line gives it" if line is None else ""))
+                fail(i, j, (f"{c} {alg.labels[j]}" if c else "0")
+                     + " by the cartan matrix")
+    for root in alg.datum.positive:
+        i, j = alg.index_of_root[root], alg.index_of_root[neg(root)]
+        row = alg.table.get((i, j), {})
+        if (max(row, default=0) >= alg.rank
+                or sum(c * pairing(root, k, cartan) for k, c in row.items()) != 2):
+            fail(i, j, f"the coroot: a Cartan element h with {root_label(root)}(h) = 2")
 
 
 def _verify_table(alg):

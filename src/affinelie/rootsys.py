@@ -12,9 +12,9 @@ explicit structure-constant tables.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import (CycScalar, _coef_prefix, add_into, as_scalar, join_signed,
-                      pair_of, pair_terms, pair_vec, scalar_coords, scalar_vec,
-                      table_pairing, table_products)
+from .scalars import (CycScalar, add_into, as_scalar, pair_of, pair_terms,
+                      render_sum, scalar_coords, scalar_vec, table_pairing,
+                      table_products)
 
 CARTAN_MATRICES = {
     ("A", 1): ((2,),),
@@ -290,15 +290,14 @@ class SparseElt:
         return (self.alg is other.alg and self.m == other.m
                 and self.coords == other.coords)
 
-    def render(self):
-        """Signed monomials by index, then degree: `ring._monomials` gives
+    def render_terms(self):
+        """(scalar, monomial text) by index, then degree: `_monomials` gives
         each coefficient's (suffix, scalar) terms."""
-        parts = []
-        for i in sorted(self.coords):
-            for suffix, c in self._monomials(self.coords[i]):
-                sign, mult = _coef_prefix(c)
-                parts.append((sign, mult + self.alg.labels[i] + suffix))
-        return join_signed(parts) if parts else "0"
+        return [(c, self.alg.labels[i] + suffix) for i in sorted(self.coords)
+                for suffix, c in self._monomials(self.coords[i])]
+
+    def render(self):
+        return render_sum(self.render_terms())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.render()!r})"
@@ -312,8 +311,8 @@ class GElt(SparseElt):
     _coords_of = staticmethod(scalar_coords)
 
     @classmethod
-    def basis(cls, alg, m, index, coef=1):
-        return cls(alg, m, {index: as_scalar(m, coef)})
+    def basis(cls, alg, m, index):
+        return cls._make(alg, m, {index: CycScalar.one(m)})
 
     def scale(self, coef):
         coef = as_scalar(self.m, coef)
@@ -470,9 +469,8 @@ def cartan_of_fixed(auto):
         h0.append(GElt(alg, m, {k: CycScalar.one(m) for k in orbit}))
     h = centralizer_in_g(alg, m, h0)
     _assert_abelian(h)
-    again = centralizer_in_g(alg, m, h)
-    if not linalg.same_span([pair_vec(x.coords) for x in h],
-                            [pair_vec(x.coords) for x in again], m):
+    # h is abelian, so h lies in C_g(h): equal kernel dimensions make them equal
+    if len(centralizer_in_g(alg, m, h)) != len(h):
         raise ValueError("centralizer of h_0 is not self-centralizing")
     return h0, h
 

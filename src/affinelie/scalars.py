@@ -147,9 +147,6 @@ class CycScalar:
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
-    def is_zero(self):
-        return not self
-
     def is_rational(self):
         return not self.b
 
@@ -447,14 +444,8 @@ class LaurentElt:
         return self.substitute(CycScalar.zeta(self.m))
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for p in sorted(self.terms):
-            coef = self.terms[p]
-            txt = _coef_prefix(coef)
-            parts.append((txt[0], txt[1] + render_t_power(p, self.m)))
-        return join_signed(parts)
+        return render_sum((self.terms[p], render_t_power(p, self.m))
+                          for p in sorted(self.terms))
 
     def __str__(self):
         return self.render()
@@ -494,12 +485,14 @@ def _coef_prefix(coef):
     return ("+", f"{a}*") if a > 0 else ("-", f"{-a}*")
 
 
-def join_signed(parts):
-    """Join (sign, text) term pairs into a canonical sum string."""
+def render_sum(terms):
+    """The canonical sum text of (scalar, monomial text) pairs, "0" when
+    every scalar is zero; a zero term is left out.  Every element renders
+    through this one writer."""
     out = []
-    for i, (sign, text) in enumerate(parts):
-        if i == 0:
-            out.append(text if sign == "+" else "-" + text)
-        else:
-            out.append(f" {sign} {text}")
-    return "".join(out)
+    for coef, text in terms:
+        if coef:
+            sign, mult = _coef_prefix(coef)
+            out.append(f" {sign} " if out else ("" if sign == "+" else "-"))
+            out.append(mult + text)
+    return "".join(out) or "0"

@@ -251,23 +251,19 @@ class WeightDecomp:
         return sp.loop[2]
 
 
-def _scalar_key(w):
-    return (w.a, w.b)
-
-
 def _assign_series(decomp):
     """Group weights into classes {w + m n}, filed under (w.a mod m, w.b),
     and assign deterministic ids."""
     m = decomp.window.m
     groups = {}
-    for sp in sorted(decomp.spaces, key=lambda s: _scalar_key(s.w)):
+    for sp in sorted(decomp.spaces, key=lambda s: pair_of(s.w)):
         groups.setdefault((sp.w.a % m, sp.w.b), []).append(sp)
 
     def rep_key(group):
         w = group[0].w
         if w.is_rational():
             return (w.rational() % m, Fraction(0))
-        return _scalar_key(w)
+        return pair_of(w)
 
     for sid, g in enumerate(sorted(groups.values(), key=rep_key)):
         for sp in g:
@@ -316,7 +312,7 @@ def weight_decompose(x, window):
     for w, basis in solved:
         w = CycScalar._make(m, *w)
         spaces.append(WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis]))
-    spaces.sort(key=lambda sp: _scalar_key(sp.w))
+    spaces.sort(key=lambda sp: pair_of(sp.w))
     defect = None if complete else len(interior) - sum(sp.dim for sp in spaces)
     return WeightDecomp(x, window, spaces, complete, interior, defect)
 
@@ -380,9 +376,9 @@ def verify_opposite(decomp):
     rep = Report()
     mult = {}
     for sp in decomp.spaces:
-        mult[_scalar_key(sp.w)] = (sp.w, sp.dim)
+        mult[pair_of(sp.w)] = (sp.w, sp.dim)
     for key, (w, dim) in mult.items():
-        neg = _scalar_key(-w)
+        neg = pair_of(-w)
         if not rep.check(neg in mult and mult[neg][1] == dim):
             rep.fail([w.render()], f"dim {dim}",
                      "missing opposite weight" if neg not in mult

@@ -214,6 +214,12 @@ _MALFORMED = [
     ("so3", "rank: 1\ncartan: 2\nroot: 1\nbracket: H_1 X_a1 -> 1 X_ma1\n"
      "bracket: X_a1 X_ma1 -> 1 H_1\nbracket: X_ma1 H_1 -> 1 X_a1\n",
      r"line 6: \[H_1, X_a1\] must be 2 X_a1 by the cartan matrix"),
+    # a valid sl(2), but [X_a1, X_ma1] = 2 H_1 is twice the coroot, so the
+    # cochar lifts' central correction, which reads it as H_1, is wrong
+    ("coroot_scaled", "rank: 1\ncartan: 2\nroot: 1\n"
+     + _SL2_BRACKETS.replace("-> 1 H_1", "-> 2 H_1"),
+     r"line 8: \[X_a1, X_ma1\] must be the coroot: a Cartan element h with "
+     r"a1\(h\) = 2"),
 ]
 MALFORMED_TABLES = [pytest.param("schema: 1\ntype: table\n" + text, error, id=name)
                     for name, text, error in _MALFORMED]

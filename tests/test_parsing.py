@@ -226,6 +226,26 @@ bracket: X_a1 X_ma1 -> 1 H_1
                            "by the cartan matrix; no bracket line gives it$"):
             verify_grading(ChevAlgebra(alg.datum, table_override=table), {})
 
+    def test_coroot_gate_names_a_missing_bracket(self):
+        alg = build_chevalley("A", 1)
+        x, y = alg.label_index["X_a1"], alg.label_index["X_ma1"]
+        table = {k: v for k, v in alg.table.items() if k not in ((x, y), (y, x))}
+        with pytest.raises(ParseError, match=r"^\[X_a1, X_ma1\] must be the coroot: "
+                           r"a Cartan element h with a1\(h\) = 2; no bracket line "
+                           "gives it$"):
+            verify_grading(ChevAlgebra(alg.datum, table_override=table), {})
+
+    def test_coroot_gate_rejects_a_root_vector_term(self):
+        alg = build_chevalley("A", 1)
+        h, x, y = (alg.label_index[lab] for lab in ("H_1", "X_a1", "X_ma1"))
+        table = dict(alg.table)
+        table[(x, y)] = {h: 1, x: 1}
+        table[(y, x)] = {h: -1, x: -1}
+        with pytest.raises(ParseError, match=r"^line 9: \[X_a1, X_ma1\] must be "
+                           "the coroot"):
+            verify_grading(ChevAlgebra(alg.datum, table_override=table),
+                           {(x, y): 9, (y, x): 9})
+
     def test_table_mode_reads_a_reversed_pair_as_its_negative(self):
         # and stores no zero coefficient: the sign pass divides by each
         text = """
@@ -254,3 +274,13 @@ bracket: X_ma1 X_a1 -> -1 H_1, 0 X_a1
     def test_wrong_schema(self):
         with pytest.raises(ParseError):
             parse_algebra_file("schema: 2\ntype: A\nrank: 1\n")
+
+
+@pytest.mark.parametrize("parse, text, column", [
+    (lambda text, alg: parse_scalar(text, 1), "1 2", 3),
+    (lambda text, alg: parse_laurent(text, 1), "t^1 2", 5),
+    (lambda text, alg: parse_affine(text, alg, 1), "H_1*t^0 H_1", 9),
+], ids=["scalar", "laurent", "affine"])
+def test_input_after_a_whole_element_is_a_parse_error(a1, parse, text, column):
+    with pytest.raises(ParseError, match=rf"^trailing input \(column {column}\)$"):
+        parse(text, a1)

@@ -8,7 +8,7 @@ from affinelie.rootsys import (ChevAlgebra, GElt, build_chevalley,
                                build_diagram_auto, cartan_of_fixed,
                                sigma_eigenspaces)
 from affinelie.scalars import CycScalar, pair_vec
-from affinelie import linalg
+from affinelie import linalg, rootsys
 
 from conftest import oracle_killing, oracle_eigenspace_dims
 
@@ -273,6 +273,21 @@ class TestCartanOfFixed:
     def test_d4_triality(self, d4_triality):
         h0, h = cartan_of_fixed(d4_triality)
         assert len(h0) == 2 and len(h) == 4
+
+    def test_a_centralizer_of_h_larger_than_h_is_rejected(self, a1_id, monkeypatch):
+        """h is abelian, so h lies in C_g(h); a C_g(h) of another dimension
+        means h is not self-centralizing."""
+        real, calls = rootsys.centralizer_in_g, []
+
+        def centralizer(alg, m, elements):
+            calls.append(elements)
+            out = real(alg, m, elements)
+            return out + [GElt.basis(alg, m, alg.rank)] if len(calls) == 2 else out
+
+        monkeypatch.setattr(rootsys, "centralizer_in_g", centralizer)
+        with pytest.raises(ValueError, match="not self-centralizing"):
+            cartan_of_fixed(a1_id)
+        assert len(calls) == 2
 
     def test_h_is_abelian_and_contains_h0(self, a2_flip):
         h0, h = cartan_of_fixed(a2_flip)
