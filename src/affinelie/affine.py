@@ -11,8 +11,8 @@ The central element c and the degree derivation d follow
 from __future__ import annotations
 
 from .scalars import (CycScalar, add_products, as_scalar, laurent_coords,
-                      pair_of, pair_terms, render_sum, table_pairing,
-                      table_products)
+                      pair_mul, pair_of, pair_terms, render_sum,
+                      table_pairing, table_products)
 from .loop import LoopElt
 from . import linalg
 from .report import Report
@@ -87,16 +87,18 @@ class AffineElt:
 
 
 def flat(x):
-    """x as `flat_bracket` reads it: loop monomials as ((index, degree), pair)
-    and the d-coefficient as a pair or None (c is central)."""
-    return pair_terms(x.loop.coords), pair_of(x.d) if x.d else None
+    """x as `flat_bracket` and `flat_pairing` read it: loop monomials as
+    ((index, degree), pair), then the c- and d-coefficients as pairs or
+    None."""
+    return (pair_terms(x.loop.coords), pair_of(x.c) if x.c else None,
+            pair_of(x.d) if x.d else None)
 
 
 def flat_bracket(alg, x, y):
     """[x, y] of two flat forms, as {(index, degree) | "c": pair} without
-    zeros (a bracket has no d-part): the loop bracket, the d-action and the
-    cocycle c-term in one call, all summed on pairs."""
-    (xs, xd), (ys, yd) = x, y
+    zeros (a bracket has no d-part; c is central): the loop bracket, the
+    d-action and the cocycle c-term in one call, all summed on pairs."""
+    (xs, _, xd), (ys, _, yd) = x, y
     out = table_products(alg.table, xs, ys)
     if xd:
         add_products(out, xd, ys, graded=1)
@@ -106,6 +108,24 @@ def flat_bracket(alg, x, y):
     if c[0] or c[1]:
         out["c"] = c
     return out
+
+
+def _bracket_flat(out):
+    """A `flat_bracket` value as a flat form."""
+    c = out.pop("c", None)
+    return list(out.items()), c, None
+
+
+def flat_pairing(alg, x, y):
+    """(x, y) of two flat forms as a pair: `table_pairing` on the Killing
+    table plus c*d + d*c.  Every value of the invariant form is this sum."""
+    (xs, xc, xd), (ys, yc, yd) = x, y
+    a, b = table_pairing(alg.killing_table, xs, ys)
+    for s, t in ((xc, yd), (xd, yc)):
+        if s and t:
+            pa, pb = pair_mul(s, t)
+            a, b = a + pa, b + pb
+    return a, b
 
 
 def bracket_affine(x, y):
@@ -121,22 +141,28 @@ def invariant_form(x, y):
     """The invariant bilinear form with (c,d) = 1, (c,c) = (d,d) = 0: the
     cocycle pins the ratio of the loop and c-d blocks, so it is unique up to
     one global scalar, fixed here."""
-    total = CycScalar._make(x.m, *table_pairing(x.alg.killing_table,
-                                                pair_terms(x.loop.coords),
-                                                pair_terms(y.loop.coords)))
-    if x.c or x.d:
-        total = total + x.c * y.d + x.d * y.c
-    return total
+    return CycScalar._make(x.m, *flat_pairing(x.alg, flat(x), flat(y)))
 
 
 def verify_form_invariance(sampler, samples):
-    """([x,y], z) + (y, [x,z]) = 0 on sampled triples; exact, no tolerance."""
+    """([x,y], z) + (y, [x,z]) = 0 on sampled triples; exact, no tolerance.
+
+    x, y and z are flattened once each, and the sum is taken on pairs from
+    `flat_bracket` and `flat_pairing`.  A failing triple is recomputed
+    through `bracket_affine` and `invariant_form`, so its report is
+    rendered from the direct formula, which must agree."""
     rep = Report()
     for _ in range(samples):
         x, y, z = sampler(), sampler(), sampler()
-        lhs = invariant_form(bracket_affine(x, y), z)
-        rhs = invariant_form(y, bracket_affine(x, z))
-        if not rep.check(not (lhs + rhs)):
+        alg = x.alg
+        fx, fy, fz = flat(x), flat(y), flat(z)
+        a, b = flat_pairing(alg, _bracket_flat(flat_bracket(alg, fx, fy)), fz)
+        ra, rb = flat_pairing(alg, fy, _bracket_flat(flat_bracket(alg, fx, fz)))
+        if not rep.check(not (a + ra or b + rb)):
+            lhs = invariant_form(bracket_affine(x, y), z)
+            rhs = invariant_form(y, bracket_affine(x, z))
+            if not lhs + rhs:
+                raise AssertionError("flat pairings disagree with invariant_form")
             rep.fail([x.render(), y.render(), z.render()],
                      lhs.render(), rhs.render())
     return rep
@@ -148,14 +174,14 @@ def window_gram_rank(window):
     The form is symmetric and pairs degree j only with -j, c only with d;
     so the rank is rank G_{0,0} + 2 rank G_{j,-j} over j > 0 + the rank of
     the c/d block, each block built once from `window.meta` (degree j for a
-    loop slot, None for c and d)."""
-    blocks = {}
+    loop slot, None for c and d) on each basis element's flat form."""
+    alg, blocks = window.alg, {}
     for x, (_, j, _) in zip(window.basis, window.meta):
-        blocks.setdefault(j, []).append(x)
+        blocks.setdefault(j, []).append(flat(x))
 
     def block_rank(rows, cols):
-        return linalg.rank([{j: pair_of(f) for j, v in enumerate(cols)
-                             if (f := invariant_form(u, v))}
+        return linalg.rank([{j: f for j, v in enumerate(cols)
+                             if (f := flat_pairing(alg, u, v))[0] or f[1]}
                             for u in rows], window.m)
 
     total = block_rank(blocks[None], blocks[None])

@@ -17,7 +17,8 @@ import json
 import os
 import random
 import sys
-from .scalars import CycScalar, LaurentElt, add_images, add_products, pair_of
+from .scalars import (CycScalar, LaurentElt, add_images, add_into,
+                      add_products, pair_of)
 from .rootsys import cartan_of_fixed
 from .loop import LoopElt, TwistedContext
 from .affine import (AffineElt, bracket_affine, flat, flat_bracket,
@@ -69,16 +70,20 @@ class Session:
         return self._win
 
     def sample_loop(self):
-        out = LoopElt.zero(self.alg, self.m)
+        """Two random terms coef * b (x) s^j: a degree j in the window, a
+        basis element b of g_j and coef in [-5, 5], written into one map."""
+        m, rng, out = self.m, self.rng, {}
         for _ in range(2):
-            j = self.rng.randint(self.lo, self.hi)
+            j = rng.randint(self.lo, self.hi)
             basis = self.ctx.slice_basis(j)
             if not basis:
                 continue
-            e = basis[self.rng.randrange(len(basis))]
-            coef = self.rng.randint(-5, 5)
-            out = out + LoopElt.from_g(e.scale(coef), j)
-        return out
+            e = basis[rng.randrange(len(basis))]
+            coef = rng.randint(-5, 5)
+            if coef:
+                for i, c in e.coords.items():
+                    add_into(out, i, LaurentElt._make(m, {j: c * coef}))
+        return LoopElt._make(self.alg, m, out)
 
     def sample_affine(self):
         return AffineElt(self.sample_loop(),
@@ -128,7 +133,7 @@ def suite_jacobi(session):
     pair = [[flat_bracket(alg, x, y) for y in flats] for x in flats]
     keys = {key for row in pair for b in row for key in b}
     ad = [{key: () if key == "c" else tuple(
-               flat_bracket(alg, x, ([(key, one)], None)).items())
+               flat_bracket(alg, x, ([(key, one)], None, None)).items())
            for key in keys} for x in flats]
 
     def fail(inputs, direct):

@@ -116,7 +116,7 @@ class _ElementParser:
         if tok == "(":
             inner = self.parse_element()
             self.expect(")")
-            return self._collapse_scalar(inner, pos)
+            return _Value(_scalar_sum(inner, self.m, pos))
         if tok.isdigit():
             num = Fraction(int(tok))
             if self.peek() == "/":
@@ -172,13 +172,16 @@ class _ElementParser:
             raise ParseError("expected an integer exponent", pos)
         return sign * int(tok) * self.m
 
-    def _collapse_scalar(self, terms, pos):
-        scalar = CycScalar.zero(self.m)
-        for v in terms:
-            if v.symbol is not None or v.exp:
-                raise ParseError("parenthesised factor must be a pure scalar", pos)
-            scalar = scalar + v.scalar
-        return _Value(scalar)
+
+def _scalar_sum(terms, m, pos=None):
+    """The sum of terms that carry no symbol and no t-power; `pos` is the
+    column of the whole expression when it is known."""
+    out = CycScalar.zero(m)
+    for v in terms:
+        if v.symbol is not None or v.exp:
+            raise ParseError("expected a scalar expression", pos)
+        out = out + v.scalar
+    return out
 
 
 def _terms(text, m, alg=None):
@@ -191,12 +194,7 @@ def _terms(text, m, alg=None):
 
 
 def parse_scalar(text, m):
-    out = CycScalar.zero(m)
-    for v in _terms(text, m):
-        if v.symbol is not None or v.exp:
-            raise ParseError("expected a scalar expression")
-        out = out + v.scalar
-    return out
+    return _scalar_sum(_terms(text, m), m)
 
 
 def parse_laurent(text, m):

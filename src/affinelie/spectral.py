@@ -16,10 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .scalars import (CycScalar, add_products, as_scalar, pair_mul, pair_of,
-                      pair_terms, table_pairing, table_products)
+from .scalars import (CycScalar, add_products, as_scalar, pair_of,
+                      pair_terms, table_products)
 from .loop import LoopElt, TwistedContext
-from .affine import AffineElt, bracket_affine, flat, flat_bracket, invariant_form
+from .affine import (AffineElt, bracket_affine, flat, flat_bracket,
+                     flat_pairing, invariant_form)
 from .report import Report
 
 
@@ -351,7 +352,7 @@ def verify_shift(decomp):
                 if not window.inside({p for (_, p), _ in terms}, reach):
                     forward_ok = False
                     continue
-                image = flat_bracket(alg, fx, (terms, None))
+                image = flat_bracket(alg, fx, (terms, None, None))
                 image.pop("c", None)
                 add_products(image, minus_w2, terms)
                 in_span = sp2.loop[2].contains(dict(terms))
@@ -370,9 +371,8 @@ def verify_shift(decomp):
 def verify_opposite(decomp):
     """Weight-set symmetry plus cross-weight orthogonality of the form.
 
-    Each value is `scalars.table_pairing` on the Killing table plus
-    c*d + d*c, on flat forms made once per eigenvector; a nonzero one is
-    rendered from `affine.invariant_form`."""
+    Each value is `affine.flat_pairing` on flat forms made once per
+    eigenvector; a nonzero one is rendered from `affine.invariant_form`."""
     rep = Report()
     mult = {}
     for sp in decomp.spaces:
@@ -383,18 +383,14 @@ def verify_opposite(decomp):
             rep.fail([w.render()], f"dim {dim}",
                      "missing opposite weight" if neg not in mult
                      else f"dim {mult[neg][1]}")
-    form = decomp.window.alg.killing_table
-    flats = [[(pair_terms(v.loop.coords), pair_of(v.c), pair_of(v.d))
-              for v in sp.vectors] for sp in decomp.spaces]
+    alg = decomp.window.alg
+    flats = [[flat(v) for v in sp.vectors] for sp in decomp.spaces]
     for sp1, flats1 in zip(decomp.spaces, flats):
         for sp2, flats2 in zip(decomp.spaces, flats):
             if sp1.w.a + sp2.w.a or sp1.w.b + sp2.w.b:
-                for u, (xu, cu, du) in zip(sp1.vectors, flats1):
-                    for v, (xv, cv, dv) in zip(sp2.vectors, flats2):
-                        a, b = table_pairing(form, xu, xv)
-                        for s, t in ((cu, dv), (du, cv)):
-                            pa, pb = pair_mul(s, t)
-                            a, b = a + pa, b + pb
+                for u, fu in zip(sp1.vectors, flats1):
+                    for v, fv in zip(sp2.vectors, flats2):
+                        a, b = flat_pairing(alg, fu, fv)
                         if not rep.check(not (a or b)):
                             rep.fail([u.render(), v.render()],
                                      invariant_form(u, v).render(), "0")

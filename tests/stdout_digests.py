@@ -9,12 +9,13 @@ comparing the two outputs:
     diff parent.json change.json
 
 `--root` names the checkout whose `src/` and `algebras/` are run (default:
-the one holding this script).  The 56 runs are the 36 `verify <suite>
+the one holding this script).  The 59 runs are the 36 `verify <suite>
 --seed 7` runs over every shipped algebra (D4 `jacobi` at `--window -1
 1`), nine `spectrum` runs (one with weights outside Q, one with x partly
 outside its window, one with x outside the twisted algebra), five `verify mad`
-runs, one `conjugate` run and five more of `construct`, `--format text`
-and small windows.  The two runs
+runs, one `conjugate` run, five more of `construct`, `--format text`
+and small windows, and three `--seed 3` runs of the sampled suites at
+one- and two-degree windows.  The two runs
 that read a subalgebra file pass `tests/a1_conjugate.spec` of this
 checkout by its absolute path, so a `--root` checkout without the file
 runs them too.  Two run at a time.  pytest does not collect this file:
@@ -77,6 +78,12 @@ def runs():
         ["verify", "form", *_alg("a2_twisted"), "--window", "-1", "1",
          "--seed", "7"],
         ["verify", "jacobi", *_alg("a2_twisted"), "--window", "-1", "1"],
+        # small windows, where the two terms of a sample often share a slot
+        ["verify", "form", *_alg("a1"), "--window", "0", "0", "--seed", "3"],
+        ["verify", "lifts", *_alg("a2_twisted"), "--window", "0", "1",
+         "--seed", "3"],
+        ["verify", "exactseq", *_alg("a1"), "--window", "0", "0",
+         "--seed", "3"],
     ]
     return out
 

@@ -166,14 +166,14 @@ class TestBlockGramRank:
     @pytest.mark.parametrize("name", ["a1", "a3_twisted"])
     def test_verify_form_builds_each_block_once(self, monkeypatch, capsys,
                                                 name):
-        # per Gram window: (invariant_form calls, sum over j >= 0 of
+        # per Gram window: (flat_pairing calls, sum over j >= 0 of
         # |B_j| |B_-j| plus the 4 of the c/d block)
         calls, windows = [], []
-        form, gram_rank = affine.invariant_form, affine.window_gram_rank
+        form, gram_rank = affine.flat_pairing, affine.window_gram_rank
 
-        def counted_form(x, y):
+        def counted_form(alg, x, y):
             calls.append(None)
-            return form(x, y)
+            return form(alg, x, y)
 
         def counted_rank(window):
             sizes = {}
@@ -186,7 +186,7 @@ class TestBlockGramRank:
             windows.append((len(calls) - before, bound))
             return rank
 
-        monkeypatch.setattr(affine, "invariant_form", counted_form)
+        monkeypatch.setattr(affine, "flat_pairing", counted_form)
         monkeypatch.setattr(cli, "window_gram_rank", counted_rank)
         path = Path(__file__).resolve().parent.parent / "algebras" / f"{name}.alg"
         assert cli.main(["verify", "form", "--algebra", str(path),

@@ -2,18 +2,23 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from affinelie import cli
 from affinelie.affine import bracket_affine, flat_bracket
 from affinelie.cli import Session, build_parser, load_session, main
+from affinelie.loop import LoopElt
 from affinelie.rootsys import build_chevalley, build_diagram_auto
 
 from conftest import MALFORMED_TABLES, MALFORMED_TYPED
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "algebras").glob("*.alg"))
 
 
 @pytest.fixture
@@ -395,6 +400,19 @@ class TestVerify:
         assert code == 2
         assert f"{name} takes (" in err
 
+    @pytest.mark.parametrize("option, value, column", [
+        ("--x", "(H_1)*t^0 + d", " (column 1)"),
+        ("--word", "vshift(t^1) @ hat", ""),
+    ], ids=["parenthesised_factor", "word_scalar"])
+    def test_a_scalar_with_a_symbol_is_one_parse_error(self, capsys, a1_file,
+                                                       option, value, column):
+        # a parenthesised factor and a scalar argument of a word are
+        # summed by one helper, with one message
+        suite = "spectral" if option == "--x" else "mad"
+        code = main(["verify", suite, "--algebra", a1_file, option, value])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"parse error: expected a scalar expression{column}\n")
+
 
 class TestWindow:
     """Every run reports the one window it ran on."""
@@ -510,6 +528,44 @@ class TestSpectrumAndConjugate:
         assert proc.stdout == ""
         assert "cannot read spec file" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def composed_sample_loop(session, rng):
+    """The sampler composed term by term: zero, then
+    + LoopElt.from_g(e.scale(coef), j) for each drawn term."""
+    out = LoopElt.zero(session.alg, session.m)
+    for _ in range(2):
+        j = rng.randint(session.lo, session.hi)
+        basis = session.ctx.slice_basis(j)
+        if not basis:
+            continue
+        e = basis[rng.randrange(len(basis))]
+        coef = rng.randint(-5, 5)
+        out = out + LoopElt.from_g(e.scale(coef), j)
+    return out
+
+
+class TestSampler:
+    @pytest.mark.parametrize("window", [[], ["--window", "0", "0"]],
+                             ids=["default", "window_0_0"])
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_one_pass_sampler_draws_the_composed_element(self, path, window):
+        # at [0, 0] both terms share a degree, and often a slot, and cancel
+        session = load_session(build_parser().parse_args(
+            ["verify", "form", "--algebra", str(path), "--seed", "3", *window]))
+        composed = random.Random(3)
+        for _ in range(200):
+            assert session.sample_loop() == composed_sample_loop(session,
+                                                                 composed)
+            assert session.rng.getstate() == composed.getstate()
+
+    def test_cancelling_terms_draw_zero(self):
+        session = load_session(build_parser().parse_args(
+            ["verify", "form", "--algebra", str(SHIPPED[0]), "--seed", "3",
+             "--window", "0", "0"]))
+        assert session.alg.datum.label == "A1"
+        draws = [session.sample_loop() for _ in range(200)]
+        assert any(x.coords == {} for x in draws)
 
 
 class TestDeterminism:

@@ -20,7 +20,7 @@ from affinelie.affine import AffineElt, verify_form_invariance
 from affinelie.autos import AutoGen, Cochar, VShift, verify_exact_sequence
 from affinelie.cli import build_parser, load_session
 from affinelie.parsing import parse_affine
-from affinelie.scalars import CycScalar
+from affinelie.scalars import CycScalar, pair_mul
 from affinelie.spectral import (Window, WeightDecomp, WeightSpace,
                                 rspan_isomorphism_check, verify_opposite,
                                 verify_product_rule, verify_shift,
@@ -85,14 +85,19 @@ def dropping(weight, vector):
 
 def test_form_invariance_failure(monkeypatch):
     """A form with (c, c) = 1 is not invariant: ([x, y], c) picks up the
-    cocycle of [X_a1 t, X_-a1 t^-1]."""
+    cocycle of [X_a1 t, X_-a1 t^-1].  The c*c term is added to
+    `flat_pairing`, under both the flat sum and `invariant_form`."""
     s = a1_session("form")
-    real = affine.invariant_form
+    real = affine.flat_pairing
 
-    def with_cc(x, y):
-        return real(x, y) + x.c * y.c
+    def with_cc(alg, x, y):
+        a, b = real(alg, x, y)
+        if x[1] and y[1]:
+            pa, pb = pair_mul(x[1], y[1])
+            a, b = a + pa, b + pb
+        return a, b
 
-    monkeypatch.setattr(affine, "invariant_form", with_cc)
+    monkeypatch.setattr(affine, "flat_pairing", with_cc)
     elts = iter([parse_affine(t, s.alg, s.m)
                  for t in ("X_a1*t^1", "X_ma1*t^-1 + c", "c")])
     report = verify_form_invariance(lambda: next(elts), 1)
@@ -101,6 +106,17 @@ def test_form_invariance_failure(monkeypatch):
         "failures": [{"inputs": ["X_a1*t^1", "X_ma1*t^-1 + c", "c"],
                       "lhs": "4", "rhs": "0"}],
     }
+
+
+def test_form_invariance_flat_and_direct_sums_disagree(monkeypatch, capsys):
+    """A nonzero flat sum that the direct recomputation does not repeat is
+    no counterexample: the run stops with an internal error, exit 4."""
+    monkeypatch.setattr(affine, "flat_pairing", lambda alg, x, y: (1, 0))
+    monkeypatch.setattr(affine, "invariant_form",
+                        lambda x, y: CycScalar.zero(x.m))
+    assert cli.main(["verify", "form", "--algebra", A1, "--samples", "1"]) == 4
+    assert capsys.readouterr() == (
+        "", "internal error: flat pairings disagree with invariant_form\n")
 
 
 # -- autos -------------------------------------------------------------------
