@@ -87,17 +87,26 @@ class AffineElt:
 
 
 def flat(x):
-    """x as `flat_bracket` and `flat_pairing` read it: loop monomials as
-    ((index, degree), pair), then the c- and d-coefficients as pairs or
-    None."""
+    """An AffineElt or LoopElt as the flat form that `flat_bracket`,
+    `flat_pairing` and the automorphism actions read: {(index, degree):
+    pair} without zeros, then the c- and d-coefficients as pairs or None."""
+    if isinstance(x, LoopElt):
+        return pair_terms(x.coords), None, None
     return (pair_terms(x.loop.coords), pair_of(x.c) if x.c else None,
             pair_of(x.d) if x.d else None)
 
 
+def unflat(alg, m, f):
+    """A flat form as an AffineElt; its `.loop` for a loop-level form."""
+    terms, c, d = f
+    return AffineElt(LoopElt._make(alg, m, laurent_coords(m, terms)),
+                     c and CycScalar._make(m, *c), d and CycScalar._make(m, *d))
+
+
 def flat_bracket(alg, x, y):
-    """[x, y] of two flat forms, as {(index, degree) | "c": pair} without
-    zeros (a bracket has no d-part; c is central): the loop bracket, the
-    d-action and the cocycle c-term in one call, all summed on pairs."""
+    """[x, y] of two flat forms as a flat form (a bracket has no d-part; c
+    is central): the loop bracket, the d-action and the cocycle c-term in
+    one call, all summed on pairs."""
     (xs, _, xd), (ys, _, yd) = x, y
     out = table_products(alg.table, xs, ys)
     if xd:
@@ -105,15 +114,7 @@ def flat_bracket(alg, x, y):
     if yd:
         add_products(out, yd, xs, graded=-1)
     c = table_pairing(alg.killing_table, xs, ys, graded=True)
-    if c[0] or c[1]:
-        out["c"] = c
-    return out
-
-
-def _bracket_flat(out):
-    """A `flat_bracket` value as a flat form."""
-    c = out.pop("c", None)
-    return list(out.items()), c, None
+    return out, c if c[0] or c[1] else None, None
 
 
 def flat_pairing(alg, x, y):
@@ -131,10 +132,7 @@ def flat_pairing(alg, x, y):
 def bracket_affine(x, y):
     """Affine bracket: `flat_bracket` on the flat forms of x and y."""
     x._check(y)
-    out = flat_bracket(x.alg, flat(x), flat(y))
-    c = out.pop("c", None)
-    return AffineElt(LoopElt._make(x.alg, x.m, laurent_coords(x.m, out)),
-                     c=None if c is None else CycScalar._make(x.m, *c))
+    return unflat(x.alg, x.m, flat_bracket(x.alg, flat(x), flat(y)))
 
 
 def invariant_form(x, y):
@@ -144,21 +142,20 @@ def invariant_form(x, y):
     return CycScalar._make(x.m, *flat_pairing(x.alg, flat(x), flat(y)))
 
 
-def verify_form_invariance(sampler, samples):
+def verify_form_invariance(alg, m, sampler, samples):
     """([x,y], z) + (y, [x,z]) = 0 on sampled triples; exact, no tolerance.
 
-    x, y and z are flattened once each, and the sum is taken on pairs from
+    The sampler draws flat forms, and the sum is taken on pairs from
     `flat_bracket` and `flat_pairing`.  A failing triple is recomputed
     through `bracket_affine` and `invariant_form`, so its report is
     rendered from the direct formula, which must agree."""
     rep = Report()
     for _ in range(samples):
-        x, y, z = sampler(), sampler(), sampler()
-        alg = x.alg
-        fx, fy, fz = flat(x), flat(y), flat(z)
-        a, b = flat_pairing(alg, _bracket_flat(flat_bracket(alg, fx, fy)), fz)
-        ra, rb = flat_pairing(alg, fy, _bracket_flat(flat_bracket(alg, fx, fz)))
+        fx, fy, fz = sampler(), sampler(), sampler()
+        a, b = flat_pairing(alg, flat_bracket(alg, fx, fy), fz)
+        ra, rb = flat_pairing(alg, fy, flat_bracket(alg, fx, fz))
         if not rep.check(not (a + ra or b + rb)):
+            x, y, z = (unflat(alg, m, f) for f in (fx, fy, fz))
             lhs = invariant_form(bracket_affine(x, y), z)
             rhs = invariant_form(y, bracket_affine(x, z))
             if not lhs + rhs:

@@ -14,37 +14,39 @@ the rendered form `f . g`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .scalars import CycScalar, LaurentElt, as_scalar, scalar_vec
+from .scalars import (CycScalar, LaurentElt, add_products, as_scalar,
+                      pair_exact, pair_mul, pair_of, pair_terms, scalar_vec,
+                      table_products)
 from .rootsys import GElt
 from .loop import LoopElt
-from .affine import AffineElt, bracket_affine
+from .affine import AffineElt, bracket_affine, flat, flat_bracket, unflat
 from . import linalg
 from .report import Report
 
 LEVELS = ("loop", "tilde", "hat")
 
 
-def _map_root_lines(x, f):
-    """A torus action on a loop element: each Cartan line fixed, the Laurent
-    coefficient p of each root line mapped to f(root, p)."""
-    alg = x.alg
-    return LoopElt(alg, x.m, {
-        i: p if i < alg.rank else f(alg.root_of_index[i], p)
-        for i, p in x.coords.items()})
+def _bracket(alg, x, y, loop):
+    """[x, y] of flat forms: at loop level without the c-term."""
+    if loop:
+        return table_products(alg.table, x[0], y[0]), None, None
+    return flat_bracket(alg, x, y)
 
 
 class AutoGen:
-    """Base class for one named generator."""
+    """Base class for one named generator.  Its one action `act` maps a flat
+    form (`affine.flat`) to a flat form: the loop action when `loop`, else
+    the lift, one for tilde and hat level; `apply_*` wrap it for elements."""
 
-    def apply_loop(self, x):
+    def act(self, alg, m, f, loop=False):
         raise NotImplementedError
 
+    def apply_loop(self, x):
+        return unflat(x.alg, x.m, self.act(x.alg, x.m, flat(x), True)).loop
+
     def apply_affine(self, x):
-        """The lift, one for tilde and hat level (a tilde word has no d-part);
-        by default that of a generator fixing c and d."""
-        return AffineElt(self.apply_loop(x.loop), x.c, x.d)
+        return unflat(x.alg, x.m, self.act(x.alg, x.m, flat(x)))
 
     def inverse(self):
         raise NotImplementedError
@@ -81,26 +83,21 @@ class NilExp(AutoGen):
             raise ValueError("exponential input must avoid the Cartan part")
         self.z = z
 
-    def _exp(self, x, bracket):
-        total = x
-        term = x
-        n = 0
-        cap = 2 * self.z.alg.dim + 2
-        while True:
-            n += 1
-            if n > cap:
+    def act(self, alg, m, f, loop=False):
+        """sum (ad z)^n f / n! up to the last nonzero power N, summed with
+        weights N!/n! (c-parts under the key "c") and divided by N! once."""
+        z, series = (pair_terms(self.z.coords), None, None), [f]
+        while (t := _bracket(alg, z, series[-1], loop))[0] or t[1]:
+            if len(series) > 2 * alg.dim + 1:
                 raise ValueError("exponential series did not terminate")
-            term = bracket(term)
-            if term.is_zero():
-                return total
-            total = total + term.scale(Fraction(1, math.factorial(n)))
-
-    def apply_loop(self, x):
-        return self._exp(x, self.z.bracket)
-
-    def apply_affine(self, x):
-        zhat = AffineElt(self.z)
-        return self._exp(x, lambda y: bracket_affine(zhat, y))
+            series.append(t)
+        top, acc = math.factorial(len(series) - 1), {}
+        for n, (terms, c, _) in enumerate(series):
+            add_products(acc, (top // math.factorial(n), 0),
+                         {**terms, "c": c} if c else terms)
+        acc = {key: pair_exact(v, top) for key, v in acc.items()}
+        c = acc.pop("c", None)
+        return acc, c, f[2]
 
     def inverse(self):
         return NilExp(-self.z)
@@ -133,8 +130,13 @@ class Diagram(AutoGen):
     def __init__(self, auto):
         self.auto = auto
 
-    def apply_loop(self, x):
-        return x.permuted(self.auto.index_image)
+    def act(self, alg, m, f, loop=False):
+        terms, c, d = f
+        out = {}
+        for (i, p), (a, b) in terms.items():
+            j, sign = self.auto.index_image(i)
+            out[j, p] = (a, b) if sign == 1 else (-a, -b)
+        return out, c, d
 
     def inverse(self):
         return Diagram(self.auto.inverse())
@@ -163,21 +165,15 @@ class Cochar(AutoGen):
     def value(self, root):
         return sum(c * v for c, v in zip(root, self.phi))
 
-    def apply_loop(self, x):
-        return _map_root_lines(x, lambda root, p: p.shift(self.value(root)))
-
-    def _central_correction(self, x):
-        """phi(alpha_i) <X_{alpha_i}, X_{-alpha_i}> per degree-0 H line."""
-        total = CycScalar.zero(x.m)
+    def _central_correction(self, terms):
+        """phi(alpha_i) <X_{alpha_i}, X_{-alpha_i}> per degree-0 H term."""
+        a = b = 0
         for i in range(self.alg.rank):
-            p = x.coords.get(i)
-            if not p:
-                continue
-            coef = p.terms.get(0)
-            if not coef:
-                continue
-            total = total + coef * (self.phi[i] * self.alg.simple_pairing(i))
-        return total
+            v = terms.get((i, 0))
+            if v:
+                k = self.phi[i] * self.alg.simple_pairing(i)
+                a, b = a + v[0] * k, b + v[1] * k
+        return a, b
 
     def x_phi(self, m):
         """The Cartan element with [X_phi, X_alpha] = phi(alpha) X_alpha."""
@@ -199,13 +195,21 @@ class Cochar(AutoGen):
         self._x_phi[m] = x
         return x
 
-    def apply_affine(self, x):
-        new_loop = self.apply_loop(x.loop)
-        c = x.c + self._central_correction(x.loop)
-        if x.d:
-            xphi = LoopElt.from_g(self.x_phi(x.m), 0).scale(x.d)
-            new_loop = new_loop - xphi
-        return AffineElt(new_loop, c, x.d)
+    def act(self, alg, m, f, loop=False):
+        terms, c, d = f
+        rank, roots = alg.rank, alg.root_of_index
+        out = {(i, p if i < rank else p + self.value(roots[i])): v
+               for (i, p), v in terms.items()}
+        if loop:
+            return out, c, d
+        a, b = self._central_correction(terms)
+        if c:
+            a, b = a + c[0], b + c[1]
+        if d:
+            x_phi = pair_terms(self.x_phi(m).coords)
+            add_products(out, (-d[0], -d[1]), x_phi)
+            out.update((key, pair_exact(out[key])) for key in x_phi if key in out)
+        return out, pair_exact((a, b)) if a or b else None, d
 
     def inverse(self):
         return Cochar(self.alg, tuple(-v for v in self.phi))
@@ -215,7 +219,7 @@ class Cochar(AutoGen):
             return (self.inverse(),)
         # hat lifts of phi and -phi compose to d -> d + a*c with a the
         # central correction of X_phi; compensate exactly.
-        a = self._central_correction(LoopElt.from_g(self.x_phi(1), 0)).rational()
+        a, _ = self._central_correction(pair_terms(self.x_phi(1).coords))
         return (VShift(-a), self.inverse())
 
     def render(self):
@@ -236,16 +240,20 @@ class TorusK(AutoGen):
             raise ValueError("one coordinate per simple root required")
         if any(not c for c in self.coords):
             raise ValueError("torus coordinates must be nonzero")
-        self._eigens = {}  # (root, m) -> alpha(t), computed once
+        self._eigens = {}  # (root, m) -> alpha(t) as a pair, computed once
 
     def _eigen(self, root, m):
         if (root, m) not in self._eigens:
-            self._eigens[root, m] = math.prod(
-                (t ** c for c, t in zip(root, self.coords)), start=CycScalar.one(m))
+            self._eigens[root, m] = pair_of(math.prod(
+                (t ** c for c, t in zip(root, self.coords)), start=CycScalar.one(m)))
         return self._eigens[root, m]
 
-    def apply_loop(self, x):
-        return _map_root_lines(x, lambda root, p: p.scale(self._eigen(root, x.m)))
+    def act(self, alg, m, f, loop=False):
+        terms, c, d = f
+        rank, roots = alg.rank, alg.root_of_index
+        return {(i, p): v if i < rank
+                else pair_exact(pair_mul(v, self._eigen(roots[i], m)))
+                for (i, p), v in terms.items()}, c, d
 
     def inverse(self):
         return TorusK(self.alg, tuple(t.inverse() for t in self.coords))
@@ -268,21 +276,18 @@ class Ring(AutoGen):
             raise ValueError("ring scale must be nonzero")
         self.a = a
         self.e = e
-        self._powers = {}  # p -> a^p, computed once
+        self._powers = {}  # p -> a^p as a pair, computed once
 
     def _power(self, p):
-        return self._powers.get(p) or self._powers.setdefault(p, self.a ** p)
+        return self._powers.get(p) or self._powers.setdefault(p, pair_of(self.a ** p))
 
-    def apply_loop(self, x):
-        return LoopElt(x.alg, x.m,
-                       {i: p.substitute(self.a, self.e == -1, self._power)
-                        for i, p in x.coords.items()})
-
-    def apply_affine(self, x):
-        loop = self.apply_loop(x.loop)
+    def act(self, alg, m, f, loop=False):
+        terms, c, d = f
+        out = {(i, self.e * p): pair_exact(pair_mul(v, self._power(p)))
+               for (i, p), v in terms.items()}
         if self.e == 1:
-            return AffineElt(loop, x.c, x.d)
-        return AffineElt(loop, -x.c, -x.d)
+            return out, c, d
+        return out, c and (-c[0], -c[1]), d and (-d[0], -d[1])
 
     def inverse(self):
         if self.e == 1:
@@ -303,12 +308,14 @@ class VShift(AutoGen):
     def __init__(self, a):
         self.a = a
 
-    def apply_loop(self, x):
-        return x
-
-    def apply_affine(self, x):
-        a = as_scalar(x.m, self.a)
-        return AffineElt(x.loop, x.c + a * x.d, x.d)
+    def act(self, alg, m, f, loop=False):
+        terms, c, d = f
+        if not d:
+            return f
+        a, b = pair_mul(pair_of(as_scalar(m, self.a)), d)
+        if c:
+            a, b = a + c[0], b + c[1]
+        return terms, pair_exact((a, b)) if a or b else None, d
 
     def inverse(self):
         return VShift(-self.a)
@@ -329,23 +336,23 @@ class AutoWord:
         self.level = level
         self.gens = tuple(gens)
 
+    def act(self, alg, m, f):
+        """The word on a flat form, each generator's `act` at this level."""
+        loop = self.level == "loop"
+        for gen in reversed(self.gens):
+            f = gen.act(alg, m, f, loop)
+        return f
+
     def apply(self, x):
         if self.level == "loop":
             if not isinstance(x, LoopElt):
                 raise TypeError("loop-level words act on LoopElt")
-            for gen in reversed(self.gens):
-                x = gen.apply_loop(x)
-            return x
-        if not isinstance(x, AffineElt):
+        elif not isinstance(x, AffineElt):
             raise TypeError("tilde/hat-level words act on AffineElt")
-        if self.level == "tilde" and x.d:
+        elif self.level == "tilde" and x.d:
             raise ValueError("tilde-level words act on elements with zero d-part")
-        for gen in reversed(self.gens):
-            x = gen.apply_affine(x)
-        return x
-
-    def __call__(self, x):
-        return self.apply(x)
+        out = unflat(x.alg, x.m, self.act(x.alg, x.m, flat(x)))
+        return out.loop if self.level == "loop" else out
 
     def inverse(self):
         gens = []
@@ -386,23 +393,31 @@ def v_auto(a):
     return AutoWord("hat", (VShift(a),))
 
 
-def verify_automorphism(word, sampler, samples):
-    """Check phi([x,y]) = [phi(x), phi(y)] exactly on sampled pairs."""
+def verify_automorphism(alg, m, word, sampler, samples):
+    """Check phi([x,y]) = [phi(x), phi(y)] exactly on sampled pairs.
+
+    The sampler draws flat forms, and both sides are flat forms.  A
+    failing pair is recomputed through `AutoWord.apply` and the object
+    brackets, so its report is rendered from elements, which must agree."""
     rep = Report()
+    loop = word.level == "loop"
     for _ in range(samples):
-        x, y = sampler(), sampler()
-        if word.level == "loop":
-            lhs = word.apply(x.bracket(y))
-            rhs = word.apply(x).bracket(word.apply(y))
-        else:
-            lhs = word.apply(bracket_affine(x, y))
-            rhs = bracket_affine(word.apply(x), word.apply(y))
+        fx, fy = sampler(), sampler()
+        lhs = word.act(alg, m, _bracket(alg, fx, fy, loop))
+        rhs = _bracket(alg, word.act(alg, m, fx), word.act(alg, m, fy), loop)
         if not rep.check(lhs == rhs):
+            x, y = unflat(alg, m, fx), unflat(alg, m, fy)
+            x, y, bracket = ((x.loop, y.loop, LoopElt.bracket) if loop
+                             else (x, y, bracket_affine))
+            lhs = word.apply(bracket(x, y))
+            rhs = bracket(word.apply(x), word.apply(y))
+            if lhs == rhs:
+                raise AssertionError("flat actions disagree with AutoWord.apply")
             rep.fail([x.render(), y.render()], lhs.render(), rhs.render())
     return rep
 
 
-def verify_exact_sequence(generators, loop_sampler, samples):
+def verify_exact_sequence(alg, m, generators, loop_sampler, samples):
     """Mechanized identities behind 1 -> V -> Aut(hat) -> Aut(loop) -> 1.
 
     (i) section: projecting the hat lift of each generator back to loop
@@ -410,37 +425,39 @@ def verify_exact_sequence(generators, loop_sampler, samples):
     (ii) kernel: composing with a v-shift is invisible at loop level;
     (iii) a hat word fixing sampled core elements agrees with the v_auto
     read off from its action on d.
+    Each identity compares flat forms of flat samples; a failure is
+    rendered from elements through `AutoWord.apply`, which must agree.
     """
     rep = Report()
-    alg = None
-    m = None
     for gen in generators:
         loop_word = AutoWord("loop", (gen,))
         hat_word = hat_lift(tilde_lift(loop_word))
+        words = (("section", hat_word),
+                 ("kernel", hat_word.then(v_auto(CycScalar(m, 5)))))
         for _ in range(samples):
-            x = loop_sampler()
-            alg, m = x.alg, x.m
-            projected = hat_word.apply(AffineElt(x)).loop
-            direct = loop_word.apply(x)
-            if not rep.check(projected == direct):
-                rep.fail([x.render()], projected.render(), direct.render(),
-                         part="section", generator=gen.render())
-            shifted = hat_word.then(v_auto(CycScalar(m, 5)))
-            with_v = shifted.apply(AffineElt(x)).loop
-            if not rep.check(with_v == direct):
-                rep.fail([x.render()], with_v.render(), direct.render(),
-                         part="kernel", generator=gen.render())
+            f = loop_sampler()
+            direct = loop_word.act(alg, m, f)[0]
+            for part, word in words:
+                if rep.check(word.act(alg, m, f)[0] == direct):
+                    continue
+                x = unflat(alg, m, f).loop
+                lhs, rhs = word.apply(AffineElt(x)).loop, loop_word.apply(x)
+                if lhs == rhs:
+                    raise AssertionError("flat actions disagree with AutoWord.apply")
+                rep.fail([x.render()], lhs.render(), rhs.render(),
+                         part=part, generator=gen.render())
     # (iii) recover the shift parameter of a core-fixing word from d
-    if alg is not None:
-        for a in (0, 1, -3):
-            w = v_auto(CycScalar(m, a))
-            fixes_core = True
-            for _ in range(samples):
-                x = AffineElt(loop_sampler())
-                if not rep.check(w.apply(x) == x):
-                    fixes_core = False
-            recovered = w.apply(AffineElt.d_elt(alg, m)).c
-            if not fixes_core or recovered != CycScalar(m, a):
-                rep.fail([f"a={a}"], recovered.render(), str(a),
-                         part="kernel-recovery")
+    for a in (0, 1, -3):
+        w = v_auto(CycScalar(m, a))
+        moved = []
+        for _ in range(samples):
+            f = loop_sampler()
+            if not rep.check(w.act(alg, m, f) == f):
+                moved.append(unflat(alg, m, f))
+        if moved and all(w.apply(x) == x for x in moved):
+            raise AssertionError("flat actions disagree with AutoWord.apply")
+        recovered = w.apply(AffineElt.d_elt(alg, m)).c
+        if moved or recovered != CycScalar(m, a):
+            rep.fail([f"a={a}"], recovered.render(), str(a),
+                     part="kernel-recovery")
     return rep

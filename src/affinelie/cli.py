@@ -17,7 +17,7 @@ import json
 import os
 import random
 import sys
-from .scalars import (CycScalar, LaurentElt, add_images, add_into,
+from .scalars import (CycScalar, LaurentElt, _add_pair, add_images,
                       add_products, pair_of)
 from .rootsys import cartan_of_fixed
 from .loop import LoopElt, TwistedContext
@@ -71,8 +71,8 @@ class Session:
 
     def sample_loop(self):
         """Two random terms coef * b (x) s^j: a degree j in the window, a
-        basis element b of g_j and coef in [-5, 5], written into one map."""
-        m, rng, out = self.m, self.rng, {}
+        basis element b of g_j and coef in [-5, 5], as one flat form."""
+        rng, out = self.rng, {}
         for _ in range(2):
             j = rng.randint(self.lo, self.hi)
             basis = self.ctx.slice_basis(j)
@@ -82,12 +82,14 @@ class Session:
             coef = rng.randint(-5, 5)
             if coef:
                 for i, c in e.coords.items():
-                    add_into(out, i, LaurentElt._make(m, {j: c * coef}))
-        return LoopElt._make(self.alg, m, out)
+                    _add_pair(out, (i, j), c.a * coef, c.b * coef)
+        return out, None, None
 
     def sample_affine(self):
-        return AffineElt(self.sample_loop(),
-                         c=self.rng.randint(-5, 5), d=self.rng.randint(-5, 5))
+        """A flat `sample_loop` form with c and d drawn from [-5, 5]."""
+        terms, _, _ = self.sample_loop()
+        c, d = self.rng.randint(-5, 5), self.rng.randint(-5, 5)
+        return terms, (c, 0) if c else None, (d, 0) if d else None
 
     def generator_kinds(self):
         """One representative generator per kind, for the lift suites."""
@@ -129,11 +131,15 @@ def suite_jacobi(session):
     basis = session.window().basis
     n = len(basis)
     one = pair_of(CycScalar.one(m))
+
+    def keyed(f):  # a bracket's flat form as one map, c under the key "c"
+        return {**f[0], "c": f[1]} if f[1] else f[0]
+
     flats = [flat(b) for b in basis]
-    pair = [[flat_bracket(alg, x, y) for y in flats] for x in flats]
+    pair = [[keyed(flat_bracket(alg, x, y)) for y in flats] for x in flats]
     keys = {key for row in pair for b in row for key in b}
     ad = [{key: () if key == "c" else tuple(
-               flat_bracket(alg, x, ([(key, one)], None, None)).items())
+               keyed(flat_bracket(alg, x, ({key: one}, None, None))).items())
            for key in keys} for x in flats]
 
     def fail(inputs, direct):
@@ -147,7 +153,7 @@ def suite_jacobi(session):
     for i, bi in enumerate(basis):
         for j in range(i, n):
             acc = dict(pair[i][j])
-            add_products(acc, one, pair[j][i].items())
+            add_products(acc, one, pair[j][i])
             if not rep.check(not acc):
                 bj = basis[j]
                 fail((bi, bj), bracket_affine(bi, bj) + bracket_affine(bj, bi))
@@ -156,9 +162,9 @@ def suite_jacobi(session):
         for j in range(i, n):
             for k in range(j, n):
                 acc = {}
-                add_images(acc, pair[j][k].items(), ad[i])
-                add_images(acc, pair[k][i].items(), ad[j])
-                add_images(acc, pair[i][j].items(), ad[k])
+                add_images(acc, pair[j][k], ad[i])
+                add_images(acc, pair[k][i], ad[j])
+                add_images(acc, pair[i][j], ad[k])
                 if not acc:
                     continue
                 if listed and len(rep["failures"]) >= JACOBI_LISTED:
@@ -180,7 +186,8 @@ def suite_form(session):
     if session.lo > 0 or session.hi < 0:
         raise ValueError(f"window [{session.lo}, {session.hi}] holds no "
                          "opposite degrees: every sampled pairing is 0")
-    report = verify_form_invariance(session.sample_affine, session.samples)
+    report = verify_form_invariance(session.alg, session.m,
+                                    session.sample_affine, session.samples)
     report["gram"] = []
     for halfwidth in range(session.m, 3 * session.m + 1, session.m):
         win = Window(session.auto, -halfwidth, halfwidth, context=session.ctx)
@@ -199,11 +206,11 @@ def suite_lifts(session):
     alg, m = session.alg, session.m
     for gen in session.generator_kinds():
         for level in ("loop", "tilde", "hat"):
-            word = AutoWord(level, (gen,))
-            sampler = (session.sample_loop if level == "loop"
-                       else (lambda: AffineElt(session.sample_loop()))
-                       if level == "tilde" else session.sample_affine)
-            rep.merge(verify_automorphism(word, sampler,
+            # a loop sample is the flat form of a tilde one: no c, no d
+            sampler = (session.sample_affine if level == "hat"
+                       else session.sample_loop)
+            rep.merge(verify_automorphism(alg, m, AutoWord(level, (gen,)),
+                                          sampler,
                                           max(1, session.samples // 10)),
                       f"automorphism:{level}:{gen.render()}")
     # cochar central correction: H_i (x) 1 gains phi(alpha_i) <X_i, X_-i> c
@@ -229,7 +236,8 @@ def suite_lifts(session):
 
 
 def suite_exactseq(session):
-    return verify_exact_sequence(session.generator_kinds(),
+    return verify_exact_sequence(session.alg, session.m,
+                                 session.generator_kinds(),
                                  session.sample_loop,
                                  max(1, session.samples // 10))
 

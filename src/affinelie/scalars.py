@@ -213,6 +213,14 @@ def pair_inv(x):
     return _exact(Fraction(a - b) / n), _exact(Fraction(-b) / n)
 
 
+def pair_exact(x, n=1):
+    """The pair x / n with each part an int when it is integral."""
+    a, b = x
+    if n != 1:
+        a, b = Fraction(a, n), Fraction(b, n)
+    return _exact(a), _exact(b)
+
+
 def pair_of(scalar):
     return scalar.a, scalar.b
 
@@ -228,14 +236,15 @@ def scalar_vec(m, vec):
 
 
 def pair_terms(coords):
-    """((index, degree), pair) for every monomial of a sparse element whose
+    """{(index, degree): pair} for every monomial of a sparse element whose
     coefficients are CycScalars (degree 0) or LaurentElts."""
-    out = []
+    out = {}
     for i, coef in coords.items():
         if type(coef) is CycScalar:
-            out.append(((i, 0), (coef.a, coef.b)))
+            out[i, 0] = coef.a, coef.b
         else:
-            out += [((i, p), (c.a, c.b)) for p, c in coef.terms.items()]
+            for p, c in coef.terms.items():
+                out[i, p] = c.a, c.b
     return out
 
 
@@ -264,9 +273,9 @@ def _add_pair(acc, key, a, b):
 
 
 def add_products(acc, coef, terms, graded=0):
-    """acc[key] += coef * value over the (key, value) pairs of `terms`, each
+    """acc[key] += coef * value over the items of the map `terms`, each
     also times graded * key[1] (+-its degree) when `graded` is +-1."""
-    for key, value in terms:
+    for key, value in terms.items():
         a, b = pair_mul(coef, value)
         if graded:
             a, b = a * graded * key[1], b * graded * key[1]
@@ -275,19 +284,20 @@ def add_products(acc, coef, terms, graded=0):
 
 def add_images(acc, terms, images):
     """acc += f(sum of terms) for the linear map f with f(key) = images[key],
-    a tuple of (key, pair).  This is the Jacobi triple sum."""
-    for key, x in terms:
+    a tuple of (key, pair); `terms` is a map.  This is the Jacobi triple sum."""
+    for key, x in terms.items():
         for out_key, y in images[key]:
             _add_pair(acc, out_key, *pair_mul(x, y))
 
 
 def table_products(table, xs, ys):
     """The product of two sparse graded elements under an integer structure
-    table: sum x*y*N_ij^k at (k, p + q) over the terms ((i, p), x) of xs,
-    ((j, q), y) of ys and N_ij = table[(i, j)] = {k: N_ij^k}.  This is every
-    bracket of the package."""
+    table: sum x*y*N_ij^k at (k, p + q) over the terms (i, p): x of the map
+    xs, (j, q): y of ys and N_ij = table[(i, j)] = {k: N_ij^k}.  This is
+    every bracket of the package."""
     acc = {}
-    for (i, p), x in xs:
+    ys = ys.items()
+    for (i, p), x in xs.items():
         for (j, q), y in ys:
             row = table.get((i, j))
             if row is not None:
@@ -298,11 +308,12 @@ def table_products(table, xs, ys):
 
 
 def table_pairing(form, xs, ys, graded=False):
-    """sum x*y*form[(i, j)] over terms ((i, p), x), ((j, -p), y) of opposite
-    degree, each also times p when `graded`, as a pair.  Ungraded it is the
+    """sum x*y*form[(i, j)] over terms (i, p): x, (j, -p): y of the maps xs
+    and ys, each also times p when `graded`, as a pair.  Ungraded it is the
     loop pairing <x, y>, graded the Killing 2-cocycle of the c-term."""
     a = b = 0
-    for (i, p), x in xs:
+    ys = ys.items()
+    for (i, p), x in xs.items():
         for (j, q), y in ys:
             if p + q == 0 and (k := form.get((i, j), 0) * (p if graded else 1)):
                 pa, pb = pair_mul(x, y)
@@ -424,19 +435,17 @@ class LaurentElt:
     def is_zero(self):
         return not self.terms
 
-    def substitute(self, a, invert=False, power=None):
+    def substitute(self, a, invert=False):
         """Apply the ring endomorphism s -> a*s (or s -> a*s^-1).
 
         Every monomial c*s^p maps to c*a^p*s^(+-p); a must be nonzero.
-        `power(p)` gives a^p when the caller keeps the powers of a.
         """
         a = as_scalar(self.m, a)
         if not a:
             raise ValueError("substitution scale must be nonzero")
-        power = power or a.__pow__
         out = {}
         for p, coef in self.terms.items():
-            add_into(out, -p if invert else p, coef * power(p))
+            add_into(out, -p if invert else p, coef * a ** p)
         return LaurentElt._make(self.m, out)
 
     def zeta_scale(self):

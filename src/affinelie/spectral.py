@@ -236,7 +236,7 @@ class WeightDecomp:
             keep, flats = [], []
             for v in sp.vectors:
                 terms = pair_terms(v.loop.coords)
-                if not v.d and terms and solver.add(dict(terms)):
+                if not v.d and terms and solver.add(terms):
                     keep.append(v.loop)
                     flats.append(terms)
             sp.loop = (keep, flats, solver)
@@ -348,14 +348,13 @@ def verify_shift(decomp):
             minus_w2 = (-w2.a, -w2.b)
             forward_ok = True
             for v, fv in zip(basis1, sp1.loop[1]):
-                terms = [((i, p + shift), x) for (i, p), x in fv]
-                if not window.inside({p for (_, p), _ in terms}, reach):
+                terms = {(i, p + shift): x for (i, p), x in fv.items()}
+                if not window.inside({p for _, p in terms}, reach):
                     forward_ok = False
                     continue
-                image = flat_bracket(alg, fx, (terms, None, None))
-                image.pop("c", None)
+                image = flat_bracket(alg, fx, (terms, None, None))[0]
                 add_products(image, minus_w2, terms)
-                in_span = sp2.loop[2].contains(dict(terms))
+                in_span = sp2.loop[2].contains(terms)
                 if not rep.check(in_span and not image):
                     rep.fail([v.render(), f"n={shift // m}"],
                              v.shift(shift).render(), f"A_{w2.render()}")

@@ -15,7 +15,7 @@ import pytest
 
 from affinelie.rootsys import build_chevalley, build_diagram_auto
 from affinelie.loop import LoopElt, TwistedContext
-from affinelie.affine import AffineElt
+from affinelie.affine import AffineElt, flat
 
 
 @pytest.fixture(scope="session")
@@ -97,6 +97,12 @@ def make_affine_sampler(alg, m, rng, lo=-3, hi=3, terms=2, ctx=None):
     def sample():
         return AffineElt(loop_sampler(), c=rng.randint(-5, 5), d=rng.randint(-5, 5))
     return sample
+
+
+def flattened(sample):
+    """A sampler of the flat forms (`affine.flat`) of what `sample` draws,
+    as the sampled verifiers read them."""
+    return lambda: flat(sample())
 
 
 def nilpotent_twisted_lines(ctx):

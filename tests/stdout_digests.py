@@ -9,13 +9,14 @@ comparing the two outputs:
     diff parent.json change.json
 
 `--root` names the checkout whose `src/` and `algebras/` are run (default:
-the one holding this script).  The 59 runs are the 36 `verify <suite>
+the one holding this script).  The 62 runs are the 36 `verify <suite>
 --seed 7` runs over every shipped algebra (D4 `jacobi` at `--window -1
 1`), nine `spectrum` runs (one with weights outside Q, one with x partly
 outside its window, one with x outside the twisted algebra), five `verify mad`
 runs, one `conjugate` run, five more of `construct`, `--format text`
-and small windows, and three `--seed 3` runs of the sampled suites at
-one- and two-degree windows.  The two runs
+and small windows, three `--seed 3` runs of the sampled suites at
+one- and two-degree windows, and three more `verify mad --word` runs
+whose words hold every generator kind but the exponentials.  The two runs
 that read a subalgebra file pass `tests/a1_conjugate.spec` of this
 checkout by its absolute path, so a `--root` checkout without the file
 runs them too.  Two run at a time.  pytest does not collect this file:
@@ -84,6 +85,13 @@ def runs():
          "--seed", "3"],
         ["verify", "exactseq", *_alg("a1"), "--window", "0", "0",
          "--seed", "3"],
+        # conjugacy words of every object-level generator kind
+        ["verify", "mad", *_alg("a2"), "--word",
+         "cochar(1,0) . torus(2,3) . ring(3,-1) . diagram(2,1) @ hat"],
+        ["verify", "mad", *_alg("d4_triality"), "--window", "-3", "3",
+         "--word", "torus(2,2,2,2) . ring(3,+1) . diagram(3,2,4,1) @ hat"],
+        ["verify", "mad", *_alg("d4_triality"), "--window", "-3", "3",
+         "--word", "cochar(1,1,1,1) . vshift(2) @ hat"],
     ]
     return out
 

@@ -27,7 +27,7 @@ from affinelie.spectral import (Window, degree_reach, rspan_isomorphism_check,
                                 verify_shift, verify_zero_weight,
                                 weight_decompose)
 
-from conftest import (closed_form_weight_counts, make_affine_sampler,
+from conftest import (closed_form_weight_counts, flattened, make_affine_sampler,
                       oracle_eigenspace_dims, oracle_killing)
 
 
@@ -129,7 +129,8 @@ class TestCriterion3:
         for auto in (a1_id, a2_id, a2_flip):
             rng = random.Random(42)
             sampler = make_affine_sampler(auto.alg, auto.m, rng, lo=-4, hi=4)
-            rep = verify_form_invariance(sampler, 500)
+            rep = verify_form_invariance(auto.alg, auto.m, flattened(sampler),
+                                         500)
             failures += len(rep["failures"])
             for half in range(1, 5):
                 win = Window(auto, -half, half)

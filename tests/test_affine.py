@@ -16,7 +16,7 @@ from affinelie.parsing import parse_algebra_file
 from affinelie.scalars import CycScalar
 from affinelie.spectral import Window
 
-from conftest import make_affine_sampler, make_loop_sampler
+from conftest import flattened, make_affine_sampler, make_loop_sampler
 
 
 class TestBracket:
@@ -114,7 +114,7 @@ class TestInvariantForm:
         rng = random.Random(42)
         sample = make_affine_sampler(a2_flip.alg, 2, rng, lo=-4, hi=4,
                                      ctx=None)
-        report = verify_form_invariance(sample, 500)
+        report = verify_form_invariance(a2_flip.alg, 2, flattened(sample), 500)
         assert report["checked"] == 500
         assert report["failures"] == []
 

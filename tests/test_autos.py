@@ -2,20 +2,26 @@
 derivation, the kernel family, and the exact-sequence identities.
 """
 
+import functools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from affinelie.affine import AffineElt
-from affinelie.autos import (AutoWord, Cochar, Diagram, NilExp, Ring, RootExp,
-                             TorusK, VShift, hat_lift, tilde_lift, v_auto,
-                             verify_automorphism, verify_exact_sequence)
+from affinelie.affine import AffineElt, bracket_affine, flat
+from affinelie.autos import (LEVELS, AutoWord, Cochar, Diagram, NilExp, Ring,
+                             RootExp, TorusK, VShift, hat_lift, tilde_lift,
+                             v_auto, verify_automorphism,
+                             verify_exact_sequence)
 from affinelie.loop import LoopElt
+from affinelie.parsing import parse_algebra_file
 from affinelie.rootsys import GElt
-from affinelie.scalars import CycScalar, LaurentElt
+from affinelie.scalars import CycScalar, LaurentElt, as_scalar
 
-from conftest import make_affine_sampler, make_loop_sampler
+from conftest import flattened, make_affine_sampler, make_loop_sampler
 
 
 @pytest.fixture
@@ -102,7 +108,8 @@ class TestNilExp:
             img = gen.apply_loop(b.loop)
             assert is_in_twisted(img, a2_flip)
         sample = make_affine_sampler(alg, m, rng)
-        rep = verify_automorphism(AutoWord("hat", (gen,)), sample, 30)
+        rep = verify_automorphism(alg, m, AutoWord("hat", (gen,)),
+                                  flattened(sample), 30)
         assert rep["failures"] == []
 
     def test_inverse(self, a2):
@@ -145,7 +152,7 @@ class TestCochar:
         rng = random.Random(5)
         sample = make_loop_sampler(a2, 1, rng)
         word = AutoWord("loop", (Cochar(a2, (1, 0)),))
-        rep = verify_automorphism(word, sample, 40)
+        rep = verify_automorphism(a2, 1, word, flattened(sample), 40)
         assert rep["failures"] == []
 
 
@@ -305,7 +312,8 @@ class TestVAuto:
     def test_bracket_compatibility(self, a1):
         rng = random.Random(13)
         sample = make_affine_sampler(a1, 1, rng)
-        rep = verify_automorphism(v_auto(CycScalar(1, 7)), sample, 50)
+        rep = verify_automorphism(a1, 1, v_auto(CycScalar(1, 7)),
+                                  flattened(sample), 50)
         assert rep["failures"] == []
 
     def test_only_at_hat_level(self, a1):
@@ -329,7 +337,7 @@ class TestWords:
         sample = make_affine_sampler(a1, 1, rng)
         for _ in range(10):
             word = self.all_kind_word(a1, rng)
-            rep = verify_automorphism(word, sample, 20)
+            rep = verify_automorphism(a1, 1, word, flattened(sample), 20)
             assert rep["failures"] == [], word.render()
 
     def test_inverse_round_trip(self, a1):
@@ -346,15 +354,16 @@ class TestWords:
     def test_corrupted_sign_detected(self, a1):
         # negative control: a wrong sign in a diagram map breaks the check
         class BadGen(Diagram):
-            def apply_loop(self, x):
-                out = super().apply_loop(x)
-                flipped = {i: -p for i, p in out.coords.items()}
-                return LoopElt(out.alg, out.m, flipped) if len(flipped) == 1 else out
+            def act(self, alg, m, f, loop=False):
+                terms, c, d = super().act(alg, m, f, loop)
+                if len({i for i, _ in terms}) == 1:
+                    terms = {key: (-a, -b) for key, (a, b) in terms.items()}
+                return terms, c, d
         from affinelie.rootsys import build_diagram_auto
         bad = AutoWord("loop", (BadGen(build_diagram_auto(a1, (0,))),))
         rng = random.Random(30)
         sample = make_loop_sampler(a1, 1, rng, terms=1)
-        rep = verify_automorphism(bad, sample, 50)
+        rep = verify_automorphism(a1, 1, bad, flattened(sample), 50)
         assert rep["failures"], "corrupted generator must fail verification"
 
     def test_composition_order(self, a1):
@@ -375,7 +384,7 @@ class TestWords:
         gens = (Diagram(a2_flip), Cochar(alg, (1, 0)))
         zeta = CycScalar.zeta(m)
         tw = AutoWord("hat", (Ring(zeta, 1), *gens, Ring(zeta, 1).inverse()))
-        rep = verify_automorphism(tw, sample, 25)
+        rep = verify_automorphism(alg, m, tw, flattened(sample), 25)
         assert rep["failures"] == []
 
     def test_diagram_and_galois_commute(self, a2_flip):
@@ -400,7 +409,7 @@ class TestExactSequence:
                 TorusK(a1, (CycScalar(1, 2),)),
                 Ring(CycScalar(1, 3), 1),
                 Ring(CycScalar.one(1), -1)]
-        rep = verify_exact_sequence(gens, sample, 20)
+        rep = verify_exact_sequence(a1, 1, gens, flattened(sample), 20)
         assert rep["failures"] == []
 
     def test_v_auto_invisible_at_loop_level(self, a1):
@@ -450,3 +459,171 @@ class TestTorusFactorization:
             for deg in (-1, 0, 2):
                 v = LoopElt.monomial(a1, 1, idx, deg)
                 assert unipotent.apply(v) == torus.apply(v)
+
+
+# -- flat actions against the object actions they replaced ---------------------
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+FLAT_ALGEBRAS = ["a1", "a2", "a2_twisted", "a3_twisted", "d4_triality"]
+
+
+@functools.cache
+def shipped(name):
+    return parse_algebra_file((ALGEBRAS / f"{name}.alg").read_text())
+
+
+def ref_map_root_lines(x, f):
+    alg = x.alg
+    return LoopElt(alg, x.m, {
+        i: p if i < alg.rank else f(alg.root_of_index[i], p)
+        for i, p in x.coords.items()})
+
+
+def ref_exp(gen, x, bracket):
+    total = term = x
+    n, cap = 0, 2 * gen.z.alg.dim + 2
+    while True:
+        n += 1
+        if n > cap:
+            raise ValueError("exponential series did not terminate")
+        term = bracket(term)
+        if term.is_zero():
+            return total
+        total = total + term.scale(Fraction(1, math.factorial(n)))
+
+
+def ref_central_correction(gen, x):
+    total = CycScalar.zero(x.m)
+    for i in range(gen.alg.rank):
+        coef = x.coords[i].terms.get(0) if i in x.coords else None
+        if coef:
+            total = total + coef * (gen.phi[i] * gen.alg.simple_pairing(i))
+    return total
+
+
+def ref_loop(gen, x):
+    """Each generator's loop action on elements, as written before the flat
+    actions replaced it."""
+    if isinstance(gen, NilExp):
+        return ref_exp(gen, x, gen.z.bracket)
+    if isinstance(gen, Diagram):
+        return x.permuted(gen.auto.index_image)
+    if isinstance(gen, Cochar):
+        return ref_map_root_lines(x, lambda root, p: p.shift(gen.value(root)))
+    if isinstance(gen, TorusK):
+        return ref_map_root_lines(x, lambda root, p: p.scale(math.prod(
+            (t ** c for c, t in zip(root, gen.coords)),
+            start=CycScalar.one(x.m))))
+    if isinstance(gen, Ring):
+        return LoopElt(x.alg, x.m, {i: p.substitute(gen.a, gen.e == -1)
+                                    for i, p in x.coords.items()})
+    assert isinstance(gen, VShift)
+    return x
+
+
+def ref_affine(gen, x):
+    """Each generator's tilde and hat lift on elements, as written before
+    the flat actions replaced it."""
+    if isinstance(gen, NilExp):
+        zhat = AffineElt(gen.z)
+        return ref_exp(gen, x, lambda y: bracket_affine(zhat, y))
+    if isinstance(gen, Cochar):
+        loop = ref_loop(gen, x.loop)
+        if x.d:
+            loop = loop - LoopElt.from_g(gen.x_phi(x.m), 0).scale(x.d)
+        return AffineElt(loop, x.c + ref_central_correction(gen, x.loop), x.d)
+    if isinstance(gen, Ring) and gen.e == -1:
+        return AffineElt(ref_loop(gen, x.loop), -x.c, -x.d)
+    if isinstance(gen, VShift):
+        return AffineElt(x.loop, x.c + as_scalar(x.m, gen.a) * x.d, x.d)
+    return AffineElt(ref_loop(gen, x.loop), x.c, x.d)
+
+
+def rationals(m):
+    """Small ints and halves, and for m = 3 elements with a zeta part."""
+    part = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)])
+    return st.builds(CycScalar, st.just(m), part, part if m == 3 else st.just(0))
+
+
+KINDS = ["rootexp", "nilexp", "cochar", "torus", "ring", "diagram", "vshift"]
+
+
+@st.composite
+def generator_and_element(draw, kind, level):
+    """A generator of the given kind on one of FLAT_ALGEBRAS and an element
+    for the given level: up to five monomials, with c (and d at hat level)."""
+    alg, auto = shipped(draw(st.sampled_from(FLAT_ALGEBRAS)))
+    m = auto.m
+    nonzero = rationals(m).filter(bool)
+    positive = [i for i, r in alg.root_of_index.items() if sum(r) > 0]
+    if kind == "rootexp":
+        gen = RootExp(alg, alg.root_of_index[draw(st.sampled_from(positive))],
+                      LaurentElt.s_power(m, draw(st.integers(-2, 2)),
+                                         draw(nonzero)))
+    elif kind == "nilexp":
+        # a sum of positive root vectors is ad-nilpotent
+        lines = draw(st.lists(st.sampled_from(positive), min_size=1,
+                              max_size=3, unique=True))
+        gen = NilExp(LoopElt(alg, m, {i: LaurentElt.s_power(
+            m, draw(st.integers(-1, 1)), draw(nonzero)) for i in lines}))
+    elif kind == "cochar":
+        gen = Cochar(alg, draw(st.lists(st.integers(-2, 2), min_size=alg.rank,
+                                        max_size=alg.rank)))
+    elif kind == "torus":
+        gen = TorusK(alg, draw(st.lists(nonzero, min_size=alg.rank,
+                                        max_size=alg.rank)))
+    elif kind == "ring":
+        gen = Ring(draw(nonzero), draw(st.sampled_from([1, -1])))
+    elif kind == "diagram":
+        gen = Diagram(auto)
+    else:
+        gen = VShift(draw(st.one_of(st.integers(-3, 3), rationals(m))))
+    terms = draw(st.lists(st.tuples(st.integers(0, alg.dim - 1),
+                                    st.integers(-4, 4), rationals(m)),
+                          max_size=5))
+    loop = LoopElt.zero(alg, m)
+    for i, p, coef in terms:
+        loop = loop + LoopElt.monomial(alg, m, i, p, coef)
+    if level == "loop":
+        return gen, loop
+    c = draw(rationals(m))
+    d = draw(rationals(m)) if level == "hat" else 0
+    return gen, AffineElt(loop, c, d)
+
+
+def exact_parts(f):
+    """Every part of a flat form's pairs: ints when integral, no zero pair."""
+    terms, c, d = f
+    pairs = list(terms.values()) + [v for v in (c, d) if v is not None]
+    assert all(a or b for a, b in pairs)
+    return all(type(q) is int or q.denominator != 1
+               for pair in pairs for q in pair)
+
+
+class TestFlatActions:
+    """Each generator's `act` on flat forms equals its object action before
+    the flat actions (`ref_loop`, `ref_affine`), on every kind and level."""
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_flat_action_is_the_object_action(self, kind, level, data):
+        gen, x = data.draw(generator_and_element(kind, level))
+        loop = level == "loop"
+        out = gen.act(x.alg, x.m, flat(x), loop)
+        assert exact_parts(out)
+        expected = ref_loop(gen, x) if loop else ref_affine(gen, x)
+        assert out == flat(expected)
+        assert (gen.apply_loop(x) if loop else gen.apply_affine(x)) == expected
+
+    def test_root_exp_with_non_integral_series_terms(self, sl2):
+        # z = X t/2 on Y t^-1 + d: the n = 2 term (ad z)^2 Y t^-1 / 2! =
+        # -X t/4 and [z, d] = -X t/2 sum to -3/4 X t
+        a1, alpha = sl2
+        gen = RootExp(a1, alpha, LaurentElt.s_power(1, 1, Fraction(1, 2)))
+        x = AffineElt(LoopElt.monomial(a1, 1, 2, -1), d=1)
+        out = gen.act(a1, 1, flat(x))
+        assert exact_parts(out)
+        assert out == flat(ref_affine(gen, x))
+        assert out[0][a1.label_index["X_a1"], 1] == (Fraction(-3, 4), 0)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from affinelie import cli
-from affinelie.affine import bracket_affine, flat_bracket
+from affinelie.affine import AffineElt, bracket_affine, flat, flat_bracket
 from affinelie.cli import Session, build_parser, load_session, main
 from affinelie.loop import LoopElt
 from affinelie.rootsys import build_chevalley, build_diagram_auto
@@ -555,8 +555,12 @@ class TestSampler:
             ["verify", "form", "--algebra", str(path), "--seed", "3", *window]))
         composed = random.Random(3)
         for _ in range(200):
-            assert session.sample_loop() == composed_sample_loop(session,
-                                                                 composed)
+            assert session.sample_loop() == flat(composed_sample_loop(
+                session, composed))
+            assert session.rng.getstate() == composed.getstate()
+            x = AffineElt(composed_sample_loop(session, composed),
+                          c=composed.randint(-5, 5), d=composed.randint(-5, 5))
+            assert session.sample_affine() == flat(x)
             assert session.rng.getstate() == composed.getstate()
 
     def test_cancelling_terms_draw_zero(self):
@@ -565,7 +569,7 @@ class TestSampler:
              "--window", "0", "0"]))
         assert session.alg.datum.label == "A1"
         draws = [session.sample_loop() for _ in range(200)]
-        assert any(x.coords == {} for x in draws)
+        assert any(terms == {} for terms, _, _ in draws)
 
 
 class TestDeterminism:

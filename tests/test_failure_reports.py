@@ -10,14 +10,16 @@ the whole report, so the keys, the order of the failures and every
 rendered value are pinned.
 """
 
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from affinelie import affine, cli
-from affinelie.affine import AffineElt, verify_form_invariance
-from affinelie.autos import AutoGen, Cochar, VShift, verify_exact_sequence
+from affinelie import autos
+from affinelie.affine import flat, verify_form_invariance
+from affinelie.autos import AutoGen, Cochar, Ring, VShift, verify_exact_sequence
 from affinelie.cli import build_parser, load_session
 from affinelie.parsing import parse_affine
 from affinelie.scalars import CycScalar, pair_mul
@@ -37,8 +39,9 @@ def a1_session(suite, *extra):
 class Doubling(AutoGen):
     """x -> 2x on the loop part: no automorphism, since [2x, 2y] = 4[x, y]."""
 
-    def apply_loop(self, x):
-        return x.scale(2)
+    def act(self, alg, m, f, loop=False):
+        terms, c, d = f
+        return {key: (2 * a, 2 * b) for key, (a, b) in terms.items()}, c, d
 
     def render(self):
         return "double"
@@ -47,8 +50,8 @@ class Doubling(AutoGen):
 class LoopOnlyDoubling(Doubling):
     """Doubles at loop level, but its affine lift is the identity."""
 
-    def apply_affine(self, x):
-        return x
+    def act(self, alg, m, f, loop=False):
+        return super().act(alg, m, f, loop) if loop else f
 
 
 def a1_decomp():
@@ -100,7 +103,7 @@ def test_form_invariance_failure(monkeypatch):
     monkeypatch.setattr(affine, "flat_pairing", with_cc)
     elts = iter([parse_affine(t, s.alg, s.m)
                  for t in ("X_a1*t^1", "X_ma1*t^-1 + c", "c")])
-    report = verify_form_invariance(lambda: next(elts), 1)
+    report = verify_form_invariance(s.alg, s.m, lambda: flat(next(elts)), 1)
     assert report == {
         "checked": 1,
         "failures": [{"inputs": ["X_a1*t^1", "X_ma1*t^-1 + c", "c"],
@@ -126,8 +129,9 @@ def test_exact_sequence_section_and_kernel_failures():
     """A lift that disagrees with the loop action breaks the section and
     the kernel identity on every sample."""
     s = a1_session("exactseq")
-    x = parse_affine("H_1*t^-2 + X_a1*t^1", s.alg, s.m).loop
-    report = verify_exact_sequence([LoopOnlyDoubling()], lambda: x, 1)
+    x = flat(parse_affine("H_1*t^-2 + X_a1*t^1", s.alg, s.m).loop)
+    report = verify_exact_sequence(s.alg, s.m, [LoopOnlyDoubling()],
+                                   lambda: x, 1)
     assert report == {
         "checked": 5,
         "failures": [
@@ -143,16 +147,29 @@ def test_exact_sequence_section_and_kernel_failures():
     }
 
 
+def test_lifts_flat_and_direct_sides_disagree(monkeypatch, capsys):
+    """A flat bracket that the element brackets do not repeat (each call
+    returns a new value) splits phi([x, y]) from [phi(x), phi(y)] on flat
+    forms only: the run stops with an internal error, exit 4."""
+    calls = itertools.count(1)
+    monkeypatch.setattr(autos, "flat_bracket", lambda alg, x, y: (
+        {(0, 0): (next(calls), 0)}, None, None))
+    monkeypatch.setattr(cli.Session, "generator_kinds",
+                        lambda self: [Ring(CycScalar(1, 1), 1)])
+    assert cli.main(["verify", "lifts", "--algebra", A1, "--samples", "1"]) == 4
+    assert capsys.readouterr() == (
+        "", "internal error: flat actions disagree with AutoWord.apply\n")
+
+
 def test_exact_sequence_kernel_recovery_failure(monkeypatch):
     """A v-shift that moves d by 2a c reads back 2a, not a."""
     s = a1_session("exactseq")
 
-    def doubled_shift(self, x):
-        return AffineElt(x.loop, x.c + CycScalar(x.m, 2) * self.a * x.d, x.d)
-
-    monkeypatch.setattr(VShift, "apply_affine", doubled_shift)
-    x = parse_affine("X_a1*t^1", s.alg, s.m).loop
-    report = verify_exact_sequence([Doubling()], lambda: x, 1)
+    real = VShift.act
+    monkeypatch.setattr(VShift, "act", lambda self, alg, m, f, loop=False:
+                        real(VShift(2 * self.a), alg, m, f, loop))
+    x = flat(parse_affine("X_a1*t^1", s.alg, s.m).loop)
+    report = verify_exact_sequence(s.alg, s.m, [Doubling()], lambda: x, 1)
     assert report == {
         "checked": 5,
         "failures": [
@@ -220,7 +237,7 @@ def test_lifts_cochar_correction_failure(monkeypatch):
     session = a1_session("lifts", "--samples", "10")
     monkeypatch.setattr(session, "generator_kinds", lambda: [])
     monkeypatch.setattr(Cochar, "_central_correction",
-                        lambda self, x: CycScalar.zero(x.m))
+                        lambda self, terms: (0, 0))
     report = cli.suite_lifts(session)
     assert report == {
         "checked": 2,
@@ -234,11 +251,13 @@ def test_lifts_cochar_derivation_failure(monkeypatch):
     session = a1_session("lifts", "--samples", "10")
     monkeypatch.setattr(session, "generator_kinds", lambda: [])
 
-    def fixes_d(self, x):
-        return AffineElt(self.apply_loop(x.loop),
-                         x.c + self._central_correction(x.loop), x.d)
+    real = Cochar.act
 
-    monkeypatch.setattr(Cochar, "apply_affine", fixes_d)
+    def fixes_d(self, alg, m, f, loop=False):
+        terms, c, _ = real(self, alg, m, (f[0], f[1], None), loop)
+        return terms, c, f[2]
+
+    monkeypatch.setattr(Cochar, "act", fixes_d)
     report = cli.suite_lifts(session)
     assert report == {
         "checked": 2,
