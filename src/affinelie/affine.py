@@ -57,12 +57,6 @@ class AffineElt:
         self._check(other)
         return AffineElt(self.loop + other.loop, self.c + other.c, self.d + other.d)
 
-    def __neg__(self):
-        return AffineElt(-self.loop, -self.c, -self.d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, coef):
         coef = as_scalar(self.m, coef)
         return AffineElt(self.loop.scale(coef), self.c * coef, self.d * coef)

@@ -37,17 +37,12 @@ def shifted(mat, w, m):
     return out
 
 
-def mat_vec(rows, v, m):
-    """Product of a matrix with a vector."""
+def mat_vec(columns, v, m):
+    """Product of a matrix, given as its list of sparse columns, with a
+    vector: the sum of v_j * columns[j] over the entries of v."""
     out = {}
-    for i, row in enumerate(rows):
-        a = b = 0
-        for j, x in row.items():
-            if j in v:
-                pa, pb = pair_mul(x, v[j])
-                a, b = a + pa, b + pb
-        if a or b:
-            out[i] = (a, b)
+    for j, x in v.items():
+        _add_multiple(out, x, columns[j])
     return out
 
 
@@ -309,10 +304,11 @@ def _deflate(ints, p, q):
     return [b // q ** (n - j) for j, b in enumerate(scaled)]
 
 
-def _blocks(mat):
-    """Index lists of the diagonal blocks of a square matrix: the connected
-    components of the graph with an edge i - j for each nonzero entry."""
-    root = list(range(len(mat)))
+def _blocks(mat, n):
+    """Column lists of the connected components of the square block (the
+    first n rows) of `mat`, each ascending, in order of its first column:
+    square row i joins column i and its columns, a later row its columns."""
+    root = list(range(n))
 
     def find(i):
         while root[i] != i:
@@ -321,10 +317,11 @@ def _blocks(mat):
         return i
 
     for i, row in enumerate(mat):
+        anchor = i if i < n else next(iter(row), None)
         for j in row:
-            root[find(i)] = find(j)
+            root[find(j)] = find(anchor)
     blocks = {}
-    for i in range(len(mat)):
+    for i in range(n):
         blocks.setdefault(find(i), []).append(i)
     return list(blocks.values())
 
@@ -340,7 +337,7 @@ def rational_eigenvalues(mat, m):
     whole interior.
     """
     found = []
-    for block in _blocks(mat):
+    for block in _blocks(mat, len(mat)):
         index = {i: k for k, i in enumerate(block)}
         sub = [{index[j]: x for j, x in mat[i].items()} for i in block]
         for root, _ in rational_roots(charpoly(sub, m), m):
@@ -354,43 +351,57 @@ def eigenspaces(mat, n, m, candidates=()):
     candidate eigenvalues are tried.
 
     The first n rows of `mat` are a square block over the unknowns
-    0..n-1; any further rows must also vanish on every eigenvector.  Each
-    candidate w costs one kernel of the block minus w I stacked over those
-    rows.  Candidates are the block's diagonal entries, then the
-    caller's, then the block's rational eigenvalues
-    (`rational_eigenvalues`).  The caller's and the roots are tried only
-    while the dimensions found sum to less than n: eigenspaces of distinct
-    weights are independent, so any further kernel would be zero.
-    Returns (spaces, complete): spaces is a list of (eigenvalue, basis),
-    and `complete` says that the dimensions sum to n.
+    0..n-1; any further rows must also vanish on every eigenvector.  The
+    kernel of the block minus w I over those rows is the direct sum of its
+    kernels on the components of `_blocks`, so each candidate w costs one
+    kernel per component.  A component tries its own diagonal entries,
+    then, while its dimensions sum to less than its size, every diagonal
+    entry, the caller's candidates and its own rational eigenvalues;
+    eigenspaces of distinct weights are independent, so once it is full
+    any further kernel would be zero.  Returns (spaces, complete): spaces
+    is a list of (eigenvalue, basis) in candidate order (the diagonal
+    entries, the caller's, then the roots, zero first and ascending), one
+    basis vector per free column, in column order; `complete` says that
+    the dimensions sum to n.
     """
-    if n == 0:
-        return [], True
-    square, rest = mat[:n], mat[n:]
-    seen = set()
-    spaces = []
-    total = 0
+    order = {}
+    diagonal = [row.get(i, ZERO) for i, row in enumerate(mat[:n])]
+    for w in diagonal + list(candidates):
+        order.setdefault(w, len(order))
+    blocks = _blocks(mat, n)
+    where = {j: b for b, block in enumerate(blocks) for j in block}
+    extra = [[] for _ in blocks]
+    for row in mat[n:]:
+        if row:
+            extra[where[next(iter(row))]].append(row)
+    found = {}
+    for block, rest in zip(blocks, extra):
+        index = {j: k for k, j in enumerate(block)}
+        square = [{index[j]: x for j, x in mat[i].items()} for i in block]
+        rest = [{index[j]: x for j, x in row.items()} for row in rest]
+        seen = set()
+        size = short = len(block)
 
-    def try_candidate(w):
-        nonlocal total
-        if w in seen:
-            return
-        seen.add(w)
-        basis = kernel_basis(shifted(square, w, m) + rest, n, m)
-        if basis:
-            spaces.append((w, basis))
-            total += len(basis)
+        def sweep(ws):
+            nonlocal short
+            for w in ws:
+                if not short:
+                    return
+                if w not in seen:
+                    seen.add(w)
+                    for v in kernel_basis(shifted(square, w, m) + rest, size, m):
+                        found.setdefault(w, []).append(
+                            {block[k]: x for k, x in v.items()})
+                        short -= 1
 
-    for i, row in enumerate(square):
-        try_candidate(row.get(i, ZERO))
-    for w in candidates:
-        if total >= n:
-            break
-        try_candidate(w)
-    if total < n:
-        for root in rational_eigenvalues(square, m):
-            try_candidate(root)
-    return spaces, total == n
+        sweep([row.get(k, ZERO) for k, row in enumerate(square)])
+        sweep(order)
+        if short:
+            sweep(rational_eigenvalues(square, m))
+    spaces = sorted(found.items(), key=lambda item: (0, order[item[0]])
+                    if item[0] in order else (1, item[0][0] != 0, item[0][0]))
+    return ([(w, sorted(basis, key=max)) for w, basis in spaces],
+            sum(len(basis) for _, basis in spaces) == n)
 
 
 def joint_eigenspaces(mats, n, m):
@@ -399,11 +410,13 @@ def joint_eigenspaces(mats, n, m):
     Each matrix has the row layout of `eigenspaces`: a square block over
     the unknowns 0..n-1, then rows that must vanish on every eigenvector.
     The eigenspaces of the first operator are the starting spaces; each
-    later operator is restricted to every current space (images through
-    `mat_vec`, expressed in the space's basis) and its eigenspaces there
-    refine the space.  An image with an entry in a row after the square
-    block is not in the space, which counts as a defect.  Refined basis
-    vectors are rebuilt in the ambient space from the old basis vectors.
+    later operator is read once into its columns and restricted to every
+    current space: the image of a basis vector v is the sum of v_j times
+    column j (`mat_vec`), expressed in the space's basis, and its
+    eigenspaces there refine the space.  An image with an entry in a row
+    after the square block is not in the space, which counts as a defect.
+    Refined basis vectors are rebuilt in the ambient space from the old
+    basis vectors, again through `mat_vec`.
 
     Returns (spaces, defect) where spaces is a list of
     (weight-tuple, basis-of-ambient-vectors); defect is None on success or
@@ -415,6 +428,10 @@ def joint_eigenspaces(mats, n, m):
         return [], 0
     current = [([w], basis) for w, basis in spaces]
     for op_index, mat in enumerate(mats[1:], 1):
+        columns = [{} for _ in range(n)]
+        for i, row in enumerate(mat):
+            for j, x in row.items():
+                columns[j][i] = x
         refined = []
         for weights, basis in current:
             # restriction of `mat` to span(basis): solve in the basis
@@ -423,7 +440,7 @@ def joint_eigenspaces(mats, n, m):
                 solver.add(v)
             restricted = [{} for _ in basis]
             for j, v in enumerate(basis):
-                coords = solver.coords(mat_vec(mat, v, m))
+                coords = solver.coords(mat_vec(columns, v, m))
                 if coords is None:
                     return [], op_index
                 for i, x in coords.items():
@@ -432,12 +449,7 @@ def joint_eigenspaces(mats, n, m):
             if not complete:
                 return [], op_index
             for w, sub in spaces:
-                ambient = []
-                for coeffs in sub:
-                    vec = {}
-                    for i, coef in coeffs.items():
-                        _add_multiple(vec, coef, basis[i])
-                    ambient.append(vec)
-                refined.append((weights + [w], ambient))
+                refined.append((weights + [w],
+                                [mat_vec(basis, coeffs, m) for coeffs in sub]))
         current = refined
     return [(tuple(w), basis) for w, basis in current], None

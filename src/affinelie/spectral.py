@@ -16,11 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .scalars import (CycScalar, add_products, as_scalar, pair_of,
-                      pair_terms, table_products)
+from .scalars import (CycScalar, _add_pair, add_products, as_scalar,
+                      pair_mul, pair_of, pair_terms, table_products)
 from .loop import LoopElt, TwistedContext
 from .affine import (AffineElt, bracket_affine, flat, flat_bracket,
-                     flat_pairing, invariant_form)
+                     flat_pairing, invariant_form, unflat)
 from .report import Report
 
 
@@ -88,11 +88,15 @@ class Window:
         return vec
 
     def from_vector(self, vec):
-        """The element with window coordinates {slot: pair}."""
-        out = AffineElt.zero(self.alg, self.m)
-        for i in sorted(vec):
-            out = out + self.basis[i].scale(CycScalar._make(self.m, *vec[i]))
-        return out
+        """The flat form (`affine.flat`) of the element with window
+        coordinates {slot: pair}, summed on pairs from the slice bases."""
+        terms = {}
+        for i, coef in vec.items():
+            kind, j, pos = self.meta[i]
+            if kind == "loop":
+                for k, c in self.ctx.slice_basis(j)[pos].coords.items():
+                    _add_pair(terms, (k, j), *pair_mul(coef, (c.a, c.b)))
+        return terms, vec.get(self.c_slot), vec.get(self.d_slot)
 
 
 def degree_reach(x):
@@ -124,10 +128,11 @@ class AdOperator:
     other window rows must vanish on every eigenvector.
     """
 
-    __slots__ = ("x", "window", "interior", "columns")
+    __slots__ = ("x", "fx", "window", "interior", "columns")
 
     def __init__(self, x, window, interior=None):
         self.x = x
+        self.fx = flat(x)
         self.window = window
         self.interior = interior_indices(x, window) if interior is None else interior
         self.columns = {}
@@ -150,11 +155,13 @@ class AdOperator:
     @staticmethod
     def joint_lift(ops, coeffs, weights):
         """`lift` for a family sharing one interior, re-verified against
-        every operator with its own weight."""
-        v = ops[0].lift(coeffs, weights[0])
-        for op, w in zip(ops[1:], weights[1:]):
-            op.check(v, w)
-        return v
+        every operator with its own weight: one flat form, one `unflat`."""
+        window = ops[0].window
+        f = window.from_vector({ops[0].interior[k]: coef
+                                for k, coef in coeffs.items()})
+        for op, w in zip(ops, weights):
+            op.check(f, w)
+        return unflat(window.alg, window.m, f)
 
     def rows(self):
         """Rows of ad(x) over the interior columns: the interior rows in
@@ -171,14 +178,17 @@ class AdOperator:
     def lift(self, coeffs, w):
         """The window element with coefficients {k: pair} on the interior
         columns interior[k], re-verified as an eigenvector of weight w."""
-        v = self.window.from_vector(
-            {self.interior[k]: coef for k, coef in coeffs.items()})
-        self.check(v, w)
-        return v
+        return self.joint_lift([self], coeffs, [w])
 
-    def check(self, v, w):
-        """Exact re-verification [x, v] = w v, on the whole element."""
-        if not (bracket_affine(self.x, v) - v.scale(w)).is_zero():
+    def check(self, f, w):
+        """Exact re-verification [x, v] = w v of the flat form f of v:
+        loop part, c-part and d-part, with [x, v] from `flat_bracket`
+        (which has no d-part)."""
+        w = pair_of(as_scalar(self.window.m, w))
+        image, c, _ = flat_bracket(self.window.alg, self.fx, f)
+        add_products(image, (-w[0], -w[1]), f[0])
+        wc, wd = (pair_mul(w, y) if y else (0, 0) for y in f[1:])
+        if image or (c or (0, 0)) != wc or wd != (0, 0):
             raise AssertionError("eigenvector failed exact re-verification")
 
 
@@ -281,17 +291,17 @@ def weight_decompose(x, window):
     entries, their shift-rule closure (w + m n for rational w, clamped to
     one period beyond the harvested range) and, while the dimensions fall
     short, the rational eigenvalues of the interior block.  Every returned
-    eigenvector is re-verified through bracket_affine.  `complete`
-    certifies that interior eigenspace dimensions sum to the interior
-    dimension; when they do not, `defect` reports the shortfall (either
-    boundary loss or non-diagonalizability over Q(zeta_m)).
+    eigenvector is re-verified on its flat form through `flat_bracket`
+    (`AdOperator.check`).  `complete` certifies that interior eigenspace
+    dimensions sum to the interior dimension; when they do not, `defect`
+    reports the shortfall (either boundary loss or non-diagonalizability
+    over Q(zeta_m)).
 
-    When the loop part of x is concentrated in degree zero, ad(x) never
-    mixes degree slices (the cocycle needs opposite degrees), so the rows
-    are block-diagonal, one block per slice plus zero c and d columns:
-    each row update of the elimination stays in one block, and
-    `linalg.rational_eigenvalues` searches each block's characteristic
-    polynomial alone.
+    `linalg.eigenspaces` solves each connected component of those rows
+    alone, whatever the reach of x: for a degree-zero loop part each slice
+    (often each basis vector) is its own block, with the c and d columns
+    apart, and a nonzero degree still leaves apart every column ad(x)
+    does not link.
     """
     m = window.m
     op = AdOperator(x, window)
@@ -367,11 +377,23 @@ def verify_shift(decomp):
     return rep
 
 
+def _pair_keys(f, sign):
+    """The keys a flat form is filed under (sign 1), or looks up its
+    partners by (sign -1): sign * p for each loop degree p, sign / 2 for a
+    c-part and -sign / 2 for a d-part.  The form pairs degree p only with
+    -p, and c only with d, so partners meet on a key."""
+    keys = {sign * p for _, p in f[0]}
+    keys.update(sign * h for h, y in ((0.5, f[1]), (-0.5, f[2])) if y)
+    return keys
+
+
 def verify_opposite(decomp):
     """Weight-set symmetry plus cross-weight orthogonality of the form.
 
-    Each value is `affine.flat_pairing` on flat forms made once per
-    eigenvector; a nonzero one is rendered from `affine.invariant_form`."""
+    Each eigenvector's flat form is made once and filed under its
+    `_pair_keys`; `affine.flat_pairing` runs only on the pairs whose keys
+    meet, and every other pair, exactly 0, is counted as checked in bulk.
+    A nonzero value is rendered from `affine.invariant_form`."""
     rep = Report()
     mult = {}
     for sp in decomp.spaces:
@@ -384,13 +406,22 @@ def verify_opposite(decomp):
                      else f"dim {mult[neg][1]}")
     alg = decomp.window.alg
     flats = [[flat(v) for v in sp.vectors] for sp in decomp.spaces]
+    filed = [{} for _ in flats]
+    for by_key, fs in zip(filed, flats):
+        for k, f in enumerate(fs):
+            for key in _pair_keys(f, 1):
+                by_key.setdefault(key, []).append(k)
     for sp1, flats1 in zip(decomp.spaces, flats):
-        for sp2, flats2 in zip(decomp.spaces, flats):
+        for sp2, flats2, by_key in zip(decomp.spaces, flats, filed):
             if sp1.w.a + sp2.w.a or sp1.w.b + sp2.w.b:
                 for u, fu in zip(sp1.vectors, flats1):
-                    for v, fv in zip(sp2.vectors, flats2):
-                        a, b = flat_pairing(alg, fu, fv)
+                    meet = sorted({k for key in _pair_keys(fu, -1)
+                                   for k in by_key.get(key, ())})
+                    rep["checked"] += len(flats2) - len(meet)
+                    for k in meet:
+                        a, b = flat_pairing(alg, fu, flats2[k])
                         if not rep.check(not (a or b)):
+                            v = sp2.vectors[k]
                             rep.fail([u.render(), v.render()],
                                      invariant_form(u, v).render(), "0")
     return rep

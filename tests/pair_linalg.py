@@ -1,6 +1,7 @@
 """Matrix helpers only the tests use, on the {index: (a, b)} pair rows of
 `affinelie.linalg`: the identity, products, the inverse, generalized
-eigenspaces, the Jordan-Chevalley split, and evaluation and division of
+eigenspaces, the Jordan-Chevalley split, the global candidate sweep that
+`linalg.eigenspaces` replaced, and evaluation and division of
 polynomials given as lists of pairs, lowest degree first.
 """
 
@@ -72,6 +73,43 @@ def jordan_split(mat, m):
         linalg._subtract(row, ONE, srow)
         nmat.append(row)
     return s, nmat
+
+
+def global_eigenspaces(mat, n, m, candidates=()):
+    """The global candidate sweep that `linalg.eigenspaces` ran before it
+    solved each connected component alone, kept as its reference: each
+    candidate w costs one kernel of the whole square block minus w I
+    stacked over the further rows.  Candidates are the block's diagonal
+    entries, then the caller's, then the block's rational eigenvalues; the
+    caller's and the roots are tried only while the dimensions found sum
+    to less than n."""
+    if n == 0:
+        return [], True
+    square, rest = mat[:n], mat[n:]
+    seen = set()
+    spaces = []
+    total = 0
+
+    def try_candidate(w):
+        nonlocal total
+        if w in seen:
+            return
+        seen.add(w)
+        basis = linalg.kernel_basis(linalg.shifted(square, w, m) + rest, n, m)
+        if basis:
+            spaces.append((w, basis))
+            total += len(basis)
+
+    for i, row in enumerate(square):
+        try_candidate(row.get(i, ZERO))
+    for w in candidates:
+        if total >= n:
+            break
+        try_candidate(w)
+    if total < n:
+        for root in linalg.rational_eigenvalues(square, m):
+            try_candidate(root)
+    return spaces, total == n
 
 
 def poly_eval(poly, x):

@@ -310,6 +310,29 @@ def test_opposite_orthogonality_failure():
     }
 
 
+def test_opposite_pairs_c_with_d_across_weights():
+    """Moving d from A_0 into a weight 7 of its own leaves 7 without an
+    opposite, and c pairs with d across weights 0 and 7: (c, d) = 1.  The
+    count is every cross-weight pair, as if each had been paired."""
+    decomp = a1_decomp()
+    spaces = [WeightSpace(sp.w, [v for v in sp.vectors if not v.d])
+              for sp in decomp.spaces]
+    spaces.append(WeightSpace(CycScalar(1, 7), [decomp.space(0).vectors[-1]]))
+    report = verify_opposite(WeightDecomp(
+        decomp.x, decomp.window, spaces, decomp.complete, decomp.interior))
+    pairs = sum(sp1.dim * sp2.dim for sp1 in spaces for sp2 in spaces
+                if sp1.w + sp2.w)
+    assert report == {
+        "checked": len(spaces) + pairs,
+        "failures": [
+            {"inputs": ["7"], "lhs": "dim 1",
+             "rhs": "missing opposite weight"},
+            {"inputs": ["c", "d"], "lhs": "1", "rhs": "0"},
+            {"inputs": ["d", "c"], "lhs": "1", "rhs": "0"},
+        ],
+    }
+
+
 def test_zero_weight_failure():
     """Without A_0 the conclusion check fails and lists the weights."""
     def edit(w, vectors):

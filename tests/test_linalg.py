@@ -14,7 +14,8 @@ from affinelie import linalg
 from affinelie.scalars import pair_mul
 
 from conftest import Z3
-from pair_linalg import identity, invert, jordan_split, mat_mul, poly_divmod_linear, poly_eval
+from pair_linalg import (global_eigenspaces, identity, invert, jordan_split,
+                         mat_mul, poly_divmod_linear, poly_eval)
 
 ZERO, ONE = linalg.ZERO, linalg.ONE
 
@@ -56,6 +57,16 @@ def dense(mat, n):
 
 def rmat(entries):
     return sparse([[(e, 0) for e in row] for row in entries])
+
+
+def columns(mat, n):
+    """The list of n sparse columns of a matrix given by its rows, as
+    `linalg.mat_vec` takes it."""
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(mat):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 def scaled(w, vec):
@@ -193,7 +204,7 @@ class TestEigen:
         for w, basis in spaces:
             for v in basis:
                 for mat, wi in zip((first, second), w):
-                    assert linalg.mat_vec(mat, v, 1) == scaled(wi, v)
+                    assert linalg.mat_vec(columns(mat, 2), v, 1) == scaled(wi, v)
 
 
 def dense_joint_eigenspaces(mats, m):
@@ -285,7 +296,7 @@ class TestJointEigenspacesProperty:
             for weights, basis in spaces:
                 for v in basis:
                     for mat, w in zip(mats, weights):
-                        assert linalg.mat_vec(mat, v, m) == scaled(w, v)
+                        assert linalg.mat_vec(columns(mat, n), v, m) == scaled(w, v)
 
 
 def dense_rref(mat, m):
@@ -593,6 +604,76 @@ class TestEigenspacesWithExtraRows:
                 expected.append(((a, 0), [pairs(v) for v in basis]))
         assert sorted(spaces, key=lambda space: space[0][0]) == expected
         assert complete == (sum(len(basis) for _, basis in spaces) == n)
+
+
+@st.composite
+def eigen_problem(draw, m):
+    """(mat, n, candidates) for `linalg.eigenspaces`: diagonal or Jordan
+    blocks with eigenvalues from a small pool (zeta parts at m = 3), some
+    conjugated so their eigenvalues leave the diagonal, their rows and
+    columns interleaved by one permutation; then up to two extra rows,
+    which may join blocks, and up to three caller candidates."""
+    pool = [elt(m, a, b) for a in range(-2, 3)
+            for b in ((0, 1) if m == 3 else (0,))]
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        roots = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        # eigenvalues on the diagonal, optionally a 1 just above it
+        block = [sparse_vec([roots[i] if i == j
+                             else (int(j == i + 1 and draw(st.booleans())), 0)
+                             for j in range(k)]) for i in range(k)]
+        if draw(st.booleans()):
+            p = sparse([[(draw(st.integers(-2, 2)), 0) for _ in range(k)]
+                        for _ in range(k)])
+            try:
+                p_inv = invert(p, m)
+            except ValueError:
+                assume(False)
+            block = mat_mul(mat_mul(p, block, m), p_inv, m)
+        blocks.append(block)
+    n = sum(len(b) for b in blocks)
+    order = draw(st.permutations(range(n)))
+    mat = [{} for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, x in row.items():
+                mat[order[start + i]][order[start + j]] = x
+        start += len(block)
+    zeta = st.sampled_from([0, 0, 1]) if m == 3 else st.just(0)
+    for _ in range(draw(st.integers(0, 2))):
+        mat.append(sparse_vec([elt(m, draw(st.sampled_from([0, 0, 0, 1, -1])),
+                                   draw(zeta)) for _ in range(n)]))
+    return mat, n, draw(st.lists(st.sampled_from(pool), max_size=3))
+
+
+class TestBlockwiseEigenspaces:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_global_sweep(self, m, data):
+        mat, n, candidates = data.draw(eigen_problem(m))
+        assert (linalg.eigenspaces(mat, n, m, candidates)
+                == global_eigenspaces(mat, n, m, candidates))
+
+    def test_roots_candidates_extra_row_and_jordan_block(self):
+        # columns {0, 3}: eigenvalues 2, 3, off the diagonal, found as
+        # rational roots; {1, 4}: eigenvalues z and 1 off the diagonal, of a
+        # characteristic polynomial with a zeta part, so z is found only as
+        # a caller's candidate and 1 only as the diagonal entry of column 0,
+        # in another block; {2, 5}: a Jordan block of 5; the extra row joins
+        # {0, 3} to {2, 5} and keeps only the 2-eigenvector there
+        mat = [{0: (1, 0), 3: (1, 0)}, {1: (-1, 2), 4: (1, -1)},
+               {2: (5, 0), 5: (1, 0)}, {0: (-2, 0), 3: (4, 0)},
+               {1: (-2, 2), 4: (2, -1)}, {5: (5, 0)},
+               {0: (1, 0), 3: (-1, 0), 5: (1, 0)}]
+        got = linalg.eigenspaces(mat, 6, 3, [(0, 1)])
+        assert got == global_eigenspaces(mat, 6, 3, [(0, 1)])
+        assert got == ([((1, 0), [{1: (Fraction(1, 2), 0), 4: (1, 0)}]),
+                        ((5, 0), [{2: (1, 0)}]),
+                        ((0, 1), [{1: (1, 0), 4: (1, 0)}]),
+                        ((2, 0), [{0: (1, 0), 3: (1, 0)}])], False)
 
 
 class TestJordanSplit:

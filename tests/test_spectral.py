@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from affinelie import linalg
 from affinelie.affine import (AffineElt, bracket_affine, flat, flat_bracket,
-                              invariant_form)
+                              invariant_form, unflat)
 from affinelie.autos import AutoWord, Cochar, Ring, RootExp, TorusK, VShift
 from affinelie.loop import LoopElt
 from affinelie.parsing import parse_affine, parse_algebra_file
@@ -95,7 +95,19 @@ class TestAdMatrix:
         image = bracket_affine(x, v)
         assert not image.loop and not image.d and image.c
         with pytest.raises(AssertionError):
-            AdOperator(x, win).check(v, 0)
+            AdOperator(x, win).check(flat(v), 0)
+
+    def test_check_compares_the_d_part(self, a1, a1_id):
+        # [H_1, d] = 0, so v = d has a zero image: a loop- and c-only
+        # comparison would accept v at every weight
+        win = Window(a1_id, -2, 2)
+        x = AffineElt(LoopElt.monomial(a1, 1, 0, 0))
+        v = AffineElt.d_elt(a1, 1)
+        assert bracket_affine(x, v).is_zero()
+        op = AdOperator(x, win)
+        op.check(flat(v), 0)
+        with pytest.raises(AssertionError):
+            op.check(flat(v), 1)
 
     def test_lift_reverifies(self, a1, a1_id, a1_x):
         win = Window(a1_id, -2, 2)
@@ -138,7 +150,7 @@ class TestToVector:
         assert set(vec) <= set(range(win.size()))
         # `SpanSolver.add` inverts v[min(v)]: no stored entry may be zero
         assert all(a or b for a, b in vec.values())
-        assert win.from_vector(vec) == elt
+        assert win.from_vector(vec) == flat(elt)
         # one term just outside [lo, hi] takes the element out of the window
         j = data.draw(st.sampled_from([win.lo - 1, win.hi + 1]))
         basis = win.ctx.slice_basis(j)
@@ -171,12 +183,12 @@ def blockwise_reference(x, window):
         for w, sub in spaces:
             w = CycScalar(m, *w)
             for coeffs in sub:
-                v = window.from_vector({block[k]: c for k, c in coeffs.items()})
-                op.check(v, w)
-                stash(w, v)
+                f = window.from_vector({block[k]: c for k, c in coeffs.items()})
+                op.check(f, w)
+                stash(w, unflat(window.alg, m, f))
     zero = CycScalar.zero(m)
     for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
-        op.check(elt, zero)
+        op.check(flat(elt), zero)
         stash(zero, elt)
     spaces = [by_weight[key] for key in sorted(by_weight)]
     complete = total == len(interior)
