@@ -47,16 +47,22 @@ def run_subprocess(*argv):
                           capture_output=True, text=True)
 
 
-def tampered_session(kind, rank, perm, lo, hi):
-    """A session on a fresh algebra with one structure constant doubled."""
+def tampered_session(kind, rank, perm, lo, hi, table="table"):
+    """A session on a fresh algebra with one entry of one table doubled: a
+    structure constant, or with table="killing_table" the first Killing
+    entry (i, j) with i < j, and (j, i) left as it was."""
     alg = build_chevalley(kind, rank)
     auto = build_diagram_auto(alg, perm)
-    key = min(alg.table)
-    row = dict(alg.table[key])
-    first = min(row)
-    row[first] = 2 * row[first]
-    alg.table = dict(alg.table)
-    alg.table[key] = row
+    if table == "table":
+        key = min(alg.table)
+        row = dict(alg.table[key])
+        first = min(row)
+        row[first] = 2 * row[first]
+        alg.table = dict(alg.table)
+        alg.table[key] = row
+    else:
+        alg.killing_table = dict(alg.killing_table)
+        alg.killing_table[min(k for k in alg.killing_table if k[0] < k[1])] *= 2
     return Session(alg, auto, (lo, hi), seed=0, samples=1)
 
 
@@ -262,6 +268,14 @@ class TestVerify:
         report = cli.suite_jacobi(session)
         assert report == reference_jacobi(session.window().basis)
         assert report["failures_omitted"] > 0
+
+    def test_jacobi_renders_the_c_part_of_an_asymmetric_cocycle(self):
+        """(H_1, H_2) doubled but not (H_2, H_1): the cocycle term of
+        [H_1 t^p, H_2 t^-p] + [H_2 t^-p, H_1 t^p] is a multiple of c."""
+        session = tampered_session("A", 2, (0, 1), -1, 1, "killing_table")
+        report = cli.suite_jacobi(session)
+        assert report == reference_jacobi(session.window().basis)
+        assert any(re.search(r"\bc$", f["lhs"]) for f in report["failures"])
 
     def test_jacobi_brackets_fewer_than_triples(self, monkeypatch,
                                                 a2_twisted_file):

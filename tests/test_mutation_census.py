@@ -1,0 +1,32 @@
+"""Every mutant of the mutation census (`tests/mutation_census.py`) is
+caught: some run of its fast subset, which passes on the real program,
+reports a FAIL under the mutant."""
+
+import pytest
+
+from mutation_census import FAST, MUTANTS, census, mutated, outcome
+
+
+@pytest.fixture(scope="module")
+def fast_runs():
+    assert [outcome(argv)[0] for argv in FAST] == [0] * len(FAST)
+    return FAST
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_is_caught(fast_runs, name):
+    with mutated(name):
+        assert any(outcome(argv)[0] == 1 for argv in fast_runs)
+
+
+def test_census_names_the_failing_family_and_the_unfailed_checks():
+    report = census(
+        [argv for argv in FAST if argv[1] == "exactseq"],
+        ["v-shift does nothing"])
+    caught = report["mutants"]["v-shift does nothing"]["caught"]
+    assert [c["families"] for c in caught] == [["exactseq:kernel-recovery"]] * 2
+    assert report["escaped"] == []
+    # loop samples have no d-part, so the core-fixing checks of part (iii)
+    # are reached and never fail
+    assert any(site.startswith("autos.verify_exact_sequence:")
+               for site in report["never_failed"])
