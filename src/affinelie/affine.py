@@ -160,10 +160,10 @@ def window_gram_rank(window):
     The form is symmetric and pairs degree j only with -j, c only with d;
     so the rank is rank G_{0,0} + 2 rank G_{j,-j} over j > 0 + the rank of
     the c/d block, each block built once from `window.meta` (degree j for a
-    loop slot, None for c and d) on each basis element's flat form."""
+    loop slot, None for c and d) on the basis's flat forms."""
     alg, blocks = window.alg, {}
-    for x, (_, j, _) in zip(window.basis, window.meta):
-        blocks.setdefault(j, []).append(flat(x))
+    for f, (_, j, _) in zip(window.flats, window.meta):
+        blocks.setdefault(j, []).append(f)
 
     def block_rank(rows, cols):
         return linalg.rank([{j: f for j, v in enumerate(cols)
@@ -186,7 +186,7 @@ def core_and_derived(auto, lo, hi, context=None):
     """
     from .spectral import Window
     window = Window(auto, lo, hi, context=context)
-    basis, m = window.basis, auto.m
+    flats, alg, m = window.flats, auto.alg, auto.m
     loop = [(i, j) for i, (kind, j, _) in enumerate(window.meta) if kind == "loop"]
     solver = linalg.SpanSolver(m)
     produced, produced_vecs = [], []
@@ -194,22 +194,22 @@ def core_and_derived(auto, lo, hi, context=None):
         for b, db in loop:
             if not (lo <= da + db <= hi):
                 continue
-            w = bracket_affine(basis[a], basis[b])
-            if w.is_zero():
+            w = flat_bracket(alg, flats[a], flats[b])
+            if not (w[0] or w[1]):
                 continue
             vec = window.to_vector(w)
             if solver.add(vec):
-                produced.append(w)
+                produced.append(unflat(alg, m, w))
                 produced_vecs.append(vec)
     # expected span: every windowed loop vector and c, never d
     expected = linalg.SpanSolver(m)
-    expected_vecs = [window.to_vector(basis[i])
+    expected_vecs = [window.to_vector(flats[i])
                      for i in [i for i, _ in loop] + [window.c_slot]]
     for vec in expected_vecs:
         expected.add(vec)
     span_matches = solver.rank == expected.rank and all(
         expected.contains(vec) for vec in produced_vecs
     ) and all(solver.contains(vec) for vec in expected_vecs)
-    d_vec = window.to_vector(basis[window.d_slot])
+    d_vec = window.to_vector(flats[window.d_slot])
     flag = span_matches and not solver.contains(d_vec)
     return produced, flag

@@ -21,7 +21,7 @@ from .scalars import (CycScalar, LaurentElt, _add_pair, add_images,
                       add_products, pair_of)
 from .rootsys import cartan_of_fixed
 from .loop import LoopElt, TwistedContext
-from .affine import (AffineElt, flat, flat_bracket, unflat,
+from .affine import (AffineElt, flat_bracket, unflat,
                      verify_form_invariance, window_gram_rank)
 from .autos import (AutoWord, RootExp, Diagram, Cochar, TorusK, Ring,
                     tilde_lift, hat_lift, verify_automorphism,
@@ -127,14 +127,13 @@ def suite_jacobi(session):
     pair or listed triple is rendered from that sum.
     """
     alg, m = session.alg, session.m
-    basis = session.window().basis
-    n = len(basis)
+    flats = session.window().flats
+    n = len(flats)
     one = pair_of(CycScalar.one(m))
 
     def keyed(f):  # a bracket's flat form as one map, c under the key "c"
         return {**f[0], "c": f[1]} if f[1] else f[0]
 
-    flats = [flat(b) for b in basis]
     pair = [[keyed(flat_bracket(alg, x, y)) for y in flats] for x in flats]
     keys = {key for row in pair for b in row for key in b}
     ad = [{key: () if key == "c" else tuple(
@@ -142,21 +141,21 @@ def suite_jacobi(session):
            for key in keys} for x in flats]
 
     def fail(inputs, acc):
-        """A failure, rendered from its nonzero sum, c back in its slot."""
+        """A failure at basis slots `inputs`, from its nonzero sum."""
         c = acc.pop("c", None)
-        rep.fail([b.render() for b in inputs],
+        rep.fail([unflat(alg, m, flats[i]).render() for i in inputs],
                  unflat(alg, m, (acc, c, None)).render(), "0")
 
     # every triple is counted at once; the triple loop only finds failures
     rep = Report(n * (n + 1) * (n + 2) // 6)
-    for i, bi in enumerate(basis):
+    for i in range(n):
         for j in range(i, n):
             acc = dict(pair[i][j])
             add_products(acc, one, pair[j][i])
             if not rep.check(not acc):
-                fail((bi, basis[j]), acc)
+                fail((i, j), acc)
     listed = omitted = 0
-    for i, bi in enumerate(basis):
+    for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 acc = {}
@@ -169,7 +168,7 @@ def suite_jacobi(session):
                     omitted += 1
                     continue
                 listed += 1
-                fail((bi, basis[j], basis[k]), acc)
+                fail((i, j, k), acc)
     if omitted:
         rep["failures_omitted"] = omitted
     return rep
@@ -241,7 +240,7 @@ def suite_spectral(session, x_text=None):
     """The weight lemmas for x = x' + d; their shift rule needs d-part 1
     and a window with room for a t-shift."""
     alg, m = session.alg, session.m
-    if x_text:
+    if x_text is not None:
         x = parse_affine(x_text, alg, m)
         if x.d != CycScalar.one(m):
             raise ValueError(f"--x must be x' + d, not {x.render()}")

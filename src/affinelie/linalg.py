@@ -244,13 +244,15 @@ def _divisors(n):
 
 
 def rational_roots(poly, m):
-    """All rational roots (as pairs) with multiplicities.
-
-    Requires every coefficient to be rational; returns [] when the
-    polynomial has zeta-part coefficients (out of reach of this search).
-    """
+    """All rational roots (as pairs) with multiplicities.  With zeta parts,
+    a + b*zeta vanishes at a rational x only where a and b both do."""
     if any(b for _, b in poly):
-        return []
+        rat, zeta = ([(x[k], 0) for x in poly] for k in (0, 1))
+        if not any(a for a, _ in rat):
+            return rational_roots(zeta, m)
+        both = dict(rational_roots(zeta, m))
+        return [(r, min(k, both[r])) for r, k in rational_roots(rat, m)
+                if r in both]
     coeffs = [a for a, _ in poly]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

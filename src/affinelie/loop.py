@@ -115,12 +115,11 @@ class TwistedContext:
     def slice_basis(self, degree):
         return self.eigenspaces[degree % self.m]
 
-    def decompose_slice(self, gelt, degree):
-        """Coordinates {position: pair} of a g-vector over the
-        g_{degree mod m} basis.
+    def decompose_slice(self, pairs, degree):
+        """Coordinates {position: pair} of a g-vector {index: pair} over
+        the g_{degree mod m} basis.
 
         Returns None when the vector leaves the twisted slice (meaning the
         input was not an element of the twisted algebra).
         """
-        solver = self.slice_solvers[degree % self.m]
-        return solver.coords(pair_vec(gelt.coords))
+        return self.slice_solvers[degree % self.m].coords(pairs)

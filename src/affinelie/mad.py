@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import linalg
 from .scalars import CycScalar
 from .loop import LoopElt
-from .affine import AffineElt, bracket_affine
+from .affine import AffineElt, bracket_affine, flat, unflat
 from .report import Report
 from .spectral import AdOperator, weight_decompose
 
@@ -36,17 +36,13 @@ class SubalgebraSpec:
         self.generators = generators
 
     @property
-    def alg(self):
-        return self.generators[0].alg
-
-    @property
     def m(self):
         return self.generators[0].m
 
     def span_solver(self, window):
         solver = linalg.SpanSolver(self.m)
         for g in self.generators:
-            vec = window.to_vector(g)
+            vec = window.to_vector(flat(g))
             if vec is None:
                 raise ValueError("generator does not fit in the window")
             solver.add(vec)
@@ -69,7 +65,7 @@ def is_diagonalizable(spec, window):
     """Simultaneous exact diagonalizability of the family over Q(zeta_m).
 
     Returns (flag, witness): on success the witness is the joint eigenbasis
-    as (weight-tuple, vectors) pairs; on failure it names a defective
+    as (weight-tuple, flat forms) pairs; on failure it names a defective
     generator.  Every operator hands over its window rows outside the
     joint interior too, so a joint eigenvector must also vanish there.
     """
@@ -107,17 +103,12 @@ def maximality_probe(spec, window, span):
             break
     if zero_weight is None:
         return None
-    for v in zero_weight:
-        if v.d or not v.loop:
+    for terms, _, d in zero_weight:
+        f = (terms, None, None)  # v less its central c-part
+        if d or not terms or span.contains(window.to_vector(f)):
             continue
-        candidate = AffineElt(v.loop)
-        vec = window.to_vector(candidate)
-        if span.contains(vec):
-            continue
-        # weight zero makes the candidate commute with the family; verify
-        # exactly, then test that its own ad-action diagonalizes
-        if any(bracket_affine(g, candidate) for g in spec.generators):
-            continue
+        # the joint lift verified [g, v] = 0 for every g: does f diagonalize?
+        candidate = unflat(window.alg, window.m, f)
         dec = weight_decompose(candidate, window)
         if dec.complete:
             return candidate
@@ -130,9 +121,8 @@ def mad_sanity(spec, window, span):
     generator leaving the core, dimension >= 3, and failure of the
     interior enlargement probe.  `span` is the spec's span solver on the
     window."""
-    alg, m = spec.alg, spec.m
     checks = {}
-    c_vec = window.to_vector(AffineElt.c_elt(alg, m))
+    c_vec = window.to_vector(window.flats[window.c_slot])
     checks["contains_center"] = span.contains(c_vec)
     checks["leaves_core"] = any(bool(g.d) for g in spec.generators)
     dim = span.rank
@@ -161,7 +151,8 @@ def centralizer(loop_generators, window):
     if not ops[0].interior:
         return []
     stacked = [row for op in ops for row in op.rows()]
-    return [AdOperator.joint_lift(ops, coeffs, [0] * len(ops)).loop
+    return [unflat(window.alg, window.m,
+                   AdOperator.joint_lift(ops, coeffs, [0] * len(ops))).loop
             for coeffs in linalg.kernel_basis(stacked, len(ops[0].interior),
                                               window.m)]
 
@@ -179,7 +170,7 @@ def conjugacy_verify(word, spec, window, reference, span):
     rep = Report()
     img_solver = linalg.SpanSolver(window.m)
     for g, img in zip(spec.generators, images):
-        vec = window.to_vector(img)
+        vec = window.to_vector(flat(img))
         if not rep.check(vec is not None):
             rep.fail([g.render()], img.render(), "image leaves the window")
             continue
@@ -188,7 +179,7 @@ def conjugacy_verify(word, spec, window, reference, span):
             rep.fail([g.render()], img.render(),
                      "not in the standard subalgebra")
     for g in reference.generators:
-        if not rep.check(img_solver.contains(window.to_vector(g))):
+        if not rep.check(img_solver.contains(window.to_vector(flat(g)))):
             rep.fail([g.render()], "standard generator",
                      "not in the image span")
     return rep

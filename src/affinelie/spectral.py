@@ -8,7 +8,9 @@ an exact statement about the infinite-dimensional algebra, not an artifact
 of truncation.  Eigenvalues are harvested from diagonal entries, the
 shift rule and rational roots of the characteristic polynomial, all tried
 by `linalg.eigenspaces`; completeness is certified by dimension count,
-never assumed.
+never assumed.  From the window to the verdict every element is a flat
+form (`affine.flat`): window basis, ad(x) columns, eigenvectors and loop
+spaces; `affine.unflat` builds an element only to render a failure.
 """
 
 from __future__ import annotations
@@ -17,17 +19,18 @@ from fractions import Fraction
 
 from . import linalg
 from .scalars import (CycScalar, _add_pair, add_products, as_scalar,
-                      pair_mul, pair_of, pair_terms, table_products)
-from .loop import LoopElt, TwistedContext
-from .affine import (AffineElt, bracket_affine, flat, flat_bracket,
-                     flat_pairing, invariant_form, unflat)
+                      pair_mul, pair_of, table_products)
+from .loop import TwistedContext
+from .affine import flat, flat_bracket, flat_pairing, unflat
 from .report import Report
 
 
 class Window:
-    """Ordered monomial basis of the twisted algebra within [lo, hi]."""
+    """Ordered monomial basis of the twisted algebra within [lo, hi], as
+    flat forms (`affine.flat`): the slice basis elements by degree, then c
+    and d."""
 
-    __slots__ = ("auto", "ctx", "lo", "hi", "basis", "meta", "slot",
+    __slots__ = ("auto", "ctx", "lo", "hi", "flats", "meta", "slot",
                  "c_slot", "d_slot")
 
     def __init__(self, auto, lo, hi, context=None):
@@ -37,20 +40,20 @@ class Window:
         self.ctx = context or TwistedContext(auto)
         self.lo = lo
         self.hi = hi
-        alg, m = auto.alg, auto.m
-        self.basis = []
+        self.flats = []
         self.meta = []
         self.slot = {}
         for j in range(lo, hi + 1):
             for pos, e in enumerate(self.ctx.slice_basis(j)):
-                self.slot[(j, pos)] = len(self.basis)
-                self.basis.append(AffineElt(LoopElt.from_g(e, j)))
+                self.slot[(j, pos)] = len(self.flats)
+                self.flats.append(({(i, j): (c.a, c.b)
+                                    for i, c in e.coords.items()}, None, None))
                 self.meta.append(("loop", j, pos))
-        self.c_slot = len(self.basis)
-        self.basis.append(AffineElt.c_elt(alg, m))
+        self.c_slot = len(self.flats)
+        self.flats.append(({}, (1, 0), None))
         self.meta.append(("c", None, None))
-        self.d_slot = len(self.basis)
-        self.basis.append(AffineElt.d_elt(alg, m))
+        self.d_slot = len(self.flats)
+        self.flats.append(({}, None, (1, 0)))
         self.meta.append(("d", None, None))
 
     @property
@@ -61,41 +64,47 @@ class Window:
     def m(self):
         return self.auto.m
 
+    @property
+    def basis(self):
+        """The basis as AffineElts."""
+        return [unflat(self.alg, self.m, f) for f in self.flats]
+
     def size(self):
-        return len(self.basis)
+        return len(self.flats)
 
     def inside(self, degrees, reach=0):
         """The one boundary rule: lo + reach <= p <= hi - reach for every p."""
         lo, hi = self.lo + reach, self.hi - reach
         return all(lo <= p <= hi for p in degrees)
 
-    def to_vector(self, elt):
-        """Window coordinates {slot: pair} of an AffineElt, without zeros,
+    def to_vector(self, f):
+        """Window coordinates {slot: pair} of a flat form, without zeros,
         or None if it leaves [lo, hi]."""
-        degrees = elt.loop.degree_support()
-        if not self.inside(degrees):
+        terms, c, d = f
+        slices = {}
+        for (i, p), x in terms.items():
+            slices.setdefault(p, {})[i] = x
+        if not self.inside(slices):
             return None
         vec = {}
-        for j in sorted(degrees):
-            coords = self.ctx.decompose_slice(elt.loop.slice(j), j)
+        for j in sorted(slices):
+            coords = self.ctx.decompose_slice(slices[j], j)
             if coords is None:
                 raise ValueError("element leaves the twisted algebra")
             for pos, coef in coords.items():
                 vec[self.slot[(j, pos)]] = coef
-        for slot, coef in ((self.c_slot, elt.c), (self.d_slot, elt.d)):
+        for slot, coef in ((self.c_slot, c), (self.d_slot, d)):
             if coef:
-                vec[slot] = (coef.a, coef.b)
+                vec[slot] = coef
         return vec
 
     def from_vector(self, vec):
-        """The flat form (`affine.flat`) of the element with window
-        coordinates {slot: pair}, summed on pairs from the slice bases."""
+        """The flat form of the element with window coordinates
+        {slot: pair}, summed on pairs from the basis forms."""
         terms = {}
         for i, coef in vec.items():
-            kind, j, pos = self.meta[i]
-            if kind == "loop":
-                for k, c in self.ctx.slice_basis(j)[pos].coords.items():
-                    _add_pair(terms, (k, j), *pair_mul(coef, (c.a, c.b)))
+            for key, c in self.flats[i][0].items():
+                _add_pair(terms, key, *pair_mul(coef, c))
         return terms, vec.get(self.c_slot), vec.get(self.d_slot)
 
 
@@ -137,7 +146,8 @@ class AdOperator:
         self.interior = interior_indices(x, window) if interior is None else interior
         self.columns = {}
         for i in self.interior:
-            vec = window.to_vector(bracket_affine(x, window.basis[i]))
+            vec = window.to_vector(flat_bracket(window.alg, self.fx,
+                                                window.flats[i]))
             if vec is None:
                 raise AssertionError("interior column left the window")
             self.columns[i] = vec
@@ -155,13 +165,12 @@ class AdOperator:
     @staticmethod
     def joint_lift(ops, coeffs, weights):
         """`lift` for a family sharing one interior, re-verified against
-        every operator with its own weight: one flat form, one `unflat`."""
-        window = ops[0].window
-        f = window.from_vector({ops[0].interior[k]: coef
-                                for k, coef in coeffs.items()})
+        every operator with its own weight: one flat form."""
+        f = ops[0].window.from_vector({ops[0].interior[k]: coef
+                                       for k, coef in coeffs.items()})
         for op, w in zip(ops, weights):
             op.check(f, w)
-        return unflat(window.alg, window.m, f)
+        return f
 
     def rows(self):
         """Rows of ad(x) over the interior columns: the interior rows in
@@ -176,8 +185,9 @@ class AdOperator:
         return out
 
     def lift(self, coeffs, w):
-        """The window element with coefficients {k: pair} on the interior
-        columns interior[k], re-verified as an eigenvector of weight w."""
+        """The flat form of the window element with coefficients {k: pair}
+        on the interior columns interior[k], re-verified as an eigenvector
+        of weight w."""
         return self.joint_lift([self], coeffs, [w])
 
     def check(self, f, w):
@@ -197,9 +207,9 @@ class WeightSpace:
 
     def __init__(self, w, vectors):
         self.w = w
-        self.vectors = vectors
+        self.vectors = vectors  # flat forms
         self.series_id = None
-        self.loop = None  # (basis of A_w, flat forms, SpanSolver): loop_space
+        self.loop = None  # (loop terms of the basis of A_w, SpanSolver)
 
     @property
     def dim(self):
@@ -231,9 +241,9 @@ class WeightDecomp:
         """Basis of A_w: eigenvectors with zero d-part, center projected away.
 
         Realizes the induced operator on core/center by computing at hat
-        level and dropping the c-component.  Built once per weight, with
-        each basis vector's flat form (the monomial pairs of `affine.flat`)
-        and the SpanSolver of their span over (index, degree) monomials
+        level and dropping the c-component.  Built once per weight: the
+        loop terms {(index, degree): pair} of each independent vector, and
+        the SpanSolver of their span over (index, degree) monomials
         (`loop_solver`).  Those coordinates are injective on the twisted
         algebra, so they decide membership as window coordinates would.
         """
@@ -243,13 +253,9 @@ class WeightDecomp:
         if sp.loop is None:
             solver = linalg.SpanSolver(self.window.m)
             # independent loop projections only
-            keep, flats = [], []
-            for v in sp.vectors:
-                terms = pair_terms(v.loop.coords)
-                if not v.d and terms and solver.add(terms):
-                    keep.append(v.loop)
-                    flats.append(terms)
-            sp.loop = (keep, flats, solver)
+            keep = [terms for terms, _, d in sp.vectors
+                    if not d and terms and solver.add(terms)]
+            sp.loop = (keep, solver)
         return sp.loop[0]
 
     def loop_solver(self, w):
@@ -259,7 +265,7 @@ class WeightDecomp:
         if sp is None:
             return None
         self.loop_space(sp.w)
-        return sp.loop[2]
+        return sp.loop[1]
 
 
 def _assign_series(decomp):
@@ -328,26 +334,30 @@ def weight_decompose(x, window):
     return WeightDecomp(x, window, spaces, complete, interior, defect)
 
 
+def _render(window, terms):
+    """Loop terms {(index, degree): pair} rendered as their LoopElt."""
+    return unflat(window.alg, window.m, (terms, None, None)).loop.render()
+
+
 def verify_shift(decomp):
     """Windowed form of A_{w+mn} = t^n A_w for interior weight pairs.
 
     For every weight pair (w, w + m n): each A_w basis vector whose t^n
     shift stays interior must be an exact eigenvector of weight w + m n
     lying in span A_{w+mn}; when the reverse shift also stays interior,
-    the spans agree exactly.  The shift re-keys the degrees of a flat form
-    from `loop_space`, and [x, t^n v] is `affine.flat_bracket`, of which
-    only the loop part is compared.
+    the spans agree exactly.  The shift re-keys the degrees of the loop
+    terms from `loop_space`, and [x, t^n v] is `affine.flat_bracket`, of
+    which only the loop part is compared.
     """
     window = decomp.window
     alg, m = window.alg, window.m
     reach = degree_reach(decomp.x)
     fx = flat(decomp.x)
     rep = Report()
-    bases = [decomp.loop_space(sp.w) for sp in decomp.spaces]
-    for sp1, basis1 in zip(decomp.spaces, bases):
-        w1 = sp1.w
-        for sp2, basis2 in zip(decomp.spaces, bases):
-            w2 = sp2.w
+    spaces = [(sp.w, decomp.loop_space(sp.w), decomp.loop_solver(sp.w))
+              for sp in decomp.spaces]
+    for w1, basis1, _ in spaces:
+        for w2, basis2, solver2 in spaces:
             diff = w2 - w1
             if not diff.is_rational():
                 continue
@@ -357,19 +367,18 @@ def verify_shift(decomp):
             shift = int(q)
             minus_w2 = (-w2.a, -w2.b)
             forward_ok = True
-            for v, fv in zip(basis1, sp1.loop[1]):
-                terms = {(i, p + shift): x for (i, p), x in fv.items()}
+            for v in basis1:
+                terms = {(i, p + shift): x for (i, p), x in v.items()}
                 if not window.inside({p for _, p in terms}, reach):
                     forward_ok = False
                     continue
                 image = flat_bracket(alg, fx, (terms, None, None))[0]
                 add_products(image, minus_w2, terms)
-                in_span = sp2.loop[2].contains(terms)
-                if not rep.check(in_span and not image):
-                    rep.fail([v.render(), f"n={shift // m}"],
-                             v.shift(shift).render(), f"A_{w2.render()}")
+                if not rep.check(solver2.contains(terms) and not image):
+                    rep.fail([_render(window, v), f"n={shift // m}"],
+                             _render(window, terms), f"A_{w2.render()}")
             if forward_ok and all(
-                window.inside({p - shift for p in u.degree_support()}, reach)
+                window.inside({p - shift for _, p in u}, reach)
                 for u in basis2
             ) and not rep.check(len(basis1) == len(basis2)):
                 rep.fail([w1.render(), w2.render()],
@@ -390,10 +399,10 @@ def _pair_keys(f, sign):
 def verify_opposite(decomp):
     """Weight-set symmetry plus cross-weight orthogonality of the form.
 
-    Each eigenvector's flat form is made once and filed under its
-    `_pair_keys`; `affine.flat_pairing` runs only on the pairs whose keys
-    meet, and every other pair, exactly 0, is counted as checked in bulk.
-    A nonzero value is rendered from `affine.invariant_form`."""
+    Each eigenvector's flat form is filed once under its `_pair_keys`;
+    `affine.flat_pairing` runs only on the pairs whose keys meet, and every
+    other pair, exactly 0, is counted as checked in bulk.  A nonzero value
+    is rendered from the pair it summed."""
     rep = Report()
     mult = {}
     for sp in decomp.spaces:
@@ -404,26 +413,26 @@ def verify_opposite(decomp):
             rep.fail([w.render()], f"dim {dim}",
                      "missing opposite weight" if neg not in mult
                      else f"dim {mult[neg][1]}")
-    alg = decomp.window.alg
-    flats = [[flat(v) for v in sp.vectors] for sp in decomp.spaces]
-    filed = [{} for _ in flats]
-    for by_key, fs in zip(filed, flats):
-        for k, f in enumerate(fs):
+    alg, m = decomp.window.alg, decomp.window.m
+    filed = [{} for _ in decomp.spaces]
+    for by_key, sp in zip(filed, decomp.spaces):
+        for k, f in enumerate(sp.vectors):
             for key in _pair_keys(f, 1):
                 by_key.setdefault(key, []).append(k)
-    for sp1, flats1 in zip(decomp.spaces, flats):
-        for sp2, flats2, by_key in zip(decomp.spaces, flats, filed):
+    for sp1 in decomp.spaces:
+        for sp2, by_key in zip(decomp.spaces, filed):
             if sp1.w.a + sp2.w.a or sp1.w.b + sp2.w.b:
-                for u, fu in zip(sp1.vectors, flats1):
-                    meet = sorted({k for key in _pair_keys(fu, -1)
+                for u in sp1.vectors:
+                    meet = sorted({k for key in _pair_keys(u, -1)
                                    for k in by_key.get(key, ())})
-                    rep["checked"] += len(flats2) - len(meet)
+                    rep["checked"] += sp2.dim - len(meet)
                     for k in meet:
-                        a, b = flat_pairing(alg, fu, flats2[k])
+                        v = sp2.vectors[k]
+                        a, b = flat_pairing(alg, u, v)
                         if not rep.check(not (a or b)):
-                            v = sp2.vectors[k]
-                            rep.fail([u.render(), v.render()],
-                                     invariant_form(u, v).render(), "0")
+                            rep.fail([unflat(alg, m, f).render()
+                                      for f in (u, v)],
+                                     CycScalar._make(m, a, b).render(), "0")
     return rep
 
 
@@ -440,29 +449,29 @@ def verify_zero_weight(decomp):
 def verify_product_rule(decomp):
     """[A_w1, A_w2] lies in A_{w1+w2}, on interior pairs with interior sum.
 
-    Each bracket is `scalars.table_products`, the loop bracket, on the flat
-    forms of `loop_space`, tested against the target's solver in the same
-    (index, degree) coordinates; a failing pair is rendered from
-    `LoopElt.bracket`."""
+    Each bracket is `scalars.table_products`, the loop bracket, on the loop
+    terms of `loop_space`, tested against the target's solver in the same
+    (index, degree) coordinates; a failing pair is rendered from them and
+    their bracket."""
     window = decomp.window
     table = window.alg.table
     reach = degree_reach(decomp.x)
     rep = Report()
-    spaces = [(sp, decomp.loop_space(sp.w), sp.loop[1]) for sp in decomp.spaces]
-    for sp1, basis1, flats1 in spaces:
-        for sp2, basis2, flats2 in spaces:
-            target = sp1.w + sp2.w
+    spaces = [(sp.w, decomp.loop_space(sp.w)) for sp in decomp.spaces]
+    for w1, basis1 in spaces:
+        for w2, basis2 in spaces:
+            target = w1 + w2
             solver = decomp.loop_solver(target)
-            for u, fu in zip(basis1, flats1):
-                for v, fv in zip(basis2, flats2):
-                    b = table_products(table, fu, fv)
+            for u in basis1:
+                for v in basis2:
+                    b = table_products(table, u, v)
                     if not window.inside({p for _, p in b}, reach):
                         continue
                     # outside a known eigenspace: exact failure witness
                     if not rep.check(not b or solver is not None
                                      and solver.contains(b)):
-                        rep.fail([u.render(), v.render()],
-                                 u.bracket(v).render(), f"A_{target.render()}")
+                        rep.fail([_render(window, u), _render(window, v)],
+                                 _render(window, b), f"A_{target.render()}")
     return rep
 
 
@@ -483,8 +492,7 @@ def rspan_isomorphism_check(decomp):
 
     def shiftable(basis, steps):
         return basis and all(
-            window.inside({p + steps for p in v.degree_support()}, reach)
-            for v in basis)
+            window.inside({p + steps for _, p in v}, reach) for v in basis)
 
     for sid, group in sorted(by_series.items()):
         members = [(sp.w, decomp.loop_space(sp.w)) for sp in group]

@@ -2,7 +2,7 @@
 suites, as JSON.
 
     PYTHONPATH=src python tests/mutation_census.py          # the 62 digest runs
-    PYTHONPATH=src python tests/mutation_census.py --fast   # the 12 FAST runs
+    PYTHONPATH=src python tests/mutation_census.py --fast   # the 13 FAST runs
 
 Each mutant is one named, hand-made bug, put into the program by replacing
 one function or method for as long as the mutant is applied (mutation
@@ -29,21 +29,25 @@ import io
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from affinelie import affine, autos, cli
+from affinelie import affine, autos, cli, linalg, mad
 from affinelie.autos import Cochar, Diagram, NilExp, Ring, TorusK, VShift
 from affinelie.report import Report
-from affinelie.scalars import add_products, pair_terms, table_pairing
+from affinelie.scalars import CycScalar, add_products, pair_terms, table_pairing
+from affinelie.spectral import WeightSpace
 
 import stdout_digests
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# a1 and a2_twisted under every suite on a small window: every mutant
-# below is caught by one of these runs
+# a1 and a2_twisted under every suite on a small window, and one a1
+# conjugacy word: every mutant below is caught by one of these runs
 FAST = [["verify", suite, "--algebra", f"algebras/{name}.alg",
          "--window", "-2", "2", "--seed", "7"]
         for name in ("a1", "a2_twisted") for suite in cli.SUITES]
+FAST.append(["verify", "mad", "--algebra", "algebras/a1.alg", "--window",
+             "-2", "2", "--seed", "7", "--word", "vshift(2) @ hat"])
 
 # name -> a function returning the (owner, attribute, replacement) triples
 MUTANTS = {}
@@ -164,6 +168,35 @@ def _():
         c = acc.pop("c", None)
         return acc, c, f[2]
     return [(NilExp, "act", act)]
+
+
+@mutant("eigen-solve drops one eigenvector")
+def _():
+    real = linalg.eigenspaces
+
+    def eigenspaces(*args, **kwargs):
+        ((w, basis), *rest), complete = real(*args, **kwargs)
+        return [(w, basis[:-1]), *rest], complete
+    return [(linalg, "eigenspaces", eigenspaces)]
+
+
+@mutant("weight off by one after the lift")
+def _():
+    real = WeightSpace.__init__
+
+    def init(self, w, vectors):
+        real(self, w + CycScalar.one(w.m), vectors)
+    return [(WeightSpace, "__init__", init)]
+
+
+@mutant("conjugacy_verify skips the first image")
+def _():
+    real = mad.conjugacy_verify
+
+    def verify(word, spec, window, reference, span):
+        rest = SimpleNamespace(generators=spec.generators[1:])
+        return real(word, rest, window, reference, span)
+    return everywhere(mad, "conjugacy_verify", verify)
 
 
 @contextlib.contextmanager

@@ -330,13 +330,15 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
 
     def test_failed_reverification_exits_4(self, capsys, monkeypatch, a1_file):
-        from affinelie import spectral
-        from affinelie.affine import AffineElt
+        # a fault in the columns of ad(x) that the flat re-verification
+        # (`AdOperator.check`, which never reads window coordinates) sees
+        from affinelie.spectral import Window
+        real = Window.to_vector
 
-        def off_by_c(x, y):
-            return bracket_affine(x, y) + AffineElt.c_elt(x.alg, x.m)
+        def off_by_c(self, f):
+            return {**real(self, f), self.c_slot: (1, 0)}
 
-        monkeypatch.setattr(spectral, "bracket_affine", off_by_c)
+        monkeypatch.setattr(Window, "to_vector", off_by_c)
         code = main(["verify", "spectral", "--algebra", a1_file])
         captured = capsys.readouterr()
         assert code == 4
@@ -344,6 +346,13 @@ class TestVerify:
         assert captured.err.startswith("internal error: ")
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "spectral"]])
+    def test_empty_x_exits_2(self, capsys, a1_file, command):
+        # an empty --x is an element to parse, not the default x
+        code = main([*command, "--algebra", a1_file, "--x", ""])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "parse error: unexpected end of input\n")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "spectral", "--x", "1/0*H_1*t^0 + d"],

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from affinelie import affine, cli
-from affinelie.affine import flat, verify_form_invariance
+from affinelie.affine import flat, unflat, verify_form_invariance
 from affinelie.autos import AutoGen, Cochar, VShift, verify_exact_sequence
 from affinelie.cli import build_parser, load_session
 from affinelie.parsing import parse_affine
@@ -64,8 +64,8 @@ def a1_decomp():
 
 def rebuilt(decomp, edit):
     """A WeightDecomp made from fresh WeightSpaces of `decomp`; `edit` maps
-    a weight's rendering and its vectors to (weight, vectors), or to None
-    to remove the space."""
+    a weight's rendering and its vectors (flat forms) to (weight, vectors),
+    or to None to remove the space."""
     spaces = []
     for sp in decomp.spaces:
         edited = edit(sp.w.render(), list(sp.vectors))
@@ -77,9 +77,12 @@ def rebuilt(decomp, edit):
 
 def dropping(weight, vector):
     """An edit that drops one rendered vector from one weight space."""
+    alg = a1_session("spectral").alg
+
     def edit(w, vectors):
         if w == weight:
-            vectors = [v for v in vectors if v.render() != vector]
+            vectors = [v for v in vectors
+                       if unflat(alg, 1, v).render() != vector]
         return CycScalar(1, Fraction(w)), vectors
     return edit
 
@@ -291,7 +294,7 @@ def test_opposite_pairs_c_with_d_across_weights():
     opposite, and c pairs with d across weights 0 and 7: (c, d) = 1.  The
     count is every cross-weight pair, as if each had been paired."""
     decomp = a1_decomp()
-    spaces = [WeightSpace(sp.w, [v for v in sp.vectors if not v.d])
+    spaces = [WeightSpace(sp.w, [v for v in sp.vectors if not v[2]])
               for sp in decomp.spaces]
     spaces.append(WeightSpace(CycScalar(1, 7), [decomp.space(0).vectors[-1]]))
     report = verify_opposite(WeightDecomp(

@@ -676,6 +676,25 @@ class TestBlockwiseEigenspaces:
                         ((2, 0), [{0: (1, 0), 3: (1, 0)}])], False)
 
 
+class TestZetaBlockRoots:
+    def test_rational_eigenvalue_beside_a_zeta_one(self):
+        # the block {0, 1, 2} has eigenvalues -2+z, -2, -2: its
+        # characteristic polynomial has zeta parts, and -2 is a common root
+        # of its rational and zeta parts; {3, 4} has -2 and -1
+        mat = [{2: (0, -1), 1: (0, 1), 0: (-2, 1)},
+               {2: (0, -1), 0: (0, 1), 1: (-2, 1)},
+               {2: (-2, -1), 0: (0, 1), 1: (0, 1)},
+               {3: (Fraction(-3, 2), 0), 4: (Fraction(-1, 2), 0)},
+               {3: (Fraction(-1, 2), 0), 4: (Fraction(-3, 2), 0)}]
+        assert linalg.rational_roots(linalg.charpoly(mat[:3], 3), 3) == [
+            ((-2, 0), 2)]
+        got = linalg.eigenspaces(mat, 5, 3)
+        assert got == global_eigenspaces(mat, 5, 3, [])
+        assert got[1] and dict(got[0])[(-2, 0)] == [
+            {0: (-1, 0), 1: (1, 0)}, {0: (1, 0), 2: (1, 0)},
+            {3: (1, 0), 4: (1, 0)}]
+
+
 class TestJordanSplit:
     def brute_force(self, diag, nil_positions, n):
         """Assemble M = D + N in a basis where the split is by inspection."""

@@ -10,7 +10,7 @@ from affinelie.affine import AffineElt, bracket_affine
 from affinelie.autos import Diagram
 from affinelie.loop import LoopElt, gamma_twist, is_in_twisted
 from affinelie.rootsys import GElt, build_chevalley, sigma_eigenspaces
-from affinelie.scalars import CycScalar, LaurentElt, add_into
+from affinelie.scalars import CycScalar, LaurentElt, add_into, pair_vec
 from affinelie.spectral import Window
 from affinelie import linalg
 
@@ -122,7 +122,8 @@ class TestTwisted:
         def vectorize(x):
             vec = {}
             for j in sorted(x.degree_support()):
-                coords = a2_flip_ctx.decompose_slice(x.slice(j), j)
+                coords = a2_flip_ctx.decompose_slice(
+                    pair_vec(x.slice(j).coords), j)
                 assert coords is not None, "bracket left the twisted algebra"
                 for pos, coef in coords.items():
                     vec[index[j][pos]] = coef

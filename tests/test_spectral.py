@@ -115,7 +115,7 @@ class TestAdMatrix:
         e = win.slot[(1, 0)]
         coeffs = {op.interior.index(e): (1, 0)}
         w = CycScalar(1, *op.columns[e][e])
-        assert op.lift(coeffs, w) == win.basis[e]
+        assert op.lift(coeffs, w) == win.flats[e]
         with pytest.raises(AssertionError):
             op.lift(coeffs, w + CycScalar.one(1))
 
@@ -146,7 +146,7 @@ class TestToVector:
         elt = AffineElt.zero(win.alg, m)
         for i, a, b in terms:
             elt = elt + win.basis[i].scale(CycScalar(m, a, b))
-        vec = win.to_vector(elt)
+        vec = win.to_vector(flat(elt))
         assert set(vec) <= set(range(win.size()))
         # `SpanSolver.add` inverts v[min(v)]: no stored entry may be zero
         assert all(a or b for a, b in vec.values())
@@ -155,7 +155,7 @@ class TestToVector:
         j = data.draw(st.sampled_from([win.lo - 1, win.hi + 1]))
         basis = win.ctx.slice_basis(j)
         e = basis[data.draw(st.integers(0, len(basis) - 1))]
-        assert win.to_vector(elt + AffineElt(LoopElt.from_g(e, j))) is None
+        assert win.to_vector(flat(elt + AffineElt(LoopElt.from_g(e, j)))) is None
 
 
 def blockwise_reference(x, window):
@@ -185,11 +185,11 @@ def blockwise_reference(x, window):
             for coeffs in sub:
                 f = window.from_vector({block[k]: c for k, c in coeffs.items()})
                 op.check(f, w)
-                stash(w, unflat(window.alg, m, f))
+                stash(w, f)
     zero = CycScalar.zero(m)
     for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
         op.check(flat(elt), zero)
-        stash(zero, elt)
+        stash(zero, flat(elt))
     spaces = [by_weight[key] for key in sorted(by_weight)]
     complete = total == len(interior)
     return spaces, complete, None if complete else len(interior) - total
@@ -241,22 +241,22 @@ class TestWeightDecompose:
         sp0 = dec.space(0)
         from affinelie import linalg
         solver = linalg.SpanSolver(1)
-        d_free = [v for v in sp0.vectors if not v.d]
+        d_free = [v for v in sp0.vectors if not v[2]]
         for v in d_free:
             solver.add(win.to_vector(v))
         assert len(d_free) == sp0.dim - 1
-        assert solver.contains(win.to_vector(AffineElt.c_elt(a1, 1)))
+        assert solver.contains(win.to_vector(flat(AffineElt.c_elt(a1, 1))))
         full = linalg.SpanSolver(1)
         for v in sp0.vectors:
             full.add(win.to_vector(v))
-        assert full.contains(win.to_vector(a1_x))
+        assert full.contains(win.to_vector(flat(a1_x)))
 
     def test_nonzero_weights_have_no_d_part(self, a1_id, a1_x):
         win = Window(a1_id, -3, 3)
         dec = weight_decompose(a1_x, win)
         for sp in dec.spaces:
             if sp.w:
-                assert all(not v.d for v in sp.vectors)
+                assert all(not v[2] for v in sp.vectors)
 
     def test_loop_level_x_d_alone(self, a1, a1_id):
         # x = d: zero-weight loop space is the degree-zero slice
@@ -305,7 +305,8 @@ class TestLemmas:
         win = Window(a2_flip, -6, 6)
         dec = weight_decompose(a2_twisted_x, win)
         w = CycScalar(2, 1)
-        basis = dec.loop_space(w)
+        basis = [unflat(a2_flip.alg, 2, (v, None, None)).loop
+                 for v in dec.loop_space(w)]
         target = dec.loop_space(CycScalar(2, 3))
         assert basis and target
         shifted = [v.shift(2) for v in basis]
@@ -445,10 +446,10 @@ class TestTrialityOrderThree:
         win = Window(d4_triality, -3, 3)
         dec = weight_decompose(d4_x, win)
         zero = dec.loop_space(CycScalar.zero(3))
-        degree_zero = [v for v in zero if v.degree_support() == {0}]
+        degree_zero = [v for v in zero if {p for _, p in v} == {0}]
         assert len(degree_zero) == 2
         for v in degree_zero:
-            assert set(v.coords) <= {0, 1, 2, 3}  # Cartan indices only
+            assert {i for i, _ in v} <= {0, 1, 2, 3}  # Cartan indices only
 
 
 class TestJordanBlockInvariant:
@@ -505,9 +506,10 @@ class TestFlatVerifiersMatchObjects:
         return weight_decompose(x, Window(auto, -2, 2))
 
     def test_brackets_and_pairings(self, decomp):
-        alg = decomp.window.alg
-        vectors = [v for sp in decomp.spaces for v in sp.vectors]
-        flats = [flat(v) for v in vectors]
+        alg, m = decomp.window.alg, decomp.window.m
+        flats = [f for sp in decomp.spaces for f in sp.vectors]
+        vectors = [unflat(alg, m, f) for f in flats]
+        assert [flat(v) for v in vectors] == flats
         for u, fu in zip(vectors, flats):
             for v, fv in zip(vectors, flats):
                 assert flat_bracket(alg, fu, fv) == flat(bracket_affine(u, v))
@@ -520,16 +522,18 @@ class TestFlatVerifiersMatchObjects:
 
     def test_flat_membership_is_window_membership(self, decomp):
         window = decomp.window
-        spaces = [(sp.w, decomp.loop_space(sp.w)) for sp in decomp.spaces]
+        spaces = [(sp.w, [unflat(window.alg, window.m, (v, None, None)).loop
+                          for v in decomp.loop_space(sp.w)])
+                  for sp in decomp.spaces]
         probes = [u for _, basis in spaces for u in basis]
         probes += [u.bracket(v) for u in probes for v in probes]
         probes = [p for p in probes if window.inside(p.degree_support())]
         for w, basis in spaces:
             in_window = linalg.SpanSolver(window.m)
             for v in basis:
-                in_window.add(window.to_vector(AffineElt(v)))
+                in_window.add(window.to_vector(flat(v)))
             in_flat = decomp.loop_solver(w)
             assert in_flat.rank == in_window.rank == len(basis)
             for p in probes:
                 assert (in_flat.contains(dict(pair_terms(p.coords)))
-                        == in_window.contains(window.to_vector(AffineElt(p))))
+                        == in_window.contains(window.to_vector(flat(p))))
