@@ -17,21 +17,17 @@ import json
 import os
 import random
 import sys
-from .scalars import (CycScalar, LaurentElt, _add_pair, add_images,
-                      add_products, pair_of)
+from .scalars import CycScalar, LaurentElt, _add_pair
 from .rootsys import cartan_of_fixed
 from .loop import LoopElt, TwistedContext
 from .affine import (AffineElt, flat_bracket, unflat,
                      verify_form_invariance, window_gram_rank)
-from .autos import (AutoWord, RootExp, Diagram, Cochar, TorusK, Ring,
-                    tilde_lift, hat_lift, verify_automorphism,
-                    verify_exact_sequence)
 from .spectral import (Window, weight_decompose, verify_shift, verify_opposite,
                        verify_zero_weight, verify_product_rule,
                        rspan_isomorphism_check, decomposition_report)
-from .mad import SubalgebraSpec, standard_mad, mad_sanity, conjugacy_verify
 from .parsing import ParseError, parse_affine, parse_word, parse_algebra_file
 from .report import Report
+# autos and mad: imported in the suites that use them, compiled nowhere else
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -93,6 +89,7 @@ class Session:
 
     def generator_kinds(self):
         """One representative generator per kind, for the lift suites."""
+        from .autos import Cochar, Diagram, Ring, RootExp, TorusK
         alg, m = self.alg, self.m
         root = alg.root_of_index[alg.rank]
         gens = [
@@ -119,49 +116,70 @@ JACOBI_LISTED = 11
 def suite_jacobi(session):
     """Antisymmetry on all window basis pairs, Jacobi on all triples.
 
-    Every bracket is a flat one from `affine.flat_bracket`, and each is
-    computed once: [b_i, b_j] for every ordered pair of window basis
-    elements, and [b_i, X] for every Chevalley monomial X that occurs in a
-    pair bracket ([b_i, c] = 0).  A triple's sum is then [b_i, [b_j, b_k]]
-    + ... expanded by bilinearity over those brackets, on pairs.  A failing
-    pair or listed triple is rendered from that sum.
+    Each bracket is computed once, by `affine.flat_bracket`: [b_i, b_j] for
+    every ordered pair of window basis elements and [b_i, X] for every
+    monomial X of a pair bracket ([b_i, c] = 0), as tuples of (id, a, b)
+    over keys ((index, degree) or c) numbered once; ad(b_i) is a list by
+    id.  A triple sums [b_i, [b_j, b_k]] + ... into one map by id, with
+    `pair_mul` and `_add_pair` inlined; ids are decoded only for a failure.
     """
     alg, m = session.alg, session.m
     flats = session.window().flats
     n = len(flats)
-    one = pair_of(CycScalar.one(m))
+    ids = {}  # key -> id, c under the key "c"
 
-    def keyed(f):  # a bracket's flat form as one map, c under the key "c"
-        return {**f[0], "c": f[1]} if f[1] else f[0]
+    def interned(f):
+        terms, c, _ = f
+        out = tuple([(ids.setdefault(key, len(ids)), a, b)
+                     for key, (a, b) in terms.items()]) if terms else ()
+        return out + ((ids.setdefault("c", len(ids)), *c),) if c else out
 
-    pair = [[keyed(flat_bracket(alg, x, y)) for y in flats] for x in flats]
-    keys = {key for row in pair for b in row for key in b}
-    ad = [{key: () if key == "c" else tuple(
-               keyed(flat_bracket(alg, x, ({key: one}, None, None))).items())
-           for key in keys} for x in flats]
+    pair = [[interned(flat_bracket(alg, x, y)) for y in flats] for x in flats]
+    reached = list(ids)  # an ad(b_i) image may number new keys
+    ad = [[() if key == "c" else
+           interned(flat_bracket(alg, x, ({key: (1, 0)}, None, None)))
+           for key in reached] for x in flats]
+    keys = list(ids)
 
     def fail(inputs, acc):
         """A failure at basis slots `inputs`, from its nonzero sum."""
-        c = acc.pop("c", None)
+        terms = {keys[key]: value for key, value in acc.items()}
+        c = terms.pop("c", None)
         rep.fail([unflat(alg, m, flats[i]).render() for i in inputs],
-                 unflat(alg, m, (acc, c, None)).render(), "0")
+                 unflat(alg, m, (terms, c, None)).render(), "0")
 
     # every triple is counted at once; the triple loop only finds failures
     rep = Report(n * (n + 1) * (n + 2) // 6)
     for i in range(n):
         for j in range(i, n):
-            acc = dict(pair[i][j])
-            add_products(acc, one, pair[j][i])
+            acc = {key: (a, b) for key, a, b in pair[i][j]}
+            for key, a, b in pair[j][i]:
+                _add_pair(acc, key, a, b)
             if not rep.check(not acc):
                 fail((i, j), acc)
     listed = omitted = 0
     for i in range(n):
+        ad_i, pair_i = ad[i], pair[i]
         for j in range(i, n):
+            ad_j, pair_j, pair_ij = ad[j], pair[j], pair_i[j]
             for k in range(j, n):
                 acc = {}
-                add_images(acc, pair[j][k], ad[i])
-                add_images(acc, pair[k][i], ad[j])
-                add_images(acc, pair[i][j], ad[k])
+                for terms, images in ((pair_j[k], ad_i), (pair[k][i], ad_j),
+                                      (pair_ij, ad[k])):
+                    for key, xa, xb in terms:
+                        for out, ya, yb in images[key]:
+                            if xb or yb:  # z^2 = -1 - z
+                                a = xa * ya - xb * yb
+                                b = xa * yb + xb * ya - xb * yb
+                            else:
+                                a, b = xa * ya, 0
+                            prev = acc.get(out)
+                            if prev is not None:
+                                a, b = a + prev[0], b + prev[1]
+                            if a or b:
+                                acc[out] = a, b
+                            elif prev is not None:
+                                del acc[out]
                 if not acc:
                     continue
                 if listed and len(rep["failures"]) >= JACOBI_LISTED:
@@ -196,6 +214,8 @@ def suite_form(session):
 
 def suite_lifts(session):
     """Lift coherence per generator kind plus the cochar corrections."""
+    from .autos import (AutoWord, Cochar, hat_lift, tilde_lift,
+                        verify_automorphism)
     rep = Report()
     alg, m = session.alg, session.m
     for gen in session.generator_kinds():
@@ -230,10 +250,10 @@ def suite_lifts(session):
 
 
 def suite_exactseq(session):
-    return verify_exact_sequence(session.alg, session.m,
-                                 session.generator_kinds(),
-                                 session.sample_loop,
-                                 max(1, session.samples // 10))
+    from .autos import verify_exact_sequence
+    return verify_exact_sequence(
+        session.alg, session.m, session.generator_kinds(), session.sample_loop,
+        max(1, session.samples // 10))
 
 
 def suite_spectral(session, x_text=None):
@@ -278,6 +298,7 @@ def _word_and_spec(session, word_text, spec_lines):
     """The hat word and the subalgebra of a conjugacy check; the subalgebra
     is None without a spec file.  A spec file without element lines is an
     empty subalgebra, which is rejected."""
+    from .mad import SubalgebraSpec
     alg, m = session.alg, session.m
     word = parse_word(word_text, alg, m)
     if spec_lines is None:
@@ -287,6 +308,7 @@ def _word_and_spec(session, word_text, spec_lines):
 
 def suite_conjugacy(session, word_text, spec_lines):
     """Whether the word carries the subalgebra onto the standard MAD."""
+    from .mad import conjugacy_verify, standard_mad
     word, spec = _word_and_spec(session, word_text, spec_lines)
     win = session.window()
     reference = standard_mad(session.auto)
@@ -297,6 +319,7 @@ def suite_conjugacy(session, word_text, spec_lines):
 def suite_mad(session, word_text=None, spec_lines=None):
     """The MAD sanity checks of the standard MAD and, given a word, its
     conjugacy check, on one standard MAD and one span solver."""
+    from .mad import conjugacy_verify, mad_sanity, standard_mad
     win = session.window()
     reference = standard_mad(session.auto)
     if word_text is not None:

@@ -12,9 +12,10 @@ division goes through `Fraction`, because `int / int` is a float.
 
 Every bracket, the Killing pairing and the Jacobi triple sums run on pairs:
 a + b*zeta as a tuple (a, b) of such parts, multiplied by `pair_mul`, the
-one product rule, which `CycScalar.__mul__` uses too.  A scalar is built
-once per output coefficient.  Sparse maps never store a zero: `add_into`
-accumulates every map of scalar objects, `_add_pair` every map of pairs.
+one product rule (`CycScalar.__mul__` calls it; the triple loop of
+`cli.suite_jacobi` inlines it and `_add_pair`).  A scalar is built once per
+output coefficient.  Sparse maps never store a zero: `add_into` accumulates
+every map of scalar objects, `_add_pair` every map of pairs.
 """
 
 from __future__ import annotations
@@ -280,14 +281,6 @@ def add_products(acc, coef, terms, graded=0):
         if graded:
             a, b = a * graded * key[1], b * graded * key[1]
         _add_pair(acc, key, a, b)
-
-
-def add_images(acc, terms, images):
-    """acc += f(sum of terms) for the linear map f with f(key) = images[key],
-    a tuple of (key, pair); `terms` is a map.  This is the Jacobi triple sum."""
-    for key, x in terms.items():
-        for out_key, y in images[key]:
-            _add_pair(acc, out_key, *pair_mul(x, y))
 
 
 def table_products(table, xs, ys):

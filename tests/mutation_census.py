@@ -34,7 +34,8 @@ from types import SimpleNamespace
 from affinelie import affine, autos, cli, linalg, mad
 from affinelie.autos import Cochar, Diagram, NilExp, Ring, TorusK, VShift
 from affinelie.report import Report
-from affinelie.scalars import CycScalar, add_products, pair_terms, table_pairing
+from affinelie.scalars import (CycScalar, _add_pair, add_products, pair_mul,
+                               pair_terms, table_pairing)
 from affinelie.spectral import WeightSpace
 
 import stdout_digests
@@ -138,6 +139,23 @@ def _():
 @mutant("cocycle c-term doubled")
 def _():
     return cocycle_times(2)
+
+
+@mutant("d-action graded by |degree|")
+def _():
+    real = affine.flat_bracket
+
+    def bracket(alg, x, y):
+        """[x, y] with [d, X t^p] = |p| X t^p instead of p X t^p."""
+        out, c, _ = real(alg, (x[0], None, None), (y[0], None, None))
+        for coef, terms, sign in ((x[2], y[0], 1), (y[2], x[0], -1)):
+            if coef:
+                for key, value in terms.items():
+                    a, b = pair_mul(coef, value)
+                    k = sign * abs(key[1])
+                    _add_pair(out, key, a * k, b * k)
+        return out, c, None
+    return everywhere(affine, "flat_bracket", bracket)
 
 
 @mutant("form without c*d")

@@ -30,3 +30,16 @@ def test_census_names_the_failing_family_and_the_unfailed_checks():
     # are reached and never fail
     assert any(site.startswith("autos.verify_exact_sequence:")
                for site in report["never_failed"])
+
+
+def test_jacobi_triples_catch_the_d_action_mutant():
+    """[d, X t^p] = |p| X t^p keeps every bracket antisymmetric, so no
+    `Report.check` fails: the FAIL comes from the Jacobi triple sums."""
+    name = "d-action graded by |degree|"
+    runs = [argv for argv in FAST if argv[1] == "jacobi"]
+    report = census(runs, [name])
+    caught = report["mutants"][name]["caught"]
+    assert [c["run"].split()[3] for c in caught] == [
+        "algebras/a1.alg", "algebras/a2_twisted.alg"]
+    assert all(c["families"] == ["jacobi"] and c["checks"] == []
+               for c in caught)
