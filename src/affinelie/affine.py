@@ -13,7 +13,7 @@ from __future__ import annotations
 from .scalars import (CycScalar, add_products, as_scalar, laurent_coords,
                       pair_mul, pair_of, pair_terms, render_sum,
                       table_pairing, table_products)
-from .loop import LoopElt
+from .loop import LoopElt, Window
 from . import linalg
 from .report import Report
 
@@ -184,7 +184,6 @@ def core_and_derived(auto, lo, hi, context=None):
     every product stays inside the window.  Returns (basis, flag) where the
     flag asserts span == (windowed twisted loop) (+) kc and d not in span.
     """
-    from .spectral import Window
     window = Window(auto, lo, hi, context=context)
     flats, alg, m = window.flats, auto.alg, auto.m
     loop = [(i, j) for i, (kind, j, _) in enumerate(window.meta) if kind == "loop"]

@@ -19,15 +19,12 @@ import random
 import sys
 from .scalars import CycScalar, LaurentElt, _add_pair
 from .rootsys import cartan_of_fixed
-from .loop import LoopElt, TwistedContext
+from .loop import LoopElt, TwistedContext, Window
 from .affine import (AffineElt, flat_bracket, unflat,
                      verify_form_invariance, window_gram_rank)
-from .spectral import (Window, weight_decompose, verify_shift, verify_opposite,
-                       verify_zero_weight, verify_product_rule,
-                       rspan_isomorphism_check, decomposition_report)
 from .parsing import ParseError, parse_affine, parse_word, parse_algebra_file
 from .report import Report
-# autos and mad: imported in the suites that use them, compiled nowhere else
+# autos, spectral and mad: imported only in the suites that use them
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,18 +64,19 @@ class Session:
 
     def sample_loop(self):
         """Two random terms coef * b (x) s^j: a degree j in the window, a
-        basis element b of g_j and coef in [-5, 5], as one flat form."""
-        rng, out = self.rng, {}
+        basis element b of g_j and coef in [-5, 5], as one flat form read
+        from the window's flat forms."""
+        rng, out, win = self.rng, {}, self.window()
         for _ in range(2):
             j = rng.randint(self.lo, self.hi)
-            basis = self.ctx.slice_basis(j)
-            if not basis:
+            size = len(self.ctx.slice_basis(j))
+            if not size:
                 continue
-            e = basis[rng.randrange(len(basis))]
+            terms = win.flats[win.slot[(j, rng.randrange(size))]][0]
             coef = rng.randint(-5, 5)
             if coef:
-                for i, c in e.coords.items():
-                    _add_pair(out, (i, j), c.a * coef, c.b * coef)
+                for key, (a, b) in terms.items():
+                    _add_pair(out, key, a * coef, b * coef)
         return out, None, None
 
     def sample_affine(self):
@@ -168,11 +166,13 @@ def suite_jacobi(session):
                                       (pair_ij, ad[k])):
                     for key, xa, xb in terms:
                         for out, ya, yb in images[key]:
-                            if xb or yb:  # z^2 = -1 - z
+                            if not xb:  # z^2 = -1 - z
+                                a, b = xa * ya, xa * yb if yb else 0
+                            elif not yb:
+                                a, b = xa * ya, xb * ya
+                            else:
                                 a = xa * ya - xb * yb
                                 b = xa * yb + xb * ya - xb * yb
-                            else:
-                                a, b = xa * ya, 0
                             prev = acc.get(out)
                             if prev is not None:
                                 a, b = a + prev[0], b + prev[1]
@@ -259,6 +259,9 @@ def suite_exactseq(session):
 def suite_spectral(session, x_text=None):
     """The weight lemmas for x = x' + d; their shift rule needs d-part 1
     and a window with room for a t-shift."""
+    from .spectral import (weight_decompose, verify_shift, verify_opposite,
+                           verify_zero_weight, verify_product_rule,
+                           rspan_isomorphism_check, decomposition_report)
     alg, m = session.alg, session.m
     if x_text is not None:
         x = parse_affine(x_text, alg, m)

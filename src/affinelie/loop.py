@@ -3,17 +3,17 @@
 Elements are finitely supported maps from Chevalley basis indices to
 Laurent polynomials: `rootsys.SparseElt` with Laurent coefficients, so sum,
 bracket and the signed basis permutation are the ones `GElt` uses.  No
-truncation happens in arithmetic.  Degree windows exist only for basis
-enumeration.  L(g, sigma) is the fixed subalgebra of the Galois twist
-sigma^(-1) (x) (s -> zeta*s), which is that signed permutation with
+truncation happens in arithmetic.  Degree windows (`Window`) exist only
+for basis enumeration.  L(g, sigma) is the fixed subalgebra of the Galois
+twist sigma^(-1) (x) (s -> zeta*s), which is that signed permutation with
 `LaurentElt.zeta_scale` on the coefficients.  The split case is m = 1 with
 the identity diagram automorphism.
 """
 
 from __future__ import annotations
 
-from .scalars import (LaurentElt, as_scalar, laurent_coords, pair_vec,
-                      render_t_power)
+from .scalars import (LaurentElt, _add_pair, as_scalar, laurent_coords,
+                      pair_mul, pair_vec, render_t_power)
 from .rootsys import GElt, SparseElt
 
 
@@ -123,3 +123,87 @@ class TwistedContext:
         input was not an element of the twisted algebra).
         """
         return self.slice_solvers[degree % self.m].coords(pairs)
+
+
+class Window:
+    """Ordered monomial basis of the twisted algebra within [lo, hi], as
+    flat forms (`affine.flat`): the slice basis elements by degree, then c
+    and d."""
+
+    __slots__ = ("auto", "ctx", "lo", "hi", "flats", "meta", "slot",
+                 "c_slot", "d_slot")
+
+    def __init__(self, auto, lo, hi, context=None):
+        if lo > hi:
+            raise ValueError("empty window")
+        self.auto = auto
+        self.ctx = context or TwistedContext(auto)
+        self.lo = lo
+        self.hi = hi
+        self.flats = []
+        self.meta = []
+        self.slot = {}
+        for j in range(lo, hi + 1):
+            for pos, e in enumerate(self.ctx.slice_basis(j)):
+                self.slot[(j, pos)] = len(self.flats)
+                self.flats.append(({(i, j): (c.a, c.b)
+                                    for i, c in e.coords.items()}, None, None))
+                self.meta.append(("loop", j, pos))
+        self.c_slot = len(self.flats)
+        self.flats.append(({}, (1, 0), None))
+        self.meta.append(("c", None, None))
+        self.d_slot = len(self.flats)
+        self.flats.append(({}, None, (1, 0)))
+        self.meta.append(("d", None, None))
+
+    @property
+    def alg(self):
+        return self.auto.alg
+
+    @property
+    def m(self):
+        return self.auto.m
+
+    @property
+    def basis(self):
+        """The basis as AffineElts."""
+        from .affine import unflat
+        return [unflat(self.alg, self.m, f) for f in self.flats]
+
+    def size(self):
+        return len(self.flats)
+
+    def inside(self, degrees, reach=0):
+        """The one boundary rule: lo + reach <= p <= hi - reach for every p."""
+        lo, hi = self.lo + reach, self.hi - reach
+        return all(lo <= p <= hi for p in degrees)
+
+    def to_vector(self, f):
+        """Window coordinates {slot: pair} of a flat form, without zeros,
+        or None if it leaves [lo, hi]."""
+        terms, c, d = f
+        slices = {}
+        for (i, p), x in terms.items():
+            slices.setdefault(p, {})[i] = x
+        if not self.inside(slices):
+            return None
+        vec = {}
+        for j in sorted(slices):
+            coords = self.ctx.decompose_slice(slices[j], j)
+            if coords is None:
+                raise ValueError("element leaves the twisted algebra")
+            for pos, coef in coords.items():
+                vec[self.slot[(j, pos)]] = coef
+        for slot, coef in ((self.c_slot, c), (self.d_slot, d)):
+            if coef:
+                vec[slot] = coef
+        return vec
+
+    def from_vector(self, vec):
+        """The flat form of the element with window coordinates
+        {slot: pair}, summed on pairs from the basis forms."""
+        terms = {}
+        for i, coef in vec.items():
+            for key, c in self.flats[i][0].items():
+                _add_pair(terms, key, *pair_mul(coef, c))
+        return terms, vec.get(self.c_slot), vec.get(self.d_slot)

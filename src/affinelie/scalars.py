@@ -194,11 +194,14 @@ def as_scalar(m, value):
 
 
 def pair_mul(x, y):
-    """(a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z; b1 = b2 = 0 unless m = 3."""
+    """(a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z; b1 = b2 = 0 unless m = 3.
+    A zero zeta part skips the products it would zero."""
     a1, b1 = x
     a2, b2 = y
-    if not b1 and not b2:
-        return a1 * a2, 0
+    if not b1:
+        return a1 * a2, a1 * b2 if b2 else 0
+    if not b2:
+        return a1 * a2, b1 * a2
     return a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2
 
 
@@ -295,8 +298,13 @@ def table_products(table, xs, ys):
             row = table.get((i, j))
             if row is not None:
                 a, b = pair_mul(x, y)
-                for k, n in row.items():
-                    _add_pair(acc, (k, p + q), a * n, b * n)
+                for k, n in row.items():  # +-1 but in [H_i, X_a] = +-2 X_a
+                    if n == 1:
+                        _add_pair(acc, (k, p + q), a, b)
+                    elif n == -1:
+                        _add_pair(acc, (k, p + q), -a, -b)
+                    else:
+                        _add_pair(acc, (k, p + q), a * n, b * n)
     return acc
 
 

@@ -18,94 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .scalars import (CycScalar, _add_pair, add_products, as_scalar,
-                      pair_mul, pair_of, table_products)
-from .loop import TwistedContext
+from .scalars import (CycScalar, add_products, as_scalar, pair_mul, pair_of,
+                      table_products)
+from .loop import Window  # re-exported: read as spectral.Window
 from .affine import flat, flat_bracket, flat_pairing, unflat
 from .report import Report
-
-
-class Window:
-    """Ordered monomial basis of the twisted algebra within [lo, hi], as
-    flat forms (`affine.flat`): the slice basis elements by degree, then c
-    and d."""
-
-    __slots__ = ("auto", "ctx", "lo", "hi", "flats", "meta", "slot",
-                 "c_slot", "d_slot")
-
-    def __init__(self, auto, lo, hi, context=None):
-        if lo > hi:
-            raise ValueError("empty window")
-        self.auto = auto
-        self.ctx = context or TwistedContext(auto)
-        self.lo = lo
-        self.hi = hi
-        self.flats = []
-        self.meta = []
-        self.slot = {}
-        for j in range(lo, hi + 1):
-            for pos, e in enumerate(self.ctx.slice_basis(j)):
-                self.slot[(j, pos)] = len(self.flats)
-                self.flats.append(({(i, j): (c.a, c.b)
-                                    for i, c in e.coords.items()}, None, None))
-                self.meta.append(("loop", j, pos))
-        self.c_slot = len(self.flats)
-        self.flats.append(({}, (1, 0), None))
-        self.meta.append(("c", None, None))
-        self.d_slot = len(self.flats)
-        self.flats.append(({}, None, (1, 0)))
-        self.meta.append(("d", None, None))
-
-    @property
-    def alg(self):
-        return self.auto.alg
-
-    @property
-    def m(self):
-        return self.auto.m
-
-    @property
-    def basis(self):
-        """The basis as AffineElts."""
-        return [unflat(self.alg, self.m, f) for f in self.flats]
-
-    def size(self):
-        return len(self.flats)
-
-    def inside(self, degrees, reach=0):
-        """The one boundary rule: lo + reach <= p <= hi - reach for every p."""
-        lo, hi = self.lo + reach, self.hi - reach
-        return all(lo <= p <= hi for p in degrees)
-
-    def to_vector(self, f):
-        """Window coordinates {slot: pair} of a flat form, without zeros,
-        or None if it leaves [lo, hi]."""
-        terms, c, d = f
-        slices = {}
-        for (i, p), x in terms.items():
-            slices.setdefault(p, {})[i] = x
-        if not self.inside(slices):
-            return None
-        vec = {}
-        for j in sorted(slices):
-            coords = self.ctx.decompose_slice(slices[j], j)
-            if coords is None:
-                raise ValueError("element leaves the twisted algebra")
-            for pos, coef in coords.items():
-                vec[self.slot[(j, pos)]] = coef
-        for slot, coef in ((self.c_slot, c), (self.d_slot, d)):
-            if coef:
-                vec[slot] = coef
-        return vec
-
-    def from_vector(self, vec):
-        """The flat form of the element with window coordinates
-        {slot: pair}, summed on pairs from the basis forms."""
-        terms = {}
-        for i, coef in vec.items():
-            for key, c in self.flats[i][0].items():
-                _add_pair(terms, key, *pair_mul(coef, c))
-        return terms, vec.get(self.c_slot), vec.get(self.d_slot)
 
 
 def degree_reach(x):

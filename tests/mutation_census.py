@@ -97,6 +97,20 @@ def _():
     return [(Cochar, "act", act)]
 
 
+@mutant("lifted cochar shifts one root by phi(alpha) + 1")
+def _():
+    real = Cochar.act
+
+    def act(self, alg, m, f, loop=False):
+        """The loop action as it is; the lift moves the terms of the first
+        root index one degree further."""
+        terms, c, d = real(self, alg, m, f, loop)
+        if not loop:
+            terms = {(i, p + (i == alg.rank)): v for (i, p), v in terms.items()}
+        return terms, c, d
+    return [(Cochar, "act", act)]
+
+
 @mutant("ring e = -1 keeps c, d")
 def _():
     real = Ring.act

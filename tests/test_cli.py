@@ -598,6 +598,30 @@ class TestSampler:
         assert any(terms == {} for terms, _, _ in draws)
 
 
+class TestStartup:
+    """A run compiles only the modules it uses: `spectral` is imported by
+    the spectral suite alone (and by `mad`, which runs it)."""
+
+    @pytest.mark.parametrize("argv, imported", [
+        (["construct"], False),
+        (["verify", "jacobi"], False),
+        (["verify", "form"], False),
+        (["verify", "lifts"], False),
+        (["verify", "exactseq"], False),
+        (["verify", "spectral"], True),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else str(v))
+    def test_spectral_is_imported_only_where_it_runs(self, a1_file, argv,
+                                                     imported):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "affinelie", *argv,
+             "--algebra", a1_file, "--window", "-1", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        names = set(re.findall(r"\| +(affinelie\.\w+)$", proc.stderr, re.M))
+        assert "affinelie.cli" in names
+        assert ("affinelie.spectral" in names) is imported
+
+
 class TestDeterminism:
     def test_subprocess_byte_identical(self, a1_file):
         cmd =[sys.executable, "-m", "affinelie", "verify", "form",

@@ -43,3 +43,21 @@ def test_jacobi_triples_catch_the_d_action_mutant():
         "algebras/a1.alg", "algebras/a2_twisted.alg"]
     assert all(c["families"] == ["jacobi"] and c["checks"] == []
                for c in caught)
+
+
+def test_exactseq_section_and_kernel_catch_a_lift_branch_mutant():
+    """A lifted cochar whose loop terms differ from its loop action is
+    caught by the section and kernel checks of `verify exactseq`, so that
+    check site leaves the census's `never_failed` list."""
+    name = "lifted cochar shifts one root by phi(alpha) + 1"
+    runs = [argv for argv in FAST if argv[1] == "exactseq"]
+    report = census(runs, [name])
+    caught = report["mutants"][name]["caught"]
+    assert [c["run"].split()[3] for c in caught] == [
+        "algebras/a1.alg", "algebras/a2_twisted.alg"]
+    assert all({"exactseq:section", "exactseq:kernel"} <= set(c["families"])
+               for c in caught)
+    failed = {site for c in caught for site in c["checks"]}
+    assert any(site.startswith("autos.verify_exact_sequence:")
+               for site in failed)
+    assert not failed & set(report["never_failed"])

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinelie.scalars import CycScalar, LaurentElt
+from affinelie.scalars import (CycScalar, LaurentElt, pair_mul,
+                               table_products)
 
 
 class TestCycScalar:
@@ -266,6 +267,60 @@ class TestExactParts:
             for k, v in ref.items():
                 assert_exact(sub.terms[-k if invert else k],
                              ref_mul(v, ref_pow(rs, k)))
+
+
+# -- the pair layer: pair_mul and table_products against the full formula --
+
+pair_parts = st.one_of(st.integers(-6, 6),
+                       st.fractions(min_value=-5, max_value=5,
+                                    max_denominator=6))
+# an m = 3 pair (a, b) = a + b*zeta, its zeta part often 0
+m3_pairs = st.tuples(pair_parts, st.one_of(st.just(0), pair_parts))
+
+
+def assert_pair(got, want):
+    assert all(type(part) in (int, Fraction) for part in got)
+    assert got == want
+
+
+class TestPairLayer:
+    @given(x=m3_pairs, y=m3_pairs)
+    @settings(max_examples=300)
+    def test_pair_mul_is_the_full_formula(self, x, y):
+        assert_pair(pair_mul(x, y), ref_mul(x, y))
+
+    def test_pair_mul_zero_zeta_parts(self):
+        half = Fraction(1, 2)
+        assert_pair(pair_mul((3, 0), (half, 2)), (Fraction(3, 2), 6))
+        assert_pair(pair_mul((half, 2), (3, 0)), (Fraction(3, 2), 6))
+        assert_pair(pair_mul((half, 0), (4, 0)), (2, 0))
+        assert_pair(pair_mul((0, 1), (0, 1)), (-1, -1))  # zeta^2
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_table_products_on_a_row_with_a_2(self, d4, data):
+        # a D4 row whose structure constant is +-2 ([H_i, X_a]), plus terms
+        # at drawn indices, which mostly meet +-1 entries
+        i2, j2 = next(key for key, row in d4.table.items()
+                      if any(abs(n) == 2 for n in row.values()))
+        index = st.integers(0, d4.dim - 1)
+        degree = st.integers(-2, 2)
+        xs = {(i2, data.draw(degree)): data.draw(m3_pairs)}
+        ys = {(j2, data.draw(degree)): data.draw(m3_pairs)}
+        for terms in (xs, ys):
+            for _ in range(data.draw(st.integers(0, 3))):
+                terms[data.draw(index), data.draw(degree)] = data.draw(m3_pairs)
+        want = {}
+        for (i, p), x in xs.items():
+            for (j, q), y in ys.items():
+                for k, n in d4.table.get((i, j), {}).items():
+                    a, b = ref_mul(x, y)
+                    wa, wb = want.get((k, p + q), (0, 0))
+                    want[k, p + q] = wa + n * a, wb + n * b
+        got = table_products(d4.table, xs, ys)
+        assert set(got) == {key for key, v in want.items() if any(v)}
+        for key, value in got.items():
+            assert_pair(value, want[key])
 
 
 # -- immutability: no operation writes to a scalar or a Laurent polynomial --
