@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 
 from .scalars import (CycScalar, LaurentElt, add_products, as_scalar,
-                      pair_exact, pair_mul, pair_of, pair_terms, scalar_vec,
+                      pair_exact, pair_mul, pair_of, pair_terms,
                       table_products)
-from .rootsys import GElt
 from .loop import LoopElt
 from .affine import AffineElt, flat, flat_bracket, unflat
 from . import linalg
@@ -176,7 +175,8 @@ class Cochar(AutoGen):
         return a, b
 
     def x_phi(self, m):
-        """The Cartan element with [X_phi, X_alpha] = phi(alpha) X_alpha."""
+        """The Cartan element with [X_phi, X_alpha] = phi(alpha) X_alpha, as
+        degree-0 terms {(index, 0): pair}."""
         if m in self._x_phi:
             return self._x_phi[m]
         n = self.alg.rank
@@ -187,10 +187,11 @@ class Cochar(AutoGen):
         sol = linalg.solve(mat, rhs, m)
         if sol is None:
             raise ValueError("no Cartan solution for phi")
-        x = GElt._make(self.alg, m, scalar_vec(m, sol))
+        x = {(i, 0): v for i, v in sol.items()}
         for idx, root in self.alg.root_of_index.items():
-            expect = GElt.basis(self.alg, m, idx).scale(self.value(root))
-            if x.bracket(GElt.basis(self.alg, m, idx)) != expect:
+            v = self.value(root)
+            if (table_products(self.alg.table, x, {(idx, 0): (1, 0)})
+                    != ({(idx, 0): (v, 0)} if v else {})):
                 raise ValueError("no Cartan solution for phi")
         self._x_phi[m] = x
         return x
@@ -206,7 +207,7 @@ class Cochar(AutoGen):
         if c:
             a, b = a + c[0], b + c[1]
         if d:
-            x_phi = pair_terms(self.x_phi(m).coords)
+            x_phi = self.x_phi(m)
             add_products(out, (-d[0], -d[1]), x_phi)
             out.update((key, pair_exact(out[key])) for key in x_phi if key in out)
         return out, pair_exact((a, b)) if a or b else None, d
@@ -219,7 +220,7 @@ class Cochar(AutoGen):
             return (self.inverse(),)
         # hat lifts of phi and -phi compose to d -> d + a*c with a the
         # central correction of X_phi; compensate exactly.
-        a, _ = self._central_correction(pair_terms(self.x_phi(1).coords))
+        a, _ = self._central_correction(self.x_phi(1))
         return (VShift(-a), self.inverse())
 
     def render(self):

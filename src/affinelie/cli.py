@@ -17,7 +17,7 @@ import json
 import os
 import random
 import sys
-from .scalars import CycScalar, LaurentElt, _add_pair
+from .scalars import CycScalar, LaurentElt, _add_pair, render_sum
 from .rootsys import cartan_of_fixed
 from .loop import LoopElt, TwistedContext, Window
 from .affine import (AffineElt, flat_bracket, unflat,
@@ -243,9 +243,11 @@ def suite_lifts(session):
     hat = hat_lift(word)
     img = hat.apply(AffineElt.d_elt(alg, m))
     xphi = co.x_phi(m)
-    if not rep.check(img == AffineElt(LoopElt.from_g(xphi, 0).scale(-1), d=1)):
-        rep.fail(["d"], img.render(), f"d - {xphi.render()}",
-                 part="cochar-derivation")
+    minus = {key: (-a, -b) for key, (a, b) in xphi.items()}
+    if not rep.check(img == unflat(alg, m, (minus, None, (1, 0)))):
+        text = render_sum((CycScalar._make(m, *v), alg.labels[i])
+                          for (i, _), v in sorted(xphi.items()))
+        rep.fail(["d"], img.render(), f"d - {text}", part="cochar-derivation")
     return rep
 
 
@@ -268,11 +270,10 @@ def suite_spectral(session, x_text=None):
         if x.d != CycScalar.one(m):
             raise ValueError(f"--x must be x' + d, not {x.render()}")
     else:
+        # the sum of the h0 basis: orbit sums of disjoint orbits
         h0, _ = cartan_of_fixed(session.auto)
-        reg = LoopElt.zero(alg, m)
-        for h in h0:
-            reg = reg + LoopElt.from_g(h, 0)
-        x = AffineElt(reg, d=1)
+        x = unflat(alg, m, ({(k, 0): v for h in h0 for k, v in h.items()},
+                            None, (1, 0)))
     decomp = weight_decompose(x, session.window())
     rep = Report()
     shift = verify_shift(decomp)

@@ -1,35 +1,45 @@
 """Loop algebra g (x) S and the twisted subalgebra L(g, sigma).
 
 Elements are finitely supported maps from Chevalley basis indices to
-Laurent polynomials: `rootsys.SparseElt` with Laurent coefficients, so sum,
-bracket and the signed basis permutation are the ones `GElt` uses.  No
-truncation happens in arithmetic.  Degree windows (`Window`) exist only
-for basis enumeration.  L(g, sigma) is the fixed subalgebra of the Galois
-twist sigma^(-1) (x) (s -> zeta*s), which is that signed permutation with
-`LaurentElt.zeta_scale` on the coefficients.  The split case is m = 1 with
-the identity diagram automorphism.
+Laurent polynomials.  g itself enters as {index: pair} vectors: the slice
+bases of `rootsys.sigma_eigenspaces`, which `TwistedContext` spans and
+`Window` keys by (index, degree).  No truncation happens in arithmetic.
+Degree windows (`Window`) exist only for basis enumeration.  L(g, sigma)
+is the fixed subalgebra of the Galois twist sigma^(-1) (x) (s -> zeta*s),
+which is a signed basis permutation with `LaurentElt.zeta_scale` on the
+coefficients.  The split case is m = 1 with the identity diagram
+automorphism.
 """
 
 from __future__ import annotations
 
-from .scalars import (LaurentElt, _add_pair, as_scalar, laurent_coords,
-                      pair_mul, pair_vec, render_t_power)
-from .rootsys import GElt, SparseElt
+from .scalars import (LaurentElt, _add_pair, add_into, as_scalar,
+                      laurent_coords, pair_mul, pair_terms, render_sum,
+                      render_t_power, table_products)
 
 
-class LoopElt(SparseElt):
-    """Element of g (x) k[t^(1/m), t^(-1/m)]."""
+class LoopElt:
+    """Element of g (x) k[t^(1/m), t^(-1/m)]: {index: LaurentElt}, no
+    stored coefficient zero."""
 
-    __slots__ = ()
-    _coords_of = staticmethod(laurent_coords)
+    __slots__ = ("alg", "m", "coords")
 
-    @staticmethod
-    def _coerce(m, p):
-        if not isinstance(p, LaurentElt):
-            return LaurentElt.from_scalar(as_scalar(m, p))
-        if p.m != m:
-            raise ValueError("mixed root-of-unity orders")
-        return p
+    def __init__(self, alg, m, coords=None):
+        self.alg, self.m, self.coords = alg, m, {}
+        for i, p in (coords or {}).items():
+            if not isinstance(p, LaurentElt):
+                p = LaurentElt.from_scalar(as_scalar(m, p))
+            elif p.m != m:
+                raise ValueError("mixed root-of-unity orders")
+            if p:
+                self.coords[int(i)] = p
+
+    @classmethod
+    def _make(cls, alg, m, coords):
+        # Internal fast path: coords already a zero-free {index: LaurentElt}.
+        self = object.__new__(cls)
+        self.alg, self.m, self.coords = alg, m, coords
+        return self
 
     @classmethod
     def zero(cls, alg, m):
@@ -40,16 +50,42 @@ class LoopElt(SparseElt):
         """coef * b_index (x) s^p (coef 1 by default)."""
         return cls(alg, m, {index: LaurentElt.s_power(m, p, coef)})
 
-    @classmethod
-    def from_g(cls, x, p=0):
-        """Embed a g-element at degree p (exponent-numerator units)."""
-        return cls(x.alg, x.m, {i: LaurentElt.s_power(x.m, p, c)
-                                for i, c in x.coords.items()})
+    def _check(self, other):
+        if self.alg is not other.alg or self.m != other.m:
+            raise ValueError("elements of different algebras")
 
-    # [a (x) p, b (x) q] = [a, b] (x) pq.  Bound here as well as inherited
-    # so that the method is found in LoopElt's own namespace, where the
-    # benchmark tracer patches it.
-    bracket = SparseElt.bracket
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coords)
+        for i, c in other.coords.items():
+            add_into(out, i, c)
+        return LoopElt._make(self.alg, self.m, out)
+
+    def __neg__(self):
+        return LoopElt._make(self.alg, self.m,
+                             {i: -c for i, c in self.coords.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def bracket(self, other):
+        """[a (x) p, b (x) q] = [a, b] (x) pq, summed on pairs by
+        `scalars.table_products`."""
+        self._check(other)
+        flat = table_products(self.alg.table, pair_terms(self.coords),
+                              pair_terms(other.coords))
+        return LoopElt._make(self.alg, self.m, laurent_coords(self.m, flat))
+
+    def permuted(self, index_image, f=None):
+        """The image under b_i -> sign * b_j, (j, sign) = index_image(i),
+        with each coefficient first mapped by `f`."""
+        out = {}
+        for i, c in self.coords.items():
+            j, sign = index_image(i)
+            if f is not None:
+                c = f(c)
+            add_into(out, j, c if sign == 1 else -c)
+        return LoopElt._make(self.alg, self.m, out)
 
     def scale(self, coef):
         coef = as_scalar(self.m, coef)
@@ -67,18 +103,29 @@ class LoopElt(SparseElt):
             degs.update(p.terms)
         return degs
 
-    def slice(self, degree):
-        """The g-coefficient of s^degree as a GElt."""
-        out = {}
-        for i, p in self.coords.items():
-            c = p.terms.get(degree)
-            if c:
-                out[i] = c
-        return GElt(self.alg, self.m, out)
+    def is_zero(self):
+        return not self.coords
 
-    def _monomials(self, poly):
-        return [(f"*{render_t_power(p, self.m)}", poly.terms[p])
-                for p in sorted(poly.terms)]
+    def __bool__(self):
+        return bool(self.coords)
+
+    def __eq__(self, other):
+        if type(other) is not LoopElt:
+            return NotImplemented
+        return (self.alg is other.alg and self.m == other.m
+                and self.coords == other.coords)
+
+    def render_terms(self):
+        """(scalar, monomial text) by index, then degree."""
+        return [(c, f"{self.alg.labels[i]}*{render_t_power(p, self.m)}")
+                for i in sorted(self.coords)
+                for p, c in sorted(self.coords[i].terms.items())]
+
+    def render(self):
+        return render_sum(self.render_terms())
+
+    def __repr__(self):
+        return f"LoopElt({self.render()!r})"
 
 
 def gamma_twist(x, auto):
@@ -94,8 +141,8 @@ def is_in_twisted(x, auto):
 class TwistedContext:
     """Cached eigenspace data for one (algebra, diagram automorphism) pair.
 
-    Provides the graded basis g_i of the twisted algebra and exact
-    decomposition of g-vectors over the full eigenbasis.
+    Provides the graded basis g_i of the twisted algebra, as {index: pair}
+    vectors, and exact decomposition of g-vectors over it.
     """
 
     def __init__(self, auto):
@@ -109,7 +156,7 @@ class TwistedContext:
         for basis in self.eigenspaces:
             solver = linalg.SpanSolver(self.m)
             for v in basis:
-                solver.add(pair_vec(v.coords))
+                solver.add(v)
             self.slice_solvers.append(solver)
 
     def slice_basis(self, degree):
@@ -146,8 +193,8 @@ class Window:
         for j in range(lo, hi + 1):
             for pos, e in enumerate(self.ctx.slice_basis(j)):
                 self.slot[(j, pos)] = len(self.flats)
-                self.flats.append(({(i, j): (c.a, c.b)
-                                    for i, c in e.coords.items()}, None, None))
+                self.flats.append(({(i, j): c for i, c in e.items()},
+                                   None, None))
                 self.meta.append(("loop", j, pos))
         self.c_slot = len(self.flats)
         self.flats.append(({}, (1, 0), None))

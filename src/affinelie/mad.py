@@ -55,7 +55,8 @@ def standard_mad(auto):
     from .rootsys import cartan_of_fixed
     alg, m = auto.alg, auto.m
     h0, _ = cartan_of_fixed(auto)
-    gens = [AffineElt(LoopElt.from_g(h, 0)) for h in h0]
+    gens = [unflat(alg, m, ({(k, 0): v for k, v in h.items()}, None, None))
+            for h in h0]
     gens.append(AffineElt.c_elt(alg, m))
     gens.append(AffineElt.d_elt(alg, m))
     return SubalgebraSpec(gens)

@@ -12,9 +12,7 @@ explicit structure-constant tables.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import (CycScalar, add_into, as_scalar, pair_of, pair_terms,
-                      render_sum, scalar_coords, scalar_vec, table_pairing,
-                      table_products)
+from .scalars import CycScalar, _add_pair, pair_of, table_products
 
 CARTAN_MATRICES = {
     ("A", 1): ((2,),),
@@ -214,120 +212,6 @@ def build_chevalley(kind, rank):
     return ChevAlgebra(root_datum(kind, rank))
 
 
-class SparseElt:
-    """Sparse coordinates over the Chevalley basis: {index: coefficient}.
-
-    The coefficients lie in one ring, Q(zeta_m) for GElt and the Laurent
-    polynomials for LoopElt, and no stored coefficient is zero.  The
-    arithmetic both rings share lives here; a subclass names its ring by
-    `_coerce` (a coefficient from input), `_coords_of` (coordinates from the
-    pairs of a bracket) and `_monomials` (a coefficient's rendered terms).
-    """
-
-    __slots__ = ("alg", "m", "coords")
-
-    def __init__(self, alg, m, coords=None):
-        self.alg, self.m, self.coords = alg, m, {}
-        for i, c in (coords or {}).items():
-            c = self._coerce(m, c)
-            if c:
-                self.coords[int(i)] = c
-
-    @classmethod
-    def _make(cls, alg, m, coords):
-        # Internal fast path: coords already a zero-free map of ring elements.
-        self = object.__new__(cls)
-        self.alg = alg
-        self.m = m
-        self.coords = coords
-        return self
-
-    def _check(self, other):
-        if self.alg is not other.alg or self.m != other.m:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            add_into(out, i, c)
-        return self._make(self.alg, self.m, out)
-
-    def __neg__(self):
-        return self._make(self.alg, self.m, {i: -c for i, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def bracket(self, other):
-        """[sum ci b_i, sum cj b_j] = sum ci*cj [b_i, b_j] over the table,
-        summed on pairs by `scalars.table_products`."""
-        self._check(other)
-        flat = table_products(self.alg.table, pair_terms(self.coords),
-                              pair_terms(other.coords))
-        return self._make(self.alg, self.m, self._coords_of(self.m, flat))
-
-    def permuted(self, index_image, f=None):
-        """The image under b_i -> sign * b_j, (j, sign) = index_image(i),
-        with each coefficient first mapped by `f`."""
-        out = {}
-        for i, c in self.coords.items():
-            j, sign = index_image(i)
-            if f is not None:
-                c = f(c)
-            add_into(out, j, c if sign == 1 else -c)
-        return self._make(self.alg, self.m, out)
-
-    def is_zero(self):
-        return not self.coords
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.alg is other.alg and self.m == other.m
-                and self.coords == other.coords)
-
-    def render_terms(self):
-        """(scalar, monomial text) by index, then degree: `_monomials` gives
-        each coefficient's (suffix, scalar) terms."""
-        return [(c, self.alg.labels[i] + suffix) for i in sorted(self.coords)
-                for suffix, c in self._monomials(self.coords[i])]
-
-    def render(self):
-        return render_sum(self.render_terms())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.render()!r})"
-
-
-class GElt(SparseElt):
-    """Element of g with coordinates in Q(zeta_m) over the Chevalley basis."""
-
-    __slots__ = ()
-    _coerce = staticmethod(as_scalar)
-    _coords_of = staticmethod(scalar_coords)
-
-    @classmethod
-    def basis(cls, alg, m, index):
-        return cls._make(alg, m, {index: CycScalar.one(m)})
-
-    def scale(self, coef):
-        coef = as_scalar(self.m, coef)
-        return GElt(self.alg, self.m, {i: c * coef for i, c in self.coords.items()})
-
-    def killing(self, other):
-        self._check(other)
-        return CycScalar._make(self.m, *table_pairing(
-            self.alg.killing_table, pair_terms(self.coords),
-            pair_terms(other.coords)))
-
-    def _monomials(self, coef):
-        return [("", coef)]
-
-
 class DiagramAuto:
     """Extension of a Dynkin-diagram symmetry to a basis automorphism.
 
@@ -348,9 +232,6 @@ class DiagramAuto:
     def index_image(self, i):
         """Image of basis index i as (index, integer sign)."""
         return self.image[i]
-
-    def apply(self, x):
-        return x.permuted(self.index_image)
 
     def inverse(self):
         inv = sorted((j, i, s) for i, (j, s) in enumerate(self.image))
@@ -430,23 +311,22 @@ def build_diagram_auto(alg, perm):
 
 
 def sigma_eigenspaces(auto):
-    """Bases of the eigenspaces g_i = ker(sigma - zeta^i), i in Z/mZ."""
+    """Bases of the eigenspaces g_i = ker(sigma - zeta^i), i in Z/mZ, as
+    {index: pair} vectors."""
     alg = auto.alg
     m = auto.m
     mat = auto.matrix()
     zeta = CycScalar.zeta(m)
-    spaces = []
-    for i in range(m):
-        basis = linalg.kernel_basis(
-            linalg.shifted(mat, pair_of(zeta ** i), m), alg.dim, m)
-        spaces.append([GElt._make(alg, m, scalar_vec(m, v)) for v in basis])
+    spaces = [linalg.kernel_basis(linalg.shifted(mat, pair_of(zeta ** i), m),
+                                  alg.dim, m) for i in range(m)]
     if sum(len(b) for b in spaces) != alg.dim:
         raise ValueError("eigenspace dimensions do not sum to dim g")
     return spaces
 
 
 def cartan_of_fixed(auto):
-    """(basis of h_0, basis of h = C_g(h_0)); h is verified Cartan-like.
+    """(basis of h_0, basis of h = C_g(h_0)) as {index: pair} vectors; h is
+    verified Cartan-like.
 
     h_0 is spanned by the sigma-orbit sums of the H_{alpha_i}; its
     centralizer is computed by an exact joint kernel and checked to be
@@ -454,10 +334,9 @@ def cartan_of_fixed(auto):
     """
     alg = auto.alg
     m = auto.m
-    n = alg.rank
     seen = set()
     h0 = []
-    for i in range(n):
+    for i in range(alg.rank):
         if i in seen:
             continue
         orbit = []
@@ -466,9 +345,9 @@ def cartan_of_fixed(auto):
             orbit.append(j)
             j = auto.perm[j]
         seen.update(orbit)
-        h0.append(GElt(alg, m, {k: CycScalar.one(m) for k in orbit}))
+        h0.append({k: (1, 0) for k in orbit})
     h = centralizer_in_g(alg, m, h0)
-    _assert_abelian(h)
+    _assert_abelian(alg, h)
     # h is abelian, so h lies in C_g(h): equal kernel dimensions make them equal
     if len(centralizer_in_g(alg, m, h)) != len(h):
         raise ValueError("centralizer of h_0 is not self-centralizing")
@@ -476,22 +355,22 @@ def cartan_of_fixed(auto):
 
 
 def centralizer_in_g(alg, m, elements):
-    """Exact solution of [t, x] = 0 for all t in `elements`."""
-    dim = alg.dim
+    """Exact solution of [t, x] = 0 for all t in `elements`: row k of ad t
+    holds t_i * N_ij^k at column j, read from the table rows."""
     stacked = []
     for t in elements:
-        rows = [{} for _ in range(dim)]
-        for j in range(dim):
-            img = t.bracket(GElt.basis(alg, m, j))
-            for i, c in img.coords.items():
-                rows[i][j] = (c.a, c.b)
+        rows = [{} for _ in range(alg.dim)]
+        for (i, j), row in alg.table.items():
+            if (x := t.get(i)) is not None:
+                for k, n in row.items():
+                    _add_pair(rows[k], j, x[0] * n, x[1] * n)
         stacked.extend(rows)
-    return [GElt._make(alg, m, scalar_vec(m, v))
-            for v in linalg.kernel_basis(stacked, dim, m)]
+    return linalg.kernel_basis(stacked, alg.dim, m)
 
 
-def _assert_abelian(elements):
-    for i, x in enumerate(elements):
-        for y in elements[i:]:
-            if not x.bracket(y).is_zero():
+def _assert_abelian(alg, elements):
+    terms = [{(i, 0): v for i, v in x.items()} for x in elements]
+    for i, x in enumerate(terms):
+        for y in terms[i:]:
+            if table_products(alg.table, x, y):
                 raise ValueError("expected an abelian subalgebra")

@@ -229,32 +229,11 @@ def pair_of(scalar):
     return scalar.a, scalar.b
 
 
-def pair_vec(coords):
-    """{index: CycScalar} as the {index: pair} rows of `linalg`."""
-    return {i: (c.a, c.b) for i, c in coords.items()}
-
-
-def scalar_vec(m, vec):
-    """{index: pair} as {index: CycScalar}."""
-    return {i: CycScalar._make(m, a, b) for i, (a, b) in vec.items()}
-
-
 def pair_terms(coords):
     """{(index, degree): pair} for every monomial of a sparse element whose
-    coefficients are CycScalars (degree 0) or LaurentElts."""
-    out = {}
-    for i, coef in coords.items():
-        if type(coef) is CycScalar:
-            out[i, 0] = coef.a, coef.b
-        else:
-            for p, c in coef.terms.items():
-                out[i, p] = c.a, c.b
-    return out
-
-
-def scalar_coords(m, flat):
-    """{(index, 0): pair} as {index: CycScalar}."""
-    return {k: CycScalar._make(m, a, b) for (k, _), (a, b) in flat.items()}
+    coefficients are LaurentElts."""
+    return {(i, p): (c.a, c.b) for i, coef in coords.items()
+            for p, c in coef.terms.items()}
 
 
 def laurent_coords(m, flat):

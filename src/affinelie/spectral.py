@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .scalars import (CycScalar, add_products, as_scalar, pair_mul, pair_of,
                       table_products)
-from .loop import Window  # re-exported: read as spectral.Window
+from .loop import Window  # re-exported: only perfbench/tracer.py reads it
 from .affine import flat, flat_bracket, flat_pairing, unflat
 from .report import Report
 

@@ -155,6 +155,24 @@ def _():
     return cocycle_times(2)
 
 
+@mutant("cocycle symmetric in x, y")
+def _():
+    real = affine.flat_bracket
+
+    def bracket(alg, x, y):
+        """[x, y] with the c-term weighted by |p| instead of p, so that it
+        keeps its sign when x and y swap."""
+        terms, _, d = real(alg, x, y)
+        a = b = 0
+        for (i, p), u in x[0].items():
+            for (j, q), v in y[0].items():
+                if p + q == 0 and (k := alg.killing_table.get((i, j), 0) * abs(p)):
+                    pa, pb = pair_mul(u, v)
+                    a, b = a + pa * k, b + pb * k
+        return terms, (a, b) if a or b else None, d
+    return everywhere(affine, "flat_bracket", bracket)
+
+
 @mutant("d-action graded by |degree|")
 def _():
     real = affine.flat_bracket

@@ -11,10 +11,9 @@ from affinelie import affine, cli, linalg
 from affinelie.affine import (AffineElt, bracket_affine, core_and_derived,
                               invariant_form, verify_form_invariance,
                               window_gram_rank)
-from affinelie.loop import LoopElt
+from affinelie.loop import LoopElt, Window
 from affinelie.parsing import parse_algebra_file
 from affinelie.scalars import CycScalar
-from affinelie.spectral import Window
 
 from conftest import flattened, make_affine_sampler, make_loop_sampler
 

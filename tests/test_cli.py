@@ -16,7 +16,7 @@ from affinelie.cli import Session, build_parser, load_session, main
 from affinelie.loop import LoopElt
 from affinelie.rootsys import build_chevalley, build_diagram_auto
 
-from conftest import MALFORMED_TABLES, MALFORMED_TYPED
+from conftest import MALFORMED_TABLES, MALFORMED_TYPED, g_loop
 
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "algebras").glob("*.alg"))
 
@@ -335,7 +335,7 @@ class TestVerify:
     def test_failed_reverification_exits_4(self, capsys, monkeypatch, a1_file):
         # a fault in the columns of ad(x) that the flat re-verification
         # (`AdOperator.check`, which never reads window coordinates) sees
-        from affinelie.spectral import Window
+        from affinelie.loop import Window
         real = Window.to_vector
 
         def off_by_c(self, f):
@@ -557,8 +557,8 @@ class TestSpectrumAndConjugate:
 
 
 def composed_sample_loop(session, rng):
-    """The sampler composed term by term: zero, then
-    + LoopElt.from_g(e.scale(coef), j) for each drawn term."""
+    """The sampler composed term by term: zero, then + coef * e (x) s^j
+    for each drawn term."""
     out = LoopElt.zero(session.alg, session.m)
     for _ in range(2):
         j = rng.randint(session.lo, session.hi)
@@ -567,7 +567,7 @@ def composed_sample_loop(session, rng):
             continue
         e = basis[rng.randrange(len(basis))]
         coef = rng.randint(-5, 5)
-        out = out + LoopElt.from_g(e.scale(coef), j)
+        out = out + g_loop(session.alg, session.m, e, j, coef)
     return out
 
 

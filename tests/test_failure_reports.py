@@ -22,9 +22,10 @@ from affinelie import affine, cli
 from affinelie.affine import flat, unflat, verify_form_invariance
 from affinelie.autos import AutoGen, Cochar, VShift, verify_exact_sequence
 from affinelie.cli import build_parser, load_session
+from affinelie.loop import Window
 from affinelie.parsing import parse_affine
 from affinelie.scalars import CycScalar, pair_mul
-from affinelie.spectral import (Window, WeightDecomp, WeightSpace,
+from affinelie.spectral import (WeightDecomp, WeightSpace,
                                 rspan_isomorphism_check, verify_opposite,
                                 verify_product_rule, verify_shift,
                                 verify_zero_weight, weight_decompose)

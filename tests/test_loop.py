@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from affinelie.affine import AffineElt, bracket_affine
 from affinelie.autos import Diagram
-from affinelie.loop import LoopElt, gamma_twist, is_in_twisted
-from affinelie.rootsys import GElt, build_chevalley, sigma_eigenspaces
-from affinelie.scalars import CycScalar, LaurentElt, add_into, pair_vec
-from affinelie.spectral import Window
+from affinelie.loop import LoopElt, Window, gamma_twist, is_in_twisted
+from affinelie.rootsys import build_chevalley, sigma_eigenspaces
+from affinelie.scalars import (CycScalar, LaurentElt, _add_pair, add_into,
+                               add_products, pair_terms, table_products)
 from affinelie import linalg
 
-from conftest import make_loop_sampler
+from conftest import g_loop, g_slice, make_loop_sampler
 
 _sl2 = build_chevalley("A", 1)
 
@@ -95,9 +95,10 @@ class TestTwisted:
         spaces = sigma_eigenspaces(a2_flip)
         fixed = spaces[0][0]
         anti = spaces[1][0]
-        assert is_in_twisted(LoopElt.from_g(fixed, 0), a2_flip)
-        assert is_in_twisted(LoopElt.from_g(anti, 1), a2_flip)
-        assert not is_in_twisted(LoopElt.from_g(anti, 0), a2_flip)
+        alg = a2_flip.alg
+        assert is_in_twisted(g_loop(alg, 2, fixed, 0), a2_flip)
+        assert is_in_twisted(g_loop(alg, 2, anti, 1), a2_flip)
+        assert not is_in_twisted(g_loop(alg, 2, anti, 0), a2_flip)
 
     def test_twist_generator_has_order_m(self, a2_flip):
         rng = random.Random(4)
@@ -122,8 +123,7 @@ class TestTwisted:
         def vectorize(x):
             vec = {}
             for j in sorted(x.degree_support()):
-                coords = a2_flip_ctx.decompose_slice(
-                    pair_vec(x.slice(j).coords), j)
+                coords = a2_flip_ctx.decompose_slice(g_slice(x, j), j)
                 assert coords is not None, "bracket left the twisted algebra"
                 for pos, coef in coords.items():
                     vec[index[j][pos]] = coef
@@ -154,26 +154,28 @@ class TestDegreeAction:
         assert bracket_affine(d, AffineElt(v)) == AffineElt(v.scale(3))
 
     def test_slice(self, a1):
+        # the g-vector of s^2 is read from the (index, degree) pair terms
         x = LoopElt(a1, 1, {0: LaurentElt(1, {2: 5}), 1: LaurentElt(1, {2: 1, 0: 7})})
-        s = x.slice(2)
-        assert s.coords == {0: CycScalar(1, 5), 1: CycScalar(1, 1)}
+        assert pair_terms(x.coords) == {(0, 2): (5, 0), (1, 2): (1, 0),
+                                        (1, 0): (7, 0)}
+        assert g_slice(x, 2) == {0: (5, 0), 1: (1, 0)}
 
 
-# -- the shared sparse arithmetic of GElt and LoopElt -------------------------
+# -- the sparse arithmetic of loop elements and g-vectors ----------------------
 
-def explicit_diagram_apply(auto, x):
-    """`DiagramAuto.apply` as written before the shared `permuted`."""
+def degree_zero(x, p):
+    """The s^p coefficients of a LoopElt as degree-0 pair terms."""
+    return {(i, 0): c for i, c in g_slice(x, p).items()}
+
+
+def explicit_diagram_apply(auto, g):
+    """The diagram automorphism on pair terms, b_i -> sign * b_j, each
+    image summed into a fresh map."""
     out = {}
-    for i, c in x.coords.items():
+    for (i, p), (a, b) in g.items():
         j, s = auto.index_image(i)
-        term = c if s == 1 else -c
-        acc = out.get(j)
-        acc = term if acc is None else acc + term
-        if acc:
-            out[j] = acc
-        elif j in out:
-            del out[j]
-    return GElt(x.alg, x.m, out)
+        _add_pair(out, (j, p), s * a, s * b)
+    return out
 
 
 def explicit_diagram_apply_loop(auto, x):
@@ -211,8 +213,7 @@ def explicit_gamma_twist(x, auto):
 
 def zero_free(x):
     """No stored coefficient of x is zero, nor any Laurent term of one."""
-    return all(c and (not isinstance(c, LaurentElt) or all(c.terms.values()))
-               for c in x.coords.values())
+    return all(c and all(c.terms.values()) for c in x.coords.values())
 
 
 def summed(pairs, zero):
@@ -278,14 +279,20 @@ class TestSharedArithmetic:
         assert zero_free(image)
         assert image == explicit_diagram_apply_loop(auto, x)
 
+        # g-vectors as degree-0 pair terms: sums by `add_products`, the
+        # bracket by `table_products`, the diagram by its flat action
         for degree in (-1, 0, 1):
-            g, h = x.slice(degree), y.slice(degree)
-            czero = CycScalar.zero(m)
-            assert (g + h).coords == summed([*g.coords.items(),
-                                             *h.coords.items()], czero)
-            for result in (g + h, g - h, g.bracket(h), auto.apply(g)):
-                assert zero_free(result)
-            assert auto.apply(g) == explicit_diagram_apply(auto, g)
+            g, h = degree_zero(x, degree), degree_zero(y, degree)
+            total, diff = dict(g), dict(g)
+            add_products(total, (1, 0), h)
+            add_products(diff, (-1, 0), h)
+            assert total == degree_zero(x + y, degree)
+            assert diff == degree_zero(x - y, degree)
+            image = Diagram(auto).act(auto.alg, m, (g, None, None), True)[0]
+            for result in (total, diff, table_products(auto.alg.table, g, h),
+                           image):
+                assert all(a or b for a, b in result.values())
+            assert image == explicit_diagram_apply(auto, g)
 
 
 # -- the pair kernel under every bracket ---------------------------------------
@@ -297,20 +304,15 @@ def zeta_product(c, d):
                      c.a * d.b + c.b * d.a - c.b * d.b)
 
 
-def terms(coef):
-    """{degree: scalar} of a GElt (degree 0) or LoopElt coefficient."""
-    return coef.terms if isinstance(coef, LaurentElt) else {0: coef}
-
-
 def reference_bracket(x, y):
-    """`SparseElt.bracket` as a sum of products on scalar objects: each
+    """`LoopElt.bracket` as a sum of products on scalar objects: each
     term the product ci*cj, then times N_ij^k, then added."""
     m, out = x.m, {}
     for i, ci in x.coords.items():
         for j, cj in y.coords.items():
             cij = {}
-            for p, a in terms(ci).items():
-                for q, b in terms(cj).items():
+            for p, a in ci.terms.items():
+                for q, b in cj.terms.items():
                     add_into(cij, p + q, zeta_product(a, b))
             for k, n in x.alg.table.get((i, j), {}).items():
                 for p, c in cij.items():
@@ -318,15 +320,13 @@ def reference_bracket(x, y):
     coords = {}
     for (k, p), c in out.items():
         coords.setdefault(k, {})[p] = c
-    if isinstance(x, GElt):
-        return GElt(x.alg, m, {k: t[0] for k, t in coords.items()})
     return LoopElt(x.alg, m, {k: LaurentElt(m, t) for k, t in coords.items()})
 
 
 def scalar_parts(x):
     """(index, degree, type of a, type of b) of every stored scalar of x."""
     return sorted(((i, p, type(s.a), type(s.b)) for i, c in x.coords.items()
-                   for p, s in terms(c).items()), key=repr)
+                   for p, s in c.terms.items()), key=repr)
 
 
 def tampered_a2():
@@ -348,7 +348,8 @@ ALGEBRAS = {"a2": build_chevalley("A", 2), "d4": build_chevalley("D", 4),
 
 
 class TestPairKernel:
-    """GElt and LoopElt brackets on pairs against the sum of products."""
+    """LoopElt brackets, and `table_products` on degree-0 g-vectors, on
+    pairs against the sum of products."""
 
     @staticmethod
     def element(data, alg, m, loop):
@@ -364,7 +365,7 @@ class TestPairKernel:
         for i, p, a, b in terms:
             out = out + LoopElt.monomial(alg, m, i, p if loop else 0,
                                          CycScalar(m, a, b))
-        return out if loop else out.slice(0)
+        return out
 
     @pytest.mark.parametrize("name", sorted(ALGEBRAS))
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -375,8 +376,15 @@ class TestPairKernel:
         alg = ALGEBRAS[name]
         x = self.element(data, alg, m, loop)
         y = self.element(data, alg, m, loop)
-        got, expected = x.bracket(y), reference_bracket(x, y)
-        assert type(got) is type(x)
+        expected = reference_bracket(x, y)
+        if not loop:
+            got = table_products(alg.table, pair_terms(x.coords),
+                                 pair_terms(y.coords))
+            assert got == pair_terms(expected.coords)
+            assert all(a or b for a, b in got.values())
+            return
+        got = x.bracket(y)
+        assert type(got) is LoopElt
         assert got == expected
         assert scalar_parts(got) == scalar_parts(expected)
         assert zero_free(got)

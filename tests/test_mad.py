@@ -8,13 +8,12 @@ import pytest
 from affinelie.affine import AffineElt
 from affinelie.autos import (AutoWord, Cochar, Ring, RootExp, TorusK, VShift,
                              v_auto)
-from affinelie.loop import LoopElt
+from affinelie.loop import LoopElt, Window
 from affinelie.parsing import parse_affine
 from affinelie.mad import (SubalgebraSpec, centralizer, conjugacy_verify,
                            is_diagonalizable, mad_sanity, maximality_probe,
                            standard_mad)
 from affinelie.scalars import CycScalar, LaurentElt
-from affinelie.spectral import Window
 
 
 class TestSubalgebraSpec:

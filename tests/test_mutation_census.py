@@ -61,3 +61,23 @@ def test_exactseq_section_and_kernel_catch_a_lift_branch_mutant():
     assert any(site.startswith("autos.verify_exact_sequence:")
                for site in failed)
     assert not failed & set(report["never_failed"])
+
+
+def test_jacobi_antisymmetry_catches_the_symmetric_cocycle():
+    """A c-term weighted by |p| keeps its sign when x and y swap, so
+    [x, y] + [y, x] keeps a c-part: the antisymmetry check of `verify
+    jacobi` fails on both algebras (no other mutant fails it), and so do
+    the form and lift checks."""
+    name = "cocycle symmetric in x, y"
+    runs = [argv for argv in FAST if argv[1] in ("jacobi", "form", "lifts")]
+    report = census(runs, [name])
+    caught = report["mutants"][name]["caught"]
+    assert sorted((c["run"].split()[1], c["run"].split()[3]) for c in caught) == [
+        (suite, f"algebras/{alg}.alg") for suite in ("form", "jacobi", "lifts")
+        for alg in ("a1", "a2_twisted")]
+    jacobi = [c for c in caught if c["run"].split()[1] == "jacobi"]
+    for c in jacobi:
+        assert c["families"] == ["jacobi"]
+        assert len(c["checks"]) == 1
+        assert c["checks"][0].startswith("cli.suite_jacobi:")
+    assert not {c["checks"][0] for c in jacobi} & set(report["never_failed"])

@@ -12,18 +12,18 @@ from affinelie import linalg
 from affinelie.affine import (AffineElt, bracket_affine, flat, flat_bracket,
                               invariant_form, unflat)
 from affinelie.autos import AutoWord, Cochar, Ring, RootExp, TorusK, VShift
-from affinelie.loop import LoopElt
+from affinelie.loop import LoopElt, Window
 from affinelie.parsing import parse_affine, parse_algebra_file
 from affinelie.rootsys import build_chevalley, build_diagram_auto, cartan_of_fixed
 from affinelie.scalars import (CycScalar, LaurentElt, pair_terms,
                                table_pairing, table_products)
-from affinelie.spectral import (AdOperator, Window, decomposition_report,
+from affinelie.spectral import (AdOperator, decomposition_report,
                                 degree_reach, interior_indices,
                                 rspan_isomorphism_check, verify_opposite,
                                 verify_product_rule, verify_shift,
                                 verify_zero_weight, weight_decompose)
 
-from conftest import closed_form_weight_counts
+from conftest import closed_form_weight_counts, g_loop, g_slice
 
 
 @pytest.fixture
@@ -155,7 +155,7 @@ class TestToVector:
         j = data.draw(st.sampled_from([win.lo - 1, win.hi + 1]))
         basis = win.ctx.slice_basis(j)
         e = basis[data.draw(st.integers(0, len(basis) - 1))]
-        assert win.to_vector(flat(elt + AffineElt(LoopElt.from_g(e, j)))) is None
+        assert win.to_vector(flat(elt + AffineElt(g_loop(win.alg, m, e, j)))) is None
 
 
 def blockwise_reference(x, window):
@@ -227,7 +227,7 @@ class TestWeightDecompose:
         win = Window(a1_id, -3, 3)
         dec = weight_decompose(a1_x, win)
         assert dec.complete
-        h = a1_x.loop.slice(0)
+        h = g_slice(a1_x.loop)
         counts = closed_form_weight_counts(a1_ctx, h, -3, 3)
         for sp in dec.spaces:
             w = sp.w.rational()
@@ -405,7 +405,7 @@ class TestConjugation:
         # deep-interior counts <= conjugated dims <= extended-window counts
         rng = random.Random(78)
         win = Window(a1_id, -3, 3)
-        h = a1_x.loop.slice(0)
+        h = g_slice(a1_x.loop)
         spread = 1
         for _ in range(6):
             word = self.word_pool(a1, 1, rng, spread_budget=spread)
@@ -427,7 +427,8 @@ class TestTrialityOrderThree:
     def d4_x(self, d4_triality):
         # 3*(H_1+H_3+H_4) + H_2 evaluates to a nonzero scalar on every root
         h0, _ = cartan_of_fixed(d4_triality)
-        reg = LoopElt.from_g(h0[0].scale(3), 0) + LoopElt.from_g(h0[1], 0)
+        d4 = d4_triality.alg
+        reg = g_loop(d4, 3, h0[0], 0, 3) + g_loop(d4, 3, h0[1])
         return AffineElt(reg, d=1)
 
     def test_lemmas_over_zeta3(self, d4_triality, d4_x):
@@ -484,7 +485,7 @@ def standard_x(auto):
     h0, _ = cartan_of_fixed(auto)
     reg = LoopElt.zero(auto.alg, auto.m)
     for h in h0:
-        reg = reg + LoopElt.from_g(h, 0)
+        reg = reg + g_loop(auto.alg, auto.m, h)
     return AffineElt(reg, d=1)
 
 
