@@ -11,7 +11,7 @@ The central element c and the degree derivation d follow
 from __future__ import annotations
 
 from .scalars import (CycScalar, add_products, as_scalar, laurent_coords,
-                      pair_mul, pair_of, pair_terms, render_sum,
+                      pair_mul, pair_of, pair_terms, render_flat, render_pair,
                       table_pairing, table_products)
 from .loop import LoopElt, Window
 from . import linalg
@@ -74,7 +74,7 @@ class AffineElt:
                 and self.d == other.d)
 
     def render(self):
-        return render_sum(self.loop.render_terms() + [(self.c, "c"), (self.d, "d")])
+        return render_flat(self.alg.labels, self.m, flat(self))
 
     def __repr__(self):
         return f"AffineElt({self.render()!r})"
@@ -148,9 +148,8 @@ def verify_form_invariance(alg, m, sampler, samples):
         lhs = flat_pairing(alg, flat_bracket(alg, fx, fy), fz)
         rhs = flat_pairing(alg, fy, flat_bracket(alg, fx, fz))
         if not rep.check(not (lhs[0] + rhs[0] or lhs[1] + rhs[1])):
-            rep.fail([unflat(alg, m, f).render() for f in (fx, fy, fz)],
-                     CycScalar._make(m, *lhs).render(),
-                     CycScalar._make(m, *rhs).render())
+            rep.fail([render_flat(alg.labels, m, f) for f in (fx, fy, fz)],
+                     render_pair(lhs), render_pair(rhs))
     return rep
 
 

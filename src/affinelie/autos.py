@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .scalars import (CycScalar, LaurentElt, add_products, as_scalar,
-                      pair_exact, pair_mul, pair_of, pair_terms,
+from .scalars import (add_products, pair_exact, pair_inv, pair_mul, pair_pow,
+                      render_flat, render_pair, render_sum, render_t_power,
                       table_products)
 from .loop import LoopElt
 from .affine import AffineElt, flat, flat_bracket, unflat
@@ -36,16 +36,11 @@ def _bracket(alg, x, y, loop):
 class AutoGen:
     """Base class for one named generator.  Its one action `act` maps a flat
     form (`affine.flat`) to a flat form: the loop action when `loop`, else
-    the lift, one for tilde and hat level; `apply_*` wrap it for elements."""
+    the lift, one for tilde and hat level.  Its parameters are pairs and
+    maps of pairs; `AutoWord.apply` acts on elements."""
 
     def act(self, alg, m, f, loop=False):
         raise NotImplementedError
-
-    def apply_loop(self, x):
-        return unflat(x.alg, x.m, self.act(x.alg, x.m, flat(x), True)).loop
-
-    def apply_affine(self, x):
-        return unflat(x.alg, x.m, self.act(x.alg, x.m, flat(x)))
 
     def inverse(self):
         raise NotImplementedError
@@ -67,7 +62,8 @@ class AutoGen:
 
 
 class NilExp(AutoGen):
-    """exp(ad z) for an ad-nilpotent loop element z.
+    """exp(ad z) for an ad-nilpotent loop element z, given by its terms
+    {(index, degree): pair} over `alg` at order m.
 
     Generalizes the single-root exponential to sums of root vectors (the
     twisted algebra's unipotents are orbit sums, not single root lines).
@@ -75,17 +71,15 @@ class NilExp(AutoGen):
     nilpotent.
     """
 
-    def __init__(self, z):
-        if not isinstance(z, LoopElt):
-            raise TypeError("z must be a LoopElt")
-        if any(i < z.alg.rank for i in z.coords):
+    def __init__(self, alg, m, z):
+        if any(i < alg.rank for i, _ in z):
             raise ValueError("exponential input must avoid the Cartan part")
-        self.z = z
+        self.alg, self.m, self.z = alg, m, z
 
     def act(self, alg, m, f, loop=False):
         """sum (ad z)^n f / n! up to the last nonzero power N, summed with
         weights N!/n! (c-parts under the key "c") and divided by N! once."""
-        z, series = (pair_terms(self.z.coords), None, None), [f]
+        z, series = (self.z, None, None), [f]
         while (t := _bracket(alg, z, series[-1], loop))[0] or t[1]:
             if len(series) > 2 * alg.dim + 1:
                 raise ValueError("exponential series did not terminate")
@@ -99,28 +93,33 @@ class NilExp(AutoGen):
         return acc, c, f[2]
 
     def inverse(self):
-        return NilExp(-self.z)
+        return NilExp(self.alg, self.m,
+                      {key: (-a, -b) for key, (a, b) in self.z.items()})
 
     def render(self):
-        return f"nilexp({self.z.render()})"
+        z = render_flat(self.alg.labels, self.m, (self.z, None, None))
+        return f"nilexp({z})"
 
 
 class RootExp(NilExp):
-    """x_alpha(u) = exp(u ad X_alpha), the exponential of z = u X_alpha."""
+    """x_alpha(u) = exp(u ad X_alpha), the exponential of z = u X_alpha,
+    for a Laurent polynomial u given as a {degree: pair} map."""
 
-    def __init__(self, alg, root, u):
+    def __init__(self, alg, m, root, u):
         self.root = tuple(root)
-        if not isinstance(u, LaurentElt):
-            raise TypeError("u must be a LaurentElt")
         self.u = u
-        super().__init__(LoopElt(alg, u.m, {alg.index_of_root[self.root]: u}))
+        index = alg.index_of_root[self.root]
+        super().__init__(alg, m, {(index, p): x for p, x in u.items()})
 
     def inverse(self):
-        return RootExp(self.z.alg, self.root, -self.u)
+        return RootExp(self.alg, self.m, self.root,
+                       {p: (-a, -b) for p, (a, b) in self.u.items()})
 
     def render(self):
         from .rootsys import root_label
-        return f"rootexp({root_label(self.root)}, {self.u.render()})"
+        u = render_sum((self.u[p], render_t_power(p, self.m))
+                       for p in sorted(self.u))
+        return f"rootexp({root_label(self.root)}, {u})"
 
 
 class Diagram(AutoGen):
@@ -221,7 +220,7 @@ class Cochar(AutoGen):
         # hat lifts of phi and -phi compose to d -> d + a*c with a the
         # central correction of X_phi; compensate exactly.
         a, _ = self._central_correction(self.x_phi(1))
-        return (VShift(-a), self.inverse())
+        return (VShift(pair_exact((-a, 0))), self.inverse())
 
     def render(self):
         return f"cochar({','.join(str(v) for v in self.phi)})"
@@ -230,8 +229,8 @@ class Cochar(AutoGen):
 class TorusK(AutoGen):
     """Constant adjoint-torus point: X_alpha -> alpha(t) X_alpha.
 
-    Coordinates are the values t_i = alpha_i(t) in k^x; fixes the Cartan
-    part, c and d at every level.
+    Coordinates are the values t_i = alpha_i(t) in k^x, as pairs; fixes the
+    Cartan part, c and d at every level.
     """
 
     def __init__(self, alg, coords):
@@ -239,32 +238,35 @@ class TorusK(AutoGen):
         self.coords = tuple(coords)
         if len(self.coords) != alg.rank:
             raise ValueError("one coordinate per simple root required")
-        if any(not c for c in self.coords):
+        if any(not (a or b) for a, b in self.coords):
             raise ValueError("torus coordinates must be nonzero")
-        self._eigens = {}  # (root, m) -> alpha(t) as a pair, computed once
+        self._eigens = {}  # root -> alpha(t) as a pair, computed once
 
-    def _eigen(self, root, m):
-        if (root, m) not in self._eigens:
-            self._eigens[root, m] = pair_of(math.prod(
-                (t ** c for c, t in zip(root, self.coords)), start=CycScalar.one(m)))
-        return self._eigens[root, m]
+    def _eigen(self, root):
+        if root not in self._eigens:
+            value = (1, 0)
+            for c, t in zip(root, self.coords):
+                value = pair_mul(value, pair_pow(t, c))
+            self._eigens[root] = pair_exact(value)
+        return self._eigens[root]
 
     def act(self, alg, m, f, loop=False):
         terms, c, d = f
         rank, roots = alg.rank, alg.root_of_index
         return {(i, p): v if i < rank
-                else pair_exact(pair_mul(v, self._eigen(roots[i], m)))
+                else pair_exact(pair_mul(v, self._eigen(roots[i])))
                 for (i, p), v in terms.items()}, c, d
 
     def inverse(self):
-        return TorusK(self.alg, tuple(t.inverse() for t in self.coords))
+        return TorusK(self.alg, tuple(pair_inv(t) for t in self.coords))
 
     def render(self):
-        return f"torus({','.join(t.render() for t in self.coords)})"
+        return f"torus({','.join(render_pair(t) for t in self.coords)})"
 
 
 class Ring(AutoGen):
-    """Base-ring automorphism s -> a*s (e=1) or s -> a*s^-1 (e=-1).
+    """Base-ring automorphism s -> a*s (e=1) or s -> a*s^-1 (e=-1), with
+    the scale a a pair.
 
     The inverting form negates the grading: its lift sends c -> -c and
     d -> -d (forced by uniqueness of lifts through the central extension).
@@ -273,14 +275,14 @@ class Ring(AutoGen):
     def __init__(self, a, e):
         if e not in (1, -1):
             raise ValueError("e must be +1 or -1")
-        if not a:
+        if not (a[0] or a[1]):
             raise ValueError("ring scale must be nonzero")
         self.a = a
         self.e = e
         self._powers = {}  # p -> a^p as a pair, computed once
 
     def _power(self, p):
-        return self._powers.get(p) or self._powers.setdefault(p, pair_of(self.a ** p))
+        return self._powers.get(p) or self._powers.setdefault(p, pair_pow(self.a, p))
 
     def act(self, alg, m, f, loop=False):
         terms, c, d = f
@@ -292,18 +294,16 @@ class Ring(AutoGen):
 
     def inverse(self):
         if self.e == 1:
-            return Ring(self.a.inverse(), 1)
+            return Ring(pair_inv(self.a), 1)
         return Ring(self.a, -1)
 
     def render(self):
-        return f"ring({self.a.render()},{'+1' if self.e == 1 else '-1'})"
+        return f"ring({render_pair(self.a)},{'+1' if self.e == 1 else '-1'})"
 
 
 class VShift(AutoGen):
-    """Kernel generator: fixes the core pointwise, d -> d + a*c.
-
-    The shift parameter may be an int, Fraction or CycScalar; numeric
-    values are coerced at application time.  Hat level only (`AutoWord`).
+    """Kernel generator: fixes the core pointwise, d -> d + a*c, with the
+    shift a a pair.  Hat level only (`AutoWord`).
     """
 
     def __init__(self, a):
@@ -313,17 +313,16 @@ class VShift(AutoGen):
         terms, c, d = f
         if not d:
             return f
-        a, b = pair_mul(pair_of(as_scalar(m, self.a)), d)
+        a, b = pair_mul(self.a, d)
         if c:
             a, b = a + c[0], b + c[1]
         return terms, pair_exact((a, b)) if a or b else None, d
 
     def inverse(self):
-        return VShift(-self.a)
+        return VShift((-self.a[0], -self.a[1]))
 
     def render(self):
-        a = self.a.render() if isinstance(self.a, CycScalar) else str(self.a)
-        return f"vshift({a})"
+        return f"vshift({render_pair(self.a)})"
 
 
 class AutoWord:
@@ -399,7 +398,7 @@ def verify_automorphism(alg, m, word, sampler, samples):
 
     The sampler draws flat forms, and both sides are flat forms.  A
     failing pair is rendered from its samples and the two sides it
-    compared (their `.loop` at loop level)."""
+    compared."""
     rep = Report()
     loop = word.level == "loop"
     for _ in range(samples):
@@ -407,10 +406,9 @@ def verify_automorphism(alg, m, word, sampler, samples):
         lhs = word.act(alg, m, _bracket(alg, fx, fy, loop))
         rhs = _bracket(alg, word.act(alg, m, fx), word.act(alg, m, fy), loop)
         if not rep.check(lhs == rhs):
-            x, y, lhs, rhs = (unflat(alg, m, f) for f in (fx, fy, lhs, rhs))
-            if loop:
-                x, y, lhs, rhs = x.loop, y.loop, lhs.loop, rhs.loop
-            rep.fail([x.render(), y.render()], lhs.render(), rhs.render())
+            x, y, lhs, rhs = (render_flat(alg.labels, m, f)
+                              for f in (fx, fy, lhs, rhs))
+            rep.fail([x, y], lhs, rhs)
     return rep
 
 
@@ -430,25 +428,25 @@ def verify_exact_sequence(alg, m, generators, loop_sampler, samples):
         loop_word = AutoWord("loop", (gen,))
         hat_word = hat_lift(tilde_lift(loop_word))
         words = (("section", hat_word),
-                 ("kernel", hat_word.then(v_auto(CycScalar(m, 5)))))
+                 ("kernel", hat_word.then(v_auto((5, 0)))))
         for _ in range(samples):
             f = loop_sampler()
             direct = loop_word.act(alg, m, f)[0]
             for part, word in words:
                 lifted = word.act(alg, m, f)[0]
                 if not rep.check(lifted == direct):
-                    x, lhs, rhs = (unflat(alg, m, (t, None, None)).loop.render()
+                    x, lhs, rhs = (render_flat(alg.labels, m, (t, None, None))
                                    for t in (f[0], lifted, direct))
                     rep.fail([x], lhs, rhs, part=part, generator=gen.render())
     # (iii) recover the shift parameter of a core-fixing word from d
     for a in (0, 1, -3):
-        w = v_auto(CycScalar(m, a))
+        w = v_auto((a, 0))
         moved = False
         for _ in range(samples):
             f = loop_sampler()
             moved |= not rep.check(w.act(alg, m, f) == f)
-        recovered = unflat(alg, m, w.act(alg, m, ({}, None, (1, 0)))).c
-        if moved or recovered != CycScalar(m, a):
-            rep.fail([f"a={a}"], recovered.render(), str(a),
+        recovered = w.act(alg, m, ({}, None, (1, 0)))[1] or (0, 0)
+        if moved or recovered != (a, 0):
+            rep.fail([f"a={a}"], render_pair(recovered), str(a),
                      part="kernel-recovery")
     return rep

@@ -348,7 +348,7 @@ def rational_eigenvalues(mat, m):
     return sorted(found, key=lambda w: (w[0] != 0, w[0]))
 
 
-def eigenspaces(mat, n, m, candidates=()):
+def eigenspaces(mat, n, m):
     """Exact eigenspaces of the square block of `mat`, the one place where
     candidate eigenvalues are tried.
 
@@ -358,18 +358,18 @@ def eigenspaces(mat, n, m, candidates=()):
     kernels on the components of `_blocks`, so each candidate w costs one
     kernel per component.  A component tries its own diagonal entries,
     then, while its dimensions sum to less than its size, every diagonal
-    entry, the caller's candidates and its own rational eigenvalues;
-    eigenspaces of distinct weights are independent, so once it is full
-    any further kernel would be zero.  Returns (spaces, complete): spaces
-    is a list of (eigenvalue, basis) in candidate order (the diagonal
-    entries, the caller's, then the roots, zero first and ascending), one
+    entry (the only source of zeta-valued weights off its own diagonal)
+    and its own rational eigenvalues; eigenspaces of distinct weights are
+    independent, so once it is full any further kernel would be zero.
+    Returns (spaces, complete): spaces is a list of (eigenvalue, basis) in
+    candidate order (the diagonal entries, then the roots, zero first and
+    ascending), one
     basis vector per free column, in column order; `complete` says that
     the dimensions sum to n.
     """
     order = {}
-    diagonal = [row.get(i, ZERO) for i, row in enumerate(mat[:n])]
-    for w in diagonal + list(candidates):
-        order.setdefault(w, len(order))
+    for i, row in enumerate(mat[:n]):
+        order.setdefault(row.get(i, ZERO), len(order))
     blocks = _blocks(mat, n)
     where = {j: b for b, block in enumerate(blocks) for j in block}
     extra = [[] for _ in blocks]

@@ -14,8 +14,8 @@ automorphism.
 from __future__ import annotations
 
 from .scalars import (LaurentElt, _add_pair, add_into, as_scalar,
-                      laurent_coords, pair_mul, pair_terms, render_sum,
-                      render_t_power, table_products)
+                      laurent_coords, pair_mul, pair_terms, render_flat,
+                      table_products)
 
 
 class LoopElt:
@@ -115,14 +115,9 @@ class LoopElt:
         return (self.alg is other.alg and self.m == other.m
                 and self.coords == other.coords)
 
-    def render_terms(self):
-        """(scalar, monomial text) by index, then degree."""
-        return [(c, f"{self.alg.labels[i]}*{render_t_power(p, self.m)}")
-                for i in sorted(self.coords)
-                for p, c in sorted(self.coords[i].terms.items())]
-
     def render(self):
-        return render_sum(self.render_terms())
+        return render_flat(self.alg.labels, self.m,
+                           (pair_terms(self.coords), None, None))
 
     def __repr__(self):
         return f"LoopElt({self.render()!r})"

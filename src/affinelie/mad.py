@@ -11,8 +11,7 @@ certified for a given word, never searched.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import CycScalar
-from .loop import LoopElt
+from .scalars import render_flat
 from .affine import AffineElt, bracket_affine, flat, unflat
 from .report import Report
 from .spectral import AdOperator, weight_decompose
@@ -66,11 +65,12 @@ def is_diagonalizable(spec, window):
     """Simultaneous exact diagonalizability of the family over Q(zeta_m).
 
     Returns (flag, witness): on success the witness is the joint eigenbasis
-    as (weight-tuple, flat forms) pairs; on failure it names a defective
-    generator.  Every operator hands over its window rows outside the
-    joint interior too, so a joint eigenvector must also vanish there.
+    as (tuple of weight pairs, flat forms) pairs; on failure it names a
+    defective generator.  Every operator hands over its window rows
+    outside the joint interior too, so a joint eigenvector must also
+    vanish there.
     """
-    ops = AdOperator.family(spec.generators, window)
+    ops = AdOperator.family([flat(g) for g in spec.generators], window)
     if not ops[0].interior:
         raise ValueError("window too small: empty joint interior")
     spaces, defect = linalg.joint_eigenspaces(
@@ -79,7 +79,6 @@ def is_diagonalizable(spec, window):
         return False, {"defective_generator": spec.generators[defect].render()}
     eigen = []
     for weights, basis in spaces:
-        weights = tuple(CycScalar._make(window.m, *w) for w in weights)
         eigen.append((weights, [AdOperator.joint_lift(ops, coeffs, weights)
                                 for coeffs in basis]))
     return True, {"eigenbasis": eigen}
@@ -92,14 +91,14 @@ def maximality_probe(spec, window, span):
     interior vector of joint weight zero outside the span (`span`, the
     spec's span solver on the window) whose restricted ad-action is
     diagonalizable enlarges the subalgebra.  Diagonalizes the family first
-    (ValueError if it is not).  Returns the witness or None.
+    (ValueError if it is not).  Returns the witness's flat form or None.
     """
     flag, data = is_diagonalizable(spec, window)
     if not flag:
         raise ValueError("maximality probe requires a diagonalizable input")
     zero_weight = None
     for weights, vectors in data["eigenbasis"]:
-        if all(not w for w in weights):
+        if all(not (a or b) for a, b in weights):
             zero_weight = vectors
             break
     if zero_weight is None:
@@ -109,10 +108,8 @@ def maximality_probe(spec, window, span):
         if d or not terms or span.contains(window.to_vector(f)):
             continue
         # the joint lift verified [g, v] = 0 for every g: does f diagonalize?
-        candidate = unflat(window.alg, window.m, f)
-        dec = weight_decompose(candidate, window)
-        if dec.complete:
-            return candidate
+        if weight_decompose(f, window).complete:
+            return f
     return None
 
 
@@ -130,7 +127,8 @@ def mad_sanity(spec, window, span):
     checks["dim"] = dim
     checks["dim_at_least_3"] = dim >= 3
     witness = maximality_probe(spec, window, span)
-    checks["probe_enlargement"] = witness.render() if witness is not None else None
+    checks["probe_enlargement"] = (None if witness is None else render_flat(
+        window.alg.labels, window.m, witness))
     checks["window_maximal"] = witness is None
     rep = Report(5)
     if not (checks["contains_center"] and checks["leaves_core"]
@@ -147,13 +145,13 @@ def centralizer(loop_generators, window):
     Exact joint kernel of the interior ad-matrices; equals the zero piece
     of the joint weight decomposition.
     """
-    gens = [AffineElt(g) if isinstance(g, LoopElt) else g for g in loop_generators]
-    ops = AdOperator.family(gens, window, loop_only=True)
+    ops = AdOperator.family([flat(g) for g in loop_generators], window,
+                            loop_only=True)
     if not ops[0].interior:
         return []
     stacked = [row for op in ops for row in op.rows()]
     return [unflat(window.alg, window.m,
-                   AdOperator.joint_lift(ops, coeffs, [0] * len(ops))).loop
+                   AdOperator.joint_lift(ops, coeffs, [(0, 0)] * len(ops))).loop
             for coeffs in linalg.kernel_basis(stacked, len(ops[0].interior),
                                               window.m)]
 

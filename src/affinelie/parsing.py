@@ -18,9 +18,9 @@ import re
 from fractions import Fraction
 
 from . import linalg
-from .scalars import CycScalar, LaurentElt, add_products, table_products
-from .loop import LoopElt
-from .affine import AffineElt
+from .scalars import (ZETA, _add_pair, add_products, pair_exact, pair_mul,
+                      table_products)
+from .affine import unflat
 
 
 class ParseError(ValueError):
@@ -47,7 +47,7 @@ def tokenize(text):
 
 
 class _Value:
-    """Partial product: scalar * t^exp * (optional basis symbol)."""
+    """Partial product: pair * t^exp * (optional basis symbol)."""
 
     __slots__ = ("scalar", "exp", "symbol")
 
@@ -60,7 +60,7 @@ class _Value:
         if self.symbol is not None and other.symbol is not None:
             raise ParseError("product of two basis symbols")
         return _Value(
-            self.scalar * other.scalar,
+            pair_mul(self.scalar, other.scalar),
             self.exp + other.exp,
             self.symbol if self.symbol is not None else other.symbol,
         )
@@ -108,7 +108,7 @@ class _ElementParser:
             self.next()
             value = value.times(self.parse_factor())
         if sign == -1:
-            value.scalar = -value.scalar
+            value.scalar = (-value.scalar[0], -value.scalar[1])
         return value
 
     def parse_factor(self):
@@ -116,7 +116,7 @@ class _ElementParser:
         if tok == "(":
             inner = self.parse_element()
             self.expect(")")
-            return _Value(_scalar_sum(inner, self.m, pos))
+            return _Value(_scalar_sum(inner, pos))
         if tok.isdigit():
             num = Fraction(int(tok))
             if self.peek() == "/":
@@ -127,16 +127,15 @@ class _ElementParser:
                 if not int(den):
                     raise ParseError("zero denominator", dpos)
                 num = num / int(den)
-            return _Value(CycScalar(self.m, num))
+            return _Value((num, 0))
         if tok == "z":
-            return _Value(CycScalar.zeta(self.m))
+            return _Value(ZETA[self.m])
         if tok == "t":
             self.expect("^")
-            return _Value(CycScalar.one(self.m), exp=self.parse_exponent())
-        if tok in ("c", "d"):
-            return _Value(CycScalar.one(self.m), symbol=tok)
-        if self.alg is not None and tok in self.alg.label_index:
-            return _Value(CycScalar.one(self.m), symbol=tok)
+            return _Value((1, 0), exp=self.parse_exponent())
+        if tok in ("c", "d") or (self.alg is not None
+                                 and tok in self.alg.label_index):
+            return _Value((1, 0), symbol=tok)
         raise ParseError(f"unknown symbol {tok!r}", pos)
 
     def parse_exponent(self):
@@ -173,15 +172,15 @@ class _ElementParser:
         return sign * int(tok) * self.m
 
 
-def _scalar_sum(terms, m, pos=None):
-    """The sum of terms that carry no symbol and no t-power; `pos` is the
-    column of the whole expression when it is known."""
-    out = CycScalar.zero(m)
+def _scalar_sum(terms, pos=None):
+    """The pair sum of terms that carry no symbol and no t-power; `pos` is
+    the column of the whole expression when it is known."""
+    a = b = 0
     for v in terms:
         if v.symbol is not None or v.exp:
             raise ParseError("expected a scalar expression", pos)
-        out = out + v.scalar
-    return out
+        a, b = a + v.scalar[0], b + v.scalar[1]
+    return pair_exact((a, b))
 
 
 def _terms(text, m, alg=None):
@@ -194,43 +193,40 @@ def _terms(text, m, alg=None):
 
 
 def parse_scalar(text, m):
-    return _scalar_sum(_terms(text, m), m)
+    """A scalar of Q(zeta_m) as a pair."""
+    return _scalar_sum(_terms(text, m))
 
 
 def parse_laurent(text, m):
-    out = LaurentElt.zero(m)
+    """A Laurent polynomial as a zero-free {degree: pair} map."""
+    out = {}
     for v in _terms(text, m):
         if v.symbol is not None:
             raise ParseError("unexpected basis symbol in a Laurent polynomial")
-        out = out + LaurentElt.s_power(m, v.exp, v.scalar)
-    return out
+        _add_pair(out, v.exp, *v.scalar)
+    return {p: pair_exact(x) for p, x in out.items()}
 
 
-def parse_affine(text, alg, m, allow_cd=True):
-    """Parse an affine (or loop when allow_cd=False) element."""
-    loop = LoopElt.zero(alg, m)
-    c = CycScalar.zero(m)
-    d = CycScalar.zero(m)
+def parse_flat(text, alg, m):
+    """An affine element as a flat form (`affine.flat`)."""
+    out = {}
     for v in _terms(text, m, alg):
-        if v.symbol == "c":
+        if v.symbol in ("c", "d"):
             if v.exp:
-                raise ParseError("c carries no t-power")
-            c = c + v.scalar
-        elif v.symbol == "d":
-            if v.exp:
-                raise ParseError("d carries no t-power")
-            d = d + v.scalar
+                raise ParseError(f"{v.symbol} carries no t-power")
+            _add_pair(out, v.symbol, *v.scalar)
         elif v.symbol is None:
-            if v.scalar:
+            if v.scalar[0] or v.scalar[1]:
                 raise ParseError("term without a basis symbol")
         else:
-            idx = alg.label_index[v.symbol]
-            loop = loop + LoopElt.monomial(alg, m, idx, v.exp, v.scalar)
-    if (c or d) and not allow_cd:
-        raise ParseError("c and d are not allowed in a loop element")
-    if not allow_cd:
-        return loop
-    return AffineElt(loop, c, d)
+            _add_pair(out, (alg.label_index[v.symbol], v.exp), *v.scalar)
+    out = {key: pair_exact(x) for key, x in out.items()}
+    return out, out.pop("c", None), out.pop("d", None)
+
+
+def parse_affine(text, alg, m):
+    """An affine element as an AffineElt."""
+    return unflat(alg, m, parse_flat(text, alg, m))
 
 
 # -- automorphism words ------------------------------------------------------
@@ -300,10 +296,13 @@ def parse_word(text, alg, m):
             if name == "rootexp":
                 if args[0] not in label_to_root:
                     raise ParseError(f"unknown root label {args[0]!r}")
-                gens.append(RootExp(alg, label_to_root[args[0]],
+                gens.append(RootExp(alg, m, label_to_root[args[0]],
                                     parse_laurent(args[1], m)))
             elif name == "nilexp":
-                gens.append(NilExp(parse_affine(args[0], alg, m, allow_cd=False)))
+                terms, c, d = parse_flat(args[0], alg, m)
+                if c or d:
+                    raise ParseError("c and d are not allowed in a loop element")
+                gens.append(NilExp(alg, m, terms))
             elif name == "diagram":
                 perm = tuple(_int(a, "diagram") - 1 for a in args)
                 gens.append(Diagram(build_diagram_auto(alg, perm)))

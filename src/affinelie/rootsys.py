@@ -12,7 +12,7 @@ explicit structure-constant tables.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import CycScalar, _add_pair, pair_of, table_products
+from .scalars import ZETA, _add_pair, pair_pow, table_products
 
 CARTAN_MATRICES = {
     ("A", 1): ((2,),),
@@ -316,8 +316,7 @@ def sigma_eigenspaces(auto):
     alg = auto.alg
     m = auto.m
     mat = auto.matrix()
-    zeta = CycScalar.zeta(m)
-    spaces = [linalg.kernel_basis(linalg.shifted(mat, pair_of(zeta ** i), m),
+    spaces = [linalg.kernel_basis(linalg.shifted(mat, pair_pow(ZETA[m], i), m),
                                   alg.dim, m) for i in range(m)]
     if sum(len(b) for b in spaces) != alg.dim:
         raise ValueError("eigenspace dimensions do not sum to dim g")

@@ -13,9 +13,10 @@ division goes through `Fraction`, because `int / int` is a float.
 Every bracket, the Killing pairing and the Jacobi triple sums run on pairs:
 a + b*zeta as a tuple (a, b) of such parts, multiplied by `pair_mul`, the
 one product rule (`CycScalar.__mul__` calls it; the triple loop of
-`cli.suite_jacobi` inlines it and `_add_pair`).  A scalar is built once per
-output coefficient.  Sparse maps never store a zero: `add_into` accumulates
-every map of scalar objects, `_add_pair` every map of pairs.
+`cli.suite_jacobi` inlines it and `_add_pair`), and `render_flat` writes
+every element's text from its flat form.  Sparse maps never store a zero:
+`add_into` accumulates every map of scalar objects, `_add_pair` every map
+of pairs.
 """
 
 from __future__ import annotations
@@ -78,11 +79,7 @@ class CycScalar:
     @classmethod
     def zeta(cls, m):
         """The fixed primitive m-th root of unity."""
-        if m == 1:
-            return cls._make(1, 1, 0)
-        if m == 2:
-            return cls._make(2, -1, 0)
-        return cls._make(3, 0, 1)
+        return cls._make(m, *ZETA[m])
 
     def _check(self, other):
         if not isinstance(other, CycScalar):
@@ -127,15 +124,7 @@ class CycScalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = CycScalar.one(self.m)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return CycScalar._make(self.m, *pair_pow((self.a, self.b), n))
 
     def __eq__(self, other):
         if not isinstance(other, CycScalar):
@@ -148,9 +137,6 @@ class CycScalar:
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
-    def is_rational(self):
-        return not self.b
-
     def rational(self):
         """The value as an int or Fraction; error if the zeta part is nonzero."""
         if self.b:
@@ -158,19 +144,7 @@ class CycScalar:
         return self.a
 
     def render(self):
-        """Canonical text form: fractions with `z` for zeta."""
-        a, b = self.a, self.b
-        if not b:
-            return str(a)
-        if b == 1:
-            ztxt = "z"
-        elif b == -1:
-            ztxt = "-z"
-        else:
-            ztxt = f"{b}*z"
-        if not a:
-            return ztxt
-        return f"{a}+{ztxt}" if not ztxt.startswith("-") else f"{a}{ztxt}"
+        return render_pair((self.a, self.b))
 
     def __str__(self):
         return self.render()
@@ -191,6 +165,10 @@ def as_scalar(m, value):
             raise ValueError(f"mixed root-of-unity orders {m} and {value.m}")
         return value
     return CycScalar(m, value)
+
+
+# the fixed primitive m-th root of unity zeta as a pair
+ZETA = {1: (1, 0), 2: (-1, 0), 3: (0, 1)}
 
 
 def pair_mul(x, y):
@@ -215,6 +193,19 @@ def pair_inv(x):
         return _exact(Fraction(1) / a), 0
     n = a * a - a * b + b * b
     return _exact(Fraction(a - b) / n), _exact(Fraction(-b) / n)
+
+
+def pair_pow(x, n):
+    """x^n for an integer n, exact; a negative n goes through `pair_inv`."""
+    if n < 0:
+        x, n = pair_inv(x), -n
+    out = (1, 0)
+    while n:
+        if n & 1:
+            out = pair_mul(out, x)
+        x = pair_mul(x, x)
+        n >>= 1
+    return pair_exact(out)
 
 
 def pair_exact(x, n=1):
@@ -433,8 +424,8 @@ class LaurentElt:
         return self.substitute(CycScalar.zeta(self.m))
 
     def render(self):
-        return render_sum((self.terms[p], render_t_power(p, self.m))
-                          for p in sorted(self.terms))
+        return render_sum(((c.a, c.b), render_t_power(p, self.m))
+                          for p, c in sorted(self.terms.items()))
 
     def __str__(self):
         return self.render()
@@ -450,23 +441,33 @@ def render_t_power(p, m):
     return f"t^({p}/{m})"
 
 
+def render_pair(x):
+    """The canonical text of a pair a + b*zeta: fractions with `z` for zeta."""
+    a, b = x
+    if not b:
+        return str(a)
+    ztxt = "z" if b == 1 else "-z" if b == -1 else f"{b}*z"
+    if not a:
+        return ztxt
+    return f"{a}+{ztxt}" if not ztxt.startswith("-") else f"{a}{ztxt}"
+
+
 def _coef_prefix(coef):
-    """Split a scalar coefficient into (sign, multiplier-text) for rendering.
+    """Split a pair coefficient into (sign, multiplier-text) for rendering.
 
     The multiplier text ends with '*' unless the coefficient is +-1; sums
     like 1+z are parenthesised so rendered elements parse back exactly.
     """
-    if coef.b:
-        if coef.a:
-            return ("+", f"({coef.render()})*")
+    a, b = coef
+    if b:
+        if a:
+            return ("+", f"({render_pair(coef)})*")
         # pure zeta multiple: sign comes from the zeta coefficient
-        b = coef.b
         if b == 1:
             return ("+", "z*")
         if b == -1:
             return ("-", "z*")
         return ("+", f"{b}*z*") if b > 0 else ("-", f"{-b}*z*")
-    a = coef.a
     if a == 1:
         return ("+", "")
     if a == -1:
@@ -475,13 +476,21 @@ def _coef_prefix(coef):
 
 
 def render_sum(terms):
-    """The canonical sum text of (scalar, monomial text) pairs, "0" when
-    every scalar is zero; a zero term is left out.  Every element renders
-    through this one writer."""
+    """The canonical sum text of (pair, monomial text) terms, "0" when
+    every pair is zero; a zero term is left out."""
     out = []
     for coef, text in terms:
-        if coef:
+        if coef[0] or coef[1]:
             sign, mult = _coef_prefix(coef)
             out.append(f" {sign} " if out else ("" if sign == "+" else "-"))
             out.append(mult + text)
     return "".join(out) or "0"
+
+
+def render_flat(labels, m, f):
+    """The canonical text of a flat form: its terms by (index, degree),
+    then c, then d.  Every element renders through this one writer."""
+    terms, c, d = f
+    return render_sum([(terms[i, p], f"{labels[i]}*{render_t_power(p, m)}")
+                       for i, p in sorted(terms)]
+                      + [(x, s) for x, s in ((c, "c"), (d, "d")) if x])

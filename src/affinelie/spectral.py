@@ -5,12 +5,12 @@ All claims are made on the window *interior*: a basis column is interior
 when its degree stays inside the window after shifting by any degree
 occurring in the loop part of x, so every asserted eigenvector equation is
 an exact statement about the infinite-dimensional algebra, not an artifact
-of truncation.  Eigenvalues are harvested from diagonal entries, the
-shift rule and rational roots of the characteristic polynomial, all tried
-by `linalg.eigenspaces`; completeness is certified by dimension count,
-never assumed.  From the window to the verdict every element is a flat
-form (`affine.flat`): window basis, ad(x) columns, eigenvectors and loop
-spaces; `affine.unflat` builds an element only to render a failure.
+of truncation.  Eigenvalues are harvested from diagonal entries and
+rational roots of the characteristic polynomial, all tried by
+`linalg.eigenspaces`; completeness is certified by dimension count, never
+assumed.  From the input to the verdict x and every element is a flat form
+(`affine.flat`): window basis, ad(x) columns, eigenvectors and loop
+spaces; weights are pairs, and `scalars.render_flat` renders a failure.
 """
 
 from __future__ import annotations
@@ -18,31 +18,30 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .scalars import (CycScalar, add_products, as_scalar, pair_mul, pair_of,
+from .scalars import (add_products, pair_mul, render_flat, render_pair,
                       table_products)
 from .loop import Window  # re-exported: only perfbench/tracer.py reads it
-from .affine import flat, flat_bracket, flat_pairing, unflat
+from .affine import flat_bracket, flat_pairing
 from .report import Report
 
 
 def degree_reach(x):
-    """Largest |degree| in the loop support of x."""
-    degs = x.loop.degree_support()
-    return max((abs(p) for p in degs), default=0)
+    """Largest |degree| in the loop support of the flat form x."""
+    return max((abs(p) for _, p in x[0]), default=0)
 
 
 def interior_indices(x, window):
     """Columns whose ad(x)-image provably stays inside the window: loop
     degrees inside at the reach of x, c, and d when x's loop part is inside."""
     reach = degree_reach(x)
-    d_inside = window.inside(x.loop.degree_support())
+    d_inside = window.inside({p for _, p in x[0]})
     return [i for i, (kind, j, _) in enumerate(window.meta)
             if kind == "c" or (d_inside if kind == "d"
                                else window.inside((j,), reach))]
 
 
 class AdOperator:
-    """ad(x) on the interior columns of a window.
+    """ad(x) on the interior columns of a window, for a flat form x.
 
     The interior defaults to `interior_indices(x, window)`; a commuting
     family shares its joint interior (`AdOperator.family`).  Each interior
@@ -54,17 +53,15 @@ class AdOperator:
     other window rows must vanish on every eigenvector.
     """
 
-    __slots__ = ("x", "fx", "window", "interior", "columns")
+    __slots__ = ("x", "window", "interior", "columns")
 
     def __init__(self, x, window, interior=None):
         self.x = x
-        self.fx = flat(x)
         self.window = window
         self.interior = interior_indices(x, window) if interior is None else interior
         self.columns = {}
         for i in self.interior:
-            vec = window.to_vector(flat_bracket(window.alg, self.fx,
-                                                window.flats[i]))
+            vec = window.to_vector(flat_bracket(window.alg, x, window.flats[i]))
             if vec is None:
                 raise AssertionError("interior column left the window")
             self.columns[i] = vec
@@ -108,11 +105,10 @@ class AdOperator:
         return self.joint_lift([self], coeffs, [w])
 
     def check(self, f, w):
-        """Exact re-verification [x, v] = w v of the flat form f of v:
-        loop part, c-part and d-part, with [x, v] from `flat_bracket`
-        (which has no d-part)."""
-        w = pair_of(as_scalar(self.window.m, w))
-        image, c, _ = flat_bracket(self.window.alg, self.fx, f)
+        """Exact re-verification [x, v] = w v of the flat form f of v, for
+        a pair w: loop part, c-part and d-part, with [x, v] from
+        `flat_bracket` (which has no d-part)."""
+        image, c, _ = flat_bracket(self.window.alg, self.x, f)
         add_products(image, (-w[0], -w[1]), f[0])
         wc, wd = (pair_mul(w, y) if y else (0, 0) for y in f[1:])
         if image or (c or (0, 0)) != wc or wd != (0, 0):
@@ -123,7 +119,7 @@ class WeightSpace:
     __slots__ = ("w", "vectors", "series_id", "loop")
 
     def __init__(self, w, vectors):
-        self.w = w
+        self.w = w  # a pair
         self.vectors = vectors  # flat forms
         self.series_id = None
         self.loop = None  # (loop terms of the basis of A_w, SpanSolver)
@@ -148,7 +144,7 @@ class WeightDecomp:
         _assign_series(self)
 
     def space(self, w):
-        w = as_scalar(self.window.m, w)
+        """The weight space of the pair w, or None."""
         for sp in self.spaces:
             if sp.w == w:
                 return sp
@@ -186,18 +182,16 @@ class WeightDecomp:
 
 
 def _assign_series(decomp):
-    """Group weights into classes {w + m n}, filed under (w.a mod m, w.b),
-    and assign deterministic ids."""
+    """Group weights into classes {w + m n}, filed under (a mod m, b) for
+    w = a + b*zeta, and assign deterministic ids."""
     m = decomp.window.m
     groups = {}
-    for sp in sorted(decomp.spaces, key=lambda s: pair_of(s.w)):
-        groups.setdefault((sp.w.a % m, sp.w.b), []).append(sp)
+    for sp in sorted(decomp.spaces, key=lambda s: s.w):
+        groups.setdefault((sp.w[0] % m, sp.w[1]), []).append(sp)
 
     def rep_key(group):
-        w = group[0].w
-        if w.is_rational():
-            return (w.rational() % m, Fraction(0))
-        return pair_of(w)
+        a, b = group[0].w
+        return (a % m, Fraction(0)) if not b else (a, b)
 
     for sid, g in enumerate(sorted(groups.values(), key=rep_key)):
         for sp in g:
@@ -211,9 +205,9 @@ def weight_decompose(x, window):
     of `AdOperator.rows`: the interior block of ad(x) - w, stacked over
     the other window rows, so each kernel vector is an exact eigenvector
     of the whole algebra.  Candidate weights are the block's diagonal
-    entries, their shift-rule closure (w + m n for rational w, clamped to
-    one period beyond the harvested range) and, while the dimensions fall
-    short, the rational eigenvalues of the interior block.  Every returned
+    entries and, while the dimensions fall short, the rational eigenvalues
+    of the interior block.  x is a flat form, and each weight a pair.
+    Every returned
     eigenvector is re-verified on its flat form through `flat_bracket`
     (`AdOperator.check`).  `complete` certifies that interior eigenspace
     dimensions sum to the interior dimension; when they do not, `defect`
@@ -226,34 +220,16 @@ def weight_decompose(x, window):
     apart, and a nonzero degree still leaves apart every column ad(x)
     does not link.
     """
-    m = window.m
     op = AdOperator(x, window)
     interior = op.interior
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
-    diagonal = (op.columns[i].get(i, linalg.ZERO) for i in interior)
-    rationals = {a for a, b in diagonal if not b}
-    closure = []
-    if rationals:
-        lo, hi = min(rationals) - m, max(rationals) + m
-        for w in sorted(rationals):
-            w -= m * ((w - lo) // m)
-            while w <= hi:
-                closure.append((w, 0))
-                w += m
-    solved, complete = linalg.eigenspaces(op.rows(), len(interior), m, closure)
-    spaces = []
-    for w, basis in solved:
-        w = CycScalar._make(m, *w)
-        spaces.append(WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis]))
-    spaces.sort(key=lambda sp: pair_of(sp.w))
+    solved, complete = linalg.eigenspaces(op.rows(), len(interior), window.m)
+    spaces = [WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis])
+              for w, basis in solved]
+    spaces.sort(key=lambda sp: sp.w)
     defect = None if complete else len(interior) - sum(sp.dim for sp in spaces)
     return WeightDecomp(x, window, spaces, complete, interior, defect)
-
-
-def _render(window, terms):
-    """Loop terms {(index, degree): pair} rendered as their LoopElt."""
-    return unflat(window.alg, window.m, (terms, None, None)).loop.render()
 
 
 def verify_shift(decomp):
@@ -269,36 +245,34 @@ def verify_shift(decomp):
     window = decomp.window
     alg, m = window.alg, window.m
     reach = degree_reach(decomp.x)
-    fx = flat(decomp.x)
     rep = Report()
     spaces = [(sp.w, decomp.loop_space(sp.w), decomp.loop_solver(sp.w))
               for sp in decomp.spaces]
     for w1, basis1, _ in spaces:
         for w2, basis2, solver2 in spaces:
-            diff = w2 - w1
-            if not diff.is_rational():
-                continue
-            q = diff.rational()
-            if q == 0 or q % m != 0:
+            q = w2[0] - w1[0]
+            if w2[1] != w1[1] or q == 0 or q % m != 0:
                 continue
             shift = int(q)
-            minus_w2 = (-w2.a, -w2.b)
+            minus_w2 = (-w2[0], -w2[1])
             forward_ok = True
             for v in basis1:
                 terms = {(i, p + shift): x for (i, p), x in v.items()}
                 if not window.inside({p for _, p in terms}, reach):
                     forward_ok = False
                     continue
-                image = flat_bracket(alg, fx, (terms, None, None))[0]
+                image = flat_bracket(alg, decomp.x, (terms, None, None))[0]
                 add_products(image, minus_w2, terms)
                 if not rep.check(solver2.contains(terms) and not image):
-                    rep.fail([_render(window, v), f"n={shift // m}"],
-                             _render(window, terms), f"A_{w2.render()}")
+                    before, after = (render_flat(alg.labels, m, (t, None, None))
+                                     for t in (v, terms))
+                    rep.fail([before, f"n={shift // m}"], after,
+                             f"A_{render_pair(w2)}")
             if forward_ok and all(
                 window.inside({p - shift for _, p in u}, reach)
                 for u in basis2
             ) and not rep.check(len(basis1) == len(basis2)):
-                rep.fail([w1.render(), w2.render()],
+                rep.fail([render_pair(w1), render_pair(w2)],
                          str(len(basis1)), str(len(basis2)))
     return rep
 
@@ -321,15 +295,13 @@ def verify_opposite(decomp):
     other pair, exactly 0, is counted as checked in bulk.  A nonzero value
     is rendered from the pair it summed."""
     rep = Report()
-    mult = {}
-    for sp in decomp.spaces:
-        mult[pair_of(sp.w)] = (sp.w, sp.dim)
-    for key, (w, dim) in mult.items():
-        neg = pair_of(-w)
-        if not rep.check(neg in mult and mult[neg][1] == dim):
-            rep.fail([w.render()], f"dim {dim}",
+    mult = {sp.w: sp.dim for sp in decomp.spaces}
+    for w, dim in mult.items():
+        neg = (-w[0], -w[1])
+        if not rep.check(mult.get(neg) == dim):
+            rep.fail([render_pair(w)], f"dim {dim}",
                      "missing opposite weight" if neg not in mult
-                     else f"dim {mult[neg][1]}")
+                     else f"dim {mult[neg]}")
     alg, m = decomp.window.alg, decomp.window.m
     filed = [{} for _ in decomp.spaces]
     for by_key, sp in zip(filed, decomp.spaces):
@@ -338,7 +310,7 @@ def verify_opposite(decomp):
                 by_key.setdefault(key, []).append(k)
     for sp1 in decomp.spaces:
         for sp2, by_key in zip(decomp.spaces, filed):
-            if sp1.w.a + sp2.w.a or sp1.w.b + sp2.w.b:
+            if sp1.w[0] + sp2.w[0] or sp1.w[1] + sp2.w[1]:
                 for u in sp1.vectors:
                     meet = sorted({k for key in _pair_keys(u, -1)
                                    for k in by_key.get(key, ())})
@@ -347,19 +319,18 @@ def verify_opposite(decomp):
                         v = sp2.vectors[k]
                         a, b = flat_pairing(alg, u, v)
                         if not rep.check(not (a or b)):
-                            rep.fail([unflat(alg, m, f).render()
-                                      for f in (u, v)],
-                                     CycScalar._make(m, a, b).render(), "0")
+                            rep.fail([render_flat(alg.labels, m, f)
+                                      for f in (u, v)], render_pair((a, b)), "0")
     return rep
 
 
 def verify_zero_weight(decomp):
     """The loop-level zero-weight space is nonzero (conclusion check)."""
-    zero = CycScalar.zero(decomp.window.m)
+    window = decomp.window
     rep = Report()
-    if not rep.check(bool(decomp.loop_space(zero))):
-        rep.fail([decomp.x.render()], "A_0 = 0",
-                 [sp.w.render() for sp in decomp.spaces])
+    if not rep.check(bool(decomp.loop_space((0, 0)))):
+        rep.fail([render_flat(window.alg.labels, window.m, decomp.x)], "A_0 = 0",
+                 [render_pair(sp.w) for sp in decomp.spaces])
     return rep
 
 
@@ -371,24 +342,25 @@ def verify_product_rule(decomp):
     (index, degree) coordinates; a failing pair is rendered from them and
     their bracket."""
     window = decomp.window
-    table = window.alg.table
+    alg, m = window.alg, window.m
     reach = degree_reach(decomp.x)
     rep = Report()
     spaces = [(sp.w, decomp.loop_space(sp.w)) for sp in decomp.spaces]
     for w1, basis1 in spaces:
         for w2, basis2 in spaces:
-            target = w1 + w2
+            target = (w1[0] + w2[0], w1[1] + w2[1])
             solver = decomp.loop_solver(target)
             for u in basis1:
                 for v in basis2:
-                    b = table_products(table, u, v)
+                    b = table_products(alg.table, u, v)
                     if not window.inside({p for _, p in b}, reach):
                         continue
                     # outside a known eigenspace: exact failure witness
                     if not rep.check(not b or solver is not None
                                      and solver.contains(b)):
-                        rep.fail([_render(window, u), _render(window, v)],
-                                 _render(window, b), f"A_{target.render()}")
+                        *pair, image = (render_flat(alg.labels, m, (t, None, None))
+                                        for t in (u, v, b))
+                        rep.fail(pair, image, f"A_{render_pair(target)}")
     return rep
 
 
@@ -415,10 +387,10 @@ def rspan_isomorphism_check(decomp):
         members = [(sp.w, decomp.loop_space(sp.w)) for sp in group]
         for i, (w1, basis1) in enumerate(members):
             for w2, basis2 in members[i + 1:]:
-                steps = int((w2 - w1).rational())
+                steps = int(w2[0] - w1[0])
                 if (shiftable(basis1, steps) and shiftable(basis2, -steps)
                         and not rep.check(len(basis1) == len(basis2))):
-                    rep.fail([w1.render(), w2.render()],
+                    rep.fail([render_pair(w1), render_pair(w2)],
                              str(len(basis1)), str(len(basis2)))
     n_series = len(by_series)
     if not rep.check(n_series <= window.alg.dim):
@@ -431,7 +403,7 @@ def decomposition_report(decomp):
     return {
         "weights": [
             {
-                "w": sp.w.render(),
+                "w": render_pair(sp.w),
                 "dim": sp.dim,
                 "series_id": sp.series_id,
                 "interior": True,

@@ -166,7 +166,7 @@ def make_twisted_word_sampler(ctx, rng, length=4):
         for i in range(alg.rank):
             j = min(_orbit(auto.perm, i))
             if j not in orbit_value:
-                orbit_value[j] = CycScalar(m, rng.choice([2, 3, -1]))
+                orbit_value[j] = (rng.choice([2, 3, -1]), 0)
             coords.append(orbit_value[j])
         return TorusK(alg, tuple(coords))
 
@@ -176,16 +176,17 @@ def make_twisted_word_sampler(ctx, rng, length=4):
             k = rng.randrange(5)
             if k == 0 and degree_zero_nils:
                 e = degree_zero_nils[rng.randrange(len(degree_zero_nils))]
-                gens.append(NilExp(g_loop(alg, m, e, 0, rng.randint(1, 2))))
+                z = g_loop(alg, m, e, 0, rng.randint(1, 2))
+                gens.append(NilExp(alg, m, pair_terms(z.coords)))
             elif k == 1:
                 gens.append(symmetric_torus())
             elif k == 2:
                 e = rng.choice([1, -1]) if m <= 2 else 1
-                gens.append(Ring(CycScalar(m, rng.choice([2, 3, -1])), e))
+                gens.append(Ring((rng.choice([2, 3, -1]), 0), e))
             elif k == 3 and not auto.is_identity():
                 gens.append(Diagram(auto))
             else:
-                gens.append(VShift(CycScalar(m, rng.randint(-3, 3))))
+                gens.append(VShift((rng.randint(-3, 3), 0)))
         return AutoWord("hat", tuple(gens))
 
     return sample

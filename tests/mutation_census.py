@@ -31,11 +31,10 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from affinelie import affine, autos, cli, linalg, mad
+from affinelie import affine, autos, cli, linalg, mad, spectral
 from affinelie.autos import Cochar, Diagram, NilExp, Ring, TorusK, VShift
 from affinelie.report import Report
-from affinelie.scalars import (CycScalar, _add_pair, add_products, pair_mul,
-                               pair_terms, table_pairing)
+from affinelie.scalars import _add_pair, add_products, pair_mul, table_pairing
 from affinelie.spectral import WeightSpace
 
 import stdout_digests
@@ -132,8 +131,8 @@ def _():
 @mutant("torus scales X_-alpha like X_alpha")
 def _():
     real = TorusK._eigen
-    return [(TorusK, "_eigen", lambda self, root, m:
-             real(self, tuple(abs(k) for k in root), m))]
+    return [(TorusK, "_eigen", lambda self, root:
+             real(self, tuple(abs(k) for k in root)))]
 
 
 def cocycle_times(k):
@@ -211,7 +210,7 @@ def _():
 def _():
     def act(self, alg, m, f, loop=False):
         """f + [z, f]: the series cut after its linear term."""
-        t = autos._bracket(alg, (pair_terms(self.z.coords), None, None), f, loop)
+        t = autos._bracket(alg, (self.z, None, None), f, loop)
         acc = {}
         for terms, c, _ in (f, t):
             add_products(acc, (1, 0), {**terms, "c": c} if c else terms)
@@ -235,8 +234,17 @@ def _():
     real = WeightSpace.__init__
 
     def init(self, w, vectors):
-        real(self, w + CycScalar.one(w.m), vectors)
+        real(self, (w[0] + 1, w[1]), vectors)
     return [(WeightSpace, "__init__", init)]
+
+
+@mutant("series ids split per weight")
+def _():
+    def assign(decomp):
+        """Every weight a series of its own, numbered in weight order."""
+        for sid, sp in enumerate(sorted(decomp.spaces, key=lambda s: s.w)):
+            sp.series_id = sid
+    return [(spectral, "_assign_series", assign)]
 
 
 @mutant("conjugacy_verify skips the first image")

@@ -75,14 +75,13 @@ def jordan_split(mat, m):
     return s, nmat
 
 
-def global_eigenspaces(mat, n, m, candidates=()):
+def global_eigenspaces(mat, n, m):
     """The global candidate sweep that `linalg.eigenspaces` ran before it
     solved each connected component alone, kept as its reference: each
     candidate w costs one kernel of the whole square block minus w I
     stacked over the further rows.  Candidates are the block's diagonal
-    entries, then the caller's, then the block's rational eigenvalues; the
-    caller's and the roots are tried only while the dimensions found sum
-    to less than n."""
+    entries, then the block's rational eigenvalues; the roots are tried
+    only while the dimensions found sum to less than n."""
     if n == 0:
         return [], True
     square, rest = mat[:n], mat[n:]
@@ -102,10 +101,6 @@ def global_eigenspaces(mat, n, m, candidates=()):
 
     for i, row in enumerate(square):
         try_candidate(row.get(i, ZERO))
-    for w in candidates:
-        if total >= n:
-            break
-        try_candidate(w)
     if total < n:
         for root in linalg.rational_eigenvalues(square, m):
             try_candidate(root)

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, reproducible JSON."""
 
+import ast
 import json
 import os
 import random
@@ -620,6 +621,29 @@ class TestStartup:
         names = set(re.findall(r"\| +(affinelie\.\w+)$", proc.stderr, re.M))
         assert "affinelie.cli" in names
         assert ("affinelie.spectral" in names) is imported
+
+
+OBJECTS = {"CycScalar", "LaurentElt", "LoopElt", "AffineElt", "unflat",
+           "as_scalar"}
+
+
+class TestObjectBoundary:
+    """The verdict paths read flat forms and pairs: `cli`, `spectral`,
+    `rootsys` and `linalg` import none of the element classes or the
+    conversions into them, nor reach one as a name or an attribute."""
+
+    @pytest.mark.parametrize("module", ["cli", "spectral", "rootsys", "linalg"])
+    def test_no_object_class_is_imported_or_named(self, module):
+        path = Path(cli.__file__).resolve().parent / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        assert imported and not imported & OBJECTS
+        assert not named & OBJECTS
 
 
 class TestDeterminism:

@@ -19,12 +19,12 @@ from pathlib import Path
 import pytest
 
 from affinelie import affine, cli
-from affinelie.affine import flat, unflat, verify_form_invariance
+from affinelie.affine import flat, verify_form_invariance
 from affinelie.autos import AutoGen, Cochar, VShift, verify_exact_sequence
 from affinelie.cli import build_parser, load_session
 from affinelie.loop import Window
-from affinelie.parsing import parse_affine
-from affinelie.scalars import CycScalar, pair_mul
+from affinelie.parsing import parse_affine, parse_flat
+from affinelie.scalars import pair_exact, pair_mul, render_flat, render_pair
 from affinelie.spectral import (WeightDecomp, WeightSpace,
                                 rspan_isomorphism_check, verify_opposite,
                                 verify_product_rule, verify_shift,
@@ -59,8 +59,13 @@ class LoopOnlyDoubling(Doubling):
 def a1_decomp():
     """The weight decomposition of H_1 + d on the a1 window [-2, 2]."""
     s = a1_session("spectral")
-    return weight_decompose(parse_affine("H_1*t^0 + d", s.alg, s.m),
+    return weight_decompose(parse_flat("H_1*t^0 + d", s.alg, s.m),
                             Window(s.auto, -2, 2))
+
+
+def rational(q):
+    """The rational weight q (a Fraction or its text) as a pair."""
+    return pair_exact((Fraction(q), 0))
 
 
 def rebuilt(decomp, edit):
@@ -69,7 +74,7 @@ def rebuilt(decomp, edit):
     or to None to remove the space."""
     spaces = []
     for sp in decomp.spaces:
-        edited = edit(sp.w.render(), list(sp.vectors))
+        edited = edit(render_pair(sp.w), list(sp.vectors))
         if edited is not None:
             spaces.append(WeightSpace(*edited))
     return WeightDecomp(decomp.x, decomp.window, spaces, decomp.complete,
@@ -83,8 +88,8 @@ def dropping(weight, vector):
     def edit(w, vectors):
         if w == weight:
             vectors = [v for v in vectors
-                       if unflat(alg, 1, v).render() != vector]
-        return CycScalar(1, Fraction(w)), vectors
+                       if render_flat(alg.labels, 1, v) != vector]
+        return rational(w), vectors
     return edit
 
 
@@ -147,7 +152,8 @@ def test_exact_sequence_kernel_recovery_failure(monkeypatch):
 
     real = VShift.act
     monkeypatch.setattr(VShift, "act", lambda self, alg, m, f, loop=False:
-                        real(VShift(2 * self.a), alg, m, f, loop))
+                        real(VShift((2 * self.a[0], 2 * self.a[1])),
+                             alg, m, f, loop))
     x = flat(parse_affine("X_a1*t^1", s.alg, s.m).loop)
     report = verify_exact_sequence(s.alg, s.m, [Doubling()], lambda: x, 1)
     assert report == {
@@ -274,7 +280,7 @@ def test_opposite_orthogonality_failure():
     """Relabelling A_3 as weight 5 leaves both 5 and -3 without an
     opposite, and X_a1 t pairs with X_-a1 t^-1 across weights 5 and -3."""
     def edit(w, vectors):
-        return CycScalar(1, 5 if w == "3" else Fraction(w)), vectors
+        return rational(5 if w == "3" else w), vectors
 
     report = verify_opposite(rebuilt(a1_decomp(), edit))
     assert report == {
@@ -297,11 +303,11 @@ def test_opposite_pairs_c_with_d_across_weights():
     decomp = a1_decomp()
     spaces = [WeightSpace(sp.w, [v for v in sp.vectors if not v[2]])
               for sp in decomp.spaces]
-    spaces.append(WeightSpace(CycScalar(1, 7), [decomp.space(0).vectors[-1]]))
+    spaces.append(WeightSpace((7, 0), [decomp.space((0, 0)).vectors[-1]]))
     report = verify_opposite(WeightDecomp(
         decomp.x, decomp.window, spaces, decomp.complete, decomp.interior))
     pairs = sum(sp1.dim * sp2.dim for sp1 in spaces for sp2 in spaces
-                if sp1.w + sp2.w)
+                if sp1.w[0] + sp2.w[0] or sp1.w[1] + sp2.w[1])
     assert report == {
         "checked": len(spaces) + pairs,
         "failures": [
@@ -316,7 +322,7 @@ def test_opposite_pairs_c_with_d_across_weights():
 def test_zero_weight_failure():
     """Without A_0 the conclusion check fails and lists the weights."""
     def edit(w, vectors):
-        return None if w == "0" else (CycScalar(1, Fraction(w)), vectors)
+        return None if w == "0" else (rational(w), vectors)
 
     report = verify_zero_weight(rebuilt(a1_decomp(), edit))
     assert report == {
@@ -360,7 +366,7 @@ def test_rspan_series_count_failure():
     weights = iter(range(9))
 
     def edit(w, vectors):
-        return CycScalar(1, Fraction(next(weights), 10)), vectors
+        return rational(Fraction(next(weights), 10)), vectors
 
     report = rspan_isomorphism_check(rebuilt(a1_decomp(), edit))
     assert report == {

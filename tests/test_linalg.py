@@ -608,11 +608,11 @@ class TestEigenspacesWithExtraRows:
 
 @st.composite
 def eigen_problem(draw, m):
-    """(mat, n, candidates) for `linalg.eigenspaces`: diagonal or Jordan
-    blocks with eigenvalues from a small pool (zeta parts at m = 3), some
-    conjugated so their eigenvalues leave the diagonal, their rows and
-    columns interleaved by one permutation; then up to two extra rows,
-    which may join blocks, and up to three caller candidates."""
+    """(mat, n) for `linalg.eigenspaces`: diagonal or Jordan blocks with
+    eigenvalues from a small pool (zeta parts at m = 3), some conjugated
+    so their eigenvalues leave the diagonal, their rows and columns
+    interleaved by one permutation; then up to two extra rows, which may
+    join blocks."""
     pool = [elt(m, a, b) for a in range(-2, 3)
             for b in ((0, 1) if m == 3 else (0,))]
     blocks = []
@@ -645,7 +645,7 @@ def eigen_problem(draw, m):
     for _ in range(draw(st.integers(0, 2))):
         mat.append(sparse_vec([elt(m, draw(st.sampled_from([0, 0, 0, 1, -1])),
                                    draw(zeta)) for _ in range(n)]))
-    return mat, n, draw(st.lists(st.sampled_from(pool), max_size=3))
+    return mat, n
 
 
 class TestBlockwiseEigenspaces:
@@ -653,26 +653,26 @@ class TestBlockwiseEigenspaces:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_global_sweep(self, m, data):
-        mat, n, candidates = data.draw(eigen_problem(m))
-        assert (linalg.eigenspaces(mat, n, m, candidates)
-                == global_eigenspaces(mat, n, m, candidates))
+        mat, n = data.draw(eigen_problem(m))
+        assert linalg.eigenspaces(mat, n, m) == global_eigenspaces(mat, n, m)
 
     def test_roots_candidates_extra_row_and_jordan_block(self):
         # columns {0, 3}: eigenvalues 2, 3, off the diagonal, found as
         # rational roots; {1, 4}: eigenvalues z and 1 off the diagonal, of a
         # characteristic polynomial with a zeta part, so z is found only as
-        # a caller's candidate and 1 only as the diagonal entry of column 0,
-        # in another block; {2, 5}: a Jordan block of 5; the extra row joins
-        # {0, 3} to {2, 5} and keeps only the 2-eigenvector there
+        # the diagonal entry of column 6 and 1 only as that of column 0,
+        # each in another block; {2, 5}: a Jordan block of 5; {6}: z; the
+        # extra row joins {0, 3} to {2, 5} and keeps only the 2-eigenvector
+        # there
         mat = [{0: (1, 0), 3: (1, 0)}, {1: (-1, 2), 4: (1, -1)},
                {2: (5, 0), 5: (1, 0)}, {0: (-2, 0), 3: (4, 0)},
-               {1: (-2, 2), 4: (2, -1)}, {5: (5, 0)},
+               {1: (-2, 2), 4: (2, -1)}, {5: (5, 0)}, {6: (0, 1)},
                {0: (1, 0), 3: (-1, 0), 5: (1, 0)}]
-        got = linalg.eigenspaces(mat, 6, 3, [(0, 1)])
-        assert got == global_eigenspaces(mat, 6, 3, [(0, 1)])
+        got = linalg.eigenspaces(mat, 7, 3)
+        assert got == global_eigenspaces(mat, 7, 3)
         assert got == ([((1, 0), [{1: (Fraction(1, 2), 0), 4: (1, 0)}]),
                         ((5, 0), [{2: (1, 0)}]),
-                        ((0, 1), [{1: (1, 0), 4: (1, 0)}]),
+                        ((0, 1), [{1: (1, 0), 4: (1, 0)}, {6: (1, 0)}]),
                         ((2, 0), [{0: (1, 0), 3: (1, 0)}])], False)
 
 
@@ -689,7 +689,7 @@ class TestZetaBlockRoots:
         assert linalg.rational_roots(linalg.charpoly(mat[:3], 3), 3) == [
             ((-2, 0), 2)]
         got = linalg.eigenspaces(mat, 5, 3)
-        assert got == global_eigenspaces(mat, 5, 3, [])
+        assert got == global_eigenspaces(mat, 5, 3)
         assert got[1] and dict(got[0])[(-2, 0)] == [
             {0: (-1, 0), 1: (1, 0)}, {0: (1, 0), 2: (1, 0)},
             {3: (1, 0), 4: (1, 0)}]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinelie.affine import AffineElt, bracket_affine
-from affinelie.autos import Diagram
+from affinelie.autos import AutoWord, Diagram
 from affinelie.loop import LoopElt, Window, gamma_twist, is_in_twisted
 from affinelie.rootsys import build_chevalley, sigma_eigenspaces
 from affinelie.scalars import (CycScalar, LaurentElt, _add_pair, add_into,
@@ -178,8 +178,9 @@ def explicit_diagram_apply(auto, g):
     return out
 
 
-def explicit_diagram_apply_loop(auto, x):
-    """`autos.Diagram.apply_loop` as written before the shared `permuted`."""
+def explicit_diagram_on_loop(auto, x):
+    """`autos.Diagram` on a loop element as written before the shared
+    `permuted`."""
     out = {}
     for i, p in x.coords.items():
         j, s = auto.index_image(i)
@@ -275,9 +276,9 @@ class TestSharedArithmetic:
         twisted = gamma_twist(x, auto)
         assert zero_free(twisted)
         assert twisted == explicit_gamma_twist(x, auto)
-        image = Diagram(auto).apply_loop(x)
+        image = AutoWord("loop", (Diagram(auto),)).apply(x)
         assert zero_free(image)
-        assert image == explicit_diagram_apply_loop(auto, x)
+        assert image == explicit_diagram_on_loop(auto, x)
 
         # g-vectors as degree-0 pair terms: sums by `add_products`, the
         # bracket by `table_products`, the diagram by its flat action

@@ -54,7 +54,7 @@ class TestStandardMad:
         found = set()
         for weights, vectors in data["eigenbasis"]:
             for _ in vectors:
-                found.add(tuple(w.rational() for w in weights))
+                found.add(tuple(a for a, _ in weights))
         assert (Fraction(2), Fraction(0), Fraction(1)) in found
 
     def test_sanity(self, a1_id, a2_id, a2_flip):
@@ -88,7 +88,7 @@ class TestDiagonalizability:
         flag, data = is_diagonalizable(SubalgebraSpec([AffineElt.c_elt(a1, 1)]), win)
         assert flag
         for weights, _ in data["eigenbasis"]:
-            assert all(not w for w in weights)
+            assert all(w == (0, 0) for w in weights)
 
 
 class TestMaximalityProbe:
@@ -158,19 +158,19 @@ class TestConjugacy:
         for _ in range(length):
             k = rng.randrange(5)
             if k == 0:
-                gens.append(RootExp(alg, roots[rng.randrange(len(roots))],
-                                    LaurentElt.s_power(m, 0, rng.randint(1, 2))))
+                gens.append(RootExp(alg, m, roots[rng.randrange(len(roots))],
+                                    {0: (rng.randint(1, 2), 0)}))
             elif k == 1:
                 phi = [0] * alg.rank
                 phi[rng.randrange(alg.rank)] = rng.choice([1, -1])
                 gens.append(Cochar(alg, tuple(phi)))
             elif k == 2:
-                gens.append(TorusK(alg, tuple(CycScalar(m, rng.choice([2, 3]))
+                gens.append(TorusK(alg, tuple((rng.choice([2, 3]), 0)
                                               for _ in range(alg.rank))))
             elif k == 3:
-                gens.append(Ring(CycScalar(m, rng.choice([2, -1])), rng.choice([1, -1])))
+                gens.append(Ring((rng.choice([2, -1]), 0), rng.choice([1, -1])))
             else:
-                gens.append(VShift(CycScalar(m, rng.randint(-2, 2))))
+                gens.append(VShift((rng.randint(-2, 2), 0)))
         return AutoWord("hat", tuple(gens))
 
     def test_identity_on_standard(self, a1_id):
@@ -206,7 +206,7 @@ class TestConjugacy:
         # the center absorbs a v-shift: v_a(H) spans H itself
         win = Window(a1_id, -3, 3)
         ref = standard_mad(a1_id)
-        image = SubalgebraSpec([v_auto(CycScalar(1, 4)).apply(g)
+        image = SubalgebraSpec([v_auto((4, 0)).apply(g)
                                 for g in ref.generators])
         rep = conjugacy_verify(AutoWord("hat", ()), image, win, ref,
                                ref.span_solver(win))
@@ -216,7 +216,7 @@ class TestConjugacy:
         win = Window(a1_id, -3, 3)
         ref = standard_mad(a1_id)
         alpha = a1.root_of_index[1]
-        word = AutoWord("hat", (RootExp(a1, alpha, LaurentElt.one(1)),))
+        word = AutoWord("hat", (RootExp(a1, 1, alpha, {0: (1, 0)}),))
         image = SubalgebraSpec([word.apply(g) for g in ref.generators])
         # applying the same word again does not return to the standard MAD
         rep = conjugacy_verify(word, image, win, ref, ref.span_solver(win))
@@ -234,10 +234,10 @@ class TestInvariantsUnderWords:
             assert img.c in (CycScalar(1, 1), CycScalar(1, -1))
 
     def test_only_ring_inversion_negates_center(self, a1):
-        riw = AutoWord("hat", (Ring(CycScalar.one(1), -1),))
+        riw = AutoWord("hat", (Ring((1, 0), -1),))
         c = AffineElt.c_elt(a1, 1)
         assert riw.apply(c) == c.scale(-1)
-        other = AutoWord("hat", (Cochar(a1, (1,)), VShift(CycScalar(1, 2))))
+        other = AutoWord("hat", (Cochar(a1, (1,)), VShift((2, 0))))
         assert other.apply(c) == c
 
     def test_conjugated_mad_keeps_predicates(self, a1, a1_id):

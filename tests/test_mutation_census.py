@@ -81,3 +81,21 @@ def test_jacobi_antisymmetry_catches_the_symmetric_cocycle():
         assert len(c["checks"]) == 1
         assert c["checks"][0].startswith("cli.suite_jacobi:")
     assert not {c["checks"][0] for c in jacobi} & set(report["never_failed"])
+
+
+def test_rspan_series_count_catches_split_series():
+    """Series ids split per weight give the nine weights of a1 at [-2, 2]
+    nine series, more than dim g = 3: the series-count check of `verify
+    spectral` fails (no other mutant fails it), so that check site leaves
+    the census's `never_failed` list."""
+    name = "series ids split per weight"
+    runs = [argv for argv in FAST if argv[1] == "spectral"]
+    report = census(runs, [name])
+    caught = report["mutants"][name]["caught"]
+    assert [c["run"].split()[3] for c in caught] == ["algebras/a1.alg"]
+    assert caught[0]["families"] == ["spectral:decomposition:checks:rspan",
+                                     "spectral:rspan"]
+    failed = caught[0]["checks"]
+    assert len(failed) == 1
+    assert failed[0].startswith("spectral.rspan_isomorphism_check:")
+    assert failed[0] not in report["never_failed"]
