@@ -208,7 +208,6 @@ class Cochar(AutoGen):
         if d:
             x_phi = self.x_phi(m)
             add_products(out, (-d[0], -d[1]), x_phi)
-            out.update((key, pair_exact(out[key])) for key in x_phi if key in out)
         return out, pair_exact((a, b)) if a or b else None, d
 
     def inverse(self):
@@ -418,8 +417,8 @@ def verify_exact_sequence(alg, m, generators, loop_sampler, samples):
     (i) section: projecting the hat lift of each generator back to loop
     level recovers the generator on sampled loop elements;
     (ii) kernel: composing with a v-shift is invisible at loop level;
-    (iii) a hat word fixing sampled core elements agrees with the v_auto
-    read off from its action on d.
+    (iii) the hat word v_auto(a) . g . g^-1, g each generator in turn,
+    fixes sampled core elements, and a is read off from its action on d.
     Each identity compares flat forms of flat samples, and a failure is
     rendered from the flat forms it compared.
     """
@@ -439,14 +438,16 @@ def verify_exact_sequence(alg, m, generators, loop_sampler, samples):
                                    for t in (f[0], lifted, direct))
                     rep.fail([x], lhs, rhs, part=part, generator=gen.render())
     # (iii) recover the shift parameter of a core-fixing word from d
-    for a in (0, 1, -3):
-        w = v_auto((a, 0))
+    for k, a in enumerate((0, 1, -3)):
+        gen = generators[k % len(generators)]
+        hat = hat_lift(tilde_lift(AutoWord("loop", (gen,))))
+        w = v_auto((a, 0)).then(hat).then(hat.inverse())
         moved = False
         for _ in range(samples):
             f = loop_sampler()
             moved |= not rep.check(w.act(alg, m, f) == f)
-        recovered = w.act(alg, m, ({}, None, (1, 0)))[1] or (0, 0)
-        if moved or recovered != (a, 0):
-            rep.fail([f"a={a}"], render_pair(recovered), str(a),
-                     part="kernel-recovery")
+        terms, c, d = w.act(alg, m, ({}, None, (1, 0)))
+        if moved or terms or d != (1, 0) or (c or (0, 0)) != (a, 0):
+            rep.fail([f"a={a}"], render_pair(c or (0, 0)), str(a),
+                     part="kernel-recovery", generator=gen.render())
     return rep

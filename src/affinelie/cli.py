@@ -17,7 +17,8 @@ import json
 import os
 import random
 import sys
-from .scalars import _add_pair, render_flat, render_pair, render_sum
+from .scalars import (_add_pair, add_products, render_flat, render_pair,
+                      render_sum)
 from .rootsys import cartan_of_fixed
 from .loop import TwistedContext, Window
 from .affine import flat_bracket, verify_form_invariance, window_gram_rank
@@ -73,10 +74,7 @@ class Session:
             if not size:
                 continue
             terms = win.flats[win.slot[(j, rng.randrange(size))]][0]
-            coef = rng.randint(-5, 5)
-            if coef:
-                for key, (a, b) in terms.items():
-                    _add_pair(out, key, a * coef, b * coef)
+            add_products(out, (rng.randint(-5, 5), 0), terms)
         return out, None, None
 
     def sample_affine(self):

@@ -11,8 +11,9 @@ elimination over the field: no pivot-size heuristics, no floating point.
 There is one elimination, `SpanSolver`: `rref` reads its rows, and
 `rank`, `kernel_basis` and `solve` read `rref`.  Every row update, the
 Hessenberg reduction of `charpoly` included, goes through
-`_add_multiple` (its column operation through `scalars._add_pair`) and
-touches only nonzero entries.
+`scalars.add_products` (its column operation through `scalars._add_pair`)
+and touches only nonzero entries.  `unit_coords` reads coordinates over
+a basis with unit columns, such as those of `kernel_basis`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import _add_pair, pair_inv, pair_mul
+from .scalars import _add_pair, add_products, pair_inv, pair_mul
 
 ZERO, ONE = (0, 0), (1, 0)
 
@@ -42,33 +43,8 @@ def mat_vec(columns, v, m):
     vector: the sum of v_j * columns[j] over the entries of v."""
     out = {}
     for j, x in v.items():
-        _add_multiple(out, x, columns[j])
+        add_products(out, x, columns[j])
     return out
-
-
-def _add_multiple(row, f, other):
-    """row += f * other, in place, on the entries of `other` only; returns
-    row.  A cancelled entry is deleted, and an integral part is stored as
-    an int, so values that allow it stay on int arithmetic."""
-    for j, y in other.items():
-        a, b = pair_mul(f, y)
-        x = row.get(j)
-        if x is not None:
-            a, b = a + x[0], b + x[1]
-        if a or b:
-            if type(a) is not int and a.denominator == 1:
-                a = a.numerator
-            if type(b) is not int and b.denominator == 1:
-                b = b.numerator
-            row[j] = (a, b)
-        elif x is not None:
-            del row[j]
-    return row
-
-
-def _subtract(row, f, pivot_row):
-    """row -= f * pivot_row, in place."""
-    _add_multiple(row, (-f[0], -f[1]), pivot_row)
 
 
 def rref(mat, m):
@@ -82,7 +58,7 @@ def rref(mat, m):
     for row in mat:
         solver.add(row)
     pivots = sorted(solver._rows)
-    return [solver._rows[p][0] for p in pivots], pivots
+    return [solver._rows[p] for p in pivots], pivots
 
 
 def rank(mat, m):
@@ -91,7 +67,8 @@ def rank(mat, m):
 
 def kernel_basis(mat, n, m):
     """Basis of the right kernel of `mat` over the unknowns 0..n-1, one
-    vector per free column, in column order."""
+    vector per free column, in column order.  That is its unit column: its
+    largest key, where it is 1 and no other vector of the basis has a key."""
     rows, pivots = rref(mat, m)
     pivot_set = set(pivots)
     basis = []
@@ -119,49 +96,52 @@ def solve(mat, rhs, m):
     return {p: row[col] for row, p in zip(rows, pivots) if col in row}
 
 
-class SpanSolver:
-    """Incremental row-reduced span of vectors, for membership and coords.
+def unit_coords(basis, units, vec, m):
+    """Coordinates {k: pair} of `vec` over `basis`, or None off its span:
+    read at the unit columns units[k] = max(basis[k]) (see `kernel_basis`),
+    then the residual is checked."""
+    coords = {k: vec[u] for k, u in enumerate(units) if u in vec}
+    residual = dict(vec)
+    for k, (a, b) in coords.items():
+        add_products(residual, (-a, -b), basis[k])
+    return None if residual else coords
 
-    Rows are kept in reduced echelon form, keyed by their pivot column,
-    together with the expression of each row in terms of the originally
-    added vectors (numbered from 0), so `coords` can report exact
-    coefficients.  Columns are any mutually comparable keys: window slots,
-    or (index, degree) monomials.
+
+class SpanSolver:
+    """Incremental row-reduced span of vectors, for membership.
+
+    Rows are kept in reduced echelon form, keyed by their pivot column.
+    Columns are any mutually comparable keys: window slots, or (index,
+    degree) monomials.
     """
 
     def __init__(self, m):
         self.m = m
-        self._rows = {}  # pivot -> (reduced row, its coords over added vectors)
-        self.count = 0
+        self._rows = {}  # pivot -> reduced row
+        self._added = []  # added vectors; one that enlarged nothing as {}
 
-    def _reduce(self, vec, coords=None):
-        """Residual of `vec` modulo the span, updating `coords` if given.
-        Rows vanish at each other's pivots: `vec` gives every factor."""
+    def _reduce(self, vec):
+        """Residual of `vec` modulo the span.  Rows vanish at each other's
+        pivots: `vec` gives every factor."""
         v = dict(vec)
         for p in [p for p in v if p in self._rows]:
-            row, rc = self._rows[p]
-            f = v[p]
-            _subtract(v, f, row)
-            if coords is not None:
-                _subtract(coords, f, rc)
+            a, b = v[p]
+            add_products(v, (-a, -b), self._rows[p])
         return v
 
     def add(self, vec):
         """Add a vector; returns True if it enlarged the span."""
-        c = {self.count: ONE}
-        self.count += 1
-        v = self._reduce(vec, c)
+        v = self._reduce(vec)
+        self._added.append(vec if v else {})
         if not v:
             return False
         p = min(v)
-        inv = pair_inv(v[p])
-        v, c = _add_multiple({}, inv, v), _add_multiple({}, inv, c)
-        for row, rc in self._rows.values():
+        v = add_products({}, pair_inv(v[p]), v)
+        for row in self._rows.values():
             if p in row:
-                f = row[p]
-                _subtract(row, f, v)
-                _subtract(rc, f, c)
-        self._rows[p] = (v, c)
+                a, b = row[p]
+                add_products(row, (-a, -b), v)
+        self._rows[p] = v
         return True
 
     @property
@@ -172,11 +152,13 @@ class SpanSolver:
         return not self._reduce(vec)
 
     def coords(self, vec):
-        """Coefficients over the added vectors, or None if not in the span."""
-        c = {}
-        if self._reduce(vec, c):
-            return None
-        return {k: (-a, -b) for k, (a, b) in c.items()}
+        """Coefficients over the added vectors, or None if not in the span,
+        by `solve`: a vector kept as {} is a free unknown and gets none."""
+        keys = list(set(vec).union(*self._added))
+        mat = [{j: v[key] for j, v in enumerate(self._added) if key in v}
+               for key in keys]
+        return solve(mat, {r: vec[key] for r, key in enumerate(keys)
+                           if key in vec}, self.m)
 
 
 def charpoly(mat, m):
@@ -201,7 +183,7 @@ def charpoly(mat, m):
         for r in range(c + 2, n):
             if c in h[r]:
                 f = pair_mul(h[r][c], inv)
-                _subtract(h[r], f, h[c + 1])
+                add_products(h[r], (-f[0], -f[1]), h[c + 1])
                 # column op: col[c+1] += f * col[r]
                 for row in h:
                     if r in row:
@@ -365,7 +347,8 @@ def eigenspaces(mat, n, m):
     candidate order (the diagonal entries, then the roots, zero first and
     ascending), one
     basis vector per free column, in column order; `complete` says that
-    the dimensions sum to n.
+    the dimensions sum to n.  Each basis keeps the unit columns of
+    `kernel_basis`, as components share no column.
     """
     order = {}
     for i, row in enumerate(mat[:n]):
@@ -414,11 +397,13 @@ def joint_eigenspaces(mats, n, m):
     The eigenspaces of the first operator are the starting spaces; each
     later operator is read once into its columns and restricted to every
     current space: the image of a basis vector v is the sum of v_j times
-    column j (`mat_vec`), expressed in the space's basis, and its
-    eigenspaces there refine the space.  An image with an entry in a row
-    after the square block is not in the space, which counts as a defect.
-    Refined basis vectors are rebuilt in the ambient space from the old
-    basis vectors, again through `mat_vec`.
+    column j (`mat_vec`), expressed in the space's basis by `unit_coords`,
+    and its eigenspaces there refine the space.  An image with an entry in
+    a row after the square block is not in the space, which counts as a
+    defect.  Refined basis vectors are rebuilt in the ambient space from
+    the old basis vectors, again through `mat_vec`: each is 1 times the
+    old vector at its own unit column plus old ones of lower unit columns,
+    so the unit columns carry over.
 
     Returns (spaces, defect) where spaces is a list of
     (weight-tuple, basis-of-ambient-vectors); defect is None on success or
@@ -436,13 +421,11 @@ def joint_eigenspaces(mats, n, m):
                 columns[j][i] = x
         refined = []
         for weights, basis in current:
-            # restriction of `mat` to span(basis): solve in the basis
-            solver = SpanSolver(m)
-            for v in basis:
-                solver.add(v)
+            # restriction of `mat` to span(basis), read at its unit columns
+            units = [max(v) for v in basis]
             restricted = [{} for _ in basis]
             for j, v in enumerate(basis):
-                coords = solver.coords(mat_vec(columns, v, m))
+                coords = unit_coords(basis, units, mat_vec(columns, v, m), m)
                 if coords is None:
                     return [], op_index
                 for i, x in coords.items():

@@ -13,9 +13,9 @@ automorphism.
 
 from __future__ import annotations
 
-from .scalars import (LaurentElt, _add_pair, add_into, as_scalar,
-                      laurent_coords, pair_mul, pair_terms, render_flat,
-                      table_products)
+from .linalg import unit_coords
+from .scalars import (LaurentElt, add_into, add_products, as_scalar,
+                      laurent_coords, pair_terms, render_flat, table_products)
 
 
 class LoopElt:
@@ -142,17 +142,11 @@ class TwistedContext:
 
     def __init__(self, auto):
         from .rootsys import sigma_eigenspaces
-        from . import linalg
         self.auto = auto
         self.alg = auto.alg
         self.m = auto.m
         self.eigenspaces = sigma_eigenspaces(auto)
-        self.slice_solvers = []
-        for basis in self.eigenspaces:
-            solver = linalg.SpanSolver(self.m)
-            for v in basis:
-                solver.add(v)
-            self.slice_solvers.append(solver)
+        self.units = [[max(v) for v in basis] for basis in self.eigenspaces]
 
     def slice_basis(self, degree):
         return self.eigenspaces[degree % self.m]
@@ -164,7 +158,8 @@ class TwistedContext:
         Returns None when the vector leaves the twisted slice (meaning the
         input was not an element of the twisted algebra).
         """
-        return self.slice_solvers[degree % self.m].coords(pairs)
+        i = degree % self.m
+        return unit_coords(self.eigenspaces[i], self.units[i], pairs, self.m)
 
 
 class Window:
@@ -246,6 +241,5 @@ class Window:
         {slot: pair}, summed on pairs from the basis forms."""
         terms = {}
         for i, coef in vec.items():
-            for key, c in self.flats[i][0].items():
-                _add_pair(terms, key, *pair_mul(coef, c))
+            add_products(terms, coef, self.flats[i][0])
         return terms, vec.get(self.c_slot), vec.get(self.d_slot)

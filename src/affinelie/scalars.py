@@ -15,8 +15,8 @@ a + b*zeta as a tuple (a, b) of such parts, multiplied by `pair_mul`, the
 one product rule (`CycScalar.__mul__` calls it; the triple loop of
 `cli.suite_jacobi` inlines it and `_add_pair`), and `render_flat` writes
 every element's text from its flat form.  Sparse maps never store a zero:
-`add_into` accumulates every map of scalar objects, `_add_pair` every map
-of pairs.
+`add_into` accumulates every map of scalar objects, `add_products` every
+multiple of a map of pairs (the rows of `linalg` too), `_add_pair` one pair.
 """
 
 from __future__ import annotations
@@ -248,12 +248,24 @@ def _add_pair(acc, key, a, b):
 
 def add_products(acc, coef, terms, graded=0):
     """acc[key] += coef * value over the items of the map `terms`, each
-    also times graded * key[1] (+-its degree) when `graded` is +-1."""
+    also times graded * key[1] (+-its degree) when `graded` is +-1; returns
+    acc.  The one row update: integral parts are stored as ints."""
     for key, value in terms.items():
         a, b = pair_mul(coef, value)
         if graded:
             a, b = a * graded * key[1], b * graded * key[1]
-        _add_pair(acc, key, a, b)
+        x = acc.get(key)
+        if x is not None:
+            a, b = a + x[0], b + x[1]
+        if a or b:
+            if type(a) is not int and a.denominator == 1:
+                a = a.numerator
+            if type(b) is not int and b.denominator == 1:
+                b = b.numerator
+            acc[key] = (a, b)
+        elif x is not None:
+            del acc[key]
+    return acc
 
 
 def table_products(table, xs, ys):

@@ -6,7 +6,7 @@ polynomials given as lists of pairs, lowest degree first.
 """
 
 from affinelie import linalg
-from affinelie.scalars import pair_mul
+from affinelie.scalars import add_products, pair_mul
 
 ZERO, ONE = linalg.ZERO, linalg.ONE
 
@@ -20,7 +20,7 @@ def mat_mul(a, b, m):
     for row in a:
         acc = {}
         for k, x in row.items():
-            linalg._add_multiple(acc, x, b[k])
+            add_products(acc, x, b[k])
         out.append(acc)
     return out
 
@@ -70,7 +70,7 @@ def jordan_split(mat, m):
     nmat = []
     for row, srow in zip(mat, s):
         row = dict(row)
-        linalg._subtract(row, ONE, srow)
+        add_products(row, (-1, 0), srow)
         nmat.append(row)
     return s, nmat
 

@@ -39,14 +39,22 @@ def a1_session(suite, *extra):
 
 
 class Doubling(AutoGen):
-    """x -> 2x on the loop part: no automorphism, since [2x, 2y] = 4[x, y]."""
+    """x -> 2x on the loop part: no automorphism, since [2x, 2y] = 4[x, y].
+    Its inverse scales the loop part by k = 1/2."""
+
+    def __init__(self, k=2):
+        self.k = k
 
     def act(self, alg, m, f, loop=False):
         terms, c, d = f
-        return {key: (2 * a, 2 * b) for key, (a, b) in terms.items()}, c, d
+        return {key: pair_exact((self.k * a, self.k * b))
+                for key, (a, b) in terms.items()}, c, d
+
+    def inverse(self):
+        return type(self)(Fraction(1, self.k))
 
     def render(self):
-        return "double"
+        return "double" if self.k == 2 else f"scale({self.k})"
 
 
 class LoopOnlyDoubling(Doubling):
@@ -159,10 +167,10 @@ def test_exact_sequence_kernel_recovery_failure(monkeypatch):
     assert report == {
         "checked": 5,
         "failures": [
-            {"part": "kernel-recovery", "inputs": ["a=1"],
-             "lhs": "2", "rhs": "1"},
-            {"part": "kernel-recovery", "inputs": ["a=-3"],
-             "lhs": "-6", "rhs": "-3"},
+            {"part": "kernel-recovery", "generator": "double",
+             "inputs": ["a=1"], "lhs": "2", "rhs": "1"},
+            {"part": "kernel-recovery", "generator": "double",
+             "inputs": ["a=-3"], "lhs": "-6", "rhs": "-3"},
         ],
     }
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinelie import linalg
-from affinelie.scalars import pair_mul
+from affinelie.rootsys import sigma_eigenspaces
+from affinelie.scalars import add_products, pair_mul
 
 from conftest import Z3
 from pair_linalg import (global_eigenspaces, identity, invert, jordan_split,
@@ -114,8 +115,8 @@ class TestKernelSolve:
         sol = linalg.SpanSolver(3)
         sol.add({0: (2, 0), 1: (1, 0)})
         sol.add({0: (0, 1), 1: (0, 1), 2: (3, 3)})
-        for row, coords in sol._rows.values():
-            for a, b in [*row.values(), *coords.values()]:
+        for row in sol._rows.values():
+            for a, b in row.values():
                 assert all(type(x) is int or x.denominator > 1 for x in (a, b))
 
 
@@ -746,3 +747,76 @@ class TestJordanSplit:
         mat = rmat([[0, -1], [1, 0]])
         with pytest.raises(ValueError):
             jordan_split(mat, 1)
+
+
+def assert_unit_columns(basis, m, coefs):
+    """Each vector of `basis` is 1 at its largest key, a key of no other
+    vector, and `unit_coords` reads sum coefs[k] basis[k] back as coefs."""
+    units = [max(v) for v in basis]
+    for k, (v, u) in enumerate(zip(basis, units)):
+        assert v[u] == ONE
+        assert not any(u in w for i, w in enumerate(basis) if i != k)
+    vec = {}
+    for c, v in zip(coefs, basis):
+        add_products(vec, c, v)
+    assert linalg.unit_coords(basis, units, vec, m) == {
+        k: c for k, c in enumerate(coefs) if c != ZERO}
+    return units
+
+
+@st.composite
+def coefficients(draw, m, basis):
+    return draw(st.lists(st.builds(elt, st.just(m), st.integers(-3, 3),
+                                   st.integers(-3, 3)),
+                         min_size=len(basis), max_size=len(basis)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+class TestUnitColumns:
+    """The bases `linalg.unit_coords` reads have unit columns: those of
+    `kernel_basis`, each weight of `eigenspaces`, each space of
+    `joint_eigenspaces` and each slice of `sigma_eigenspaces`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_kernel_basis(self, m, data):
+        ncols = data.draw(st.integers(1, 7))
+        mat = [pairs(r) for r in data.draw(
+            sparse_matrix(m, data.draw(st.integers(1, 6)), ncols))]
+        basis = linalg.kernel_basis(mat, ncols, m)
+        units = assert_unit_columns(basis, m,
+                                    data.draw(coefficients(m, basis)))
+        # a probe is in the span exactly when mat sends it to zero
+        probe = pairs(data.draw(sparse_matrix(m, 1, ncols))[0])
+        got = linalg.unit_coords(basis, units, probe, m)
+        if linalg.mat_vec(columns(mat, ncols), probe, m):
+            assert got is None
+        else:
+            assert linalg.mat_vec(basis, got, m) == probe
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_eigenspaces(self, m, data):
+        mat, n = data.draw(eigen_problem(m))
+        for _, basis in linalg.eigenspaces(mat, n, m)[0]:
+            assert_unit_columns(basis, m, data.draw(coefficients(m, basis)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_joint_eigenspaces(self, m, data):
+        mats = data.draw(commuting_family(m))
+        spaces, _ = linalg.joint_eigenspaces(mats, len(mats[0]), m)
+        for _, basis in spaces:
+            assert_unit_columns(basis, m, data.draw(coefficients(m, basis)))
+
+    def test_sigma_eigenspaces(self, m, request):
+        auto = request.getfixturevalue(
+            {1: "a2_id", 2: "a2_flip", 3: "d4_triality"}[m])
+        slices = sigma_eigenspaces(auto)
+        for i, basis in enumerate(slices):
+            units = assert_unit_columns(basis, m, [elt(m, k % 5 - 2, k % 3)
+                                                   for k in range(len(basis))])
+            # the slices are independent: no vector of another is in this one
+            for other in slices[:i] + slices[i + 1:]:
+                for v in other:
+                    assert linalg.unit_coords(basis, units, v, m) is None

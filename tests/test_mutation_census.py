@@ -26,8 +26,8 @@ def test_census_names_the_failing_family_and_the_unfailed_checks():
     caught = report["mutants"]["v-shift does nothing"]["caught"]
     assert [c["families"] for c in caught] == [["exactseq:kernel-recovery"]] * 2
     assert report["escaped"] == []
-    # loop samples have no d-part, so the core-fixing checks of part (iii)
-    # are reached and never fail
+    # the mutant moves only d, and loop samples have no d-part, so under it
+    # alone the core-fixing checks of part (iii) are reached and never fail
     assert any(site.startswith("autos.verify_exact_sequence:")
                for site in report["never_failed"])
 
@@ -99,3 +99,23 @@ def test_rspan_series_count_catches_split_series():
     assert len(failed) == 1
     assert failed[0].startswith("spectral.rspan_isomorphism_check:")
     assert failed[0] not in report["never_failed"]
+
+
+def test_exactseq_core_fixing_catches_first_order_nilexp():
+    """Part (iii) of `verify exactseq` checks that v_auto(a) . g . g^-1
+    fixes each loop sample, with g the root exponential for a = 0.  Cut
+    after its linear term, exp(ad z) is no longer undone by exp(-ad z):
+    the core-fixing check fails on both algebras (and no other check of
+    theirs does), so that check site leaves the census's `never_failed`
+    list."""
+    name = "nilexp to first order only"
+    runs = [argv for argv in FAST if argv[1] == "exactseq"]
+    report = census(runs, [name])
+    caught = report["mutants"][name]["caught"]
+    assert [c["run"].split()[3] for c in caught] == [
+        "algebras/a1.alg", "algebras/a2_twisted.alg"]
+    for c in caught:
+        assert c["families"] == ["exactseq:kernel-recovery"]
+        assert len(c["checks"]) == 1
+        assert c["checks"][0].startswith("autos.verify_exact_sequence:")
+        assert c["checks"][0] not in report["never_failed"]
