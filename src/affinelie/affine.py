@@ -167,7 +167,7 @@ def window_gram_rank(window):
     def block_rank(rows, cols):
         return linalg.rank([{j: f for j, v in enumerate(cols)
                              if (f := flat_pairing(alg, u, v))[0] or f[1]}
-                            for u in rows], window.m)
+                            for u in rows])
 
     total = block_rank(blocks[None], blocks[None])
     for j, rows in blocks.items():
@@ -186,7 +186,7 @@ def core_and_derived(auto, lo, hi, context=None):
     window = Window(auto, lo, hi, context=context)
     flats, alg, m = window.flats, auto.alg, auto.m
     loop = [(i, j) for i, (kind, j, _) in enumerate(window.meta) if kind == "loop"]
-    solver = linalg.SpanSolver(m)
+    solver = linalg.SpanSolver()
     produced, produced_vecs = [], []
     for a, da in loop:
         for b, db in loop:
@@ -200,7 +200,7 @@ def core_and_derived(auto, lo, hi, context=None):
                 produced.append(unflat(alg, m, w))
                 produced_vecs.append(vec)
     # expected span: every windowed loop vector and c, never d
-    expected = linalg.SpanSolver(m)
+    expected = linalg.SpanSolver()
     expected_vecs = [window.to_vector(flats[i])
                      for i in [i for i, _ in loop] + [window.c_slot]]
     for vec in expected_vecs:

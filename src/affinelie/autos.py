@@ -37,9 +37,10 @@ class AutoGen:
     """Base class for one named generator.  Its one action `act` maps a flat
     form (`affine.flat`) to a flat form: the loop action when `loop`, else
     the lift, one for tilde and hat level.  Its parameters are pairs and
-    maps of pairs; `AutoWord.apply` acts on elements."""
+    maps of pairs, and a generator that reads the algebra holds it;
+    `AutoWord.apply` acts on elements."""
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         raise NotImplementedError
 
     def inverse(self):
@@ -76,12 +77,12 @@ class NilExp(AutoGen):
             raise ValueError("exponential input must avoid the Cartan part")
         self.alg, self.m, self.z = alg, m, z
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         """sum (ad z)^n f / n! up to the last nonzero power N, summed with
         weights N!/n! (c-parts under the key "c") and divided by N! once."""
         z, series = (self.z, None, None), [f]
-        while (t := _bracket(alg, z, series[-1], loop))[0] or t[1]:
-            if len(series) > 2 * alg.dim + 1:
+        while (t := _bracket(self.alg, z, series[-1], loop))[0] or t[1]:
+            if len(series) > 2 * self.alg.dim + 1:
                 raise ValueError("exponential series did not terminate")
             series.append(t)
         top, acc = math.factorial(len(series) - 1), {}
@@ -128,7 +129,7 @@ class Diagram(AutoGen):
     def __init__(self, auto):
         self.auto = auto
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         terms, c, d = f
         out = {}
         for (i, p), (a, b) in terms.items():
@@ -158,7 +159,7 @@ class Cochar(AutoGen):
         self.phi = tuple(int(v) for v in phi)
         if len(self.phi) != alg.rank:
             raise ValueError("phi must assign an integer to each simple root")
-        self._x_phi = {}  # order m -> X_phi, solved and checked once
+        self._x_phi = None  # X_phi, solved and checked once
 
     def value(self, root):
         return sum(c * v for c, v in zip(root, self.phi))
@@ -173,17 +174,17 @@ class Cochar(AutoGen):
                 a, b = a + v[0] * k, b + v[1] * k
         return a, b
 
-    def x_phi(self, m):
+    def x_phi(self):
         """The Cartan element with [X_phi, X_alpha] = phi(alpha) X_alpha, as
-        degree-0 terms {(index, 0): pair}."""
-        if m in self._x_phi:
-            return self._x_phi[m]
+        degree-0 terms {(index, 0): pair}; rational, so one for every m."""
+        if self._x_phi is not None:
+            return self._x_phi
         n = self.alg.rank
         cartan = self.alg.datum.cartan
         mat = [{j: (a, 0) for j, a in enumerate(cartan[i]) if a}
                for i in range(n)]
         rhs = {i: (v, 0) for i, v in enumerate(self.phi) if v}
-        sol = linalg.solve(mat, rhs, m)
+        sol = linalg.solve(mat, rhs)
         if sol is None:
             raise ValueError("no Cartan solution for phi")
         x = {(i, 0): v for i, v in sol.items()}
@@ -192,12 +193,12 @@ class Cochar(AutoGen):
             if (table_products(self.alg.table, x, {(idx, 0): (1, 0)})
                     != ({(idx, 0): (v, 0)} if v else {})):
                 raise ValueError("no Cartan solution for phi")
-        self._x_phi[m] = x
+        self._x_phi = x
         return x
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         terms, c, d = f
-        rank, roots = alg.rank, alg.root_of_index
+        rank, roots = self.alg.rank, self.alg.root_of_index
         out = {(i, p if i < rank else p + self.value(roots[i])): v
                for (i, p), v in terms.items()}
         if loop:
@@ -206,19 +207,21 @@ class Cochar(AutoGen):
         if c:
             a, b = a + c[0], b + c[1]
         if d:
-            x_phi = self.x_phi(m)
-            add_products(out, (-d[0], -d[1]), x_phi)
+            add_products(out, (-d[0], -d[1]), self.x_phi())
         return out, pair_exact((a, b)) if a or b else None, d
 
     def inverse(self):
-        return Cochar(self.alg, tuple(-v for v in self.phi))
+        inv = Cochar(self.alg, tuple(-v for v in self.phi))
+        if self._x_phi is not None:  # the system is linear: X_-phi = -X_phi
+            inv._x_phi = {key: (-a, -b) for key, (a, b) in self._x_phi.items()}
+        return inv
 
     def inverse_gens(self, level):
         if level != "hat":
             return (self.inverse(),)
         # hat lifts of phi and -phi compose to d -> d + a*c with a the
         # central correction of X_phi; compensate exactly.
-        a, _ = self._central_correction(self.x_phi(1))
+        a, _ = self._central_correction(self.x_phi())
         return (VShift(pair_exact((-a, 0))), self.inverse())
 
     def render(self):
@@ -249,9 +252,9 @@ class TorusK(AutoGen):
             self._eigens[root] = pair_exact(value)
         return self._eigens[root]
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         terms, c, d = f
-        rank, roots = alg.rank, alg.root_of_index
+        rank, roots = self.alg.rank, self.alg.root_of_index
         return {(i, p): v if i < rank
                 else pair_exact(pair_mul(v, self._eigen(roots[i])))
                 for (i, p), v in terms.items()}, c, d
@@ -283,7 +286,7 @@ class Ring(AutoGen):
     def _power(self, p):
         return self._powers.get(p) or self._powers.setdefault(p, pair_pow(self.a, p))
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         terms, c, d = f
         out = {(i, self.e * p): pair_exact(pair_mul(v, self._power(p)))
                for (i, p), v in terms.items()}
@@ -308,7 +311,7 @@ class VShift(AutoGen):
     def __init__(self, a):
         self.a = a
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         terms, c, d = f
         if not d:
             return f
@@ -335,11 +338,11 @@ class AutoWord:
         self.level = level
         self.gens = tuple(gens)
 
-    def act(self, alg, m, f):
+    def act(self, f):
         """The word on a flat form, each generator's `act` at this level."""
         loop = self.level == "loop"
         for gen in reversed(self.gens):
-            f = gen.act(alg, m, f, loop)
+            f = gen.act(f, loop)
         return f
 
     def apply(self, x):
@@ -350,7 +353,7 @@ class AutoWord:
             raise TypeError("tilde/hat-level words act on AffineElt")
         elif self.level == "tilde" and x.d:
             raise ValueError("tilde-level words act on elements with zero d-part")
-        out = unflat(x.alg, x.m, self.act(x.alg, x.m, flat(x)))
+        out = unflat(x.alg, x.m, self.act(flat(x)))
         return out.loop if self.level == "loop" else out
 
     def inverse(self):
@@ -402,8 +405,8 @@ def verify_automorphism(alg, m, word, sampler, samples):
     loop = word.level == "loop"
     for _ in range(samples):
         fx, fy = sampler(), sampler()
-        lhs = word.act(alg, m, _bracket(alg, fx, fy, loop))
-        rhs = _bracket(alg, word.act(alg, m, fx), word.act(alg, m, fy), loop)
+        lhs = word.act(_bracket(alg, fx, fy, loop))
+        rhs = _bracket(alg, word.act(fx), word.act(fy), loop)
         if not rep.check(lhs == rhs):
             x, y, lhs, rhs = (render_flat(alg.labels, m, f)
                               for f in (fx, fy, lhs, rhs))
@@ -430,9 +433,9 @@ def verify_exact_sequence(alg, m, generators, loop_sampler, samples):
                  ("kernel", hat_word.then(v_auto((5, 0)))))
         for _ in range(samples):
             f = loop_sampler()
-            direct = loop_word.act(alg, m, f)[0]
+            direct = loop_word.act(f)[0]
             for part, word in words:
-                lifted = word.act(alg, m, f)[0]
+                lifted = word.act(f)[0]
                 if not rep.check(lifted == direct):
                     x, lhs, rhs = (render_flat(alg.labels, m, (t, None, None))
                                    for t in (f[0], lifted, direct))
@@ -445,8 +448,8 @@ def verify_exact_sequence(alg, m, generators, loop_sampler, samples):
         moved = False
         for _ in range(samples):
             f = loop_sampler()
-            moved |= not rep.check(w.act(alg, m, f) == f)
-        terms, c, d = w.act(alg, m, ({}, None, (1, 0)))
+            moved |= not rep.check(w.act(f) == f)
+        terms, c, d = w.act(({}, None, (1, 0)))
         if moved or terms or d != (1, 0) or (c or (0, 0)) != (a, 0):
             rep.fail([f"a={a}"], render_pair(c or (0, 0)), str(a),
                      part="kernel-recovery", generator=gen.render())

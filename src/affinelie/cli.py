@@ -46,8 +46,8 @@ class Session:
     """Loaded algebra context shared by all commands, with the one degree
     window [lo, hi] of the run."""
 
-    def __init__(self, alg, auto, window, seed, samples):
-        self.alg = alg
+    def __init__(self, auto, window, seed, samples):
+        self.alg = auto.alg
         self.auto = auto
         self.m = auto.m
         self.ctx = TwistedContext(auto)
@@ -231,7 +231,7 @@ def suite_lifts(session):
     word = tilde_lift(AutoWord("loop", (co,)))
     for i in range(alg.rank):
         h = ({(i, 0): (1, 0)}, None, None)
-        img = word.act(alg, m, h)
+        img = word.act(h)
         expected = (phi[i] * alg.simple_pairing(i), 0)
         if not rep.check((img[1] or (0, 0)) == expected and img[0] == h[0]):
             text = render_flat(alg.labels, m, h)
@@ -239,8 +239,8 @@ def suite_lifts(session):
                      f"{text} + {render_pair(expected)}*c",
                      part="cochar-correction")
     # hat lift: d -> d - X_phi with [X_phi, X_alpha] = phi(alpha) X_alpha
-    img = hat_lift(word).act(alg, m, ({}, None, (1, 0)))
-    xphi = co.x_phi(m)
+    img = hat_lift(word).act(({}, None, (1, 0)))
+    xphi = co.x_phi()
     minus = {key: (-a, -b) for key, (a, b) in xphi.items()}
     if not rep.check(img == (minus, None, (1, 0))):
         text = render_sum((v, alg.labels[i])
@@ -389,7 +389,7 @@ def load_session(args):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read algebra file: {exc}")
-    alg, auto = parse_algebra_file(text)
+    _, auto = parse_algebra_file(text)
     if args.window:
         window = tuple(args.window)
     else:
@@ -400,7 +400,7 @@ def load_session(args):
         raise ParseError("window LO must not exceed HI")
     if args.samples < 1:
         raise ParseError("--samples must be at least 1")
-    return Session(alg, auto, window, args.seed, args.samples)
+    return Session(auto, window, args.seed, args.samples)
 
 
 def read_spec(path):

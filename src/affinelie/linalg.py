@@ -4,9 +4,9 @@ Vectors and matrix rows are sparse {index: (a, b)} dicts of pairs
 a + b*zeta, the number format of `scalars.pair_mul`, and never store a
 zero; a matrix is a list of such rows, and a square n x n matrix has n
 rows (empty ones included) over the columns 0..n-1.  Eigenvalues and
-polynomial coefficients are pairs too.  Pair arithmetic needs no m (b = 0
-unless m = 3); every public function still takes the root-of-unity order m
-last, so each call names its field.  Everything here is plain Gaussian
+polynomial coefficients are pairs too.  A pair carries its field (b = 0
+unless m = 3) and its arithmetic is the same at every order, so no
+function here takes the order m.  Everything here is plain Gaussian
 elimination over the field: no pivot-size heuristics, no floating point.
 There is one elimination, `SpanSolver`: `rref` reads its rows, and
 `rank`, `kernel_basis` and `solve` read `rref`.  Every row update, the
@@ -26,7 +26,7 @@ from .scalars import _add_pair, add_products, pair_inv, pair_mul
 ZERO, ONE = (0, 0), (1, 0)
 
 
-def shifted(mat, w, m):
+def shifted(mat, w):
     """mat - w I, for a square matrix."""
     out = []
     for i, row in enumerate(mat):
@@ -38,7 +38,7 @@ def shifted(mat, w, m):
     return out
 
 
-def mat_vec(columns, v, m):
+def mat_vec(columns, v):
     """Product of a matrix, given as its list of sparse columns, with a
     vector: the sum of v_j * columns[j] over the entries of v."""
     out = {}
@@ -47,29 +47,29 @@ def mat_vec(columns, v, m):
     return out
 
 
-def rref(mat, m):
+def rref(mat):
     """Reduced row echelon form: (its nonzero rows, pivot-column list), the
     row at position i having its leading 1 in column pivots[i].
 
     The rows are those of a `SpanSolver` fed the rows of `mat`, in pivot
     order; the form is unique, so row order and empty rows do not matter.
     """
-    solver = SpanSolver(m)
+    solver = SpanSolver()
     for row in mat:
         solver.add(row)
     pivots = sorted(solver._rows)
     return [solver._rows[p] for p in pivots], pivots
 
 
-def rank(mat, m):
-    return len(rref(mat, m)[1])
+def rank(mat):
+    return len(rref(mat)[1])
 
 
-def kernel_basis(mat, n, m):
+def kernel_basis(mat, n):
     """Basis of the right kernel of `mat` over the unknowns 0..n-1, one
     vector per free column, in column order.  That is its unit column: its
     largest key, where it is 1 and no other vector of the basis has a key."""
-    rows, pivots = rref(mat, m)
+    rows, pivots = rref(mat)
     pivot_set = set(pivots)
     basis = []
     for f in range(n):
@@ -84,19 +84,19 @@ def kernel_basis(mat, n, m):
     return basis
 
 
-def solve(mat, rhs, m):
+def solve(mat, rhs):
     """One solution of mat*x = rhs (free unknowns zero), or None if
     inconsistent.  `rhs` is a vector over the row indices."""
     col = 1 + max((j for row in mat for j in row), default=-1)
     aug = [{**row, col: rhs[i]} if i in rhs else row
            for i, row in enumerate(mat)]
-    rows, pivots = rref(aug, m)
+    rows, pivots = rref(aug)
     if col in pivots:
         return None
     return {p: row[col] for row, p in zip(rows, pivots) if col in row}
 
 
-def unit_coords(basis, units, vec, m):
+def unit_coords(basis, units, vec):
     """Coordinates {k: pair} of `vec` over `basis`, or None off its span:
     read at the unit columns units[k] = max(basis[k]) (see `kernel_basis`),
     then the residual is checked."""
@@ -115,8 +115,7 @@ class SpanSolver:
     degree) monomials.
     """
 
-    def __init__(self, m):
-        self.m = m
+    def __init__(self):
         self._rows = {}  # pivot -> reduced row
         self._added = []  # added vectors; one that enlarged nothing as {}
 
@@ -158,10 +157,10 @@ class SpanSolver:
         mat = [{j: v[key] for j, v in enumerate(self._added) if key in v}
                for key in keys]
         return solve(mat, {r: vec[key] for r, key in enumerate(keys)
-                           if key in vec}, self.m)
+                           if key in vec})
 
 
-def charpoly(mat, m):
+def charpoly(mat):
     """Characteristic polynomial det(xI - M), lowest degree first.
 
     Computed by exact similarity reduction to upper Hessenberg form and the
@@ -225,15 +224,15 @@ def _divisors(n):
     return sorted(out)
 
 
-def rational_roots(poly, m):
+def rational_roots(poly):
     """All rational roots (as pairs) with multiplicities.  With zeta parts,
     a + b*zeta vanishes at a rational x only where a and b both do."""
     if any(b for _, b in poly):
         rat, zeta = ([(x[k], 0) for x in poly] for k in (0, 1))
         if not any(a for a, _ in rat):
-            return rational_roots(zeta, m)
-        both = dict(rational_roots(zeta, m))
-        return [(r, min(k, both[r])) for r, k in rational_roots(rat, m)
+            return rational_roots(zeta)
+        both = dict(rational_roots(zeta))
+        return [(r, min(k, both[r])) for r, k in rational_roots(rat)
                 if r in both]
     coeffs = [a for a, _ in poly]
     while coeffs and coeffs[-1] == 0:
@@ -310,7 +309,7 @@ def _blocks(mat, n):
     return list(blocks.values())
 
 
-def rational_eigenvalues(mat, m):
+def rational_eigenvalues(mat):
     """Distinct rational roots of the characteristic polynomial of a square
     matrix, zero first and then ascending, as `rational_roots` lists them.
 
@@ -324,13 +323,13 @@ def rational_eigenvalues(mat, m):
     for block in _blocks(mat, len(mat)):
         index = {i: k for k, i in enumerate(block)}
         sub = [{index[j]: x for j, x in mat[i].items()} for i in block]
-        for root, _ in rational_roots(charpoly(sub, m), m):
+        for root, _ in rational_roots(charpoly(sub)):
             if root not in found:
                 found.append(root)
     return sorted(found, key=lambda w: (w[0] != 0, w[0]))
 
 
-def eigenspaces(mat, n, m):
+def eigenspaces(mat, n):
     """Exact eigenspaces of the square block of `mat`, the one place where
     candidate eigenvalues are tried.
 
@@ -374,7 +373,7 @@ def eigenspaces(mat, n, m):
                     return
                 if w not in seen:
                     seen.add(w)
-                    for v in kernel_basis(shifted(square, w, m) + rest, size, m):
+                    for v in kernel_basis(shifted(square, w) + rest, size):
                         found.setdefault(w, []).append(
                             {block[k]: x for k, x in v.items()})
                         short -= 1
@@ -382,14 +381,14 @@ def eigenspaces(mat, n, m):
         sweep([row.get(k, ZERO) for k, row in enumerate(square)])
         sweep(order)
         if short:
-            sweep(rational_eigenvalues(square, m))
+            sweep(rational_eigenvalues(square))
     spaces = sorted(found.items(), key=lambda item: (0, order[item[0]])
                     if item[0] in order else (1, item[0][0] != 0, item[0][0]))
     return ([(w, sorted(basis, key=max)) for w, basis in spaces],
             sum(len(basis) for _, basis in spaces) == n)
 
 
-def joint_eigenspaces(mats, n, m):
+def joint_eigenspaces(mats, n):
     """Simultaneous eigenspace refinement for a commuting family.
 
     Each matrix has the row layout of `eigenspaces`: a square block over
@@ -410,7 +409,7 @@ def joint_eigenspaces(mats, n, m):
     the index of the first operator whose restriction fails to
     diagonalize over the implemented field.
     """
-    spaces, complete = eigenspaces(mats[0], n, m)
+    spaces, complete = eigenspaces(mats[0], n)
     if not complete:
         return [], 0
     current = [([w], basis) for w, basis in spaces]
@@ -425,16 +424,16 @@ def joint_eigenspaces(mats, n, m):
             units = [max(v) for v in basis]
             restricted = [{} for _ in basis]
             for j, v in enumerate(basis):
-                coords = unit_coords(basis, units, mat_vec(columns, v, m), m)
+                coords = unit_coords(basis, units, mat_vec(columns, v))
                 if coords is None:
                     return [], op_index
                 for i, x in coords.items():
                     restricted[i][j] = x
-            spaces, complete = eigenspaces(restricted, len(basis), m)
+            spaces, complete = eigenspaces(restricted, len(basis))
             if not complete:
                 return [], op_index
             for w, sub in spaces:
                 refined.append((weights + [w],
-                                [mat_vec(basis, coeffs, m) for coeffs in sub]))
+                                [mat_vec(basis, coeffs) for coeffs in sub]))
         current = refined
     return [(tuple(w), basis) for w, basis in current], None

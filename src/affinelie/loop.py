@@ -159,7 +159,7 @@ class TwistedContext:
         input was not an element of the twisted algebra).
         """
         i = degree % self.m
-        return unit_coords(self.eigenspaces[i], self.units[i], pairs, self.m)
+        return unit_coords(self.eigenspaces[i], self.units[i], pairs)
 
 
 class Window:

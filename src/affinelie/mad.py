@@ -34,12 +34,8 @@ class SubalgebraSpec:
                     )
         self.generators = generators
 
-    @property
-    def m(self):
-        return self.generators[0].m
-
     def span_solver(self, window):
-        solver = linalg.SpanSolver(self.m)
+        solver = linalg.SpanSolver()
         for g in self.generators:
             vec = window.to_vector(flat(g))
             if vec is None:
@@ -74,7 +70,7 @@ def is_diagonalizable(spec, window):
     if not ops[0].interior:
         raise ValueError("window too small: empty joint interior")
     spaces, defect = linalg.joint_eigenspaces(
-        [op.rows() for op in ops], len(ops[0].interior), window.m)
+        [op.rows() for op in ops], len(ops[0].interior))
     if defect is not None:
         return False, {"defective_generator": spec.generators[defect].render()}
     eigen = []
@@ -152,8 +148,7 @@ def centralizer(loop_generators, window):
     stacked = [row for op in ops for row in op.rows()]
     return [unflat(window.alg, window.m,
                    AdOperator.joint_lift(ops, coeffs, [(0, 0)] * len(ops))).loop
-            for coeffs in linalg.kernel_basis(stacked, len(ops[0].interior),
-                                              window.m)]
+            for coeffs in linalg.kernel_basis(stacked, len(ops[0].interior))]
 
 
 def conjugacy_verify(word, spec, window, reference, span):
@@ -167,7 +162,7 @@ def conjugacy_verify(word, spec, window, reference, span):
         raise ValueError("conjugacy certificates use hat-level words")
     images = [word.apply(g) for g in spec.generators]
     rep = Report()
-    img_solver = linalg.SpanSolver(window.m)
+    img_solver = linalg.SpanSolver()
     for g, img in zip(spec.generators, images):
         vec = window.to_vector(flat(img))
         if not rep.check(vec is not None):

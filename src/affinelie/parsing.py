@@ -462,7 +462,7 @@ def _table_algebra(rank, fields, roots, brackets):
     gram = [{} for _ in range(alg.dim)]
     for (i, j), c in alg.killing_table.items():
         gram[i][j] = (c, 0)
-    if linalg.rank(gram, 1) < alg.dim:
+    if linalg.rank(gram) < alg.dim:
         raise ParseError("table has a degenerate Killing form")
     verify_grading(alg, where)
     _verify_table(alg)

@@ -316,8 +316,8 @@ def sigma_eigenspaces(auto):
     alg = auto.alg
     m = auto.m
     mat = auto.matrix()
-    spaces = [linalg.kernel_basis(linalg.shifted(mat, pair_pow(ZETA[m], i), m),
-                                  alg.dim, m) for i in range(m)]
+    spaces = [linalg.kernel_basis(linalg.shifted(mat, pair_pow(ZETA[m], i)),
+                                  alg.dim) for i in range(m)]
     if sum(len(b) for b in spaces) != alg.dim:
         raise ValueError("eigenspace dimensions do not sum to dim g")
     return spaces
@@ -332,7 +332,6 @@ def cartan_of_fixed(auto):
     abelian and self-centralizing.
     """
     alg = auto.alg
-    m = auto.m
     seen = set()
     h0 = []
     for i in range(alg.rank):
@@ -345,15 +344,15 @@ def cartan_of_fixed(auto):
             j = auto.perm[j]
         seen.update(orbit)
         h0.append({k: (1, 0) for k in orbit})
-    h = centralizer_in_g(alg, m, h0)
+    h = centralizer_in_g(alg, h0)
     _assert_abelian(alg, h)
     # h is abelian, so h lies in C_g(h): equal kernel dimensions make them equal
-    if len(centralizer_in_g(alg, m, h)) != len(h):
+    if len(centralizer_in_g(alg, h)) != len(h):
         raise ValueError("centralizer of h_0 is not self-centralizing")
     return h0, h
 
 
-def centralizer_in_g(alg, m, elements):
+def centralizer_in_g(alg, elements):
     """Exact solution of [t, x] = 0 for all t in `elements`: row k of ad t
     holds t_i * N_ij^k at column j, read from the table rows."""
     stacked = []
@@ -364,7 +363,7 @@ def centralizer_in_g(alg, m, elements):
                 for k, n in row.items():
                     _add_pair(rows[k], j, x[0] * n, x[1] * n)
         stacked.extend(rows)
-    return linalg.kernel_basis(stacked, alg.dim, m)
+    return linalg.kernel_basis(stacked, alg.dim)
 
 
 def _assert_abelian(alg, elements):

@@ -164,7 +164,7 @@ class WeightDecomp:
         if sp is None:
             return []
         if sp.loop is None:
-            solver = linalg.SpanSolver(self.window.m)
+            solver = linalg.SpanSolver()
             # independent loop projections only
             keep = [terms for terms, _, d in sp.vectors
                     if not d and terms and solver.add(terms)]
@@ -224,7 +224,7 @@ def weight_decompose(x, window):
     interior = op.interior
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
-    solved, complete = linalg.eigenspaces(op.rows(), len(interior), window.m)
+    solved, complete = linalg.eigenspaces(op.rows(), len(interior))
     spaces = [WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis])
               for w, basis in solved]
     spaces.sort(key=lambda sp: sp.w)

@@ -71,14 +71,14 @@ def everywhere(owner, name, replacement):
 
 @mutant("v-shift does nothing")
 def _():
-    return [(VShift, "act", lambda self, alg, m, f, loop=False: f)]
+    return [(VShift, "act", lambda self, f, loop=False: f)]
 
 
 @mutant("v-shift applied twice")
 def _():
     real = VShift.act
-    return [(VShift, "act", lambda self, alg, m, f, loop=False:
-             real(self, alg, m, real(self, alg, m, f, loop), loop))]
+    return [(VShift, "act", lambda self, f, loop=False:
+             real(self, real(self, f, loop), loop))]
 
 
 @mutant("cochar without central correction")
@@ -90,8 +90,8 @@ def _():
 def _():
     real = Cochar.act
 
-    def act(self, alg, m, f, loop=False):
-        terms, c, _ = real(self, alg, m, (f[0], f[1], None), loop)
+    def act(self, f, loop=False):
+        terms, c, _ = real(self, (f[0], f[1], None), loop)
         return terms, c, f[2]
     return [(Cochar, "act", act)]
 
@@ -100,12 +100,13 @@ def _():
 def _():
     real = Cochar.act
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         """The loop action as it is; the lift moves the terms of the first
         root index one degree further."""
-        terms, c, d = real(self, alg, m, f, loop)
+        terms, c, d = real(self, f, loop)
         if not loop:
-            terms = {(i, p + (i == alg.rank)): v for (i, p), v in terms.items()}
+            rank = self.alg.rank
+            terms = {(i, p + (i == rank)): v for (i, p), v in terms.items()}
         return terms, c, d
     return [(Cochar, "act", act)]
 
@@ -114,14 +115,14 @@ def _():
 def _():
     real = Ring.act
 
-    def act(self, alg, m, f, loop=False):
-        return real(self, alg, m, f, loop)[0], f[1], f[2]
+    def act(self, f, loop=False):
+        return real(self, f, loop)[0], f[1], f[2]
     return [(Ring, "act", act)]
 
 
 @mutant("diagram without signs")
 def _():
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         terms, c, d = f
         return {(self.auto.index_image(i)[0], p): v
                 for (i, p), v in terms.items()}, c, d
@@ -208,9 +209,9 @@ def _():
 
 @mutant("nilexp to first order only")
 def _():
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         """f + [z, f]: the series cut after its linear term."""
-        t = autos._bracket(alg, (self.z, None, None), f, loop)
+        t = autos._bracket(self.alg, (self.z, None, None), f, loop)
         acc = {}
         for terms, c, _ in (f, t):
             add_products(acc, (1, 0), {**terms, "c": c} if c else terms)

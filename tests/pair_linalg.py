@@ -11,11 +11,11 @@ from affinelie.scalars import add_products, pair_mul
 ZERO, ONE = linalg.ZERO, linalg.ONE
 
 
-def identity(n, m):
+def identity(n):
     return [{i: ONE} for i in range(n)]
 
 
-def mat_mul(a, b, m):
+def mat_mul(a, b):
     out = []
     for row in a:
         acc = {}
@@ -25,25 +25,25 @@ def mat_mul(a, b, m):
     return out
 
 
-def invert(mat, m):
+def invert(mat):
     n = len(mat)
     aug = [{**row, n + i: ONE} for i, row in enumerate(mat)]
-    rows, pivots = linalg.rref(aug, m)
+    rows, pivots = linalg.rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [{j - n: x for j, x in row.items() if j >= n} for row in rows]
 
 
-def generalized_eigenspace(mat, w, mult, m):
+def generalized_eigenspace(mat, w, mult):
     n = len(mat)
-    step = linalg.shifted(mat, w, m)
-    power = identity(n, m)
+    step = linalg.shifted(mat, w)
+    power = identity(n)
     for _ in range(mult):
-        power = mat_mul(step, power, m)
-    return linalg.kernel_basis(power, n, m)
+        power = mat_mul(step, power)
+    return linalg.kernel_basis(power, n)
 
 
-def jordan_split(mat, m):
+def jordan_split(mat):
     """Exact Jordan-Chevalley split M = S + N over Q(zeta_m).
 
     Finds eigenvalues via the characteristic polynomial, builds
@@ -52,21 +52,21 @@ def jordan_split(mat, m):
     over the implemented field.
     """
     n = len(mat)
-    found = dict(linalg.rational_roots(linalg.charpoly(mat, m), m))
+    found = dict(linalg.rational_roots(linalg.charpoly(mat)))
     if sum(found.values()) != n:
         raise ValueError("characteristic polynomial does not split over Q(zeta_m)")
     # change of basis: the columns of P are the generalized eigenvectors
     p = [{} for _ in range(n)]
     d = []
     for w, mult in found.items():
-        basis = generalized_eigenspace(mat, w, mult, m)
+        basis = generalized_eigenspace(mat, w, mult)
         if len(basis) != mult:
             raise ValueError("generalized eigenspace dimension mismatch")
         for v in basis:
             for i, x in v.items():
                 p[i][len(d)] = x
             d.append({len(d): w} if w != ZERO else {})
-    s = mat_mul(mat_mul(p, d, m), invert(p, m), m)
+    s = mat_mul(mat_mul(p, d), invert(p))
     nmat = []
     for row, srow in zip(mat, s):
         row = dict(row)
@@ -75,7 +75,7 @@ def jordan_split(mat, m):
     return s, nmat
 
 
-def global_eigenspaces(mat, n, m):
+def global_eigenspaces(mat, n):
     """The global candidate sweep that `linalg.eigenspaces` ran before it
     solved each connected component alone, kept as its reference: each
     candidate w costs one kernel of the whole square block minus w I
@@ -94,7 +94,7 @@ def global_eigenspaces(mat, n, m):
         if w in seen:
             return
         seen.add(w)
-        basis = linalg.kernel_basis(linalg.shifted(square, w, m) + rest, n, m)
+        basis = linalg.kernel_basis(linalg.shifted(square, w) + rest, n)
         if basis:
             spaces.append((w, basis))
             total += len(basis)
@@ -102,7 +102,7 @@ def global_eigenspaces(mat, n, m):
     for i, row in enumerate(square):
         try_candidate(row.get(i, ZERO))
     if total < n:
-        for root in linalg.rational_eigenvalues(square, m):
+        for root in linalg.rational_eigenvalues(square):
             try_candidate(root)
     return spaces, total == n
 

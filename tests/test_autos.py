@@ -207,18 +207,21 @@ class TestHatLift:
         assert img == AffineElt(expected_loop, d=1)
 
     def test_x_phi_solves_defining_equation(self, a2):
+        # the inverse, made once X_phi is solved, is handed -X_phi
         co = Cochar(a2, (2, -1))
-        xphi = co.x_phi(1)
-        for idx, root in a2.root_of_index.items():
-            v = co.value(root)
-            want = {(idx, 0): (v, 0)} if v else {}
-            assert table_products(a2.table, xphi, {(idx, 0): (1, 0)}) == want
+        co.x_phi()
+        for gen in (co, co.inverse()):
+            xphi = gen.x_phi()
+            for idx, root in a2.root_of_index.items():
+                v = gen.value(root)
+                want = {(idx, 0): (v, 0)} if v else {}
+                assert table_products(a2.table, xphi, {(idx, 0): (1, 0)}) == want
 
     def test_x_phi_unique_in_cartan(self, a2):
         # the Cartan matrix is invertible, so two solutions cannot differ
         co = Cochar(a2, (1, 1))
-        x1 = co.x_phi(1)
-        alt = Cochar(a2, (1, 1)).x_phi(1)
+        x1 = co.x_phi()
+        alt = Cochar(a2, (1, 1)).x_phi()
         assert x1 == alt
 
     def test_diagram_fixes_d(self, a2, a2_flip):
@@ -245,9 +248,9 @@ class TestGeneratorConstants:
         solves, made = [], []
         solve, init = linalg.solve, Cochar.__init__
 
-        def counted_solve(mat, rhs, m):
-            solves.append(m)
-            return solve(mat, rhs, m)
+        def counted_solve(mat, rhs):
+            solves.append(rhs)
+            return solve(mat, rhs)
 
         def counted_init(self, alg, phi):
             made.append(self)
@@ -255,10 +258,19 @@ class TestGeneratorConstants:
 
         monkeypatch.setattr(linalg, "solve", counted_solve)
         monkeypatch.setattr(Cochar, "__init__", counted_init)
-        alg_file = Path(__file__).resolve().parent.parent / "algebras" / "a2.alg"
-        assert cli.main(["verify", "lifts", "--algebra", str(alg_file)]) == 0
+        algebras = Path(__file__).resolve().parent.parent / "algebras"
+        assert cli.main(["verify", "lifts", "--algebra",
+                         str(algebras / "a2.alg")]) == 0
         capsys.readouterr()
         assert made and len(solves) == len(made)
+        # exactseq inverts the cochar: one solve serves phi and -phi
+        solves.clear()
+        made.clear()
+        assert cli.main(["verify", "exactseq", "--seed", "1", "--algebra",
+                         str(algebras / "a2_twisted.alg")]) == 0
+        capsys.readouterr()
+        pm = {frozenset((co.phi, tuple(-v for v in co.phi))) for co in made}
+        assert len(made) == 2 and len(pm) == len(solves) == 1
 
     def test_cochar_without_cartan_solution_raises_on_first_call(self):
         from types import SimpleNamespace
@@ -268,14 +280,14 @@ class TestGeneratorConstants:
         co = Cochar(alg, (1, 0))
         for _ in range(2):
             with pytest.raises(ValueError, match="no Cartan solution"):
-                co.x_phi(1)
+                co.x_phi()
 
     def test_cochar_x_phi_is_that_of_a_fresh_instance(self, a2):
         co = Cochar(a2, (2, -1))
-        first = co.x_phi(1)
-        assert co.x_phi(1) is first
-        assert first == Cochar(a2, (2, -1)).x_phi(1)
-        assert co.x_phi(3) == Cochar(a2, (2, -1)).x_phi(3)
+        first = co.x_phi()
+        assert co.x_phi() is first
+        assert first == Cochar(a2, (2, -1)).x_phi()
+        assert co.inverse().x_phi() == Cochar(a2, (-2, 1)).x_phi()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_torus_and_ring_applied_twice_match_fresh(self, a2, m):
@@ -354,8 +366,8 @@ class TestWords:
     def test_corrupted_sign_detected(self, a1):
         # negative control: a wrong sign in a diagram map breaks the check
         class BadGen(Diagram):
-            def act(self, alg, m, f, loop=False):
-                terms, c, d = super().act(alg, m, f, loop)
+            def act(self, f, loop=False):
+                terms, c, d = super().act(f, loop)
                 if len({i for i, _ in terms}) == 1:
                     terms = {key: (-a, -b) for key, (a, b) in terms.items()}
                 return terms, c, d
@@ -530,7 +542,7 @@ def ref_affine(gen, x):
     if isinstance(gen, Cochar):
         loop = ref_loop(gen, x.loop)
         if x.d:
-            x_phi = unflat(x.alg, x.m, (gen.x_phi(x.m), None, None)).loop
+            x_phi = unflat(x.alg, x.m, (gen.x_phi(), None, None)).loop
             loop = loop - x_phi.scale(x.d)
         return AffineElt(loop, x.c + ref_central_correction(gen, x.loop), x.d)
     if isinstance(gen, Ring) and gen.e == -1:
@@ -611,7 +623,7 @@ class TestFlatActions:
     def test_flat_action_is_the_object_action(self, kind, level, data):
         gen, x = data.draw(generator_and_element(kind, level))
         loop = level == "loop"
-        out = gen.act(x.alg, x.m, flat(x), loop)
+        out = gen.act(flat(x), loop)
         assert exact_parts(out)
         expected = ref_loop(gen, x) if loop else ref_affine(gen, x)
         assert out == flat(expected)
@@ -625,7 +637,7 @@ class TestFlatActions:
         a1, alpha = sl2
         gen = RootExp(a1, 1, alpha, {1: (Fraction(1, 2), 0)})
         x = AffineElt(LoopElt.monomial(a1, 1, 2, -1), d=1)
-        out = gen.act(a1, 1, flat(x))
+        out = gen.act(flat(x))
         assert exact_parts(out)
         assert out == flat(ref_affine(gen, x))
         assert out[0][a1.label_index["X_a1"], 1] == (Fraction(-3, 4), 0)

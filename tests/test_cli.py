@@ -64,7 +64,7 @@ def tampered_session(kind, rank, perm, lo, hi, table="table"):
     else:
         alg.killing_table = dict(alg.killing_table)
         alg.killing_table[min(k for k in alg.killing_table if k[0] < k[1])] *= 2
-    return Session(alg, auto, (lo, hi), seed=0, samples=1)
+    return Session(auto, (lo, hi), seed=0, samples=1)
 
 
 def reference_jacobi(basis):
@@ -644,6 +644,34 @@ class TestObjectBoundary:
                   if isinstance(node, ast.Attribute)}
         assert imported and not imported & OBJECTS
         assert not named & OBJECTS
+
+
+class TestFieldBoundary:
+    """A pair carries its field and a generator holds its algebra: no
+    `linalg` function takes the order m, no `autos` action takes `alg` or
+    `m`, and `Cochar.x_phi` takes nothing."""
+
+    @staticmethod
+    def functions(module):
+        path = Path(cli.__file__).resolve().parent / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return [(node, {a.arg for a in node.args.args + node.args.kwonlyargs})
+                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def test_no_linalg_function_takes_m(self):
+        found = self.functions("linalg")
+        assert {node.name for node, _ in found} >= {"kernel_basis", "__init__"}
+        assert [node.name for node, args in found if "m" in args] == []
+
+    def test_no_autos_action_takes_alg_or_m(self):
+        acts = [args for node, args in self.functions("autos")
+                if node.name == "act"]
+        assert len(acts) == 8 and not any(args & {"alg", "m"} for args in acts)
+
+    def test_x_phi_takes_no_parameter(self):
+        (args,) = [args for node, args in self.functions("autos")
+                   if node.name == "x_phi"]
+        assert args == {"self"}
 
 
 class TestDeterminism:

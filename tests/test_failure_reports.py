@@ -45,7 +45,7 @@ class Doubling(AutoGen):
     def __init__(self, k=2):
         self.k = k
 
-    def act(self, alg, m, f, loop=False):
+    def act(self, f, loop=False):
         terms, c, d = f
         return {key: pair_exact((self.k * a, self.k * b))
                 for key, (a, b) in terms.items()}, c, d
@@ -60,8 +60,8 @@ class Doubling(AutoGen):
 class LoopOnlyDoubling(Doubling):
     """Doubles at loop level, but its affine lift is the identity."""
 
-    def act(self, alg, m, f, loop=False):
-        return super().act(alg, m, f, loop) if loop else f
+    def act(self, f, loop=False):
+        return super().act(f, loop) if loop else f
 
 
 def a1_decomp():
@@ -159,9 +159,8 @@ def test_exact_sequence_kernel_recovery_failure(monkeypatch):
     s = a1_session("exactseq")
 
     real = VShift.act
-    monkeypatch.setattr(VShift, "act", lambda self, alg, m, f, loop=False:
-                        real(VShift((2 * self.a[0], 2 * self.a[1])),
-                             alg, m, f, loop))
+    monkeypatch.setattr(VShift, "act", lambda self, f, loop=False:
+                        real(VShift((2 * self.a[0], 2 * self.a[1])), f, loop))
     x = flat(parse_affine("X_a1*t^1", s.alg, s.m).loop)
     report = verify_exact_sequence(s.alg, s.m, [Doubling()], lambda: x, 1)
     assert report == {
@@ -247,8 +246,8 @@ def test_lifts_cochar_derivation_failure(monkeypatch):
 
     real = Cochar.act
 
-    def fixes_d(self, alg, m, f, loop=False):
-        terms, c, _ = real(self, alg, m, (f[0], f[1], None), loop)
+    def fixes_d(self, f, loop=False):
+        terms, c, _ = real(self, (f[0], f[1], None), loop)
         return terms, c, f[2]
 
     monkeypatch.setattr(Cochar, "act", fixes_d)

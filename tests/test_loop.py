@@ -129,7 +129,7 @@ class TestTwisted:
                     vec[index[j][pos]] = coef
             return vec
 
-        solver = linalg.SpanSolver(m)
+        solver = linalg.SpanSolver()
         for v in outer:
             solver.add(vectorize(v))
         for u in inner:
@@ -289,7 +289,7 @@ class TestSharedArithmetic:
             add_products(diff, (-1, 0), h)
             assert total == degree_zero(x + y, degree)
             assert diff == degree_zero(x - y, degree)
-            image = Diagram(auto).act(auto.alg, m, (g, None, None), True)[0]
+            image = Diagram(auto).act((g, None, None), True)[0]
             for result in (total, diff, table_products(auto.alg.table, g, h),
                            image):
                 assert all(a or b for a, b in result.values())

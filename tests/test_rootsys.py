@@ -134,7 +134,7 @@ class TestKilling:
         m = 1
         gram = [{j: (a2.killing_table[(i, j)], 0) for j in range(a2.dim)
                  if a2.killing_table.get((i, j))} for i in range(a2.dim)]
-        assert linalg.rank(gram, m) == a2.dim
+        assert linalg.rank(gram) == a2.dim
 
 
 def jacobi_exhaustive(alg):
@@ -282,7 +282,7 @@ class TestEigenspaces:
         vectors = []
         for basis in sigma_eigenspaces(d4_triality):
             vectors.extend(basis)
-        solver = linalg.SpanSolver(3)
+        solver = linalg.SpanSolver()
         for v in vectors:
             solver.add(v)
         assert solver.rank == d4.dim
@@ -310,9 +310,9 @@ class TestCartanOfFixed:
         means h is not self-centralizing."""
         real, calls = rootsys.centralizer_in_g, []
 
-        def centralizer(alg, m, elements):
+        def centralizer(alg, elements):
             calls.append(elements)
-            out = real(alg, m, elements)
+            out = real(alg, elements)
             return out + [{alg.rank: (1, 0)}] if len(calls) == 2 else out
 
         monkeypatch.setattr(rootsys, "centralizer_in_g", centralizer)
@@ -325,7 +325,7 @@ class TestCartanOfFixed:
         for x in h:
             for y in h:
                 assert g_bracket(a2_flip.alg, x, y) == {}
-        solver = linalg.SpanSolver(2)
+        solver = linalg.SpanSolver()
         for x in h:
             solver.add(x)
         for x in h0:

@@ -179,7 +179,7 @@ def blockwise_reference(x, window):
         mat = [{k: op.columns[col][row] for k, col in enumerate(block)
                 if row in op.columns[col]} for row in block]
         # an incomplete slice surfaces through the dimension certificate
-        spaces, _ = linalg.eigenspaces(mat, len(mat), m)
+        spaces, _ = linalg.eigenspaces(mat, len(mat))
         for w, sub in spaces:
             for coeffs in sub:
                 f = window.from_vector({block[k]: c for k, c in coeffs.items()})
@@ -240,13 +240,13 @@ class TestWeightDecompose:
         dec = weight_decompose(flat(a1_x), win)
         sp0 = dec.space((0, 0))
         from affinelie import linalg
-        solver = linalg.SpanSolver(1)
+        solver = linalg.SpanSolver()
         d_free = [v for v in sp0.vectors if not v[2]]
         for v in d_free:
             solver.add(win.to_vector(v))
         assert len(d_free) == sp0.dim - 1
         assert solver.contains(win.to_vector(flat(AffineElt.c_elt(a1, 1))))
-        full = linalg.SpanSolver(1)
+        full = linalg.SpanSolver()
         for v in sp0.vectors:
             full.add(win.to_vector(v))
         assert full.contains(win.to_vector(flat(a1_x)))
@@ -462,7 +462,7 @@ class TestJordanBlockInvariant:
         op = AdOperator(flat(h_plus_x), win)
         assert op.interior == list(range(win.size()))
         mat = op.rows()
-        s, n = jordan_split(mat, 1)
+        s, n = jordan_split(mat)
         # blocks are the degree slices, and the c and d columns are zero
         # (a degree-0 x without d); off-block entries of S must vanish
         for i, (_, ji, _) in enumerate(win.meta):
@@ -473,7 +473,7 @@ class TestJordanBlockInvariant:
         idx = [i for i, (_, j, _) in enumerate(win.meta) if j == 0]
         block = [{k: row[j] for k, j in enumerate(idx) if j in row}
                  for row in (mat[i] for i in idx)]
-        s_block, _ = jordan_split(block, 1)
+        s_block, _ = jordan_split(block)
         lifted = [{k: row[j] for k, j in enumerate(idx) if j in row}
                   for row in (s[i] for i in idx)]
         assert s_block == lifted
@@ -529,7 +529,7 @@ class TestFlatVerifiersMatchObjects:
         probes += [u.bracket(v) for u in probes for v in probes]
         probes = [p for p in probes if window.inside(p.degree_support())]
         for w, basis in spaces:
-            in_window = linalg.SpanSolver(window.m)
+            in_window = linalg.SpanSolver()
             for v in basis:
                 in_window.add(window.to_vector(flat(v)))
             in_flat = decomp.loop_solver(w)
