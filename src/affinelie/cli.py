@@ -13,6 +13,7 @@ before the report was written (`... | head -c 5`; nothing on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -83,14 +84,20 @@ class Session:
         c, d = self.rng.randint(-5, 5), self.rng.randint(-5, 5)
         return terms, (c, 0) if c else None, (d, 0) if d else None
 
+    @functools.cached_property
+    def cochar(self):
+        """The cochar phi = (1, 0, ..., 0) of the lift suites, one per run."""
+        from .autos import Cochar
+        return Cochar(self.alg, (1,) + (0,) * (self.alg.rank - 1))
+
     def generator_kinds(self):
         """One representative generator per kind, for the lift suites."""
-        from .autos import Cochar, Diagram, Ring, RootExp, TorusK
+        from .autos import Diagram, Ring, RootExp, TorusK
         alg, m = self.alg, self.m
         root = alg.root_of_index[alg.rank]
         gens = [
             RootExp(alg, m, root, {m: (2, 0)}),
-            Cochar(alg, tuple(1 if i == 0 else 0 for i in range(alg.rank))),
+            self.cochar,
             TorusK(alg, ((2, 0),) * alg.rank),
             Ring((3, 0), 1),
             Ring((1, 0), -1),
@@ -211,9 +218,9 @@ def suite_form(session):
 
 
 def suite_lifts(session):
-    """Lift coherence per generator kind plus the cochar corrections."""
-    from .autos import (AutoWord, Cochar, hat_lift, tilde_lift,
-                        verify_automorphism)
+    """Lift coherence per generator kind plus the cochar corrections, the
+    latter on the session's cochar."""
+    from .autos import AutoWord, hat_lift, tilde_lift, verify_automorphism
     rep = Report()
     alg, m = session.alg, session.m
     for gen in session.generator_kinds():
@@ -226,13 +233,11 @@ def suite_lifts(session):
                                           max(1, session.samples // 10)),
                       f"automorphism:{level}:{gen.render()}")
     # cochar central correction: H_i (x) 1 gains phi(alpha_i) <X_i, X_-i> c
-    phi = tuple(1 if i == 0 else 0 for i in range(alg.rank))
-    co = Cochar(alg, phi)
-    word = tilde_lift(AutoWord("loop", (co,)))
+    word = tilde_lift(AutoWord("loop", (session.cochar,)))
     for i in range(alg.rank):
         h = ({(i, 0): (1, 0)}, None, None)
         img = word.act(h)
-        expected = (phi[i] * alg.simple_pairing(i), 0)
+        expected = (session.cochar.phi[i] * alg.simple_pairing(i), 0)
         if not rep.check((img[1] or (0, 0)) == expected and img[0] == h[0]):
             text = render_flat(alg.labels, m, h)
             rep.fail([text], render_flat(alg.labels, m, img),
@@ -240,7 +245,7 @@ def suite_lifts(session):
                      part="cochar-correction")
     # hat lift: d -> d - X_phi with [X_phi, X_alpha] = phi(alpha) X_alpha
     img = hat_lift(word).act(({}, None, (1, 0)))
-    xphi = co.x_phi()
+    xphi = session.cochar.x_phi()
     minus = {key: (-a, -b) for key, (a, b) in xphi.items()}
     if not rep.check(img == (minus, None, (1, 0))):
         text = render_sum((v, alg.labels[i])

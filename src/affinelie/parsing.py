@@ -7,9 +7,9 @@ The element grammar is one shared sum-of-products language:
     term    := factor ('*' factor)*
     factor  := rational | 'z' | 't' '^' exponent | symbol | '(' element ')'
 
-where exponents are integers or parenthesised fractions `(p/q)` and symbols
-are basis labels (H_1, X_a12, X_ma1), `c`, or `d`.  Rendering and parsing
-round-trip exactly.
+where exponents are integers or parenthesised rationals `(p/q)`, read by the
+one number reader of rational factors, and symbols are basis labels (H_1,
+X_a12, X_ma1), `c`, or `d`.  Rendering and parsing round-trip exactly.
 """
 
 from __future__ import annotations
@@ -88,15 +88,18 @@ class _ElementParser:
         if tok != text:
             raise ParseError(f"expected {text!r}, got {tok!r}", pos)
 
+    def take(self, text):
+        """Whether the next token is `text`; it is consumed if so."""
+        if self.peek() != text:
+            return False
+        self.i += 1
+        return True
+
     def parse_element(self):
-        terms = []
-        sign = 1
-        if self.peek() == "-":
-            self.next()
-            sign = -1
-        elif self.peek() == "+":
-            self.next()
-        terms.append(self.parse_term(sign))
+        sign = -1 if self.take("-") else 1
+        if sign > 0:
+            self.take("+")
+        terms = [self.parse_term(sign)]
         while self.peek() in ("+", "-"):
             op, _ = self.next()
             terms.append(self.parse_term(-1 if op == "-" else 1))
@@ -104,30 +107,20 @@ class _ElementParser:
 
     def parse_term(self, sign):
         value = self.parse_factor()
-        while self.peek() == "*":
-            self.next()
+        while self.take("*"):
             value = value.times(self.parse_factor())
         if sign == -1:
             value.scalar = (-value.scalar[0], -value.scalar[1])
         return value
 
     def parse_factor(self):
+        if (self.peek() or "").isdigit():
+            return _Value((self.parse_number(), 0))
         tok, pos = self.next()
         if tok == "(":
             inner = self.parse_element()
             self.expect(")")
             return _Value(_scalar_sum(inner, pos))
-        if tok.isdigit():
-            num = Fraction(int(tok))
-            if self.peek() == "/":
-                self.next()
-                den, dpos = self.next()
-                if not den.isdigit():
-                    raise ParseError("expected a denominator", dpos)
-                if not int(den):
-                    raise ParseError("zero denominator", dpos)
-                num = num / int(den)
-            return _Value((num, 0))
         if tok == "z":
             return _Value(ZETA[self.m])
         if tok == "t":
@@ -138,38 +131,38 @@ class _ElementParser:
             return _Value((1, 0), symbol=tok)
         raise ParseError(f"unknown symbol {tok!r}", pos)
 
-    def parse_exponent(self):
-        sign = 1
-        if self.peek() == "(":
-            self.next()
-            if self.peek() == "-":
-                self.next()
-                sign = -1
-            num_tok, pos = self.next()
-            if not num_tok.isdigit():
-                raise ParseError("expected an exponent numerator", pos)
-            p = int(num_tok)
-            q = 1
-            if self.peek() == "/":
-                self.next()
-                den_tok, dpos = self.next()
-                if not den_tok.isdigit():
-                    raise ParseError("expected an exponent denominator", dpos)
-                q = int(den_tok)
-                if not q:
-                    raise ParseError("zero exponent denominator", dpos)
-            self.expect(")")
-            numerator = sign * p * self.m
-            if numerator % q:
-                raise ParseError(f"exponent {sign*p}/{q} is not in (1/{self.m})Z", pos)
-            return numerator // q
-        if self.peek() == "-":
-            self.next()
-            sign = -1
+    def parse_integer(self, what):
+        """A numeral as an int; `what` names it when the token is none."""
         tok, pos = self.next()
         if not tok.isdigit():
-            raise ParseError("expected an integer exponent", pos)
-        return sign * int(tok) * self.m
+            raise ParseError(f"expected {what}", pos)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("numeral too long", pos) from None
+
+    def parse_number(self):
+        """The one number reader: a numeral and an optional `/den`."""
+        num = Fraction(self.parse_integer("a number"))
+        if self.take("/"):
+            den = self.parse_integer("a denominator")
+            if not den:
+                raise ParseError("zero denominator", self.tokens[self.i - 1][1])
+            num /= den
+        return num
+
+    def parse_exponent(self):
+        """An exponent in units of 1/m: a signed integer, or a signed
+        number in parentheses that lies in (1/m)Z."""
+        if not self.take("("):
+            sign = -1 if self.take("-") else 1
+            return sign * self.parse_integer("an integer exponent") * self.m
+        pos = self.tokens[self.i - 1][1]
+        scaled = (-1 if self.take("-") else 1) * self.parse_number() * self.m
+        self.expect(")")
+        if scaled.denominator != 1:
+            raise ParseError(f"exponent {scaled / self.m} is not in (1/{self.m})Z", pos)
+        return int(scaled)
 
 
 def _scalar_sum(terms, pos=None):
@@ -186,7 +179,10 @@ def _scalar_sum(terms, pos=None):
 def _terms(text, m, alg=None):
     """The terms of one whole element; anything after it is a parse error."""
     parser = _ElementParser(tokenize(text), m, alg)
-    terms = parser.parse_element()
+    try:
+        terms = parser.parse_element()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.i != len(parser.tokens):
         raise ParseError("trailing input", parser.tokens[parser.i][1])
     return terms

@@ -130,9 +130,12 @@ class WeightSpace:
 
 
 class WeightDecomp:
-    """Exact interior eigendata of ad(x) on a window."""
+    """Exact interior eigendata of ad(x) on a window, with the reach of x,
+    the spaces by weight and by series id, and the one edge rule of the
+    verifiers (`inside`)."""
 
-    __slots__ = ("x", "window", "spaces", "complete", "interior", "defect")
+    __slots__ = ("x", "window", "spaces", "complete", "interior", "defect",
+                 "reach", "by_weight", "series")
 
     def __init__(self, x, window, spaces, complete, interior, defect=None):
         self.x = x
@@ -141,14 +144,21 @@ class WeightDecomp:
         self.complete = complete
         self.interior = interior
         self.defect = defect
+        self.reach = degree_reach(x)
+        self.by_weight = {sp.w: sp for sp in reversed(spaces)}
         _assign_series(self)
+        self.series = {}  # series id -> its spaces, ids in increasing order
+        for sp in sorted(spaces, key=lambda s: s.series_id):
+            self.series.setdefault(sp.series_id, []).append(sp)
+
+    def inside(self, terms, steps=0):
+        """Whether loop terms shifted by `steps` degrees lie inside the
+        window at the reach of x, where ad(x) keeps their image."""
+        return self.window.inside({p + steps for _, p in terms}, self.reach)
 
     def space(self, w):
         """The weight space of the pair w, or None."""
-        for sp in self.spaces:
-            if sp.w == w:
-                return sp
-        return None
+        return self.by_weight.get(w)
 
     def loop_space(self, w):
         """Basis of A_w: eigenvectors with zero d-part, center projected away.
@@ -242,9 +252,7 @@ def verify_shift(decomp):
     terms from `loop_space`, and [x, t^n v] is `affine.flat_bracket`, of
     which only the loop part is compared.
     """
-    window = decomp.window
-    alg, m = window.alg, window.m
-    reach = degree_reach(decomp.x)
+    alg, m = decomp.window.alg, decomp.window.m
     rep = Report()
     spaces = [(sp.w, decomp.loop_space(sp.w), decomp.loop_solver(sp.w))
               for sp in decomp.spaces]
@@ -258,7 +266,7 @@ def verify_shift(decomp):
             forward_ok = True
             for v in basis1:
                 terms = {(i, p + shift): x for (i, p), x in v.items()}
-                if not window.inside({p for _, p in terms}, reach):
+                if not decomp.inside(terms):
                     forward_ok = False
                     continue
                 image = flat_bracket(alg, decomp.x, (terms, None, None))[0]
@@ -268,10 +276,8 @@ def verify_shift(decomp):
                                      for t in (v, terms))
                     rep.fail([before, f"n={shift // m}"], after,
                              f"A_{render_pair(w2)}")
-            if forward_ok and all(
-                window.inside({p - shift for _, p in u}, reach)
-                for u in basis2
-            ) and not rep.check(len(basis1) == len(basis2)):
+            if (forward_ok and all(decomp.inside(u, -shift) for u in basis2)
+                    and not rep.check(len(basis1) == len(basis2))):
                 rep.fail([render_pair(w1), render_pair(w2)],
                          str(len(basis1)), str(len(basis2)))
     return rep
@@ -341,9 +347,7 @@ def verify_product_rule(decomp):
     terms of `loop_space`, tested against the target's solver in the same
     (index, degree) coordinates; a failing pair is rendered from them and
     their bracket."""
-    window = decomp.window
-    alg, m = window.alg, window.m
-    reach = degree_reach(decomp.x)
+    alg, m = decomp.window.alg, decomp.window.m
     rep = Report()
     spaces = [(sp.w, decomp.loop_space(sp.w)) for sp in decomp.spaces]
     for w1, basis1 in spaces:
@@ -353,7 +357,7 @@ def verify_product_rule(decomp):
             for u in basis1:
                 for v in basis2:
                     b = table_products(alg.table, u, v)
-                    if not window.inside({p for _, p in b}, reach):
+                    if not decomp.inside(b):
                         continue
                     # outside a known eigenspace: exact failure witness
                     if not rep.check(not b or solver is not None
@@ -372,18 +376,12 @@ def rspan_isomorphism_check(decomp):
     A_{w+mn}: under those conditions the span map restricts to a bijection
     of the windowed pieces.  The number of series is bounded by dim g.
     """
-    window = decomp.window
-    reach = degree_reach(decomp.x)
     rep = Report()
-    by_series = {}
-    for sp in decomp.spaces:
-        by_series.setdefault(sp.series_id, []).append(sp)
 
     def shiftable(basis, steps):
-        return basis and all(
-            window.inside({p + steps for _, p in v}, reach) for v in basis)
+        return basis and all(decomp.inside(v, steps) for v in basis)
 
-    for sid, group in sorted(by_series.items()):
+    for group in decomp.series.values():
         members = [(sp.w, decomp.loop_space(sp.w)) for sp in group]
         for i, (w1, basis1) in enumerate(members):
             for w2, basis2 in members[i + 1:]:
@@ -392,9 +390,9 @@ def rspan_isomorphism_check(decomp):
                         and not rep.check(len(basis1) == len(basis2))):
                     rep.fail([render_pair(w1), render_pair(w2)],
                              str(len(basis1)), str(len(basis2)))
-    n_series = len(by_series)
-    if not rep.check(n_series <= window.alg.dim):
-        rep.fail(["series count"], str(n_series), f"<= {window.alg.dim}")
+    n_series, dim = len(decomp.series), decomp.window.alg.dim
+    if not rep.check(n_series <= dim):
+        rep.fail(["series count"], str(n_series), f"<= {dim}")
     return rep
 
 

@@ -1,6 +1,8 @@
 """CLI surface: commands, exit codes, reproducible JSON."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from affinelie import cli
 from affinelie.affine import AffineElt, bracket_affine, flat, flat_bracket
@@ -555,6 +558,65 @@ class TestSpectrumAndConjugate:
         assert proc.stdout == ""
         assert "cannot read spec file" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+A1_ALG = str(Path(__file__).resolve().parent.parent / "algebras" / "a1.alg")
+NESTED = "(" * 1000 + "1" + ")" * 1000  # deeper than the recursion limit
+LONG = "1" * 5000  # more digits than int() converts
+
+
+class TestUnreadableText:
+    """Text the element reader cannot read is a parse error, exit 2, on
+    every entry: `--x`, a word argument and a spec line."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["spectrum", "--x", f"{NESTED}*d"], "expression nested too deeply"),
+        (["verify", "mad", "--word", f"vshift({NESTED}) @ hat"],
+         "expression nested too deeply"),
+        (["spectrum", "--x", f"{LONG}*d"], "numeral too long (column 1)"),
+        (["spectrum", "--x", f"H_1*t^{LONG} + d"],
+         "numeral too long (column 7)"),
+        (["spectrum", "--x", f"H_1*t^(1/{LONG}) + d"],
+         "numeral too long (column 10)"),
+    ], ids=["x_nested", "word_nested", "x_numeral", "x_exponent",
+            "x_exponent_denominator"])
+    def test_exits_2_with_one_line(self, capsys, argv, error):
+        code = main([*argv, "--algebra", A1_ALG])
+        assert (code, *capsys.readouterr()) == (2, "", f"parse error: {error}\n")
+
+    def test_nested_spec_line_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"H_1*t^0\n{NESTED}*c\nd\n")
+        code = main(["conjugate", "--algebra", A1_ALG,
+                     "--word", "vshift(2) @ hat", "--spec", str(spec)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "parse error: expression nested too deeply\n")
+
+    # the tokens of the element and word grammars, run together as drawn,
+    # alone and as the argument of one word generator
+    GENERATORS = ["rootexp", "nilexp", "diagram", "cochar", "torus", "ring",
+                  "vshift"]
+    LEVELS = ["loop", "tilde", "hat"]
+    SOUP = st.lists(st.sampled_from(
+        ["H_1", "X_a1", "X_ma1", "a1", "c", "d", "z", "t^", "0", "1", "2",
+         "12", "(", ")", "+", "-", "*", "/", "@", ".", ",", " ", "id",
+         *GENERATORS, *LEVELS]), max_size=16).map("".join)
+    TEXT = st.one_of(SOUP, st.builds("{}({}) @ {}".format, st.sampled_from(
+        GENERATORS), SOUP, st.sampled_from(LEVELS)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(TEXT)
+    @example(NESTED)
+    @example(f"vshift({NESTED}) @ hat")
+    def test_every_text_ends_in_an_exit_code(self, text):
+        # `--x=text` keeps argparse from reading a leading '-' as an option
+        runs = [["spectrum", "--window", "-1", "1", f"--x={text}"],
+                ["verify", "mad", "--window", "-2", "2", f"--word={text}"]]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--algebra", A1_ALG])
+            assert code in range(5)
 
 
 def composed_sample_loop(session, rng):

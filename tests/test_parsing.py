@@ -1,6 +1,7 @@
 """Round-trip guarantees for the text formats and the algebra file loader."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,8 @@ class TestLaurentRoundTrip:
     def test_integral_and_fractional_powers(self):
         p = parse_laurent("2*t^(1/2) - t^0 + t^-2", 2)
         assert p == {1: (2, 0), 0: (-1, 0), -4: (1, 0)}
+        assert parse_laurent("t^(2/4) - t^(-6/3)", 2) == {1: (1, 0),
+                                                          -4: (-1, 0)}
 
     def test_fractional_power_must_match_m(self):
         with pytest.raises(ParseError):
@@ -324,3 +327,21 @@ bracket: X_ma1 X_a1 -> -1 H_1, 0 X_a1
 def test_input_after_a_whole_element_is_a_parse_error(a1, parse, text, column):
     with pytest.raises(ParseError, match=rf"^trailing input \(column {column}\)$"):
         parse(text, a1)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("1/x", "expected a denominator (column 3)"),
+    ("t^(1/x)", "expected a denominator (column 6)"),
+    ("1/0", "zero denominator (column 3)"),
+    ("t^(1/0)", "zero denominator (column 6)"),
+    ("t^(x)", "expected a number (column 4)"),
+    ("t^(-2/4)", "exponent -1/2 is not in (1/1)Z (column 3)"),
+    ("t^x", "expected an integer exponent (column 3)"),
+    ("t^1/2", "trailing input (column 4)"),
+])
+def test_factors_and_exponents_share_one_number_reader(text, error):
+    # a rational factor and a parenthesised exponent read their numbers
+    # with one reader, so they fail with the same messages; a bare
+    # exponent is an integer
+    with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+        parse_laurent(text, 1)
