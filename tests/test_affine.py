@@ -204,3 +204,12 @@ class TestCoreAndDerived:
     def test_twisted_a2(self, a2_flip):
         _, flag = core_and_derived(a2_flip, -2, 2)
         assert flag
+
+    @pytest.mark.parametrize("path", ALGEBRAS, ids=lambda p: p.stem)
+    def test_degree_zero_window_never_produces_c(self, path):
+        # the cocycle term of [x t^p, y t^-p] is p <x, y> c, which is 0 at
+        # p = 0, so at window [0, 0] the span misses kc
+        _, auto = parse_algebra_file(path.read_text())
+        produced, flag = core_and_derived(auto, 0, 0)
+        assert not flag
+        assert produced and not any(e.c for e in produced)

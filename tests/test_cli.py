@@ -561,6 +561,7 @@ class TestSpectrumAndConjugate:
 
 
 A1_ALG = str(Path(__file__).resolve().parent.parent / "algebras" / "a1.alg")
+A1_SPEC = str(Path(__file__).resolve().parent / "a1_conjugate.spec")
 NESTED = "(" * 1000 + "1" + ")" * 1000  # deeper than the recursion limit
 LONG = "1" * 5000  # more digits than int() converts
 
@@ -590,7 +591,34 @@ class TestUnreadableText:
         code = main(["conjugate", "--algebra", A1_ALG,
                      "--word", "vshift(2) @ hat", "--spec", str(spec)])
         assert (code, *capsys.readouterr()) == (
-            2, "", "parse error: expression nested too deeply\n")
+            2, "", "parse error: spec line 2: expression nested too deeply\n")
+
+    def test_spec_error_names_its_file_line(self, capsys, tmp_path):
+        # the comment and the blank line count: the bad element is the
+        # second element but the fourth line
+        spec = tmp_path / "spec.txt"
+        spec.write_text("# the standard MAD, broken\nH_1*t^0\n\nc + 1/0*d\nd\n")
+        code = main(["conjugate", "--algebra", A1_ALG,
+                     "--word", "vshift(2) @ hat", "--spec", str(spec)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "parse error: spec line 4: zero denominator (column 7)\n")
+
+    @pytest.mark.parametrize("option", ["--algebra", "--spec"])
+    def test_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, option):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"H_1*t^0\n\xff\n")
+        files = {"--algebra": A1_ALG, "--spec": A1_SPEC, option: str(path)}
+        code = main(["conjugate", "--word", "vshift(2) @ hat",
+                     *(arg for item in files.items() for arg in item)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(
+            f"parse error: cannot read {option[2:]} file: 'utf-8' codec")
+
+    def test_word_error_gives_its_column_in_the_word(self, capsys):
+        code = main(["verify", "mad", "--algebra", A1_ALG, "--word",
+                     "cochar(1) . rootexp(a1, 1/0*t^1) @ hat"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "parse error: zero denominator (column 27)\n")
 
     # the tokens of the element and word grammars, run together as drawn,
     # alone and as the argument of one word generator
@@ -617,6 +645,75 @@ class TestUnreadableText:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([*argv, "--algebra", A1_ALG])
             assert code in range(5)
+
+
+def _file_tokens(text):
+    """An algebra file as tokens a mutation moves whole: words, the
+    separators `:`, `;`, `,` and `#`, and line ends."""
+    return re.findall(r"[^\s:;,#]+|[:;,#]|\n", text)
+
+
+class TestFileExitCodes:
+    """Mutated algebra files and random spec files end in an exit code of
+    the contract, 0-4, and raise nothing."""
+
+    SEEDS = [_file_tokens(text) for text in
+             [path.read_text() for path in SHIPPED]
+             + [param.values[0] for param in MALFORMED_TABLES + MALFORMED_TYPED]]
+    POOL = sorted({tok for seed in SEEDS for tok in seed})
+
+    @staticmethod
+    def exit_code(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    @st.composite
+    def mutated(draw, seeds=SEEDS, pool=POOL):
+        """A seed file after one to three token deletions, insertions and
+        swaps."""
+        tokens = list(draw(st.sampled_from(seeds)))
+        for _ in range(draw(st.integers(1, 3))):
+            op = draw(st.sampled_from(["delete", "insert", "swap"]))
+            spot = st.integers(0, max(len(tokens) - 1, 0))
+            if op == "insert":
+                tokens.insert(draw(spot), draw(st.sampled_from(pool)))
+            elif tokens and op == "delete":
+                del tokens[draw(spot)]
+            elif tokens:
+                i, j = draw(spot), draw(spot)
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+        return " ".join(tokens)
+
+    def test_unmutated_shipped_files_load(self, tmp_path):
+        # the tokens joined by spaces are the same file to the reader
+        path = tmp_path / "seed.alg"
+        for seed in self.SEEDS[:len(SHIPPED)]:
+            path.write_text(" ".join(seed))
+            assert self.exit_code(["construct", "--algebra", str(path)]) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutated())
+    def test_mutated_algebra_file(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mutated.alg"
+        path.write_text(text)
+        assert self.exit_code(["construct", "--algebra", str(path)]) in range(5)
+
+    LINE = st.one_of(
+        st.just(""), st.just("# a comment"),
+        st.sampled_from(["H_1*t^0", "c", "d", "H_1*t^0 + d", "X_a1*t^1"]),
+        st.lists(st.sampled_from(
+            ["H_1", "X_a1", "X_ma1", "c", "d", "z", "t^", "0", "1", "2", "(",
+             ")", "+", "-", "*", "/", " ", "#", "$"]), max_size=10).map("".join))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(LINE, max_size=5))
+    def test_random_spec_file(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "random.spec"
+        path.write_text("\n".join(lines))
+        argv = ["conjugate", "--algebra", A1_ALG, "--window", "-2", "2",
+                "--word", "vshift(2) @ hat", "--spec", str(path)]
+        assert self.exit_code(argv) in range(5)
 
 
 def composed_sample_loop(session, rng):

@@ -345,3 +345,38 @@ def test_factors_and_exponents_share_one_number_reader(text, error):
     # exponent is an integer
     with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
         parse_laurent(text, 1)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("cochar(1) . rootexp(a1, 1/0*t^1) @ hat", "zero denominator (column 27)"),
+    ("nilexp(X_a1*t^1 + Q*t^2) @ hat", "unknown symbol 'Q' (column 19)"),
+    ("torus(1/0) @ hat", "zero denominator (column 9)"),
+    ("ring(2 3, 1) @ hat", "trailing input (column 8)"),
+    ("vshift(t^x) @ hat", "expected an integer exponent (column 10)"),
+    ("ring(2, 1$) @ hat", "unexpected character '$' (column 10)"),
+    ("cochar(1$) @ hat", "unexpected character '$' (column 9)"),
+], ids=["rootexp_laurent", "nilexp_flat", "torus_scalar", "ring_scalar",
+        "vshift_scalar", "ring_integer", "cochar_integer"])
+def test_word_argument_errors_give_their_column_in_the_word(a1, text, error):
+    # every argument is read from the word's one token list, whose columns
+    # count from the start of the word
+    with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+        parse_word(text, a1, 1)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("H_1 $", "unexpected character '$' (column 5)"),
+    ("H_1*t^0 + é", "unexpected character 'é' (column 11)"),
+], ids=["after_a_space", "not_ascii"])
+def test_a_character_outside_the_grammar_is_named_at_its_column(a1, text, error):
+    with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+        parse_affine(text, a1, 1)
+
+
+def test_a_word_is_read_one_generator_at_a_time(a2):
+    # one token list for the whole word, but no generator is read before
+    # the ones in front of it are built: the diagram is rejected as
+    # unsupported input (exit 3) before the `$` of the next call is seen
+    with pytest.raises(ValueError, match="not a permutation") as info:
+        parse_word("diagram(3,1) . vshift(2$) @ hat", a2, 1)
+    assert not isinstance(info.value, ParseError)
