@@ -10,9 +10,9 @@ The central element c and the degree derivation d follow
 
 from __future__ import annotations
 
-from .scalars import (CycScalar, add_products, as_scalar, laurent_coords,
-                      pair_mul, pair_of, pair_terms, render_flat, render_pair,
-                      table_pairing, table_products)
+from .scalars import (CycScalar, _add_pair, add_products, as_scalar,
+                      laurent_coords, pair_mul, pair_of, pair_terms,
+                      render_flat, render_pair, table_pairing, table_products)
 from .loop import LoopElt, Window
 from . import linalg
 from .report import Report
@@ -151,6 +151,70 @@ def verify_form_invariance(alg, m, sampler, samples):
             rep.fail([render_flat(alg.labels, m, f) for f in (fx, fy, fz)],
                      render_pair(lhs), render_pair(rhs))
     return rep
+
+
+def jacobi_sums(alg, flats):
+    """Antisymmetry, then Jacobi, on a basis of flat forms: yields ((i, j),
+    [b_i, b_j] + [b_j, b_i]) for every pair i <= j, then ((i, j, k),
+    [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]]) for every
+    triple i <= j <= k whose sum is not 0; each sum a flat form.
+
+    Every bracket is one `flat_bracket` call: [b_i, b_j] for each ordered
+    pair and [b_i, X] for each monomial X of a pair bracket ([b_i, c] = 0),
+    as (id, a, b) tuples over keys ((index, degree) or c) numbered once; a
+    triple sums into one map by id, `pair_mul` and `_add_pair` inlined."""
+    n = len(flats)
+    ids = {}  # key -> id, c under the key "c"
+
+    def interned(f):
+        terms, c, _ = f
+        out = tuple([(ids.setdefault(key, len(ids)), a, b)
+                     for key, (a, b) in terms.items()]) if terms else ()
+        return out + ((ids.setdefault("c", len(ids)), *c),) if c else out
+
+    pair = [[interned(flat_bracket(alg, x, y)) for y in flats] for x in flats]
+    reached = list(ids)  # an ad(b_i) image may number new keys
+    ad = [[() if key == "c" else
+           interned(flat_bracket(alg, x, ({key: (1, 0)}, None, None)))
+           for key in reached] for x in flats]
+    keys = list(ids)
+
+    def decoded(acc):
+        terms = {keys[key]: value for key, value in acc.items()}
+        return terms, terms.pop("c", None), None
+
+    for i in range(n):
+        for j in range(i, n):
+            acc = {key: (a, b) for key, a, b in pair[i][j]}
+            for key, a, b in pair[j][i]:
+                _add_pair(acc, key, a, b)
+            yield (i, j), decoded(acc)
+    for i in range(n):
+        ad_i, pair_i = ad[i], pair[i]
+        for j in range(i, n):
+            ad_j, pair_j, pair_ij = ad[j], pair[j], pair_i[j]
+            for k in range(j, n):
+                acc = {}
+                for terms, images in ((pair_j[k], ad_i), (pair[k][i], ad_j),
+                                      (pair_ij, ad[k])):
+                    for key, xa, xb in terms:
+                        for out, ya, yb in images[key]:
+                            if not xb:  # z^2 = -1 - z
+                                a, b = xa * ya, xa * yb if yb else 0
+                            elif not yb:
+                                a, b = xa * ya, xb * ya
+                            else:
+                                a = xa * ya - xb * yb
+                                b = xa * yb + xb * ya - xb * yb
+                            prev = acc.get(out)
+                            if prev is not None:
+                                a, b = a + prev[0], b + prev[1]
+                            if a or b:
+                                acc[out] = a, b
+                            elif prev is not None:
+                                del acc[out]
+                if acc:
+                    yield (i, j, k), decoded(acc)
 
 
 def window_gram_rank(window):

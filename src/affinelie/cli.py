@@ -18,11 +18,10 @@ import json
 import os
 import random
 import sys
-from .scalars import (_add_pair, add_products, render_flat, render_pair,
-                      render_sum)
+from .scalars import add_products, render_flat, render_pair, render_sum
 from .rootsys import cartan_of_fixed
 from .loop import TwistedContext, Window
-from .affine import flat_bracket, verify_form_invariance, window_gram_rank
+from .affine import jacobi_sums, verify_form_invariance, window_gram_rank
 from .parsing import (ParseError, parse_affine, parse_flat, parse_word,
                       parse_algebra_file)
 from .report import Report
@@ -117,81 +116,23 @@ JACOBI_LISTED = 11
 
 
 def suite_jacobi(session):
-    """Antisymmetry on all window basis pairs, Jacobi on all triples.
-
-    Each bracket is computed once, by `affine.flat_bracket`: [b_i, b_j] for
-    every ordered pair of window basis elements and [b_i, X] for every
-    monomial X of a pair bracket ([b_i, c] = 0), as tuples of (id, a, b)
-    over keys ((index, degree) or c) numbered once; ad(b_i) is a list by
-    id.  A triple sums [b_i, [b_j, b_k]] + ... into one map by id, with
-    `pair_mul` and `_add_pair` inlined; ids are decoded only for a failure.
-    """
-    alg, m = session.alg, session.m
-    flats = session.window().flats
+    """Antisymmetry on all window basis pairs, Jacobi on all triples, as
+    `affine.jacobi_sums` yields them: only failing triples come back, so
+    every triple is counted at once."""
+    alg, m, flats = session.alg, session.m, session.window().flats
     n = len(flats)
-    ids = {}  # key -> id, c under the key "c"
-
-    def interned(f):
-        terms, c, _ = f
-        out = tuple([(ids.setdefault(key, len(ids)), a, b)
-                     for key, (a, b) in terms.items()]) if terms else ()
-        return out + ((ids.setdefault("c", len(ids)), *c),) if c else out
-
-    pair = [[interned(flat_bracket(alg, x, y)) for y in flats] for x in flats]
-    reached = list(ids)  # an ad(b_i) image may number new keys
-    ad = [[() if key == "c" else
-           interned(flat_bracket(alg, x, ({key: (1, 0)}, None, None)))
-           for key in reached] for x in flats]
-    keys = list(ids)
-
-    def fail(inputs, acc):
-        """A failure at basis slots `inputs`, from its nonzero sum."""
-        terms = {keys[key]: value for key, value in acc.items()}
-        c = terms.pop("c", None)
-        rep.fail([render_flat(alg.labels, m, flats[i]) for i in inputs],
-                 render_flat(alg.labels, m, (terms, c, None)), "0")
-
-    # every triple is counted at once; the triple loop only finds failures
     rep = Report(n * (n + 1) * (n + 2) // 6)
-    for i in range(n):
-        for j in range(i, n):
-            acc = {key: (a, b) for key, a, b in pair[i][j]}
-            for key, a, b in pair[j][i]:
-                _add_pair(acc, key, a, b)
-            if not rep.check(not acc):
-                fail((i, j), acc)
-    listed = omitted = 0
-    for i in range(n):
-        ad_i, pair_i = ad[i], pair[i]
-        for j in range(i, n):
-            ad_j, pair_j, pair_ij = ad[j], pair[j], pair_i[j]
-            for k in range(j, n):
-                acc = {}
-                for terms, images in ((pair_j[k], ad_i), (pair[k][i], ad_j),
-                                      (pair_ij, ad[k])):
-                    for key, xa, xb in terms:
-                        for out, ya, yb in images[key]:
-                            if not xb:  # z^2 = -1 - z
-                                a, b = xa * ya, xa * yb if yb else 0
-                            elif not yb:
-                                a, b = xa * ya, xb * ya
-                            else:
-                                a = xa * ya - xb * yb
-                                b = xa * yb + xb * ya - xb * yb
-                            prev = acc.get(out)
-                            if prev is not None:
-                                a, b = a + prev[0], b + prev[1]
-                            if a or b:
-                                acc[out] = a, b
-                            elif prev is not None:
-                                del acc[out]
-                if not acc:
-                    continue
-                if listed and len(rep["failures"]) >= JACOBI_LISTED:
-                    omitted += 1
-                    continue
-                listed += 1
-                fail((i, j, k), acc)
+    listed = omitted = 0  # failing triples listed, and only counted
+    for slots, s in jacobi_sums(alg, flats):
+        if len(slots) == 2 and rep.check(not (s[0] or s[1])):
+            continue
+        if len(slots) == 3:
+            if listed and len(rep["failures"]) >= JACOBI_LISTED:
+                omitted += 1
+                continue
+            listed += 1
+        rep.fail([render_flat(alg.labels, m, flats[i]) for i in slots],
+                 render_flat(alg.labels, m, s), "0")
     if omitted:
         rep["failures_omitted"] = omitted
     return rep

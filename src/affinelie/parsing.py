@@ -26,9 +26,8 @@ import re
 from fractions import Fraction
 
 from . import linalg
-from .scalars import (ZETA, _add_pair, add_products, pair_exact, pair_mul,
-                      table_products)
-from .affine import unflat
+from .scalars import ZETA, _add_pair, pair_exact, pair_mul
+from .affine import jacobi_sums, unflat
 
 
 class ParseError(ValueError):
@@ -407,7 +406,8 @@ def _table_algebra(rank, fields, roots, brackets):
     the sparse structure constants by basis label, each pair of labels at
     most once, in either order, and [b, b] = 0.  A degenerate Killing form,
     a bracket against the grading of the cartan matrix (`verify_grading`)
-    and a Jacobi failure are rejected on load.
+    and a Jacobi failure (`affine.jacobi_sums` on g's basis at degree 0)
+    are rejected on load.
     """
     from .rootsys import RootDatum, ChevAlgebra
 
@@ -467,7 +467,10 @@ def _table_algebra(rank, fields, roots, brackets):
     if linalg.rank(gram) < alg.dim:
         raise ParseError("table has a degenerate Killing form")
     verify_grading(alg, where)
-    _verify_table(alg)
+    basis = [({(i, 0): (1, 0)}, None, None) for i in range(alg.dim)]
+    for slots, _ in jacobi_sums(alg, basis):
+        if len(slots) == 3:
+            raise ParseError("table violates Jacobi at ({},{},{})".format(*slots))
     return alg
 
 
@@ -501,16 +504,3 @@ def verify_grading(alg, where):
                 or sum(c * pairing(root, k, cartan) for k, c in row.items()) != 2):
             fail(i, j, f"the coroot: a Cartan element h with {root_label(root)}(h) = 2")
 
-
-def _verify_table(alg):
-    """Jacobi on every basis triple i <= j <= k, summed on pairs."""
-    basis = [{(i, 0): (1, 0)} for i in range(alg.dim)]
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis[i:], i):
-            for k, z in enumerate(basis[j:], j):
-                s = {}
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    add_products(s, (1, 0), table_products(
-                        alg.table, u, table_products(alg.table, v, w)))
-                if s:
-                    raise ParseError(f"table violates Jacobi at ({i},{j},{k})")

@@ -151,10 +151,12 @@ class WeightDecomp:
         for sp in sorted(spaces, key=lambda s: s.series_id):
             self.series.setdefault(sp.series_id, []).append(sp)
 
-    def inside(self, terms, steps=0):
-        """Whether loop terms shifted by `steps` degrees lie inside the
-        window at the reach of x, where ad(x) keeps their image."""
-        return self.window.inside({p + steps for _, p in terms}, self.reach)
+    def inside(self, terms, steps=0, sign=1):
+        """Whether loop terms, times `sign` and shifted by `steps` degrees,
+        lie inside the window at the reach of x, where ad(x) keeps their
+        image."""
+        return self.window.inside({sign * p + steps for _, p in terms},
+                                  self.reach)
 
     def space(self, w):
         """The weight space of the pair w, or None."""
@@ -294,20 +296,22 @@ def _pair_keys(f, sign):
 
 
 def verify_opposite(decomp):
-    """Weight-set symmetry plus cross-weight orthogonality of the form.
+    """Weight-set symmetry where the window holds A_w and A_-w with their
+    degrees negated, plus cross-weight orthogonality of the form.
 
     Each eigenvector's flat form is filed once under its `_pair_keys`;
     `affine.flat_pairing` runs only on the pairs whose keys meet, and every
     other pair, exactly 0, is counted as checked in bulk.  A nonzero value
     is rendered from the pair it summed."""
     rep = Report()
-    mult = {sp.w: sp.dim for sp in decomp.spaces}
-    for w, dim in mult.items():
-        neg = (-w[0], -w[1])
-        if not rep.check(mult.get(neg) == dim):
-            rep.fail([render_pair(w)], f"dim {dim}",
-                     "missing opposite weight" if neg not in mult
-                     else f"dim {mult[neg]}")
+    for sp in decomp.spaces:
+        opp = decomp.space((-sp.w[0], -sp.w[1]))
+        held = [v[0] for s in (sp, opp) if s is not None for v in s.vectors]
+        if (all(decomp.inside(terms, sign=-1) for terms in held)
+                and not rep.check(opp is not None and opp.dim == sp.dim)):
+            rep.fail([render_pair(sp.w)], f"dim {sp.dim}",
+                     "missing opposite weight" if opp is None
+                     else f"dim {opp.dim}")
     alg, m = decomp.window.alg, decomp.window.m
     filed = [{} for _ in decomp.spaces]
     for by_key, sp in zip(filed, decomp.spaces):

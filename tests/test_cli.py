@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from affinelie import cli
+from affinelie import affine, cli
 from affinelie.affine import AffineElt, bracket_affine, flat, flat_bracket
 from affinelie.cli import Session, build_parser, load_session, main
 from affinelie.loop import LoopElt
@@ -292,8 +292,8 @@ class TestVerify:
             calls.append(None)
             return flat_bracket(alg, x, y)
 
-        # suite_jacobi takes every bracket of its sums from flat_bracket
-        monkeypatch.setattr(cli, "flat_bracket", counted)
+        # jacobi_sums takes every bracket of its sums from flat_bracket
+        monkeypatch.setattr(affine, "flat_bracket", counted)
         session = load_session(build_parser().parse_args(
             ["verify", "jacobi", "--algebra", a2_twisted_file,
              "--window", "-2", "2"]))
@@ -473,6 +473,21 @@ class TestWindow:
         assert payload["window"] == [-1, 1]
         assert [g["window"] for g in payload["reports"]["form"]["gram"]] == [
             [-2, 2], [-4, 4], [-6, 6]]
+
+    @pytest.mark.parametrize("name, argv", [
+        ("a1", ["--x", "H_1*t^0 + d", "--window", "0", "1"]),
+        ("a2", ["--window", "0", "2"]),
+    ])
+    def test_asymmetric_window_compares_only_mirrored_weights(self, capsys,
+                                                              name, argv):
+        # the standard x: a weight whose opposite the window cannot hold
+        # is no counterexample to dim A_w = dim A_-w
+        code, out = run(capsys, "spectrum", "--algebra",
+                        str(SHIPPED[0].parent / f"{name}.alg"), *argv)
+        assert code == 0
+        report = json.loads(out)["reports"]["spectral"]
+        assert report["failures"] == []
+        assert report["decomposition"]["checks"]["opposite"]["checked"] > 0
 
     @pytest.mark.parametrize("window", [["5", "5"], ["1", "3"], ["-3", "-1"]])
     def test_form_window_without_opposite_degrees_exits_3(self, capsys, a1_file,

@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinelie.affine import AffineElt
+from affinelie.affine import AffineElt, jacobi_sums
 from affinelie.loop import LoopElt
 from affinelie.parsing import (ParseError, parse_affine, parse_algebra_file,
                                parse_flat, parse_laurent, parse_scalar,
                                parse_word, verify_grading)
 from affinelie.rootsys import ChevAlgebra, build_chevalley
-from affinelie.scalars import (CycScalar, LaurentElt, _add_pair, pair_exact,
-                               render_flat, render_pair)
+from affinelie.scalars import (CycScalar, LaurentElt, _add_pair, add_products,
+                               pair_exact, render_flat, render_pair,
+                               table_products)
 
 from conftest import MALFORMED_TABLES, MALFORMED_TYPED
 
@@ -205,6 +206,27 @@ class TestWordRoundTrip:
         with pytest.raises(ParseError, match=r"nilexp takes \(loop element\)"):
             parse_word("nilexp(X_a1*t^1, X_a1*t^2) @ hat", a1, 1)
 
+
+TABLE_ALGEBRAS = {rank: build_chevalley("A", rank) for rank in (1, 2, 3)}
+
+
+def reference_table_jacobi(alg):
+    """The first basis triple i <= j <= k of g at which [x, [y, z]] +
+    [y, [z, x]] + [z, [x, y]] is nonzero, or None: six `table_products`
+    calls per triple, with no interning and no shared bracket table."""
+    basis = [{(i, 0): (1, 0)} for i in range(alg.dim)]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis[i:], i):
+            for k, z in enumerate(basis[j:], j):
+                s = {}
+                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                    add_products(s, (1, 0), table_products(
+                        alg.table, u, table_products(alg.table, v, w)))
+                if s:
+                    return i, j, k
+    return None
+
+
 class TestAlgebraFiles:
     def test_split_and_twisted(self):
         alg, auto = parse_algebra_file("schema: 1\ntype: A\nrank: 2\n")
@@ -251,6 +273,29 @@ bracket: X_a1 X_ma1 -> 1 H_1
 """
         with pytest.raises(ParseError):
             parse_algebra_file(text)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_table_jacobi_matches_the_direct_loop(self, data):
+        """One structure constant of a1, a2 or a3 changed, at (i, j) and
+        (j, i) together: the load check (`jacobi_sums` on g's basis at
+        degree 0) and the direct triple loop find the same first failing
+        triple, or none."""
+        alg = TABLE_ALGEBRAS[data.draw(st.sampled_from(sorted(TABLE_ALGEBRAS)))]
+        i, j = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=2,
+                                  max_size=2, unique=True))
+        k = data.draw(st.integers(0, alg.dim - 1))
+        old = alg.table.get((i, j), {}).get(k, 0)
+        new = data.draw(st.integers(-3, 3).filter(lambda v: v != old))
+        table = dict(alg.table)
+        for key, sign in (((i, j), 1), ((j, i), -1)):
+            row = {**table.get(key, {}), k: sign * new}
+            table[key] = {b: c for b, c in row.items() if c}
+        tampered = ChevAlgebra(alg.datum, table_override=table)
+        basis = [({(b, 0): (1, 0)}, None, None) for b in range(alg.dim)]
+        found = next((slots for slots, _ in jacobi_sums(tampered, basis)
+                      if len(slots) == 3), None)
+        assert found == reference_table_jacobi(tampered)
 
     @pytest.mark.parametrize("text, error", MALFORMED_TABLES + MALFORMED_TYPED)
     def test_table_mode_rejects_malformed_tables(self, text, error):
