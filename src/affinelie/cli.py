@@ -20,7 +20,7 @@ import random
 import sys
 from .scalars import add_products, render_flat, render_pair, render_sum
 from .rootsys import cartan_of_fixed
-from .loop import TwistedContext, Window
+from .loop import Window
 from .affine import jacobi_sums, verify_form_invariance, window_gram_rank
 from .parsing import (ParseError, parse_affine, parse_flat, parse_word,
                       parse_algebra_file)
@@ -43,31 +43,26 @@ READ_BY = {"x": "verify spectral", "word": "verify mad",
 
 
 class Session:
-    """Loaded algebra context shared by all commands, with the one degree
-    window [lo, hi] of the run."""
+    """Loaded algebra context shared by all commands, with the run's one
+    degree window [lo, hi], built at load: every command reads it, and its
+    TwistedContext `ctx` serves construct, the sampler and form windows."""
 
     def __init__(self, auto, window, seed, samples):
         self.alg = auto.alg
         self.auto = auto
         self.m = auto.m
-        self.ctx = TwistedContext(auto)
         self.lo, self.hi = window
+        self.window = Window(auto, self.lo, self.hi)
+        self.ctx = self.window.ctx
         self.seed = seed
         self.samples = samples
         self.rng = random.Random(seed)
-        self._win = None
-
-    def window(self):
-        """The run's Window, built on first use."""
-        if self._win is None:
-            self._win = Window(self.auto, self.lo, self.hi, context=self.ctx)
-        return self._win
 
     def sample_loop(self):
         """Two random terms coef * b (x) s^j: a degree j in the window, a
         basis element b of g_j and coef in [-5, 5], as one flat form read
         from the window's flat forms."""
-        rng, out, win = self.rng, {}, self.window()
+        rng, out, win = self.rng, {}, self.window
         for _ in range(2):
             j = rng.randint(self.lo, self.hi)
             size = len(self.ctx.slice_basis(j))
@@ -119,7 +114,7 @@ def suite_jacobi(session):
     """Antisymmetry on all window basis pairs, Jacobi on all triples, as
     `affine.jacobi_sums` yields them: only failing triples come back, so
     every triple is counted at once."""
-    alg, m, flats = session.alg, session.m, session.window().flats
+    alg, m, flats = session.alg, session.m, session.window.flats
     n = len(flats)
     rep = Report(n * (n + 1) * (n + 2) // 6)
     listed = omitted = 0  # failing triples listed, and only counted
@@ -219,7 +214,7 @@ def suite_spectral(session, x_text=None):
         # the sum of the h0 basis: orbit sums of disjoint orbits
         h0, _ = cartan_of_fixed(session.auto)
         x = ({(k, 0): v for h in h0 for k, v in h.items()}, None, (1, 0))
-    decomp = weight_decompose(x, session.window())
+    decomp = weight_decompose(x, session.window)
     rep = Report()
     shift = verify_shift(decomp)
     if not shift["checked"]:
@@ -265,7 +260,7 @@ def suite_conjugacy(session, word_text, spec_lines):
     """Whether the word carries the subalgebra onto the standard MAD."""
     from .mad import conjugacy_verify, standard_mad
     word, spec = _word_and_spec(session, word_text, spec_lines)
-    win = session.window()
+    win = session.window
     reference = standard_mad(session.auto)
     return conjugacy_verify(word, spec, win, reference,
                             reference.span_solver(win))
@@ -275,7 +270,7 @@ def suite_mad(session, word_text=None, spec_lines=None):
     """The MAD sanity checks of the standard MAD and, given a word, its
     conjugacy check, on one standard MAD and one span solver."""
     from .mad import conjugacy_verify, mad_sanity, standard_mad
-    win = session.window()
+    win = session.window
     reference = standard_mad(session.auto)
     if word_text is not None:
         word, spec = _word_and_spec(session, word_text, spec_lines)
@@ -396,7 +391,7 @@ def _emit_text(payload):
 def cmd_construct(args):
     session = load_session(args)
     h0, h = cartan_of_fixed(session.auto)
-    win = session.window()
+    win = session.window
     dims = {
         "g": session.alg.dim,
         "h0": len(h0),

@@ -13,7 +13,7 @@ division goes through `Fraction`, because `int / int` is a float.
 Every bracket, the Killing pairing and the Jacobi triple sums run on pairs:
 a + b*zeta as a tuple (a, b) of such parts, multiplied by `pair_mul`, the
 one product rule (`CycScalar.__mul__` calls it; the triple loop of
-`cli.suite_jacobi` inlines it and `_add_pair`), and `render_flat` writes
+`affine.jacobi_sums` inlines it and `_add_pair`), and `render_flat` writes
 every element's text from its flat form.  Sparse maps never store a zero:
 `add_into` accumulates every map of scalar objects, `add_products` every
 multiple of a map of pairs (the rows of `linalg` too), `_add_pair` one pair.

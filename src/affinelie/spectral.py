@@ -116,13 +116,21 @@ class AdOperator:
 
 
 class WeightSpace:
-    __slots__ = ("w", "vectors", "series_id", "loop")
+    """One weight pair w, its eigenvectors (flat forms), and A_w at loop
+    level: `loop`, the loop terms {(index, degree): pair} of the
+    independent d-free eigenvectors, center dropped, and `solver`, their
+    SpanSolver over (index, degree) monomials, which are injective on the
+    twisted algebra and so decide membership as window coordinates would."""
+
+    __slots__ = ("w", "vectors", "series_id", "loop", "solver")
 
     def __init__(self, w, vectors):
         self.w = w  # a pair
         self.vectors = vectors  # flat forms
         self.series_id = None
-        self.loop = None  # (loop terms of the basis of A_w, SpanSolver)
+        self.solver = linalg.SpanSolver()
+        self.loop = [terms for terms, _, d in vectors
+                     if not d and terms and self.solver.add(terms)]
 
     @property
     def dim(self):
@@ -163,34 +171,14 @@ class WeightDecomp:
         return self.by_weight.get(w)
 
     def loop_space(self, w):
-        """Basis of A_w: eigenvectors with zero d-part, center projected away.
-
-        Realizes the induced operator on core/center by computing at hat
-        level and dropping the c-component.  Built once per weight: the
-        loop terms {(index, degree): pair} of each independent vector, and
-        the SpanSolver of their span over (index, degree) monomials
-        (`loop_solver`).  Those coordinates are injective on the twisted
-        algebra, so they decide membership as window coordinates would.
-        """
+        """A_w at loop level (`WeightSpace.loop`); [] if w is no weight."""
         sp = self.space(w)
-        if sp is None:
-            return []
-        if sp.loop is None:
-            solver = linalg.SpanSolver()
-            # independent loop projections only
-            keep = [terms for terms, _, d in sp.vectors
-                    if not d and terms and solver.add(terms)]
-            sp.loop = (keep, solver)
-        return sp.loop[0]
+        return [] if sp is None else sp.loop
 
-    def loop_solver(self, w):
-        """SpanSolver of the span of `loop_space(w)` over (index, degree)
-        monomials; None if w is no weight."""
-        sp = self.space(w)
-        if sp is None:
-            return None
-        self.loop_space(sp.w)
-        return sp.loop[1]
+    def shifts(self, basis, steps):
+        """The one shift rule of the shift and rspan lemmas: whether every
+        loop vector of `basis`, shifted by `steps` degrees, stays inside."""
+        return all(self.inside(v, steps) for v in basis)
 
 
 def _assign_series(decomp):
@@ -247,41 +235,35 @@ def weight_decompose(x, window):
 def verify_shift(decomp):
     """Windowed form of A_{w+mn} = t^n A_w for interior weight pairs.
 
-    For every weight pair (w, w + m n): each A_w basis vector whose t^n
-    shift stays interior must be an exact eigenvector of weight w + m n
-    lying in span A_{w+mn}; when the reverse shift also stays interior,
-    the spans agree exactly.  The shift re-keys the degrees of the loop
-    terms from `loop_space`, and [x, t^n v] is `affine.flat_bracket`, of
-    which only the loop part is compared.
+    For every weight pair (w, w + m n): each vector of `WeightSpace.loop`
+    whose t^n shift stays interior must lie in span A_{w+mn}, and the
+    dimensions agree where A_w and A_{w+mn} shift both ways inside
+    (`WeightDecomp.shifts`).  Membership is the whole eigen-equation:
+    `AdOperator.check` re-verified each basis vector of A_{w+mn}, loop part
+    included, and the loop part of `flat_bracket` is linear in its second
+    argument, so [x, t^n v] = (w + m n) t^n v at loop level.
     """
     alg, m = decomp.window.alg, decomp.window.m
     rep = Report()
-    spaces = [(sp.w, decomp.loop_space(sp.w), decomp.loop_solver(sp.w))
-              for sp in decomp.spaces]
-    for w1, basis1, _ in spaces:
-        for w2, basis2, solver2 in spaces:
-            q = w2[0] - w1[0]
-            if w2[1] != w1[1] or q == 0 or q % m != 0:
+    for sp1 in decomp.spaces:
+        for sp2 in decomp.spaces:
+            q = sp2.w[0] - sp1.w[0]
+            if sp2.w[1] != sp1.w[1] or q == 0 or q % m != 0:
                 continue
             shift = int(q)
-            minus_w2 = (-w2[0], -w2[1])
-            forward_ok = True
-            for v in basis1:
+            for v in sp1.loop:
                 terms = {(i, p + shift): x for (i, p), x in v.items()}
-                if not decomp.inside(terms):
-                    forward_ok = False
-                    continue
-                image = flat_bracket(alg, decomp.x, (terms, None, None))[0]
-                add_products(image, minus_w2, terms)
-                if not rep.check(solver2.contains(terms) and not image):
+                if (decomp.inside(terms)
+                        and not rep.check(sp2.solver.contains(terms))):
                     before, after = (render_flat(alg.labels, m, (t, None, None))
                                      for t in (v, terms))
                     rep.fail([before, f"n={shift // m}"], after,
-                             f"A_{render_pair(w2)}")
-            if (forward_ok and all(decomp.inside(u, -shift) for u in basis2)
-                    and not rep.check(len(basis1) == len(basis2))):
-                rep.fail([render_pair(w1), render_pair(w2)],
-                         str(len(basis1)), str(len(basis2)))
+                             f"A_{render_pair(sp2.w)}")
+            if (decomp.shifts(sp1.loop, shift)
+                    and decomp.shifts(sp2.loop, -shift)
+                    and not rep.check(len(sp1.loop) == len(sp2.loop))):
+                rep.fail([render_pair(sp1.w), render_pair(sp2.w)],
+                         str(len(sp1.loop)), str(len(sp2.loop)))
     return rep
 
 
@@ -348,52 +330,49 @@ def verify_product_rule(decomp):
     """[A_w1, A_w2] lies in A_{w1+w2}, on interior pairs with interior sum.
 
     Each bracket is `scalars.table_products`, the loop bracket, on the loop
-    terms of `loop_space`, tested against the target's solver in the same
-    (index, degree) coordinates; a failing pair is rendered from them and
-    their bracket."""
+    terms of `WeightSpace.loop`, tested against the target's solver in the
+    same (index, degree) coordinates; a failing pair is rendered from them
+    and their bracket."""
     alg, m = decomp.window.alg, decomp.window.m
     rep = Report()
-    spaces = [(sp.w, decomp.loop_space(sp.w)) for sp in decomp.spaces]
-    for w1, basis1 in spaces:
-        for w2, basis2 in spaces:
-            target = (w1[0] + w2[0], w1[1] + w2[1])
-            solver = decomp.loop_solver(target)
-            for u in basis1:
-                for v in basis2:
+    for sp1 in decomp.spaces:
+        for sp2 in decomp.spaces:
+            w = (sp1.w[0] + sp2.w[0], sp1.w[1] + sp2.w[1])
+            target = decomp.space(w)
+            for u in sp1.loop:
+                for v in sp2.loop:
                     b = table_products(alg.table, u, v)
                     if not decomp.inside(b):
                         continue
                     # outside a known eigenspace: exact failure witness
-                    if not rep.check(not b or solver is not None
-                                     and solver.contains(b)):
+                    if not rep.check(not b or target is not None
+                                     and target.solver.contains(b)):
                         *pair, image = (render_flat(alg.labels, m, (t, None, None))
                                         for t in (u, v, b))
-                        rep.fail(pair, image, f"A_{render_pair(target)}")
+                        rep.fail(pair, image, f"A_{render_pair(w)}")
     return rep
 
 
 def rspan_isomorphism_check(decomp):
     """Dimension stability along weight series and series finiteness.
 
-    dim A_w = dim A_{w+mn} is asserted exactly when the shift by t^n maps
-    the windowed A_w inside the interior and t^-n does the same for
-    A_{w+mn}: under those conditions the span map restricts to a bijection
-    of the windowed pieces.  The number of series is bounded by dim g.
+    dim A_w = dim A_{w+mn} is asserted for nonzero A_w and A_{w+mn} exactly
+    when the shift by t^n maps the windowed A_w inside the interior and t^-n
+    does the same for A_{w+mn} (`WeightDecomp.shifts`): under those
+    conditions the span map restricts to a bijection of the windowed
+    pieces.  The number of series is bounded by dim g.
     """
     rep = Report()
-
-    def shiftable(basis, steps):
-        return basis and all(decomp.inside(v, steps) for v in basis)
-
     for group in decomp.series.values():
-        members = [(sp.w, decomp.loop_space(sp.w)) for sp in group]
-        for i, (w1, basis1) in enumerate(members):
-            for w2, basis2 in members[i + 1:]:
-                steps = int(w2[0] - w1[0])
-                if (shiftable(basis1, steps) and shiftable(basis2, -steps)
-                        and not rep.check(len(basis1) == len(basis2))):
-                    rep.fail([render_pair(w1), render_pair(w2)],
-                             str(len(basis1)), str(len(basis2)))
+        members = [sp for sp in group if sp.loop]
+        for i, sp1 in enumerate(members):
+            for sp2 in members[i + 1:]:
+                steps = int(sp2.w[0] - sp1.w[0])
+                if (decomp.shifts(sp1.loop, steps)
+                        and decomp.shifts(sp2.loop, -steps)
+                        and not rep.check(len(sp1.loop) == len(sp2.loop))):
+                    rep.fail([render_pair(sp1.w), render_pair(sp2.w)],
+                             str(len(sp1.loop)), str(len(sp2.loop)))
     n_series, dim = len(decomp.series), decomp.window.alg.dim
     if not rep.check(n_series <= dim):
         rep.fail(["series count"], str(n_series), f"<= {dim}")

@@ -218,6 +218,26 @@ _A2_BRACKETS = "".join(f"bracket: {line}\n" for line in (
     "X_a12 X_ma1 -> 1 X_a2", "X_a12 X_ma12 -> 1 H_1, 1 H_2",
     "X_ma2 X_ma1 -> -1 X_ma12"))
 
+# sp(4), type C2, a Chevalley table derived from 4x4 symplectic matrices: a1
+# is short and a2 long, so it has N = +-2 (X_a1 X_a12 -> 2 X_a112) and a
+# long coroot (X_a12 X_ma12 -> 1 H_1, 2 H_2), which no shipped file has
+_C2_BRACKETS = "".join(f"bracket: {line}\n" for line in (
+    "H_1 X_a1 -> 2 X_a1", "H_1 X_a2 -> -2 X_a2", "H_1 X_a112 -> 2 X_a112",
+    "H_1 X_ma1 -> -2 X_ma1", "H_1 X_ma2 -> 2 X_ma2",
+    "H_1 X_ma112 -> -2 X_ma112", "H_2 X_a1 -> -1 X_a1", "H_2 X_a2 -> 2 X_a2",
+    "H_2 X_a12 -> 1 X_a12", "H_2 X_ma1 -> 1 X_ma1", "H_2 X_ma2 -> -2 X_ma2",
+    "H_2 X_ma12 -> -1 X_ma12", "X_a1 X_a2 -> 1 X_a12",
+    "X_a1 X_a12 -> 2 X_a112", "X_a1 X_ma1 -> 1 H_1", "X_a1 X_ma12 -> -2 X_ma2",
+    "X_a1 X_ma112 -> -1 X_ma12", "X_a2 X_ma2 -> 1 H_2",
+    "X_a2 X_ma12 -> 1 X_ma1", "X_a12 X_ma1 -> -2 X_a2",
+    "X_a12 X_ma2 -> 1 X_a1", "X_a12 X_ma12 -> 1 H_1, 2 H_2",
+    "X_a12 X_ma112 -> 1 X_ma1", "X_a112 X_ma1 -> -1 X_a12",
+    "X_a112 X_ma12 -> 1 X_a1", "X_a112 X_ma112 -> 1 H_1, 1 H_2",
+    "X_ma1 X_ma2 -> -1 X_ma12", "X_ma1 X_ma12 -> -2 X_ma112"))
+_C2 = ("rank: 2\ncartan: 2 -1; -2 2\nroot: 1 0\nroot: 0 1\nroot: 1 1\n"
+       "root: 2 1\n" + _C2_BRACKETS)
+C2_TABLE = "schema: 1\ntype: table\n" + _C2
+
 # (id, algebra file text, the parse error it must give); each one loaded
 # before the table-mode checks, or ended in a traceback
 _MALFORMED = [
@@ -262,6 +282,13 @@ _MALFORMED = [
     ("a2_doubled_constant", "rank: 2\ncartan: 2 -1; -1 2\nroot: 1 0\nroot: 0 1\n"
      "root: 1 1\n" + _A2_BRACKETS.replace("X_a1 -> 1 X_a12", "X_a1 -> 2 X_a12"),
      r"table violates Jacobi at \(2,3,5\)"),
+    # C2 with its N = 2 constant set to 1: again only the Jacobi sums
+    ("c2_constant_1", _C2.replace("X_a12 -> 2 X_a112", "X_a12 -> 1 X_a112"),
+     r"table violates Jacobi at \(2,4,6\)"),
+    # C2 with the coroot of a12 written as H_1 + H_2, the coroot of a112
+    ("c2_coroot_short", _C2.replace("-> 1 H_1, 2 H_2", "-> 1 H_1, 1 H_2"),
+     r"line 30: \[X_a12, X_ma12\] must be the coroot: a Cartan element h "
+     r"with a12\(h\) = 2"),
 ]
 MALFORMED_TABLES = [pytest.param("schema: 1\ntype: table\n" + text, error, id=name)
                     for name, text, error in _MALFORMED]

@@ -239,6 +239,16 @@ def _():
     return [(WeightSpace, "__init__", init)]
 
 
+@mutant("A_w at loop level drops its last independent vector")
+def _():
+    real = WeightSpace.__init__
+
+    def init(self, w, vectors):
+        real(self, w, vectors)
+        self.loop = self.loop[:-1]
+    return [(WeightSpace, "__init__", init)]
+
+
 @mutant("series ids split per weight")
 def _():
     def assign(decomp):

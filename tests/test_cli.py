@@ -20,7 +20,7 @@ from affinelie.cli import Session, build_parser, load_session, main
 from affinelie.loop import LoopElt
 from affinelie.rootsys import build_chevalley, build_diagram_auto
 
-from conftest import MALFORMED_TABLES, MALFORMED_TYPED, g_loop
+from conftest import C2_TABLE, MALFORMED_TABLES, MALFORMED_TYPED, g_loop
 
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "algebras").glob("*.alg"))
 
@@ -151,6 +151,16 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert re.fullmatch(f"parse error: {error}\n", err)
 
+    @pytest.mark.parametrize("argv", [["construct"]]
+                             + [["verify", suite] for suite in cli.SUITES])
+    def test_c2_table_passes_every_suite(self, capsys, tmp_path, argv):
+        """sp(4) from its Chevalley table, with N = +-2 and a long coroot."""
+        p = tmp_path / "c2.alg"
+        p.write_text(C2_TABLE)
+        code, _ = run(capsys, *argv, "--algebra", str(p), "--window", "-2",
+                      "2", "--seed", "7")
+        assert code == 0
+
     def test_unsupported_type_exits_3(self, capsys, tmp_path):
         p = tmp_path / "e8.alg"
         p.write_text("schema: 1\ntype: E\nrank: 8\n")
@@ -271,7 +281,7 @@ class TestVerify:
             self, kind, rank, perm, lo, hi):
         session = tampered_session(kind, rank, perm, lo, hi)
         report = cli.suite_jacobi(session)
-        assert report == reference_jacobi(session.window().basis)
+        assert report == reference_jacobi(session.window.basis)
         assert report["failures_omitted"] > 0
         if session.m == 3:  # the sums reach the zeta parts of the pairs
             assert any("z" in f["lhs"] for f in report["failures"])
@@ -281,7 +291,7 @@ class TestVerify:
         [H_1 t^p, H_2 t^-p] + [H_2 t^-p, H_1 t^p] is a multiple of c."""
         session = tampered_session("A", 2, (0, 1), -1, 1, "killing_table")
         report = cli.suite_jacobi(session)
-        assert report == reference_jacobi(session.window().basis)
+        assert report == reference_jacobi(session.window.basis)
         assert any(re.search(r"\bc$", f["lhs"]) for f in report["failures"])
 
     def test_jacobi_brackets_fewer_than_triples(self, monkeypatch,
@@ -298,7 +308,7 @@ class TestVerify:
             ["verify", "jacobi", "--algebra", a2_twisted_file,
              "--window", "-2", "2"]))
         report = cli.suite_jacobi(session)
-        n = session.window().size()
+        n = session.window.size()
         pairs = n * (n + 1) // 2
         triples = n * (n + 1) * (n + 2) // 6
         assert report == {"checked": pairs + triples, "failures": []}
@@ -674,7 +684,8 @@ class TestFileExitCodes:
 
     SEEDS = [_file_tokens(text) for text in
              [path.read_text() for path in SHIPPED]
-             + [param.values[0] for param in MALFORMED_TABLES + MALFORMED_TYPED]]
+             + [param.values[0] for param in MALFORMED_TABLES + MALFORMED_TYPED]
+             + [C2_TABLE]]
     POOL = sorted({tok for seed in SEEDS for tok in seed})
 
     @staticmethod

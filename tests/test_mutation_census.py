@@ -119,3 +119,19 @@ def test_exactseq_core_fixing_catches_first_order_nilexp():
         assert len(c["checks"]) == 1
         assert c["checks"][0].startswith("autos.verify_exact_sequence:")
         assert c["checks"][0] not in report["never_failed"]
+
+
+def test_shift_and_rspan_dimensions_catch_a_short_loop_basis():
+    """A_w at loop level one vector short, its span kept: every shifted
+    vector still lies in its target, so only the dimension comparisons of
+    the shift and rspan lemmas fail, on every FAST spectral run."""
+    name = "A_w at loop level drops its last independent vector"
+    runs = [argv for argv in FAST if argv[1] == "spectral"]
+    report = census(runs, [name])
+    caught = report["mutants"][name]["caught"]
+    assert [c["run"].split()[3] for c in caught] == [
+        "algebras/a1.alg", "algebras/a2_twisted.alg"]
+    for c in caught:
+        assert {"spectral:shift", "spectral:rspan"} <= set(c["families"])
+        assert [site.split(":")[0] for site in c["checks"]] == [
+            "spectral.rspan_isomorphism_check", "spectral.verify_shift"]

@@ -532,7 +532,7 @@ class TestFlatVerifiersMatchObjects:
             in_window = linalg.SpanSolver()
             for v in basis:
                 in_window.add(window.to_vector(flat(v)))
-            in_flat = decomp.loop_solver(w)
+            in_flat = decomp.space(w).solver
             assert in_flat.rank == in_window.rank == len(basis)
             for p in probes:
                 assert (in_flat.contains(dict(pair_terms(p.coords)))
