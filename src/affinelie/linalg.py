@@ -347,7 +347,9 @@ def eigenspaces(mat, n):
     ascending), one
     basis vector per free column, in column order; `complete` says that
     the dimensions sum to n.  Each basis keeps the unit columns of
-    `kernel_basis`, as components share no column.
+    `kernel_basis`, as components share no column.  A 1 x 1 component that
+    no further row touches is its diagonal entry with its unit vector,
+    which is what its kernel would give.
     """
     order = {}
     for i, row in enumerate(mat[:n]):
@@ -360,6 +362,11 @@ def eigenspaces(mat, n):
             extra[where[next(iter(row))]].append(row)
     found = {}
     for block, rest in zip(blocks, extra):
+        if len(block) == 1 and not rest:
+            # a lone column is its own eigenvector: no kernel to solve
+            j = block[0]
+            found.setdefault(mat[j].get(j, ZERO), []).append({j: ONE})
+            continue
         index = {j: k for k, j in enumerate(block)}
         square = [{index[j]: x for j, x in mat[i].items()} for i in block]
         rest = [{index[j]: x for j, x in row.items()} for row in rest]

@@ -258,6 +258,18 @@ def _():
     return [(spectral, "_assign_series", assign)]
 
 
+@mutant("a slice eigenvector dropped")
+def _():
+    real = spectral.decide_slices
+
+    def decide(ctx, s):
+        """The slice decision without the last vector of its last class."""
+        classes, jordan = real(ctx, s)
+        i, w, vectors = classes[-1]
+        return classes[:-1] + [(i, w, vectors[:-1])], jordan
+    return everywhere(spectral, "decide_slices", decide)
+
+
 @mutant("conjugacy_verify skips the first image")
 def _():
     real = mad.conjugacy_verify

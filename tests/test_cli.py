@@ -347,15 +347,17 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
 
     def test_failed_reverification_exits_4(self, capsys, monkeypatch, a1_file):
-        # a fault in the columns of ad(x) that the flat re-verification
-        # (`AdOperator.check`, which never reads window coordinates) sees
-        from affinelie.loop import Window
-        real = Window.to_vector
+        # a fault in the slice coordinates, under the columns of ad(x) on a
+        # window and of ad s on g, that the flat re-verification
+        # (`spectral.reverify`, which never reads coordinates) sees
+        from affinelie.loop import TwistedContext
+        real = TwistedContext.decompose_slice
 
-        def off_by_c(self, f):
-            return {**real(self, f), self.c_slot: (1, 0)}
+        def off_by_one(self, pairs, degree):
+            coords = real(self, pairs, degree)
+            return coords if coords is None else {**coords, 0: (1, 0)}
 
-        monkeypatch.setattr(Window, "to_vector", off_by_c)
+        monkeypatch.setattr(TwistedContext, "decompose_slice", off_by_one)
         code = main(["verify", "spectral", "--algebra", a1_file])
         captured = capsys.readouterr()
         assert code == 4
@@ -471,7 +473,7 @@ class TestWindow:
         payload = json.loads(out)
         report = payload["reports"]["spectral"]
         assert payload["window"] == report["decomposition"]["window"] == [-2, 2]
-        assert report["checked"] == 706
+        assert report["checked"] == 111
         assert report["decomposition"]["complete"]
 
     def test_form_gram_windows_ignore_the_run_window(self, capsys,
@@ -528,7 +530,7 @@ class TestSpectrumAndConjugate:
                         "--x", "H_1*t^0 + d")
         assert code == 0
         weights = json.loads(out)["reports"]["spectral"]["decomposition"]["weights"]
-        assert {"w": "0", "dim": 5, "series_id": 0, "interior": True} in weights
+        assert {"w": "0", "dim": 5, "series_id": 0, "scope": "g"} in weights
 
     @pytest.mark.parametrize("x", ["H_1*t^0 + 2*d", "H_1*t^0 - d",
                                    "1/2*H_1*t^0 + 1/2*d", "c", "0"])
@@ -807,6 +809,20 @@ class TestStartup:
         assert "affinelie.cli" in names
         assert ("affinelie.spectral" in names) is imported
 
+    @pytest.mark.parametrize("x, path", [("H_1*t^0 + d", "slices"),
+                                         ("H_1*t^0 + X_a1*t^1 + d", "windowed")])
+    def test_a_spectral_run_compiles_only_its_path(self, a1_file, x, path):
+        # degree reach 0 is decided on g (`slices`), any other x on the
+        # window (`windowed`); `spectral` hands out the names of both
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "affinelie", "spectrum",
+             "--algebra", a1_file, "--x", x],
+            capture_output=True, text=True)
+        assert proc.returncode in (0, 1), proc.stderr[-500:]
+        names = set(re.findall(r"\| +(affinelie\.\w+)$", proc.stderr, re.M))
+        assert names & {"affinelie.slices", "affinelie.windowed"} == {
+            f"affinelie.{path}"}
+
 
 OBJECTS = {"CycScalar", "LaurentElt", "LoopElt", "AffineElt", "unflat",
            "as_scalar"}
@@ -814,10 +830,12 @@ OBJECTS = {"CycScalar", "LaurentElt", "LoopElt", "AffineElt", "unflat",
 
 class TestObjectBoundary:
     """The verdict paths read flat forms and pairs: `cli`, `spectral`,
-    `rootsys` and `linalg` import none of the element classes or the
-    conversions into them, nor reach one as a name or an attribute."""
+    `slices`, `windowed`, `rootsys` and `linalg` import none of the element
+    classes or the conversions into them, nor reach one as a name or an
+    attribute."""
 
-    @pytest.mark.parametrize("module", ["cli", "spectral", "rootsys", "linalg"])
+    @pytest.mark.parametrize("module", ["cli", "spectral", "slices", "windowed",
+                                        "rootsys", "linalg"])
     def test_no_object_class_is_imported_or_named(self, module):
         path = Path(cli.__file__).resolve().parent / f"{module}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -3,9 +3,7 @@
 The digests were recorded before the elimination kernels in `linalg`
 became sparse.  An RREF is unique and every report is rendered from exact
 values, so any later change to elimination, pivoting or span membership
-that alters a report fails here.  The failing reach-0 `spectrum` run (a
-non-diagonalizable x, exit 1) was recorded while degree-zero x still had
-a per-slice solver of its own.  Two more pins, recorded while every
+that alters a report fails here.  Two more pins, recorded while every
 coefficient was still a `Fraction`, guard both number kinds of
 `CycScalar`: a non-integral weight that must render as `-11/3`, and the
 m = 3 zeta path of a D4 triality Jacobi run.
@@ -17,10 +15,17 @@ the window's boundary rows and the rational-roots fallback decide their
 bytes.  Both runs still report the window-boundary defect of ROADMAP
 item 2; its periodicity certificate will re-record both on purpose.
 
-The a2_twisted `verify spectral --window -1 1` pin was re-recorded when
-`--window` began to reach the spectral suite: it used to decompose on
-[-3m, 3m] whatever the option said, and now runs on [-1, 1] (342 checks,
-complete, exit 0).
+The four degree-reach-0 spectral pins (a1 `verify spectral`, the
+a2_twisted `verify spectral --window -1 1`, and the a1 `spectrum` runs of
+`X_a1*t^0 + d` and `1/3*H_1*t^0 + d`) were re-recorded when x of degree
+reach 0 began to be decided on g, slice by slice: their weights, dims,
+series ids, `complete` and `interior_dim` stayed as they were, and three
+things moved on purpose.  The lemma `checked` counts became the counts of
+the lemmas on g (the a2_twisted run on [-1, 1], which `--window` reaches,
+went from 342 checks to 105, complete, exit 0); each weight's
+`"interior": true` became `"scope": "g"`; and the failing
+`X_a1*t^0 + d` (a non-diagonalizable x, exit 1) gained the Jordan pair
+that witnesses its incomplete decomposition.
 
 The two `verify mad --word` pins were recorded while `suite_mad` still
 ran `is_diagonalizable` itself and handed the result to `mad_sanity`
@@ -41,19 +46,19 @@ TWISTED_WINDOW = ["--algebra", "algebras/a2_twisted.alg", "--window", "-1", "1"]
 
 GOLDEN = [
     (["verify", "spectral", "--algebra", "algebras/a1.alg"], 0,
-     "af7eaab8c2d766f46d7851e29833d0e00390a650d5c2d6a9a86262c68299886f"),
+     "865ba4f4d595bb5d8bf267117b06d698da7836fe54cb2615b94ae7035d2701b2"),
     (["verify", "mad", "--algebra", "algebras/a1.alg"], 0,
      "a1f8c9299c30bd99efd3d0191be2feeef4c0d460a3b740c4fd982e639d2543b6"),
     (["verify", "form", "--algebra", "algebras/a1.alg", "--seed", "7"], 0,
      "04337317b65b09b499d6888dde63d2edc2e32b732222d80f3e9125c040b42eef"),
     (["verify", "spectral", *TWISTED_WINDOW], 0,
-     "9f8669dfc817c5be5e4aa7b3f9385b29c52818dd10cbe34f48bdb75dfdc69062"),
+     "36c52a28dbfb7aa8179f52a537c9d16d8d9a2c02f2388f1dd65d589c4bec0112"),
     (["verify", "mad", *TWISTED_WINDOW], 0,
      "b64bf1bdd9ac897b1a16ef4206c2b5e2c721874c78884a9425728f81a217ccd5"),
     (["verify", "form", *TWISTED_WINDOW, "--seed", "7"], 0,
      "74f54a32290d754355984d341725cb0c9c366796507c82caf9316f408ed2ea3f"),
     (["spectrum", "--algebra", "algebras/a1.alg", "--x", "X_a1*t^0 + d"], 1,
-     "000ab2b431d97f9138ac532f14ba093dc8dbf116419f1750a52f7f37eb53e2c6"),
+     "32e8b471edbe817aedb3f87503848010d2708d09fd640a3c2a0be5fee1bdcbb3"),
     (["verify", "lifts", "--algebra", "algebras/a2_twisted.alg",
       "--samples", "50", "--seed", "7"], 0,
      "a36df2cfecc0f2ad526cdd00cdc565ad43e1c6208449886fbad36e017d222c76"),
@@ -61,7 +66,7 @@ GOLDEN = [
       "--samples", "50", "--seed", "7"], 0,
      "fd1c7e27d8b748238d6ab2efa60a074fb214f0f1b2f6d6d4a70280f48e9e09aa"),
     (["spectrum", "--algebra", "algebras/a1.alg", "--x", "1/3*H_1*t^0 + d"], 0,
-     "33146bd5c17dd5a72a020005f394c78fc8b0485342662384f14179158ea23978"),
+     "a12692069d6e35fa4d2cb72f48312d5d49189b9392fac5d1b73cf4945fb18a59"),
     (["verify", "jacobi", "--algebra", "algebras/d4_triality.alg",
       "--window", "-1", "1", "--seed", "7"], 0,
      "c1d95fa2afac17268e5708b4b5832c37d626bc82d8c43570aa9298824a430053"),

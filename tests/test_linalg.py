@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affinelie import linalg
 from affinelie.rootsys import sigma_eigenspaces
+from affinelie.slices import divide_out, jordan_pair
 from affinelie.scalars import add_products, pair_mul
 
 from conftest import Z3
-from pair_linalg import (global_eigenspaces, identity, invert, jordan_split,
-                         mat_mul, poly_divmod_linear, poly_eval)
+from pair_linalg import (generalized_eigenspace, global_eigenspaces, identity,
+                         invert, jordan_split, mat_mul, poly_divmod_linear,
+                         poly_eval)
 
 ZERO, ONE = linalg.ZERO, linalg.ONE
 
@@ -674,6 +676,81 @@ class TestBlockwiseEigenspaces:
                         ((5, 0), [{2: (1, 0)}]),
                         ((0, 1), [{1: (1, 0), 4: (1, 0)}, {6: (1, 0)}]),
                         ((2, 0), [{0: (1, 0), 3: (1, 0)}])], False)
+
+
+class TestLoneColumns:
+    def test_lone_columns_solve_no_kernel(self, monkeypatch):
+        # a 1 x 1 component that no further row touches is its diagonal
+        # entry with its unit vector, byte for byte what its kernel gives
+        mat = [{0: (2, 0)}, {}, {2: (0, 1)}, {3: (2, 0)}, {4: (Fraction(1, 3), 0)}]
+        expected = global_eigenspaces(mat, 5)
+
+        def no_kernel(*args):
+            raise AssertionError("kernel_basis called")
+        monkeypatch.setattr(linalg, "kernel_basis", no_kernel)
+        assert linalg.eigenspaces(mat, 5) == expected
+
+    def test_a_further_row_on_a_lone_column_still_counts(self):
+        # the extra row kills the eigenvector of column 1
+        mat = [{0: (2, 0)}, {1: (3, 0)}, {1: (1, 0)}]
+        assert linalg.eigenspaces(mat, 2) == global_eigenspaces(mat, 2) == (
+            [((2, 0), [{0: (1, 0)}])], False)
+
+
+def times_linear(poly, r):
+    """poly * (x - r), lowest degree first."""
+    out = [ZERO] + list(poly)
+    for k, c in enumerate(poly):
+        a, b = pair_mul(r, c)
+        out[k] = (out[k][0] - a, out[k][1] - b)
+    return out
+
+
+class TestJordanPairAndDivideOut:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_jordan_pair_exactly_where_a_block_is(self, m, data):
+        mat, n = data.draw(eigen_problem(m))
+        square = mat[:n]
+        spaces, _ = global_eigenspaces(square, n)
+        for w, basis in spaces:
+            pair = jordan_pair(square, w)
+            generalized = generalized_eigenspace(square, w, n)
+            assert (pair is None) == (len(generalized) == len(basis))
+            if pair is not None:
+                v, u = pair
+                step = columns(linalg.shifted(square, w), n)
+                assert u and linalg.mat_vec(step, v) == u
+                assert linalg.mat_vec(step, u) == {}
+
+    def test_jordan_pair_of_a_nilpotent_block(self):
+        mat = rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        assert jordan_pair(mat, ZERO) == ({1: ONE}, {0: ONE})
+        assert jordan_pair(rmat([[3, 0], [0, 3]]), (3, 0)) is None
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_divide_out_leaves_the_factor_no_root_divides(self, m, data):
+        pool = [elt(m, a, b) for a in range(-2, 3)
+                for b in ((0, 1) if m == 3 else (0,))]
+        roots = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+        q = data.draw(st.lists(st.sampled_from(pool), max_size=2)) + [ONE]
+        poly = q
+        for r in roots:
+            poly = times_linear(poly, r)
+        rest = divide_out(poly, roots)
+        assert rest == divide_out(q, roots)
+        assert all(poly_eval(rest, r) != ZERO for r in roots)
+        for r in roots:
+            if poly_eval(q, r) == ZERO:
+                assert len(rest) < len(q)
+
+    def test_divide_out_keeps_an_irrational_factor(self):
+        # x (x^2 - 8): the root 0 goes, x^2 - 8 stays
+        assert divide_out([ZERO, (-8, 0), ZERO, ONE], [ZERO, (2, 0)]) == [
+            (-8, 0), ZERO, ONE]
 
 
 class TestZetaBlockRoots:

@@ -2,9 +2,18 @@
 caught: some run of its fast subset, which passes on the real program,
 reports a FAIL under the mutant."""
 
+import contextlib
+from pathlib import Path
+
 import pytest
 
-from mutation_census import FAST, MUTANTS, census, mutated, outcome
+from affinelie import spectral
+from affinelie.loop import Window
+from affinelie.parsing import parse_algebra_file, parse_flat
+
+from mutation_census import FAST, MUTANTS, census, mutated, outcome, watched_checks
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +132,13 @@ def test_exactseq_core_fixing_catches_first_order_nilexp():
 
 def test_shift_and_rspan_dimensions_catch_a_short_loop_basis():
     """A_w at loop level one vector short, its span kept: every shifted
-    vector still lies in its target, so only the dimension comparisons of
-    the shift and rspan lemmas fail, on every FAST spectral run."""
+    vector still lies in its target, so on a window only the dimension
+    comparisons of the shift and rspan lemmas fail.  The FAST spectral
+    runs have degree reach 0 and decide on g, where the short record of
+    (g_0)_0 = h_0 (one vector on both algebras) fails the zero-weight
+    lemma.  The windowed lemmas run only for reach > 0, and no such run
+    passes yet (ROADMAP item 1), so they are checked here in process, on
+    the reach-1 x of the digest runs."""
     name = "A_w at loop level drops its last independent vector"
     runs = [argv for argv in FAST if argv[1] == "spectral"]
     report = census(runs, [name])
@@ -132,6 +146,34 @@ def test_shift_and_rspan_dimensions_catch_a_short_loop_basis():
     assert [c["run"].split()[3] for c in caught] == [
         "algebras/a1.alg", "algebras/a2_twisted.alg"]
     for c in caught:
-        assert {"spectral:shift", "spectral:rspan"} <= set(c["families"])
+        assert c["families"] == ["spectral:decomposition:checks:zero_weight",
+                                 "spectral:zero_weight"]
         assert [site.split(":")[0] for site in c["checks"]] == [
-            "spectral.rspan_isomorphism_check", "spectral.verify_shift"]
+            "slices.zero_weight_on_g"]
+
+    alg, auto = parse_algebra_file((ROOT / "algebras" / "a2.alg").read_text())
+    x = parse_flat("H_1*t^0 + 2*H_2*t^0 + X_a1*t^1 + d", alg, 1)
+    window = Window(auto, -3, 3)
+    for mutant in (False, True):
+        with mutated(name) if mutant else contextlib.nullcontext(), \
+                watched_checks() as (_, failed):
+            decomp = spectral.weight_decompose(x, window)
+            passed = [spectral.verify_shift(decomp).passed,
+                      spectral.rspan_isomorphism_check(decomp).passed]
+        assert passed == [not mutant] * 2
+        assert [site.split(":")[0] for site in sorted(failed)] == (
+            ["spectral.rspan_isomorphism_check", "windowed.verify_shift"]
+            if mutant else [])
+
+
+def test_a_dropped_slice_eigenvector_is_caught_on_g():
+    """One vector fewer in the slice decision leaves the window's weight
+    spaces short (an incomplete decomposition) and breaks dim (g_i)_w =
+    dim (g_-i)_-w on both FAST spectral runs."""
+    name = "a slice eigenvector dropped"
+    runs = [argv for argv in FAST if argv[1] == "spectral"]
+    caught = census(runs, [name])["mutants"][name]["caught"]
+    assert [c["run"].split()[3] for c in caught] == [
+        "algebras/a1.alg", "algebras/a2_twisted.alg"]
+    for c in caught:
+        assert {"spectral:decomposition", "spectral:opposite"} <= set(c["families"])

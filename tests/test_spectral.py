@@ -2,6 +2,7 @@
 verifiers, and behaviour under conjugation.
 """
 
+import json
 import random
 from pathlib import Path
 
@@ -13,12 +14,16 @@ from affinelie.affine import (AffineElt, bracket_affine, flat, flat_bracket,
                               invariant_form, unflat)
 from affinelie.autos import AutoWord, Cochar, Ring, RootExp, TorusK, VShift
 from affinelie.loop import LoopElt, Window
-from affinelie.parsing import parse_affine, parse_algebra_file, parse_flat
+from affinelie.parsing import (parse_affine, parse_algebra_file, parse_flat,
+                               parse_scalar)
 from affinelie.rootsys import build_chevalley, build_diagram_auto, cartan_of_fixed
-from affinelie.scalars import (CycScalar, LaurentElt, pair_terms, render_pair,
+from affinelie.scalars import (CycScalar, LaurentElt, add_products, pair_terms,
+                               render_pair,
                                table_pairing, table_products)
-from affinelie.spectral import (AdOperator, decomposition_report,
-                                degree_reach, interior_indices,
+from affinelie.spectral import (AdOperator, decide_slices, decompose_on_g,
+                                decomposition_report, degree_reach,
+                                interior_indices, opposite_on_g,
+                                product_rule_on_g,
                                 rspan_isomorphism_check, verify_opposite,
                                 verify_product_rule, verify_shift,
                                 verify_zero_weight, weight_decompose)
@@ -537,3 +542,111 @@ class TestFlatVerifiersMatchObjects:
             for p in probes:
                 assert (in_flat.contains(dict(pair_terms(p.coords)))
                         == in_window.contains(window.to_vector(flat(p))))
+
+
+def window_dump(decomp):
+    """The decomposition dump without its scope field: weights, dims and
+    series ids, `complete`, `interior_dim` and `window`."""
+    dump = decomposition_report(decomp)
+    for entry in dump["weights"]:
+        assert entry.pop("scope" if decomp.classes else "interior") in ("g", True)
+    return dump
+
+
+ALGEBRA_NAMES = [path.stem for path in sorted(ALGEBRAS.glob("*.alg"))]
+SLICE_CASES = [(name, None, window) for name in ALGEBRA_NAMES
+               for window in (None, (-2, 2))] + [
+    ("a1", "X_a1*t^0 + d", None),
+    ("a1", "1/3*H_1*t^0 + d", None),
+    ("a1", "H_1*t^0 + d + 3*c", (2, 9)),
+    ("a2", "d", (-2, 2)),
+    ("a2", "H_1*t^0 + X_a1*t^0 + d", (-2, 2)),
+    ("a2_twisted", "X_a1*t^0 + X_a2*t^0 + d", (-1, 3)),
+    ("d4_triality", "z*H_2*t^0 + H_1*t^0 + H_3*t^0 + H_4*t^0 + d", (-2, 2)),
+]
+
+
+class TestSlicesMatchWindow:
+    """A degree-0 x decided on g dumps what the windowed decomposition
+    dumps: weights, dims, series ids, `complete` and `interior_dim`, on
+    every shipped algebra (m = 1, 2, 3), at the default window of
+    `verify spectral` and at [-2, 2]."""
+
+    @pytest.mark.parametrize("name, x_text, window", SLICE_CASES,
+                             ids=[f"{n}-{x}-{w}" for n, x, w in SLICE_CASES])
+    def test_slice_dump_is_the_window_dump(self, name, x_text, window):
+        alg, auto = parse_algebra_file((ALGEBRAS / f"{name}.alg").read_text())
+        lo, hi = window or (-3 * auto.m, 3 * auto.m)
+        win = Window(auto, lo, hi)
+        x = flat(standard_x(auto)) if x_text is None else parse_flat(x_text, alg, auto.m)
+        assert degree_reach(x) == 0
+        decomp, shift = decompose_on_g(x, win)
+        assert window_dump(decomp) == window_dump(weight_decompose(x, win))
+        assert shift.passed and shift["checked"] > 0
+        dim = sum(sp.dim for sp in decomp.classes.values())
+        assert (dim == alg.dim) == (decomp.jordan is None)
+
+    @pytest.mark.parametrize("name, lo, hi", [("a1", 0, 1), ("a2", 0, 2)])
+    def test_windowed_opposite_compares_only_mirrored_weights(self, name, lo, hi):
+        # the CLI decides these x on g now; on a window that is not
+        # symmetric about 0 the windowed rule still reports no FAIL for a
+        # weight whose opposite the window cannot hold
+        alg, auto = parse_algebra_file((ALGEBRAS / f"{name}.alg").read_text())
+        rep = verify_opposite(weight_decompose(flat(standard_x(auto)),
+                                               Window(auto, lo, hi)))
+        assert rep.passed and rep["checked"] > 0
+
+    @pytest.mark.parametrize("name", ALGEBRA_NAMES)
+    def test_lemmas_on_g_pass_within_dim_g_squared(self, name):
+        alg, auto = parse_algebra_file((ALGEBRAS / f"{name}.alg").read_text())
+        decomp, _ = decompose_on_g(flat(standard_x(auto)),
+                                   Window(auto, -auto.m, auto.m))
+        product = product_rule_on_g(decomp)
+        assert product.passed and 0 < product["checked"] <= alg.dim ** 2
+        assert opposite_on_g(decomp).passed
+
+
+class TestDecideSlices:
+    def test_jordan_pair_reverifies_through_flat_bracket(self, capsys):
+        # ad X_a1 on sl2 is one nilpotent 3 x 3 block: the slice falls
+        # short, and the report carries the pair that shows it
+        from affinelie.cli import main
+        path = str(ALGEBRAS / "a1.alg")
+        code = main(["spectrum", "--algebra", path, "--x", "X_a1*t^0 + d"])
+        report = json.loads(capsys.readouterr().out)["reports"]["spectral"]
+        assert code == 1
+        (failure,) = report["failures"]
+        assert (failure["part"], failure["lhs"], failure["rhs"]) == (
+            "decomposition", "incomplete", "defect 14")
+        alg, _ = parse_algebra_file((ALGEBRAS / "a1.alg").read_text())
+        x = parse_flat("X_a1*t^0 + d", alg, 1)
+        pair = failure["jordan"]
+        w = parse_scalar(pair["w"], 1)
+        v, u = (parse_flat(pair[k], alg, 1) for k in ("v", "u"))
+        assert u[0] and u[1:] == v[1:] == (None, None)
+        # [x, v] = w v + u and [x, u] = w u, u != 0
+        wv_plus_u = add_products(add_products({}, w, v[0]), (1, 0), u[0])
+        assert flat_bracket(alg, x, v) == (wv_plus_u, None, None)
+        assert flat_bracket(alg, x, u) == (add_products({}, w, u[0]), None, None)
+
+    def test_weights_outside_q_exit_3_naming_the_slice(self, capsys):
+        # ad(X + 2Y) on sl2 has the eigenvalues 0 and +-2*sqrt(2)
+        from affinelie.cli import main
+        code = main(["spectrum", "--algebra", str(ALGEBRAS / "a1.alg"),
+                     "--x", "X_a1*t^0 + 2*X_ma1*t^0 + d"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("unsupported input: ad x on g_0 has eigenvalues "
+                                "outside Q: its characteristic polynomial has "
+                                "the factor x^2 - 8\n")
+
+    def test_classes_cover_every_slice(self, d4_triality):
+        # the standard x diagonalizes every slice g_0, g_1, g_2 of D4 under
+        # triality
+        ctx = Window(d4_triality, 0, 0).ctx
+        h0, _ = cartan_of_fixed(d4_triality)
+        s = {k: v for h in h0 for k, v in h.items()}
+        classes, jordan = decide_slices(ctx, s)
+        assert jordan is None
+        for i in range(3):
+            assert sum(len(vs) for j, _, vs in classes if j == i) == len(ctx.slice_basis(i))
