@@ -199,11 +199,10 @@ def suite_exactseq(session):
 
 
 def suite_spectral(session, x_text=None):
-    """The weight lemmas for x = x' + d; their shift rule needs d-part 1
-    and a window with room for a t-shift.  An x of degree reach 0 is
-    decided on g (`spectral.decompose_on_g`), and its lemmas hold on every
-    degree; any other x on the window interior.  Every name is read from
-    `spectral`, where the benchmark tracer wraps them."""
+    """The weight lemmas for x = x' + d, which needs d-part 1.  An x of
+    degree reach 0 is decided on g (`slices.decompose_on_g`), and its
+    lemmas hold on every degree.  Any other x is decided on the window
+    interior, whose shift rule needs room for a t-shift."""
     from . import spectral
     alg, m = session.alg, session.m
     if x_text is not None:
@@ -216,41 +215,36 @@ def suite_spectral(session, x_text=None):
         h0, _ = cartan_of_fixed(session.auto)
         x = ({(k, 0): v for h in h0 for k, v in h.items()}, None, (1, 0))
     if spectral.degree_reach(x) == 0:
-        decomp, shift = spectral.decompose_on_g(x, session.window)
-        lemmas = {"opposite": spectral.opposite_on_g,
-                  "zero_weight": spectral.zero_weight_on_g,
-                  "product_rule": spectral.product_rule_on_g}
+        from . import slices
+        decomp, shift = slices.decompose_on_g(x, session.window)
+        scope = slices.SCOPE
+        lemmas = (slices.opposite_on_g, slices.zero_weight_on_g,
+                  slices.product_rule_on_g)
     else:
         decomp = spectral.weight_decompose(x, session.window)
         shift = spectral.verify_shift(decomp)
-        lemmas = {"opposite": spectral.verify_opposite,
-                  "zero_weight": spectral.verify_zero_weight,
-                  "product_rule": spectral.verify_product_rule}
+        if not shift["checked"]:
+            raise ValueError(f"window [{session.lo}, {session.hi}] has no "
+                             "room for a t-shift inside its interior: the "
+                             "shift lemma checks nothing")
+        scope = spectral.INTERIOR
+        lemmas = (spectral.verify_opposite, spectral.verify_zero_weight,
+                  spectral.verify_product_rule)
     rep = Report()
-    if not shift["checked"]:
-        raise ValueError(f"window [{session.lo}, {session.hi}] has no room "
-                         "for a t-shift inside its interior: the shift lemma "
-                         "checks nothing")
-    rep["decomposition"] = dump = spectral.decomposition_report(decomp)
+    rep["decomposition"] = dump = spectral.decomposition_report(decomp, scope)
     dump["checks"] = {}
     for name, part in [
             ("shift", shift),
-            *((name, lemma(decomp)) for name, lemma in lemmas.items()),
+            *zip(("opposite", "zero_weight", "product_rule"),
+                 (lemma(decomp) for lemma in lemmas)),
             ("rspan", spectral.rspan_isomorphism_check(decomp))]:
         rep.merge(part, name)
         dump["checks"][name] = {"checked": part["checked"],
                                 "pass": part.passed}
     if not decomp.complete:
-        witness = {}
-        if decomp.jordan is not None:
-            # (ad x - w) v = u != 0 and (ad x - w) u = 0: ad x is not
-            # diagonalizable, whatever the window
-            w, v, u = decomp.jordan
-            witness["jordan"] = {"w": render_pair(w),
-                                 "v": render_flat(alg.labels, m, v),
-                                 "u": render_flat(alg.labels, m, u)}
         rep.fail([render_flat(alg.labels, m, x)], "incomplete",
-                 f"defect {decomp.defect}", part="decomposition", **witness)
+                 f"defect {decomp.defect}", part="decomposition",
+                 **({"jordan": decomp.jordan} if decomp.jordan else {}))
     return rep
 
 

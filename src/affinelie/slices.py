@@ -4,20 +4,21 @@ The loop bracket adds degrees and the cocycle of [s (x) t^0, .] is 0, so
 ad x acts on g_i (x) t^j (j = i mod m) as ad s + j: `decide_slices`
 solves ad s once on each slice g_i of g, `decompose_on_g` lifts its
 eigenvectors to the window for the dump, and the weight lemmas are
-checked on g, so they hold on every degree.  A run with such an x never
-compiles `windowed`, and a run with any other x never compiles this
-module: `spectral` hands out both modules' names on first use.
+checked on g, so they hold on every degree.  Any other x is decomposed on
+the window (`spectral.weight_decompose`); a run with such an x never
+imports this module.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .scalars import (pair_exact, pair_mul, render_flat, render_pair,
-                      render_sum, table_products)
+from .scalars import render_flat, render_pair, table_products
 from .affine import flat_pairing
 from .report import Report
 from .spectral import (ZERO_FORM, WeightDecomp, WeightSpace, eigen_residual,
                        interior_indices, reverify)
+
+SCOPE = {"scope": "g"}  # what each dumped weight carries: it holds on g
 
 
 def decide_slices(ctx, s):
@@ -32,9 +33,9 @@ def decide_slices(ctx, s):
     each nonzero eigenspace, slice by slice; jordan is None, or (i, w, v,
     u), g-vectors with (ad s - w) v = u != 0 and (ad s - w) u = 0, from
     the first slice whose eigenspaces fall short on a Jordan block
-    (`jordan_pair`).  When no slice has one, a slice that falls
-    short on eigenvalues no tried weight gives is unsupported input,
-    named with the factor of its characteristic polynomial they leave.
+    (`jordan_pair`).  When no slice has one, a slice that falls short on
+    eigenvalues no tried weight gives is unsupported input, named by the
+    first such slice.
     """
     alg, m = ctx.alg, ctx.m
     if ctx.decompose_slice(s, 0) is None:
@@ -62,36 +63,12 @@ def decide_slices(ctx, s):
                 jordan = (i, w, *(linalg.mat_vec(basis, v) for v in pair))
                 break
         else:
-            rest = divide_out(linalg.charpoly(rows),
-                                     [w for w, _ in spaces])
-            if len(rest) > 1 and outside is None:
-                outside = (i, rest)
-    if outside and not jordan:
-        i, rest = outside
+            outside = i if outside is None else outside
+    if outside is not None and not jordan:
         field = ("outside Q" if m < 3
                  else "that no rational root or diagonal entry gives")
-        raise ValueError(f"ad x on g_{i} has eigenvalues {field}: its "
-                         "characteristic polynomial has the factor "
-                         + _render_poly(rest))
+        raise ValueError(f"ad x on g_{outside} has eigenvalues {field}")
     return classes, jordan
-
-
-def divide_out(poly, roots):
-    """The polynomial `poly` (lowest degree first, pairs) with each root of
-    `roots` divided out as often as it divides: the factor that none of
-    them divides, [(1, 0)] when they split it."""
-    for w in roots:
-        while len(poly) > 1:
-            quot, acc = [], linalg.ZERO
-            for a, b in reversed(poly[1:]):  # synthetic division by x - w
-                pa, pb = pair_mul(w, acc)
-                acc = pair_exact((a + pa, b + pb))
-                quot.append(acc)
-            pa, pb = pair_mul(w, acc)
-            if poly[0][0] + pa or poly[0][1] + pb:
-                break
-            poly = quot[::-1]
-    return poly
 
 
 def jordan_pair(mat, w):
@@ -114,19 +91,6 @@ def jordan_pair(mat, w):
     return None
 
 
-def _render_poly(poly):
-    """A polynomial in x, lowest degree first, as text."""
-    terms = [(c, f"x^{k}" if k > 1 else "x") for k, c in enumerate(poly) if k]
-    text = render_sum(terms[::-1])
-    a, b = poly[0]
-    if not (a or b):
-        return text
-    const = render_sum([(poly[0], "1")]).removesuffix("*1")
-    if const.startswith("-"):
-        return f"{text} - {const[1:]}"
-    return f"{text} + {const}"
-
-
 def _at(v, j):
     """The flat form of the g-vector v at degree j."""
     return {(k, j): c for k, c in v.items()}, None, None
@@ -139,16 +103,18 @@ def decompose_on_g(x, window):
     `decide_slices` decides ad x slice by slice.  Each eigenvector v of a
     slice g_i with weight w is lifted to t^n v at every window degree j = i
     + m n, of weight w + j, and re-verified there through `flat_bracket`
-    (`eigen_residual`).  At n = 0 that is the slice decision's own claim,
-    and a mismatch is an internal error.  At n != 0 it is the shift lemma
-    A_{w+mn} = t^n A_w: `shift`, a Report, counts those re-verifications
-    and fails a lift that is no eigenvector.  c, and d when the window
-    holds the degree of s (`interior_indices`), are weight-0 vectors.  The
-    window's spaces are the re-verified lifts by weight, so the dump reads
-    as `weight_decompose`'s.  The decomposition keeps the slice
-    eigenspaces as `classes` (degree-0 flat forms, keyed by slice and
-    weight) for the lemmas on g, and a Jordan pair lifted to degree i and
-    re-verified.
+    (`eigen_residual`): the shift lemma A_{w+mn} = t^n A_w, on every degree
+    of the window.  `shift`, a Report, counts each of those
+    re-verifications, so it checks something whenever g has an
+    eigenvector, and fails a lift at n != 0 that is no eigenvector; at n =
+    0 the lift is the slice decision's own claim, and a mismatch is an
+    internal error.  c, and d when the window holds the degree of s
+    (`interior_indices`), are weight-0 vectors.  The window's spaces are
+    the re-verified lifts by weight, so the dump reads as
+    `weight_decompose`'s.  The decomposition keeps the slice eigenspaces
+    as `classes` (degree-0 flat forms, keyed by slice and weight) for the
+    lemmas on g, and a Jordan pair lifted to degree i, re-verified and
+    rendered for the report.
     """
     alg, m = window.alg, window.m
     found, jordan = decide_slices(window.ctx,
@@ -159,15 +125,16 @@ def decompose_on_g(x, window):
             w = (lam[0] + j, lam[1])
             for v in vectors:
                 f = _at(v, j)
-                if j == i:
-                    reverify(alg, x, f, w)
-                elif not shift.check(
-                        (residual := eigen_residual(alg, x, f, w)) == ZERO_FORM):
+                residual = eigen_residual(alg, x, f, w)
+                if shift.check(residual == ZERO_FORM):
+                    lifted.setdefault(w, []).append(f)
+                elif j == i:
+                    raise AssertionError("eigenvector failed exact "
+                                         "re-verification")
+                else:
                     shift.fail([render_flat(alg.labels, m, g) for g in (x, f)]
                                + [render_pair(w)],
                                render_flat(alg.labels, m, residual), "0")
-                    continue
-                lifted.setdefault(w, []).append(f)
     interior = interior_indices(x, window)
     for slot in (window.c_slot, window.d_slot):
         if slot in interior:
@@ -179,7 +146,10 @@ def decompose_on_g(x, window):
         if (eigen_residual(alg, x, v, w) != u
                 or eigen_residual(alg, x, u, w) != ZERO_FORM):
             raise AssertionError("Jordan pair failed exact re-verification")
-        jordan = (w, v, u)
+        # (ad x - w) v = u != 0 and (ad x - w) u = 0: ad x is not
+        # diagonalizable, whatever the window
+        jordan = {"w": render_pair(w), "v": render_flat(alg.labels, m, v),
+                  "u": render_flat(alg.labels, m, u)}
     spaces = [WeightSpace(w, lifted[w]) for w in sorted(lifted)]
     short = len(interior) - sum(sp.dim for sp in spaces)
     classes = {}

@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from affinelie import affine, autos, cli, linalg, mad, spectral
+from affinelie import affine, autos, cli, linalg, mad, slices, spectral
 from affinelie.autos import Cochar, Diagram, NilExp, Ring, TorusK, VShift
 from affinelie.report import Report
 from affinelie.scalars import _add_pair, add_products, pair_mul, table_pairing
@@ -260,14 +260,14 @@ def _():
 
 @mutant("a slice eigenvector dropped")
 def _():
-    real = spectral.decide_slices
+    real = slices.decide_slices
 
     def decide(ctx, s):
         """The slice decision without the last vector of its last class."""
         classes, jordan = real(ctx, s)
         i, w, vectors = classes[-1]
         return classes[:-1] + [(i, w, vectors[:-1])], jordan
-    return everywhere(spectral, "decide_slices", decide)
+    return everywhere(slices, "decide_slices", decide)
 
 
 @mutant("conjugacy_verify skips the first image")

@@ -473,7 +473,7 @@ class TestWindow:
         payload = json.loads(out)
         report = payload["reports"]["spectral"]
         assert payload["window"] == report["decomposition"]["window"] == [-2, 2]
-        assert report["checked"] == 111
+        assert report["checked"] == 119
         assert report["decomposition"]["complete"]
 
     def test_form_gram_windows_ignore_the_run_window(self, capsys,
@@ -515,13 +515,28 @@ class TestWindow:
     @pytest.mark.parametrize("command", [["spectrum"], ["verify", "spectral"]])
     def test_spectral_window_without_a_shift_exits_3(self, capsys, a1_file,
                                                      command):
-        # [0, 0] leaves no t-shift inside: the shift lemma would check nothing
-        code = main([*command, "--algebra", a1_file, "--window", "0", "0"])
+        # at reach 1 the interior of [-1, 1] is degree 0 alone: no t-shift
+        # stays inside, and the windowed shift lemma would check nothing
+        code = main([*command, "--algebra", a1_file, "--window", "-1", "1",
+                     "--x", "H_1*t^0 + X_a1*t^1 + d"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert captured.err.count("unsupported input:") == 1
-        assert "window [0, 0]" in captured.err
+        assert "window [-1, 1]" in captured.err
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "spectral"]])
+    def test_degree_zero_spectral_needs_no_shift_room(self, capsys, a1_file,
+                                                      command):
+        # decided on g, the lemmas hold on every degree: [0, 0] dumps its
+        # one degree, and the shift lemma counts its re-verified lifts
+        code = main([*command, "--algebra", a1_file, "--window", "0", "0"])
+        dump = json.loads(capsys.readouterr().out)["reports"]["spectral"][
+            "decomposition"]
+        assert code == 0
+        assert dump["complete"] and dump["window"] == [0, 0]
+        assert dump["checks"]["shift"] == {"checked": 3, "pass": True}
+        assert {w["scope"] for w in dump["weights"]} == {"g"}
 
 
 class TestSpectrumAndConjugate:
@@ -809,20 +824,6 @@ class TestStartup:
         assert "affinelie.cli" in names
         assert ("affinelie.spectral" in names) is imported
 
-    @pytest.mark.parametrize("x, path", [("H_1*t^0 + d", "slices"),
-                                         ("H_1*t^0 + X_a1*t^1 + d", "windowed")])
-    def test_a_spectral_run_compiles_only_its_path(self, a1_file, x, path):
-        # degree reach 0 is decided on g (`slices`), any other x on the
-        # window (`windowed`); `spectral` hands out the names of both
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "affinelie", "spectrum",
-             "--algebra", a1_file, "--x", x],
-            capture_output=True, text=True)
-        assert proc.returncode in (0, 1), proc.stderr[-500:]
-        names = set(re.findall(r"\| +(affinelie\.\w+)$", proc.stderr, re.M))
-        assert names & {"affinelie.slices", "affinelie.windowed"} == {
-            f"affinelie.{path}"}
-
 
 OBJECTS = {"CycScalar", "LaurentElt", "LoopElt", "AffineElt", "unflat",
            "as_scalar"}
@@ -830,12 +831,11 @@ OBJECTS = {"CycScalar", "LaurentElt", "LoopElt", "AffineElt", "unflat",
 
 class TestObjectBoundary:
     """The verdict paths read flat forms and pairs: `cli`, `spectral`,
-    `slices`, `windowed`, `rootsys` and `linalg` import none of the element
-    classes or the conversions into them, nor reach one as a name or an
-    attribute."""
+    `slices`, `rootsys` and `linalg` import none of the element classes or
+    the conversions into them, nor reach one as a name or an attribute."""
 
-    @pytest.mark.parametrize("module", ["cli", "spectral", "slices", "windowed",
-                                        "rootsys", "linalg"])
+    @pytest.mark.parametrize("module", ["cli", "spectral", "slices", "rootsys",
+                                        "linalg"])
     def test_no_object_class_is_imported_or_named(self, module):
         path = Path(cli.__file__).resolve().parent / f"{module}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"))

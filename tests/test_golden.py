@@ -21,8 +21,10 @@ a2_twisted `verify spectral --window -1 1`, and the a1 `spectrum` runs of
 reach 0 began to be decided on g, slice by slice: their weights, dims,
 series ids, `complete` and `interior_dim` stayed as they were, and three
 things moved on purpose.  The lemma `checked` counts became the counts of
-the lemmas on g (the a2_twisted run on [-1, 1], which `--window` reaches,
-went from 342 checks to 105, complete, exit 0); each weight's
+the lemmas on g, the shift lemma counting the re-verified lift of every
+slice eigenvector to every window degree (the a2_twisted run on [-1, 1],
+which `--window` reaches, went from 342 checks to 113, complete, exit 0);
+each weight's
 `"interior": true` became `"scope": "g"`; and the failing
 `X_a1*t^0 + d` (a non-diagonalizable x, exit 1) gained the Jordan pair
 that witnesses its incomplete decomposition.
@@ -46,19 +48,19 @@ TWISTED_WINDOW = ["--algebra", "algebras/a2_twisted.alg", "--window", "-1", "1"]
 
 GOLDEN = [
     (["verify", "spectral", "--algebra", "algebras/a1.alg"], 0,
-     "865ba4f4d595bb5d8bf267117b06d698da7836fe54cb2615b94ae7035d2701b2"),
+     "62d23a2dda3335fb29903603de9a80962bcb1fac8faf4f73ad8c36d827ebe616"),
     (["verify", "mad", "--algebra", "algebras/a1.alg"], 0,
      "a1f8c9299c30bd99efd3d0191be2feeef4c0d460a3b740c4fd982e639d2543b6"),
     (["verify", "form", "--algebra", "algebras/a1.alg", "--seed", "7"], 0,
      "04337317b65b09b499d6888dde63d2edc2e32b732222d80f3e9125c040b42eef"),
     (["verify", "spectral", *TWISTED_WINDOW], 0,
-     "36c52a28dbfb7aa8179f52a537c9d16d8d9a2c02f2388f1dd65d589c4bec0112"),
+     "3ee848d81178d148360134af3030fc3508b531e68d0140bbea187077b8b853c8"),
     (["verify", "mad", *TWISTED_WINDOW], 0,
      "b64bf1bdd9ac897b1a16ef4206c2b5e2c721874c78884a9425728f81a217ccd5"),
     (["verify", "form", *TWISTED_WINDOW, "--seed", "7"], 0,
      "74f54a32290d754355984d341725cb0c9c366796507c82caf9316f408ed2ea3f"),
     (["spectrum", "--algebra", "algebras/a1.alg", "--x", "X_a1*t^0 + d"], 1,
-     "32e8b471edbe817aedb3f87503848010d2708d09fd640a3c2a0be5fee1bdcbb3"),
+     "679d0f30604d001e3a5d906464bf30fd15a1aea7f0ab4dbdc39fad0d445f6405"),
     (["verify", "lifts", "--algebra", "algebras/a2_twisted.alg",
       "--samples", "50", "--seed", "7"], 0,
      "a36df2cfecc0f2ad526cdd00cdc565ad43e1c6208449886fbad36e017d222c76"),
@@ -66,7 +68,7 @@ GOLDEN = [
       "--samples", "50", "--seed", "7"], 0,
      "fd1c7e27d8b748238d6ab2efa60a074fb214f0f1b2f6d6d4a70280f48e9e09aa"),
     (["spectrum", "--algebra", "algebras/a1.alg", "--x", "1/3*H_1*t^0 + d"], 0,
-     "a12692069d6e35fa4d2cb72f48312d5d49189b9392fac5d1b73cf4945fb18a59"),
+     "64d8afebe37f33160a089ce9499ba8858b53b6522bdb44ecb4f688ff456e8907"),
     (["verify", "jacobi", "--algebra", "algebras/d4_triality.alg",
       "--window", "-1", "1", "--seed", "7"], 0,
      "c1d95fa2afac17268e5708b4b5832c37d626bc82d8c43570aa9298824a430053"),

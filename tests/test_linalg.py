@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affinelie import linalg
 from affinelie.rootsys import sigma_eigenspaces
-from affinelie.slices import divide_out, jordan_pair
 from affinelie.scalars import add_products, pair_mul
+from affinelie.slices import jordan_pair
 
 from conftest import Z3
 from pair_linalg import (generalized_eigenspace, global_eigenspaces, identity,
@@ -697,16 +697,7 @@ class TestLoneColumns:
             [((2, 0), [{0: (1, 0)}])], False)
 
 
-def times_linear(poly, r):
-    """poly * (x - r), lowest degree first."""
-    out = [ZERO] + list(poly)
-    for k, c in enumerate(poly):
-        a, b = pair_mul(r, c)
-        out[k] = (out[k][0] - a, out[k][1] - b)
-    return out
-
-
-class TestJordanPairAndDivideOut:
+class TestJordanPair:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -728,29 +719,6 @@ class TestJordanPairAndDivideOut:
         mat = rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         assert jordan_pair(mat, ZERO) == ({1: ONE}, {0: ONE})
         assert jordan_pair(rmat([[3, 0], [0, 3]]), (3, 0)) is None
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_divide_out_leaves_the_factor_no_root_divides(self, m, data):
-        pool = [elt(m, a, b) for a in range(-2, 3)
-                for b in ((0, 1) if m == 3 else (0,))]
-        roots = data.draw(st.lists(st.sampled_from(pool), max_size=4))
-        q = data.draw(st.lists(st.sampled_from(pool), max_size=2)) + [ONE]
-        poly = q
-        for r in roots:
-            poly = times_linear(poly, r)
-        rest = divide_out(poly, roots)
-        assert rest == divide_out(q, roots)
-        assert all(poly_eval(rest, r) != ZERO for r in roots)
-        for r in roots:
-            if poly_eval(q, r) == ZERO:
-                assert len(rest) < len(q)
-
-    def test_divide_out_keeps_an_irrational_factor(self):
-        # x (x^2 - 8): the root 0 goes, x^2 - 8 stays
-        assert divide_out([ZERO, (-8, 0), ZERO, ONE], [ZERO, (2, 0)]) == [
-            (-8, 0), ZERO, ONE]
 
 
 class TestZetaBlockRoots:

@@ -162,7 +162,7 @@ def test_shift_and_rspan_dimensions_catch_a_short_loop_basis():
                       spectral.rspan_isomorphism_check(decomp).passed]
         assert passed == [not mutant] * 2
         assert [site.split(":")[0] for site in sorted(failed)] == (
-            ["spectral.rspan_isomorphism_check", "windowed.verify_shift"]
+            ["spectral.rspan_isomorphism_check", "spectral.verify_shift"]
             if mutant else [])
 
 
