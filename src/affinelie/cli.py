@@ -25,7 +25,7 @@ from .affine import jacobi_sums, verify_form_invariance, window_gram_rank
 from .parsing import (ParseError, parse_affine, parse_flat, parse_word,
                       parse_algebra_file)
 from .report import Report
-# autos, spectral and mad: imported only in the suites that use them
+# autos, spectral, slices and mad: imported only in the suites that use them
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

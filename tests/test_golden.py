@@ -24,8 +24,7 @@ things moved on purpose.  The lemma `checked` counts became the counts of
 the lemmas on g, the shift lemma counting the re-verified lift of every
 slice eigenvector to every window degree (the a2_twisted run on [-1, 1],
 which `--window` reaches, went from 342 checks to 113, complete, exit 0);
-each weight's
-`"interior": true` became `"scope": "g"`; and the failing
+each weight's `"interior": true` became `"scope": "g"`; and the failing
 `X_a1*t^0 + d` (a non-diagonalizable x, exit 1) gained the Jordan pair
 that witnesses its incomplete decomposition.
 
