@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from . import linalg
 from .scalars import render_flat, render_pair, table_products
-from .affine import flat_pairing
 from .report import Report
-from .spectral import (ZERO_FORM, WeightDecomp, WeightSpace, eigen_residual,
-                       interior_indices, reverify)
+from .spectral import (ZERO_FORM, WeightDecomp, WeightSpace, closed,
+                       eigen_residual, interior_indices, mirrored, orthogonal,
+                       reverify)
 
 SCOPE = {"scope": "g"}  # what each dumped weight carries: it holds on g
 
@@ -168,27 +168,19 @@ def _class_name(key):
 
 def opposite_on_g(decomp):
     """The opposite lemma on every degree, for a decomposition decided on
-    g: dim (g_i)_w = dim (g_-i)_-w for each slice eigenspace, and the form
-    pairs (g_i)_w with (g_k)_u to 0 where i + k = 0 mod m and w + u != 0
-    (`affine.flat_pairing` on each pair of their vectors; the form pairs
-    degree j only with -j, so no other pair can meet)."""
+    g: dim (g_i)_w = dim (g_-i)_-w for each slice eigenspace (`mirrored`),
+    and the form pairs (g_i)_w with (g_k)_u to 0 where i + k = 0 mod m and
+    w + u != 0 (`orthogonal`; the form pairs degree j only with -j, so no
+    other pair can meet)."""
     alg, m, classes = decomp.window.alg, decomp.window.m, decomp.classes
     rep = Report()
     for (i, w), sp in classes.items():
-        opp = classes.get((-i % m, (-w[0], -w[1])))
-        if not rep.check(opp is not None and opp.dim == sp.dim):
-            rep.fail([_class_name((i, w))], f"dim {sp.dim}",
-                     "missing opposite weight" if opp is None
-                     else f"dim {opp.dim}")
+        mirrored(rep, sp, classes.get((-i % m, (-w[0], -w[1]))),
+                 _class_name((i, w)))
     for (i, w1), sp1 in classes.items():
         for (k, w2), sp2 in classes.items():
             if (i + k) % m == 0 and (w1[0] + w2[0] or w1[1] + w2[1]):
-                for u in sp1.vectors:
-                    for v in sp2.vectors:
-                        a, b = flat_pairing(alg, u, v)
-                        if not rep.check(not (a or b)):
-                            rep.fail([render_flat(alg.labels, m, f)
-                                      for f in (u, v)], render_pair((a, b)), "0")
+                orthogonal(rep, alg, m, sp1, sp2)
     return rep
 
 
@@ -205,21 +197,12 @@ def zero_weight_on_g(decomp):
 
 def product_rule_on_g(decomp):
     """[(g_i)_w1, (g_k)_w2] in (g_{i+k})_{w1+w2}, the product rule on every
-    degree, in at most (dim g)^2 brackets: `scalars.table_products` on the
-    degree-0 terms of `WeightSpace.loop`, tested against the target's
-    solver."""
+    degree, in at most (dim g)^2 brackets (`closed`, on the degree-0 terms
+    of `WeightSpace.loop`)."""
     alg, m, classes = decomp.window.alg, decomp.window.m, decomp.classes
     rep = Report()
     for (i, w1), sp1 in classes.items():
         for (k, w2), sp2 in classes.items():
             key = ((i + k) % m, (w1[0] + w2[0], w1[1] + w2[1]))
-            target = classes.get(key)
-            for u in sp1.loop:
-                for v in sp2.loop:
-                    b = table_products(alg.table, u, v)
-                    if not rep.check(not b or target is not None
-                                     and target.solver.contains(b)):
-                        *pair, image = (render_flat(alg.labels, m, (t, None, None))
-                                        for t in (u, v, b))
-                        rep.fail(pair, image, _class_name(key))
+            closed(rep, alg, m, sp1, sp2, classes.get(key), _class_name(key))
     return rep

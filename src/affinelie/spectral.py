@@ -205,11 +205,6 @@ class WeightDecomp:
         sp = self.space(w)
         return [] if sp is None else sp.loop
 
-    def shifts(self, basis, steps):
-        """The one shift rule of the shift and rspan lemmas: whether every
-        loop vector of `basis`, shifted by `steps` degrees, stays inside."""
-        return all(self.inside(v, steps) for v in basis)
-
 
 def _assign_series(decomp):
     """Group weights into classes {w + m n}, filed under (a mod m, b) for
@@ -265,10 +260,10 @@ def weight_decompose(x, window):
 def verify_shift(decomp):
     """Windowed form of A_{w+mn} = t^n A_w for interior weight pairs.
 
-    For every weight pair (w, w + m n): each vector of `WeightSpace.loop`
-    whose t^n shift stays interior must lie in span A_{w+mn}, and the
-    dimensions agree where A_w and A_{w+mn} shift both ways inside
-    (`WeightDecomp.shifts`).  Membership is the whole eigen-equation:
+    For every weight pair (w, w + m n), each vector of `WeightSpace.loop`
+    whose t^n shift stays interior must lie in span A_{w+mn}; the
+    dimensions along a series are compared once, by
+    `rspan_isomorphism_check`.  Membership is the whole eigen-equation:
     `AdOperator.check` re-verified each basis vector of A_{w+mn}, loop part
     included, and the loop part of `flat_bracket` is linear in its second
     argument, so [x, t^n v] = (w + m n) t^n v at loop level.
@@ -289,60 +284,44 @@ def verify_shift(decomp):
                                      for t in (v, terms))
                     rep.fail([before, f"n={shift // m}"], after,
                              f"A_{render_pair(sp2.w)}")
-            if (decomp.shifts(sp1.loop, shift)
-                    and decomp.shifts(sp2.loop, -shift)
-                    and not rep.check(len(sp1.loop) == len(sp2.loop))):
-                rep.fail([render_pair(sp1.w), render_pair(sp2.w)],
-                         str(len(sp1.loop)), str(len(sp2.loop)))
     return rep
 
 
-def _pair_keys(f, sign):
-    """The keys a flat form is filed under (sign 1), or looks up its
-    partners by (sign -1): sign * p for each loop degree p, sign / 2 for a
-    c-part and -sign / 2 for a d-part.  The form pairs degree p only with
-    -p, and c only with d, so partners meet on a key."""
-    keys = {sign * p for _, p in f[0]}
-    keys.update(sign * h for h, y in ((0.5, f[1]), (-0.5, f[2])) if y)
-    return keys
+def mirrored(rep, sp, opp, name):
+    """dim A_w = dim A_-w, for the space sp named `name` and its opposite
+    opp (None when -w is no weight)."""
+    if not rep.check(opp is not None and opp.dim == sp.dim):
+        rep.fail([name], f"dim {sp.dim}",
+                 "missing opposite weight" if opp is None else f"dim {opp.dim}")
+
+
+def orthogonal(rep, alg, m, sp1, sp2):
+    """The form pairs every vector of sp1 with every vector of sp2 to 0:
+    one `affine.flat_pairing` per pair, a nonzero value rendered from the
+    pair it summed."""
+    for u in sp1.vectors:
+        for v in sp2.vectors:
+            a, b = flat_pairing(alg, u, v)
+            if not rep.check(not (a or b)):
+                rep.fail([render_flat(alg.labels, m, f) for f in (u, v)],
+                         render_pair((a, b)), "0")
 
 
 def verify_opposite(decomp):
     """Weight-set symmetry where the window holds A_w and A_-w with their
-    degrees negated, plus cross-weight orthogonality of the form.
-
-    Each eigenvector's flat form is filed once under its `_pair_keys`;
-    `affine.flat_pairing` runs only on the pairs whose keys meet, and every
-    other pair, exactly 0, is counted as checked in bulk.  A nonzero value
-    is rendered from the pair it summed."""
+    degrees negated (`mirrored`), plus the form's orthogonality on every
+    pair of spaces whose weights do not cancel (`orthogonal`)."""
     rep = Report()
     for sp in decomp.spaces:
         opp = decomp.space((-sp.w[0], -sp.w[1]))
         held = [v[0] for s in (sp, opp) if s is not None for v in s.vectors]
-        if (all(decomp.inside(terms, sign=-1) for terms in held)
-                and not rep.check(opp is not None and opp.dim == sp.dim)):
-            rep.fail([render_pair(sp.w)], f"dim {sp.dim}",
-                     "missing opposite weight" if opp is None
-                     else f"dim {opp.dim}")
+        if all(decomp.inside(terms, sign=-1) for terms in held):
+            mirrored(rep, sp, opp, render_pair(sp.w))
     alg, m = decomp.window.alg, decomp.window.m
-    filed = [{} for _ in decomp.spaces]
-    for by_key, sp in zip(filed, decomp.spaces):
-        for k, f in enumerate(sp.vectors):
-            for key in _pair_keys(f, 1):
-                by_key.setdefault(key, []).append(k)
     for sp1 in decomp.spaces:
-        for sp2, by_key in zip(decomp.spaces, filed):
+        for sp2 in decomp.spaces:
             if sp1.w[0] + sp2.w[0] or sp1.w[1] + sp2.w[1]:
-                for u in sp1.vectors:
-                    meet = sorted({k for key in _pair_keys(u, -1)
-                                   for k in by_key.get(key, ())})
-                    rep["checked"] += sp2.dim - len(meet)
-                    for k in meet:
-                        v = sp2.vectors[k]
-                        a, b = flat_pairing(alg, u, v)
-                        if not rep.check(not (a or b)):
-                            rep.fail([render_flat(alg.labels, m, f)
-                                      for f in (u, v)], render_pair((a, b)), "0")
+                orthogonal(rep, alg, m, sp1, sp2)
     return rep
 
 
@@ -356,54 +335,61 @@ def verify_zero_weight(decomp):
     return rep
 
 
-def verify_product_rule(decomp):
-    """[A_w1, A_w2] lies in A_{w1+w2}, on interior pairs with interior sum.
+def closed(rep, alg, m, sp1, sp2, target, name, inside=None):
+    """[sp1, sp2] lies in the space `target` (None when it is no weight):
+    `scalars.table_products`, the loop bracket, on each pair of loop terms
+    of `WeightSpace.loop`, tested against the target's solver in the same
+    (index, degree) coordinates.  A bracket that `inside` rejects is
+    dropped unchecked; a failing pair is rendered from its terms, their
+    bracket and the target's `name`."""
+    for u in sp1.loop:
+        for v in sp2.loop:
+            b = table_products(alg.table, u, v)
+            if inside is not None and not inside(b):
+                continue
+            # outside a known eigenspace: exact failure witness
+            if not rep.check(not b or target is not None
+                             and target.solver.contains(b)):
+                *pair, image = (render_flat(alg.labels, m, (t, None, None))
+                                for t in (u, v, b))
+                rep.fail(pair, image, name)
 
-    Each bracket is `scalars.table_products`, the loop bracket, on the loop
-    terms of `WeightSpace.loop`, tested against the target's solver in the
-    same (index, degree) coordinates; a failing pair is rendered from them
-    and their bracket."""
+
+def verify_product_rule(decomp):
+    """[A_w1, A_w2] lies in A_{w1+w2} (`closed`), on interior pairs with
+    interior sum."""
     alg, m = decomp.window.alg, decomp.window.m
     rep = Report()
     for sp1 in decomp.spaces:
         for sp2 in decomp.spaces:
             w = (sp1.w[0] + sp2.w[0], sp1.w[1] + sp2.w[1])
-            target = decomp.space(w)
-            for u in sp1.loop:
-                for v in sp2.loop:
-                    b = table_products(alg.table, u, v)
-                    if not decomp.inside(b):
-                        continue
-                    # outside a known eigenspace: exact failure witness
-                    if not rep.check(not b or target is not None
-                                     and target.solver.contains(b)):
-                        *pair, image = (render_flat(alg.labels, m, (t, None, None))
-                                        for t in (u, v, b))
-                        rep.fail(pair, image, f"A_{render_pair(w)}")
+            closed(rep, alg, m, sp1, sp2, decomp.space(w),
+                   f"A_{render_pair(w)}", decomp.inside)
     return rep
 
 
 def rspan_isomorphism_check(decomp):
     """Dimension stability along weight series and series finiteness.
 
-    dim A_w = dim A_{w+mn} is asserted for nonzero A_w and A_{w+mn} exactly
-    when the shift by t^n maps the windowed A_w inside the interior and t^-n
-    does the same for A_{w+mn} (`WeightDecomp.shifts`): under those
-    conditions the span map restricts to a bijection of the windowed
-    pieces.  The number of series is bounded by dim g.  A decomposition
-    decided on g (`slices`) has no stability to check: each slice
-    eigenspace gives every degree of its series one dimension, so there
-    the count is the whole check.
+    dim A_w = dim A_{w+mn} is asserted once for each pair of spaces of a
+    series, an A_w without loop vectors included, exactly when the shift
+    by t^n maps the windowed A_w inside the interior and t^-n does the
+    same for A_{w+mn} (`WeightDecomp.inside`): under those conditions the
+    span map restricts to a bijection of the windowed pieces.  This is
+    the one dimension comparison of the series; `verify_shift` tests
+    membership only.  The number of series is bounded by dim g.  A
+    decomposition decided on g (`slices`) has no stability to check: each
+    slice eigenspace gives every degree of its series one dimension, so
+    there the count is the whole check.
     """
     rep = Report()
     if decomp.classes is None:
         for group in decomp.series.values():
-            members = [sp for sp in group if sp.loop]
-            for i, sp1 in enumerate(members):
-                for sp2 in members[i + 1:]:
+            for i, sp1 in enumerate(group):
+                for sp2 in group[i + 1:]:
                     steps = int(sp2.w[0] - sp1.w[0])
-                    if (decomp.shifts(sp1.loop, steps)
-                            and decomp.shifts(sp2.loop, -steps)
+                    if (all(decomp.inside(v, steps) for v in sp1.loop)
+                            and all(decomp.inside(v, -steps) for v in sp2.loop)
                             and not rep.check(len(sp1.loop) == len(sp2.loop))):
                         rep.fail([render_pair(sp1.w), render_pair(sp2.w)],
                                  str(len(sp1.loop)), str(len(sp2.loop)))
