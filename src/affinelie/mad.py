@@ -14,7 +14,7 @@ from . import linalg
 from .scalars import render_flat
 from .affine import AffineElt, bracket_affine, flat, unflat
 from .report import Report
-from .spectral import AdOperator, weight_decompose
+from .spectral import ad_rows, interior_indices, lift, weight_decompose
 
 
 class SubalgebraSpec:
@@ -61,21 +61,24 @@ def is_diagonalizable(spec, window):
     """Simultaneous exact diagonalizability of the family over Q(zeta_m).
 
     Returns (flag, witness): on success the witness is the joint eigenbasis
-    as (tuple of weight pairs, flat forms) pairs; on failure it names a
-    defective generator.  Every operator hands over its window rows
-    outside the joint interior too, so a joint eigenvector must also
-    vanish there.
+    as (tuple of weight pairs, flat forms) pairs, each vector re-verified
+    against every generator with its own weight (`spectral.lift`); on
+    failure it names a defective generator.  Each generator's
+    `spectral.ad_rows` over the joint interior (`interior_indices`) hold
+    its window rows outside that interior too, so a joint eigenvector must
+    also vanish there.
     """
-    ops = AdOperator.family([flat(g) for g in spec.generators], window)
-    if not ops[0].interior:
+    xs = [flat(g) for g in spec.generators]
+    interior = interior_indices(window, *xs)
+    if not interior:
         raise ValueError("window too small: empty joint interior")
     spaces, defect = linalg.joint_eigenspaces(
-        [op.rows() for op in ops], len(ops[0].interior))
+        [ad_rows(x, window, interior) for x in xs], len(interior))
     if defect is not None:
         return False, {"defective_generator": spec.generators[defect].render()}
     eigen = []
     for weights, basis in spaces:
-        eigen.append((weights, [AdOperator.joint_lift(ops, coeffs, weights)
+        eigen.append((weights, [lift(window, interior, coeffs, zip(xs, weights))
                                 for coeffs in basis]))
     return True, {"eigenbasis": eigen}
 
@@ -138,17 +141,17 @@ def mad_sanity(spec, window, span):
 def centralizer(loop_generators, window):
     """Basis of the loop-level centralizer of a diagonalizable family.
 
-    Exact joint kernel of the interior ad-matrices; equals the zero piece
-    of the joint weight decomposition.
+    Exact joint kernel of the ad-rows on the loop columns of the joint
+    interior; equals the zero piece of the joint weight decomposition.
     """
-    ops = AdOperator.family([flat(g) for g in loop_generators], window,
-                            loop_only=True)
-    if not ops[0].interior:
-        return []
-    stacked = [row for op in ops for row in op.rows()]
+    xs = [flat(g) for g in loop_generators]
+    interior = [i for i in interior_indices(window, *xs)
+                if window.meta[i][0] == "loop"]
+    stacked = [row for x in xs for row in ad_rows(x, window, interior)]
+    zero = [(x, (0, 0)) for x in xs]
     return [unflat(window.alg, window.m,
-                   AdOperator.joint_lift(ops, coeffs, [(0, 0)] * len(ops))).loop
-            for coeffs in linalg.kernel_basis(stacked, len(ops[0].interior))]
+                   lift(window, interior, coeffs, zero)).loop
+            for coeffs in linalg.kernel_basis(stacked, len(interior))]
 
 
 def conjugacy_verify(word, spec, window, reference, span):

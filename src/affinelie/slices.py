@@ -12,9 +12,10 @@ imports this module.
 from __future__ import annotations
 
 from . import linalg
-from .scalars import render_flat, render_pair, table_products
+from .loop import Window
+from .scalars import render_flat, render_pair
 from .report import Report
-from .spectral import (ZERO_FORM, WeightDecomp, WeightSpace, closed,
+from .spectral import (ZERO_FORM, WeightDecomp, WeightSpace, ad_rows, closed,
                        eigen_residual, interior_indices, mirrored, orthogonal,
                        reverify)
 
@@ -24,10 +25,11 @@ SCOPE = {"scope": "g"}  # what each dumped weight carries: it holds on g
 def decide_slices(ctx, s):
     """ad s on each slice g_i of g, i < m, for s in g_0 (a g-vector): the
     finite decision of ad x for every x = d + s (+ a c-part), on all the
-    degrees of each slice at once.  Column k of a slice's matrix is
-    [s, e_k] for its basis element e_k, from `scalars.table_products`, in
-    slice coordinates; `linalg.eigenspaces` solves it, the one place that
-    tries weights.
+    degrees of each slice at once.  A slice's matrix is the square block
+    of `spectral.ad_rows` for s at degree 0 on the one-degree window
+    [i, i], whose first slots are the slice basis: column k is [s, e_k]
+    for its basis element e_k, in slice coordinates (`Window.to_vector`);
+    `linalg.eigenspaces` solves it, the one place that tries weights.
 
     Returns (classes, jordan): classes lists (i, weight, g-vectors) for
     each nonzero eigenspace, slice by slice; jordan is None, or (i, w, v,
@@ -37,22 +39,16 @@ def decide_slices(ctx, s):
     eigenvalues no tried weight gives is unsupported input, named by the
     first such slice.
     """
-    alg, m = ctx.alg, ctx.m
+    m = ctx.m
     if ctx.decompose_slice(s, 0) is None:
         raise ValueError("element leaves the twisted algebra")
-    s = {(k, 0): v for k, v in s.items()}
+    s = {(k, 0): v for k, v in s.items()}, None, None
     classes, jordan, outside = [], None, None
     for i in range(m):
         basis = ctx.slice_basis(i)
-        rows = [{} for _ in basis]
-        for col, e in enumerate(basis):
-            image = table_products(alg.table, s,
-                                   {(k, 0): v for k, v in e.items()})
-            coords = ctx.decompose_slice({k: v for (k, _), v in image.items()},
-                                         i)
-            for r, v in coords.items():
-                rows[r][col] = v
-        spaces, complete = linalg.eigenspaces(rows, len(rows))
+        n = len(basis)
+        rows = ad_rows(s, Window(ctx.auto, i, i, context=ctx), range(n))[:n]
+        spaces, complete = linalg.eigenspaces(rows, n)
         classes += [(i, w, [linalg.mat_vec(basis, v) for v in sub])
                     for w, sub in spaces if sub]
         if complete or jordan:
@@ -135,7 +131,7 @@ def decompose_on_g(x, window):
                     shift.fail([render_flat(alg.labels, m, g) for g in (x, f)]
                                + [render_pair(w)],
                                render_flat(alg.labels, m, residual), "0")
-    interior = interior_indices(x, window)
+    interior = interior_indices(window, x)
     for slot in (window.c_slot, window.d_slot):
         if slot in interior:
             reverify(alg, x, window.flats[slot], (0, 0))

@@ -33,11 +33,12 @@ def degree_reach(x):
     return max((abs(p) for _, p in x[0]), default=0)
 
 
-def interior_indices(x, window):
-    """Columns whose ad(x)-image provably stays inside the window: loop
-    degrees inside at the reach of x, c, and d when x's loop part is inside."""
-    reach = degree_reach(x)
-    d_inside = window.inside({p for _, p in x[0]})
+def interior_indices(window, *xs):
+    """Columns whose ad-image under each x of a commuting family provably
+    stays inside the window: loop degrees inside at the largest reach, c,
+    and d when every loop part is inside."""
+    reach = max(degree_reach(x) for x in xs)
+    d_inside = all(window.inside({p for _, p in x[0]}) for x in xs)
     return [i for i, (kind, j, _) in enumerate(window.meta)
             if kind == "c" or (d_inside if kind == "d"
                                else window.inside((j,), reach))]
@@ -68,74 +69,35 @@ def reverify(alg, x, f, w):
         raise AssertionError("eigenvector failed exact re-verification")
 
 
-class AdOperator:
-    """ad(x) on the interior columns of a window, for a flat form x.
+def ad_rows(x, window, interior):
+    """Rows of ad(x) over the columns `interior`, as `linalg.eigenspaces`
+    reads them: the interior rows in `interior` order, then the other
+    window rows in window order, each keyed by column position in
+    `interior`.  The first len(interior) rows are the square block shifted
+    by each weight, and the others must vanish on every eigenvector.
+    Column k is `Window.to_vector(flat_bracket(x, b_i))` for i =
+    interior[k]."""
+    order = {i: k for k, i in enumerate(interior)}
+    for r in range(window.size()):
+        order.setdefault(r, len(order))
+    rows = [{} for _ in order]
+    for k, i in enumerate(interior):
+        vec = window.to_vector(flat_bracket(window.alg, x, window.flats[i]))
+        if vec is None:
+            raise AssertionError("interior column left the window")
+        for r, v in vec.items():
+            rows[order[r]][k] = v
+    return rows
 
-    The interior defaults to `interior_indices(x, window)`; a commuting
-    family shares its joint interior (`AdOperator.family`).  Each interior
-    column holds the window coordinates of [x, b_i], computed once.  The
-    rows handed to `linalg` are keyed by column position in `interior`,
-    so kernel vectors are coefficients over the interior columns; the
-    interior rows come first, so the first len(interior) rows are the
-    square block that `linalg.eigenspaces` shifts by each weight, and the
-    other window rows must vanish on every eigenvector.
-    """
 
-    __slots__ = ("x", "window", "interior", "columns")
-
-    def __init__(self, x, window, interior=None):
-        self.x = x
-        self.window = window
-        self.interior = interior_indices(x, window) if interior is None else interior
-        self.columns = {}
-        for i in self.interior:
-            vec = window.to_vector(flat_bracket(window.alg, x, window.flats[i]))
-            if vec is None:
-                raise AssertionError("interior column left the window")
-            self.columns[i] = vec
-
-    @classmethod
-    def family(cls, generators, window, loop_only=False):
-        """One operator per generator, all over the joint interior (only
-        its loop columns when `loop_only`)."""
-        joint = set.intersection(*(set(interior_indices(g, window))
-                                   for g in generators))
-        if loop_only:
-            joint = {i for i in joint if window.meta[i][0] == "loop"}
-        return [cls(g, window, sorted(joint)) for g in generators]
-
-    @staticmethod
-    def joint_lift(ops, coeffs, weights):
-        """`lift` for a family sharing one interior, re-verified against
-        every operator with its own weight: one flat form."""
-        f = ops[0].window.from_vector({ops[0].interior[k]: coef
-                                       for k, coef in coeffs.items()})
-        for op, w in zip(ops, weights):
-            op.check(f, w)
-        return f
-
-    def rows(self):
-        """Rows of ad(x) over the interior columns: the interior rows in
-        `interior` order, then the other window rows in window order."""
-        order = {i: k for k, i in enumerate(self.interior)}
-        for r in range(self.window.size()):
-            order.setdefault(r, len(order))
-        out = [{} for _ in order]
-        for k, i in enumerate(self.interior):
-            for r, x in self.columns[i].items():
-                out[order[r]][k] = x
-        return out
-
-    def lift(self, coeffs, w):
-        """The flat form of the window element with coefficients {k: pair}
-        on the interior columns interior[k], re-verified as an eigenvector
-        of weight w."""
-        return self.joint_lift([self], coeffs, [w])
-
-    def check(self, f, w):
-        """Exact re-verification [x, v] = w v of the flat form f of v, for
-        a pair w (`reverify`)."""
-        reverify(self.window.alg, self.x, f, w)
+def lift(window, interior, coeffs, checks):
+    """The flat form of the window element with coefficients {k: pair} on
+    the columns interior[k], re-verified (`reverify`) as an eigenvector of
+    ad x of weight w for each (x, w) in `checks`."""
+    f = window.from_vector({interior[k]: c for k, c in coeffs.items()})
+    for x, w in checks:
+        reverify(window.alg, x, f, w)
+    return f
 
 
 class WeightSpace:
@@ -227,14 +189,14 @@ def weight_decompose(x, window):
     """Exact eigenvalues and eigenspaces of ad(x) on the window interior.
 
     One call to `linalg.eigenspaces` solves for every weight, on the rows
-    of `AdOperator.rows`: the interior block of ad(x) - w, stacked over
+    of `ad_rows`: the interior block of ad(x) - w, stacked over
     the other window rows, so each kernel vector is an exact eigenvector
     of the whole algebra.  Candidate weights are the block's diagonal
     entries and, while the dimensions fall short, the rational eigenvalues
     of the interior block.  x is a flat form, and each weight a pair.
     Every returned
     eigenvector is re-verified on its flat form through `flat_bracket`
-    (`AdOperator.check`).  `complete` certifies that interior eigenspace
+    (`lift`).  `complete` certifies that interior eigenspace
     dimensions sum to the interior dimension; when they do not, `defect`
     reports the shortfall (either boundary loss or non-diagonalizability
     over Q(zeta_m)).
@@ -245,12 +207,13 @@ def weight_decompose(x, window):
     apart, and a nonzero degree still leaves apart every column ad(x)
     does not link.
     """
-    op = AdOperator(x, window)
-    interior = op.interior
+    interior = interior_indices(window, x)
     if not any(window.meta[i][0] == "loop" for i in interior):
         raise ValueError("window too small: no interior loop columns")
-    solved, complete = linalg.eigenspaces(op.rows(), len(interior))
-    spaces = [WeightSpace(w, [op.lift(coeffs, w) for coeffs in basis])
+    solved, complete = linalg.eigenspaces(ad_rows(x, window, interior),
+                                          len(interior))
+    spaces = [WeightSpace(w, [lift(window, interior, coeffs, [(x, w)])
+                              for coeffs in basis])
               for w, basis in solved]
     spaces.sort(key=lambda sp: sp.w)
     defect = None if complete else len(interior) - sum(sp.dim for sp in spaces)
@@ -264,7 +227,7 @@ def verify_shift(decomp):
     whose t^n shift stays interior must lie in span A_{w+mn}; the
     dimensions along a series are compared once, by
     `rspan_isomorphism_check`.  Membership is the whole eigen-equation:
-    `AdOperator.check` re-verified each basis vector of A_{w+mn}, loop part
+    `lift` re-verified each basis vector of A_{w+mn}, loop part
     included, and the loop part of `flat_bracket` is linear in its second
     argument, so [x, t^n v] = (w + m n) t^n v at loop level.
     """

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from affinelie import affine, cli
 from affinelie.affine import AffineElt, bracket_affine, flat, flat_bracket
 from affinelie.cli import Session, build_parser, load_session, main
-from affinelie.loop import LoopElt
+from affinelie.loop import LoopElt, Window
 from affinelie.rootsys import build_chevalley, build_diagram_auto
 
 from conftest import C2_TABLE, MALFORMED_TABLES, MALFORMED_TYPED, g_loop
@@ -365,6 +365,27 @@ class TestVerify:
         assert captured.err.startswith("internal error: ")
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", ["a1", "a2_twisted"])
+    def test_a_coordinate_fault_under_the_slice_matrices_exits_4(
+            self, capsys, monkeypatch, request, name):
+        # a default x has degree reach 0, so it is decided on g: the slice
+        # matrices of ad s are read in window coordinates as well, and a
+        # spurious coordinate there fails the re-verification of a lift
+        real = Window.to_vector
+
+        def spurious(self, f):
+            vec = real(self, f)
+            return vec if vec is None else {**vec, 0: (1, 0)}
+
+        monkeypatch.setattr(Window, "to_vector", spurious)
+        algebra = request.getfixturevalue(f"{name}_file")
+        code = main(["verify", "spectral", "--algebra", algebra])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", [["spectrum"], ["verify", "spectral"]])
     def test_empty_x_exits_2(self, capsys, a1_file, command):

@@ -22,9 +22,10 @@ from affinelie.scalars import (CycScalar, LaurentElt, add_products, pair_terms,
                                table_pairing, table_products)
 from affinelie.slices import (decide_slices, decompose_on_g, opposite_on_g,
                               product_rule_on_g)
-from affinelie.spectral import (AdOperator, decomposition_report,
-                                degree_reach, interior_indices,
-                                rspan_isomorphism_check, verify_opposite,
+from affinelie.spectral import (ad_rows, decomposition_report,
+                                degree_reach, interior_indices, lift,
+                                reverify, rspan_isomorphism_check,
+                                verify_opposite,
                                 verify_product_rule, verify_shift,
                                 verify_zero_weight, weight_decompose)
 
@@ -47,19 +48,20 @@ def a2_twisted_x(a2, a2_flip):
 class TestAdMatrix:
     def test_d_is_diagonal_degree(self, a1_id):
         win = Window(a1_id, -2, 2)
-        d = AffineElt.d_elt(a1_id.alg, 1)
-        op = AdOperator(flat(d), win)
-        assert op.interior == list(range(win.size()))
-        mat = op.rows()
+        d = flat(AffineElt.d_elt(a1_id.alg, 1))
+        interior = interior_indices(win, d)
+        assert interior == list(range(win.size()))
+        mat = ad_rows(d, win, interior)
         for i, (kind, j, _) in enumerate(win.meta):
             expect = (j if kind == "loop" else 0, 0)
             assert mat[i].get(i, (0, 0)) == expect
 
     def test_degree_zero_cartan_is_diagonal(self, a1, a1_id, a1_x):
         win = Window(a1_id, -2, 2)
-        op = AdOperator(flat(a1_x), win)
-        assert op.interior == list(range(win.size()))
-        mat = op.rows()
+        x = flat(a1_x)
+        interior = interior_indices(win, x)
+        assert interior == list(range(win.size()))
+        mat = ad_rows(x, win, interior)
         for i in range(win.size()):
             for j in range(win.size()):
                 if i != j:
@@ -67,29 +69,50 @@ class TestAdMatrix:
 
     def test_degree_shift_flags_boundary(self, a1, a1_id):
         win = Window(a1_id, -2, 2)
-        x = AffineElt(LoopElt.monomial(a1, 1, 1, 1))
-        op = AdOperator(flat(x), win)
+        x = flat(AffineElt(LoopElt.monomial(a1, 1, 1, 1)))
+        interior = interior_indices(win, x)
         # columns at the end degrees would be pushed out of the window
         ends = [i for i, (k, j, _) in enumerate(win.meta)
                 if k == "loop" and j in (-2, 2)]
-        assert ends and not set(ends) & set(op.interior)
-        assert set(op.columns) == set(op.interior)
+        assert ends and not set(ends) & set(interior)
+        # and no row names an unknown outside the interior columns
+        assert all(set(row) <= set(range(len(interior)))
+                   for row in ad_rows(x, win, interior))
+
+    def test_joint_interior_is_the_intersection(self, a1, a1_id):
+        # a family's joint interior is the intersection of its members':
+        # loop columns at the largest reach, d only when every loop part
+        # lies inside the window
+        from itertools import combinations
+        win = Window(a1_id, -2, 2)
+        xs = [flat(AffineElt(LoopElt.monomial(a1, 1, 0, 0), d=1)),
+              flat(AffineElt(LoopElt.monomial(a1, 1, 1, 1))),
+              flat(AffineElt(LoopElt.monomial(a1, 1, 0, -2))),
+              flat(AffineElt(LoopElt.monomial(a1, 1, 0, 3)))]
+        for k in (1, 2, 3):
+            for family in combinations(xs, k):
+                joint = set.intersection(*(set(interior_indices(win, x))
+                                           for x in family))
+                assert interior_indices(win, *family) == sorted(joint)
+        assert win.d_slot not in interior_indices(win, xs[0], xs[3])
 
     def test_rows_put_the_interior_first(self, a1, a1_id):
         # rows[:n] is the square block over the interior, in interior
         # order; every other window row follows once, in window order
         win = Window(a1_id, -2, 2)
-        x = AffineElt(LoopElt.monomial(a1, 1, 1, 1), d=1)
-        op = AdOperator(flat(x), win)
-        n = len(op.interior)
+        x = flat(AffineElt(LoopElt.monomial(a1, 1, 1, 1), d=1))
+        interior = interior_indices(win, x)
+        n = len(interior)
         assert 0 < n < win.size()
-        rows = op.rows()
-        order = op.interior + [r for r in range(win.size()) if r not in op.interior]
+        rows = ad_rows(x, win, interior)
+        columns = {i: win.to_vector(flat_bracket(a1, x, win.flats[i]))
+                   for i in interior}
+        order = interior + [r for r in range(win.size()) if r not in interior]
         assert len(rows) == win.size() and any(rows[n:])
         assert all(set(row) <= set(range(n)) for row in rows)
         for pos, r in enumerate(order):
-            assert rows[pos] == {k: op.columns[i][r] for k, i in enumerate(op.interior)
-                                 if r in op.columns[i]}
+            assert rows[pos] == {k: columns[i][r] for k, i in enumerate(interior)
+                                 if r in columns[i]}
 
     def test_check_compares_the_c_part(self, a1, a1_id):
         # [H_1 t, H_1 t^-1] is a nonzero multiple of c and nothing else:
@@ -100,7 +123,7 @@ class TestAdMatrix:
         image = bracket_affine(x, v)
         assert not image.loop and not image.d and image.c
         with pytest.raises(AssertionError):
-            AdOperator(flat(x), win).check(flat(v), (0, 0))
+            reverify(win.alg, flat(x), flat(v), (0, 0))
 
     def test_check_compares_the_d_part(self, a1, a1_id):
         # [H_1, d] = 0, so v = d has a zero image: a loop- and c-only
@@ -109,20 +132,21 @@ class TestAdMatrix:
         x = AffineElt(LoopElt.monomial(a1, 1, 0, 0))
         v = AffineElt.d_elt(a1, 1)
         assert bracket_affine(x, v).is_zero()
-        op = AdOperator(flat(x), win)
-        op.check(flat(v), (0, 0))
+        reverify(win.alg, flat(x), flat(v), (0, 0))
         with pytest.raises(AssertionError):
-            op.check(flat(v), (1, 0))
+            reverify(win.alg, flat(x), flat(v), (1, 0))
 
     def test_lift_reverifies(self, a1, a1_id, a1_x):
         win = Window(a1_id, -2, 2)
-        op = AdOperator(flat(a1_x), win)
+        x = flat(a1_x)
+        interior = interior_indices(win, x)
         e = win.slot[(1, 0)]
-        coeffs = {op.interior.index(e): (1, 0)}
-        w = op.columns[e][e]
-        assert op.lift(coeffs, w) == win.flats[e]
+        k = interior.index(e)
+        coeffs = {k: (1, 0)}
+        w = ad_rows(x, win, interior)[k][k]
+        assert lift(win, interior, coeffs, [(x, w)]) == win.flats[e]
         with pytest.raises(AssertionError):
-            op.lift(coeffs, (w[0] + 1, w[1]))
+            lift(win, interior, coeffs, [(x, (w[0] + 1, w[1]))])
 
 
 # one small window per root-of-unity order, built once
@@ -169,8 +193,9 @@ def blockwise_reference(x, window):
     slice blocks are now built from sparse columns).  Returns the sorted
     (weight, vectors) pairs, `complete` and `defect`."""
     m = window.m
-    interior = interior_indices(x, window)
-    op = AdOperator(x, window, interior)
+    interior = interior_indices(window, x)
+    columns = {i: window.to_vector(flat_bracket(window.alg, x, window.flats[i]))
+               for i in interior}
     by_weight = {}
     total = 0
 
@@ -181,18 +206,18 @@ def blockwise_reference(x, window):
 
     for j in range(window.lo, window.hi + 1):
         block = [window.slot[(j, pos)] for pos in range(len(window.ctx.slice_basis(j)))]
-        mat = [{k: op.columns[col][row] for k, col in enumerate(block)
-                if row in op.columns[col]} for row in block]
+        mat = [{k: columns[col][row] for k, col in enumerate(block)
+                if row in columns[col]} for row in block]
         # an incomplete slice surfaces through the dimension certificate
         spaces, _ = linalg.eigenspaces(mat, len(mat))
         for w, sub in spaces:
             for coeffs in sub:
                 f = window.from_vector({block[k]: c for k, c in coeffs.items()})
-                op.check(f, w)
+                reverify(window.alg, x, f, w)
                 stash(w, f)
     zero = (0, 0)
     for elt in (AffineElt.c_elt(window.alg, m), AffineElt.d_elt(window.alg, m)):
-        op.check(flat(elt), zero)
+        reverify(window.alg, x, flat(elt), zero)
         stash(zero, flat(elt))
     spaces = [by_weight[key] for key in sorted(by_weight)]
     complete = total == len(interior)
@@ -464,9 +489,10 @@ class TestJordanBlockInvariant:
         from pair_linalg import jordan_split
         h_plus_x = LoopElt.monomial(a1, 1, 0, 0) + LoopElt.monomial(a1, 1, 1, 0)
         win = Window(a1_id, -1, 1)
-        op = AdOperator(flat(h_plus_x), win)
-        assert op.interior == list(range(win.size()))
-        mat = op.rows()
+        x = flat(h_plus_x)
+        interior = interior_indices(win, x)
+        assert interior == list(range(win.size()))
+        mat = ad_rows(x, win, interior)
         s, n = jordan_split(mat)
         # blocks are the degree slices, and the c and d columns are zero
         # (a degree-0 x without d); off-block entries of S must vanish
